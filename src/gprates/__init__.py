@@ -5,58 +5,10 @@ smoothness scale, experimental-design generators and metrics (fill
 distance, separation radius, mesh ratio), theoretical convergence-rate
 exponents with an empirical slope-verification harness, posterior-mean
 quadrature, and variance-stabilized Bayesian optimization.
-"""
 
-from .designs import (
-    Domain,
-    PointSet,
-    fill_distance,
-    gen_grid,
-    gen_p_greedy,
-    gen_uniform_random,
-    mesh_ratio,
-    quasi_uniformity_trace,
-    separation_radius,
-)
-from .errors import (
-    ConfigurationError,
-    InfiniteMomentError,
-    SingularDesignError,
-    SingularGramWarning,
-)
-from .fitting import (
-    MeanSpec,
-    PosteriorModel,
-    fit,
-    noise_interpolant_norm,
-    posterior_mean,
-    posterior_sd,
-    posterior_var,
-    rkhs_norm_expansion,
-)
-from .kernels import KernelSpec, cross_vector, gram, matern_eval, min_eigenvalue
-from .norms import EvalGrid, integrate, lq_error, make_grid, residual_norm
-from .rates import (
-    NuggetPolicy,
-    RateParams,
-    RateReport,
-    exponent_gaussian_regression,
-    exponent_interpolation,
-    exponent_misspec_gaussian,
-    exponent_misspec_interpolation,
-    fit_empirical_rate,
-    tau_star,
-    tau_zero,
-)
-from .targets import (
-    NoiseModel,
-    TargetSpec,
-    corrupt,
-    eval_target,
-    expected_noise_growth,
-    make_expansion_target,
-    named_target,
-    random_expansion_target,
-)
+Import the submodules directly (``gprates.experiments``, ``gprates.cli``,
+...).  The package itself imports nothing, so ``gprates.cli.main`` can pin
+the BLAS thread pools before numpy is first loaded.
+"""
 
 __version__ = "0.1.0"

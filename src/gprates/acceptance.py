@@ -12,19 +12,14 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import ConfigurationError
 from .experiments import (
-    ExperimentConfig,
     config_from_dict,
     half_integer_suite,
     noise_growth_suite,
     pythagorean_suite,
     rayleigh_suite,
     regression_bound_suite,
-    run_bo_experiment,
-    run_bq_experiment,
     run_experiment,
-    run_rate_experiment,
 )
 
 DEFAULT_SEED = 20240601

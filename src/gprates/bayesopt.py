@@ -18,7 +18,7 @@ from scipy.stats import norm as _norm
 
 from .designs import PointSet, fill_distance, gen_grid, separation_radius
 from .errors import ConfigurationError
-from .fitting import MeanSpec, PosteriorModel, fit, posterior_mean, posterior_sd
+from .fitting import MeanSpec, fit
 from .kernels import KernelSpec, cross_matrix
 from .targets import TargetSpec, eval_target
 
@@ -32,7 +32,6 @@ class BOConfig:
     n: int
     kernel: KernelSpec
     candidates: PointSet
-    seed: int = 0
     ucb_beta: float = 2.0
 
     def __post_init__(self):
@@ -51,18 +50,6 @@ class BOConfig:
             raise ConfigurationError("ucb needs beta > 0")
 
 
-def stabilized_candidates(
-    model: PosteriorModel, candidates: PointSet, gamma: float
-) -> PointSet:
-    """Candidates whose posterior sd is >= gamma times the candidate maximum.
-
-    Never empty: the maximizer always qualifies.
-    """
-    sd = np.asarray(posterior_sd(model, candidates.points))
-    keep = sd >= gamma * sd.max()
-    return PointSet(candidates.points[keep], candidates.domain)
-
-
 def expected_improvement(mean, sd, best: float):
     """E[(g(x) - best)_+] under the pointwise Gaussian posterior."""
     mean = np.asarray(mean, dtype=float)
@@ -72,21 +59,6 @@ def expected_improvement(mean, sd, best: float):
         z = np.where(sd > 0, gap / np.where(sd > 0, sd, 1.0), 0.0)
     ei = np.where(sd > 0, gap * _norm.cdf(z) + sd * _norm.pdf(z), np.maximum(gap, 0.0))
     return ei
-
-
-def acquisition_value(model: PosteriorModel, x, kind: str, best: float, ucb_beta: float = 2.0):
-    """EI or UCB at x; ``best`` is the best observed value so far."""
-    mean = posterior_mean(model, x)
-    sd = posterior_sd(model, x)
-    if kind == "expected_improvement":
-        out = expected_improvement(mean, sd, best)
-    elif kind == "ucb":
-        out = np.asarray(mean) + ucb_beta * np.asarray(sd)
-    else:
-        raise ConfigurationError(f"unknown acquisition {kind!r}")
-    if np.ndim(out) == 0 or (isinstance(out, np.ndarray) and out.size == 1 and np.ndim(x) <= 1):
-        return float(np.asarray(out).reshape(-1)[0])
-    return out
 
 
 @dataclass

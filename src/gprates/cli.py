@@ -6,9 +6,9 @@ suite), and ``list`` (registry contents).  Exit codes: 0 all verdicts pass
 or non-gating, 1 a gated verdict failed, 2 config/validation error, 3
 numerical abort.
 
-BLAS thread pools are pinned to one thread before numpy is first imported
-so that ``--threads`` (recorded, otherwise unused) can never change
-results; per-experiment determinism comes from derived seeds.
+``main`` pins the BLAS thread pools to one thread (unless the environment
+already sets them) before anything imports numpy, so a thread count never
+changes results; per-experiment determinism comes from derived seeds.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; recorded, must not change results")
         return p
 
     add_config_cmd("run", "run a config of any kind")
@@ -59,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accept", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--skip-determinism", action="store_true",
                    help="skip the byte-identical rerun check")
 
@@ -84,10 +81,8 @@ def _cmd_config(args, forced_kind: str | None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON at line {exc.lineno}: {exc.msg}", file=sys.stderr)
         return 2
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
-        if isinstance(raw.get("noise"), dict):
-            pass  # noise seed follows the config seed during parsing
     try:
         cfg = config_from_dict(raw)
         if forced_kind is not None and cfg.kind != forced_kind:

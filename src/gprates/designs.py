@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +67,10 @@ UNIT_INTERVAL = Domain((0.0,), (1.0,))
 
 @dataclass
 class PointSet:
-    """Ordered design points inside a domain, with lazily cached metrics."""
+    """Ordered design points inside a domain."""
 
     points: np.ndarray
     domain: Domain
-    _metrics: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -93,16 +92,6 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def metrics(self, probe_resolution: int | None = None) -> dict:
-        """Cached ``{'h': ..., 'h_bound': ..., 'q': ..., 'rho': ...}``."""
-        key = probe_resolution or _default_probe(self.dim)
-        if key not in self._metrics:
-            h, bound = fill_distance(self, probe_resolution)
-            q = separation_radius(self) if len(self) >= 2 else float("nan")
-            rho = h / q if q > 0 else float("inf")
-            self._metrics[key] = {"h": h, "h_bound": bound, "q": q, "rho": rho}
-        return self._metrics[key]
 
 
 def _default_probe(dim: int) -> int:
@@ -191,8 +180,13 @@ def fill_distance(X: PointSet, probe_resolution: int | None = None):
         block = probes[start : start + chunk]
         d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         best = max(best, float(np.sqrt(d2.min(axis=1).max())))
-    cell_diag = float(np.linalg.norm(X.domain.widths / res))
-    return best, cell_diag / 2.0
+    return best, fill_distance_bound(X.domain, res)
+
+
+def fill_distance_bound(domain: Domain, probe_resolution: int | None = None) -> float:
+    """Half the probe-cell diagonal: how far ``fill_distance`` may undershoot."""
+    res = probe_resolution or _default_probe(domain.dim)
+    return float(np.linalg.norm(domain.widths / res)) / 2.0
 
 
 def separation_radius(X: PointSet) -> float:
@@ -215,14 +209,17 @@ def mesh_ratio(X: PointSet, probe_resolution: int | None = None) -> float:
 
 
 def quasi_uniformity_trace(sequence, probe_resolution: int | None = None):
-    """Per-set ``(n, h, q, rho)`` rows plus the fitted slope of log h vs log n."""
+    """Per-set ``(n, h, q, rho)`` rows plus the fitted slope of log h vs log n.
+
+    A one-point set has no separation radius: its ``q`` and ``rho`` are NaN.
+    Coincident points give ``q = 0`` and ``rho = inf``.  The slope is NaN for
+    fewer than two sets.
+    """
     rows = []
     for X in sequence:
-        if len(X) < 2:
-            raise ConfigurationError("trace requires sets with at least two points")
         h, _ = fill_distance(X, probe_resolution)
-        q = separation_radius(X)
-        rows.append((len(X), h, q, h / q))
+        q = separation_radius(X) if len(X) >= 2 else float("nan")
+        rows.append((len(X), h, q, h / q if q != 0 else float("inf")))
     ns = np.array([r[0] for r in rows], dtype=float)
     hs = np.array([r[1] for r in rows], dtype=float)
     slope = float(np.polyfit(np.log(ns), np.log(hs), 1)[0]) if len(rows) >= 2 else float("nan")

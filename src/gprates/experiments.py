@@ -23,23 +23,23 @@ from .designs import (
     Domain,
     PointSet,
     fill_distance,
+    fill_distance_bound,
     gen_grid,
     gen_p_greedy,
     gen_uniform_random,
     mesh_ratio,
     pointset_to_csv,
-    separation_radius,
+    quasi_uniformity_trace,
 )
-from .errors import ConfigurationError, SingularDesignError
+from .errors import ConfigurationError
 from .fitting import (
     MeanSpec,
     fit,
     noise_interpolant_norm,
     posterior_mean,
-    rkhs_norm_expansion,
 )
 from .kernels import KernelSpec, gram, matern_of_r, min_eigenvalue
-from .norms import EvalGrid, lq_error, lq_norms, make_grid, residual_norm
+from .norms import lq_error, make_grid, residual_norm
 from .quadrature import bq_estimate, density_by_name
 from .rates import (
     NuggetPolicy,
@@ -59,7 +59,6 @@ from .targets import (
     expected_noise_growth,
     named_target,
     random_expansion_target,
-    registry_entries,
 )
 
 GRID_STABILITY_TOLERANCE = 0.05
@@ -217,7 +216,6 @@ class ExperimentConfig:
     bo_acquisition: str = "expected_improvement"
     bo_ucb_beta: float = 2.0
     bo_budgets: list = field(default_factory=lambda: [25, 50, 100, 200])
-    trials: int = 0  # identity-style experiments
 
     def kernel_for(self, ladder_index: int) -> KernelSpec:
         tau = self.kernel_taus[ladder_index % len(self.kernel_taus)]
@@ -237,7 +235,7 @@ class ExperimentConfig:
 _TOP_KEYS = {
     "kind", "name", "seed", "domain", "kernel", "target", "noise", "nugget",
     "mean", "design", "ladder", "replicates", "burn_in", "q", "s", "tolerance",
-    "grid_resolution", "density", "n", "bo", "trials",
+    "grid_resolution", "density", "n", "bo",
 }
 
 
@@ -265,8 +263,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError("missing field 'kernel' in config")
         if kernel_raw is not None:
             cfg.kernel_taus, cfg.lengthscale, cfg.amplitude, cfg.dim = _parse_kernel(kernel_raw)
-            # constructing a spec validates tau > d/2 etc.
-            cfg.kernel_for(0)
+            # constructing each spec of the schedule validates tau > d/2 etc.
+            for idx in range(len(cfg.kernel_taus)):
+                cfg.kernel_for(idx)
     if cfg.dim != domain.dim:
         raise ConfigurationError(
             f"kernel dim {cfg.dim} does not match domain dim {domain.dim}"
@@ -278,8 +277,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg.nugget = _parse_nugget(raw.get("nugget"))
     cfg.mean = _parse_mean(raw.get("mean"))
     cfg.ladder = [int(n) for n in raw.get("ladder", DEFAULT_LADDER)]
-    if any(n < 1 for n in cfg.ladder):
-        raise ConfigurationError("ladder entries must be positive")
+    if not cfg.ladder or any(n < 1 for n in cfg.ladder):
+        raise ConfigurationError("ladder must be a nonempty list of positive sizes")
     default_reps = 20 if (cfg.noise and cfg.noise.kind != "none") else 1
     cfg.replicates = int(raw.get("replicates", default_reps))
     cfg.burn_in = int(raw.get("burn_in", 1))
@@ -294,7 +293,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg.density = str(raw.get("density", "uniform"))
     density_by_name(cfg.density)
     cfg.n_single = int(raw.get("n", 64))
-    cfg.trials = int(raw.get("trials", 0))
 
     if kind == "interpolate" and cfg.nugget.kind != "zero":
         raise ConfigurationError("interpolate experiments require a zero nugget")
@@ -312,10 +310,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     elif bo is not None:
         raise ConfigurationError("'bo' section is only valid for kind = 'bo'")
     return cfg
-
-
-def derived_seed(seed: int, *tags: int) -> tuple:
-    return (seed, *tags)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +332,11 @@ def _design_for(cfg: ExperimentConfig, n: int, ladder_index: int) -> PointSet:
 
 def _theoretical_exponent(cfg: ExperimentConfig, rho_trend: float, quasi_uniform: bool):
     """Pick the matching theorem and return (n_exponent, notes)."""
+    if cfg.kind == "bq":
+        if cfg.noise.kind == "none":
+            # integration error inherits the full L1 exponent (no norm penalty at q=1)
+            return -min(cfg.target.tau_f, cfg.tau_k_minus) / cfg.domain.dim, []
+        return -cfg.target.tau_f / (2.0 * cfg.target.tau_f + cfg.domain.dim), []
     growth = expected_noise_growth(cfg.noise) if cfg.noise.kind != "none" else None
     params = RateParams(
         tau_f=cfg.target.tau_f,
@@ -374,19 +373,19 @@ def _theoretical_exponent(cfg: ExperimentConfig, rho_trend: float, quasi_uniform
     return n_exp, notes
 
 
-def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
-    """Ladder of designs -> fits -> L^q errors -> fitted slope vs theory."""
-    if cfg.target is None:
-        raise ConfigurationError("rate experiments need a target")
-    grid = make_grid(cfg.domain, cfg.grid_resolution)
+def _run_ladder(cfg: ExperimentConfig, measure):
+    """Walk the ladder: its designs and their geometry, then per rung the fits.
+
+    Every replicate of a rung refits the rung's design to ``f(X) + eps`` and
+    ``measure(ladder_index, replicate, model)`` returns that fit's error.
+    Returns ``(geometry, h_slope, rows)``: the ``(n, h, q, rho)`` rows and h
+    slope of :func:`quasi_uniformity_trace`, and ``(n, mean_error,
+    std_error)`` per rung.
+    """
+    designs = [_design_for(cfg, n, idx) for idx, n in enumerate(cfg.ladder)]
+    geometry, h_slope = quasi_uniformity_trace(designs)
     rows = []
-    design_rows = []
-    stability = None
-    for idx, n in enumerate(cfg.ladder):
-        X = _design_for(cfg, n, idx)
-        h, _ = fill_distance(X)
-        q_sep = separation_radius(X) if len(X) >= 2 else float("nan")
-        design_rows.append((len(X), h, q_sep, h / q_sep))
+    for idx, (X, (_, h, _, _)) in enumerate(zip(designs, geometry)):
         kernel = cfg.kernel_for(idx)
         lam = cfg.nugget.sigma_n(h) ** 2
         fX = np.asarray(eval_target(cfg.target, X.points), dtype=float).reshape(-1)
@@ -394,32 +393,47 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
         for rep in range(cfg.replicates):
             eps = draw_noise(cfg.noise, len(X), replicate=rep)
             model = fit(kernel, cfg.mean, X, fX + eps, lam)
-            errs.append(lq_error(cfg.target, model, cfg.q, grid))
-            if idx == len(cfg.ladder) - 1 and rep == 0:
-                fine = make_grid(cfg.domain, grid.resolution * 2)
-                e1 = lq_error(cfg.target, model, 2, grid)
-                e2 = lq_error(cfg.target, model, 2, fine)
-                stability = abs(e2 - e1) / max(e2, 1e-300)
+            errs.append(measure(idx, rep, model))
         rows.append((len(X), float(np.mean(errs)), float(np.std(errs))))
+    return geometry, h_slope, rows
 
-    ns = np.array([r[0] for r in design_rows], dtype=float)
-    hs = np.array([r[1] for r in design_rows], dtype=float)
-    rhos = np.array([r[3] for r in design_rows], dtype=float)
-    h_slope = float(np.polyfit(np.log(ns), np.log(hs), 1)[0])
+
+def _fit_slope(rows, burn_in: int):
+    """``(fitted, stderr, invalid_reason)``: a degenerate table is INVALID, not an error."""
+    try:
+        fitted, stderr = fit_empirical_rate([(n, e) for n, e, _ in rows], burn_in)
+    except ConfigurationError as exc:
+        return float("nan"), float("nan"), str(exc)
+    return fitted, stderr, ""
+
+
+def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
+    """Ladder of designs -> fits -> L^q errors -> fitted slope vs theory."""
+    if cfg.target is None:
+        raise ConfigurationError("rate experiments need a target")
+    grid = make_grid(cfg.domain, cfg.grid_resolution)
+    stability = None
+
+    def measure(idx, rep, model):
+        nonlocal stability
+        err = lq_error(cfg.target, model, cfg.q, grid)
+        if idx == len(cfg.ladder) - 1 and rep == 0:
+            fine = make_grid(cfg.domain, grid.resolution * 2)
+            e1 = lq_error(cfg.target, model, 2, grid)
+            e2 = lq_error(cfg.target, model, 2, fine)
+            stability = abs(e2 - e1) / max(e2, 1e-300)
+        return err
+
+    geometry, h_slope, rows = _run_ladder(cfg, measure)
+    ns = np.array([r[0] for r in geometry], dtype=float)
+    rhos = np.array([r[3] for r in geometry], dtype=float)
     rho_trend = float(np.polyfit(np.log(ns), np.log(rhos), 1)[0])
     d = cfg.domain.dim
     quasi_uniform = abs(h_slope + 1.0 / d) < 0.2 and rho_trend < 0.1
 
     theoretical, notes = _theoretical_exponent(cfg, rho_trend, quasi_uniform)
-    invalid = False
-    reason = ""
-    try:
-        fitted, stderr = fit_empirical_rate([(n, e) for n, e, _ in rows], cfg.burn_in)
-    except ConfigurationError as exc:
-        fitted, stderr = float("nan"), float("nan")
-        invalid, reason = True, str(exc)
+    fitted, stderr, reason = _fit_slope(rows, cfg.burn_in)
     if stability is not None and stability > GRID_STABILITY_TOLERANCE:
-        invalid = True
         reason = f"evaluation grid unresolved: L2 changed {stability:.1%} on refinement"
 
     report = RateReport(
@@ -429,10 +443,10 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
         stderr=stderr,
         tolerance=cfg.tolerance,
         rows=rows,
-        invalid=invalid,
+        invalid=bool(reason),
         invalid_reason=reason,
         extras={
-            "design_trace": [list(r) for r in design_rows],
+            "design_trace": [list(r) for r in geometry],
             "h_slope": h_slope,
             "rho_trend": rho_trend,
             "quasi_uniform": quasi_uniform,
@@ -457,43 +471,22 @@ def run_bq_experiment(cfg: ExperimentConfig) -> dict:
     p_vals = np.asarray(p(grid.points), dtype=float).reshape(grid.size)
     p_sup = float(p_vals.max())
     truth = float(np.sum(grid.weights * np.asarray(eval_target(cfg.target, grid.points)) * p_vals))
-    rows = []
     holder_ok = True
     worst_margin = float("inf")
-    for idx, n in enumerate(cfg.ladder):
-        X = _design_for(cfg, n, idx)
-        h, _ = fill_distance(X)
-        kernel = cfg.kernel_for(idx)
-        lam = cfg.nugget.sigma_n(h) ** 2
-        fX = np.asarray(eval_target(cfg.target, X.points), dtype=float).reshape(-1)
-        errs = []
-        for rep in range(cfg.replicates):
-            eps = draw_noise(cfg.noise, len(X), replicate=rep)
-            model = fit(kernel, cfg.mean, X, fX + eps, lam)
-            est = bq_estimate(model, p_vals, grid)
-            err = abs(truth - est)
-            errs.append(err)
-            l1 = lq_error(cfg.target, model, 1, grid)
-            bound = p_sup * l1 + 1e-12
-            worst_margin = min(worst_margin, bound - err)
-            if err > bound:
-                holder_ok = False
-        rows.append((len(X), float(np.mean(errs)), float(np.std(errs))))
-    fitted, stderr = fit_empirical_rate([(n, e) for n, e, _ in rows], cfg.burn_in)
-    params = RateParams(
-        tau_f=cfg.target.tau_f,
-        tau_k_minus=cfg.tau_k_minus,
-        tau_k_plus=cfg.tau_k_plus,
-        d=cfg.domain.dim,
-        s=0.0,
-        q=1.0,
-    )
-    if cfg.noise.kind == "none":
-        # integration error inherits the full L1 exponent (no norm penalty at q=1)
-        theoretical = -min(cfg.target.tau_f, cfg.tau_k_minus) / cfg.domain.dim
-    else:
-        theoretical = -cfg.target.tau_f / (2.0 * cfg.target.tau_f + cfg.domain.dim)
-    verdict = holder_ok and abs(fitted - theoretical) <= cfg.tolerance
+
+    def measure(idx, rep, model):
+        nonlocal holder_ok, worst_margin
+        err = abs(truth - bq_estimate(model, p_vals, grid))
+        bound = p_sup * lq_error(cfg.target, model, 1, grid) + 1e-12
+        worst_margin = min(worst_margin, bound - err)
+        if err > bound:
+            holder_ok = False
+        return err
+
+    _, _, rows = _run_ladder(cfg, measure)
+    fitted, stderr, reason = _fit_slope(rows, cfg.burn_in)
+    theoretical, _ = _theoretical_exponent(cfg, 0.0, True)
+    passed = holder_ok and abs(fitted - theoretical) <= cfg.tolerance
     return {
         "setting": cfg.name,
         "rows": rows,
@@ -503,7 +496,8 @@ def run_bq_experiment(cfg: ExperimentConfig) -> dict:
         "tolerance": cfg.tolerance,
         "holder_chain_ok": holder_ok,
         "holder_margin": worst_margin,
-        "verdict": "pass" if verdict else "fail",
+        "verdict": "invalid" if reason else ("pass" if passed else "fail"),
+        "invalid_reason": reason,
     }
 
 
@@ -518,7 +512,6 @@ def run_bo_experiment(cfg: ExperimentConfig) -> dict:
             n=budget,
             kernel=kernel,
             candidates=candidates,
-            seed=cfg.seed,
             ucb_beta=cfg.bo_ucb_beta,
         )
         res = run_gamma_F_n(cfg.target, bo_cfg)
@@ -708,21 +701,14 @@ def _json_dumps(payload) -> str:
 
 
 def run_design_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
-    rows = []
-    points_csv = None
-    for idx, n in enumerate(cfg.ladder):
-        X = _design_for(cfg, n, idx)
-        h, bound = fill_distance(X)
-        q = separation_radius(X) if len(X) >= 2 else float("nan")
-        rows.append({"n": len(X), "h": h, "h_bound": bound, "q": q,
-                     "rho": h / q if q and q > 0 else float("inf")})
-        points_csv = pointset_to_csv(X)
-    ns = [r["n"] for r in rows]
-    hs = [r["h"] for r in rows]
-    h_slope = float(np.polyfit(np.log(ns), np.log(hs), 1)[0]) if len(rows) >= 2 else float("nan")
+    designs = [_design_for(cfg, n, idx) for idx, n in enumerate(cfg.ladder)]
+    geometry, h_slope = quasi_uniformity_trace(designs)
+    h_bound = fill_distance_bound(cfg.domain)
+    rows = [{"n": n, "h": h, "h_bound": h_bound, "q": q,
+             "rho": rho if q > 0 else float("inf")} for n, h, q, rho in geometry]
     summary = {"setting": cfg.name, "design": cfg.design_kind, "metrics": rows,
                "h_slope": h_slope}
-    _write(os.path.join(out_dir, f"{cfg.name}_points.csv"), points_csv)
+    _write(os.path.join(out_dir, f"{cfg.name}_points.csv"), pointset_to_csv(designs[-1]))
     _write(os.path.join(out_dir, f"{cfg.name}_metrics.json"), _json_dumps(summary))
     return summary
 
@@ -737,7 +723,7 @@ def run_fit_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     eps = draw_noise(cfg.noise, len(X), replicate=0)
     model = fit(kernel, cfg.mean, X, fX + eps, lam)
     grid = make_grid(cfg.domain, cfg.grid_resolution)
-    norms = lq_norms(cfg.target, model, grid)
+    norms = {q: lq_error(cfg.target, model, q, grid) for q in (1, 2, "inf")}
     mean_vals = posterior_mean(model, grid.points)
     f_vals = np.asarray(eval_target(cfg.target, grid.points))
     buf = io.StringIO()
@@ -789,7 +775,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str):
         _write(os.path.join(out_dir, f"{cfg.name}_report.json"), _json_dumps(result))
         ok = result["verdict"] == "pass"
         line = (
-            f"[{'PASS' if ok else 'FAIL'}] {cfg.name}: fitted {result['fitted']:+.4f} "
+            f"[{result['verdict'].upper()}] {cfg.name}: fitted {result['fitted']:+.4f} "
             f"vs theory {result['theoretical']:+.4f} tol {result['tolerance']:.2f}, "
             f"holder chain {'ok' if result['holder_chain_ok'] else 'VIOLATED'}"
         )

@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
-from .kernels import KernelSpec, cross_matrix, gram
+from .kernels import KernelSpec, as_points, cross_matrix, gram
 
 logger = logging.getLogger(__name__)
 
@@ -57,9 +57,6 @@ class MeanSpec:
                 raise ConfigurationError("named mean requires a callable")
             return np.asarray(self.fn(x), dtype=float).reshape(x.shape[0])
         raise ConfigurationError(f"unknown mean kind {self.kind!r}")
-
-
-ZERO_MEAN = MeanSpec("constant", 0.0)
 
 
 @dataclass(frozen=True)
@@ -135,27 +132,9 @@ def fit(
     )
 
 
-def _as_query(dim: int, x):
-    """Normalize x to an (n, dim) batch; flag whether it denoted one point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        if dim != 1:
-            raise ConfigurationError(f"scalar query for a {dim}-dimensional kernel")
-        return x.reshape(1, 1), True
-    if x.ndim == 1:
-        if x.size == dim:
-            return x[None, :], True
-        if dim == 1:
-            return x[:, None], False
-        raise ConfigurationError(f"1-d query of length {x.size} for dim {dim}")
-    if x.shape[1] != dim:
-        raise ConfigurationError(f"query has dimension {x.shape[1]}, expected {dim}")
-    return x, False
-
-
 def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
     """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)``; vectorized over rows of x."""
-    xq, single = _as_query(model.kernel.dim, x)
+    xq, single = as_points(model.kernel.dim, x)
     Kq = cross_matrix(model.kernel, xq, model.design)
     out = model.prior_mean(xq) + Kq @ model.dual
     return float(out[0]) if single else out
@@ -163,7 +142,7 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
 
 def posterior_var(model: PosteriorModel, x) -> np.ndarray | float:
     """``k(x,x) - k_xX (K + lambda I)^{-1} k_Xx``, clamped at zero."""
-    xq, single = _as_query(model.kernel.dim, x)
+    xq, single = as_points(model.kernel.dim, x)
     Kq = cross_matrix(model.kernel, xq, model.design)
     V = solve_triangular(model.chol, Kq.T, lower=True)
     raw = model.kernel.amplitude - np.sum(V * V, axis=0)

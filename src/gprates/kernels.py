@@ -109,12 +109,26 @@ def matern_eval(spec: KernelSpec, x, y) -> float:
     return float(matern_of_r(spec, r))
 
 
-def _as_points(X) -> np.ndarray:
-    pts = getattr(X, "points", X)
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return pts
+def as_points(dim: int, x):
+    """Normalize points to an ``(n, dim)`` batch; flag whether ``x`` denoted one point.
+
+    Accepts a point set, a scalar (dim 1), one point of length ``dim``, a 1-d
+    batch of scalars (dim 1) or an ``(n, dim)`` array.
+    """
+    x = np.asarray(getattr(x, "points", x), dtype=float)
+    if x.ndim == 0:
+        if dim != 1:
+            raise ConfigurationError(f"scalar query for a {dim}-dimensional kernel")
+        return x.reshape(1, 1), True
+    if x.ndim == 1:
+        if x.size == dim:
+            return x[None, :], True
+        if dim == 1:
+            return x[:, None], False
+        raise ConfigurationError(f"1-d query of length {x.size} for dim {dim}")
+    if x.shape[1] != dim:
+        raise ConfigurationError(f"points have dimension {x.shape[1]}, expected {dim}")
+    return x, False
 
 
 def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
@@ -124,13 +138,9 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     symmetric.  Duplicate points with zero jitter make the matrix singular;
     a :class:`SingularGramWarning` is emitted and the matrix still returned.
     """
-    pts = _as_points(X)
+    pts, _ = as_points(spec.dim, X)
     if pts.shape[0] == 0:
         raise ConfigurationError("gram requires a nonempty point set")
-    if pts.shape[1] != spec.dim:
-        raise ConfigurationError(
-            f"points have dimension {pts.shape[1]}, kernel expects {spec.dim}"
-        )
     if jitter < 0:
         raise ConfigurationError(f"jitter must be nonnegative, got {jitter}")
     n = pts.shape[0]
@@ -155,7 +165,7 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
 
 def cross_vector(spec: KernelSpec, x, X) -> np.ndarray:
     """Vector ``(k(x, x_1), ..., k(x, x_n))``."""
-    pts = _as_points(X)
+    pts, _ = as_points(spec.dim, X)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (spec.dim,):
         raise ConfigurationError(f"query point must have dimension {spec.dim}")
@@ -165,8 +175,8 @@ def cross_vector(spec: KernelSpec, x, X) -> np.ndarray:
 
 def cross_matrix(spec: KernelSpec, Xq, X) -> np.ndarray:
     """Cross-covariance ``K[i, j] = k(xq_i, x_j)`` for batched queries."""
-    q = _as_points(Xq)
-    pts = _as_points(X)
+    q, _ = as_points(spec.dim, Xq)
+    pts, _ = as_points(spec.dim, X)
     diff = q[:, None, :] - pts[None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=-1))
     return matern_of_r(spec, r)

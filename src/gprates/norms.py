@@ -53,18 +53,6 @@ def lq_error(t: TargetSpec, model: PosteriorModel, q, grid: EvalGrid) -> float:
     return float(np.sum(grid.weights * diff ** qf) ** (1.0 / qf))
 
 
-def lq_norms(t: TargetSpec, model: PosteriorModel, grid: EvalGrid) -> dict:
-    """All three norms of f - R in one pass: {1: L1, 2: L2, 'inf': max}."""
-    diff = np.abs(
-        np.asarray(eval_target(t, grid.points)) - posterior_mean(model, grid.points)
-    )
-    return {
-        1: float(np.sum(grid.weights * diff)),
-        2: float(np.sqrt(np.sum(grid.weights * diff ** 2))),
-        "inf": float(diff.max()),
-    }
-
-
 def residual_norm(t: TargetSpec, model: PosteriorModel) -> float:
     """l2 norm of ``f - posterior_mean`` over the design points."""
     pts = model.design.points

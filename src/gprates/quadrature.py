@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .designs import PointSet
 from .errors import ConfigurationError
-from .fitting import MeanSpec, PosteriorModel, fit, posterior_mean
-from .kernels import KernelSpec
+from .fitting import PosteriorModel, posterior_mean
 from .norms import EvalGrid, integrate
-from .targets import NoiseModel, TargetSpec, corrupt, eval_target
 
 DENSITY_REGISTRY = {
     "uniform": lambda x: np.ones(np.atleast_2d(x).shape[0]),
@@ -36,31 +33,3 @@ def bq_estimate(model: PosteriorModel, p, grid: EvalGrid) -> float:
     mean_vals = posterior_mean(model, grid.points)
     return integrate(mean_vals, p, grid)
 
-
-def bq_error_curve(
-    target: TargetSpec,
-    p,
-    kernel: KernelSpec,
-    designs: list[PointSet],
-    noise: NoiseModel,
-    grid: EvalGrid,
-    lam_for: "callable" = lambda X: 0.0,
-    replicates: int = 1,
-    prior_mean: MeanSpec | None = None,
-):
-    """Absolute integration error per design, averaged over noise replicates.
-
-    Returns rows ``(n, mean_abs_error, std_abs_error)``; the truth is the
-    midpoint integral of the raw target on the same grid.
-    """
-    mean = prior_mean if prior_mean is not None else MeanSpec("constant", 0.0)
-    truth = integrate(lambda xs: eval_target(target, xs), p, grid)
-    rows = []
-    for X in designs:
-        errs = []
-        for rep in range(replicates):
-            y, _ = corrupt(target, X, noise, replicate=rep)
-            model = fit(kernel, mean, X, y, lam_for(X))
-            errs.append(abs(truth - bq_estimate(model, p, grid)))
-        rows.append((len(X), float(np.mean(errs)), float(np.std(errs))))
-    return rows

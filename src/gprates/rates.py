@@ -99,7 +99,7 @@ class RateParams:
     s: float = 0.0
     q: float = 2.0
     noise_growth: float | None = None
-    design: str = "quasi_uniform"  # quasi_uniform | fill_optimal_only | arbitrary
+    design: str = "quasi_uniform"  # quasi_uniform | arbitrary
     nugget: NuggetPolicy = field(default_factory=NuggetPolicy)
 
     def __post_init__(self):
@@ -110,7 +110,7 @@ class RateParams:
                 "need d/2 < tau_k_minus <= tau_k_plus, got "
                 f"({self.tau_k_minus}, {self.tau_k_plus})"
             )
-        if self.design not in ("quasi_uniform", "fill_optimal_only", "arbitrary"):
+        if self.design not in ("quasi_uniform", "arbitrary"):
             raise ConfigurationError(f"unknown design class {self.design!r}")
         smax = tau_star(min(self.tau_f, self.tau_k_minus), self.d, self.q)
         if not 0 <= self.s <= smax + 1e-12:

@@ -36,9 +36,8 @@ import numpy as np
 from .designs import Domain, PointSet, UNIT_INTERVAL
 from .errors import ConfigurationError, InfiniteMomentError
 from .fitting import rkhs_norm_expansion
-from .kernels import KernelSpec, cross_matrix
+from .kernels import KernelSpec, as_points, cross_matrix
 
-GOLDEN = 0.618033988749895
 _LAYER_PHASE = 0.37
 _LAYER_DEPTH = 11
 _LAYER_MARGIN = 0.02  # smoothness slack keeping the dyadic sums summable
@@ -83,14 +82,7 @@ class TargetSpec:
 
 def eval_target(t: TargetSpec, x) -> np.ndarray | float:
     """Evaluate ``f`` at one point or a batch of points."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 0 or (x.ndim == 1 and x.size == t.domain.dim)
-    if x.ndim == 0:
-        xq = x.reshape(1, 1)
-    elif x.ndim == 1:
-        xq = x[None, :] if x.size == t.domain.dim else x[:, None]
-    else:
-        xq = x
+    xq, single = as_points(t.domain.dim, x)
     if t.kind == "expansion":
         vals = cross_matrix(t.kernel, xq, t.centers) @ t.alpha
     else:
@@ -285,9 +277,6 @@ class NoiseModel:
         if self.schedule == "power":
             return min(int(np.floor(n ** self.alpha)), n)
         return min(int(np.floor(self.beta * n)), n)
-
-
-NO_NOISE = NoiseModel("none")
 
 
 def draw_noise(noise: NoiseModel, n: int, replicate: int = 0) -> np.ndarray:

@@ -1,0 +1,112 @@
+"""Command-line exit codes, config validation and the BLAS thread pin."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gprates
+import gprates.experiments
+from gprates.cli import main
+from gprates.errors import SingularDesignError
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+# a noiseless grid ladder small enough for tier-1; fitted slope about -2.25
+SMALL_RATES = {
+    "kind": "rates", "name": "small",
+    "kernel": {"tau": 2.0, "lengthscale": 0.25},
+    "target": {"name": "layered_tau2"},
+    "ladder": [16, 32, 64, 128], "grid_resolution": 1024,
+}
+
+
+@pytest.fixture(autouse=True)
+def _restore_thread_vars(monkeypatch):
+    # main() pins these in os.environ; monkeypatch restores them afterwards
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+
+
+def _run(tmp_path, config, *extra):
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    return main(["run", "--config", str(path), "--out", str(out), *extra]), out
+
+
+def test_passing_rates_run_exits_0(tmp_path):
+    code, out = _run(tmp_path, SMALL_RATES)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["small_curve.csv", "small_report.json"]
+
+
+def test_failed_gate_exits_1(tmp_path):
+    code, out = _run(tmp_path, dict(SMALL_RATES, tolerance=0.001))
+    assert code == 1
+    assert json.loads((out / "small_report.json").read_text())["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("config", [
+    dict(SMALL_RATES, bogus=1),
+    "{",
+    "[1, 2]",
+    dict(SMALL_RATES, ladder=[]),
+    dict(SMALL_RATES, kernel={"tau": [2.0, 0.4], "lengthscale": 0.25}),
+], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau"])
+def test_config_errors_exit_2_before_any_work(tmp_path, config):
+    code, out = _run(tmp_path, config, "--seed", "3")
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+def test_missing_config_file_exits_2(tmp_path):
+    assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+def test_singular_design_exits_3(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularDesignError("Cholesky failed")
+
+    monkeypatch.setattr(gprates.experiments, "fit", singular)
+    code, _ = _run(tmp_path, SMALL_RATES)
+    assert code == 3
+
+
+def test_degenerate_bq_ladder_is_invalid(tmp_path, capsys):
+    config = {
+        "kind": "bq", "name": "short",
+        "kernel": {"tau": 2.0, "lengthscale": 0.25},
+        "target": {"name": "layered_tau2"},
+        "ladder": [8, 16, 32], "burn_in": 1, "grid_resolution": 512,
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().out.startswith("[INVALID] short:")
+    report = json.loads((out / "short_report.json").read_text())
+    assert report["verdict"] == "invalid"
+    assert report["invalid_reason"] == "need at least 3 ladder points after burn-in"
+
+
+def test_blas_pin_precedes_numpy():
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = (
+        "import json, os, sys\n"
+        "import gprates.cli\n"
+        "numpy_on_import = 'numpy' in sys.modules\n"
+        "code = gprates.cli.main(['list'])\n"
+        "print(json.dumps([numpy_on_import, code, os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    numpy_on_import, code, openblas = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not numpy_on_import
+    assert code == 0
+    assert openblas == "1"
