@@ -135,10 +135,16 @@ def _check_a7(result: dict) -> tuple[bool, str]:
 
 
 def run_acceptance(out_dir: str, seed: int = DEFAULT_SEED, echo=print) -> dict:
-    """Run every gate; returns {criterion: {'ok': bool, ...}} and writes artifacts."""
+    """Run every gate and write its artifacts into ``out_dir``.
+
+    Returns ``(summary, written)``: the summary is ``{"seed", "criteria":
+    {criterion: {"ok": bool, ...}}, "all_pass"}``, and ``written`` lists the
+    files written, relative to ``out_dir``.
+    """
     os.makedirs(out_dir, exist_ok=True)
     results: dict = {}
     lines: list[str] = []
+    written: list[str] = []
 
     def record(name: str, ok: bool, detail: str, payload=None):
         results[name] = {"ok": bool(ok), "detail": detail}
@@ -151,7 +157,8 @@ def run_acceptance(out_dir: str, seed: int = DEFAULT_SEED, echo=print) -> dict:
     cfgs = acceptance_configs(seed)
     for name in ("a1_l2", "a1_linf", "a2", "a3", "a4", "a5"):
         cfg = config_from_dict(cfgs[name])
-        code, _ = run_experiment(cfg, out_dir)
+        code, _, files = run_experiment(cfg, out_dir)
+        written += files
         with open(os.path.join(out_dir, f"{name}_report.json")) as fh:
             rep = json.load(fh)
         record(
@@ -162,7 +169,8 @@ def run_acceptance(out_dir: str, seed: int = DEFAULT_SEED, echo=print) -> dict:
         )
 
     cfg = config_from_dict(cfgs["a6"])
-    code, _ = run_experiment(cfg, out_dir)
+    code, _, files = run_experiment(cfg, out_dir)
+    written += files
     with open(os.path.join(out_dir, "a6_report.json")) as fh:
         rep = json.load(fh)
     record(
@@ -174,7 +182,8 @@ def run_acceptance(out_dir: str, seed: int = DEFAULT_SEED, echo=print) -> dict:
     )
 
     cfg = config_from_dict(cfgs["a7"])
-    run_experiment(cfg, out_dir)
+    _, _, files = run_experiment(cfg, out_dir)
+    written += files
     with open(os.path.join(out_dir, "a7_report.json")) as fh:
         bo_rep = json.load(fh)
     ok, detail = _check_a7(bo_rep)
@@ -208,4 +217,4 @@ def run_acceptance(out_dir: str, seed: int = DEFAULT_SEED, echo=print) -> dict:
     with open(os.path.join(out_dir, "acceptance_summary.json"), "w", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return summary
+    return summary, sorted(written + ["acceptance_summary.json"])

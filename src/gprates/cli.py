@@ -89,7 +89,7 @@ def _cmd_config(args, forced_kind: str | None) -> int:
             raise ConfigurationError(
                 f"subcommand {forced_kind!r} got a config of kind {cfg.kind!r}"
             )
-        code, lines = run_experiment(cfg, _resolve_out(args.out))
+        code, lines, _ = run_experiment(cfg, _resolve_out(args.out))
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -101,16 +101,16 @@ def _cmd_config(args, forced_kind: str | None) -> int:
     return code
 
 
-def _compare_trees(a: str, b: str) -> list[str]:
-    """Relative paths under ``a`` whose bytes differ from (or are absent in) ``b``."""
-    bad = []
-    for root, _, files in os.walk(a):
-        for name in files:
-            pa = os.path.join(root, name)
-            rel = os.path.relpath(pa, a)
-            pb = os.path.join(b, rel)
-            if not os.path.exists(pb) or not filecmp.cmp(pa, pb, shallow=False):
-                bad.append(rel)
+def _compare_runs(a: str, a_files, b: str, b_files) -> list[str]:
+    """Files written by only one of two runs, or by both with different bytes.
+
+    ``a_files`` and ``b_files`` are the paths each run wrote, relative to its
+    directory ``a`` or ``b``; other files in those directories are ignored.
+    """
+    common = set(a_files) & set(b_files)
+    bad = set(a_files) ^ set(b_files)
+    bad.update(rel for rel in common if not filecmp.cmp(
+        os.path.join(a, rel), os.path.join(b, rel), shallow=False))
     return sorted(bad)
 
 
@@ -121,12 +121,12 @@ def _cmd_accept(args) -> int:
 
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     out = _resolve_out(args.out)
-    summary = run_acceptance(out, seed=seed)
+    summary, written = run_acceptance(out, seed=seed)
     all_ok = summary["all_pass"]
     if not args.skip_determinism:
         with tempfile.TemporaryDirectory() as tmp:
-            run_acceptance(tmp, seed=seed, echo=lambda *_: None)
-            diffs = _compare_trees(out, tmp)
+            _, rewritten = run_acceptance(tmp, seed=seed, echo=lambda *_: None)
+            diffs = _compare_runs(out, written, tmp, rewritten)
         det_ok = not diffs
         line = (
             "[PASS] a10: rerun with the same seed is byte-identical"

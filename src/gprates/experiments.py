@@ -6,6 +6,11 @@ a pure function of the config plus its seed: noise replicates use seeds
 derived as ``(seed, replicate)``, artifact floats are written with 17
 significant digits, and artifacts contain no timestamps, so identical
 configs produce byte-identical files.
+
+A ladder rung is fitted once: its replicates' noise vectors are the columns
+of one observation matrix, so the Gram matrix, its Cholesky factor and the
+evaluation-grid cross matrix are built once per rung and shared by every
+replicate.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .designs import (
     gen_grid,
     gen_p_greedy,
     gen_uniform_random,
-    mesh_ratio,
     pointset_to_csv,
     quasi_uniformity_trace,
 )
@@ -39,8 +43,8 @@ from .fitting import (
     posterior_mean,
 )
 from .kernels import KernelSpec, gram, matern_of_r, min_eigenvalue
-from .norms import lq_error, make_grid, residual_norm
-from .quadrature import bq_estimate, density_by_name
+from .norms import integrate, lq_error, lq_norm, make_grid, residual_norm
+from .quadrature import density_by_name
 from .rates import (
     NuggetPolicy,
     RateParams,
@@ -281,6 +285,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("ladder must be a nonempty list of positive sizes")
     default_reps = 20 if (cfg.noise and cfg.noise.kind != "none") else 1
     cfg.replicates = int(raw.get("replicates", default_reps))
+    if cfg.replicates < 1:
+        raise ConfigurationError("replicates must be a positive integer")
     cfg.burn_in = int(raw.get("burn_in", 1))
     cfg.q = _parse_q(raw.get("q", 2))
     cfg.s = float(raw.get("s", 0.0))
@@ -374,26 +380,26 @@ def _theoretical_exponent(cfg: ExperimentConfig, rho_trend: float, quasi_uniform
 
 
 def _run_ladder(cfg: ExperimentConfig, measure):
-    """Walk the ladder: its designs and their geometry, then per rung the fits.
+    """Walk the ladder: its designs and their geometry, then per rung one fit.
 
-    Every replicate of a rung refits the rung's design to ``f(X) + eps`` and
-    ``measure(ladder_index, replicate, model)`` returns that fit's error.
-    Returns ``(geometry, h_slope, rows)``: the ``(n, h, q, rho)`` rows and h
-    slope of :func:`quasi_uniformity_trace`, and ``(n, mean_error,
-    std_error)`` per rung.
+    Column k of a rung's observations is ``f(X) + eps_k``, with ``eps_k``
+    drawn from the seed ``(seed, k)``, so one Cholesky factor serves every
+    replicate and each column's fit is bitwise the one-replicate fit.
+    ``measure(ladder_index, model)`` returns the errors of the model's
+    columns, one per replicate.  Returns ``(geometry, h_slope, rows)``: the
+    ``(n, h, q, rho)`` rows and h slope of :func:`quasi_uniformity_trace`,
+    and ``(n, mean_error, std_error)`` per rung.
     """
     designs = [_design_for(cfg, n, idx) for idx, n in enumerate(cfg.ladder)]
     geometry, h_slope = quasi_uniformity_trace(designs)
     rows = []
     for idx, (X, (_, h, _, _)) in enumerate(zip(designs, geometry)):
-        kernel = cfg.kernel_for(idx)
         lam = cfg.nugget.sigma_n(h) ** 2
         fX = np.asarray(eval_target(cfg.target, X.points), dtype=float).reshape(-1)
-        errs = []
-        for rep in range(cfg.replicates):
-            eps = draw_noise(cfg.noise, len(X), replicate=rep)
-            model = fit(kernel, cfg.mean, X, fX + eps, lam)
-            errs.append(measure(idx, rep, model))
+        eps = np.column_stack(
+            [draw_noise(cfg.noise, len(X), replicate=rep) for rep in range(cfg.replicates)]
+        )
+        errs = measure(idx, fit(cfg.kernel_for(idx), cfg.mean, X, fX[:, None] + eps, lam))
         rows.append((len(X), float(np.mean(errs)), float(np.std(errs))))
     return geometry, h_slope, rows
 
@@ -412,17 +418,21 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
     if cfg.target is None:
         raise ConfigurationError("rate experiments need a target")
     grid = make_grid(cfg.domain, cfg.grid_resolution)
+    f_grid = np.asarray(eval_target(cfg.target, grid.points))
     stability = None
 
-    def measure(idx, rep, model):
+    def measure(idx, model):
         nonlocal stability
-        err = lq_error(cfg.target, model, cfg.q, grid)
-        if idx == len(cfg.ladder) - 1 and rep == 0:
+        # posterior_mean frees the rung's grid cross matrix on return, before
+        # the larger fine-grid one is built below
+        misfit = f_grid[:, None] - posterior_mean(model, grid.points)
+        errs = [lq_norm(misfit[:, k], cfg.q, grid) for k in range(misfit.shape[1])]
+        if idx == len(cfg.ladder) - 1:
             fine = make_grid(cfg.domain, grid.resolution * 2)
-            e1 = lq_error(cfg.target, model, 2, grid)
-            e2 = lq_error(cfg.target, model, 2, fine)
+            e1 = lq_norm(misfit[:, 0], 2, grid)
+            e2 = lq_error(cfg.target, model.replicate(0), 2, fine)
             stability = abs(e2 - e1) / max(e2, 1e-300)
-        return err
+        return errs
 
     geometry, h_slope, rows = _run_ladder(cfg, measure)
     ns = np.array([r[0] for r in geometry], dtype=float)
@@ -433,6 +443,11 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
 
     theoretical, notes = _theoretical_exponent(cfg, rho_trend, quasi_uniform)
     fitted, stderr, reason = _fit_slope(rows, cfg.burn_in)
+    if not (math.isfinite(theoretical) and math.isfinite(rho_trend)):
+        reason = (
+            f"theory {theoretical} from mesh-ratio trend {rho_trend} is not finite "
+            "(every rung needs two distinct points)"
+        )
     if stability is not None and stability > GRID_STABILITY_TOLERANCE:
         reason = f"evaluation grid unresolved: L2 changed {stability:.1%} on refinement"
 
@@ -470,18 +485,23 @@ def run_bq_experiment(cfg: ExperimentConfig) -> dict:
     p = density_by_name(cfg.density)
     p_vals = np.asarray(p(grid.points), dtype=float).reshape(grid.size)
     p_sup = float(p_vals.max())
-    truth = float(np.sum(grid.weights * np.asarray(eval_target(cfg.target, grid.points)) * p_vals))
+    f_grid = np.asarray(eval_target(cfg.target, grid.points))
+    truth = float(np.sum(grid.weights * f_grid * p_vals))
     holder_ok = True
     worst_margin = float("inf")
 
-    def measure(idx, rep, model):
+    def measure(idx, model):
         nonlocal holder_ok, worst_margin
-        err = abs(truth - bq_estimate(model, p_vals, grid))
-        bound = p_sup * lq_error(cfg.target, model, 1, grid) + 1e-12
-        worst_margin = min(worst_margin, bound - err)
-        if err > bound:
-            holder_ok = False
-        return err
+        means = posterior_mean(model, grid.points)
+        errs = []
+        for k in range(means.shape[1]):
+            err = abs(truth - integrate(means[:, k], p_vals, grid))
+            bound = p_sup * lq_norm(f_grid - means[:, k], 1, grid) + 1e-12
+            worst_margin = min(worst_margin, bound - err)
+            if err > bound:
+                holder_ok = False
+            errs.append(err)
+        return errs
 
     _, _, rows = _run_ladder(cfg, measure)
     fitted, stderr, reason = _fit_slope(rows, cfg.burn_in)
@@ -515,7 +535,8 @@ def run_bo_experiment(cfg: ExperimentConfig) -> dict:
             ucb_beta=cfg.bo_ucb_beta,
         )
         res = run_gamma_F_n(cfg.target, bo_cfg)
-        rho = mesh_ratio(res.selected) if len(res.selected) >= 2 else float("nan")
+        # the last trace row measured the same points as ``res.selected``
+        rho = res.trace[-1]["rho_so_far"] if res.trace else float("nan")
         runs.append(
             {
                 "n": budget,
@@ -700,7 +721,8 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
-def run_design_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
+def run_design_experiment(cfg: ExperimentConfig) -> dict:
+    """Ladder geometry; returns the files to write, by suffix."""
     designs = [_design_for(cfg, n, idx) for idx, n in enumerate(cfg.ladder)]
     geometry, h_slope = quasi_uniformity_trace(designs)
     h_bound = fill_distance_bound(cfg.domain)
@@ -708,13 +730,11 @@ def run_design_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
              "rho": rho if q > 0 else float("inf")} for n, h, q, rho in geometry]
     summary = {"setting": cfg.name, "design": cfg.design_kind, "metrics": rows,
                "h_slope": h_slope}
-    _write(os.path.join(out_dir, f"{cfg.name}_points.csv"), pointset_to_csv(designs[-1]))
-    _write(os.path.join(out_dir, f"{cfg.name}_metrics.json"), _json_dumps(summary))
-    return summary
+    return {"points.csv": pointset_to_csv(designs[-1]), "metrics.json": _json_dumps(summary)}
 
 
-def run_fit_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Single-design fit diagnostics (kinds: interpolate, regress)."""
+def run_fit_experiment(cfg: ExperimentConfig):
+    """Single-design fit diagnostics (kinds: interpolate, regress); returns ``(summary, files)``."""
     X = _design_for(cfg, cfg.n_single, 0)
     h, _ = fill_distance(X)
     kernel = cfg.kernel_for(0)
@@ -723,15 +743,15 @@ def run_fit_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     eps = draw_noise(cfg.noise, len(X), replicate=0)
     model = fit(kernel, cfg.mean, X, fX + eps, lam)
     grid = make_grid(cfg.domain, cfg.grid_resolution)
-    norms = {q: lq_error(cfg.target, model, q, grid) for q in (1, 2, "inf")}
     mean_vals = posterior_mean(model, grid.points)
     f_vals = np.asarray(eval_target(cfg.target, grid.points))
+    misfit = f_vals - mean_vals
+    norms = {q: lq_norm(misfit, q, grid) for q in (1, 2, "inf")}
     buf = io.StringIO()
     dcols = ",".join(f"x{i+1}" for i in range(cfg.domain.dim))
     buf.write(f"{dcols},f,posterior_mean\n")
     for row, fv, mv in zip(grid.points, f_vals, mean_vals):
         buf.write(",".join(_g17(v) for v in row) + f",{_g17(fv)},{_g17(mv)}\n")
-    _write(os.path.join(out_dir, f"{cfg.name}_fit.csv"), buf.getvalue())
     mono = norms[1] <= norms[2] * math.sqrt(cfg.domain.volume) + 1e-12
     summary = {
         "setting": cfg.name,
@@ -746,40 +766,50 @@ def run_fit_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
         "residual_norm": residual_norm(cfg.target, model),
         "target_rkhs_norm": cfg.target.rkhs_norm(),
     }
-    _write(os.path.join(out_dir, f"{cfg.name}_summary.json"), _json_dumps(summary))
-    return summary
+    return summary, {"fit.csv": buf.getvalue(), "summary.json": _json_dumps(summary)}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str):
-    """Dispatch a parsed config; returns (exit_code, summary_lines)."""
+    """Run a parsed config and write its artifacts ``<name>_<suffix>`` into ``out_dir``.
+
+    Returns ``(exit_code, summary_lines, written)``, where ``written`` lists
+    the files written, relative to ``out_dir``.
+    """
+    code, lines, files = _dispatch(cfg)
+    written = []
+    for suffix, text in files.items():
+        written.append(f"{cfg.name}_{suffix}")
+        _write(os.path.join(out_dir, written[-1]), text)
+    return code, lines, written
+
+
+def _dispatch(cfg: ExperimentConfig):
+    """``(exit_code, summary_lines, files)``, with ``files`` mapping suffix to text."""
     if cfg.kind == "design":
-        run_design_experiment(cfg, out_dir)
-        return 0, [f"[OK] {cfg.name}: design artifacts written"]
+        return 0, [f"[OK] {cfg.name}: design artifacts written"], run_design_experiment(cfg)
     if cfg.kind in ("interpolate", "regress"):
-        summary = run_fit_experiment(cfg, out_dir)
+        summary, files = run_fit_experiment(cfg)
         return 0, [
             f"[OK] {cfg.name}: l2 {summary['l2']:.3e} linf {summary['linf']:.3e}"
-        ]
+        ], files
     if cfg.kind == "rates":
         report = run_rate_experiment(cfg)
-        _write(os.path.join(out_dir, f"{cfg.name}_curve.csv"), report.to_csv())
-        _write(os.path.join(out_dir, f"{cfg.name}_report.json"), report.to_json() + "\n")
-        return (0 if report.verdict else 1), [report.summary_line()]
+        files = {"curve.csv": report.to_csv(), "report.json": report.to_json() + "\n"}
+        return (0 if report.verdict else 1), [report.summary_line()], files
     if cfg.kind == "bq":
         result = run_bq_experiment(cfg)
         buf = io.StringIO()
         buf.write("n,abs_error,rep_std\n")
         for n, e, s in result["rows"]:
             buf.write(f"{n:d},{_g17(e)},{_g17(s)}\n")
-        _write(os.path.join(out_dir, f"{cfg.name}_curve.csv"), buf.getvalue())
-        _write(os.path.join(out_dir, f"{cfg.name}_report.json"), _json_dumps(result))
+        files = {"curve.csv": buf.getvalue(), "report.json": _json_dumps(result)}
         ok = result["verdict"] == "pass"
         line = (
             f"[{result['verdict'].upper()}] {cfg.name}: fitted {result['fitted']:+.4f} "
             f"vs theory {result['theoretical']:+.4f} tol {result['tolerance']:.2f}, "
             f"holder chain {'ok' if result['holder_chain_ok'] else 'VIOLATED'}"
         )
-        return (0 if ok else 1), [line]
+        return (0 if ok else 1), [line], files
     if cfg.kind == "bo":
         result = run_bo_experiment(cfg)
         buf = io.StringIO()
@@ -790,14 +820,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str):
                 f"{_g17(row['threshold'])},{_g17(row['sd'])},"
                 f"{_g17(row['acquisition'])},{_g17(row['rho_so_far'])}\n"
             )
-        _write(os.path.join(out_dir, f"{cfg.name}_trace.csv"), buf.getvalue())
         slim = {k: v for k, v in result.items()}
         slim["runs"] = [{k: v for k, v in r.items() if k != "trace"} for r in result["runs"]]
-        _write(os.path.join(out_dir, f"{cfg.name}_report.json"), _json_dumps(slim))
+        files = {"trace.csv": buf.getvalue(), "report.json": _json_dumps(slim)}
         final = result["runs"][-1]
         ok = final["certificate_ok"] and final["proof_inequality_ok"]
         return (0 if ok else 1), [
             f"[{'OK' if ok else 'FAIL'}] {cfg.name}: regret({final['n']}) = {final['regret']:.3e}, "
             f"rho {final['rho_selected']:.2f}"
-        ]
+        ], files
     raise ConfigurationError(f"unknown kind {cfg.kind!r}")

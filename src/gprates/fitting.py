@@ -1,17 +1,18 @@
 """Conditioning: the unified approximant, posterior variance, and RKHS norms.
 
 ``fit`` builds the regularized kernel system ``(K + lambda I) w = y - m_X``
-once, by Cholesky factorization; the fitted model is immutable and its
-predictors are pure functions.  ``lambda = 0`` is interpolation and gets a
-small diagonal jitter (escalated on factorization failure, and recorded,
-since a large jitter technically shifts the estimator toward approximate
-interpolation).
+once, by Cholesky factorization; ``y`` may hold r columns of observations at
+the same design (noise replicates), and the one factor solves for all of
+them.  The fitted model is immutable and its predictors are pure functions.
+``lambda = 0`` is interpolation and gets a small diagonal jitter (escalated
+on factorization failure, and recorded, since a large jitter technically
+shifts the estimator toward approximate interpolation).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -61,7 +62,11 @@ class MeanSpec:
 
 @dataclass(frozen=True)
 class PosteriorModel:
-    """Immutable fitted state: Cholesky factor of ``K + lambda I`` and dual weights."""
+    """Immutable fitted state: Cholesky factor of ``K + lambda I`` and dual weights.
+
+    ``y`` and ``dual`` have shape (n,) for one fit, or (n, r) for r fits
+    that share the design and hence the factor.
+    """
 
     kernel: KernelSpec
     prior_mean: MeanSpec
@@ -71,6 +76,10 @@ class PosteriorModel:
     chol: np.ndarray  # lower triangular
     dual: np.ndarray
     jitter: float
+
+    def replicate(self, k: int) -> "PosteriorModel":
+        """The fit to column ``k`` of the observations alone; it shares the factor."""
+        return replace(self, y=self.y[:, k], dual=self.dual[:, k])
 
 
 def _closest_pair(pts: np.ndarray):
@@ -87,14 +96,23 @@ def fit(
     y,
     lam: float = 0.0,
 ) -> PosteriorModel:
-    """Condition on observations ``y`` at ``X`` with regularization ``lam``."""
-    y = np.asarray(y, dtype=float).reshape(-1)
+    """Condition on observations ``y`` at ``X`` with regularization ``lam``.
+
+    ``y`` has shape (n,), or (n, r) for r sets of observations at ``X``; the
+    dual weights have the same shape.  Every column is solved with the one
+    Cholesky factor, and each column's weights are bitwise those of a fit to
+    that column alone.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        y = y.reshape(-1)
     if len(y) != len(X):
         raise ConfigurationError(f"got {len(y)} observations for {len(X)} points")
     if lam < 0:
         raise ConfigurationError(f"lambda must be nonnegative, got {lam}")
     K = gram(kernel, X, jitter=0.0)
-    resid = y - prior_mean(X.points)
+    m_X = prior_mean(X.points)
+    resid = y - (m_X[:, None] if y.ndim == 2 else m_X)
     n = len(X)
     A = kernel.amplitude
     # jitter ladder: none needed when lam > 0, else start at 1e-10*A and
@@ -133,11 +151,23 @@ def fit(
 
 
 def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
-    """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)``; vectorized over rows of x."""
+    """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)``; vectorized over rows of x.
+
+    A model fitted to r columns gives one column of means per fit: shape
+    (m, r), or r values for a single point.  The cross matrix is built once.
+    """
     xq, single = as_points(model.kernel.dim, x)
     Kq = cross_matrix(model.kernel, xq, model.design)
-    out = model.prior_mean(xq) + Kq @ model.dual
-    return float(out[0]) if single else out
+    m_q = model.prior_mean(xq)
+    if model.dual.ndim == 1:
+        out = m_q + Kq @ model.dual
+        return float(out[0]) if single else out
+    # One matrix-vector product per column, never ``Kq @ dual``: a
+    # matrix-matrix product rounds differently, and at a nugget near 1e-9
+    # that moves the reported errors past 1e-9 relative, so a batched fit
+    # would no longer reproduce the one-column fits.
+    out = np.column_stack([m_q + Kq @ model.dual[:, k] for k in range(model.dual.shape[1])])
+    return out[0] if single else out
 
 
 def posterior_var(model: PosteriorModel, x) -> np.ndarray | float:

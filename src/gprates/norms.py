@@ -42,15 +42,20 @@ def _check_q(q) -> float:
     return qf
 
 
-def lq_error(t: TargetSpec, model: PosteriorModel, q, grid: EvalGrid) -> float:
-    """``(sum_i w_i |f - R|^q)^(1/q)``, or the grid max for q = inf."""
+def lq_norm(values, q, grid: EvalGrid) -> float:
+    """``(sum_i w_i |v_i|^q)^(1/q)`` of values on the grid, or ``max |v_i|`` for q = inf."""
     qf = _check_q(q)
-    diff = np.abs(
-        np.asarray(eval_target(t, grid.points)) - posterior_mean(model, grid.points)
-    )
+    diff = np.abs(values)
     if qf == float("inf"):
         return float(diff.max())
     return float(np.sum(grid.weights * diff ** qf) ** (1.0 / qf))
+
+
+def lq_error(t: TargetSpec, model: PosteriorModel, q, grid: EvalGrid) -> float:
+    """``(sum_i w_i |f - R|^q)^(1/q)``, or the grid max for q = inf."""
+    return lq_norm(
+        np.asarray(eval_target(t, grid.points)) - posterior_mean(model, grid.points), q, grid
+    )
 
 
 def residual_norm(t: TargetSpec, model: PosteriorModel) -> float:

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import gprates
+import gprates.acceptance
 import gprates.experiments
 from gprates.cli import main
 from gprates.errors import SingularDesignError
@@ -57,7 +59,9 @@ def test_failed_gate_exits_1(tmp_path):
     "[1, 2]",
     dict(SMALL_RATES, ladder=[]),
     dict(SMALL_RATES, kernel={"tau": [2.0, 0.4], "lengthscale": 0.25}),
-], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau"])
+    dict(SMALL_RATES, replicates=0),
+], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
+        "zero_replicates"])
 def test_config_errors_exit_2_before_any_work(tmp_path, config):
     code, out = _run(tmp_path, config, "--seed", "3")
     assert code == 2
@@ -90,6 +94,50 @@ def test_degenerate_bq_ladder_is_invalid(tmp_path, capsys):
     report = json.loads((out / "short_report.json").read_text())
     assert report["verdict"] == "invalid"
     assert report["invalid_reason"] == "need at least 3 ladder points after burn-in"
+
+
+def test_one_point_rung_is_invalid(tmp_path, capsys):
+    # a one-point rung has no separation radius, so no mesh-ratio trend and no theory
+    code, out = _run(tmp_path, dict(SMALL_RATES, ladder=[1, 4, 16, 64]))
+    assert code == 1
+    assert capsys.readouterr().out.startswith("[INVALID] small:")
+    report = json.loads((out / "small_report.json").read_text())
+    assert report["verdict"] == "invalid"
+    assert "not finite" in report["invalid_reason"]
+
+
+def _fake_acceptance(monkeypatch, *runs):
+    """Make each ``run_acceptance`` call write the next of ``runs`` ({name: text})."""
+    pending = list(runs)
+
+    def run_acceptance(out_dir, seed, echo=print):
+        files = pending.pop(0)
+        for name, text in files.items():
+            (Path(out_dir) / name).write_text(text)
+        return {"all_pass": True}, sorted(files)
+
+    monkeypatch.setattr(gprates.acceptance, "run_acceptance", run_acceptance)
+
+
+@pytest.mark.parametrize("first, rerun, differing", [
+    ({"a_report.json": "1\n", "a_curve.csv": "n\n"},
+     {"a_report.json": "1\n", "a_curve.csv": "n\n"}, []),
+    ({"a_report.json": "1\n"}, {"a_report.json": "2\n"}, ["a_report.json"]),
+    ({"a_report.json": "1\n", "a_curve.csv": "n\n"}, {"a_report.json": "1\n"},
+     ["a_curve.csv"]),
+    ({"a_report.json": "1\n"}, {"a_report.json": "1\n", "a_curve.csv": "n\n"},
+     ["a_curve.csv"]),
+], ids=["stray_file_ignored", "differing_byte", "missing_on_rerun", "missing_on_first_run"])
+def test_a10_compares_the_files_each_run_wrote(tmp_path, monkeypatch, first, rerun,
+                                               differing):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stray.txt").write_text("not written by the suite\n")
+    _fake_acceptance(monkeypatch, first, rerun)
+    code = main(["accept", "--out", str(out)])
+    assert code == (1 if differing else 0)
+    det = json.loads((out / "acceptance_determinism.json").read_text())
+    assert det == {"ok": not differing, "differing_files": differing}
 
 
 def test_blas_pin_precedes_numpy():

@@ -1,7 +1,13 @@
 """Harness outputs frozen against recorded values, and the gates' theory exponents."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import gprates
 from gprates.acceptance import acceptance_configs
 from gprates.errors import ConfigurationError
 from gprates.experiments import (
@@ -50,6 +56,29 @@ BQ_ROWS = [
 ]
 
 
+# grid designs under an adaptive nugget: lambda = h^3 falls to 7.5e-9 at
+# n = 256, so rounding differences in the prediction are amplified into the
+# replicate spread
+ILL_CONDITIONED = {
+    "kind": "rates", "name": "frozen_ill", "seed": 11,
+    "kernel": {"tau": 2.0, "lengthscale": 0.25},
+    "target": {"name": "layered_tau1"},
+    "design": {"kind": "grid"},
+    "noise": {"kind": "outliers", "schedule": "fixed", "k": 3},
+    "nugget": {"kind": "adaptive_h", "exponent": 1.5},
+    "ladder": [32, 64, 128, 256], "replicates": 4, "burn_in": 1,
+    "q": 2, "grid_resolution": 1024,
+}
+# recorded with one fit per replicate, before replicate batching, BLAS on one thread
+ILL_FITTED = -0.5233679899424433
+ILL_ROWS = [
+    (32, 0.28357427406860475, 0.010389778119259584),
+    (64, 0.20690532778676318, 0.0028314658920380363),
+    (128, 0.14536712819487804, 0.0020737496427357164),
+    (256, 0.10015502561307559, 0.0019497602539020947),
+]
+
+
 def _assert_rows(rows, expected):
     assert [r[0] for r in rows] == [r[0] for r in expected]
     for got, want in zip(rows, expected):
@@ -66,6 +95,25 @@ def test_bq_rows_frozen():
     result = run_bq_experiment(config_from_dict(BQ))
     assert result["fitted"] == pytest.approx(BQ_FITTED, rel=1e-12)
     _assert_rows(result["rows"], BQ_ROWS)
+
+
+def test_ill_conditioned_rows_frozen(tmp_path):
+    # A fresh interpreter, so that the CLI pins BLAS to one thread before numpy
+    # loads: a threaded BLAS alone moves these rows by up to 2e-10.
+    config = tmp_path / "ill.json"
+    config.write_text(json.dumps(ILL_CONDITIONED))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = ("import sys, gprates.cli\n"
+             f"sys.exit(gprates.cli.main(['run', '--config', {str(config)!r}, "
+             f"'--out', {str(tmp_path)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads((tmp_path / "frozen_ill_report.json").read_text())
+    assert report["fitted"] == pytest.approx(ILL_FITTED, rel=1e-12)
+    _assert_rows([tuple(r) for r in report["rows"]], ILL_ROWS)
 
 
 def test_every_tau_of_the_schedule_is_validated():

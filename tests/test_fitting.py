@@ -67,6 +67,32 @@ class TestFitBasics:
         assert rel < 1e-8
 
 
+class TestReplicateColumns:
+    """A fit to r columns of observations is bitwise r one-column fits."""
+
+    @pytest.mark.parametrize("lam", [0.01, 0.0], ids=["ridge", "interpolation_jitter"])
+    def test_columns_equal_single_fits(self, lam):
+        rng = np.random.default_rng(4)
+        spec = KernelSpec(tau=2.0, lengthscale=0.25)
+        X = jittered_design(rng, 40)
+        mean = MeanSpec("constant", 0.3)
+        Y = np.sin(5 * X.points) + rng.normal(0.0, 0.1, (40, 6))
+        batch = fit(spec, mean, X, Y, lam)
+        assert batch.dual.shape == (40, 6)
+        grid = gen_grid(300, UNIT).points
+        means = posterior_mean(batch, grid)
+        assert means.shape == (300, 6)
+        for k in range(6):
+            single = fit(spec, mean, X, Y[:, k], lam)
+            assert batch.jitter == single.jitter
+            assert np.array_equal(batch.dual[:, k], single.dual)
+            assert np.array_equal(batch.replicate(k).dual, single.dual)
+            # per-column matrix-vector products, not one matrix-matrix product
+            assert np.array_equal(means[:, k], posterior_mean(single, grid))
+        if lam == 0.0:
+            assert batch.jitter > 0.0
+
+
 class TestPosteriorMean:
     def test_interpolates_at_design_points(self):
         rng = np.random.default_rng(10)
