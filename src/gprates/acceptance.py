@@ -143,16 +143,13 @@ def run_acceptance(out_dir: str, seed: int = DEFAULT_SEED, echo=print) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     results: dict = {}
-    lines: list[str] = []
     written: list[str] = []
 
     def record(name: str, ok: bool, detail: str, payload=None):
         results[name] = {"ok": bool(ok), "detail": detail}
         if payload is not None:
             results[name]["data"] = payload
-        line = f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
-        lines.append(line)
-        echo(line)
+        echo(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
     cfgs = acceptance_configs(seed)
     for name in ("a1_l2", "a1_linf", "a2", "a3", "a4", "a5"):

@@ -122,6 +122,44 @@ def gen_uniform_random(n: int, domain: Domain, seed: int) -> PointSet:
     return PointSet(pts, domain)
 
 
+class NewtonBasis:
+    """Incremental Newton basis of the kernel translates at chosen candidates.
+
+    After k candidates ``x_1..x_k`` are added, ``basis[:, :k]`` is
+    ``K(cand, X) L^{-T}`` with ``L`` the Cholesky factor of ``K(X, X) + eps I``,
+    ``power`` is the posterior variance ``k(x, x) - |basis[i, :k]|^2`` on every
+    candidate (clamped at zero: the squared power function), and
+    ``basis[:, :k] @ z[:k]`` is the zero-prior posterior mean of the added values.
+    Adding candidate j extends ``L`` by one row, with off-diagonal
+    ``basis[j, :k]`` and pivot ``sqrt(power[j] + eps)`` (Pazouki & Schaback
+    2011, "Bases for kernel-based spaces").  ``eps = 0`` is exact
+    interpolation; a positive ``eps`` is the jitter ``fit`` adds.
+    """
+
+    def __init__(self, amplitude: float, m: int, capacity: int, eps: float = 0.0):
+        self.power = np.full(m, amplitude)
+        self.basis = np.zeros((m, capacity))
+        self.z = np.zeros(capacity)
+        self.eps = eps
+        self.size = 0
+
+    def add(self, j: int, column, value: float = 0.0) -> None:
+        """Add candidate ``j``; ``column`` is ``k(cand, cand[j])``, ``value`` its observation."""
+        k = self.size
+        row = self.basis[j, :k]
+        pivot = np.sqrt(self.power[j] + self.eps)
+        col = column - self.basis[:, :k] @ row
+        col /= pivot
+        self.z[k] = (value - row @ self.z[:k]) / pivot
+        self.basis[:, k] = col
+        self.power = np.maximum(self.power - col * col, 0.0)
+        self.size = k + 1
+
+    def mean(self) -> np.ndarray:
+        """Posterior mean on every candidate of the values added so far."""
+        return self.basis[:, : self.size] @ self.z[: self.size]
+
+
 def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
     """Greedy posterior-variance (power function) point selection.
 
@@ -136,24 +174,17 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
         raise ConfigurationError(f"need at least {n} candidates, got {m}")
     if cand.shape[1] != spec.dim:
         raise ConfigurationError("candidate dimension does not match kernel dim")
-    # Incremental Newton basis: power[i] is the posterior variance of
-    # candidate i given the selected prefix; one column per selected point.
-    power = np.full(m, spec.amplitude)
-    basis = np.zeros((m, n))
+    newton = NewtonBasis(spec.amplitude, m, n)
     selected = np.zeros(n, dtype=int)
     for step in range(n):
-        j = int(np.argmax(power))  # np.argmax returns the first maximizer
+        j = int(np.argmax(newton.power))  # np.argmax returns the first maximizer
         selected[step] = j
-        pj = power[j]
-        if pj <= 0:
+        if newton.power[j] <= 0:
             raise ConfigurationError(
                 "candidate pool exhausted: remaining posterior variance is zero"
             )
         r = np.linalg.norm(cand - cand[j], axis=1)
-        col = matern_of_r(spec, r) - basis[:, :step] @ basis[j, :step]
-        col /= np.sqrt(pj)
-        basis[:, step] = col
-        power = np.maximum(power - col * col, 0.0)
+        newton.add(j, matern_of_r(spec, r))
     return PointSet(cand[selected], candidates.domain)
 
 

@@ -313,6 +313,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         cfg.bo_acquisition = str(bo.get("acquisition", "expected_improvement"))
         cfg.bo_ucb_beta = float(bo.get("ucb_beta", 2.0))
         cfg.bo_budgets = [int(v) for v in bo.get("budgets", [25, 50, 100, 200])]
+        if not cfg.bo_budgets or any(n < 2 for n in cfg.bo_budgets):
+            raise ConfigurationError("bo budgets must be a nonempty list of sizes >= 2")
     elif bo is not None:
         raise ConfigurationError("'bo' section is only valid for kind = 'bo'")
     return cfg
@@ -524,17 +526,19 @@ def run_bq_experiment(cfg: ExperimentConfig) -> dict:
 def run_bo_experiment(cfg: ExperimentConfig) -> dict:
     candidates = gen_grid(cfg.candidate_resolution, cfg.domain)
     kernel = cfg.kernel_for(0)
+    bo_cfg = BOConfig(
+        gamma=cfg.bo_gamma,
+        acquisition=cfg.bo_acquisition,
+        n=max(cfg.bo_budgets),
+        kernel=kernel,
+        candidates=candidates,
+        ucb_beta=cfg.bo_ucb_beta,
+    )
+    # every budget is a prefix of the one trajectory to the largest budget
+    trajectory = run_gamma_F_n(cfg.target, bo_cfg)
     runs = []
     for budget in cfg.bo_budgets:
-        bo_cfg = BOConfig(
-            gamma=cfg.bo_gamma,
-            acquisition=cfg.bo_acquisition,
-            n=budget,
-            kernel=kernel,
-            candidates=candidates,
-            ucb_beta=cfg.bo_ucb_beta,
-        )
-        res = run_gamma_F_n(cfg.target, bo_cfg)
+        res = trajectory.result(budget)
         # the last trace row measured the same points as ``res.selected``
         rho = res.trace[-1]["rho_so_far"] if res.trace else float("nan")
         runs.append(

@@ -25,6 +25,13 @@ SMALL_RATES = {
     "ladder": [16, 32, 64, 128], "grid_resolution": 1024,
 }
 
+SMALL_BO = {
+    "kind": "bo", "name": "small_bo",
+    "kernel": {"tau": 2.5, "lengthscale": 0.15},
+    "target": {"name": "peaks3"},
+    "design": {"kind": "grid", "candidate_resolution": 64},
+}
+
 
 @pytest.fixture(autouse=True)
 def _restore_thread_vars(monkeypatch):
@@ -60,8 +67,10 @@ def test_failed_gate_exits_1(tmp_path):
     dict(SMALL_RATES, ladder=[]),
     dict(SMALL_RATES, kernel={"tau": [2.0, 0.4], "lengthscale": 0.25}),
     dict(SMALL_RATES, replicates=0),
+    dict(SMALL_BO, bo={"budgets": []}),
+    dict(SMALL_BO, bo={"budgets": [8, 1]}),
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
-        "zero_replicates"])
+        "zero_replicates", "empty_bo_budgets", "bo_budget_below_2"])
 def test_config_errors_exit_2_before_any_work(tmp_path, config):
     code, out = _run(tmp_path, config, "--seed", "3")
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from gprates.designs import (
     Domain,
+    NewtonBasis,
     PointSet,
     fill_distance,
     gen_grid,
@@ -17,8 +18,8 @@ from gprates.designs import (
     separation_radius,
 )
 from gprates.errors import ConfigurationError
-from gprates.fitting import MeanSpec, fit, posterior_var
-from gprates.kernels import KernelSpec
+from gprates.fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean, posterior_var
+from gprates.kernels import KernelSpec, cross_matrix
 
 UNIT = Domain((0.0,), (1.0,))
 SQUARE = Domain((0.0, 0.0), (1.0, 1.0))
@@ -152,6 +153,81 @@ class TestQuasiUniformityTrace:
         assert len(rows) == 3 and np.isfinite(slope)
 
 
+# candidate indices chosen by gen_p_greedy, recorded with the code before the
+# Newton basis was shared with the BO loop: tau 2, lengthscale 0.25, 2048
+# candidates, n 512 (the benchmark's P-greedy ladder) ...
+P_GREEDY_1D = [
+    0, 2047, 1023, 1535, 507, 1794, 765, 245, 1279, 1924, 376, 894, 1407, 116, 1665,
+    636, 1151, 1988, 441, 1600, 830, 180, 1215, 1857, 573, 960, 1469, 310, 1729,
+    701, 54, 1087, 1343, 1891, 474, 927, 1502, 343, 669, 1633, 212, 798, 1761, 2019,
+    1183, 1311, 1055, 541, 85, 1376, 278, 1567, 409, 862, 733, 1697, 1119, 1956,
+    1247, 148, 1826, 605, 991, 1438, 25, 524, 1874, 359, 1584, 229, 911, 781, 1486,
+    1777, 457, 653, 1359, 1135, 1263, 1681, 1039, 1940, 132, 294, 846, 717, 1199,
+    589, 393, 944, 1519, 1617, 2004, 1422, 196, 70, 1810, 1327, 1745, 1071, 491,
+    1007, 1907, 327, 261, 557, 814, 1551, 878, 685, 425, 1649, 1231, 749, 164, 1167,
+    1295, 1713, 1103, 1972, 2034, 1842, 621, 1454, 975, 1391, 101, 39, 11, 482, 368,
+    1882, 532, 1576, 903, 1510, 269, 789, 1785, 220, 319, 1916, 1609, 936, 645,
+    1367, 1478, 465, 385, 515, 1865, 1207, 1079, 1705, 1287, 725, 1143, 156, 1015,
+    838, 581, 1964, 1657, 1818, 1753, 677, 1335, 417, 1239, 1430, 1543, 870, 188,
+    757, 1111, 1047, 1175, 124, 983, 1996, 62, 613, 1399, 93, 286, 237, 806, 351,
+    549, 1932, 1625, 449, 1721, 1303, 693, 1255, 1673, 952, 1446, 1834, 1899, 1592,
+    919, 499, 1527, 302, 1802, 886, 1559, 2027, 1494, 1351, 401, 204, 773, 1769,
+    661, 335, 253, 1095, 1191, 1031, 597, 140, 1980, 822, 741, 1127, 999, 565, 1641,
+    433, 1948, 1271, 1737, 854, 1319, 172, 1223, 709, 1159, 1689, 1063, 46, 1383,
+    1462, 629, 1850, 108, 967, 1415, 77, 2011, 18, 2041, 32, 5, 1886, 520, 364, 470,
+    1572, 899, 274, 1514, 793, 1789, 224, 315, 1605, 932, 1912, 537, 381, 487, 1869,
+    641, 1371, 1474, 1083, 713, 1685, 1267, 1187, 160, 1019, 842, 1741, 1323, 1139,
+    1960, 585, 429, 753, 1645, 1227, 1822, 673, 192, 1051, 128, 987, 1442, 1539,
+    874, 1717, 1291, 1115, 1984, 609, 249, 339, 818, 1765, 1936, 405, 561, 1347,
+    1163, 1403, 89, 58, 298, 453, 1498, 1621, 777, 697, 1243, 1669, 1203, 737, 948,
+    1838, 1588, 915, 503, 1806, 1555, 208, 657, 1067, 144, 1003, 858, 1307, 1701,
+    1099, 1035, 176, 2015, 1426, 112, 971, 1387, 1458, 625, 2000, 1903, 265, 355,
+    802, 1523, 890, 233, 545, 389, 1781, 323, 1363, 1482, 1920, 282, 1147, 437,
+    1637, 1733, 1259, 593, 1968, 769, 689, 1211, 834, 1331, 729, 1179, 1661, 1123,
+    1283, 413, 569, 1757, 1944, 1861, 66, 2023, 50, 97, 956, 1411, 1846, 81, 478,
+    528, 1878, 372, 1596, 923, 1563, 1798, 306, 511, 461, 1895, 649, 216, 1506,
+    1613, 785, 907, 940, 495, 1580, 1075, 1011, 168, 1709, 136, 866, 1235, 1043,
+    1450, 617, 1992, 979, 257, 347, 810, 1531, 1355, 1299, 721, 1155, 1677, 1107,
+    681, 1830, 200, 761, 1395, 120, 1434, 882, 241, 1773, 397, 553, 1928, 1490, 290,
+    331, 1195, 445, 1629, 1725, 1251, 1976, 601, 826, 1339, 1547, 1814, 665, 1059,
+    995, 184, 1749, 1219, 577, 1315, 1091, 1653, 1952, 1275, 421, 1027, 1693, 152,
+    850, 1131, 745, 1171, 705, 28, 2038, 15, 42, 1466, 1379, 633, 1854, 2008, 104,
+    1418, 963, 73, 2030, 35, 21, 2044, 8,
+]
+# ... and tau 2.5, lengthscale 0.3, a 32 x 32 grid in the unit square, n 64
+P_GREEDY_2D = [
+    0, 1023, 31, 992, 495, 543, 1008, 16, 512, 280, 759, 776, 231, 256, 287, 1000,
+    8, 1016, 799, 768, 24, 239, 487, 503, 751, 644, 148, 371, 883, 627, 619, 635,
+    363, 900, 156, 891, 99, 412, 908, 387, 108, 671, 1012, 20, 640, 4, 996, 159,
+    128, 384, 12, 1004, 415, 763, 887, 359, 1020, 235, 152, 772, 499, 927, 623, 896,
+]
+
+
+class TestNewtonBasis:
+    def _basis_and_fit(self):
+        spec = KernelSpec(tau=2.5, lengthscale=0.2, amplitude=2.0)
+        cand = gen_grid(64, UNIT)
+        chosen = [5, 40, 20, 63, 0, 31, 12]
+        y = np.sin(6.0 * cand.points[chosen, 0])
+        eps = DEFAULT_JITTER_FACTOR * spec.amplitude
+        newton = NewtonBasis(spec.amplitude, len(cand), len(chosen), eps)
+        for j, value in zip(chosen, y):
+            newton.add(j, cross_matrix(spec, cand, cand.points[j])[:, 0], value)
+        model = fit(spec, MeanSpec("constant", 0.0), PointSet(cand.points[chosen], UNIT), y, 0.0)
+        assert model.jitter == eps
+        return cand, chosen, newton, model
+
+    def test_matches_fit_with_its_jitter(self):
+        cand, _, newton, model = self._basis_and_fit()
+        np.testing.assert_allclose(newton.power, posterior_var(model, cand), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(newton.mean(), posterior_mean(model, cand), rtol=0, atol=1e-14)
+
+    def test_rows_at_chosen_points_extend_the_cholesky_factor(self):
+        _, chosen, newton, model = self._basis_and_fit()
+        for i, j in enumerate(chosen):
+            np.testing.assert_allclose(newton.basis[j, :i], model.chol[i, :i], rtol=0, atol=1e-15)
+
+
 class TestPGreedy:
     def test_first_point_is_lowest_index(self):
         spec = KernelSpec(tau=2.0, lengthscale=0.3)
@@ -194,6 +270,16 @@ class TestPGreedy:
         assert cap < 4.0
         for a, b in zip(rhos, rhos[1:]):
             assert b <= 1.2 * a
+
+    def test_selection_frozen_1d(self):
+        cand = gen_grid(2048, UNIT)
+        X = gen_p_greedy(512, KernelSpec(tau=2.0, lengthscale=0.25), cand)
+        assert np.array_equal(X.points, cand.points[P_GREEDY_1D])
+
+    def test_selection_frozen_2d(self):
+        cand = gen_grid(32, SQUARE)
+        X = gen_p_greedy(64, KernelSpec(tau=2.5, lengthscale=0.3, dim=2), cand)
+        assert np.array_equal(X.points, cand.points[P_GREEDY_2D])
 
     def test_low_smoothness_trace_is_diagnostic_only(self):
         # d/2 < tau <= d/2 + 1 carries no quasi-uniformity claim; just run it
