@@ -1,7 +1,7 @@
 """Variance-stabilized Bayesian optimization over a finite candidate grid.
 
 The strategy with budget n picks the first point as the first candidate,
-points 2..n-1 by maximizing the acquisition over the stabilized candidate
+points 2..n-1 by maximizing expected improvement over the stabilized candidate
 set (posterior sd at least ``gamma`` times its maximum over candidates,
 which forces exploration and keeps the selected set quasi-uniform), and the
 final point as the maximizer of the interpolant built on the first n-1
@@ -35,17 +35,13 @@ REFERENCE_RESOLUTION = 65536
 @dataclass(frozen=True)
 class BOConfig:
     gamma: float
-    acquisition: str  # "expected_improvement" | "ucb"
     n: int
     kernel: KernelSpec
     candidates: PointSet
-    ucb_beta: float = 2.0
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigurationError("gamma must lie in (0, 1]")
-        if self.acquisition not in ("expected_improvement", "ucb"):
-            raise ConfigurationError(f"unknown acquisition {self.acquisition!r}")
         if self.n < 2:
             raise ConfigurationError("budget n must be at least 2")
         if not self.kernel.tau > self.kernel.dim / 2 + 1:
@@ -53,8 +49,6 @@ class BOConfig:
                 "stabilized selection requires tau > d/2 + 1 "
                 f"(got tau = {self.kernel.tau}, d = {self.kernel.dim})"
             )
-        if self.acquisition == "ucb" and not self.ucb_beta > 0:
-            raise ConfigurationError("ucb needs beta > 0")
 
 
 def expected_improvement(mean, sd, best: float):
@@ -152,10 +146,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
         mean = newton.mean()
         sd = np.sqrt(newton.power)
         threshold = config.gamma * sd.max()
-        if config.acquisition == "expected_improvement":
-            acq = expected_improvement(mean, sd, max(run.f))
-        else:
-            acq = mean + config.ucb_beta * sd
+        acq = expected_improvement(mean, sd, max(run.f))
         masked = np.where(sd >= threshold, acq, -np.inf)
         j = int(np.argmax(masked))  # first maximizer wins ties
         run.slacks.append(threshold - sd[j])

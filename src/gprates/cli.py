@@ -4,7 +4,7 @@ Subcommands: ``design``, ``interpolate``, ``regress``, ``rates``, ``bq``,
 ``bo`` (all driven by a JSON config), ``accept`` (the full acceptance
 suite), and ``list`` (registry contents).  Exit codes: 0 all verdicts pass
 or non-gating, 1 a gated verdict failed, 2 config/validation error, 3
-numerical abort.
+numerical abort; ``accept`` exits 2 and 3 on the same errors as a config run.
 
 ``main`` pins the BLAS thread pools to one thread (unless the environment
 already sets them) before anything imports numpy, so a thread count never
@@ -68,8 +68,22 @@ def _resolve_out(cli_out) -> str:
     return cli_out or os.environ.get(_ENV_OUT) or os.getcwd()
 
 
-def _cmd_config(args, forced_kind: str | None) -> int:
+def _report_errors(command) -> int:
+    """Exit code of ``command()``, with configuration and numerical errors as 2 and 3."""
     from .errors import ConfigurationError, SingularDesignError
+
+    try:
+        return command()
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SingularDesignError as exc:
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return 3
+
+
+def _cmd_config(args, forced_kind: str | None) -> int:
+    from .errors import ConfigurationError
     from .experiments import config_from_dict, run_experiment
 
     try:
@@ -83,21 +97,13 @@ def _cmd_config(args, forced_kind: str | None) -> int:
         return 2
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
-    try:
-        cfg = config_from_dict(raw)
-        if forced_kind is not None and cfg.kind != forced_kind:
-            raise ConfigurationError(
-                f"subcommand {forced_kind!r} got a config of kind {cfg.kind!r}"
-            )
-        code, lines, _ = run_experiment(cfg, _resolve_out(args.out))
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SingularDesignError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 3
-    for line in lines:
-        print(line)
+    cfg = config_from_dict(raw)
+    if forced_kind is not None and cfg.kind != forced_kind:
+        raise ConfigurationError(
+            f"subcommand {forced_kind!r} got a config of kind {cfg.kind!r}"
+        )
+    code, line, _, _ = run_experiment(cfg, _resolve_out(args.out))
+    print(line)
     return code
 
 
@@ -162,9 +168,9 @@ def main(argv=None) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "accept":
-        return _cmd_accept(args)
+        return _report_errors(lambda: _cmd_accept(args))
     forced = None if args.command == "run" else args.command
-    return _cmd_config(args, forced)
+    return _report_errors(lambda: _cmd_config(args, forced))
 
 
 if __name__ == "__main__":

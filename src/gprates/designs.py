@@ -53,13 +53,10 @@ class Domain:
         cs = list(itertools.product(*zip(self.lower, self.upper)))
         return np.array(cs, dtype=float)
 
-    def contains(self, pts: np.ndarray, strict: bool = True) -> np.ndarray:
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Which rows of ``pts`` lie strictly inside the domain."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        lo = np.array(self.lower)
-        hi = np.array(self.upper)
-        if strict:
-            return np.all((pts > lo) & (pts < hi), axis=1)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
+        return np.all((pts > np.array(self.lower)) & (pts < np.array(self.upper)), axis=1)
 
 
 UNIT_INTERVAL = Domain((0.0,), (1.0,))
@@ -83,7 +80,7 @@ class PointSet:
             raise ConfigurationError(
                 f"points have dimension {pts.shape[1]}, domain has {self.domain.dim}"
             )
-        if pts.shape[0] and not np.all(self.domain.contains(pts, strict=True)):
+        if pts.shape[0] and not np.all(self.domain.contains(pts)):
             raise ConfigurationError("all points must lie strictly inside the domain")
 
     def __len__(self) -> int:
@@ -264,12 +261,3 @@ def pointset_to_csv(X: PointSet) -> str:
     for row in X.points:
         buf.write(",".join(format(v, ".17g") for v in row) + "\n")
     return buf.getvalue()
-
-
-def pointset_from_csv(text: str, domain: Domain) -> PointSet:
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    header = lines[0].split(",")
-    if header != [f"x{i + 1}" for i in range(len(header))]:
-        raise ConfigurationError(f"unexpected CSV header: {lines[0]!r}")
-    pts = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return PointSet(pts, domain)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -30,7 +29,7 @@ MAX_JITTER_FACTOR = 1e-6
 
 @dataclass(frozen=True)
 class MeanSpec:
-    """Prior mean: constant, per-axis polynomial of degree <= 2, or a callable.
+    """Prior mean: constant, or per-axis polynomial of degree <= 2.
 
     Smooth means are trivially in every Sobolev class on a bounded domain;
     supplying a mean rough enough to break that is the caller's problem.
@@ -39,7 +38,6 @@ class MeanSpec:
     kind: str = "constant"
     value: float = 0.0
     coeffs: tuple = ()  # (c0, c1[d], c2[d]) flattened for kind="polynomial"
-    fn: Callable | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -53,10 +51,6 @@ class MeanSpec:
                     f"polynomial mean needs 1 + 2*dim coefficients, got {c.size}"
                 )
             return c[0] + x @ c[1 : 1 + d] + (x * x) @ c[1 + d :]
-        if self.kind == "named":
-            if self.fn is None:
-                raise ConfigurationError("named mean requires a callable")
-            return np.asarray(self.fn(x), dtype=float).reshape(x.shape[0])
         raise ConfigurationError(f"unknown mean kind {self.kind!r}")
 
 
@@ -181,11 +175,6 @@ def posterior_var(model: PosteriorModel, x) -> np.ndarray | float:
         logger.warning("posterior variance clamped from %.3e to 0", mn)
     out = np.maximum(raw, 0.0)
     return float(out[0]) if single else out
-
-
-def posterior_sd(model: PosteriorModel, x) -> np.ndarray | float:
-    v = posterior_var(model, x)
-    return np.sqrt(v) if isinstance(v, np.ndarray) else float(np.sqrt(v))
 
 
 def rkhs_norm_expansion(spec: KernelSpec, centers, alpha) -> float:

@@ -163,16 +163,6 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     return K
 
 
-def cross_vector(spec: KernelSpec, x, X) -> np.ndarray:
-    """Vector ``(k(x, x_1), ..., k(x, x_n))``."""
-    pts, _ = as_points(spec.dim, X)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (spec.dim,):
-        raise ConfigurationError(f"query point must have dimension {spec.dim}")
-    r = np.linalg.norm(pts - x[None, :], axis=1)
-    return matern_of_r(spec, r)
-
-
 def cross_matrix(spec: KernelSpec, Xq, X) -> np.ndarray:
     """Cross-covariance ``K[i, j] = k(xq_i, x_j)`` for batched queries."""
     q, _ = as_points(spec.dim, Xq)

@@ -35,8 +35,9 @@ def make_grid(domain: Domain, resolution: int | None = None) -> EvalGrid:
     return EvalGrid(domain=domain, resolution=res, points=pts, weights=w)
 
 
-def _check_q(q) -> float:
-    qf = float(q) if q != "inf" else float("inf")
+def parse_q(q) -> float:
+    """The error-norm exponent as a float: 1, 2 or inf (given as a number or a string)."""
+    qf = float(q)
     if qf not in (1.0, 2.0, float("inf")):
         raise ConfigurationError(f"q must be 1, 2 or inf, got {q!r}")
     return qf
@@ -44,7 +45,7 @@ def _check_q(q) -> float:
 
 def lq_norm(values, q, grid: EvalGrid) -> float:
     """``(sum_i w_i |v_i|^q)^(1/q)`` of values on the grid, or ``max |v_i|`` for q = inf."""
-    qf = _check_q(q)
+    qf = parse_q(q)
     diff = np.abs(values)
     if qf == float("inf"):
         return float(diff.max())

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .designs import Domain, PointSet, UNIT_INTERVAL
+from .designs import Domain, UNIT_INTERVAL
 from .errors import ConfigurationError, InfiniteMomentError
 from .fitting import rkhs_norm_expansion
 from .kernels import KernelSpec, as_points, cross_matrix
@@ -294,13 +294,6 @@ def draw_noise(noise: NoiseModel, n: int, replicate: int = 0) -> np.ndarray:
         idx = rng.choice(n, size=count, replace=False)
         eps[idx] = noise.magnitude * rng.choice([-1.0, 1.0], size=count)
     return eps
-
-
-def corrupt(t: TargetSpec, X: PointSet, noise: NoiseModel, replicate: int = 0):
-    """Observations ``y_i = f(x_i) + eps_i``; ``eps`` returned separately."""
-    fX = np.asarray(eval_target(t, X.points), dtype=float).reshape(-1)
-    eps = draw_noise(noise, len(X), replicate)
-    return fX + eps, eps
 
 
 def expected_noise_growth(noise: NoiseModel) -> float | None:

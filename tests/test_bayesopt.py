@@ -16,7 +16,7 @@ SMALL_BO = {
     "kernel": {"tau": 2.5, "lengthscale": 0.15, "amplitude": 1.0, "dim": 1},
     "target": {"name": "peaks3"},
     "design": {"kind": "grid", "candidate_resolution": 512},
-    "bo": {"gamma": 0.3, "acquisition": "expected_improvement", "budgets": [8, 16, 32, 64]},
+    "bo": {"gamma": 0.3, "budgets": [8, 16, 32, 64]},
 }
 
 # recorded with the code that refitted at every step and ran each budget on
@@ -60,8 +60,8 @@ def test_budgets_frozen():
 
 def _trajectory(n):
     cfg = config_from_dict(SMALL_BO)
-    bo = BOConfig(gamma=0.3, acquisition="expected_improvement", n=n,
-                  kernel=cfg.kernel_for(0), candidates=gen_grid(512, cfg.domain))
+    bo = BOConfig(gamma=0.3, n=n, kernel=cfg.kernel_for(0),
+                  candidates=gen_grid(512, cfg.domain))
     return run_gamma_F_n(cfg.target, bo)
 
 

@@ -32,6 +32,17 @@ SMALL_BO = {
     "design": {"kind": "grid", "candidate_resolution": 64},
 }
 
+SMALL_FIT = {
+    "kind": "interpolate", "name": "fit",
+    "kernel": {"tau": 2.0, "lengthscale": 0.25},
+    "target": {"name": "layered_tau2"},
+    "n": 32, "grid_resolution": 256,
+}
+SMALL_REGRESS = dict(
+    SMALL_FIT, kind="regress", noise={"kind": "gaussian", "sigma": 0.1},
+    nugget={"kind": "fixed", "sigma": 0.1},
+)
+
 
 @pytest.fixture(autouse=True)
 def _restore_thread_vars(monkeypatch):
@@ -69,12 +80,76 @@ def test_failed_gate_exits_1(tmp_path):
     dict(SMALL_RATES, replicates=0),
     dict(SMALL_BO, bo={"budgets": []}),
     dict(SMALL_BO, bo={"budgets": [8, 1]}),
+    dict(SMALL_RATES, q="two"),
+    dict(SMALL_RATES, q="-inf"),
+    dict(SMALL_RATES, tolerance="x"),
+    dict(SMALL_RATES, kernel={"tau": "a"}),
+    dict(SMALL_RATES, ladder=5),
+    dict(SMALL_RATES, kernel=3),
+    dict(SMALL_RATES, noise="gaussian"),
+    dict(SMALL_BO, bo={"budgets": [8, 16], "acquisition": "ucb"}),
+    dict(SMALL_RATES, s=0),
+    dict(SMALL_REGRESS, nugget={"kind": "zero"}),
+    dict(SMALL_FIT, nugget={"kind": "fixed", "sigma": 0.1}),
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
-        "zero_replicates", "empty_bo_budgets", "bo_budget_below_2"])
-def test_config_errors_exit_2_before_any_work(tmp_path, config):
+        "zero_replicates", "empty_bo_budgets", "bo_budget_below_2", "q_not_a_number",
+        "q_minus_inf", "tolerance_not_a_number", "tau_not_a_number", "ladder_not_a_list",
+        "kernel_not_an_object", "noise_not_an_object", "ucb_acquisition", "s_key",
+        "regress_zero_nugget", "interpolate_with_nugget"])
+def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     code, out = _run(tmp_path, config, "--seed", "3")
     assert code == 2
     assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [
+    dict(SMALL_RATES, seed="abc"),
+    dict(SMALL_RATES, seed=-1, noise={"kind": "gaussian", "sigma": 0.1},
+         nugget={"kind": "fixed", "sigma": 0.1}),
+], ids=["seed_not_a_number", "negative_seed"])
+def test_bad_seed_exits_2_before_any_work(tmp_path, capsys, config):
+    code, out = _run(tmp_path, config)
+    assert code == 2
+    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_accept_with_negative_seed_exits_2_before_any_work(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["accept", "--seed", "-1", "--skip-determinism", "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("config, files", [
+    ({"kind": "design", "name": "des", "ladder": [8, 16, 32]},
+     ["des_metrics.json", "des_points.csv"]),
+    (SMALL_FIT, ["fit_fit.csv", "fit_summary.json"]),
+    (SMALL_REGRESS, ["fit_fit.csv", "fit_summary.json"]),
+], ids=["design", "interpolate", "regress"])
+def test_single_run_kinds_write_their_files(tmp_path, config, files):
+    code, out = _run(tmp_path, config)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == files
+
+
+def test_bo_trace_writes_every_coordinate(tmp_path):
+    config = {
+        "kind": "bo", "name": "bo2d",
+        "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "kernel": {"tau": 2.5, "lengthscale": 0.3, "dim": 2},
+        "target": {"expansion": {"tau": 2.5, "seed": 1, "n_centers": 8}},
+        "design": {"kind": "grid", "candidate_resolution": 16},
+        "bo": {"budgets": [6, 12]},
+    }
+    _, out = _run(tmp_path, config)
+    header, *rows = (out / "bo2d_trace.csv").read_text().splitlines()
+    assert header == "step,x1,x2,f,threshold,sd,acquisition,rho_so_far"
+    assert len(rows) == 10
+    assert all(len(row.split(",")) == 8 for row in rows)
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -103,6 +178,20 @@ def test_degenerate_bq_ladder_is_invalid(tmp_path, capsys):
     report = json.loads((out / "short_report.json").read_text())
     assert report["verdict"] == "invalid"
     assert report["invalid_reason"] == "need at least 3 ladder points after burn-in"
+
+
+def test_violated_holder_chain_is_invalid(tmp_path, capsys, monkeypatch):
+    # a zero L1 misfit makes every rung's Hoelder bound 1e-12, below its error
+    monkeypatch.setattr(gprates.experiments, "lq_norm", lambda *args: 0.0)
+    config = dict(SMALL_RATES, kind="bq", name="chain")
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().out.startswith("[INVALID] chain:")
+    report = json.loads((out / "chain_report.json").read_text())
+    assert report["verdict"] == "invalid"
+    assert report["invalid_reason"].startswith("Hoelder chain violated")
+    assert report["extras"]["holder_chain_ok"] is False
+    assert report["extras"]["holder_margin"] < 0
 
 
 def test_one_point_rung_is_invalid(tmp_path, capsys):

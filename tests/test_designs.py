@@ -1,5 +1,7 @@
 """Design generators and the fill/separation/mesh-ratio metrics."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from gprates.designs import (
     gen_p_greedy,
     gen_uniform_random,
     mesh_ratio,
-    pointset_from_csv,
     pointset_to_csv,
     quasi_uniformity_trace,
     separation_radius,
@@ -293,5 +294,5 @@ class TestCsv:
         X = gen_uniform_random(7, SQUARE, seed=3)
         text = pointset_to_csv(X)
         assert text.splitlines()[0] == "x1,x2"
-        back = pointset_from_csv(text, SQUARE)
-        assert np.array_equal(back.points, X.points)
+        back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        assert np.array_equal(back, X.points)

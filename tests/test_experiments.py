@@ -92,9 +92,9 @@ def test_rates_rows_frozen():
 
 
 def test_bq_rows_frozen():
-    result = run_bq_experiment(config_from_dict(BQ))
-    assert result["fitted"] == pytest.approx(BQ_FITTED, rel=1e-12)
-    _assert_rows(result["rows"], BQ_ROWS)
+    report = run_bq_experiment(config_from_dict(BQ))
+    assert report.fitted == pytest.approx(BQ_FITTED, rel=1e-12)
+    _assert_rows(report.rows, BQ_ROWS)
 
 
 def test_ill_conditioned_rows_frozen(tmp_path):

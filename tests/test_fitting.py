@@ -278,10 +278,6 @@ class TestMeanSpecs:
         mean = MeanSpec("polynomial", coeffs=(1.0, 2.0, 3.0))  # 1 + 2x + 3x^2
         np.testing.assert_allclose(mean(np.array([[0.0], [1.0]])), [1.0, 6.0])
 
-    def test_named_mean(self):
-        mean = MeanSpec("named", fn=lambda x: np.atleast_2d(x)[:, 0] ** 3)
-        np.testing.assert_allclose(mean(np.array([[2.0]])), [8.0])
-
     def test_fit_with_nonzero_mean_interpolates(self):
         spec = KernelSpec(tau=2.0, lengthscale=0.3)
         mean = MeanSpec("polynomial", coeffs=(0.5, 1.0, 0.0))

@@ -8,7 +8,7 @@ import pytest
 from gprates.errors import ConfigurationError, SingularGramWarning
 from gprates.kernels import (
     KernelSpec,
-    cross_vector,
+    cross_matrix,
     gram,
     matern_eval,
     matern_of_r,
@@ -137,20 +137,22 @@ class TestGram:
 
 
 class TestCrossVector:
+    """The kernel vector ``k(x, X)`` of one point: a one-row cross matrix."""
+
     def test_at_design_point(self):
         spec = KernelSpec(tau=2.0, amplitude=1.3)
-        v = cross_vector(spec, [0.4], np.array([[0.4]]))
+        v = cross_matrix(spec, [[0.4]], np.array([[0.4]]))[0]
         np.testing.assert_allclose(v, [1.3])
 
     def test_equidistant_symmetric(self):
         # dyadic coordinates so both distances are exactly 0.25
         spec = KernelSpec(tau=1.5, lengthscale=0.5)
-        v = cross_vector(spec, [0.5], np.array([[0.25], [0.75]]))
+        v = cross_matrix(spec, [[0.5]], np.array([[0.25], [0.75]]))[0]
         assert v[0] == v[1]
 
     def test_closed_form_values(self):
         spec = KernelSpec(tau=1.0, lengthscale=1.0, amplitude=1.0)
-        v = cross_vector(spec, [0.5], np.array([[0.0], [1.0]]))
+        v = cross_matrix(spec, [[0.5]], np.array([[0.0], [1.0]]))[0]
         np.testing.assert_allclose(v, [math.exp(-0.5)] * 2, rtol=1e-12)
 
 

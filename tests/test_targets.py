@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from gprates.designs import Domain, PointSet, gen_grid, gen_uniform_random
+from gprates.designs import Domain
 from gprates.errors import ConfigurationError, InfiniteMomentError
 from gprates.kernels import KernelSpec
 from gprates.targets import (
     BUMP_PEAK_LOCATION,
     BUMP_PEAK_VALUE,
     NoiseModel,
-    corrupt,
     draw_noise,
     eval_target,
     expected_noise_growth,
@@ -86,17 +85,11 @@ class TestRegistry:
 
 class TestCorrupt:
     def test_no_noise(self):
-        t = named_target("bump")
-        X = gen_grid(8, UNIT)
-        y, eps = corrupt(t, X, NoiseModel("none"))
-        np.testing.assert_array_equal(eps, 0.0)
-        np.testing.assert_allclose(y, eval_target(t, X.points))
+        np.testing.assert_array_equal(draw_noise(NoiseModel("none"), 8), np.zeros(8))
 
     def test_fixed_outliers_exact_count_and_norm(self):
-        t = named_target("bump")
-        X = gen_grid(32, UNIT)
         noise = NoiseModel("outliers", schedule="fixed", k=2, magnitude=1.5, seed=4)
-        y, eps = corrupt(t, X, noise)
+        eps = draw_noise(noise, 32)
         nz = eps[eps != 0]
         assert len(nz) == 2
         assert set(np.abs(nz)) == {1.5}
