@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular  # noqa: F401  (perfbench/layers.py traces it here)
 from scipy.stats import norm as _norm
 
-from .designs import NewtonBasis, PointSet, fill_distance, gen_grid, separation_radius
+from .designs import NewtonBasis, PointSet, gen_grid, mesh_ratio
 from .errors import ConfigurationError
 from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit
 from .kernels import KernelSpec, cross_matrix
@@ -137,7 +137,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
         # selected points are always candidates, so the candidate-by-selected
         # cross-covariance grows by one cached column per step
         run.chosen.append(j)
-        run.cols.append(cross_matrix(config.kernel, cpts, cpts[j][None, :])[:, 0])
+        run.cols.append(cross_matrix(config.kernel, cpts, cpts[j])[:, 0])
         run.f.append(float(eval_target(target, cpts[j])))
         newton.add(j, run.cols[-1], run.f[-1])
 
@@ -151,8 +151,6 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
         j = int(np.argmax(masked))  # first maximizer wins ties
         run.slacks.append(threshold - sd[j])
         choose(j)
-        sel = PointSet(cpts[run.chosen], cand.domain)
-        h, _ = fill_distance(sel)
         run.trace.append(
             {
                 "step": step,
@@ -161,7 +159,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
                 "threshold": float(threshold),
                 "sd": float(sd[j]),
                 "acquisition": float(acq[j]),
-                "rho_so_far": h / separation_radius(sel),
+                "rho_so_far": mesh_ratio(PointSet(cpts[run.chosen], cand.domain)),
             }
         )
     return run

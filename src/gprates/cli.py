@@ -1,10 +1,9 @@
 """Command-line harness.
 
-Subcommands: ``design``, ``interpolate``, ``regress``, ``rates``, ``bq``,
-``bo`` (all driven by a JSON config), ``accept`` (the full acceptance
-suite), and ``list`` (registry contents).  Exit codes: 0 all verdicts pass
-or non-gating, 1 a gated verdict failed, 2 config/validation error, 3
-numerical abort; ``accept`` exits 2 and 3 on the same errors as a config run.
+Subcommands: ``run`` (one JSON config of any kind), ``accept`` (the full
+acceptance suite), and ``list`` (registry contents).  Exit codes: 0 all
+verdicts pass or non-gating, 1 a gated verdict failed, 2 config/validation
+error, 3 numerical abort, for ``accept`` as for ``run``.
 
 ``main`` pins the BLAS thread pools to one thread (unless the environment
 already sets them) before anything imports numpy, so a thread count never
@@ -39,20 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_cmd(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        return p
-
-    add_config_cmd("run", "run a config of any kind")
-    add_config_cmd("design", "generate a design and its metrics")
-    add_config_cmd("interpolate", "single interpolation fit diagnostics")
-    add_config_cmd("regress", "single regression fit diagnostics")
-    add_config_cmd("rates", "convergence-rate ladder experiment")
-    add_config_cmd("bq", "quadrature error ladder")
-    add_config_cmd("bo", "stabilized optimization runs")
+    p = sub.add_parser("run", help="run a config of any kind")
+    p.add_argument("--config", required=True, help="path to a JSON experiment config")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--out", default=None, help="output directory (default: cwd)")
 
     p = sub.add_parser("accept", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=None)
@@ -82,8 +71,7 @@ def _report_errors(command) -> int:
         return 3
 
 
-def _cmd_config(args, forced_kind: str | None) -> int:
-    from .errors import ConfigurationError
+def _cmd_run(args) -> int:
     from .experiments import config_from_dict, run_experiment
 
     try:
@@ -97,12 +85,7 @@ def _cmd_config(args, forced_kind: str | None) -> int:
         return 2
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
-    cfg = config_from_dict(raw)
-    if forced_kind is not None and cfg.kind != forced_kind:
-        raise ConfigurationError(
-            f"subcommand {forced_kind!r} got a config of kind {cfg.kind!r}"
-        )
-    code, line, _, _ = run_experiment(cfg, _resolve_out(args.out))
+    code, line, _, _ = run_experiment(config_from_dict(raw), _resolve_out(args.out))
     print(line)
     return code
 
@@ -169,8 +152,7 @@ def main(argv=None) -> int:
         return _cmd_list()
     if args.command == "accept":
         return _report_errors(lambda: _cmd_accept(args))
-    forced = None if args.command == "run" else args.command
-    return _report_errors(lambda: _cmd_config(args, forced))
+    return _report_errors(lambda: _cmd_run(args))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import KernelSpec, matern_of_r
+from .kernels import KernelSpec, cross_matrix, squared_distances
 
 DEFAULT_PROBE_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
@@ -180,8 +180,7 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
             raise ConfigurationError(
                 "candidate pool exhausted: remaining posterior variance is zero"
             )
-        r = np.linalg.norm(cand - cand[j], axis=1)
-        newton.add(j, matern_of_r(spec, r))
+        newton.add(j, cross_matrix(spec, cand, cand[j])[:, 0])
     return PointSet(cand[selected], candidates.domain)
 
 
@@ -206,7 +205,7 @@ def fill_distance(X: PointSet, probe_resolution: int | None = None):
     chunk = max(1, int(2.0e6 // max(len(X), 1)))
     for start in range(0, probes.shape[0], chunk):
         block = probes[start : start + chunk]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        d2 = squared_distances(block, pts)
         best = max(best, float(np.sqrt(d2.min(axis=1).max())))
     return best, fill_distance_bound(X.domain, res)
 
@@ -221,8 +220,7 @@ def separation_radius(X: PointSet) -> float:
     """Exact ``min_{i != j} ||x_i - x_j|| / 2``."""
     if len(X) < 2:
         raise ConfigurationError("separation radius needs at least two points")
-    pts = X.points
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    d2 = squared_distances(X.points, X.points)
     d2[np.diag_indices(len(X))] = np.inf
     return float(np.sqrt(d2.min()) / 2.0)
 

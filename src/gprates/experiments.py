@@ -78,9 +78,26 @@ def _require(d: dict, key: str, where: str):
 
 
 def _check_keys(d: dict, allowed: set, where: str):
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigurationError(f"unknown field(s) {sorted(unknown)} in {where}")
+
+
+def _int(value, where: str) -> int:
+    """``value`` as an int; a boolean, a non-number or a fractional number is rejected."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _int_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where} must be a list of integers, got {value!r}")
+    return [_int(v, f"{where} entry") for v in value]
 
 
 def _parse_kernel(d: dict) -> tuple:
@@ -95,7 +112,7 @@ def _parse_kernel(d: dict) -> tuple:
         taus,
         float(d.get("lengthscale", 1.0)),
         float(d.get("amplitude", 1.0)),
-        int(d.get("dim", 1)),
+        _int(d.get("dim", 1), "kernel.dim"),
     )
 
 
@@ -115,8 +132,8 @@ def _parse_target(d: dict, domain: Domain) -> TargetSpec:
         return random_expansion_target(
             tau_f=float(_require(e, "tau", "target.expansion")),
             domain=domain,
-            seed=int(_require(e, "seed", "target.expansion")),
-            n_centers=int(e.get("n_centers", 40)),
+            seed=_int(_require(e, "seed", "target.expansion"), "target.expansion.seed"),
+            n_centers=_int(e.get("n_centers", 40), "target.expansion.n_centers"),
             lengthscale=float(e.get("lengthscale", 0.25)),
             amplitude=float(e.get("amplitude", 1.0)),
             scale=scale,
@@ -125,18 +142,19 @@ def _parse_target(d: dict, domain: Domain) -> TargetSpec:
 
 
 def _parse_noise(d: dict | None, seed: int) -> NoiseModel:
-    if d is None or d.get("kind", "none") == "none":
-        return NoiseModel("none", seed=seed)
+    d = {} if d is None else d
     allowed = {"kind", "sigma", "schedule", "k", "alpha", "beta", "magnitude", "df", "scale"}
     _check_keys(d, allowed, "noise")
-    kind = d["kind"]
+    kind = d.get("kind", "none")
+    if kind == "none":
+        return NoiseModel("none", seed=seed)
     if kind == "gaussian":
         return NoiseModel("gaussian", sigma=float(_require(d, "sigma", "noise")), seed=seed)
     if kind == "outliers":
         return NoiseModel(
             "outliers",
             schedule=str(d.get("schedule", "fixed")),
-            k=int(d.get("k", 1)),
+            k=_int(d.get("k", 1), "noise.k"),
             alpha=float(d.get("alpha", 0.5)),
             beta=float(d.get("beta", 0.1)),
             magnitude=float(d.get("magnitude", 1.0)),
@@ -248,7 +266,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     kind = str(_require(raw, "kind", "config"))
     if kind not in _KINDS:
         raise ConfigurationError(f"unknown experiment kind {kind!r}; known: {_KINDS}")
-    seed = int(raw.get("seed", 0))
+    seed = _int(raw.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     domain = _parse_domain(raw.get("domain"))
@@ -259,7 +277,8 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     cfg.design_kind = str(design.get("kind", "grid"))
     if cfg.design_kind not in ("grid", "random", "p_greedy"):
         raise ConfigurationError(f"unknown design kind {cfg.design_kind!r}")
-    cfg.candidate_resolution = int(design.get("candidate_resolution", 2048))
+    cfg.candidate_resolution = _int(design.get("candidate_resolution", 2048),
+                                    "design.candidate_resolution")
 
     if kind != "design" or "kernel" in raw:
         kernel_raw = raw.get("kernel")
@@ -280,22 +299,24 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     cfg.noise = _parse_noise(raw.get("noise"), seed)
     cfg.nugget = _parse_nugget(raw.get("nugget"))
     cfg.mean = _parse_mean(raw.get("mean"))
-    cfg.ladder = [int(n) for n in raw.get("ladder", DEFAULT_LADDER)]
+    cfg.ladder = _int_list(raw.get("ladder", DEFAULT_LADDER), "ladder")
     if not cfg.ladder or any(n < 1 for n in cfg.ladder):
         raise ConfigurationError("ladder must be a nonempty list of positive sizes")
     default_reps = 20 if (cfg.noise and cfg.noise.kind != "none") else 1
-    cfg.replicates = int(raw.get("replicates", default_reps))
+    cfg.replicates = _int(raw.get("replicates", default_reps), "replicates")
     if cfg.replicates < 1:
         raise ConfigurationError("replicates must be a positive integer")
-    cfg.burn_in = int(raw.get("burn_in", 1))
-    cfg.q = parse_q(raw.get("q", 2))
+    cfg.burn_in = _int(raw.get("burn_in", 1), "burn_in")
+    if kind == "rates":
+        cfg.q = parse_q(raw.get("q", 2))
+    elif "q" in raw:
+        raise ConfigurationError("'q' is only valid for kind = 'rates'")
     cfg.tolerance = float(raw.get("tolerance", 0.4))
-    cfg.grid_resolution = raw.get("grid_resolution")
-    if cfg.grid_resolution is not None:
-        cfg.grid_resolution = int(cfg.grid_resolution)
+    if raw.get("grid_resolution") is not None:
+        cfg.grid_resolution = _int(raw["grid_resolution"], "grid_resolution")
     cfg.density = str(raw.get("density", "uniform"))
     density_by_name(cfg.density)
-    cfg.n_single = int(raw.get("n", 64))
+    cfg.n_single = _int(raw.get("n", 64), "n")
 
     if kind == "interpolate" and cfg.nugget.kind != "zero":
         raise ConfigurationError("interpolate experiments require a zero nugget")
@@ -304,10 +325,10 @@ def _parse_config(raw: dict) -> ExperimentConfig:
 
     bo = raw.get("bo")
     if kind == "bo":
-        bo = bo or {}
+        bo = {} if bo is None else bo
         _check_keys(bo, {"gamma", "budgets"}, "bo")
         cfg.bo_gamma = float(bo.get("gamma", 0.3))
-        cfg.bo_budgets = [int(v) for v in bo.get("budgets", [25, 50, 100, 200])]
+        cfg.bo_budgets = _int_list(bo.get("budgets", [25, 50, 100, 200]), "bo.budgets")
         if not cfg.bo_budgets or any(n < 2 for n in cfg.bo_budgets):
             raise ConfigurationError("bo budgets must be a nonempty list of sizes >= 2")
     elif bo is not None:
@@ -725,8 +746,8 @@ def run_design_experiment(cfg: ExperimentConfig):
     designs = [_design_for(cfg, n, idx) for idx, n in enumerate(cfg.ladder)]
     geometry, h_slope = quasi_uniformity_trace(designs)
     h_bound = fill_distance_bound(cfg.domain)
-    rows = [{"n": n, "h": h, "h_bound": h_bound, "q": q,
-             "rho": rho if q > 0 else float("inf")} for n, h, q, rho in geometry]
+    rows = [{"n": n, "h": h, "h_bound": h_bound, "q": q, "rho": rho}
+            for n, h, q, rho in geometry]
     summary = {"setting": cfg.name, "design": cfg.design_kind, "metrics": rows,
                "h_slope": h_slope}
     return summary, {"points.csv": pointset_to_csv(designs[-1]),

@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
-from .kernels import KernelSpec, as_points, cross_matrix, gram
+from .kernels import KernelSpec, as_points, cross_matrix, gram, squared_distances
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +77,7 @@ class PosteriorModel:
 
 
 def _closest_pair(pts: np.ndarray):
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    d2 = squared_distances(pts, pts)
     d2[np.diag_indices(len(pts))] = np.inf
     i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
     return i, j, float(np.sqrt(d2[i, j]))
@@ -192,14 +192,10 @@ def rkhs_norm_expansion(spec: KernelSpec, centers, alpha) -> float:
 
 
 def noise_interpolant_norm(spec: KernelSpec, X, eps) -> float:
-    """RKHS norm of the noise interpolant: ``sqrt(eps' K^{-1} eps)``."""
+    """RKHS norm of the noise interpolant: ``sqrt(eps' K^{-1} eps)``.
+
+    ``K`` carries the interpolation jitter of :func:`fit`, which solves the system.
+    """
     eps = np.asarray(eps, dtype=float).reshape(-1)
-    K = gram(spec, X, jitter=DEFAULT_JITTER_FACTOR * spec.amplitude)
-    if len(eps) != K.shape[0]:
-        raise ConfigurationError("eps length must match the number of points")
-    try:
-        c, low = cho_factor(K, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("kernel matrix is singular") from exc
-    q = float(eps @ cho_solve((c, low), eps))
+    q = float(eps @ fit(spec, MeanSpec("constant", 0.0), X, eps).dual)
     return float(np.sqrt(max(q, 0.0)))

@@ -131,12 +131,18 @@ def as_points(dim: int, x):
     return x, False
 
 
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances ``D[i, j] = |a_i - b_j|^2`` between two ``(., d)`` batches."""
+    return np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+
+
 def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     """Kernel matrix ``K[i, j] = k(x_i, x_j) + jitter * 1[i == j]``.
 
-    The upper triangle is computed and mirrored, so the result is exactly
-    symmetric.  Duplicate points with zero jitter make the matrix singular;
-    a :class:`SingularGramWarning` is emitted and the matrix still returned.
+    Every entry is evaluated, and the distance from ``x_i`` to ``x_j`` is
+    bitwise that from ``x_j`` to ``x_i``, so the result is exactly symmetric.
+    Duplicate points with zero jitter make the matrix singular; a
+    :class:`SingularGramWarning` is emitted and the matrix still returned.
     """
     pts, _ = as_points(spec.dim, X)
     if pts.shape[0] == 0:
@@ -144,20 +150,14 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     if jitter < 0:
         raise ConfigurationError(f"jitter must be nonnegative, got {jitter}")
     n = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    iu = np.triu_indices(n)
-    K = np.zeros((n, n))
-    K[iu] = matern_of_r(spec, r[iu])
-    K = K + np.triu(K, 1).T
-    if jitter == 0.0 and n > 1:
-        ir, ic = np.triu_indices(n, k=1)
-        if np.any(r[ir, ic] == 0.0):
-            warnings.warn(
-                "duplicate points with jitter=0 give a singular Gram matrix",
-                SingularGramWarning,
-                stacklevel=2,
-            )
+    r = np.sqrt(squared_distances(pts, pts))
+    K = matern_of_r(spec, r)
+    if jitter == 0.0 and np.count_nonzero(r == 0.0) > n:
+        warnings.warn(
+            "duplicate points with jitter=0 give a singular Gram matrix",
+            SingularGramWarning,
+            stacklevel=2,
+        )
     if jitter > 0.0:
         K[np.diag_indices(n)] += jitter
     return K
@@ -167,9 +167,7 @@ def cross_matrix(spec: KernelSpec, Xq, X) -> np.ndarray:
     """Cross-covariance ``K[i, j] = k(xq_i, x_j)`` for batched queries."""
     q, _ = as_points(spec.dim, Xq)
     pts, _ = as_points(spec.dim, X)
-    diff = q[:, None, :] - pts[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    return matern_of_r(spec, r)
+    return matern_of_r(spec, np.sqrt(squared_distances(q, pts)))
 
 
 def min_eigenvalue(K: np.ndarray) -> float:

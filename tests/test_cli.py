@@ -1,6 +1,7 @@
 """Command-line exit codes, config validation and the BLAS thread pin."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,49 +72,65 @@ def test_failed_gate_exits_1(tmp_path):
     assert json.loads((out / "small_report.json").read_text())["verdict"] == "fail"
 
 
-@pytest.mark.parametrize("config", [
-    dict(SMALL_RATES, bogus=1),
-    "{",
-    "[1, 2]",
-    dict(SMALL_RATES, ladder=[]),
-    dict(SMALL_RATES, kernel={"tau": [2.0, 0.4], "lengthscale": 0.25}),
-    dict(SMALL_RATES, replicates=0),
-    dict(SMALL_BO, bo={"budgets": []}),
-    dict(SMALL_BO, bo={"budgets": [8, 1]}),
-    dict(SMALL_RATES, q="two"),
-    dict(SMALL_RATES, q="-inf"),
-    dict(SMALL_RATES, tolerance="x"),
-    dict(SMALL_RATES, kernel={"tau": "a"}),
-    dict(SMALL_RATES, ladder=5),
-    dict(SMALL_RATES, kernel=3),
-    dict(SMALL_RATES, noise="gaussian"),
-    dict(SMALL_BO, bo={"budgets": [8, 16], "acquisition": "ucb"}),
-    dict(SMALL_RATES, s=0),
-    dict(SMALL_REGRESS, nugget={"kind": "zero"}),
-    dict(SMALL_FIT, nugget={"kind": "fixed", "sigma": 0.1}),
+SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
+
+
+# ``field`` is the name the one-line message must contain, or None where the
+# parser's own message is all there is (a non-numeric float field)
+@pytest.mark.parametrize("config, field", [
+    (dict(SMALL_RATES, bogus=1), "bogus"),
+    ("{", None),
+    ("[1, 2]", None),
+    (dict(SMALL_RATES, ladder=[]), "ladder"),
+    (dict(SMALL_RATES, kernel={"tau": [2.0, 0.4], "lengthscale": 0.25}), "tau"),
+    (dict(SMALL_RATES, replicates=0), "replicates"),
+    (dict(SMALL_RATES, replicates=2.7), "replicates"),
+    (dict(SMALL_BO, bo={"budgets": []}), "budgets"),
+    (dict(SMALL_BO, bo={"budgets": [8, 1]}), "budgets"),
+    (dict(SMALL_RATES, q="two"), None),
+    (dict(SMALL_RATES, q="-inf"), "q"),
+    (dict(SMALL_RATES, tolerance="x"), None),
+    (dict(SMALL_RATES, kernel={"tau": "a"}), None),
+    (dict(SMALL_RATES, ladder=5), "ladder"),
+    (dict(SMALL_RATES, kernel=3), "kernel"),
+    (dict(SMALL_RATES, noise="gaussian"), "noise"),
+    (dict(SMALL_BO, bo=0), "bo"),
+    (dict(SMALL_BO, bo={"budgets": [8, 16], "acquisition": "ucb"}), "acquisition"),
+    (dict(SMALL_RATES, s=0), "'s'"),
+    (dict(SMALL_REGRESS, nugget={"kind": "zero"}), "nugget"),
+    (dict(SMALL_FIT, nugget={"kind": "fixed", "sigma": 0.1}), "nugget"),
+    (dict(SMALL_RATES, kind="bq", q="inf"), "'q'"),
+    (dict(SMALL_FIT, q="inf"), "'q'"),
+    (dict(SMALL_BO, q=1), "'q'"),
+    (dict(SMALL_DESIGN, q=1), "'q'"),
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
-        "zero_replicates", "empty_bo_budgets", "bo_budget_below_2", "q_not_a_number",
-        "q_minus_inf", "tolerance_not_a_number", "tau_not_a_number", "ladder_not_a_list",
-        "kernel_not_an_object", "noise_not_an_object", "ucb_acquisition", "s_key",
-        "regress_zero_nugget", "interpolate_with_nugget"])
-def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
+        "zero_replicates", "fractional_replicates", "empty_bo_budgets", "bo_budget_below_2",
+        "q_not_a_number", "q_minus_inf", "tolerance_not_a_number", "tau_not_a_number",
+        "ladder_not_a_list", "kernel_not_an_object", "noise_not_an_object", "bo_not_an_object",
+        "ucb_acquisition", "s_key", "regress_zero_nugget", "interpolate_with_nugget",
+        "q_on_bq", "q_on_interpolate", "q_on_bo", "q_on_design"])
+def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     code, out = _run(tmp_path, config, "--seed", "3")
     assert code == 2
     assert list(out.iterdir()) == []
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert field is None or field in err
 
 
 @pytest.mark.parametrize("config", [
     dict(SMALL_RATES, seed="abc"),
     dict(SMALL_RATES, seed=-1, noise={"kind": "gaussian", "sigma": 0.1},
          nugget={"kind": "fixed", "sigma": 0.1}),
-], ids=["seed_not_a_number", "negative_seed"])
+    dict(SMALL_RATES, seed=1.5),
+    dict(SMALL_RATES, seed=True),
+], ids=["seed_not_a_number", "negative_seed", "fractional_seed", "boolean_seed"])
 def test_bad_seed_exits_2_before_any_work(tmp_path, capsys, config):
     code, out = _run(tmp_path, config)
     assert code == 2
     assert list(out.iterdir()) == []
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed ") and err.count("\n") == 1
 
 
 def test_accept_with_negative_seed_exits_2_before_any_work(tmp_path, capsys):
@@ -125,8 +142,7 @@ def test_accept_with_negative_seed_exits_2_before_any_work(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config, files", [
-    ({"kind": "design", "name": "des", "ladder": [8, 16, 32]},
-     ["des_metrics.json", "des_points.csv"]),
+    (SMALL_DESIGN, ["des_metrics.json", "des_points.csv"]),
     (SMALL_FIT, ["fit_fit.csv", "fit_summary.json"]),
     (SMALL_REGRESS, ["fit_fit.csv", "fit_summary.json"]),
 ], ids=["design", "interpolate", "regress"])
@@ -134,6 +150,13 @@ def test_single_run_kinds_write_their_files(tmp_path, config, files):
     code, out = _run(tmp_path, config)
     assert code == 0
     assert sorted(p.name for p in out.iterdir()) == files
+
+
+def test_one_point_design_rung_has_nan_mesh_ratio(tmp_path):
+    _, out = _run(tmp_path, dict(SMALL_DESIGN, ladder=[1, 4, 16]))
+    first, *rest = json.loads((out / "des_metrics.json").read_text())["metrics"]
+    assert math.isnan(first["q"]) and math.isnan(first["rho"])
+    assert all(row["q"] > 0 and math.isfinite(row["rho"]) for row in rest)
 
 
 def test_bo_trace_writes_every_coordinate(tmp_path):

@@ -1,6 +1,7 @@
 """Kernel evaluation: frozen examples, closed-form vs Bessel oracle, Gram properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gprates.kernels import (
     matern_eval,
     matern_of_r,
     min_eigenvalue,
+    squared_distances,
 )
 
 
@@ -134,6 +136,20 @@ class TestGram:
             X = rng.random((30, 1))
             K = gram(spec, X, jitter=0.0)
             assert min_eigenvalue(K) >= -1e-8 * spec.amplitude
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("nu", [1.5, 1.3], ids=["half_integer", "bessel"])
+    def test_one_distance_path(self, dim, nu):
+        # gram, cross_matrix and the profile on squared_distances agree bit for bit
+        rng = np.random.default_rng(dim)
+        spec = KernelSpec(tau=nu + dim / 2, lengthscale=0.3, amplitude=1.4, dim=dim)
+        X = rng.random((25, dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # distinct points must not warn
+            K = gram(spec, X, 0.0)
+        assert np.array_equal(K, cross_matrix(spec, X, X))
+        assert np.array_equal(K, matern_of_r(spec, np.sqrt(squared_distances(X, X))))
+        assert np.array_equal(K, K.T)
 
 
 class TestCrossVector:
