@@ -234,7 +234,7 @@ def mesh_ratio(X: PointSet, probe_resolution: int | None = None) -> float:
     return h / q
 
 
-def quasi_uniformity_trace(sequence, probe_resolution: int | None = None):
+def quasi_uniformity_trace(sequence):
     """Per-set ``(n, h, q, rho)`` rows plus the fitted slope of log h vs log n.
 
     A one-point set has no separation radius: its ``q`` and ``rho`` are NaN.
@@ -243,7 +243,7 @@ def quasi_uniformity_trace(sequence, probe_resolution: int | None = None):
     """
     rows = []
     for X in sequence:
-        h, _ = fill_distance(X, probe_resolution)
+        h, _ = fill_distance(X)
         q = separation_radius(X) if len(X) >= 2 else float("nan")
         rows.append((len(X), h, q, h / q if q != 0 else float("inf")))
     ns = np.array([r[0] for r in rows], dtype=float)

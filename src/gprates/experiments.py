@@ -1,7 +1,8 @@
 """Experiment orchestration: config parsing, runners, and artifact writing.
 
-Configs are flat JSON objects validated against explicit field whitelists
-(unknown keys are rejected, missing required keys are named).  Every run is
+Configs are flat JSON objects.  ``_KEYS`` names the top-level keys each
+experiment kind reads; any other key is rejected, a missing required key is
+named, and so is the field of every malformed value.  Every run is
 a pure function of the config plus its seed: noise replicates use seeds
 derived as ``(seed, replicate)``, artifact floats are written with 17
 significant digits, and artifacts contain no timestamps, so identical
@@ -19,12 +20,13 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bayesopt import BOConfig, run_gamma_F_n
 from .designs import (
+    UNIT_INTERVAL,
     Domain,
     PointSet,
     fill_distance,
@@ -66,9 +68,18 @@ from .targets import (
 )
 
 GRID_STABILITY_TOLERANCE = 0.05
-DEFAULT_LADDER = [16, 32, 64, 128, 256, 512]
 
-_KINDS = ("design", "interpolate", "regress", "rates", "bq", "bo")
+# The top-level keys each kind reads, besides kind, name, seed, domain and design.
+_KEYS = {
+    "design": {"kernel", "ladder"},
+    "interpolate": {"kernel", "target", "noise", "nugget", "mean", "n", "grid_resolution"},
+    "regress": {"kernel", "target", "noise", "nugget", "mean", "n", "grid_resolution"},
+    "rates": {"kernel", "target", "noise", "nugget", "mean", "ladder", "replicates",
+              "burn_in", "q", "tolerance", "grid_resolution"},
+    "bq": {"kernel", "target", "noise", "nugget", "mean", "ladder", "replicates",
+           "burn_in", "tolerance", "grid_resolution", "density"},
+    "bo": {"kernel", "target", "bo"},
+}
 
 
 def _require(d: dict, key: str, where: str):
@@ -94,48 +105,57 @@ def _int(value, where: str) -> int:
     return int(value)
 
 
-def _int_list(value, where: str) -> list:
+def _float(value, where: str) -> float:
+    """``value`` as a float; a boolean or a non-number is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, where: str, read) -> list:
+    """``value`` as a list, each entry read by ``read(entry, where)``."""
     if not isinstance(value, list):
-        raise ConfigurationError(f"{where} must be a list of integers, got {value!r}")
-    return [_int(v, f"{where} entry") for v in value]
+        raise ConfigurationError(f"{where} must be a list, got {value!r}")
+    return [read(v, f"{where} entry") for v in value]
 
 
 def _parse_kernel(d: dict) -> tuple:
-    """Returns (taus, lengthscale, amplitude, dim): taus is a tuple cycled
-    over the ladder (a fixed kernel is a 1-tuple)."""
+    """The KernelSpec of each tau in the schedule, cycled over the ladder
+    (a fixed kernel is a 1-tuple)."""
     _check_keys(d, {"tau", "lengthscale", "amplitude", "dim"}, "kernel")
     tau = _require(d, "tau", "kernel")
-    taus = tuple(float(t) for t in (tau if isinstance(tau, (list, tuple)) else [tau]))
+    taus = (_list(tau, "kernel.tau", _float) if isinstance(tau, list)
+            else [_float(tau, "kernel.tau")])
     if not taus:
         raise ConfigurationError("kernel tau schedule must be nonempty")
-    return (
-        taus,
-        float(d.get("lengthscale", 1.0)),
-        float(d.get("amplitude", 1.0)),
-        _int(d.get("dim", 1), "kernel.dim"),
-    )
+    lengthscale = _float(d.get("lengthscale", 1.0), "kernel.lengthscale")
+    amplitude = _float(d.get("amplitude", 1.0), "kernel.amplitude")
+    dim = _int(d.get("dim", 1), "kernel.dim")
+    return tuple(KernelSpec(tau=t, lengthscale=lengthscale, amplitude=amplitude, dim=dim)
+                 for t in taus)
 
 
 def _parse_domain(d: dict | None) -> Domain:
     if d is None:
-        return Domain((0.0,), (1.0,))
+        return UNIT_INTERVAL
     _check_keys(d, {"lower", "upper"}, "domain")
-    return Domain(tuple(_require(d, "lower", "domain")), tuple(_require(d, "upper", "domain")))
+    return Domain(*(_list(_require(d, k, "domain"), f"domain.{k}", _float)
+                    for k in ("lower", "upper")))
 
 
 def _parse_target(d: dict, domain: Domain) -> TargetSpec:
     _check_keys(d, {"name", "scale", "expansion"}, "target")
-    scale = float(d.get("scale", 1.0))
+    scale = _float(d.get("scale", 1.0), "target.scale")
     if "expansion" in d:
         e = d["expansion"]
         _check_keys(e, {"tau", "n_centers", "seed", "lengthscale", "amplitude"}, "target.expansion")
         return random_expansion_target(
-            tau_f=float(_require(e, "tau", "target.expansion")),
+            tau_f=_float(_require(e, "tau", "target.expansion"), "target.expansion.tau"),
             domain=domain,
             seed=_int(_require(e, "seed", "target.expansion"), "target.expansion.seed"),
             n_centers=_int(e.get("n_centers", 40), "target.expansion.n_centers"),
-            lengthscale=float(e.get("lengthscale", 0.25)),
-            amplitude=float(e.get("amplitude", 1.0)),
+            lengthscale=_float(e.get("lengthscale", 0.25), "target.expansion.lengthscale"),
+            amplitude=_float(e.get("amplitude", 1.0), "target.expansion.amplitude"),
             scale=scale,
         )
     return named_target(str(_require(d, "name", "target")), domain, scale=scale)
@@ -149,22 +169,23 @@ def _parse_noise(d: dict | None, seed: int) -> NoiseModel:
     if kind == "none":
         return NoiseModel("none", seed=seed)
     if kind == "gaussian":
-        return NoiseModel("gaussian", sigma=float(_require(d, "sigma", "noise")), seed=seed)
+        return NoiseModel("gaussian", sigma=_float(_require(d, "sigma", "noise"), "noise.sigma"),
+                          seed=seed)
     if kind == "outliers":
         return NoiseModel(
             "outliers",
             schedule=str(d.get("schedule", "fixed")),
             k=_int(d.get("k", 1), "noise.k"),
-            alpha=float(d.get("alpha", 0.5)),
-            beta=float(d.get("beta", 0.1)),
-            magnitude=float(d.get("magnitude", 1.0)),
+            alpha=_float(d.get("alpha", 0.5), "noise.alpha"),
+            beta=_float(d.get("beta", 0.1), "noise.beta"),
+            magnitude=_float(d.get("magnitude", 1.0), "noise.magnitude"),
             seed=seed,
         )
     if kind == "student_t":
         return NoiseModel(
             "student_t",
-            df=float(_require(d, "df", "noise")),
-            t_scale=float(d.get("scale", 1.0)),
+            df=_float(_require(d, "df", "noise"), "noise.df"),
+            t_scale=_float(d.get("scale", 1.0), "noise.scale"),
             seed=seed,
         )
     raise ConfigurationError(f"unknown noise kind {kind!r}")
@@ -178,12 +199,12 @@ def _parse_nugget(d: dict | None) -> NuggetPolicy:
     if kind == "zero":
         return NuggetPolicy("zero")
     if kind == "fixed":
-        return NuggetPolicy("fixed", sigma=float(_require(d, "sigma", "nugget")))
+        return NuggetPolicy("fixed", sigma=_float(_require(d, "sigma", "nugget"), "nugget.sigma"))
     if kind == "adaptive_h":
         return NuggetPolicy(
             "adaptive_h",
-            exponent=float(_require(d, "exponent", "nugget")),
-            coeff=float(d.get("coeff", 1.0)),
+            exponent=_float(_require(d, "exponent", "nugget"), "nugget.exponent"),
+            coeff=_float(d.get("coeff", 1.0), "nugget.coeff"),
         )
     raise ConfigurationError(f"unknown nugget kind {kind!r}")
 
@@ -194,59 +215,49 @@ def _parse_mean(d: dict | None) -> MeanSpec:
     _check_keys(d, {"kind", "value", "coeffs"}, "mean")
     kind = str(d.get("kind", "constant"))
     if kind == "constant":
-        return MeanSpec("constant", float(d.get("value", 0.0)))
+        return MeanSpec("constant", _float(d.get("value", 0.0), "mean.value"))
     if kind == "polynomial":
-        return MeanSpec("polynomial", coeffs=tuple(float(c) for c in _require(d, "coeffs", "mean")))
+        return MeanSpec("polynomial",
+                        coeffs=tuple(_list(_require(d, "coeffs", "mean"), "mean.coeffs", _float)))
     raise ConfigurationError(f"unknown mean kind {kind!r} (configs support constant/polynomial)")
 
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config: :func:`config_from_dict` sets every field and holds the defaults."""
+
     kind: str
     name: str
     seed: int
     domain: Domain
-    kernel_taus: tuple = (2.0,)
-    lengthscale: float = 1.0
-    amplitude: float = 1.0
-    dim: int = 1
-    target: TargetSpec | None = None
-    noise: NoiseModel | None = None
-    nugget: NuggetPolicy = field(default_factory=NuggetPolicy)
-    mean: MeanSpec = field(default_factory=lambda: MeanSpec("constant", 0.0))
-    design_kind: str = "grid"
-    candidate_resolution: int = 2048
-    ladder: list = field(default_factory=lambda: list(DEFAULT_LADDER))
-    replicates: int = 1
-    burn_in: int = 1
-    q: float = 2.0
-    tolerance: float = 0.4
-    grid_resolution: int | None = None
-    density: str = "uniform"
-    n_single: int = 64
-    bo_gamma: float = 0.3
-    bo_budgets: list = field(default_factory=lambda: [25, 50, 100, 200])
+    kernels: tuple  # the KernelSpec of each tau in the schedule; empty for a kernel-free ladder
+    target: TargetSpec | None
+    noise: NoiseModel
+    nugget: NuggetPolicy
+    mean: MeanSpec
+    design_kind: str
+    candidate_resolution: int
+    ladder: list
+    replicates: int
+    burn_in: int
+    q: float
+    tolerance: float
+    grid_resolution: int | None
+    density: str
+    n_single: int
+    bo_gamma: float
+    bo_budgets: list
 
     def kernel_for(self, ladder_index: int) -> KernelSpec:
-        tau = self.kernel_taus[ladder_index % len(self.kernel_taus)]
-        return KernelSpec(
-            tau=tau, lengthscale=self.lengthscale, amplitude=self.amplitude, dim=self.dim
-        )
+        return self.kernels[ladder_index % len(self.kernels)]
 
     @property
     def tau_k_minus(self) -> float:
-        return min(self.kernel_taus)
+        return min(k.tau for k in self.kernels)
 
     @property
     def tau_k_plus(self) -> float:
-        return max(self.kernel_taus)
-
-
-_TOP_KEYS = {
-    "kind", "name", "seed", "domain", "kernel", "target", "noise", "nugget",
-    "mean", "design", "ladder", "replicates", "burn_in", "q", "tolerance",
-    "grid_resolution", "density", "n", "bo",
-}
+        return max(k.tau for k in self.kernels)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -262,78 +273,67 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def _parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
     kind = str(_require(raw, "kind", "config"))
-    if kind not in _KINDS:
-        raise ConfigurationError(f"unknown experiment kind {kind!r}; known: {_KINDS}")
+    if kind not in _KEYS:
+        raise ConfigurationError(f"unknown experiment kind {kind!r}; known: {tuple(_KEYS)}")
+    _check_keys(raw, {"kind", "name", "seed", "domain", "design"} | _KEYS[kind], f"a {kind} config")
     seed = _int(raw.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    name = raw.get("name", kind)
+    if not isinstance(name, str) or not name or os.path.basename(name) != name:
+        raise ConfigurationError(f"name must be a plain file name, got {name!r}")
     domain = _parse_domain(raw.get("domain"))
-    cfg = ExperimentConfig(kind=kind, name=str(raw.get("name", kind)), seed=seed, domain=domain)
 
-    design = raw.get("design", {"kind": "grid"})
+    design = raw.get("design", {})
     _check_keys(design, {"kind", "candidate_resolution"}, "design")
-    cfg.design_kind = str(design.get("kind", "grid"))
-    if cfg.design_kind not in ("grid", "random", "p_greedy"):
-        raise ConfigurationError(f"unknown design kind {cfg.design_kind!r}")
-    cfg.candidate_resolution = _int(design.get("candidate_resolution", 2048),
-                                    "design.candidate_resolution")
-
-    if kind != "design" or "kernel" in raw:
-        kernel_raw = raw.get("kernel")
-        if kernel_raw is None and kind in ("interpolate", "regress", "rates", "bq", "bo"):
-            raise ConfigurationError("missing field 'kernel' in config")
-        if kernel_raw is not None:
-            cfg.kernel_taus, cfg.lengthscale, cfg.amplitude, cfg.dim = _parse_kernel(kernel_raw)
-            # constructing each spec of the schedule validates tau > d/2 etc.
-            for idx in range(len(cfg.kernel_taus)):
-                cfg.kernel_for(idx)
-    if cfg.dim != domain.dim:
+    design_kind = design.get("kind", "grid")
+    design_kinds = ("grid",) if kind == "bo" else ("grid", "random", "p_greedy")
+    if design_kind not in design_kinds:
         raise ConfigurationError(
-            f"kernel dim {cfg.dim} does not match domain dim {domain.dim}"
-        )
+            f"design.kind must be one of {design_kinds} for kind {kind!r}, got {design_kind!r}")
 
-    if kind in ("interpolate", "regress", "rates", "bq", "bo"):
-        cfg.target = _parse_target(_require(raw, "target", "config"), domain)
-    cfg.noise = _parse_noise(raw.get("noise"), seed)
-    cfg.nugget = _parse_nugget(raw.get("nugget"))
-    cfg.mean = _parse_mean(raw.get("mean"))
-    cfg.ladder = _int_list(raw.get("ladder", DEFAULT_LADDER), "ladder")
-    if not cfg.ladder or any(n < 1 for n in cfg.ladder):
-        raise ConfigurationError("ladder must be a nonempty list of positive sizes")
-    default_reps = 20 if (cfg.noise and cfg.noise.kind != "none") else 1
-    cfg.replicates = _int(raw.get("replicates", default_reps), "replicates")
-    if cfg.replicates < 1:
-        raise ConfigurationError("replicates must be a positive integer")
-    cfg.burn_in = _int(raw.get("burn_in", 1), "burn_in")
-    if kind == "rates":
-        cfg.q = parse_q(raw.get("q", 2))
-    elif "q" in raw:
-        raise ConfigurationError("'q' is only valid for kind = 'rates'")
-    cfg.tolerance = float(raw.get("tolerance", 0.4))
-    if raw.get("grid_resolution") is not None:
-        cfg.grid_resolution = _int(raw["grid_resolution"], "grid_resolution")
-    cfg.density = str(raw.get("density", "uniform"))
-    density_by_name(cfg.density)
-    cfg.n_single = _int(raw.get("n", 64), "n")
+    kernels = ()  # only a grid or random design ladder runs without a kernel
+    if kind != "design" or design_kind == "p_greedy" or "kernel" in raw:
+        kernels = _parse_kernel(_require(raw, "kernel", "config"))
+        if kernels[0].dim != domain.dim:
+            raise ConfigurationError(
+                f"kernel dim {kernels[0].dim} does not match domain dim {domain.dim}")
 
-    if kind == "interpolate" and cfg.nugget.kind != "zero":
+    noise = _parse_noise(raw.get("noise"), seed)
+    nugget = _parse_nugget(raw.get("nugget"))
+    if kind == "interpolate" and nugget.kind != "zero":
         raise ConfigurationError("interpolate experiments require a zero nugget")
-    if kind == "regress" and cfg.nugget.kind == "zero":
+    if kind == "regress" and nugget.kind == "zero":
         raise ConfigurationError("regress experiments require a fixed or adaptive nugget")
+    ladder = _list(raw.get("ladder", [16, 32, 64, 128, 256, 512]), "ladder", _int)
+    if not ladder or any(n < 1 for n in ladder):
+        raise ConfigurationError("ladder must be a nonempty list of positive sizes")
+    replicates = _int(raw.get("replicates", 20 if noise.kind != "none" else 1), "replicates")
+    if replicates < 1:
+        raise ConfigurationError("replicates must be a positive integer")
+    density = str(raw.get("density", "uniform"))
+    density_by_name(density)
+    grid_res = raw.get("grid_resolution")
+    bo = raw.get("bo", {})
+    _check_keys(bo, {"gamma", "budgets"}, "bo")
+    bo_budgets = _list(bo.get("budgets", [25, 50, 100, 200]), "bo.budgets", _int)
+    if not bo_budgets or any(n < 2 for n in bo_budgets):
+        raise ConfigurationError("bo budgets must be a nonempty list of sizes >= 2")
 
-    bo = raw.get("bo")
-    if kind == "bo":
-        bo = {} if bo is None else bo
-        _check_keys(bo, {"gamma", "budgets"}, "bo")
-        cfg.bo_gamma = float(bo.get("gamma", 0.3))
-        cfg.bo_budgets = _int_list(bo.get("budgets", [25, 50, 100, 200]), "bo.budgets")
-        if not cfg.bo_budgets or any(n < 2 for n in cfg.bo_budgets):
-            raise ConfigurationError("bo budgets must be a nonempty list of sizes >= 2")
-    elif bo is not None:
-        raise ConfigurationError("'bo' section is only valid for kind = 'bo'")
-    return cfg
+    return ExperimentConfig(
+        kind=kind, name=name, seed=seed, domain=domain, kernels=kernels,
+        target=(_parse_target(_require(raw, "target", "config"), domain)
+                if "target" in _KEYS[kind] else None),
+        noise=noise, nugget=nugget, mean=_parse_mean(raw.get("mean")), design_kind=design_kind,
+        candidate_resolution=_int(design.get("candidate_resolution", 2048),
+                                  "design.candidate_resolution"),
+        ladder=ladder, replicates=replicates, burn_in=_int(raw.get("burn_in", 1), "burn_in"),
+        q=parse_q(raw.get("q", 2)), tolerance=_float(raw.get("tolerance", 0.4), "tolerance"),
+        grid_resolution=None if grid_res is None else _int(grid_res, "grid_resolution"),
+        density=density, n_single=_int(raw.get("n", 64), "n"),
+        bo_gamma=_float(bo.get("gamma", 0.3), "bo.gamma"), bo_budgets=bo_budgets,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +432,6 @@ def _fit_slope(rows, burn_in: int):
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
     """Ladder of designs -> fits -> L^q errors -> fitted slope vs theory."""
-    if cfg.target is None:
-        raise ConfigurationError("rate experiments need a target")
     grid = make_grid(cfg.domain, cfg.grid_resolution)
     f_grid = np.asarray(eval_target(cfg.target, grid.points))
     stability = None
@@ -592,6 +590,18 @@ def _jittered_design(rng, n: int, domain: Domain) -> PointSet:
     return PointSet(pts, domain)
 
 
+def _expansion_case(rng, tau_high: float, n_high: int):
+    """One random case on the unit interval: a kernel, an expansion
+    ``f = sum_j alpha_j k(., z_j)`` and a design X.  Returns ``(K, n, alpha)``,
+    with ``K`` the Gram matrix of X stacked on the centers Z and ``n = |X|``."""
+    spec = KernelSpec(tau=rng.uniform(0.75, tau_high), lengthscale=rng.uniform(0.15, 0.6),
+                      amplitude=rng.uniform(0.5, 2.0))
+    Z = _jittered_design(rng, int(rng.integers(3, 9)), UNIT_INTERVAL)
+    alpha = rng.standard_normal(len(Z))
+    X = _jittered_design(rng, int(rng.integers(8, n_high)), UNIT_INTERVAL)
+    return gram(spec, PointSet(np.vstack([X.points, Z.points]), UNIT_INTERVAL), 0.0), len(X), alpha
+
+
 def pythagorean_suite(seed: int = 0, trials: int = 50, max_n: int = 64) -> dict:
     """Norm splitting of the interpolant: ||f-Rf||^2 + ||Rf||^2 = ||f||^2.
 
@@ -601,23 +611,13 @@ def pythagorean_suite(seed: int = 0, trials: int = 50, max_n: int = 64) -> dict:
     rng = np.random.default_rng((seed, 81))
     worst = 0.0
     for _ in range(trials):
-        tau = rng.uniform(0.75, 2.0)
-        spec = KernelSpec(tau=tau, lengthscale=rng.uniform(0.15, 0.6), amplitude=rng.uniform(0.5, 2.0))
-        dom = Domain((0.0,), (1.0,))
-        m = int(rng.integers(3, 9))
-        Z = _jittered_design(rng, m, dom)
-        alpha = rng.standard_normal(m)
-        n = int(rng.integers(8, max_n + 1))
-        X = _jittered_design(rng, n, dom)
-        KZZ = gram(spec, Z, 0.0)
-        KXX = gram(spec, X, 0.0)
-        KXZ = gram(spec, PointSet(np.vstack([X.points, Z.points]), dom), 0.0)
-        fX = KXZ[:n, n:] @ alpha
-        w = np.linalg.solve(KXX, fX)
-        norm_f2 = float(alpha @ KZZ @ alpha)
+        K, n, alpha = _expansion_case(rng, 2.0, max_n + 1)
+        KXX = K[:n, :n]
+        w = np.linalg.solve(KXX, K[:n, n:] @ alpha)
+        norm_f2 = float(alpha @ K[n:, n:] @ alpha)
         norm_rf2 = float(w @ KXX @ w)
         coeff = np.concatenate([-w, alpha])
-        norm_diff2 = float(coeff @ KXZ @ coeff)
+        norm_diff2 = float(coeff @ K @ coeff)
         rel = abs(norm_diff2 + norm_rf2 - norm_f2) / max(norm_f2, 1e-300)
         worst = max(worst, rel)
     return {"trials": trials, "worst_rel_error": worst, "tolerance": 1e-6,
@@ -634,17 +634,9 @@ def regression_bound_suite(seed: int = 0, trials: int = 100) -> dict:
     rng = np.random.default_rng((seed, 82))
     worst = -float("inf")
     for _ in range(trials):
-        tau = rng.uniform(0.75, 2.5)
-        spec = KernelSpec(tau=tau, lengthscale=rng.uniform(0.15, 0.6), amplitude=rng.uniform(0.5, 2.0))
-        dom = Domain((0.0,), (1.0,))
-        m = int(rng.integers(3, 9))
-        Z = _jittered_design(rng, m, dom)
-        alpha = rng.standard_normal(m)
-        n = int(rng.integers(8, 48))
-        X = _jittered_design(rng, n, dom)
+        Kall, n, alpha = _expansion_case(rng, 2.5, 48)
         sigma = rng.uniform(0.05, 1.0)
         eps = rng.normal(0.0, rng.uniform(0.01, 0.5), n)
-        Kall = gram(spec, PointSet(np.vstack([X.points, Z.points]), dom), 0.0)
         KXX = Kall[:n, :n]
         fX = Kall[:n, n:] @ alpha
         w = np.linalg.solve(KXX + sigma**2 * np.eye(n), fX + eps)
@@ -669,9 +661,8 @@ def rayleigh_suite(seed: int = 0, trials: int = 100) -> dict:
     for _ in range(trials):
         tau = rng.uniform(0.75, 2.0)
         spec = KernelSpec(tau=tau, lengthscale=rng.uniform(0.15, 0.6), amplitude=rng.uniform(0.5, 2.0))
-        dom = Domain((0.0,), (1.0,))
         n = int(rng.integers(5, 40))
-        X = _jittered_design(rng, n, dom)
+        X = _jittered_design(rng, n, UNIT_INTERVAL)
         eps = rng.standard_normal(n)
         lhs = noise_interpolant_norm(spec, X, eps) ** 2
         lam_min = min_eigenvalue(gram(spec, X, 0.0))

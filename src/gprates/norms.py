@@ -37,8 +37,11 @@ def make_grid(domain: Domain, resolution: int | None = None) -> EvalGrid:
 
 def parse_q(q) -> float:
     """The error-norm exponent as a float: 1, 2 or inf (given as a number or a string)."""
-    qf = float(q)
-    if qf not in (1.0, 2.0, float("inf")):
+    try:
+        qf = float(q)
+    except (TypeError, ValueError):
+        qf = None
+    if isinstance(q, bool) or qf not in (1.0, 2.0, float("inf")):
         raise ConfigurationError(f"q must be 1, 2 or inf, got {q!r}")
     return qf
 

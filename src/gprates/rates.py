@@ -128,10 +128,6 @@ class TermExponents:
     terms: dict
     notes: tuple = ()
 
-    @property
-    def dominant(self) -> float:
-        return max(self.terms.values())
-
 
 def exponent_interpolation(p: RateParams):
     """Noiseless interpolation: exponents of ``h`` and of the mesh ratio.

@@ -75,8 +75,8 @@ def test_failed_gate_exits_1(tmp_path):
 SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
 
 
-# ``field`` is the name the one-line message must contain, or None where the
-# parser's own message is all there is (a non-numeric float field)
+# ``field`` is the name the one-line message must contain, or None where there
+# is no field to name (the file is not a JSON object)
 @pytest.mark.parametrize("config, field", [
     (dict(SMALL_RATES, bogus=1), "bogus"),
     ("{", None),
@@ -87,10 +87,13 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
     (dict(SMALL_RATES, replicates=2.7), "replicates"),
     (dict(SMALL_BO, bo={"budgets": []}), "budgets"),
     (dict(SMALL_BO, bo={"budgets": [8, 1]}), "budgets"),
-    (dict(SMALL_RATES, q="two"), None),
+    (dict(SMALL_RATES, q="two"), "q"),
     (dict(SMALL_RATES, q="-inf"), "q"),
-    (dict(SMALL_RATES, tolerance="x"), None),
-    (dict(SMALL_RATES, kernel={"tau": "a"}), None),
+    (dict(SMALL_RATES, tolerance="x"), "tolerance"),
+    (dict(SMALL_RATES, kernel={"tau": "a"}), "kernel.tau"),
+    (dict(SMALL_RATES, tolerance=True), "tolerance"),
+    (dict(SMALL_RATES, kernel={"tau": True}), "kernel.tau"),
+    (dict(SMALL_RATES, domain={"lower": 0, "upper": [1.0]}), "domain.lower"),
     (dict(SMALL_RATES, ladder=5), "ladder"),
     (dict(SMALL_RATES, kernel=3), "kernel"),
     (dict(SMALL_RATES, noise="gaussian"), "noise"),
@@ -103,16 +106,32 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
     (dict(SMALL_FIT, q="inf"), "'q'"),
     (dict(SMALL_BO, q=1), "'q'"),
     (dict(SMALL_DESIGN, q=1), "'q'"),
+    (dict(SMALL_RATES, name="../escape"), "name"),
+    (dict(SMALL_RATES, name=["a"]), "name"),
+    (dict(SMALL_RATES, name=""), "name"),
+    (dict(SMALL_RATES, density="tent"), "'density'"),
+    (dict(SMALL_RATES, kind="bq", n=64), "'n'"),
+    (dict(SMALL_BO, noise={"kind": "gaussian", "sigma": 0.1}), "'noise'"),
+    (dict(SMALL_FIT, ladder=[8, 16]), "'ladder'"),
+    (dict(SMALL_REGRESS, replicates=2), "'replicates'"),
+    (dict(SMALL_DESIGN, target={"name": "layered_tau2"}), "'target'"),
+    (dict(SMALL_BO, design={"kind": "random"}), "design.kind"),
+    (dict(SMALL_DESIGN, design={"kind": "p_greedy"}), "'kernel'"),
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
         "zero_replicates", "fractional_replicates", "empty_bo_budgets", "bo_budget_below_2",
         "q_not_a_number", "q_minus_inf", "tolerance_not_a_number", "tau_not_a_number",
+        "boolean_tolerance", "boolean_tau", "domain_lower_not_a_list",
         "ladder_not_a_list", "kernel_not_an_object", "noise_not_an_object", "bo_not_an_object",
         "ucb_acquisition", "s_key", "regress_zero_nugget", "interpolate_with_nugget",
-        "q_on_bq", "q_on_interpolate", "q_on_bo", "q_on_design"])
+        "q_on_bq", "q_on_interpolate", "q_on_bo", "q_on_design",
+        "name_with_directory", "name_not_a_string", "empty_name",
+        "density_on_rates", "n_on_bq", "noise_on_bo", "ladder_on_interpolate",
+        "replicates_on_regress", "target_on_design", "random_design_on_bo",
+        "p_greedy_design_without_kernel"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
-    code, out = _run(tmp_path, config, "--seed", "3")
+    code, _ = _run(tmp_path, config, "--seed", "3")
     assert code == 2
-    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "out"]
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert field is None or field in err
@@ -145,7 +164,10 @@ def test_accept_with_negative_seed_exits_2_before_any_work(tmp_path, capsys):
     (SMALL_DESIGN, ["des_metrics.json", "des_points.csv"]),
     (SMALL_FIT, ["fit_fit.csv", "fit_summary.json"]),
     (SMALL_REGRESS, ["fit_fit.csv", "fit_summary.json"]),
-], ids=["design", "interpolate", "regress"])
+    ({"kind": "design", "name": "des2", "ladder": [4, 16],
+      "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}},
+     ["des2_metrics.json", "des2_points.csv"]),
+], ids=["design", "interpolate", "regress", "design_2d_without_kernel"])
 def test_single_run_kinds_write_their_files(tmp_path, config, files):
     code, out = _run(tmp_path, config)
     assert code == 0

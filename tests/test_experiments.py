@@ -1,5 +1,6 @@
 """Harness outputs frozen against recorded values, and the gates' theory exponents."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import gprates
-from gprates.acceptance import acceptance_configs
+from gprates.acceptance import DEFAULT_SEED, acceptance_configs
 from gprates.errors import ConfigurationError
 from gprates.experiments import (
     _theoretical_exponent,
@@ -133,3 +134,24 @@ def test_every_tau_of_the_schedule_is_validated():
 def test_gate_theoretical_exponents(name, exponent):
     cfg = config_from_dict(acceptance_configs()[name])
     assert _theoretical_exponent(cfg, 0.0, True)[0] == pytest.approx(exponent, rel=1e-12)
+
+
+def _shipped_configs():
+    """Every raw config the repo runs: the acceptance presets and each benchmark
+    workload's configs, full and cut down."""
+    spec = importlib.util.spec_from_file_location("perfbench_child", os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "child.py"))
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for name, raw in acceptance_configs().items():
+        yield pytest.param(raw, id=f"accept-{name}")
+    for workload in sorted(child.WORKLOADS):
+        for smoke in (False, True):
+            for raw in child.workload_configs(workload, DEFAULT_SEED, smoke):
+                size = "smoke" if smoke else "full"
+                yield pytest.param(raw, id=f"{workload}-{size}-{raw['name']}")
+
+
+@pytest.mark.parametrize("raw", list(_shipped_configs()))
+def test_shipped_configs_parse(raw):
+    config_from_dict(raw)
