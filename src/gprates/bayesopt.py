@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular  # noqa: F401  (perfbench/layers.py traces it here)
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 
 from .designs import NewtonBasis, PointSet, gen_grid, mesh_ratio
 from .errors import ConfigurationError
@@ -52,13 +52,19 @@ class BOConfig:
 
 
 def expected_improvement(mean, sd, best: float):
-    """E[(g(x) - best)_+] under the pointwise Gaussian posterior."""
+    """E[(g(x) - best)_+] under the pointwise Gaussian posterior.
+
+    The standard normal cdf and pdf are ``scipy.special.ndtr`` and
+    ``exp(-z^2/2) / sqrt(2 pi)``, which is how ``scipy.stats.norm`` computes
+    them; importing ``scipy.stats`` itself would cost most of start-up.
+    """
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     gap = mean - best
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sd > 0, gap / np.where(sd > 0, sd, 1.0), 0.0)
-    ei = np.where(sd > 0, gap * _norm.cdf(z) + sd * _norm.pdf(z), np.maximum(gap, 0.0))
+    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+    ei = np.where(sd > 0, gap * ndtr(z) + sd * pdf, np.maximum(gap, 0.0))
     return ei
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import KernelSpec, cross_matrix, squared_distances
+from .kernels import ROW_BLOCK, KernelSpec, cross_matrix, distances
 
 DEFAULT_PROBE_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
@@ -199,14 +199,11 @@ def fill_distance(X: PointSet, probe_resolution: int | None = None):
         raise ConfigurationError("fill_distance requires a nonempty point set")
     res = probe_resolution or _default_probe(X.dim)
     probes = _probe_points(X.domain, res)
-    # chunk the probe grid so the pairwise distance block stays small
+    # stream the probes in row blocks so the distance block stays small
     best = 0.0
-    pts = X.points
-    chunk = max(1, int(2.0e6 // max(len(X), 1)))
-    for start in range(0, probes.shape[0], chunk):
-        block = probes[start : start + chunk]
-        d2 = squared_distances(block, pts)
-        best = max(best, float(np.sqrt(d2.min(axis=1).max())))
+    for start in range(0, probes.shape[0], ROW_BLOCK):
+        d = distances(probes[start : start + ROW_BLOCK], X.points)
+        best = max(best, float(d.min(axis=1).max()))
     return best, fill_distance_bound(X.domain, res)
 
 
@@ -220,9 +217,9 @@ def separation_radius(X: PointSet) -> float:
     """Exact ``min_{i != j} ||x_i - x_j|| / 2``."""
     if len(X) < 2:
         raise ConfigurationError("separation radius needs at least two points")
-    d2 = squared_distances(X.points, X.points)
-    d2[np.diag_indices(len(X))] = np.inf
-    return float(np.sqrt(d2.min()) / 2.0)
+    d = distances(X.points, X.points)
+    d[np.diag_indices(len(X))] = np.inf
+    return float(d.min() / 2.0)
 
 
 def mesh_ratio(X: PointSet, probe_resolution: int | None = None) -> float:

@@ -9,8 +9,9 @@ significant digits, and artifacts contain no timestamps, so identical
 configs produce byte-identical files.
 
 A ladder rung is fitted once: its replicates' noise vectors are the columns
-of one observation matrix, so the Gram matrix, its Cholesky factor and the
-evaluation-grid cross matrix are built once per rung and shared by every
+of one observation matrix, so the Gram matrix and its Cholesky factor are
+built once per rung and shared by every replicate.  Prediction streams the
+evaluation grid in row blocks, and each block's cross matrix serves every
 replicate.
 """
 
@@ -96,12 +97,15 @@ def _check_keys(d: dict, allowed: set, where: str):
         raise ConfigurationError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
-def _int(value, where: str) -> int:
-    """``value`` as an int; a boolean, a non-number or a fractional number is rejected."""
+def _int(value, where: str, low: int | None = None) -> int:
+    """``value`` as an int of at least ``low``; a boolean, a non-number or a
+    fractional number is rejected."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
         raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigurationError(f"{where} must be at least {low}, got {int(value)}")
     return int(value)
 
 
@@ -161,11 +165,26 @@ def _parse_target(d: dict, domain: Domain) -> TargetSpec:
     return named_target(str(_require(d, "name", "target")), domain, scale=scale)
 
 
+def _section_kind(d: dict, keys: dict, where: str, default: str | None = None) -> str:
+    """The ``kind`` of a config section whose other keys must be ones that kind reads.
+
+    ``keys`` maps each known kind to the keys it reads besides ``kind``; a
+    section without ``kind`` has ``default``, or names it as missing.
+    """
+    _check_keys(d, {"kind"}.union(*keys.values()), where)
+    kind = str(d.get("kind", default) if default is not None else _require(d, "kind", where))
+    if kind not in keys:
+        raise ConfigurationError(f"{where}.kind must be one of {tuple(keys)}, got {kind!r}")
+    _check_keys(d, {"kind"} | keys[kind], f"{where} of kind {kind!r}")
+    return kind
+
+
 def _parse_noise(d: dict | None, seed: int) -> NoiseModel:
     d = {} if d is None else d
-    allowed = {"kind", "sigma", "schedule", "k", "alpha", "beta", "magnitude", "df", "scale"}
-    _check_keys(d, allowed, "noise")
-    kind = d.get("kind", "none")
+    keys = {"none": set(), "gaussian": {"sigma"},
+            "outliers": {"schedule", "k", "alpha", "beta", "magnitude"},
+            "student_t": {"df", "scale"}}
+    kind = _section_kind(d, keys, "noise", default="none")
     if kind == "none":
         return NoiseModel("none", seed=seed)
     if kind == "gaussian":
@@ -181,45 +200,39 @@ def _parse_noise(d: dict | None, seed: int) -> NoiseModel:
             magnitude=_float(d.get("magnitude", 1.0), "noise.magnitude"),
             seed=seed,
         )
-    if kind == "student_t":
-        return NoiseModel(
-            "student_t",
-            df=_float(_require(d, "df", "noise"), "noise.df"),
-            t_scale=_float(d.get("scale", 1.0), "noise.scale"),
-            seed=seed,
-        )
-    raise ConfigurationError(f"unknown noise kind {kind!r}")
+    return NoiseModel(
+        "student_t",
+        df=_float(_require(d, "df", "noise"), "noise.df"),
+        t_scale=_float(d.get("scale", 1.0), "noise.scale"),
+        seed=seed,
+    )
 
 
 def _parse_nugget(d: dict | None) -> NuggetPolicy:
     if d is None:
         return NuggetPolicy("zero")
-    _check_keys(d, {"kind", "sigma", "exponent", "coeff"}, "nugget")
-    kind = str(_require(d, "kind", "nugget"))
+    keys = {"zero": set(), "fixed": {"sigma"}, "adaptive_h": {"exponent", "coeff"}}
+    kind = _section_kind(d, keys, "nugget")
     if kind == "zero":
         return NuggetPolicy("zero")
     if kind == "fixed":
         return NuggetPolicy("fixed", sigma=_float(_require(d, "sigma", "nugget"), "nugget.sigma"))
-    if kind == "adaptive_h":
-        return NuggetPolicy(
-            "adaptive_h",
-            exponent=_float(_require(d, "exponent", "nugget"), "nugget.exponent"),
-            coeff=_float(d.get("coeff", 1.0), "nugget.coeff"),
-        )
-    raise ConfigurationError(f"unknown nugget kind {kind!r}")
+    return NuggetPolicy(
+        "adaptive_h",
+        exponent=_float(_require(d, "exponent", "nugget"), "nugget.exponent"),
+        coeff=_float(d.get("coeff", 1.0), "nugget.coeff"),
+    )
 
 
 def _parse_mean(d: dict | None) -> MeanSpec:
     if d is None:
         return MeanSpec("constant", 0.0)
-    _check_keys(d, {"kind", "value", "coeffs"}, "mean")
-    kind = str(d.get("kind", "constant"))
+    kind = _section_kind(d, {"constant": {"value"}, "polynomial": {"coeffs"}}, "mean",
+                         default="constant")
     if kind == "constant":
         return MeanSpec("constant", _float(d.get("value", 0.0), "mean.value"))
-    if kind == "polynomial":
-        return MeanSpec("polynomial",
-                        coeffs=tuple(_list(_require(d, "coeffs", "mean"), "mean.coeffs", _float)))
-    raise ConfigurationError(f"unknown mean kind {kind!r} (configs support constant/polynomial)")
+    return MeanSpec("polynomial",
+                    coeffs=tuple(_list(_require(d, "coeffs", "mean"), "mean.coeffs", _float)))
 
 
 @dataclass
@@ -277,21 +290,19 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     if kind not in _KEYS:
         raise ConfigurationError(f"unknown experiment kind {kind!r}; known: {tuple(_KEYS)}")
     _check_keys(raw, {"kind", "name", "seed", "domain", "design"} | _KEYS[kind], f"a {kind} config")
-    seed = _int(raw.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    seed = _int(raw.get("seed", 0), "seed", low=0)
     name = raw.get("name", kind)
     if not isinstance(name, str) or not name or os.path.basename(name) != name:
         raise ConfigurationError(f"name must be a plain file name, got {name!r}")
     domain = _parse_domain(raw.get("domain"))
 
+    # only a p_greedy ladder and the bo candidate grid read candidate_resolution
     design = raw.get("design", {})
-    _check_keys(design, {"kind", "candidate_resolution"}, "design")
-    design_kind = design.get("kind", "grid")
-    design_kinds = ("grid",) if kind == "bo" else ("grid", "random", "p_greedy")
-    if design_kind not in design_kinds:
-        raise ConfigurationError(
-            f"design.kind must be one of {design_kinds} for kind {kind!r}, got {design_kind!r}")
+    design_keys = ({"grid": {"candidate_resolution"}} if kind == "bo" else
+                   {"grid": set(), "random": set(), "p_greedy": {"candidate_resolution"}})
+    design_kind = _section_kind(design, design_keys, "design", default="grid")
+    candidate_resolution = _int(design.get("candidate_resolution", 2048),
+                                "design.candidate_resolution", low=1)
 
     kernels = ()  # only a grid or random design ladder runs without a kernel
     if kind != "design" or design_kind == "p_greedy" or "kernel" in raw:
@@ -309,9 +320,8 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     ladder = _list(raw.get("ladder", [16, 32, 64, 128, 256, 512]), "ladder", _int)
     if not ladder or any(n < 1 for n in ladder):
         raise ConfigurationError("ladder must be a nonempty list of positive sizes")
-    replicates = _int(raw.get("replicates", 20 if noise.kind != "none" else 1), "replicates")
-    if replicates < 1:
-        raise ConfigurationError("replicates must be a positive integer")
+    replicates = _int(raw.get("replicates", 20 if noise.kind != "none" else 1), "replicates",
+                      low=1)
     density = str(raw.get("density", "uniform"))
     density_by_name(density)
     grid_res = raw.get("grid_resolution")
@@ -326,11 +336,10 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         target=(_parse_target(_require(raw, "target", "config"), domain)
                 if "target" in _KEYS[kind] else None),
         noise=noise, nugget=nugget, mean=_parse_mean(raw.get("mean")), design_kind=design_kind,
-        candidate_resolution=_int(design.get("candidate_resolution", 2048),
-                                  "design.candidate_resolution"),
-        ladder=ladder, replicates=replicates, burn_in=_int(raw.get("burn_in", 1), "burn_in"),
+        candidate_resolution=candidate_resolution,
+        ladder=ladder, replicates=replicates, burn_in=_int(raw.get("burn_in", 1), "burn_in", low=0),
         q=parse_q(raw.get("q", 2)), tolerance=_float(raw.get("tolerance", 0.4), "tolerance"),
-        grid_resolution=None if grid_res is None else _int(grid_res, "grid_resolution"),
+        grid_resolution=None if grid_res is None else _int(grid_res, "grid_resolution", low=1),
         density=density, n_single=_int(raw.get("n", 64), "n"),
         bo_gamma=_float(bo.get("gamma", 0.3), "bo.gamma"), bo_budgets=bo_budgets,
     )
@@ -438,8 +447,6 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
 
     def measure(idx, model):
         nonlocal stability
-        # posterior_mean frees the rung's grid cross matrix on return, before
-        # the larger fine-grid one is built below
         misfit = f_grid[:, None] - posterior_mean(model, grid.points)
         errs = [lq_norm(misfit[:, k], cfg.q, grid) for k in range(misfit.shape[1])]
         if idx == len(cfg.ladder) - 1:

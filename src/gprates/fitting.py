@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
-from .kernels import KernelSpec, as_points, cross_matrix, gram, squared_distances
+from .kernels import ROW_BLOCK, KernelSpec, as_points, cross_matrix, distances, gram
 
 logger = logging.getLogger(__name__)
 
@@ -77,10 +77,10 @@ class PosteriorModel:
 
 
 def _closest_pair(pts: np.ndarray):
-    d2 = squared_distances(pts, pts)
-    d2[np.diag_indices(len(pts))] = np.inf
-    i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
-    return i, j, float(np.sqrt(d2[i, j]))
+    d = distances(pts, pts)
+    d[np.diag_indices(len(pts))] = np.inf
+    i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+    return i, j, float(d[i, j])
 
 
 def fit(
@@ -148,19 +148,32 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
     """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)``; vectorized over rows of x.
 
     A model fitted to r columns gives one column of means per fit: shape
-    (m, r), or r values for a single point.  The cross matrix is built once.
+    (m, r), or r values for a single point.  The query rows are streamed in
+    blocks of ``ROW_BLOCK``: each block's cross matrix serves every column
+    and is freed before the next is built, so memory stays at one block's
+    ``ROW_BLOCK x n`` whatever the number of queries.
+
+    Each mean is one row of a matrix-vector product, and a full block gives
+    the same bits as the whole product.  A ragged last block (m not a
+    multiple of ``ROW_BLOCK``) can round a few rows differently, within
+    dot-product rounding; the whole product's value of a row already
+    depends on m, so no canonical value is lost.
     """
     xq, single = as_points(model.kernel.dim, x)
-    Kq = cross_matrix(model.kernel, xq, model.design)
     m_q = model.prior_mean(xq)
+    dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
+    out = np.empty((len(xq), dual.shape[1]))
+    for start in range(0, len(xq), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        Kq = cross_matrix(model.kernel, xq[rows], model.design)
+        # One matrix-vector product per column, never ``Kq @ dual``: a
+        # matrix-matrix product rounds differently, and at a nugget near 1e-9
+        # that moves the reported errors past 1e-9 relative, so a batched fit
+        # would no longer reproduce the one-column fits.
+        for k in range(dual.shape[1]):
+            out[rows, k] = m_q[rows] + Kq @ dual[:, k]
     if model.dual.ndim == 1:
-        out = m_q + Kq @ model.dual
-        return float(out[0]) if single else out
-    # One matrix-vector product per column, never ``Kq @ dual``: a
-    # matrix-matrix product rounds differently, and at a nugget near 1e-9
-    # that moves the reported errors past 1e-9 relative, so a batched fit
-    # would no longer reproduce the one-column fits.
-    out = np.column_stack([m_q + Kq @ model.dual[:, k] for k in range(model.dual.shape[1])])
+        return float(out[0, 0]) if single else out[:, 0]
     return out[0] if single else out
 
 

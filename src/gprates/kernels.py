@@ -22,6 +22,10 @@ from .errors import ConfigurationError, SingularGramWarning
 _HALF_INTEGER_ORDERS = (0.5, 1.5, 2.5, 3.5)
 _HALF_INTEGER_ATOL = 1e-12
 
+# Query rows per block when a prediction or a fill distance streams its
+# points: each block's distance and kernel matrices are ROW_BLOCK x n.
+ROW_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -71,6 +75,12 @@ class KernelSpec:
 def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False) -> np.ndarray:
     """Evaluate the kernel profile at distances ``r >= 0`` (vectorized).
 
+    With ``t = sqrt(2 nu) r / lengthscale``, the half-integer orders are the
+    closed forms ``A e^{-t}``, ``A (1 + t) e^{-t}``, ``A (1 + t + t^2/3) e^{-t}``
+    and ``A (1 + t + 0.4 t^2 + t^3/15) e^{-t}`` for nu = 1/2, 3/2, 5/2, 7/2.
+    They are evaluated in place on ``t`` in the operation order written here,
+    so the values are bitwise those of the displayed formulas.  A 0-d ``r``
+    is computed on numpy scalars, which the in-place steps rebind.
     ``use_bessel`` forces the general Bessel-K path even for half-integer
     orders; the property tests use it as the independent oracle for the
     closed forms.
@@ -78,16 +88,32 @@ def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     nu = spec.nu
     A = spec.amplitude
-    t = np.sqrt(2.0 * nu) * r / spec.lengthscale
+    t = r * np.sqrt(2.0 * nu)
+    t /= spec.lengthscale
     if not use_bessel and spec.is_half_integer:
+        e = -t
+        e = np.exp(e, out=e) if isinstance(e, np.ndarray) else np.exp(e)
         if abs(nu - 0.5) <= _HALF_INTEGER_ATOL:
-            return A * np.exp(-t)
+            e *= A
+            return e
         if abs(nu - 1.5) <= _HALF_INTEGER_ATOL:
-            return A * (1.0 + t) * np.exp(-t)
-        if abs(nu - 2.5) <= _HALF_INTEGER_ATOL:
-            return A * (1.0 + t + t * t / 3.0) * np.exp(-t)
-        # nu = 7/2
-        return A * (1.0 + t + 0.4 * t * t + t ** 3 / 15.0) * np.exp(-t)
+            t += 1.0
+        elif abs(nu - 2.5) <= _HALF_INTEGER_ATOL:
+            sq = t * t
+            sq /= 3.0
+            t += 1.0
+            t += sq
+        else:  # nu = 7/2
+            sq = 0.4 * t
+            sq *= t
+            cube = t ** 3
+            cube /= 15.0
+            t += 1.0
+            t += sq
+            t += cube
+        t *= A
+        t *= e
+        return t
     # General order.  The displayed formula is 0 * inf at r = 0; the limit is
     # the amplitude, so coincident points are handled analytically.
     out = np.full_like(t, A)
@@ -131,9 +157,19 @@ def as_points(dim: int, x):
     return x, False
 
 
-def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances ``D[i, j] = |a_i - b_j|^2`` between two ``(., d)`` batches."""
-    return np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+def distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances ``D[i, j] = |a_i - b_j|`` between two ``(., d)`` batches.
+
+    In 1-d this is ``|a_i - b_j|`` itself.  In base 2, ``sqrt(fl(d^2)) = |d|``
+    unless ``d^2`` underflows or overflows (Boldo 2015), so it equals the root
+    of the squared difference except for ``|d| < ~1e-154`` (or ``> ~1e154``),
+    where it is exact and the root of the square is not.  For d >= 2 it is the
+    root of the sum of squared differences.
+    """
+    if A.shape[1] == 1:
+        return np.abs(np.subtract.outer(A[:, 0], B[:, 0]))
+    d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+    return np.sqrt(d2, out=d2)
 
 
 def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
@@ -150,7 +186,7 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     if jitter < 0:
         raise ConfigurationError(f"jitter must be nonnegative, got {jitter}")
     n = pts.shape[0]
-    r = np.sqrt(squared_distances(pts, pts))
+    r = distances(pts, pts)
     K = matern_of_r(spec, r)
     if jitter == 0.0 and np.count_nonzero(r == 0.0) > n:
         warnings.warn(
@@ -167,7 +203,7 @@ def cross_matrix(spec: KernelSpec, Xq, X) -> np.ndarray:
     """Cross-covariance ``K[i, j] = k(xq_i, x_j)`` for batched queries."""
     q, _ = as_points(spec.dim, Xq)
     pts, _ = as_points(spec.dim, X)
-    return matern_of_r(spec, np.sqrt(squared_distances(q, pts)))
+    return matern_of_r(spec, distances(q, pts))
 
 
 def min_eigenvalue(K: np.ndarray) -> float:

@@ -1,9 +1,14 @@
 """The stabilized BO harness: budgets nested in one trajectory, frozen selections."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from gprates.bayesopt import BOConfig, run_gamma_F_n
+import gprates
+from gprates.bayesopt import BOConfig, expected_improvement, run_gamma_F_n
 from gprates.designs import gen_grid
 from gprates.errors import ConfigurationError
 from gprates.experiments import config_from_dict, run_bo_experiment
@@ -78,3 +83,29 @@ def test_budget_result_is_the_trajectory_prefix():
 def test_budget_outside_the_trajectory_is_rejected(n):
     with pytest.raises(ConfigurationError):
         _trajectory(12).result(n)
+
+
+def test_expected_improvement_is_bitwise_the_scipy_stats_formula():
+    from scipy.stats import norm  # the oracle; gprates itself never imports scipy.stats
+
+    rng = np.random.default_rng(9)
+    mean = np.concatenate([rng.standard_normal(20000) * 3.0, [0.0, -0.0, 1e-300, -1e-300,
+                                                               50.0, -50.0, 0.7, 0.7]])
+    sd = np.concatenate([rng.random(20000) * 2.0, [1.0, 1.0, 1e-3, 1e-3, 1.0, 1.0, 0.0, 1e-320]])
+    best = 0.2
+    gap = mean - best
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = np.where(sd > 0, gap / np.where(sd > 0, sd, 1.0), 0.0)
+        oracle = np.where(sd > 0, gap * norm.cdf(z) + sd * norm.pdf(z), np.maximum(gap, 0.0))
+        assert np.array_equal(expected_improvement(mean, sd, best), oracle)
+
+
+def test_importing_the_harnesses_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = "import sys, gprates.experiments; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -117,6 +117,20 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
     (dict(SMALL_DESIGN, target={"name": "layered_tau2"}), "'target'"),
     (dict(SMALL_BO, design={"kind": "random"}), "design.kind"),
     (dict(SMALL_DESIGN, design={"kind": "p_greedy"}), "'kernel'"),
+    (dict(SMALL_RATES, noise={"kind": "none", "sigma": 0.5}), "'sigma'"),
+    (dict(SMALL_RATES, noise={"kind": "gaussian", "sigma": 0.1, "df": 3}), "'df'"),
+    (dict(SMALL_RATES, nugget={"kind": "zero", "sigma": 0.1}), "'sigma'"),
+    (dict(SMALL_RATES, mean={"kind": "constant", "coeffs": [0.0, 1.0, 0.0]}), "'coeffs'"),
+    (dict(SMALL_RATES, design={"kind": "grid", "candidate_resolution": 64}),
+     "'candidate_resolution'"),
+    (dict(SMALL_DESIGN, design={"kind": "random", "candidate_resolution": 64}),
+     "'candidate_resolution'"),
+    (dict(SMALL_RATES, burn_in=-3), "burn_in"),
+    (dict(SMALL_RATES, grid_resolution=0), "grid_resolution"),
+    (dict(SMALL_BO, design={"kind": "grid", "candidate_resolution": 0}),
+     "design.candidate_resolution"),
+    (dict(SMALL_RATES, design={"kind": "p_greedy", "candidate_resolution": -5}),
+     "design.candidate_resolution"),
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
         "zero_replicates", "fractional_replicates", "empty_bo_budgets", "bo_budget_below_2",
         "q_not_a_number", "q_minus_inf", "tolerance_not_a_number", "tau_not_a_number",
@@ -127,7 +141,10 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
         "name_with_directory", "name_not_a_string", "empty_name",
         "density_on_rates", "n_on_bq", "noise_on_bo", "ladder_on_interpolate",
         "replicates_on_regress", "target_on_design", "random_design_on_bo",
-        "p_greedy_design_without_kernel"])
+        "p_greedy_design_without_kernel", "sigma_on_no_noise", "df_on_gaussian_noise",
+        "sigma_on_zero_nugget", "coeffs_on_constant_mean", "candidate_resolution_on_grid",
+        "candidate_resolution_on_random", "negative_burn_in", "zero_grid_resolution",
+        "zero_candidate_resolution", "negative_candidate_resolution"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     code, _ = _run(tmp_path, config, "--seed", "3")
     assert code == 2
@@ -301,3 +318,21 @@ def test_blas_pin_precedes_numpy():
     assert not numpy_on_import
     assert code == 0
     assert openblas == "1"
+
+
+def test_whole_acceptance_suite_passes(tmp_path):
+    # the full `gprates accept`, a10's rerun included, in a fresh interpreter
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gprates.cli", "accept", "--seed", "20240601",
+         "--out", str(tmp_path / "accept")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    passed = {line.split(":")[0][len("[PASS] "):] for line in proc.stdout.splitlines()
+              if line.startswith("[PASS] ")}
+    criteria = ["a1_l2", "a1_linf", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10"]
+    assert passed >= set(criteria), proc.stdout
+    assert "[PASS] a10: rerun with the same seed is byte-identical" in proc.stdout.splitlines()

@@ -15,7 +15,7 @@ from gprates.fitting import (
     posterior_var,
     rkhs_norm_expansion,
 )
-from gprates.kernels import KernelSpec, gram, matern_eval, min_eigenvalue
+from gprates.kernels import ROW_BLOCK, KernelSpec, cross_matrix, gram, matern_eval, min_eigenvalue
 
 UNIT = Domain((0.0,), (1.0,))
 ZERO = MeanSpec("constant", 0.0)
@@ -136,6 +136,42 @@ class TestPosteriorMean:
         m2 = posterior_mean(fit(spec, ZERO, X, y2, 0.0), grid)
         m12 = posterior_mean(fit(spec, ZERO, X, y1 + y2, 0.0), grid)
         np.testing.assert_allclose(m12, m1 + m2, rtol=1e-9, atol=1e-12)
+
+
+class TestRowBlocks:
+    """``posterior_mean`` streams queries in blocks of ``ROW_BLOCK`` rows."""
+
+    def _model(self, r, mean=ZERO):
+        rng = np.random.default_rng(r)
+        X = jittered_design(rng, 40)
+        y = np.sin(6.0 * X.points) + 0.1 * rng.standard_normal((40, r))
+        return fit(KernelSpec(tau=2.0, lengthscale=0.25), mean, X, y, 1e-6), rng
+
+    @staticmethod
+    def _whole(model, Q):
+        Kq = cross_matrix(model.kernel, Q, model.design)
+        m_q = model.prior_mean(Q)
+        return Kq, np.column_stack([m_q + Kq @ model.dual[:, k]
+                                    for k in range(model.dual.shape[1])])
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_full_blocks_are_bitwise_the_whole_product(self, r):
+        model, rng = self._model(r, MeanSpec("polynomial", coeffs=(0.3, -0.5, 0.2)))
+        Q = rng.random((3 * ROW_BLOCK, 1))
+        _, whole = self._whole(model, Q)
+        assert np.array_equal(posterior_mean(model, Q), whole)
+        assert np.array_equal(posterior_mean(model.replicate(0), Q), whole[:, 0])
+
+    @pytest.mark.parametrize("m", [ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_ragged_last_block_within_dot_product_rounding(self, m, r):
+        # each side is a length-n dot product, rounded within n eps |K_q| @ |dual|
+        model, rng = self._model(r)
+        Q = rng.random((m, 1))
+        Kq, whole = self._whole(model, Q)
+        n = len(model.design)
+        bound = 2 * n * np.finfo(float).eps * (np.abs(Kq) @ np.abs(model.dual))
+        assert np.all(np.abs(posterior_mean(model, Q) - whole) <= bound)
 
 
 class TestPosteriorVar:

@@ -10,11 +10,11 @@ from gprates.errors import ConfigurationError, SingularGramWarning
 from gprates.kernels import (
     KernelSpec,
     cross_matrix,
+    distances,
     gram,
     matern_eval,
     matern_of_r,
     min_eigenvalue,
-    squared_distances,
 )
 
 
@@ -67,6 +67,34 @@ class TestMaternValues:
             fast = matern_of_r(spec, r)
             oracle = matern_of_r(spec, r, use_bessel=True)
             np.testing.assert_allclose(fast, oracle, rtol=1e-9)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+    @pytest.mark.parametrize("ell, amplitude", [(0.25, 1.3), (0.3, 0.04)])
+    def test_closed_forms_are_bitwise_the_displayed_formulas(self, nu, ell, amplitude):
+        # the in-place evaluation keeps each formula's operation order; a
+        # lengthscale that is a power of two and one that is not both catch
+        # a reordering of (c r) / l
+        def displayed(r):
+            t = np.sqrt(2.0 * nu) * r / ell
+            if nu == 0.5:
+                return amplitude * np.exp(-t)
+            if nu == 1.5:
+                return amplitude * (1.0 + t) * np.exp(-t)
+            if nu == 2.5:
+                return amplitude * (1.0 + t + t * t / 3.0) * np.exp(-t)
+            return amplitude * (1.0 + t + 0.4 * t * t + t ** 3 / 15.0) * np.exp(-t)
+
+        spec = KernelSpec(tau=nu + 0.5, lengthscale=ell, amplitude=amplitude, dim=1)
+        rng = np.random.default_rng(17)
+        r = np.concatenate([[0.0], rng.random(3000) * 3.0, np.logspace(-12, 1.5, 400)])
+        kept = r.copy()
+        assert np.array_equal(matern_of_r(spec, r), displayed(r))
+        assert np.array_equal(r, kept)  # the distances are not overwritten
+        square = r[:3000].reshape(60, 50)
+        assert np.array_equal(matern_of_r(spec, square), displayed(square))
+        for r0 in (0.0, 0.37, 2.9):  # a 0-d r, as matern_eval passes
+            value = matern_of_r(spec, np.asarray(r0))
+            assert np.shape(value) == () and value == displayed(np.asarray(r0))
 
     def test_general_order_uses_bessel(self):
         spec = KernelSpec(tau=1.75, lengthscale=0.5, amplitude=1.0, dim=1)
@@ -140,7 +168,7 @@ class TestGram:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("nu", [1.5, 1.3], ids=["half_integer", "bessel"])
     def test_one_distance_path(self, dim, nu):
-        # gram, cross_matrix and the profile on squared_distances agree bit for bit
+        # gram, cross_matrix and the profile on distances agree bit for bit
         rng = np.random.default_rng(dim)
         spec = KernelSpec(tau=nu + dim / 2, lengthscale=0.3, amplitude=1.4, dim=dim)
         X = rng.random((25, dim))
@@ -148,8 +176,18 @@ class TestGram:
             warnings.simplefilter("error")  # distinct points must not warn
             K = gram(spec, X, 0.0)
         assert np.array_equal(K, cross_matrix(spec, X, X))
-        assert np.array_equal(K, matern_of_r(spec, np.sqrt(squared_distances(X, X))))
+        assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
         assert np.array_equal(K, K.T)
+
+
+def test_distances_in_1d_are_absolute_differences():
+    rng = np.random.default_rng(2)
+    a, b = rng.random((300, 1)), rng.random((200, 1))
+    D = distances(a, b)
+    # bitwise the root of the squared difference while it neither under- nor overflows
+    assert np.array_equal(D, np.sqrt((a - b.T) ** 2))
+    tiny = distances(np.array([[1e-200]]), np.array([[0.0]]))
+    assert tiny[0, 0] == 1e-200  # the root of the underflowed square would be 0
 
 
 class TestCrossVector:
