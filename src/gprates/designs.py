@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import ROW_BLOCK, KernelSpec, cross_matrix, distances
+from .kernels import KernelSpec, cross_matrix, distances, row_block
 
 DEFAULT_PROBE_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
@@ -201,8 +201,9 @@ def fill_distance(X: PointSet, probe_resolution: int | None = None):
     probes = _probe_points(X.domain, res)
     # stream the probes in row blocks so the distance block stays small
     best = 0.0
-    for start in range(0, probes.shape[0], ROW_BLOCK):
-        d = distances(probes[start : start + ROW_BLOCK], X.points)
+    step = row_block(len(X))
+    for start in range(0, probes.shape[0], step):
+        d = distances(probes[start : start + step], X.points)
         best = max(best, float(d.min(axis=1).max()))
     return best, fill_distance_bound(X.domain, res)
 
@@ -214,12 +215,18 @@ def fill_distance_bound(domain: Domain, probe_resolution: int | None = None) -> 
 
 
 def separation_radius(X: PointSet) -> float:
-    """Exact ``min_{i != j} ||x_i - x_j|| / 2``."""
-    if len(X) < 2:
+    """Exact ``min_{i != j} ||x_i - x_j|| / 2``, streamed in row blocks."""
+    n = len(X)
+    if n < 2:
         raise ConfigurationError("separation radius needs at least two points")
-    d = distances(X.points, X.points)
-    d[np.diag_indices(len(X))] = np.inf
-    return float(d.min() / 2.0)
+    best = np.inf
+    step = row_block(n)
+    for start in range(0, n, step):
+        d = distances(X.points[start : start + step], X.points)
+        i = np.arange(len(d))
+        d[i, start + i] = np.inf  # the block's own diagonal
+        best = min(best, d.min())
+    return float(best / 2.0)
 
 
 def mesh_ratio(X: PointSet, probe_resolution: int | None = None) -> float:

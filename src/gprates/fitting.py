@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
-from .kernels import ROW_BLOCK, KernelSpec, as_points, cross_matrix, distances, gram
+from .kernels import KernelSpec, as_points, cross_matrix, distances, gram, row_block
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,9 @@ class MeanSpec:
 class PosteriorModel:
     """Immutable fitted state: Cholesky factor of ``K + lambda I`` and dual weights.
 
+    ``chol`` is a clean lower factor ``L`` with ``L L^T = K + (lambda +
+    jitter) I``: zeros above the diagonal.  It occupies the memory ``fit``
+    built ``K`` in, as a Fortran-ordered array.
     ``y`` and ``dual`` have shape (n,) for one fit, or (n, r) for r fits
     that share the design and hence the factor.
     """
@@ -67,7 +70,7 @@ class PosteriorModel:
     design: PointSet
     lam: float
     y: np.ndarray
-    chol: np.ndarray  # lower triangular
+    chol: np.ndarray  # clean lower factor: its strict upper triangle is zero
     dual: np.ndarray
     jitter: float
 
@@ -96,6 +99,13 @@ def fit(
     dual weights have the same shape.  Every column is solved with the one
     Cholesky factor, and each column's weights are bitwise those of a fit to
     that column alone.
+
+    ``K`` is factored in place: ``lam + jitter`` is added to its diagonal
+    (bitwise ``K + (lam + jitter) I``), LAPACK overwrites it with the factor,
+    and the strict upper triangle of the factor is zeroed, so the model's
+    ``chol`` is a clean lower factor and ``K`` is the only n x n array.  A
+    failed factorization has overwritten ``K``, so ``K`` is rebuilt before
+    the next jitter step.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -104,25 +114,25 @@ def fit(
         raise ConfigurationError(f"got {len(y)} observations for {len(X)} points")
     if lam < 0:
         raise ConfigurationError(f"lambda must be nonnegative, got {lam}")
-    K = gram(kernel, X, jitter=0.0)
-    m_X = prior_mean(X.points)
-    resid = y - (m_X[:, None] if y.ndim == 2 else m_X)
     n = len(X)
     A = kernel.amplitude
     # jitter ladder: none needed when lam > 0, else start at 1e-10*A and
     # escalate by 100x up to 1e-6*A before giving up
     ladder = [0.0] if lam > 0 else []
     ladder += [f * A for f in (DEFAULT_JITTER_FACTOR, 1e-8, MAX_JITTER_FACTOR)]
-    c = low = None
+    L = None
     jitter = ladder[0]
     for jitter in ladder:
+        K = gram(kernel, X, jitter=0.0)
+        K[np.diag_indices(n)] += lam + jitter
         try:
-            c, low = cho_factor(K + (lam + jitter) * np.eye(n), lower=True)
+            # K is exactly symmetric, so K.T is K in Fortran order, which
+            # LAPACK factors in place without a copy.
+            L, _ = cho_factor(K.T, lower=True, overwrite_a=True)
             break
         except np.linalg.LinAlgError:
             logger.warning("cholesky failed at jitter %.1e, escalating", jitter)
-            c = None
-    if c is None:
+    if L is None:
         i, j, d = _closest_pair(X.points)
         raise SingularDesignError(
             f"Cholesky failed up to jitter {MAX_JITTER_FACTOR * A:.1e}; closest "
@@ -130,8 +140,14 @@ def fit(
         )
     if jitter > DEFAULT_JITTER_FACTOR * A:
         logger.warning("fit used escalated jitter %.1e", jitter)
-    L = np.tril(c)
-    dual = cho_solve((c, low), resid)
+    # LAPACK left K's upper triangle above the factor; zero it a row block of
+    # K (a column block of L) at a time instead of copying L with np.tril.
+    step = row_block(n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        K[start:stop, :stop][np.tri(stop - start, stop, start - 1, dtype=bool)] = 0.0
+    m_X = prior_mean(X.points)
+    dual = cho_solve((L, True), y - (m_X[:, None] if y.ndim == 2 else m_X))
     return PosteriorModel(
         kernel=kernel,
         prior_mean=prior_mean,
@@ -149,13 +165,13 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
 
     A model fitted to r columns gives one column of means per fit: shape
     (m, r), or r values for a single point.  The query rows are streamed in
-    blocks of ``ROW_BLOCK``: each block's cross matrix serves every column
-    and is freed before the next is built, so memory stays at one block's
-    ``ROW_BLOCK x n`` whatever the number of queries.
+    blocks of ``row_block(n)``: each block's cross matrix serves every column
+    and is freed before the next is built, so memory stays at about
+    ``BLOCK_ENTRIES`` entries per block whatever the number of queries.
 
     Each mean is one row of a matrix-vector product, and a full block gives
     the same bits as the whole product.  A ragged last block (m not a
-    multiple of ``ROW_BLOCK``) can round a few rows differently, within
+    multiple of ``row_block(n)``) can round a few rows differently, within
     dot-product rounding; the whole product's value of a row already
     depends on m, so no canonical value is lost.
     """
@@ -163,8 +179,9 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
     m_q = model.prior_mean(xq)
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
     out = np.empty((len(xq), dual.shape[1]))
-    for start in range(0, len(xq), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
+    step = row_block(len(model.design))
+    for start in range(0, len(xq), step):
+        rows = slice(start, start + step)
         Kq = cross_matrix(model.kernel, xq[rows], model.design)
         # One matrix-vector product per column, never ``Kq @ dual``: a
         # matrix-matrix product rounds differently, and at a nugget near 1e-9
@@ -178,11 +195,20 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
 
 
 def posterior_var(model: PosteriorModel, x) -> np.ndarray | float:
-    """``k(x,x) - k_xX (K + lambda I)^{-1} k_Xx``, clamped at zero."""
+    """``k(x,x) - k_xX (K + lambda I)^{-1} k_Xx``, clamped at zero.
+
+    The query rows are streamed in blocks of ``row_block(n)``, each with its
+    own cross matrix and triangular solve; the clamp warning reports the
+    minimum over all queries.
+    """
     xq, single = as_points(model.kernel.dim, x)
-    Kq = cross_matrix(model.kernel, xq, model.design)
-    V = solve_triangular(model.chol, Kq.T, lower=True)
-    raw = model.kernel.amplitude - np.sum(V * V, axis=0)
+    raw = np.empty(len(xq))
+    step = row_block(len(model.design))
+    for start in range(0, len(xq), step):
+        rows = slice(start, start + step)
+        Kq = cross_matrix(model.kernel, xq[rows], model.design)
+        V = solve_triangular(model.chol, Kq.T, lower=True)
+        raw[rows] = model.kernel.amplitude - np.sum(V * V, axis=0)
     mn = raw.min() if raw.size else 0.0
     if mn < -1e-8 * model.kernel.amplitude:
         logger.warning("posterior variance clamped from %.3e to 0", mn)

@@ -22,9 +22,23 @@ from .errors import ConfigurationError, SingularGramWarning
 _HALF_INTEGER_ORDERS = (0.5, 1.5, 2.5, 3.5)
 _HALF_INTEGER_ATOL = 1e-12
 
-# Query rows per block when a prediction or a fill distance streams its
-# points: each block's distance and kernel matrices are ROW_BLOCK x n.
-ROW_BLOCK = 512
+# Entries per block when a Gram matrix, a prediction, a fill distance or a
+# separation radius streams its rows against n points.  Blocks are sized in
+# entries, not rows, so each elementwise pass of ``matern_of_r`` works on one
+# cache-sized temporary (512 KiB of float64) whatever n is; a fixed 512 rows
+# would make 8 MiB temporaries at n = 2048, several times a core's L2 cache.
+BLOCK_ENTRIES = 2**16
+
+
+def row_block(n: int) -> int:
+    """Rows per block against ``n`` points: ``BLOCK_ENTRIES / n``, a multiple of 8.
+
+    Heights are multiples of 8 because OpenBLAS's gemv groups rows: a block
+    boundary inside a group (heights of 2 or 6, say) changes the rounding of
+    some rows of a prediction, while multiples of 4 do not.  At least 8 rows
+    per block, so for n > ``BLOCK_ENTRIES / 8`` a block holds 8n entries.
+    """
+    return max(8, BLOCK_ENTRIES // n // 8 * 8)
 
 
 @dataclass(frozen=True)
@@ -177,6 +191,8 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
 
     Every entry is evaluated, and the distance from ``x_i`` to ``x_j`` is
     bitwise that from ``x_j`` to ``x_i``, so the result is exactly symmetric.
+    The rows are filled in blocks of ``row_block(n)`` into one preallocated
+    n x n matrix, bitwise ``matern_of_r(spec, distances(X, X))``.
     Duplicate points with zero jitter make the matrix singular; a
     :class:`SingularGramWarning` is emitted and the matrix still returned.
     """
@@ -186,9 +202,14 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     if jitter < 0:
         raise ConfigurationError(f"jitter must be nonnegative, got {jitter}")
     n = pts.shape[0]
-    r = distances(pts, pts)
-    K = matern_of_r(spec, r)
-    if jitter == 0.0 and np.count_nonzero(r == 0.0) > n:
+    K = np.empty((n, n))
+    zeros = 0
+    step = row_block(n)
+    for start in range(0, n, step):
+        r = distances(pts[start : start + step], pts)
+        zeros += np.count_nonzero(r == 0.0)
+        K[start : start + step] = matern_of_r(spec, r)
+    if jitter == 0.0 and zeros > n:
         warnings.warn(
             "duplicate points with jitter=0 give a singular Gram matrix",
             SingularGramWarning,

@@ -2,9 +2,42 @@
 
 ``gprates.cli.main`` pins them for every command-line run; in-process tests
 call the library directly, so they pin here to get the same one-thread
-results as the CLI.  Importing ``gprates.cli`` does not load numpy.
+results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
+``failing_cho_factor`` fixture forces ``fit``'s jitter escalation.
 """
+
+import pytest
 
 import gprates.cli
 
 gprates.cli._pin_blas_threads()
+
+
+@pytest.fixture
+def failing_cho_factor(monkeypatch):
+    """Replace ``fitting.cho_factor`` with one that counts calls and fails the first few.
+
+    ``failing_cho_factor(count)`` installs it and returns the list of factored
+    sizes, one per call.  Each of the first ``count`` calls runs the real
+    factorization in place before raising, as LAPACK leaves a matrix it could
+    not factor, so a fit that reused that matrix would factor garbage.
+    """
+    import numpy as np
+    from scipy.linalg import cho_factor
+
+    import gprates.fitting
+
+    def install(count):
+        calls = []
+
+        def factor(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            result = cho_factor(a, *args, **kwargs)
+            if len(calls) <= count:
+                raise np.linalg.LinAlgError("leading minor is not positive definite")
+            return result
+
+        monkeypatch.setattr(gprates.fitting, "cho_factor", factor)
+        return calls
+
+    return install

@@ -119,6 +119,17 @@ class TestSeparationAndMeshRatio:
         with pytest.raises(ConfigurationError):
             separation_radius(PointSet(np.array([[0.5]]), UNIT))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_streamed_blocks_give_the_whole_minimum(self, dim):
+        # the closest pair lies in the last, ragged row block
+        rng = np.random.default_rng(dim)
+        pts = rng.uniform(0.1, 0.9, (1000, dim))
+        pts[-1] = pts[-2] + 1e-9
+        X = PointSet(pts, Domain((0.0,) * dim, (1.0,) * dim))
+        d = np.sqrt(((X.points[:, None, :] - X.points[None, :, :]) ** 2).sum(-1))
+        d[np.diag_indices(1000)] = np.inf
+        assert separation_radius(X) == d.min() / 2.0
+
     def test_mesh_ratio_grid_is_one(self):
         assert mesh_ratio(gen_grid(16, UNIT), probe_resolution=4096) == pytest.approx(1.0, abs=0.01)
 

@@ -1,13 +1,16 @@
 """Conditioning: interpolation/regression identities and RKHS-norm properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from gprates.designs import Domain, PointSet, gen_grid
 from gprates.errors import ConfigurationError
 from gprates.fitting import (
+    DEFAULT_JITTER_FACTOR,
     MeanSpec,
     fit,
     noise_interpolant_norm,
@@ -15,7 +18,7 @@ from gprates.fitting import (
     posterior_var,
     rkhs_norm_expansion,
 )
-from gprates.kernels import ROW_BLOCK, KernelSpec, cross_matrix, gram, matern_eval, min_eigenvalue
+from gprates.kernels import KernelSpec, cross_matrix, gram, matern_eval, min_eigenvalue, row_block
 
 UNIT = Domain((0.0,), (1.0,))
 ZERO = MeanSpec("constant", 0.0)
@@ -65,6 +68,65 @@ class TestFitBasics:
         K = gram(spec, X, 0.0) + lam * np.eye(20)
         rel = np.linalg.norm(model.chol @ model.chol.T - K) / np.linalg.norm(K)
         assert rel < 1e-8
+
+
+class TestInPlaceFactor:
+    """``fit`` factors K in place and zeros the factor's upper triangle in blocks."""
+
+    SPEC = KernelSpec(tau=3.0, lengthscale=0.2, amplitude=1.3)  # nu = 5/2
+
+    def _oracle(self, X, Y, lam, jitter):
+        n = len(X)
+        K = gram(self.SPEC, X) + (lam + jitter) * np.eye(n)
+        c, low = cho_factor(K, lower=True)
+        return np.tril(c), cho_solve((c, low), Y - 0.2)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["ridge", "interpolation_jitter"])
+    def test_factor_and_dual_are_bitwise_the_copying_oracle(self, lam):
+        n = 600  # several row blocks and a ragged tail
+        assert n // row_block(n) >= 3 and n % row_block(n) != 0
+        rng = np.random.default_rng(3)
+        X = jittered_design(rng, n)
+        Y = np.sin(7.0 * X.points) + 0.1 * rng.standard_normal((n, 4))
+        model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
+        jitter = 0.0 if lam > 0 else DEFAULT_JITTER_FACTOR * self.SPEC.amplitude
+        assert model.jitter == jitter
+        chol, dual = self._oracle(X, Y, lam, jitter)
+        assert np.array_equal(model.chol, chol)
+        assert np.array_equal(model.dual, dual)
+
+    def test_failed_step_rebuilds_the_matrix(self, failing_cho_factor):
+        # no design tried fails at 1e-10 A for real (the computed Gram's smallest
+        # eigenvalue stays above -1e-12 A), so the first step is made to fail
+        # after LAPACK has overwritten K, as a near-duplicate design would
+        rng = np.random.default_rng(8)
+        pts = np.sort(rng.uniform(0.05, 0.95, 300))
+        pts[1] = pts[0] + 1e-7
+        X = PointSet(pts, UNIT)
+        Y = np.cos(4.0 * X.points) + 0.05 * rng.standard_normal((300, 2))
+        failing_cho_factor(1)
+        model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, 0.0)
+        jitter = 1e-8 * self.SPEC.amplitude
+        assert model.jitter == jitter
+        chol, dual = self._oracle(X, Y, 0.0, jitter)
+        assert np.array_equal(model.chol, chol)
+        assert np.array_equal(model.dual, dual)
+
+    def test_traced_peak_is_one_matrix(self):
+        # K itself, then gram's distance block and the two block temporaries
+        # of nu = 3/2, each n^2 / 16 at n = 1024 (nu = 5/2 adds a third and
+        # lands just over the bound); the copying factor peaked at 3.1 x 8 n^2
+        n = 1024
+        X = gen_grid(n, UNIT)
+        y = np.sin(5.0 * X.points[:, 0])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit(KernelSpec(tau=2.0, lengthscale=0.2), ZERO, X, y, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
 
 
 class TestReplicateColumns:
@@ -138,14 +200,21 @@ class TestPosteriorMean:
         np.testing.assert_allclose(m12, m1 + m2, rtol=1e-9, atol=1e-12)
 
 
+# design size of TestRowBlocks; posterior_mean streams row_block(128) = 512 rows
+ROW_BLOCK_N = 128
+ROW_BLOCK = row_block(ROW_BLOCK_N)
+
+
 class TestRowBlocks:
-    """``posterior_mean`` streams queries in blocks of ``ROW_BLOCK`` rows."""
+    """``posterior_mean`` streams queries in blocks of ``row_block(n)`` rows."""
 
     def _model(self, r, mean=ZERO):
         rng = np.random.default_rng(r)
-        X = jittered_design(rng, 40)
-        y = np.sin(6.0 * X.points) + 0.1 * rng.standard_normal((40, r))
-        return fit(KernelSpec(tau=2.0, lengthscale=0.25), mean, X, y, 1e-6), rng
+        X = jittered_design(rng, ROW_BLOCK_N)
+        y = np.sin(6.0 * X.points) + 0.1 * rng.standard_normal((ROW_BLOCK_N, r))
+        model = fit(KernelSpec(tau=2.0, lengthscale=0.25), mean, X, y, 1e-6)
+        assert row_block(len(model.design)) == ROW_BLOCK
+        return model, rng
 
     @staticmethod
     def _whole(model, Q):
@@ -196,6 +265,16 @@ class TestPosteriorVar:
         vals = posterior_var(model, np.linspace(0.01, 0.99, 101))
         assert np.all(vals <= 0.8 + 1e-12)
         assert np.all(vals >= 0.0)
+
+    def test_row_blocks_match_the_whole_solve(self):
+        rng = np.random.default_rng(29)
+        spec = KernelSpec(tau=2.0, lengthscale=0.25, amplitude=0.8)
+        X = jittered_design(rng, 300)
+        model = fit(spec, ZERO, X, rng.standard_normal(300), 1e-4)
+        Q = rng.random((3 * row_block(300) + 5, 1))
+        V = np.linalg.solve(model.chol, cross_matrix(spec, Q, X).T)
+        whole = np.maximum(0.8 - np.sum(V * V, axis=0), 0.0)
+        np.testing.assert_allclose(posterior_var(model, Q), whole, rtol=0, atol=1e-12)
 
 
 class TestRkhsNorms:

@@ -8,6 +8,7 @@ import pytest
 
 from gprates.errors import ConfigurationError, SingularGramWarning
 from gprates.kernels import (
+    BLOCK_ENTRIES,
     KernelSpec,
     cross_matrix,
     distances,
@@ -15,6 +16,7 @@ from gprates.kernels import (
     matern_eval,
     matern_of_r,
     min_eigenvalue,
+    row_block,
 )
 
 
@@ -178,6 +180,42 @@ class TestGram:
         assert np.array_equal(K, cross_matrix(spec, X, X))
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
         assert np.array_equal(K, K.T)
+
+
+class TestRowBlock:
+    """Streamed blocks are sized in entries, with heights a multiple of 8."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 100, 1000, 2048, 8191, 8192, 8193, 10**5])
+    def test_height_is_a_positive_multiple_of_8(self, n):
+        step = row_block(n)
+        assert step >= 8 and step % 8 == 0
+
+    def test_at_most_block_entries_per_block(self):
+        for n in range(1, BLOCK_ENTRIES // 8 + 1):
+            assert row_block(n) * n <= BLOCK_ENTRIES
+
+
+class TestBlockedGram:
+    """``gram`` fills row blocks of ``row_block(n)`` into one n x n matrix."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("nu", [1.5, 2.5, 1.3], ids=["nu3/2", "nu5/2", "bessel1.3"])
+    def test_blocks_are_bitwise_the_whole_matrix(self, dim, nu):
+        n = 1000
+        assert n // row_block(n) >= 3 and n % row_block(n) != 0  # ragged tail
+        rng = np.random.default_rng(dim)
+        spec = KernelSpec(tau=nu + dim / 2, lengthscale=0.3, amplitude=1.4, dim=dim)
+        X = rng.random((n, dim))
+        K = gram(spec, X)
+        assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
+
+    def test_duplicate_pair_in_different_blocks_warns(self):
+        n = 1000
+        X = np.random.default_rng(5).random((n, 1))
+        X[n - 1] = X[0]  # first and last block
+        assert row_block(n) < n - 1
+        with pytest.warns(SingularGramWarning):
+            gram(KernelSpec(tau=2.0), X, jitter=0.0)
 
 
 def test_distances_in_1d_are_absolute_differences():
