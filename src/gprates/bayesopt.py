@@ -8,11 +8,18 @@ final point as the maximizer of the interpolant built on the first n-1
 points.  Simple regret is measured against a fine reference grid.
 
 The selection rule never looks at n, so every budget is a prefix of one
-trajectory: ``run_gamma_F_n`` runs it once to the largest budget and
+trajectory: ``run_gamma_F_n`` runs it once to the largest budget, evaluating
+the target on the candidates and the reference grid once, and
 ``BOTrajectory.result(n)`` finishes any budget from its first n-1 points.
-The loop never refits: one incremental Newton basis (``designs.NewtonBasis``,
-with ``fit``'s interpolation jitter) gives the posterior mean and sd on every
-candidate, and only each budget's final step calls ``fit``.
+
+The loop repeats no work.  One incremental Newton basis
+(``designs.NewtonBasis``, with ``fit``'s interpolation jitter) gives the
+posterior mean and sd on every candidate, and only each budget's final step
+calls ``fit``.  A ``DistanceTable`` evaluates the kernel once per distinct
+candidate distance; grid candidates repeat their distances exactly, so 4096
+of them need 4096 kernel values in all.  A ``designs.MeshRatioTracker``
+updates the mesh ratio with each selected point.  Every kernel column and
+trace value is bitwise what the direct computation gives.
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ import numpy as np
 from scipy.linalg import solve_triangular  # noqa: F401  (perfbench/layers.py traces it here)
 from scipy.special import ndtr
 
-from .designs import NewtonBasis, PointSet, gen_grid, mesh_ratio
+from .designs import MeshRatioTracker, NewtonBasis, PointSet, gen_grid
 from .errors import ConfigurationError
 from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit
-from .kernels import KernelSpec, cross_matrix
+from .kernels import KernelSpec, distances, matern_of_r
 from .targets import TargetSpec, eval_target
 
 REFERENCE_RESOLUTION = 65536
@@ -80,22 +87,56 @@ class BOResult:
     certificate_slack: float = 0.0
 
 
+class DistanceTable:
+    """Kernel columns ``k(cand, cand[j])`` over fixed candidates, one kernel value per distance.
+
+    A sorted table maps every candidate distance seen so far to its
+    ``matern_of_r`` value.  A column looks its distances up with
+    ``searchsorted`` and evaluates the kernel only on the distinct distances
+    new to the table.  ``matern_of_r`` is elementwise, so every column is
+    bitwise ``cross_matrix(spec, cand, cand[j])[:, 0]``.  The table ends in
+    an infinite distance, which no two candidates have, so every lookup
+    lands inside it.
+    """
+
+    def __init__(self, spec: KernelSpec, points: np.ndarray):
+        self.spec = spec
+        self.points = points
+        self.r = np.array([np.inf])
+        self.k = np.array([0.0])
+
+    def column(self, j: int) -> np.ndarray:
+        r = distances(self.points, self.points[j : j + 1])[:, 0]
+        at = np.searchsorted(self.r, r)
+        new = np.unique(r[self.r[at] != r])
+        if new.size:
+            where = np.searchsorted(self.r, new)
+            self.r = np.insert(self.r, where, new)
+            self.k = np.insert(self.k, where, matern_of_r(self.spec, new))
+            at = np.searchsorted(self.r, r)
+        return self.k[at]
+
+
 @dataclass
 class BOTrajectory:
     """One run of the strategy to budget ``config.n``.
 
     ``chosen`` holds the candidate indices of the n-1 selected points (the
     first candidate, then one per trace row), ``f`` their target values and
-    ``cols`` their kernel columns over the candidates.
+    ``cols`` their kernel columns over the candidates.  ``f_cand`` is the
+    target on every candidate and ``f_ref_max`` its maximum on the
+    reference grid; every budget's result reads them.
     """
 
     target: TargetSpec
     config: BOConfig
-    chosen: list
-    f: list
-    cols: list
-    trace: list
-    slacks: list
+    f_cand: np.ndarray
+    f_ref_max: float
+    chosen: list = field(default_factory=list)
+    f: list = field(default_factory=list)
+    cols: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
+    slacks: list = field(default_factory=list)
 
     def result(self, n: int) -> BOResult:
         """The strategy with budget ``n``: the first n-1 points, then its final step."""
@@ -108,18 +149,15 @@ class BOTrajectory:
         # final step: maximize the interpolant over the candidates
         mean_on_cand = np.stack(self.cols[: n - 1], axis=1) @ model.dual
         x_final = cpts[int(np.argmax(mean_on_cand))]
-        f_cand = np.asarray(eval_target(self.target, cpts), dtype=float)
-        ref = gen_grid(REFERENCE_RESOLUTION, cand.domain) if cand.domain.dim == 1 else cand
-        f_ref = np.asarray(eval_target(self.target, ref.points), dtype=float)
         f_final = float(eval_target(self.target, x_final))
         slacks = self.slacks[: n - 2]
         return BOResult(
             x_final=np.asarray(x_final, dtype=float),
-            regret=float(f_ref.max() - f_final),
-            regret_candidates=float(f_cand.max() - f_final),
+            regret=float(self.f_ref_max - f_final),
+            regret_candidates=float(self.f_cand.max() - f_final),
             trace=self.trace[: n - 2],
             selected=X,
-            sup_error_final=float(np.abs(f_cand - mean_on_cand).max()),
+            sup_error_final=float(np.abs(self.f_cand - mean_on_cand).max()),
             certificate_ok=all(s <= 1e-10 for s in slacks),
             certificate_slack=float(max([0.0] + slacks)),
         )
@@ -132,20 +170,30 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     stabilization threshold, the posterior sd at the chosen point, the
     acquisition value, and the mesh ratio of the points selected so far
     (probe-grid fill distance over the candidate domain).
+
+    One ``DistanceTable`` gives every selected point's kernel column, so
+    ``matern_of_r`` sees each distinct candidate distance once, and one
+    ``MeshRatioTracker`` takes each point as it is selected: bitwise the
+    ``cross_matrix`` columns and the ``mesh_ratio`` of each selected prefix.
     """
     cand = config.candidates
     cpts = cand.points
     A = config.kernel.amplitude
     newton = NewtonBasis(A, len(cpts), config.n - 1, eps=DEFAULT_JITTER_FACTOR * A)
-    run = BOTrajectory(target, config, chosen=[], f=[], cols=[], trace=[], slacks=[])
+    columns = DistanceTable(config.kernel, cpts)
+    mesh = MeshRatioTracker(cand.domain)
+    ref = gen_grid(REFERENCE_RESOLUTION, cand.domain).points if cand.domain.dim == 1 else cpts
+    run = BOTrajectory(target, config, np.asarray(eval_target(target, cpts), dtype=float),
+                       float(np.max(eval_target(target, ref))))
 
     def choose(j: int) -> None:
         # selected points are always candidates, so the candidate-by-selected
-        # cross-covariance grows by one cached column per step
+        # cross-covariance grows by one column per step
         run.chosen.append(j)
-        run.cols.append(cross_matrix(config.kernel, cpts, cpts[j])[:, 0])
+        run.cols.append(columns.column(j))
         run.f.append(float(eval_target(target, cpts[j])))
         newton.add(j, run.cols[-1], run.f[-1])
+        mesh.add(cpts[j])
 
     choose(0)
     for step in range(2, config.n):
@@ -165,7 +213,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
                 "threshold": float(threshold),
                 "sd": float(sd[j]),
                 "acquisition": float(acq[j]),
-                "rho_so_far": mesh_ratio(PointSet(cpts[run.chosen], cand.domain)),
+                "rho_so_far": mesh.ratio(),
             }
         )
     return run

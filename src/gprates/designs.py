@@ -229,13 +229,44 @@ def separation_radius(X: PointSet) -> float:
     return float(best / 2.0)
 
 
+class MeshRatioTracker:
+    """Mesh ratio of a point set that grows one point at a time.
+
+    Each probe of ``fill_distance``'s grid keeps its distance to the nearest
+    point added so far, and the set keeps its least pairwise distance.  Adding
+    a point takes one minimum with its distances to the probes and one with
+    its distances to the earlier points.  Minima are exact, so ``ratio()`` is
+    bitwise ``fill_distance / separation_radius`` of the points added so far.
+    """
+
+    def __init__(self, domain: Domain, probe_resolution: int | None = None):
+        self.probes = _probe_points(domain, probe_resolution or _default_probe(domain.dim))
+        self.nearest = np.full(len(self.probes), np.inf)
+        self.points = np.empty((0, domain.dim))
+        self.closest = np.inf
+
+    def add(self, x) -> None:
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        np.minimum(self.nearest, distances(self.probes, x)[:, 0], out=self.nearest)
+        self.closest = min(self.closest, distances(self.points, x).min(initial=np.inf))
+        self.points = np.vstack([self.points, x])
+
+    def ratio(self) -> float:
+        """Fill distance over separation radius of the points added so far."""
+        if len(self.points) < 2:
+            raise ConfigurationError("separation radius needs at least two points")
+        q = float(self.closest / 2.0)
+        if q == 0.0:
+            raise ZeroDivisionError("separation radius is zero (duplicate points)")
+        return float(self.nearest.max()) / q
+
+
 def mesh_ratio(X: PointSet, probe_resolution: int | None = None) -> float:
     """Fill distance over separation radius."""
-    q = separation_radius(X)
-    if q == 0.0:
-        raise ZeroDivisionError("separation radius is zero (duplicate points)")
-    h, _ = fill_distance(X, probe_resolution)
-    return h / q
+    tracker = MeshRatioTracker(X.domain, probe_resolution)
+    for x in X.points:
+        tracker.add(x)
+    return tracker.ratio()
 
 
 def quasi_uniformity_trace(sequence):

@@ -1,4 +1,4 @@
-"""Conditioning: the unified approximant, posterior variance, and RKHS norms.
+"""Conditioning: the unified approximant and RKHS norms.
 
 ``fit`` builds the regularized kernel system ``(K + lambda I) w = y - m_X``
 once, by Cholesky factorization; ``y`` may hold r columns of observations at
@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
@@ -192,28 +192,6 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
     if model.dual.ndim == 1:
         return float(out[0, 0]) if single else out[:, 0]
     return out[0] if single else out
-
-
-def posterior_var(model: PosteriorModel, x) -> np.ndarray | float:
-    """``k(x,x) - k_xX (K + lambda I)^{-1} k_Xx``, clamped at zero.
-
-    The query rows are streamed in blocks of ``row_block(n)``, each with its
-    own cross matrix and triangular solve; the clamp warning reports the
-    minimum over all queries.
-    """
-    xq, single = as_points(model.kernel.dim, x)
-    raw = np.empty(len(xq))
-    step = row_block(len(model.design))
-    for start in range(0, len(xq), step):
-        rows = slice(start, start + step)
-        Kq = cross_matrix(model.kernel, xq[rows], model.design)
-        V = solve_triangular(model.chol, Kq.T, lower=True)
-        raw[rows] = model.kernel.amplitude - np.sum(V * V, axis=0)
-    mn = raw.min() if raw.size else 0.0
-    if mn < -1e-8 * model.kernel.amplitude:
-        logger.warning("posterior variance clamped from %.3e to 0", mn)
-    out = np.maximum(raw, 0.0)
-    return float(out[0]) if single else out
 
 
 def rkhs_norm_expansion(spec: KernelSpec, centers, alpha) -> float:

@@ -128,13 +128,17 @@ def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False) -> np.ndarray:
         t *= A
         t *= e
         return t
-    # General order.  The displayed formula is 0 * inf at r = 0; the limit is
-    # the amplitude, so coincident points are handled analytically.
-    out = np.full_like(t, A)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = A * (2.0 ** (1.0 - nu) / _gamma_fn(nu)) * tp ** nu * _bessel_kv(nu, tp)
-    return out
+    # General order, evaluated on every entry in place.  The displayed formula
+    # is 0 * inf at r = 0; the limit is the amplitude, which those entries get
+    # afterwards.  A 0-d ``r`` is raised to one entry, because a numpy scalar's
+    # ``**`` rounds differently from the array loop.
+    t = np.atleast_1d(t)
+    out = t ** nu
+    out *= A * (2.0 ** (1.0 - nu) / _gamma_fn(nu))
+    with np.errstate(invalid="ignore"):
+        out *= _bessel_kv(nu, t)
+    out[t == 0] = A
+    return out.reshape(r.shape)
 
 
 def matern_eval(spec: KernelSpec, x, y) -> float:

@@ -3,7 +3,8 @@
 ``gprates.cli.main`` pins them for every command-line run; in-process tests
 call the library directly, so they pin here to get the same one-thread
 results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
-``failing_cho_factor`` fixture forces ``fit``'s jitter escalation.
+``failing_cho_factor`` fixture forces ``fit``'s jitter escalation, and the
+``posterior_var`` fixture is the posterior-variance oracle.
 """
 
 import pytest
@@ -41,3 +42,25 @@ def failing_cho_factor(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def posterior_var():
+    """The posterior variance of a fitted model, by one whole triangular solve.
+
+    ``posterior_var(model, x)`` is ``k(x, x) - |L^{-1} k_Xx|^2`` with ``L``
+    the model's factor, clamped at zero: one value for one point, else one
+    per row of ``x``.
+    """
+    import numpy as np
+    from scipy.linalg import solve_triangular
+
+    from gprates.kernels import as_points, cross_matrix
+
+    def variance(model, x):
+        xq, single = as_points(model.kernel.dim, x)
+        V = solve_triangular(model.chol, cross_matrix(model.kernel, xq, model.design).T, lower=True)
+        out = np.maximum(model.kernel.amplitude - np.sum(V * V, axis=0), 0.0)
+        return float(out[0]) if single else out
+
+    return variance

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import gprates
-from gprates.bayesopt import BOConfig, expected_improvement, run_gamma_F_n
-from gprates.designs import gen_grid
+from gprates import designs, kernels
+from gprates.bayesopt import BOConfig, DistanceTable, expected_improvement, run_gamma_F_n
+from gprates.designs import Domain, PointSet, fill_distance, gen_grid, mesh_ratio, separation_radius
 from gprates.errors import ConfigurationError
 from gprates.experiments import config_from_dict, run_bo_experiment
+from gprates.kernels import KernelSpec, cross_matrix
 
 # a7's kernel, target and strategy on 512 candidates; from step 51 on, the
 # masked expected improvement is exactly 0 on every stabilized candidate, so
@@ -83,6 +85,61 @@ def test_budget_result_is_the_trajectory_prefix():
 def test_budget_outside_the_trajectory_is_rejected(n):
     with pytest.raises(ConfigurationError):
         _trajectory(12).result(n)
+
+
+@pytest.mark.parametrize("nu", [2.0, 1.5], ids=["bessel", "nu3/2"])
+@pytest.mark.parametrize("grid, dim", [(4096, 1), (1000, 1), (32, 2)], ids=["4096", "1000", "32x32"])
+def test_table_columns_are_bitwise_cross_matrix(nu, grid, dim):
+    spec = KernelSpec(tau=nu + dim / 2, lengthscale=0.15, amplitude=1.3, dim=dim)
+    cand = gen_grid(grid, Domain((0.0,) * dim, (1.0,) * dim)).points
+    table = DistanceTable(spec, cand)
+    rng = np.random.default_rng(5)
+    # both ends, a repeat, and columns whose distances are all in the table
+    for j in [0, len(cand) - 1, *rng.integers(0, len(cand), 24), 0]:
+        assert np.array_equal(table.column(j), cross_matrix(spec, cand, cand[j])[:, 0])
+
+
+def test_rho_so_far_is_the_prefix_mesh_ratio():
+    trajectory = _trajectory(40)
+    cand = trajectory.config.candidates
+    for k, row in enumerate(trajectory.trace, start=2):
+        prefix = PointSet(cand.points[trajectory.chosen[:k]], cand.domain)
+        assert row["rho_so_far"] == mesh_ratio(prefix)
+        assert row["rho_so_far"] == fill_distance(prefix)[0] / separation_radius(prefix)
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls and result entries of ``owner.name`` under every gprates binding."""
+    original = getattr(owner, name)
+    counts = {"calls": 0, "entries": 0}
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        counts["calls"] += 1
+        counts["entries"] += np.size(result)
+        return result
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "gprates" or mod_name.startswith("gprates."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_trajectory_evaluates_each_candidate_distance_once(monkeypatch):
+    # 512 grid candidates have 512 distinct pairwise distances: the whole
+    # loop may evaluate the kernel on at most that many, and computes no
+    # cross matrix, fill distance or separation radius
+    counts = {name: _counted(monkeypatch, owner, name) for owner, name in [
+        (kernels, "matern_of_r"), (kernels, "cross_matrix"),
+        (designs, "fill_distance"), (designs, "separation_radius")]}
+    trajectory = _trajectory(40)
+    assert len(trajectory.trace) == 38
+    assert 0 < counts["matern_of_r"]["entries"] <= 512
+    assert counts["cross_matrix"]["calls"] == 0
+    assert counts["fill_distance"]["calls"] == 0
+    assert counts["separation_radius"]["calls"] == 0
 
 
 def test_expected_improvement_is_bitwise_the_scipy_stats_formula():

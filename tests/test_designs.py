@@ -7,6 +7,7 @@ import pytest
 
 from gprates.designs import (
     Domain,
+    MeshRatioTracker,
     NewtonBasis,
     PointSet,
     fill_distance,
@@ -19,7 +20,7 @@ from gprates.designs import (
     separation_radius,
 )
 from gprates.errors import ConfigurationError
-from gprates.fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean, posterior_var
+from gprates.fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean
 from gprates.kernels import KernelSpec, cross_matrix
 
 UNIT = Domain((0.0,), (1.0,))
@@ -149,6 +150,28 @@ class TestSeparationAndMeshRatio:
             assert mesh_ratio(X) >= 1.0 - 1e-9
 
 
+    @pytest.mark.parametrize("dim, res", [(1, None), (2, None), (2, 9)])
+    def test_tracker_is_bitwise_fill_over_separation(self, dim, res):
+        rng = np.random.default_rng(40 + dim)
+        domain = Domain((0.0,) * dim, (1.0,) * dim)
+        pts = rng.uniform(0.01, 0.99, (30, dim))
+        tracker = MeshRatioTracker(domain, res)
+        for k, x in enumerate(pts, start=1):
+            tracker.add(x)
+            if k >= 2:
+                X = PointSet(pts[:k], domain)
+                assert tracker.ratio() == fill_distance(X, res)[0] / separation_radius(X)
+        assert mesh_ratio(PointSet(pts, domain), res) == tracker.ratio()
+
+    def test_tracker_needs_two_distinct_points(self):
+        tracker = MeshRatioTracker(UNIT)
+        tracker.add([0.5])
+        with pytest.raises(ConfigurationError):
+            tracker.ratio()
+        tracker.add([0.5])
+        with pytest.raises(ZeroDivisionError):
+            tracker.ratio()
+
 class TestQuasiUniformityTrace:
     def test_grid_slope_1d(self):
         rows, slope = quasi_uniformity_trace([gen_grid(n, UNIT) for n in (4, 8, 16, 32)])
@@ -229,7 +252,7 @@ class TestNewtonBasis:
         assert model.jitter == eps
         return cand, chosen, newton, model
 
-    def test_matches_fit_with_its_jitter(self):
+    def test_matches_fit_with_its_jitter(self, posterior_var):
         cand, _, newton, model = self._basis_and_fit()
         np.testing.assert_allclose(newton.power, posterior_var(model, cand), rtol=0, atol=1e-14)
         np.testing.assert_allclose(newton.mean(), posterior_mean(model, cand), rtol=0, atol=1e-14)
@@ -247,7 +270,7 @@ class TestPGreedy:
         X = gen_p_greedy(1, spec, cand)
         np.testing.assert_allclose(X.points, cand.points[:1])
 
-    def test_second_point_maximizes_posterior_sd(self):
+    def test_second_point_maximizes_posterior_sd(self, posterior_var):
         # brute force over the candidate set
         spec = KernelSpec(tau=1.0, lengthscale=1.0)
         cand = PointSet(np.array([[0.1], [0.5], [0.9]]), UNIT)
@@ -259,7 +282,7 @@ class TestPGreedy:
         np.testing.assert_allclose(X.points[1], best)
         np.testing.assert_allclose(X.points[1], [0.9])  # farthest from 0.1
 
-    def test_selected_points_have_zero_variance(self):
+    def test_selected_points_have_zero_variance(self, posterior_var):
         spec = KernelSpec(tau=2.0, lengthscale=0.3)
         X = gen_p_greedy(9, spec, gen_grid(64, UNIT))
         model = fit(spec, MeanSpec("constant", 0.0), X, np.zeros(9), 0.0)

@@ -15,7 +15,6 @@ from gprates.fitting import (
     fit,
     noise_interpolant_norm,
     posterior_mean,
-    posterior_var,
     rkhs_norm_expansion,
 )
 from gprates.kernels import KernelSpec, cross_matrix, gram, matern_eval, min_eigenvalue, row_block
@@ -244,20 +243,20 @@ class TestRowBlocks:
 
 
 class TestPosteriorVar:
-    def test_zero_at_design_points(self):
+    def test_zero_at_design_points(self, posterior_var):
         spec = KernelSpec(tau=2.0, lengthscale=0.3, amplitude=1.2)
         X = gen_grid(10, UNIT)
         model = fit(spec, ZERO, X, np.zeros(10), 0.0)
         assert max(posterior_var(model, p) for p in X.points) <= 1e-8 * 1.2
 
-    def test_amplitude_far_away(self):
+    def test_amplitude_far_away(self, posterior_var):
         dom = Domain((0.0,), (10.0,))
         spec = KernelSpec(tau=1.0, lengthscale=0.1, amplitude=1.5)
         X = PointSet(np.array([[0.5]]), dom)
         model = fit(spec, ZERO, X, [1.0], 0.0)
         assert posterior_var(model, [9.5]) == pytest.approx(1.5, rel=1e-6)
 
-    def test_bounded_by_amplitude(self):
+    def test_bounded_by_amplitude(self, posterior_var):
         rng = np.random.default_rng(23)
         spec = KernelSpec(tau=2.0, lengthscale=0.25, amplitude=0.8)
         X = jittered_design(rng, 12)
@@ -265,16 +264,6 @@ class TestPosteriorVar:
         vals = posterior_var(model, np.linspace(0.01, 0.99, 101))
         assert np.all(vals <= 0.8 + 1e-12)
         assert np.all(vals >= 0.0)
-
-    def test_row_blocks_match_the_whole_solve(self):
-        rng = np.random.default_rng(29)
-        spec = KernelSpec(tau=2.0, lengthscale=0.25, amplitude=0.8)
-        X = jittered_design(rng, 300)
-        model = fit(spec, ZERO, X, rng.standard_normal(300), 1e-4)
-        Q = rng.random((3 * row_block(300) + 5, 1))
-        V = np.linalg.solve(model.chol, cross_matrix(spec, Q, X).T)
-        whole = np.maximum(0.8 - np.sum(V * V, axis=0), 0.0)
-        np.testing.assert_allclose(posterior_var(model, Q), whole, rtol=0, atol=1e-12)
 
 
 class TestRkhsNorms:

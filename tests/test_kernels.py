@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gamma, kv
 
 from gprates.errors import ConfigurationError, SingularGramWarning
 from gprates.kernels import (
@@ -96,6 +97,28 @@ class TestMaternValues:
         assert np.array_equal(matern_of_r(spec, square), displayed(square))
         for r0 in (0.0, 0.37, 2.9):  # a 0-d r, as matern_eval passes
             value = matern_of_r(spec, np.asarray(r0))
+            assert np.shape(value) == () and value == displayed(np.asarray(r0))
+
+    @pytest.mark.parametrize("nu, use_bessel", [(1.3, False), (2.0, False), (2.5, True)])
+    def test_bessel_path_is_bitwise_the_displayed_formula(self, nu, use_bessel):
+        # the formula on the positive distances alone, and the amplitude at
+        # r = 0, as the path once computed it through a mask and a gather
+        spec = KernelSpec(tau=nu + 0.5, lengthscale=0.3, amplitude=1.7, dim=1)
+
+        def displayed(r):
+            t = np.atleast_1d(np.sqrt(2.0 * nu) * r / 0.3)
+            out = np.full_like(t, 1.7)
+            tp = t[t > 0]
+            out[t > 0] = 1.7 * (2.0 ** (1.0 - nu) / gamma(nu)) * tp ** nu * kv(nu, tp)
+            return out.reshape(np.shape(r))
+
+        rng = np.random.default_rng(19)
+        r = np.concatenate([[0.0], rng.random(2000) * 3.0, [0.0], np.logspace(-12, 1.5, 398)])
+        assert np.array_equal(matern_of_r(spec, r, use_bessel), displayed(r))
+        square = r.reshape(60, 40)
+        assert np.array_equal(matern_of_r(spec, square, use_bessel), displayed(square))
+        for r0 in (0.0, 0.37, 2.9):  # a 0-d r, as matern_eval passes
+            value = matern_of_r(spec, np.asarray(r0), use_bessel)
             assert np.shape(value) == () and value == displayed(np.asarray(r0))
 
     def test_general_order_uses_bessel(self):
