@@ -10,7 +10,9 @@ points.  Simple regret is measured against a fine reference grid.
 The selection rule never looks at n, so every budget is a prefix of one
 trajectory: ``run_gamma_F_n`` runs it once to the largest budget, evaluating
 the target on the candidates and the reference grid once, and
-``BOTrajectory.result(n)`` finishes any budget from its first n-1 points.
+``BOTrajectory.result(n)`` finishes any budget from its first n-1 points and
+returns its record.  Every selected and final point's value is read from the
+one evaluation on the candidates, so the candidate regret is never negative.
 
 The loop repeats no work.  One incremental Newton basis
 (``designs.NewtonBasis``, with ``fit``'s interpolation jitter) gives the
@@ -75,18 +77,6 @@ def expected_improvement(mean, sd, best: float):
     return ei
 
 
-@dataclass
-class BOResult:
-    x_final: np.ndarray
-    regret: float
-    regret_candidates: float
-    trace: list = field(default_factory=list)
-    selected: PointSet | None = None
-    sup_error_final: float = 0.0
-    certificate_ok: bool = True
-    certificate_slack: float = 0.0
-
-
 class DistanceTable:
     """Kernel columns ``k(cand, cand[j])`` over fixed candidates, one kernel value per distance.
 
@@ -122,45 +112,48 @@ class BOTrajectory:
     """One run of the strategy to budget ``config.n``.
 
     ``chosen`` holds the candidate indices of the n-1 selected points (the
-    first candidate, then one per trace row), ``f`` their target values and
-    ``cols`` their kernel columns over the candidates.  ``f_cand`` is the
-    target on every candidate and ``f_ref_max`` its maximum on the
-    reference grid; every budget's result reads them.
+    first candidate, then one per trace row), and column k of ``cols`` the
+    kernel column over the candidates of the k-th of them.  ``f_cand`` is
+    the target on every candidate and ``f_ref_max`` its maximum on the
+    reference grid; every budget reads its target values from them.
     """
 
-    target: TargetSpec
     config: BOConfig
     f_cand: np.ndarray
     f_ref_max: float
+    cols: np.ndarray  # (candidates, n - 1), C-ordered, filled one column per step
     chosen: list = field(default_factory=list)
-    f: list = field(default_factory=list)
-    cols: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     slacks: list = field(default_factory=list)
 
-    def result(self, n: int) -> BOResult:
-        """The strategy with budget ``n``: the first n-1 points, then its final step."""
+    def result(self, n: int) -> dict:
+        """The record of budget ``n``: the first n-1 points, then its final step."""
         if not 2 <= n <= self.config.n:
             raise ConfigurationError(f"budget {n} outside [2, {self.config.n}]")
         cand = self.config.candidates
-        cpts = cand.points
-        X = PointSet(cpts[self.chosen[: n - 1]], cand.domain)
-        model = fit(self.config.kernel, MeanSpec("constant", 0.0), X, np.array(self.f[: n - 1]), 0.0)
+        chosen = self.chosen[: n - 1]
+        X = PointSet(cand.points[chosen], cand.domain)
+        model = fit(self.config.kernel, MeanSpec("constant", 0.0), X, self.f_cand[chosen], 0.0)
         # final step: maximize the interpolant over the candidates
-        mean_on_cand = np.stack(self.cols[: n - 1], axis=1) @ model.dual
-        x_final = cpts[int(np.argmax(mean_on_cand))]
-        f_final = float(eval_target(self.target, x_final))
+        mean_on_cand = self.cols[:, : n - 1] @ model.dual
+        final = int(np.argmax(mean_on_cand))
+        regret_candidates = float(self.f_cand.max() - self.f_cand[final])
+        sup_error = float(np.abs(self.f_cand - mean_on_cand).max())
+        trace = self.trace[: n - 2]
         slacks = self.slacks[: n - 2]
-        return BOResult(
-            x_final=np.asarray(x_final, dtype=float),
-            regret=float(self.f_ref_max - f_final),
-            regret_candidates=float(self.f_cand.max() - f_final),
-            trace=self.trace[: n - 2],
-            selected=X,
-            sup_error_final=float(np.abs(self.f_cand - mean_on_cand).max()),
-            certificate_ok=all(s <= 1e-10 for s in slacks),
-            certificate_slack=float(max([0.0] + slacks)),
-        )
+        return {
+            "n": n,
+            "regret": float(self.f_ref_max - self.f_cand[final]),
+            "regret_candidates": regret_candidates,
+            # the last trace row measured the same n-1 points
+            "rho_selected": trace[-1]["rho_so_far"] if trace else float("nan"),
+            "certificate_ok": all(s <= 1e-10 for s in slacks),
+            "certificate_slack": float(max([0.0] + slacks)),
+            "sup_error": sup_error,
+            "proof_inequality_ok": bool(regret_candidates <= 2.0 * sup_error + 1e-12),
+            "x_final": [float(v) for v in cand.points[final]],
+            "trace": trace,
+        }
 
 
 def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
@@ -174,7 +167,8 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     One ``DistanceTable`` gives every selected point's kernel column, so
     ``matern_of_r`` sees each distinct candidate distance once, and one
     ``MeshRatioTracker`` takes each point as it is selected: bitwise the
-    ``cross_matrix`` columns and the ``mesh_ratio`` of each selected prefix.
+    ``cross_matrix`` columns, and the fill distance over separation radius
+    of each selected prefix.  Every target value is read from ``f_cand``.
     """
     cand = config.candidates
     cpts = cand.points
@@ -183,16 +177,16 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     columns = DistanceTable(config.kernel, cpts)
     mesh = MeshRatioTracker(cand.domain)
     ref = gen_grid(REFERENCE_RESOLUTION, cand.domain).points if cand.domain.dim == 1 else cpts
-    run = BOTrajectory(target, config, np.asarray(eval_target(target, cpts), dtype=float),
-                       float(np.max(eval_target(target, ref))))
+    run = BOTrajectory(config, np.asarray(eval_target(target, cpts), dtype=float),
+                       float(np.max(eval_target(target, ref))), np.empty((len(cpts), config.n - 1)))
 
     def choose(j: int) -> None:
         # selected points are always candidates, so the candidate-by-selected
         # cross-covariance grows by one column per step
+        column = columns.column(j)
+        run.cols[:, len(run.chosen)] = column
         run.chosen.append(j)
-        run.cols.append(columns.column(j))
-        run.f.append(float(eval_target(target, cpts[j])))
-        newton.add(j, run.cols[-1], run.f[-1])
+        newton.add(j, column, run.f_cand[j])
         mesh.add(cpts[j])
 
     choose(0)
@@ -200,7 +194,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
         mean = newton.mean()
         sd = np.sqrt(newton.power)
         threshold = config.gamma * sd.max()
-        acq = expected_improvement(mean, sd, max(run.f))
+        acq = expected_improvement(mean, sd, run.f_cand[run.chosen].max())
         masked = np.where(sd >= threshold, acq, -np.inf)
         j = int(np.argmax(masked))  # first maximizer wins ties
         run.slacks.append(threshold - sd[j])
@@ -209,7 +203,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
             {
                 "step": step,
                 "x": [float(v) for v in cpts[j]],
-                "f": run.f[-1],
+                "f": float(run.f_cand[j]),
                 "threshold": float(threshold),
                 "sd": float(sd[j]),
                 "acquisition": float(acq[j]),

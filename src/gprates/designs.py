@@ -261,14 +261,6 @@ class MeshRatioTracker:
         return float(self.nearest.max()) / q
 
 
-def mesh_ratio(X: PointSet, probe_resolution: int | None = None) -> float:
-    """Fill distance over separation radius."""
-    tracker = MeshRatioTracker(X.domain, probe_resolution)
-    for x in X.points:
-        tracker.add(x)
-    return tracker.ratio()
-
-
 def quasi_uniformity_trace(sequence):
     """Per-set ``(n, h, q, rho)`` rows plus the fitted slope of log h vs log n.
 

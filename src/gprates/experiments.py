@@ -378,31 +378,24 @@ def _theoretical_exponent(cfg: ExperimentConfig, rho_trend: float, quasi_uniform
         d=cfg.domain.dim,
         q=cfg.q,
         noise_growth=growth,
-        design="quasi_uniform" if quasi_uniform else "arbitrary",
+        quasi_uniform=quasi_uniform,
         nugget=cfg.nugget,
     )
-    notes = []
-    if cfg.nugget.kind == "zero":
-        if growth is None:
-            n_exp = n_exponent_interpolation(params, rho_trend=0.0 if quasi_uniform else rho_trend)
-            if not quasi_uniform:
-                notes.append(f"mesh ratio grows (slope {rho_trend:.3f}); prediction inflated")
-        else:
-            n_exp, terms = exponent_misspec_interpolation(params)
-            notes.extend(terms.notes)
-    else:
+    if cfg.nugget.kind != "zero":
         well_specified_gaussian = (
             cfg.noise.kind == "gaussian"
             and cfg.nugget.kind == "fixed"
             and abs(cfg.nugget.sigma - cfg.noise.sigma) < 1e-12
         )
         if well_specified_gaussian:
-            n_exp, terms = exponent_gaussian_regression(params)
-            notes.extend(terms.notes)
-        else:
-            n_exp, terms = exponent_misspec_gaussian(params)
-            notes.extend(terms.notes)
-    return n_exp, notes
+            return exponent_gaussian_regression(params)
+        return exponent_misspec_gaussian(params)
+    if growth is not None:
+        return exponent_misspec_interpolation(params)
+    if quasi_uniform:
+        return n_exponent_interpolation(params), []
+    return (n_exponent_interpolation(params, rho_trend),
+            [f"mesh ratio grows (slope {rho_trend:.3f}); prediction inflated"])
 
 
 def _run_ladder(cfg: ExperimentConfig, measure):
@@ -553,34 +546,9 @@ def run_bo_experiment(cfg: ExperimentConfig) -> dict:
                       candidates=candidates)
     # every budget is a prefix of the one trajectory to the largest budget
     trajectory = run_gamma_F_n(cfg.target, bo_cfg)
-    runs = []
-    for budget in cfg.bo_budgets:
-        res = trajectory.result(budget)
-        # the last trace row measured the same points as ``res.selected``
-        rho = res.trace[-1]["rho_so_far"] if res.trace else float("nan")
-        runs.append(
-            {
-                "n": budget,
-                "regret": res.regret,
-                "regret_candidates": res.regret_candidates,
-                "rho_selected": rho,
-                "certificate_ok": res.certificate_ok,
-                "certificate_slack": res.certificate_slack,
-                "sup_error": res.sup_error_final,
-                "proof_inequality_ok": bool(
-                    res.regret_candidates <= 2.0 * res.sup_error_final + 1e-12
-                ),
-                "x_final": [float(v) for v in res.x_final],
-                "trace": res.trace,
-            }
-        )
-    regrets = [(r["n"], max(r["regret"], 1e-300)) for r in runs]
-    slope = float("nan")
-    if len(regrets) >= 3:
-        try:
-            slope, _ = fit_empirical_rate(regrets, burn_in=0)
-        except ConfigurationError:
-            slope = float("nan")
+    runs = [trajectory.result(budget) for budget in cfg.bo_budgets]
+    # fewer than three budgets give a NaN slope
+    slope, _, _ = _fit_slope([(r["n"], max(r["regret"], 1e-300), None) for r in runs], 0)
     return {"setting": cfg.name, "runs": runs, "regret_slope_reported": slope}
 
 

@@ -6,10 +6,9 @@ Every calculator returns exponents of n under the quasi-uniform dictionary
 the design actually satisfies this before trusting the numbers, and for
 inflating the prediction by the measured mesh-ratio trend when it does not.
 
-Conventions: ``q`` is the error-norm integrability (1, 2 or inf),
-``gamma = max(2, q)`` with ``1/gamma = 0`` at ``q = inf``, ``s`` the
-derivative order of the error norm (only s = 0 is ever measured; s > 0
-enters the calculators only).
+Conventions: ``q`` is the error-norm integrability (1, 2 or inf), and
+``gamma = max(2, q)`` with ``1/gamma = 0`` at ``q = inf``.  Each theorem
+calculator returns ``(n_exponent, notes)``.
 """
 
 from __future__ import annotations
@@ -42,21 +41,6 @@ def tau_zero(tau: float, d: int, q: float) -> float:
     """tau - d*(1/2 - 1/q)_+ ."""
     invq = 0.0 if math.isinf(float(q)) else 1.0 / float(q)
     return tau - d * positive_part(0.5 - invq)
-
-
-def tau_star(tau: float, d: int, q: float) -> float:
-    """Admissible upper limit for the error-norm derivative order ``s``.
-
-    Equals ``tau_0`` when tau is an integer and either q = 2, or
-    2 < q < inf with ``tau_0`` an integer; otherwise ``ceil(tau_0) - 1``.
-    """
-    t0 = tau_zero(tau, d, q)
-    qf = float(q)
-    tau_is_int = abs(tau - round(tau)) < 1e-12
-    t0_is_int = abs(t0 - round(t0)) < 1e-12
-    if tau_is_int and (qf == 2.0 or (2.0 < qf < math.inf and t0_is_int)):
-        return t0
-    return math.ceil(t0 - 1e-12) - 1.0
 
 
 @dataclass(frozen=True)
@@ -96,10 +80,9 @@ class RateParams:
     tau_k_minus: float
     tau_k_plus: float
     d: int
-    s: float = 0.0
     q: float = 2.0
     noise_growth: float | None = None
-    design: str = "quasi_uniform"  # quasi_uniform | arbitrary
+    quasi_uniform: bool = True
     nugget: NuggetPolicy = field(default_factory=NuggetPolicy)
 
     def __post_init__(self):
@@ -110,36 +93,28 @@ class RateParams:
                 "need d/2 < tau_k_minus <= tau_k_plus, got "
                 f"({self.tau_k_minus}, {self.tau_k_plus})"
             )
-        if self.design not in ("quasi_uniform", "arbitrary"):
-            raise ConfigurationError(f"unknown design class {self.design!r}")
-        smax = tau_star(min(self.tau_f, self.tau_k_minus), self.d, self.q)
-        if not 0 <= self.s <= smax + 1e-12:
-            raise ConfigurationError(
-                f"s = {self.s} outside the admissible range [0, {smax}] "
-                f"(the starred smoothness of tau = {min(self.tau_f, self.tau_k_minus)} "
-                f"at q = {self.q})"
-            )
 
 
-@dataclass(frozen=True)
-class TermExponents:
-    """n-exponents of each bound term; the slowest (largest) one dominates."""
+def _bias(p: RateParams) -> float:
+    """The approximation term ``-1/gamma - (tau - d/2)/d``, tau = tau_f ^ tau_k-."""
+    return -inv_gamma(p.q) - (min(p.tau_f, p.tau_k_minus) - p.d / 2.0) / p.d
 
-    terms: dict
-    notes: tuple = ()
+
+def _combined(p: RateParams, growth: float) -> float:
+    """The combined corollary ``-1/gamma + max(growth, -tau/d + 1/2)``, tau = tau_f ^ tau_k-."""
+    return -inv_gamma(p.q) + max(growth, -min(p.tau_f, p.tau_k_minus) / p.d + 0.5)
 
 
 def exponent_interpolation(p: RateParams):
     """Noiseless interpolation: exponents of ``h`` and of the mesh ratio.
 
-    The h exponent is ``(tau_f ^ tau_k-) - s - d(1/2 - 1/q)_+``; overshooting
+    The h exponent is ``(tau_f ^ tau_k-) - d(1/2 - 1/q)_+``; overshooting
     the target smoothness costs a mesh-ratio factor with exponent
     ``(tau_k+ - tau_f)_+`` (zero in the well-specified branch).
     """
     if p.noise_growth is not None:
         raise ConfigurationError("interpolation exponents assume noiseless data")
-    invq = 0.0 if math.isinf(float(p.q)) else 1.0 / float(p.q)
-    h_exp = min(p.tau_f, p.tau_k_minus) - p.s - p.d * positive_part(0.5 - invq)
+    h_exp = tau_zero(min(p.tau_f, p.tau_k_minus), p.d, p.q)
     rho_exp = positive_part(p.tau_k_plus - p.tau_f)
     return h_exp, rho_exp
 
@@ -152,128 +127,91 @@ def n_exponent_interpolation(p: RateParams, rho_trend: float = 0.0) -> float:
 
 
 def exponent_gaussian_regression(p: RateParams):
-    """Well-specified Gaussian likelihood.
+    """Well-specified Gaussian likelihood: ``(n_exponent, notes)``.
 
     At the prescribed smoothness ``tau_k = tau_f + d/2`` (quasi-uniform
     design, q in [1,2]) the expected-error exponent is the nonparametric
-    optimum ``-tau_f/(2 tau_f + d) + s/d``.  Outside those preconditions the
-    general three-term bound applies and the term-wise exponents are
-    returned with a note; the dominant term is the prediction.
+    optimum ``-tau_f/(2 tau_f + d)``.  Outside those preconditions the
+    general three-term bound applies, with a note; its slowest (largest)
+    term is the prediction.
     """
-    d, s, q = p.d, p.s, p.q
-    ig = inv_gamma(q)
-    base = -(ig - s / d)  # h^(d/gamma - s) factor
-    tfm = min(p.tau_f, p.tau_k_minus)
-    rho_pen = positive_part(p.tau_k_plus - p.tau_f)
-    terms = {
-        "bias": base - (tfm - d / 2.0) / d,
-        "noise_fill": 0.5 + base - (p.tau_k_minus - d / 2.0) / d,
-        "noise_residual": base + max(
-            positive_part(0.5 - p.tau_f / (2.0 * p.tau_k_plus)),
-            d / (4.0 * p.tau_k_minus),
-        ),
-    }
+    d = p.d
     notes = []
     prescribed = (
         abs(p.tau_k_minus - (p.tau_f + d / 2.0)) < 1e-9
         and abs(p.tau_k_plus - (p.tau_f + d / 2.0)) < 1e-9
     )
-    ok = prescribed and float(q) <= 2.0 and p.design == "quasi_uniform"
-    if ok:
-        n_exp = -p.tau_f / (2.0 * p.tau_f + d) + s / d
+    if prescribed and float(p.q) <= 2.0 and p.quasi_uniform:
+        n_exp = -p.tau_f / (2.0 * p.tau_f + d)
     else:
         notes.append(
             "prescribed-smoothness preconditions not met "
             "(need tau_k = tau_f + d/2, q in [1,2], quasi-uniform); "
             "falling back to the three-term bound"
         )
-        n_exp = max(terms.values())
+        ig = inv_gamma(p.q)
+        residual = max(positive_part(0.5 - p.tau_f / (2.0 * p.tau_k_plus)),
+                       d / (4.0 * p.tau_k_minus))
+        # bias, noise on the fill distance, noise residual
+        n_exp = max(_bias(p), 0.5 - ig - (p.tau_k_minus - d / 2.0) / d, -ig + residual)
+    rho_pen = positive_part(p.tau_k_plus - p.tau_f)
     if rho_pen > 0:
         notes.append(f"misspecified branch: bias term carries rho^{rho_pen:g}")
-    return n_exp, TermExponents(terms=terms, notes=tuple(notes))
+    return n_exp, notes
 
 
 def exponent_misspec_gaussian(p: RateParams):
     """Arbitrary corruption under a Gaussian likelihood with nugget sigma_n.
 
-    Term-wise n-exponents under ``h ~ n^(-1/d)`` with bounded mesh ratio,
-    plus the combined constant-nugget / adaptive-nugget prediction
-    ``-1/gamma + s/d + max(growth, -(tau_f ^ tau_k)/d + 1/2)``.
+    Returns ``(n_exponent, notes)`` under ``h ~ n^(-1/d)`` with bounded mesh
+    ratio.  A constant nugget at matched smoothness, or an adaptive nugget
+    with the bound-optimal exponent, gives the combined prediction
+    :func:`_combined`; otherwise the slowest term-wise exponent, with a note.
     """
     if p.nugget.kind == "zero":
         raise ConfigurationError("use exponent_misspec_interpolation for sigma_n = 0")
-    d, s = p.d, p.s
+    d = p.d
     g = 0.0 if p.noise_growth is None else p.noise_growth
-    ig = inv_gamma(p.q)
-    base = -(ig - s / d)
-    sig = p.nugget.sigma_slope(d)  # sigma_n ~ n^(-sig)
-    tfm = min(p.tau_f, p.tau_k_minus)
-    qx_pen = positive_part(p.tau_k_plus - p.tau_f)
-    terms = {
-        "bias": base - (tfm - d / 2.0) / d,
-        "nugget_bias": base - sig + qx_pen / d,
-        "noise_fill": base - (p.tau_k_minus - d / 2.0) / d + sig + g,
-        "noise_flat": base + g,
-    }
     notes = []
     if p.noise_growth is None:
         notes.append("no noise model declared; growth treated as O(1)")
-    tau_eff = min(p.tau_f, p.tau_k_minus)
-    combined = -ig + s / d + max(g, -tau_eff / d + 0.5)
-    fixed_smoothness = abs(p.tau_k_plus - p.tau_k_minus) < 1e-9
     if p.nugget.kind == "fixed":
-        well_specified = (
-            fixed_smoothness and abs(p.tau_k_minus - p.tau_f) < 1e-9
-        )
-        if well_specified:
-            n_exp = combined
-        else:
-            notes.append(
-                "constant nugget with misspecified smoothness: "
-                "no combined corollary applies, using the term-wise maximum"
-            )
-            n_exp = max(terms.values())
+        matched = abs(p.tau_k_minus - p.tau_f) < 1e-9
+        mismatch = ("constant nugget with misspecified smoothness: "
+                    "no combined corollary applies, using the term-wise maximum")
     else:
         # adaptive sigma_n = O(h^(tau - d/2)) matches the bound-optimal
         # schedule when the exponent equals tau_k - d/2
-        if fixed_smoothness and abs(p.nugget.exponent - (p.tau_k_minus - d / 2.0)) < 1e-9:
-            n_exp = combined
-        else:
-            notes.append(
-                "adaptive nugget exponent differs from tau_k - d/2; "
-                "using the term-wise maximum"
-            )
-            n_exp = max(terms.values())
-    return n_exp, TermExponents(terms=terms, notes=tuple(notes))
+        matched = abs(p.nugget.exponent - (p.tau_k_minus - d / 2.0)) < 1e-9
+        mismatch = "adaptive nugget exponent differs from tau_k - d/2; using the term-wise maximum"
+    if abs(p.tau_k_plus - p.tau_k_minus) < 1e-9 and matched:
+        return _combined(p, g), notes
+    notes.append(mismatch)
+    ig = inv_gamma(p.q)
+    sig = p.nugget.sigma_slope(d)  # sigma_n ~ n^(-sig)
+    # bias, nugget bias, noise on the fill distance, flat noise
+    n_exp = max(
+        _bias(p),
+        -ig - sig + positive_part(p.tau_k_plus - p.tau_f) / d,
+        -ig - (p.tau_k_minus - d / 2.0) / d + sig + g,
+        -ig + g,
+    )
+    return n_exp, notes
 
 
 def exponent_misspec_interpolation(p: RateParams):
-    """Arbitrary corruption with an interpolant (sigma_n = 0).
+    """Arbitrary corruption with an interpolant (sigma_n = 0): ``(n_exponent, notes)``.
 
     With a bounded mesh ratio the noise enters at ``n^(growth)`` times the
-    flat ``h^(d/gamma - s)`` factor, and the combined prediction is
-    ``-1/gamma + s/d + max(growth, -(tau_f ^ tau_k-)/d + 1/2)``.  With eps = 0
-    this reduces exactly to the noiseless interpolation exponent.
+    flat ``h^(d/gamma)`` factor, and the prediction is :func:`_combined`.
+    With eps = 0 this reduces exactly to the noiseless interpolation exponent.
     """
     if p.nugget.kind != "zero":
         raise ConfigurationError("misspecified interpolation assumes sigma_n = 0")
-    d, s = p.d, p.s
-    ig = inv_gamma(p.q)
-    base = -(ig - s / d)
-    tfm = min(p.tau_f, p.tau_k_minus)
     if p.noise_growth is None:
         h_exp, _ = exponent_interpolation(p)
-        terms = {"bias": -h_exp / d}
-        return -h_exp / d, TermExponents(
-            terms=terms, notes=("no corruption: reduces to the noiseless exponent",)
-        )
-    g = p.noise_growth
-    terms = {
-        "bias": base - (tfm - d / 2.0) / d,
-        "noise_flat": base + g,
-    }
-    n_exp = -ig + s / d + max(g, -tfm / d + 0.5)
-    return n_exp, TermExponents(terms=terms)
+        return -h_exp / p.d, ["no corruption: reduces to the noiseless exponent"]
+    return _combined(p, p.noise_growth), []
 
 
 # ---------------------------------------------------------------------------

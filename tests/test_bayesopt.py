@@ -10,7 +10,7 @@ import pytest
 import gprates
 from gprates import designs, kernels
 from gprates.bayesopt import BOConfig, DistanceTable, expected_improvement, run_gamma_F_n
-from gprates.designs import Domain, PointSet, fill_distance, gen_grid, mesh_ratio, separation_radius
+from gprates.designs import Domain, PointSet, fill_distance, gen_grid, separation_radius
 from gprates.errors import ConfigurationError
 from gprates.experiments import config_from_dict, run_bo_experiment
 from gprates.kernels import KernelSpec, cross_matrix
@@ -76,9 +76,23 @@ def test_budget_result_is_the_trajectory_prefix():
     trajectory = _trajectory(12)
     assert len(trajectory.trace) == 10
     res = trajectory.result(7)
-    assert res.trace == trajectory.trace[:5]
-    assert len(res.selected) == 6
-    np.testing.assert_array_equal(res.selected.points[1:, 0], [r["x"][0] for r in res.trace])
+    assert res["n"] == 7
+    assert res["trace"] == trajectory.trace[:5]
+    assert res["rho_selected"] == trajectory.trace[4]["rho_so_far"]
+    # the first candidate, then the point of each trace row
+    cand = trajectory.config.candidates.points
+    selected = cand[trajectory.chosen[1:6], 0]
+    np.testing.assert_array_equal(selected, [r["x"][0] for r in res["trace"]])
+
+
+def test_candidate_regret_is_never_negative_on_an_expansion_target():
+    # every target value comes from the one batch evaluation on the
+    # candidates, so the final point can never beat the candidates' maximum
+    cfg = dict(SMALL_BO, target={"expansion": {"tau": 3.0, "seed": 10}})
+    runs = run_bo_experiment(config_from_dict(cfg))["runs"]
+    assert [run["n"] for run in runs] == [8, 16, 32, 64]
+    for run in runs:
+        assert run["regret_candidates"] >= 0.0
 
 
 @pytest.mark.parametrize("n", [1, 13])
@@ -104,7 +118,6 @@ def test_rho_so_far_is_the_prefix_mesh_ratio():
     cand = trajectory.config.candidates
     for k, row in enumerate(trajectory.trace, start=2):
         prefix = PointSet(cand.points[trajectory.chosen[:k]], cand.domain)
-        assert row["rho_so_far"] == mesh_ratio(prefix)
         assert row["rho_so_far"] == fill_distance(prefix)[0] / separation_radius(prefix)
 
 

@@ -14,7 +14,6 @@ from gprates.designs import (
     gen_grid,
     gen_p_greedy,
     gen_uniform_random,
-    mesh_ratio,
     pointset_to_csv,
     quasi_uniformity_trace,
     separation_radius,
@@ -25,6 +24,11 @@ from gprates.kernels import KernelSpec, cross_matrix
 
 UNIT = Domain((0.0,), (1.0,))
 SQUARE = Domain((0.0, 0.0), (1.0, 1.0))
+
+
+def _mesh_ratio(X, probe_resolution=None):
+    """Fill distance over separation radius."""
+    return fill_distance(X, probe_resolution)[0] / separation_radius(X)
 
 
 class TestDomain:
@@ -132,22 +136,22 @@ class TestSeparationAndMeshRatio:
         assert separation_radius(X) == d.min() / 2.0
 
     def test_mesh_ratio_grid_is_one(self):
-        assert mesh_ratio(gen_grid(16, UNIT), probe_resolution=4096) == pytest.approx(1.0, abs=0.01)
+        assert _mesh_ratio(gen_grid(16, UNIT), probe_resolution=4096) == pytest.approx(1.0, abs=0.01)
 
     def test_mesh_ratio_three_points(self):
         X = PointSet(np.array([[0.25], [0.5], [0.75]]), UNIT)
-        assert mesh_ratio(X, probe_resolution=4096) == pytest.approx(2.0, abs=0.01)
+        assert _mesh_ratio(X, probe_resolution=4096) == pytest.approx(2.0, abs=0.01)
 
     def test_removing_a_point_grows_rho(self):
         full = gen_grid(16, UNIT)
         holed = PointSet(np.delete(full.points, 7, axis=0), UNIT)
-        assert mesh_ratio(holed) > mesh_ratio(full)
+        assert _mesh_ratio(holed) > _mesh_ratio(full)
 
     def test_rho_at_least_one(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
             X = PointSet(rng.uniform(0.02, 0.98, (12, 1)), UNIT)
-            assert mesh_ratio(X) >= 1.0 - 1e-9
+            assert _mesh_ratio(X) >= 1.0 - 1e-9
 
 
     @pytest.mark.parametrize("dim, res", [(1, None), (2, None), (2, 9)])
@@ -161,7 +165,6 @@ class TestSeparationAndMeshRatio:
             if k >= 2:
                 X = PointSet(pts[:k], domain)
                 assert tracker.ratio() == fill_distance(X, res)[0] / separation_radius(X)
-        assert mesh_ratio(PointSet(pts, domain), res) == tracker.ratio()
 
     def test_tracker_needs_two_distinct_points(self):
         tracker = MeshRatioTracker(UNIT)
@@ -300,7 +303,7 @@ class TestPGreedy:
         rhos = []
         for n in (16, 32, 64, 128):
             X = gen_p_greedy(n, spec, cand)
-            rhos.append(mesh_ratio(X))
+            rhos.append(_mesh_ratio(X))
         cap = max(rhos)
         assert cap < 4.0
         for a, b in zip(rhos, rhos[1:]):
@@ -320,7 +323,7 @@ class TestPGreedy:
         # d/2 < tau <= d/2 + 1 carries no quasi-uniformity claim; just run it
         spec = KernelSpec(tau=1.25, lengthscale=0.25)
         X = gen_p_greedy(12, spec, gen_grid(256, UNIT))
-        assert np.isfinite(mesh_ratio(X))
+        assert np.isfinite(_mesh_ratio(X))
 
 
 class TestCsv:
