@@ -9,7 +9,6 @@ a pure function of the master seed.
 
 from __future__ import annotations
 
-import json
 import os
 
 from .experiments import (
@@ -20,6 +19,7 @@ from .experiments import (
     rayleigh_suite,
     regression_bound_suite,
     run_experiment,
+    write_json,
 )
 
 DEFAULT_SEED = 20240601
@@ -190,7 +190,5 @@ def run_acceptance(out_dir: str, seed: int = DEFAULT_SEED, echo=print) -> tuple[
 
     summary = {"seed": seed, "criteria": results,
                "all_pass": all(v["ok"] for v in results.values())}
-    with open(os.path.join(out_dir, "acceptance_summary.json"), "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "acceptance_summary.json"), summary)
     return summary, sorted(written + ["acceptance_summary.json"])

@@ -107,6 +107,7 @@ def _cmd_accept(args) -> int:
     import tempfile
 
     from .acceptance import DEFAULT_SEED, run_acceptance
+    from .experiments import write_json
 
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     out = _resolve_out(args.out)
@@ -123,9 +124,8 @@ def _cmd_accept(args) -> int:
             else f"[FAIL] a10: artifacts differ on rerun: {diffs}"
         )
         print(line)
-        with open(os.path.join(out, "acceptance_determinism.json"), "w", newline="\n") as fh:
-            json.dump({"ok": det_ok, "differing_files": diffs}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out, "acceptance_determinism.json"),
+                   {"ok": det_ok, "differing_files": diffs})
         all_ok = all_ok and det_ok
     return 0 if all_ok else 1
 

@@ -8,7 +8,6 @@ most half a probe-cell diagonal, and that bound is returned alongside.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 
@@ -265,24 +264,19 @@ def quasi_uniformity_trace(sequence):
     """Per-set ``(n, h, q, rho)`` rows plus the fitted slope of log h vs log n.
 
     A one-point set has no separation radius: its ``q`` and ``rho`` are NaN.
-    Coincident points give ``q = 0`` and ``rho = inf``.  The slope is NaN for
-    fewer than two sets.
+    Coincident points give ``q = 0`` and ``rho = inf``.  The slope is
+    :func:`loglog_slope`'s.
     """
     rows = []
     for X in sequence:
         h, _ = fill_distance(X)
         q = separation_radius(X) if len(X) >= 2 else float("nan")
         rows.append((len(X), h, q, h / q if q != 0 else float("inf")))
-    ns = np.array([r[0] for r in rows], dtype=float)
-    hs = np.array([r[1] for r in rows], dtype=float)
-    slope = float(np.polyfit(np.log(ns), np.log(hs), 1)[0]) if len(rows) >= 2 else float("nan")
-    return rows, slope
+    return rows, loglog_slope([r[0] for r in rows], [r[1] for r in rows])
 
 
-def pointset_to_csv(X: PointSet) -> str:
-    """CSV with header ``x1..xd``, one row per point, 17 significant digits."""
-    buf = io.StringIO()
-    buf.write(",".join(f"x{i + 1}" for i in range(X.dim)) + "\n")
-    for row in X.points:
-        buf.write(",".join(format(v, ".17g") for v in row) + "\n")
-    return buf.getvalue()
+def loglog_slope(ns, values) -> float:
+    """Least-squares slope of log(values) on log(ns); NaN for fewer than two distinct n."""
+    if len(set(ns)) < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])

@@ -4,9 +4,11 @@ Configs are flat JSON objects.  ``_KEYS`` names the top-level keys each
 experiment kind reads; any other key is rejected, a missing required key is
 named, and so is the field of every malformed value.  Every run is
 a pure function of the config plus its seed: noise replicates use seeds
-derived as ``(seed, replicate)``, artifact floats are written with 17
-significant digits, and artifacts contain no timestamps, so identical
-configs produce byte-identical files.
+derived as ``(seed, replicate)``, and artifacts contain no timestamps, so
+identical configs produce byte-identical files.  This module owns the
+artifact byte format: ``_csv`` writes every CSV (17 significant digits),
+``_json`` every JSON file (sorted keys), the acceptance summary and the
+determinism check through :func:`write_json`, all with LF line ends.
 
 A ladder rung is fitted once: its replicates' noise vectors are the columns
 of one observation matrix, so the Gram matrix and its Cholesky factor are
@@ -17,7 +19,6 @@ replicate.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .designs import (
     gen_grid,
     gen_p_greedy,
     gen_uniform_random,
-    pointset_to_csv,
+    loglog_slope,
     quasi_uniformity_trace,
 )
 from .errors import ConfigurationError
@@ -52,11 +53,8 @@ from .rates import (
     NuggetPolicy,
     RateParams,
     RateReport,
-    exponent_gaussian_regression,
-    exponent_misspec_gaussian,
-    exponent_misspec_interpolation,
     fit_empirical_rate,
-    n_exponent_interpolation,
+    theoretical_exponent,
 )
 from .targets import (
     NoiseModel,
@@ -364,38 +362,26 @@ def _design_for(cfg: ExperimentConfig, n: int, ladder_index: int) -> PointSet:
 # ---------------------------------------------------------------------------
 
 def _theoretical_exponent(cfg: ExperimentConfig, rho_trend: float, quasi_uniform: bool):
-    """Pick the matching theorem and return (n_exponent, notes)."""
+    """``(n_exponent, notes)`` of the theorem for the config's likelihood and smoothness."""
     if cfg.kind == "bq":
         if cfg.noise.kind == "none":
             # integration error inherits the full L1 exponent (no norm penalty at q=1)
             return -min(cfg.target.tau_f, cfg.tau_k_minus) / cfg.domain.dim, []
         return -cfg.target.tau_f / (2.0 * cfg.target.tau_f + cfg.domain.dim), []
-    growth = expected_noise_growth(cfg.noise) if cfg.noise.kind != "none" else None
     params = RateParams(
         tau_f=cfg.target.tau_f,
         tau_k_minus=cfg.tau_k_minus,
         tau_k_plus=cfg.tau_k_plus,
         d=cfg.domain.dim,
         q=cfg.q,
-        noise_growth=growth,
+        noise_growth=expected_noise_growth(cfg.noise) if cfg.noise.kind != "none" else None,
         quasi_uniform=quasi_uniform,
         nugget=cfg.nugget,
     )
-    if cfg.nugget.kind != "zero":
-        well_specified_gaussian = (
-            cfg.noise.kind == "gaussian"
-            and cfg.nugget.kind == "fixed"
-            and abs(cfg.nugget.sigma - cfg.noise.sigma) < 1e-12
-        )
-        if well_specified_gaussian:
-            return exponent_gaussian_regression(params)
-        return exponent_misspec_gaussian(params)
-    if growth is not None:
-        return exponent_misspec_interpolation(params)
-    if quasi_uniform:
-        return n_exponent_interpolation(params), []
-    return (n_exponent_interpolation(params, rho_trend),
-            [f"mesh ratio grows (slope {rho_trend:.3f}); prediction inflated"])
+    # the likelihood is the data's: Gaussian noise at the nugget's sigma
+    well_specified = (cfg.noise.kind == "gaussian" and cfg.nugget.kind == "fixed"
+                      and abs(cfg.nugget.sigma - cfg.noise.sigma) < 1e-12)
+    return theoretical_exponent(params, rho_trend, well_specified)
 
 
 def _run_ladder(cfg: ExperimentConfig, measure):
@@ -423,15 +409,6 @@ def _run_ladder(cfg: ExperimentConfig, measure):
     return geometry, h_slope, rows
 
 
-def _fit_slope(rows, burn_in: int):
-    """``(fitted, stderr, invalid_reason)``: a degenerate table is INVALID, not an error."""
-    try:
-        fitted, stderr = fit_empirical_rate([(n, e) for n, e, _ in rows], burn_in)
-    except ConfigurationError as exc:
-        return float("nan"), float("nan"), str(exc)
-    return fitted, stderr, ""
-
-
 def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
     """Ladder of designs -> fits -> L^q errors -> fitted slope vs theory."""
     grid = make_grid(cfg.domain, cfg.grid_resolution)
@@ -450,15 +427,13 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
         return errs
 
     geometry, h_slope, rows = _run_ladder(cfg, measure)
-    ns = np.array([r[0] for r in geometry], dtype=float)
-    rhos = np.array([r[3] for r in geometry], dtype=float)
-    rho_trend = float(np.polyfit(np.log(ns), np.log(rhos), 1)[0])
+    rho_trend = loglog_slope([r[0] for r in geometry], [r[3] for r in geometry])
     d = cfg.domain.dim
     quasi_uniform = abs(h_slope + 1.0 / d) < 0.2 and rho_trend < 0.1
 
     theoretical, notes = _theoretical_exponent(cfg, rho_trend, quasi_uniform)
-    fitted, stderr, reason = _fit_slope(rows, cfg.burn_in)
-    if not (math.isfinite(theoretical) and math.isfinite(rho_trend)):
+    fitted, stderr, reason = fit_empirical_rate([(n, e) for n, e, _ in rows], cfg.burn_in)
+    if not reason and not (math.isfinite(theoretical) and math.isfinite(rho_trend)):
         reason = (
             f"theory {theoretical} from mesh-ratio trend {rho_trend} is not finite "
             "(every rung needs two distinct points)"
@@ -521,7 +496,7 @@ def run_bq_experiment(cfg: ExperimentConfig) -> RateReport:
         return errs
 
     _, _, rows = _run_ladder(cfg, measure)
-    fitted, stderr, reason = _fit_slope(rows, cfg.burn_in)
+    fitted, stderr, reason = fit_empirical_rate([(n, e) for n, e, _ in rows], cfg.burn_in)
     theoretical, _ = _theoretical_exponent(cfg, 0.0, True)
     holder_ok = margin >= 0
     if not holder_ok:
@@ -548,7 +523,7 @@ def run_bo_experiment(cfg: ExperimentConfig) -> dict:
     trajectory = run_gamma_F_n(cfg.target, bo_cfg)
     runs = [trajectory.result(budget) for budget in cfg.bo_budgets]
     # fewer than three budgets give a NaN slope
-    slope, _, _ = _fit_slope([(r["n"], max(r["regret"], 1e-300), None) for r in runs], 0)
+    slope, _, _ = fit_empirical_rate([(r["n"], max(r["regret"], 1e-300)) for r in runs])
     return {"setting": cfg.name, "runs": runs, "regret_slope_reported": slope}
 
 
@@ -689,22 +664,34 @@ def noise_growth_suite(seed: int = 0, n_seeds: int = 50) -> dict:
 # artifact writing
 # ---------------------------------------------------------------------------
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv(header, rows) -> str:
+    """Every CSV artifact: a header line, then one line per row, ints as
+    written and every other value with 17 significant digits."""
+    lines = [",".join(header)]
+    lines += [",".join(str(v) if isinstance(v, int) else format(float(v), ".17g") for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload) -> str:
+    """Every JSON artifact: sorted keys, two-space indent, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _write(path: str, text: str):
+    """Write ``text`` with LF line ends, making the directory if needed."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+def write_json(path: str, payload):
+    """Write ``payload`` to ``path`` in the JSON artifact format."""
+    _write(path, _json(payload))
 
 
-def _coord_header(dim: int) -> str:
-    return ",".join(f"x{i + 1}" for i in range(dim))
+def _coords(dim: int) -> list:
+    return [f"x{i + 1}" for i in range(dim)]
 
 
 def run_design_experiment(cfg: ExperimentConfig):
@@ -716,8 +703,8 @@ def run_design_experiment(cfg: ExperimentConfig):
             for n, h, q, rho in geometry]
     summary = {"setting": cfg.name, "design": cfg.design_kind, "metrics": rows,
                "h_slope": h_slope}
-    return summary, {"points.csv": pointset_to_csv(designs[-1]),
-                     "metrics.json": _json_dumps(summary)}
+    return summary, {"points.csv": _csv(_coords(cfg.domain.dim), designs[-1].points),
+                     "metrics.json": _json(summary)}
 
 
 def run_fit_experiment(cfg: ExperimentConfig):
@@ -734,10 +721,8 @@ def run_fit_experiment(cfg: ExperimentConfig):
     f_vals = np.asarray(eval_target(cfg.target, grid.points))
     misfit = f_vals - mean_vals
     norms = {q: lq_norm(misfit, q, grid) for q in (1, 2, "inf")}
-    buf = io.StringIO()
-    buf.write(f"{_coord_header(cfg.domain.dim)},f,posterior_mean\n")
-    for row, fv, mv in zip(grid.points, f_vals, mean_vals):
-        buf.write(",".join(_g17(v) for v in row) + f",{_g17(fv)},{_g17(mv)}\n")
+    csv = _csv(_coords(cfg.domain.dim) + ["f", "posterior_mean"],
+               ((*x, fv, mv) for x, fv, mv in zip(grid.points, f_vals, mean_vals)))
     mono = norms[1] <= norms[2] * math.sqrt(cfg.domain.volume) + 1e-12
     summary = {
         "setting": cfg.name,
@@ -752,7 +737,7 @@ def run_fit_experiment(cfg: ExperimentConfig):
         "residual_norm": residual_norm(cfg.target, model),
         "target_rkhs_norm": cfg.target.rkhs_norm(),
     }
-    return summary, {"fit.csv": buf.getvalue(), "summary.json": _json_dumps(summary)}
+    return summary, {"fit.csv": csv, "summary.json": _json(summary)}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str):
@@ -782,24 +767,22 @@ def _dispatch(cfg: ExperimentConfig):
         return 0, line, summary, files
     if cfg.kind in ("rates", "bq"):
         report = (run_rate_experiment if cfg.kind == "rates" else run_bq_experiment)(cfg)
-        files = {"curve.csv": report.to_csv(), "report.json": report.to_json() + "\n"}
-        return (0 if report.verdict else 1), report.summary_line(), report, files
+        payload = {k: v for k, v in vars(report).items() if k != "invalid"}
+        files = {"curve.csv": _csv(["n", "mean_error", "std_error"], report.rows),
+                 "report.json": _json(dict(payload, verdict=report.status))}
+        return (0 if report.status == "pass" else 1), report.summary_line(), report, files
     if cfg.kind == "bo":
         result = run_bo_experiment(cfg)
-        buf = io.StringIO()
-        buf.write(f"step,{_coord_header(cfg.domain.dim)},f,threshold,sd,acquisition,rho_so_far\n")
-        for row in result["runs"][-1]["trace"]:
-            buf.write(
-                f"{row['step']:d},{','.join(_g17(v) for v in row['x'])},{_g17(row['f'])},"
-                f"{_g17(row['threshold'])},{_g17(row['sd'])},"
-                f"{_g17(row['acquisition'])},{_g17(row['rho_so_far'])}\n"
-            )
+        columns = ["f", "threshold", "sd", "acquisition", "rho_so_far"]
+        trace = _csv(["step", *_coords(cfg.domain.dim), *columns],
+                     ((r["step"], *r["x"], *(r[c] for c in columns))
+                      for r in result["runs"][-1]["trace"]))
         slim = dict(result, runs=[{k: v for k, v in r.items() if k != "trace"}
                                   for r in result["runs"]])
         final = slim["runs"][-1]
         ok = final["certificate_ok"] and final["proof_inequality_ok"]
         line = (f"[{'OK' if ok else 'FAIL'}] {cfg.name}: regret({final['n']}) = "
                 f"{final['regret']:.3e}, rho {final['rho_selected']:.2f}")
-        files = {"trace.csv": buf.getvalue(), "report.json": _json_dumps(slim)}
+        files = {"trace.csv": trace, "report.json": _json(slim)}
         return (0 if ok else 1), line, slim, files
     raise ConfigurationError(f"unknown kind {cfg.kind!r}")

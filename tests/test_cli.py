@@ -266,6 +266,24 @@ def test_one_point_rung_is_invalid(tmp_path, capsys):
     assert "not finite" in report["invalid_reason"]
 
 
+def test_single_design_size_ladder_is_invalid(tmp_path, capsys):
+    # every rung of this 2-d grid ladder rounds to a 4 x 4 grid: no slope to fit
+    config = {
+        "kind": "rates", "name": "same_n",
+        "kernel": {"tau": 2.0, "lengthscale": 0.25, "dim": 2},
+        "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "target": {"expansion": {"tau": 2.0, "seed": 1}},
+        "ladder": [16, 17, 18, 19], "grid_resolution": 32,
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().out.startswith("[INVALID] same_n:")
+    report = json.loads((out / "same_n_report.json").read_text())
+    assert report["verdict"] == "invalid"
+    assert report["invalid_reason"].startswith("every ladder point after burn-in")
+    assert math.isnan(report["fitted"]) and math.isnan(report["extras"]["rho_trend"])
+
+
 def _fake_acceptance(monkeypatch, *runs):
     """Make each ``run_acceptance`` call write the next of ``runs`` ({name: text})."""
     pending = list(runs)
@@ -336,3 +354,18 @@ def test_whole_acceptance_suite_passes(tmp_path):
     criteria = ["a1_l2", "a1_linf", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10"]
     assert passed >= set(criteria), proc.stdout
     assert "[PASS] a10: rerun with the same seed is byte-identical" in proc.stdout.splitlines()
+    # every report's numbers match the benchmark's reference at this seed
+    reference = json.loads((Path(__file__).parent.parent / "perfbench" / "reference.json")
+                           .read_text())["20240601"]
+    expected = {name: numbers for reports in reference.values()
+                for name, numbers in reports.items()}
+    for name in criteria[:8]:
+        report = json.loads((tmp_path / "accept" / f"{name}_report.json").read_text())
+        if name == "a7":  # a BO report: its regret slope and (n, regret, sup_error) rows
+            fitted = report["regret_slope_reported"]
+            rows = [[r["n"], r["regret"], r["sup_error"]] for r in report["runs"]]
+        else:
+            fitted, rows = report["fitted"], report["rows"]
+        got = [fitted, *(v for row in rows for v in row)]
+        want = [expected[name]["fitted"], *(v for row in expected[name]["rows"] for v in row)]
+        assert got == pytest.approx(want, rel=1e-9, abs=0), name
