@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import KernelSpec, cross_matrix, distances, row_block
+from .kernels import KernelSpec, cross_matrix, distances, row_blocks
 
 DEFAULT_PROBE_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
@@ -163,6 +163,10 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
     invariant kernel, so the lowest index wins); every later point maximizes
     the interpolation posterior standard deviation given the points chosen
     so far.  Ties always break to the lowest candidate index.
+
+    No pick looks at ``n``, so the first k points of a run to any ``n >= k``
+    are bitwise the points of a run to k: a ladder of sizes takes prefixes of
+    one run to its largest size.
     """
     cand = candidates.points
     m = cand.shape[0]
@@ -198,11 +202,10 @@ def fill_distance(X: PointSet, probe_resolution: int | None = None):
         raise ConfigurationError("fill_distance requires a nonempty point set")
     res = probe_resolution or _default_probe(X.dim)
     probes = _probe_points(X.domain, res)
-    # stream the probes in row blocks so the distance block stays small
+    # stream the probes in row blocks through one small distance buffer
     best = 0.0
-    step = row_block(len(X))
-    for start in range(0, probes.shape[0], step):
-        d = distances(probes[start : start + step], X.points)
+    for rows, (d,) in row_blocks(probes.shape[0], len(X), 1):
+        distances(probes[rows], X.points, out=d)
         best = max(best, float(d.min(axis=1).max()))
     return best, fill_distance_bound(X.domain, res)
 
@@ -219,11 +222,10 @@ def separation_radius(X: PointSet) -> float:
     if n < 2:
         raise ConfigurationError("separation radius needs at least two points")
     best = np.inf
-    step = row_block(n)
-    for start in range(0, n, step):
-        d = distances(X.points[start : start + step], X.points)
+    for rows, (d,) in row_blocks(n, n, 1):
+        distances(X.points[rows], X.points, out=d)
         i = np.arange(len(d))
-        d[i, start + i] = np.inf  # the block's own diagonal
+        d[i, rows.start + i] = np.inf  # the block's own diagonal
         best = min(best, d.min())
     return float(best / 2.0)
 

@@ -347,14 +347,25 @@ def _parse_config(raw: dict) -> ExperimentConfig:
 # designs for a ladder
 # ---------------------------------------------------------------------------
 
-def _design_for(cfg: ExperimentConfig, n: int, ladder_index: int) -> PointSet:
+def _designs(cfg: ExperimentConfig, ladder: list) -> list:
+    """The design of each rung of ``ladder``.
+
+    P-greedy never looks at the target size, so its first n picks are the
+    same whatever size it is asked for: each distinct kernel of the ladder
+    grows one design to its largest rung, and every rung takes a prefix.
+    """
     if cfg.design_kind == "grid":
-        per_dim = max(1, round(n ** (1.0 / cfg.domain.dim)))
-        return gen_grid(per_dim, cfg.domain)
+        return [gen_grid(max(1, round(n ** (1.0 / cfg.domain.dim))), cfg.domain) for n in ladder]
     if cfg.design_kind == "random":
-        return gen_uniform_random(n, cfg.domain, seed=cfg.seed + 7919 * ladder_index)
+        return [gen_uniform_random(n, cfg.domain, seed=cfg.seed + 7919 * idx)
+                for idx, n in enumerate(ladder)]
     candidates = gen_grid(cfg.candidate_resolution, cfg.domain)
-    return gen_p_greedy(n, cfg.kernel_for(ladder_index), candidates)
+    largest = {}
+    for idx, n in enumerate(ladder):
+        kernel = cfg.kernel_for(idx)
+        largest[kernel] = max(n, largest.get(kernel, 0))
+    grown = {kernel: gen_p_greedy(n, kernel, candidates).points for kernel, n in largest.items()}
+    return [PointSet(grown[cfg.kernel_for(idx)][:n], cfg.domain) for idx, n in enumerate(ladder)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +373,17 @@ def _design_for(cfg: ExperimentConfig, n: int, ladder_index: int) -> PointSet:
 # ---------------------------------------------------------------------------
 
 def _theoretical_exponent(cfg: ExperimentConfig, rho_trend: float, quasi_uniform: bool):
-    """``(n_exponent, notes)`` of the theorem for the config's likelihood and smoothness."""
-    if cfg.kind == "bq":
-        if cfg.noise.kind == "none":
-            # integration error inherits the full L1 exponent (no norm penalty at q=1)
-            return -min(cfg.target.tau_f, cfg.tau_k_minus) / cfg.domain.dim, []
-        return -cfg.target.tau_f / (2.0 * cfg.target.tau_f + cfg.domain.dim), []
+    """``(n_exponent, notes)`` of the theorem for the config's likelihood and smoothness.
+
+    A bq ladder takes the L1 exponent (q = 1): its integration error is at
+    most ``sup p * ||f - m||_L1``, the Hoelder chain the harness checks.
+    """
     params = RateParams(
         tau_f=cfg.target.tau_f,
         tau_k_minus=cfg.tau_k_minus,
         tau_k_plus=cfg.tau_k_plus,
         d=cfg.domain.dim,
-        q=cfg.q,
+        q=1.0 if cfg.kind == "bq" else cfg.q,
         noise_growth=expected_noise_growth(cfg.noise) if cfg.noise.kind != "none" else None,
         quasi_uniform=quasi_uniform,
         nugget=cfg.nugget,
@@ -395,7 +405,7 @@ def _run_ladder(cfg: ExperimentConfig, measure):
     ``(n, h, q, rho)`` rows and h slope of :func:`quasi_uniformity_trace`,
     and ``(n, mean_error, std_error)`` per rung.
     """
-    designs = [_design_for(cfg, n, idx) for idx, n in enumerate(cfg.ladder)]
+    designs = _designs(cfg, cfg.ladder)
     geometry, h_slope = quasi_uniformity_trace(designs)
     rows = []
     for idx, (X, (_, h, _, _)) in enumerate(zip(designs, geometry)):
@@ -696,7 +706,7 @@ def _coords(dim: int) -> list:
 
 def run_design_experiment(cfg: ExperimentConfig):
     """Ladder geometry; returns ``(summary, files)``."""
-    designs = [_design_for(cfg, n, idx) for idx, n in enumerate(cfg.ladder)]
+    designs = _designs(cfg, cfg.ladder)
     geometry, h_slope = quasi_uniformity_trace(designs)
     h_bound = fill_distance_bound(cfg.domain)
     rows = [{"n": n, "h": h, "h_bound": h_bound, "q": q, "rho": rho}
@@ -709,7 +719,7 @@ def run_design_experiment(cfg: ExperimentConfig):
 
 def run_fit_experiment(cfg: ExperimentConfig):
     """Single-design fit diagnostics (kinds: interpolate, regress); returns ``(summary, files)``."""
-    X = _design_for(cfg, cfg.n_single, 0)
+    X = _designs(cfg, [cfg.n_single])[0]
     h, _ = fill_distance(X)
     kernel = cfg.kernel_for(0)
     lam = cfg.nugget.sigma_n(h) ** 2

@@ -24,9 +24,14 @@ _HALF_INTEGER_ATOL = 1e-12
 
 # Entries per block when a Gram matrix, a prediction, a fill distance or a
 # separation radius streams its rows against n points.  Blocks are sized in
-# entries, not rows, so each elementwise pass of ``matern_of_r`` works on one
-# cache-sized temporary (512 KiB of float64) whatever n is; a fixed 512 rows
-# would make 8 MiB temporaries at n = 2048, several times a core's L2 cache.
+# entries, not rows, so each elementwise pass of ``matern_of_r`` works on a
+# cache-sized block (512 KiB of float64) whatever n is; a fixed 512 rows
+# would make 8 MiB blocks at n = 2048, several times a core's L2 cache.
+# ``row_blocks`` allocates a loop's block buffers once and every block reuses
+# them.  A fresh temporary per block is as large as glibc's mmap threshold,
+# so each one was mapped, touched and unmapped again: one ``posterior_mean``
+# on 8192 queries against 512 points took 14,592 minor page faults, and
+# takes 256 with reused buffers.
 BLOCK_ENTRIES = 2**16
 
 
@@ -39,6 +44,21 @@ def row_block(n: int) -> int:
     per block, so for n > ``BLOCK_ENTRIES / 8`` a block holds 8n entries.
     """
     return max(8, BLOCK_ENTRIES // n // 8 * 8)
+
+
+def row_blocks(m: int, n: int, buffers: int):
+    """Walk ``m`` rows against ``n`` points in blocks of ``row_block(n)`` rows.
+
+    Yields ``(rows, bufs)``: the block's row slice and a stack of ``buffers``
+    C-contiguous (height, n) arrays.  Every block's arrays are views of the
+    one stack allocated before the first block, so a loop touches its block
+    memory once, however many blocks it streams.
+    """
+    step = row_block(n)
+    stack = np.empty((buffers, min(step, m), n))
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        yield slice(start, stop), stack[:, : stop - start]
 
 
 @dataclass(frozen=True)
@@ -86,7 +106,15 @@ class KernelSpec:
         return any(abs(self.nu - h) <= _HALF_INTEGER_ATOL for h in _HALF_INTEGER_ORDERS)
 
 
-def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False) -> np.ndarray:
+def work_arrays(spec: KernelSpec) -> int:
+    """How many ``work`` arrays ``matern_of_r`` fills: the ``t^2`` term of nu = 5/2
+    and 7/2, and the ``t^3`` term of nu = 7/2."""
+    if not spec.is_half_integer:
+        return 0
+    return max(0, round(spec.nu - 1.5))
+
+
+def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False, out=None, work=()) -> np.ndarray:
     """Evaluate the kernel profile at distances ``r >= 0`` (vectorized).
 
     With ``t = sqrt(2 nu) r / lengthscale``, the half-integer orders are the
@@ -98,14 +126,20 @@ def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False) -> np.ndarray:
     ``use_bessel`` forces the general Bessel-K path even for half-integer
     orders; the property tests use it as the independent oracle for the
     closed forms.
+
+    With ``out`` (an array of r's shape), ``r`` is overwritten as the work
+    array ``t`` and the kernel is written into ``out``, which is returned;
+    nu = 5/2 and 7/2 put their ``t^2`` and ``t^3`` terms in the first
+    :func:`work_arrays` arrays of ``work``.  Without ``out``, ``r`` is left
+    as it was.  The Bessel path computes in fresh arrays either way.
     """
     r = np.asarray(r, dtype=float)
     nu = spec.nu
     A = spec.amplitude
-    t = r * np.sqrt(2.0 * nu)
+    t = np.multiply(r, np.sqrt(2.0 * nu), out=None if out is None else r)
     t /= spec.lengthscale
     if not use_bessel and spec.is_half_integer:
-        e = -t
+        e = np.negative(t, out=out)
         e = np.exp(e, out=e) if isinstance(e, np.ndarray) else np.exp(e)
         if abs(nu - 0.5) <= _HALF_INTEGER_ATOL:
             e *= A
@@ -113,32 +147,36 @@ def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False) -> np.ndarray:
         if abs(nu - 1.5) <= _HALF_INTEGER_ATOL:
             t += 1.0
         elif abs(nu - 2.5) <= _HALF_INTEGER_ATOL:
-            sq = t * t
+            sq = np.multiply(t, t, out=work[0] if len(work) else None)
             sq /= 3.0
             t += 1.0
             t += sq
         else:  # nu = 7/2
-            sq = 0.4 * t
+            sq = np.multiply(0.4, t, out=work[0] if len(work) else None)
             sq *= t
-            cube = t ** 3
+            cube = np.power(t, 3, out=work[1]) if len(work) > 1 else t ** 3
             cube /= 15.0
             t += 1.0
             t += sq
             t += cube
         t *= A
-        t *= e
-        return t
+        if not isinstance(e, np.ndarray):
+            return t * e
+        return np.multiply(t, e, out=e)
     # General order, evaluated on every entry in place.  The displayed formula
     # is 0 * inf at r = 0; the limit is the amplitude, which those entries get
     # afterwards.  A 0-d ``r`` is raised to one entry, because a numpy scalar's
     # ``**`` rounds differently from the array loop.
     t = np.atleast_1d(t)
-    out = t ** nu
-    out *= A * (2.0 ** (1.0 - nu) / _gamma_fn(nu))
+    k = t ** nu
+    k *= A * (2.0 ** (1.0 - nu) / _gamma_fn(nu))
     with np.errstate(invalid="ignore"):
-        out *= _bessel_kv(nu, t)
-    out[t == 0] = A
-    return out.reshape(r.shape)
+        k *= _bessel_kv(nu, t)
+    k[t == 0] = A
+    if out is None:
+        return k.reshape(r.shape)
+    out[...] = k.reshape(r.shape)
+    return out
 
 
 def matern_eval(spec: KernelSpec, x, y) -> float:
@@ -175,18 +213,20 @@ def as_points(dim: int, x):
     return x, False
 
 
-def distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def distances(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     """Euclidean distances ``D[i, j] = |a_i - b_j|`` between two ``(., d)`` batches.
 
     In 1-d this is ``|a_i - b_j|`` itself.  In base 2, ``sqrt(fl(d^2)) = |d|``
     unless ``d^2`` underflows or overflows (Boldo 2015), so it equals the root
     of the squared difference except for ``|d| < ~1e-154`` (or ``> ~1e154``),
     where it is exact and the root of the square is not.  For d >= 2 it is the
-    root of the sum of squared differences.
+    root of the sum of squared differences, whose (m, n, d) temporaries are
+    still allocated per call.  ``out`` receives the distances when given.
     """
     if A.shape[1] == 1:
-        return np.abs(np.subtract.outer(A[:, 0], B[:, 0]))
-    d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+        D = np.subtract.outer(A[:, 0], B[:, 0], out=out)
+        return np.abs(D, out=D)
+    d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1, out=out)
     return np.sqrt(d2, out=d2)
 
 
@@ -195,8 +235,10 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
 
     Every entry is evaluated, and the distance from ``x_i`` to ``x_j`` is
     bitwise that from ``x_j`` to ``x_i``, so the result is exactly symmetric.
-    The rows are filled in blocks of ``row_block(n)`` into one preallocated
-    n x n matrix, bitwise ``matern_of_r(spec, distances(X, X))``.
+    The rows are evaluated in blocks of ``row_block(n)`` straight into one
+    preallocated n x n matrix, bitwise ``matern_of_r(spec, distances(X, X))``:
+    each block's distances and work arrays reuse the buffers of
+    :func:`row_blocks`.
     Duplicate points with zero jitter make the matrix singular; a
     :class:`SingularGramWarning` is emitted and the matrix still returned.
     """
@@ -208,11 +250,10 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     n = pts.shape[0]
     K = np.empty((n, n))
     zeros = 0
-    step = row_block(n)
-    for start in range(0, n, step):
-        r = distances(pts[start : start + step], pts)
+    for rows, (dist, *work) in row_blocks(n, n, 1 + work_arrays(spec)):
+        r = distances(pts[rows], pts, out=dist)
         zeros += np.count_nonzero(r == 0.0)
-        K[start : start + step] = matern_of_r(spec, r)
+        matern_of_r(spec, r, out=K[rows], work=work)
     if jitter == 0.0 and zeros > n:
         warnings.warn(
             "duplicate points with jitter=0 give a singular Gram matrix",
@@ -224,11 +265,17 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     return K
 
 
-def cross_matrix(spec: KernelSpec, Xq, X) -> np.ndarray:
-    """Cross-covariance ``K[i, j] = k(xq_i, x_j)`` for batched queries."""
+def cross_matrix(spec: KernelSpec, Xq, X, out=None, work=()) -> np.ndarray:
+    """Cross-covariance ``K[i, j] = k(xq_i, x_j)`` for batched queries.
+
+    The distances go into ``work[0]`` when given.  With ``out``, the kernel
+    goes into ``out`` and ``work[1:]`` serve as :func:`matern_of_r`'s work
+    arrays.
+    """
     q, _ = as_points(spec.dim, Xq)
     pts, _ = as_points(spec.dim, X)
-    return matern_of_r(spec, distances(q, pts))
+    r = distances(q, pts, out=work[0] if len(work) else None)
+    return matern_of_r(spec, r, out=out, work=work[1:])
 
 
 def min_eigenvalue(K: np.ndarray) -> float:

@@ -113,8 +113,11 @@ def theoretical_exponent(p: RateParams, rho_trend: float = 0.0, well_specified: 
     n_exp = -(min(p.tau_f, p.tau_k_minus) - p.d * _positive_part(0.5 - invq)) / p.d
     if p.quasi_uniform:
         return n_exp, []
-    return (n_exp + _positive_part(p.tau_k_plus - p.tau_f) * rho_trend,
-            [f"mesh ratio grows (slope {rho_trend:.3f}); prediction inflated"])
+    if not math.isfinite(rho_trend):
+        note = f"mesh-ratio trend could not be measured (slope {rho_trend}); no prediction"
+    else:
+        note = f"mesh ratio grows (slope {rho_trend:.3f}); prediction inflated"
+    return n_exp + _positive_part(p.tau_k_plus - p.tau_f) * rho_trend, [note]
 
 
 def _gaussian_regression(p: RateParams):

@@ -3,8 +3,9 @@
 ``gprates.cli.main`` pins them for every command-line run; in-process tests
 call the library directly, so they pin here to get the same one-thread
 results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
-``failing_cho_factor`` fixture forces ``fit``'s jitter escalation, and the
-``posterior_var`` fixture is the posterior-variance oracle.
+``failing_cho_factor`` fixture forces ``fit``'s jitter escalation, the
+``posterior_var`` fixture is the posterior-variance oracle, and the
+``counted`` fixture counts the calls of a gprates function.
 """
 
 import pytest
@@ -64,3 +65,34 @@ def posterior_var():
         return float(out[0]) if single else out
 
     return variance
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the calls and result entries of a gprates function under every binding.
+
+    ``counted(owner, name)`` replaces ``owner.name`` in every gprates module
+    that binds it and returns the counts, ``{"calls": .., "entries": ..}``.
+    """
+    import sys
+
+    import numpy as np
+
+    def install(owner, name):
+        original = getattr(owner, name)
+        counts = {"calls": 0, "entries": 0}
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts["calls"] += 1
+            counts["entries"] += np.size(result)
+            return result
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name == "gprates" or mod_name.startswith("gprates."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return counts
+
+    return install

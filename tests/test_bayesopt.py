@@ -121,30 +121,11 @@ def test_rho_so_far_is_the_prefix_mesh_ratio():
         assert row["rho_so_far"] == fill_distance(prefix)[0] / separation_radius(prefix)
 
 
-def _counted(monkeypatch, owner, name):
-    """Count the calls and result entries of ``owner.name`` under every gprates binding."""
-    original = getattr(owner, name)
-    counts = {"calls": 0, "entries": 0}
-
-    def counted(*args, **kwargs):
-        result = original(*args, **kwargs)
-        counts["calls"] += 1
-        counts["entries"] += np.size(result)
-        return result
-
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name == "gprates" or mod_name.startswith("gprates."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return counts
-
-
-def test_trajectory_evaluates_each_candidate_distance_once(monkeypatch):
+def test_trajectory_evaluates_each_candidate_distance_once(counted):
     # 512 grid candidates have 512 distinct pairwise distances: the whole
     # loop may evaluate the kernel on at most that many, and computes no
     # cross matrix, fill distance or separation radius
-    counts = {name: _counted(monkeypatch, owner, name) for owner, name in [
+    counts = {name: counted(owner, name) for owner, name in [
         (kernels, "matern_of_r"), (kernels, "cross_matrix"),
         (designs, "fill_distance"), (designs, "separation_radius")]}
     trajectory = _trajectory(40)

@@ -282,6 +282,9 @@ def test_single_design_size_ladder_is_invalid(tmp_path, capsys):
     assert report["verdict"] == "invalid"
     assert report["invalid_reason"].startswith("every ladder point after burn-in")
     assert math.isnan(report["fitted"]) and math.isnan(report["extras"]["rho_trend"])
+    # no trend was measured, so the note does not claim the mesh ratio grows
+    assert report["extras"]["notes"] == [
+        "mesh-ratio trend could not be measured (slope nan); no prediction"]
 
 
 def _fake_acceptance(monkeypatch, *runs):

@@ -20,7 +20,7 @@ from gprates.designs import (
 from gprates.errors import ConfigurationError
 from gprates.experiments import _csv
 from gprates.fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean
-from gprates.kernels import KernelSpec, cross_matrix
+from gprates.kernels import KernelSpec, cross_matrix, distances, row_block
 
 UNIT = Domain((0.0,), (1.0,))
 SQUARE = Domain((0.0, 0.0), (1.0, 1.0))
@@ -111,6 +111,16 @@ class TestFillDistance:
         h, bound = fill_distance(X, probe_resolution=128)
         oracle, _ = fill_distance(X, probe_resolution=512)
         assert h - bound / 4 - 1e-12 <= oracle <= h + bound
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_streamed_blocks_give_the_whole_maximum(self, dim):
+        # the probes fill several blocks of one reused buffer and a ragged last one
+        domain = Domain((0.0,) * dim, (1.0,) * dim)
+        X = PointSet(np.random.default_rng(dim).uniform(0.05, 0.95, (300, dim)), domain)
+        res = 512 if dim == 1 else 128
+        probes = np.vstack([gen_grid(res, domain).points, domain.corners()])
+        assert len(probes) // row_block(300) >= 2 and len(probes) % row_block(300) != 0
+        assert fill_distance(X)[0] == float(distances(probes, X.points).min(axis=1).max())
 
 
 class TestSeparationAndMeshRatio:
@@ -318,6 +328,16 @@ class TestPGreedy:
         cand = gen_grid(32, SQUARE)
         X = gen_p_greedy(64, KernelSpec(tau=2.5, lengthscale=0.3, dim=2), cand)
         assert np.array_equal(X.points, cand.points[P_GREEDY_2D])
+
+    @pytest.mark.parametrize("dim, resolution, sizes", [(1, 2048, (16, 128, 512)),
+                                                        (2, 32, (8, 16, 32, 64))])
+    def test_first_picks_do_not_depend_on_the_size_asked_for(self, dim, resolution, sizes):
+        # a ladder grows one design to its largest rung and gives each rung a prefix
+        spec = KernelSpec(tau=2.0 + dim / 2, lengthscale=0.25, dim=dim)
+        cand = gen_grid(resolution, Domain((0.0,) * dim, (1.0,) * dim))
+        longest = gen_p_greedy(sizes[-1], spec, cand).points
+        for n in sizes[:-1]:
+            assert np.array_equal(gen_p_greedy(n, spec, cand).points, longest[:n])
 
     def test_low_smoothness_trace_is_diagnostic_only(self):
         # d/2 < tau <= d/2 + 1 carries no quasi-uniformity claim; just run it

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import gprates
+from gprates import designs
 from gprates.acceptance import DEFAULT_SEED, acceptance_configs
 from gprates.errors import ConfigurationError
 from gprates.experiments import (
@@ -134,6 +135,46 @@ def test_every_tau_of_the_schedule_is_validated():
 def test_gate_theoretical_exponents(name, exponent):
     cfg = config_from_dict(acceptance_configs()[name])
     assert _theoretical_exponent(cfg, 0.0, True)[0] == pytest.approx(exponent, rel=1e-12)
+
+
+# fixed outliers with k = 3 under a zero nugget and a fixed one: the L1 rate
+# of the matching rates config, -1/2, not the well-specified -tau_f/(2 tau_f + d)
+OUTLIERS = {"kind": "outliers", "schedule": "fixed", "k": 3}
+
+
+@pytest.mark.parametrize("nugget", [{"kind": "zero"}, {"kind": "fixed", "sigma": 0.1}],
+                         ids=["zero_nugget", "fixed_nugget"])
+def test_noisy_bq_takes_the_l1_theorem_of_its_rates_config(nugget):
+    bq = dict(BQ, noise=OUTLIERS, nugget=nugget, ladder=[8, 16, 32], replicates=2,
+              grid_resolution=256, density="uniform")
+    rates = {k: v for k, v in bq.items() if k != "density"}
+    rates.update(kind="rates", q=1)
+    theory = run_bq_experiment(config_from_dict(bq)).theoretical
+    assert theory == run_rate_experiment(config_from_dict(rates)).theoretical
+    assert theory == pytest.approx(-0.5, rel=1e-12)
+
+
+P_GREEDY_LADDER = {
+    "kind": "rates", "name": "pgreedy", "seed": 2,
+    "kernel": {"tau": 2.0, "lengthscale": 0.25},
+    "target": {"name": "layered_tau2"},
+    "design": {"kind": "p_greedy", "candidate_resolution": 512},
+    "ladder": [16, 32, 64, 128], "burn_in": 1, "grid_resolution": 1024,
+}
+
+
+@pytest.mark.parametrize("taus, runs", [(2.0, 1), ([2.0, 2.5], 2)], ids=["one_kernel", "schedule"])
+def test_p_greedy_ladder_grows_one_design_per_kernel(counted, taus, runs):
+    raw = dict(P_GREEDY_LADDER, kernel={"tau": taus, "lengthscale": 0.25})
+    calls = counted(designs, "gen_p_greedy")
+    report = run_rate_experiment(config_from_dict(raw))
+    assert calls["calls"] == runs
+    # every rung's design is the one a run to its own size picks
+    cfg = config_from_dict(raw)
+    cand = designs.gen_grid(512, cfg.domain)
+    own = [designs.gen_p_greedy(n, cfg.kernel_for(i), cand) for i, n in enumerate(cfg.ladder)]
+    trace, _ = designs.quasi_uniformity_trace(own)
+    assert report.extras["design_trace"] == [list(r) for r in trace]
 
 
 def _shipped_configs():

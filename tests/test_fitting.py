@@ -1,12 +1,16 @@
 """Conditioning: interpolation/regression identities and RKHS-norm properties."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+import gprates
 from gprates.designs import Domain, PointSet, gen_grid
 from gprates.errors import ConfigurationError
 from gprates.fitting import (
@@ -17,7 +21,16 @@ from gprates.fitting import (
     posterior_mean,
     rkhs_norm_expansion,
 )
-from gprates.kernels import KernelSpec, cross_matrix, gram, matern_eval, min_eigenvalue, row_block
+from gprates.kernels import (
+    KernelSpec,
+    cross_matrix,
+    distances,
+    gram,
+    matern_eval,
+    matern_of_r,
+    min_eigenvalue,
+    row_block,
+)
 
 UNIT = Domain((0.0,), (1.0,))
 ZERO = MeanSpec("constant", 0.0)
@@ -240,6 +253,57 @@ class TestRowBlocks:
         n = len(model.design)
         bound = 2 * n * np.finfo(float).eps * (np.abs(Kq) @ np.abs(model.dual))
         assert np.all(np.abs(posterior_mean(model, Q) - whole) <= bound)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 1.3],
+                             ids=["nu1/2", "nu3/2", "nu5/2", "nu7/2", "bessel1.3"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_buffered_blocks_are_bitwise_the_whole_kernel_split_at_the_blocks(self, nu, dim):
+        # the whole cross matrix, unblocked, multiplied block by block at the
+        # same row boundaries; 2 * 512 + 37 queries leave a ragged last block
+        spec = KernelSpec(tau=nu + dim / 2, lengthscale=0.3, amplitude=1.2, dim=dim)
+        rng = np.random.default_rng(dim)
+        domain = Domain((0.0,) * dim, (1.0,) * dim)
+        X = PointSet(rng.uniform(0.05, 0.95, (ROW_BLOCK_N, dim)), domain)
+        model = fit(spec, ZERO, X, rng.standard_normal((ROW_BLOCK_N, 2)), 1e-6)
+        Q = rng.random((2 * ROW_BLOCK + 37, dim))
+        K = matern_of_r(spec, distances(Q, X.points))
+        whole = np.vstack([np.column_stack([K[i : i + ROW_BLOCK] @ w for w in model.dual.T])
+                           for i in range(0, len(Q), ROW_BLOCK)])
+        assert np.array_equal(posterior_mean(model, Q), whole)
+
+
+# A fresh interpreter: earlier tests can raise glibc's dynamic mmap threshold
+# above a block's size, and then even one fresh temporary per block faults
+# rarely.  The child pins BLAS to one thread, as the CLI does.
+_FAULTS_CHILD = """
+import resource, gprates.cli
+gprates.cli._pin_blas_threads()
+import numpy as np
+from gprates.designs import UNIT_INTERVAL, gen_grid
+from gprates.fitting import MeanSpec, fit, posterior_mean
+from gprates.kernels import KernelSpec
+X = gen_grid(512, UNIT_INTERVAL)
+model = fit(KernelSpec(tau=2.0, lengthscale=0.25), MeanSpec(), X, np.sin(6.0 * X.points[:, 0]))
+Q = gen_grid(8192, UNIT_INTERVAL).points
+posterior_mean(model, Q)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+posterior_mean(model, Q)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_minflt counts minor page faults on Linux; other systems may leave it 0")
+def test_repeat_prediction_does_not_refault_its_block_memory():
+    # 8192 queries against 512 points stream 64 blocks; one fresh 512 KiB
+    # temporary per block cost 14,592 minor faults per call, and buffers
+    # reused across the blocks cost a few hundred at most
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_CHILD], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
 
 
 class TestPosteriorVar:

@@ -18,6 +18,8 @@ from gprates.kernels import (
     matern_of_r,
     min_eigenvalue,
     row_block,
+    row_blocks,
+    work_arrays,
 )
 
 
@@ -222,7 +224,8 @@ class TestBlockedGram:
     """``gram`` fills row blocks of ``row_block(n)`` into one n x n matrix."""
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("nu", [1.5, 2.5, 1.3], ids=["nu3/2", "nu5/2", "bessel1.3"])
+    @pytest.mark.parametrize("nu", [1.5, 2.5, 1.3, 0.5, 3.5],
+                             ids=["nu3/2", "nu5/2", "bessel1.3", "nu1/2", "nu7/2"])
     def test_blocks_are_bitwise_the_whole_matrix(self, dim, nu):
         n = 1000
         assert n // row_block(n) >= 3 and n % row_block(n) != 0  # ragged tail
@@ -239,6 +242,63 @@ class TestBlockedGram:
         assert row_block(n) < n - 1
         with pytest.warns(SingularGramWarning):
             gram(KernelSpec(tau=2.0), X, jitter=0.0)
+
+
+# every closed form and one Bessel order, as (nu, id)
+ORDERS = pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 1.3],
+                                 ids=["nu1/2", "nu3/2", "nu5/2", "nu7/2", "bessel1.3"])
+
+
+class TestBuffers:
+    """Kernel blocks written into caller-owned buffers are bitwise the unbuffered ones."""
+
+    def test_row_blocks_cover_the_rows_with_one_stack(self):
+        m, n = 1000, 300
+        step = row_block(n)
+        assert m % step != 0  # ragged tail
+        seen, bases = [], set()
+        for rows, bufs in row_blocks(m, n, 3):
+            assert bufs.shape == (3, rows.stop - rows.start, n)
+            assert all(b.flags.c_contiguous for b in bufs)
+            seen.extend(range(rows.start, rows.stop))
+            bases.add(bufs.__array_interface__["data"][0])
+        assert seen == list(range(m)) and len(bases) == 1
+
+    @pytest.mark.parametrize("nu, count", [(0.5, 0), (1.5, 0), (2.5, 1), (3.5, 2), (1.3, 0)])
+    def test_work_arrays(self, nu, count):
+        assert work_arrays(KernelSpec(tau=nu + 0.5)) == count
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_distances_into_out(self, dim):
+        rng = np.random.default_rng(dim)
+        a, b = rng.random((70, dim)), rng.random((40, dim))
+        out = np.full((70, 40), np.nan)
+        assert distances(a, b, out=out) is out
+        assert np.array_equal(out, distances(a, b))
+
+    @ORDERS
+    def test_matern_of_r_into_out(self, nu):
+        spec = KernelSpec(tau=nu + 0.5, lengthscale=0.3, amplitude=1.4)
+        r = np.random.default_rng(4).random((60, 50)) * 3.0
+        r[0, :3] = 0.0
+        expected = matern_of_r(spec, r)
+        work = np.full((2, 60, 50), np.nan)
+        out = np.full((60, 50), np.nan)
+        assert matern_of_r(spec, r.copy(), out=out, work=work) is out
+        assert np.array_equal(out, expected)
+        assert not np.isnan(work[: work_arrays(spec)]).any()  # the terms went into work
+        out = np.full((60, 50), np.nan)  # no work arrays: the terms are allocated
+        assert np.array_equal(matern_of_r(spec, r.copy(), out=out), expected)
+
+    @ORDERS
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cross_matrix_into_buffers(self, nu, dim):
+        spec = KernelSpec(tau=nu + dim / 2, lengthscale=0.3, amplitude=1.4, dim=dim)
+        rng = np.random.default_rng(dim)
+        Xq, X = rng.random((90, dim)), rng.random((35, dim))
+        out, *work = np.full((2 + work_arrays(spec), 90, 35), np.nan)
+        assert cross_matrix(spec, Xq, X, out=out, work=work) is out
+        assert np.array_equal(out, matern_of_r(spec, distances(Xq, X)))
 
 
 def test_distances_in_1d_are_absolute_differences():

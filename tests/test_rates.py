@@ -61,6 +61,14 @@ def test_exponent_interpolation(params, expected):
     assert notes == ["mesh ratio grows (slope 1.000); prediction inflated"]
 
 
+@pytest.mark.parametrize("rho_trend", [math.nan, math.inf])
+def test_unmeasured_mesh_ratio_trend_is_not_called_growth(rho_trend):
+    # a ladder with one distinct design size has no trend to fit
+    n_exp, notes = theoretical_exponent(_params(1.0, 2.0, quasi_uniform=False), rho_trend=rho_trend)
+    assert not math.isfinite(n_exp)
+    assert notes == [f"mesh-ratio trend could not be measured (slope {rho_trend}); no prediction"]
+
+
 # -1/gamma + max(growth, -min(tau_f, tau_k-)/d + 1/2); without noise,
 # -(h exponent)/d
 @pytest.mark.parametrize("params, expected", [
