@@ -53,6 +53,11 @@ class BOConfig:
             raise ConfigurationError("gamma must lie in (0, 1]")
         if self.n < 2:
             raise ConfigurationError("budget n must be at least 2")
+        if self.n - 1 > len(self.candidates):
+            raise ConfigurationError(
+                f"budget {self.n} selects {self.n - 1} points, but there are only "
+                f"{len(self.candidates)} candidates"
+            )
         if not self.kernel.tau > self.kernel.dim / 2 + 1:
             raise ConfigurationError(
                 "stabilized selection requires tau > d/2 + 1 "
@@ -177,7 +182,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     columns = DistanceTable(config.kernel, cpts)
     mesh = MeshRatioTracker(cand.domain)
     ref = gen_grid(REFERENCE_RESOLUTION, cand.domain).points if cand.domain.dim == 1 else cpts
-    run = BOTrajectory(config, np.asarray(eval_target(target, cpts), dtype=float),
+    run = BOTrajectory(config, eval_target(target, cpts),
                        float(np.max(eval_target(target, ref))), np.empty((len(cpts), config.n - 1)))
 
     def choose(j: int) -> None:

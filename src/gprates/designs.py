@@ -183,7 +183,7 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
             raise ConfigurationError(
                 "candidate pool exhausted: remaining posterior variance is zero"
             )
-        newton.add(j, cross_matrix(spec, cand, cand[j])[:, 0])
+        newton.add(j, cross_matrix(spec, cand, cand[j : j + 1])[:, 0])
     return PointSet(cand[selected], candidates.domain)
 
 

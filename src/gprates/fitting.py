@@ -1,9 +1,10 @@
 """Conditioning: the unified approximant and RKHS norms.
 
-``fit`` builds the regularized kernel system ``(K + lambda I) w = y - m_X``
-once, by Cholesky factorization; ``y`` may hold r columns of observations at
+``fit`` solves the regularized kernel system ``(K + lambda I) w = y - m_X``
+by one Cholesky factorization; ``y`` may hold r columns of observations at
 the same design (noise replicates), and the one factor solves for all of
-them.  The fitted model is immutable and its predictors are pure functions.
+them.  The fitted model keeps only what prediction reads, the dual weights
+``w``; it is immutable and its predictors are pure functions.
 ``lambda = 0`` is interpolation and gets a small diagonal jitter (escalated
 on factorization failure, and recorded, since a large jitter technically
 shifts the estimator toward approximate interpolation).
@@ -20,7 +21,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
 from .kernels import (
-    KernelSpec, as_points, cross_matrix, distances, gram, row_block, row_blocks, work_arrays,
+    KernelSpec, as_points, cross_matrix, distances, gram, row_blocks, work_arrays,
 )
 
 logger = logging.getLogger(__name__)
@@ -58,27 +59,21 @@ class MeanSpec:
 
 @dataclass(frozen=True)
 class PosteriorModel:
-    """Immutable fitted state: Cholesky factor of ``K + lambda I`` and dual weights.
+    """Immutable fitted state: the dual weights ``(K + (lambda + jitter) I)^{-1} (y - m_X)``.
 
-    ``chol`` is a clean lower factor ``L`` with ``L L^T = K + (lambda +
-    jitter) I``: zeros above the diagonal.  It occupies the memory ``fit``
-    built ``K`` in, as a Fortran-ordered array.
-    ``y`` and ``dual`` have shape (n,) for one fit, or (n, r) for r fits
-    that share the design and hence the factor.
+    ``dual`` has shape (n,) for one fit, or (n, r) for r fits that share
+    the design.  ``jitter`` is the diagonal jitter the factorization used.
     """
 
     kernel: KernelSpec
     prior_mean: MeanSpec
     design: PointSet
-    lam: float
-    y: np.ndarray
-    chol: np.ndarray  # clean lower factor: its strict upper triangle is zero
     dual: np.ndarray
     jitter: float
 
     def replicate(self, k: int) -> "PosteriorModel":
-        """The fit to column ``k`` of the observations alone; it shares the factor."""
-        return replace(self, y=self.y[:, k], dual=self.dual[:, k])
+        """The fit to column ``k`` of the observations alone."""
+        return replace(self, dual=self.dual[:, k])
 
 
 def _closest_pair(pts: np.ndarray):
@@ -103,11 +98,11 @@ def fit(
     that column alone.
 
     ``K`` is factored in place: ``lam + jitter`` is added to its diagonal
-    (bitwise ``K + (lam + jitter) I``), LAPACK overwrites it with the factor,
-    and the strict upper triangle of the factor is zeroed, so the model's
-    ``chol`` is a clean lower factor and ``K`` is the only n x n array.  A
-    failed factorization has overwritten ``K``, so ``K`` is rebuilt before
-    the next jitter step.
+    (bitwise ``K + (lam + jitter) I``) and LAPACK overwrites its lower
+    triangle with the factor, which ``cho_solve`` reads alone; ``K`` is the
+    only n x n array, and the model does not keep it.  A failed
+    factorization has overwritten ``K``, so ``K`` is rebuilt before the next
+    jitter step.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -125,7 +120,7 @@ def fit(
     L = None
     jitter = ladder[0]
     for jitter in ladder:
-        K = gram(kernel, X, jitter=0.0)
+        K = gram(kernel, X)
         K[np.diag_indices(n)] += lam + jitter
         try:
             # K is exactly symmetric, so K.T is K in Fortran order, which
@@ -142,31 +137,22 @@ def fit(
         )
     if jitter > DEFAULT_JITTER_FACTOR * A:
         logger.warning("fit used escalated jitter %.1e", jitter)
-    # LAPACK left K's upper triangle above the factor; zero it a row block of
-    # K (a column block of L) at a time instead of copying L with np.tril.
-    step = row_block(n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        K[start:stop, :stop][np.tri(stop - start, stop, start - 1, dtype=bool)] = 0.0
     m_X = prior_mean(X.points)
     dual = cho_solve((L, True), y - (m_X[:, None] if y.ndim == 2 else m_X))
     return PosteriorModel(
         kernel=kernel,
         prior_mean=prior_mean,
         design=X,
-        lam=float(lam),
-        y=y,
-        chol=L,
         dual=dual,
         jitter=float(jitter),
     )
 
 
-def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
-    """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)``; vectorized over rows of x.
+def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
+    """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)`` at a batch of m queries.
 
-    A model fitted to r columns gives one column of means per fit: shape
-    (m, r), or r values for a single point.  The query rows are streamed in
+    The result has shape (m,) for one fit, or (m, r) for a model fitted to
+    r columns: one column of means per fit.  The query rows are streamed in
     blocks of ``row_block(n)``, and each block's cross matrix serves every
     column.  The cross matrix, its distances and its work arrays live in the
     buffers of :func:`row_blocks`, allocated once per call, so memory stays at
@@ -180,7 +166,7 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
     dot-product rounding; the whole product's value of a row already
     depends on m, so no canonical value is lost.
     """
-    xq, single = as_points(model.kernel.dim, x)
+    xq = as_points(model.kernel.dim, x)
     m_q = model.prior_mean(xq)
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
     out = np.empty((len(xq), dual.shape[1]))
@@ -193,9 +179,7 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray | float:
         # would no longer reproduce the one-column fits.
         for k in range(dual.shape[1]):
             out[rows, k] = m_q[rows] + Kq @ dual[:, k]
-    if model.dual.ndim == 1:
-        return float(out[0, 0]) if single else out[:, 0]
-    return out[0] if single else out
+    return out[:, 0] if model.dual.ndim == 1 else out
 
 
 def rkhs_norm_expansion(spec: KernelSpec, centers, alpha) -> float:
@@ -205,7 +189,7 @@ def rkhs_norm_expansion(spec: KernelSpec, centers, alpha) -> float:
     a small negative quadratic form from round-off is clamped at zero.
     """
     alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    K = gram(spec, centers, jitter=0.0)
+    K = gram(spec, centers)
     if len(alpha) != K.shape[0]:
         raise ConfigurationError("alpha length must match the number of centers")
     q = float(alpha @ K @ alpha)

@@ -121,8 +121,7 @@ def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False, out=None, work=()
     closed forms ``A e^{-t}``, ``A (1 + t) e^{-t}``, ``A (1 + t + t^2/3) e^{-t}``
     and ``A (1 + t + 0.4 t^2 + t^3/15) e^{-t}`` for nu = 1/2, 3/2, 5/2, 7/2.
     They are evaluated in place on ``t`` in the operation order written here,
-    so the values are bitwise those of the displayed formulas.  A 0-d ``r``
-    is computed on numpy scalars, which the in-place steps rebind.
+    so the values are bitwise those of the displayed formulas.
     ``use_bessel`` forces the general Bessel-K path even for half-integer
     orders; the property tests use it as the independent oracle for the
     closed forms.
@@ -140,7 +139,7 @@ def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False, out=None, work=()
     t /= spec.lengthscale
     if not use_bessel and spec.is_half_integer:
         e = np.negative(t, out=out)
-        e = np.exp(e, out=e) if isinstance(e, np.ndarray) else np.exp(e)
+        e = np.exp(e, out=e)
         if abs(nu - 0.5) <= _HALF_INTEGER_ATOL:
             e *= A
             return e
@@ -160,57 +159,37 @@ def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False, out=None, work=()
             t += sq
             t += cube
         t *= A
-        if not isinstance(e, np.ndarray):
-            return t * e
         return np.multiply(t, e, out=e)
     # General order, evaluated on every entry in place.  The displayed formula
     # is 0 * inf at r = 0; the limit is the amplitude, which those entries get
-    # afterwards.  A 0-d ``r`` is raised to one entry, because a numpy scalar's
-    # ``**`` rounds differently from the array loop.
-    t = np.atleast_1d(t)
+    # afterwards.
     k = t ** nu
     k *= A * (2.0 ** (1.0 - nu) / _gamma_fn(nu))
     with np.errstate(invalid="ignore"):
         k *= _bessel_kv(nu, t)
     k[t == 0] = A
     if out is None:
-        return k.reshape(r.shape)
-    out[...] = k.reshape(r.shape)
+        return k
+    out[...] = k
     return out
 
 
-def matern_eval(spec: KernelSpec, x, y) -> float:
-    """Kernel value ``k(x, y)`` for two points of dimension ``spec.dim``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != (spec.dim,) or y.shape != (spec.dim,):
-        raise ConfigurationError(
-            f"points must have dimension {spec.dim}, got shapes {x.shape} and {y.shape}"
-        )
-    r = np.linalg.norm(x - y)
-    return float(matern_of_r(spec, r))
-
-
-def as_points(dim: int, x):
-    """Normalize points to an ``(n, dim)`` batch; flag whether ``x`` denoted one point.
+def as_points(dim: int, x) -> np.ndarray:
+    """Normalize points to an ``(m, dim)`` batch.
 
     Accepts a point set, a scalar (dim 1), one point of length ``dim``, a 1-d
-    batch of scalars (dim 1) or an ``(n, dim)`` array.
+    batch of scalars (dim 1) or an ``(m, dim)`` array.
     """
     x = np.asarray(getattr(x, "points", x), dtype=float)
-    if x.ndim == 0:
-        if dim != 1:
-            raise ConfigurationError(f"scalar query for a {dim}-dimensional kernel")
-        return x.reshape(1, 1), True
-    if x.ndim == 1:
-        if x.size == dim:
-            return x[None, :], True
+    if x.ndim < 2:
         if dim == 1:
-            return x[:, None], False
-        raise ConfigurationError(f"1-d query of length {x.size} for dim {dim}")
+            return x.reshape(-1, 1)
+        if x.size != dim:
+            raise ConfigurationError(f"query of shape {x.shape} for dim {dim}")
+        return x[None, :]
     if x.shape[1] != dim:
         raise ConfigurationError(f"points have dimension {x.shape[1]}, expected {dim}")
-    return x, False
+    return x
 
 
 def distances(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
@@ -230,8 +209,8 @@ def distances(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
-def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
-    """Kernel matrix ``K[i, j] = k(x_i, x_j) + jitter * 1[i == j]``.
+def gram(spec: KernelSpec, X) -> np.ndarray:
+    """Kernel matrix ``K[i, j] = k(x_i, x_j)``.
 
     Every entry is evaluated, and the distance from ``x_i`` to ``x_j`` is
     bitwise that from ``x_j`` to ``x_i``, so the result is exactly symmetric.
@@ -239,14 +218,12 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     preallocated n x n matrix, bitwise ``matern_of_r(spec, distances(X, X))``:
     each block's distances and work arrays reuse the buffers of
     :func:`row_blocks`.
-    Duplicate points with zero jitter make the matrix singular; a
+    Duplicate points make the matrix singular; a
     :class:`SingularGramWarning` is emitted and the matrix still returned.
     """
-    pts, _ = as_points(spec.dim, X)
+    pts = as_points(spec.dim, X)
     if pts.shape[0] == 0:
         raise ConfigurationError("gram requires a nonempty point set")
-    if jitter < 0:
-        raise ConfigurationError(f"jitter must be nonnegative, got {jitter}")
     n = pts.shape[0]
     K = np.empty((n, n))
     zeros = 0
@@ -254,14 +231,10 @@ def gram(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
         r = distances(pts[rows], pts, out=dist)
         zeros += np.count_nonzero(r == 0.0)
         matern_of_r(spec, r, out=K[rows], work=work)
-    if jitter == 0.0 and zeros > n:
+    if zeros > n:
         warnings.warn(
-            "duplicate points with jitter=0 give a singular Gram matrix",
-            SingularGramWarning,
-            stacklevel=2,
+            "duplicate points give a singular Gram matrix", SingularGramWarning, stacklevel=2
         )
-    if jitter > 0.0:
-        K[np.diag_indices(n)] += jitter
     return K
 
 
@@ -272,8 +245,7 @@ def cross_matrix(spec: KernelSpec, Xq, X, out=None, work=()) -> np.ndarray:
     goes into ``out`` and ``work[1:]`` serve as :func:`matern_of_r`'s work
     arrays.
     """
-    q, _ = as_points(spec.dim, Xq)
-    pts, _ = as_points(spec.dim, X)
+    q, pts = as_points(spec.dim, Xq), as_points(spec.dim, X)
     r = distances(q, pts, out=work[0] if len(work) else None)
     return matern_of_r(spec, r, out=out, work=work[1:])
 

@@ -57,28 +57,16 @@ def lq_norm(values, q, grid: EvalGrid) -> float:
 
 def lq_error(t: TargetSpec, model: PosteriorModel, q, grid: EvalGrid) -> float:
     """``(sum_i w_i |f - R|^q)^(1/q)``, or the grid max for q = inf."""
-    return lq_norm(
-        np.asarray(eval_target(t, grid.points)) - posterior_mean(model, grid.points), q, grid
-    )
+    return lq_norm(eval_target(t, grid.points) - posterior_mean(model, grid.points), q, grid)
 
 
 def residual_norm(t: TargetSpec, model: PosteriorModel) -> float:
     """l2 norm of ``f - posterior_mean`` over the design points."""
     pts = model.design.points
-    diff = np.asarray(eval_target(t, pts)) - posterior_mean(model, pts)
+    diff = eval_target(t, pts) - posterior_mean(model, pts)
     return float(np.linalg.norm(diff))
 
 
 def integrate(g, p, grid: EvalGrid) -> float:
-    """Midpoint rule ``sum_i w_i g(x_i) p(x_i)``; ``g``/``p`` may be callables,
-    constants, or precomputed arrays on the grid."""
-
-    def values(obj):
-        if callable(obj):
-            return np.asarray(obj(grid.points), dtype=float).reshape(grid.size)
-        arr = np.asarray(obj, dtype=float)
-        if arr.ndim == 0:
-            return np.full(grid.size, float(arr))
-        return arr.reshape(grid.size)
-
-    return float(np.sum(grid.weights * values(g) * values(p)))
+    """Midpoint rule ``sum_i w_i g_i p_i`` of two arrays of values on the grid."""
+    return float(np.sum(grid.weights * g * p))

@@ -30,6 +30,5 @@ def density_by_name(name: str):
 
 def bq_estimate(model: PosteriorModel, p, grid: EvalGrid) -> float:
     """Integral of the posterior mean against the density ``p`` on the grid."""
-    mean_vals = posterior_mean(model, grid.points)
-    return integrate(mean_vals, p, grid)
+    return integrate(posterior_mean(model, grid.points), p(grid.points), grid)
 

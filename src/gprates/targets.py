@@ -39,6 +39,7 @@ from .fitting import rkhs_norm_expansion
 from .kernels import KernelSpec, as_points, cross_matrix
 
 _LAYER_PHASE = 0.37
+_LAYER_LACUNARY_WEIGHT = 2.0
 _LAYER_DEPTH = 11
 _LAYER_MARGIN = 0.02  # smoothness slack keeping the dyadic sums summable
 
@@ -80,15 +81,14 @@ class TargetSpec:
         return self.scale * rkhs_norm_expansion(self.kernel, self.centers, self.alpha)
 
 
-def eval_target(t: TargetSpec, x) -> np.ndarray | float:
-    """Evaluate ``f`` at one point or a batch of points."""
-    xq, single = as_points(t.domain.dim, x)
+def eval_target(t: TargetSpec, x) -> np.ndarray:
+    """Values of ``f`` at a batch of m points, shape (m,)."""
+    xq = as_points(t.domain.dim, x)
     if t.kind == "expansion":
         vals = cross_matrix(t.kernel, xq, t.centers) @ t.alpha
     else:
         vals = np.asarray(t.fn(xq), dtype=float).reshape(xq.shape[0])
-    vals = t.scale * vals
-    return float(vals[0]) if single else vals
+    return t.scale * vals
 
 
 def make_expansion_target(
@@ -144,7 +144,7 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) < 1.0, (1.0 - np.minimum(u * u, 1.0)) ** 3, 0.0)
 
 
-def _layered_fn(tau_f: float, seed: int, lacunary_weight: float = 2.0) -> Callable:
+def _layered_fn(tau_f: float, seed: int) -> Callable:
     rng = np.random.default_rng(seed)
     spots = rng.uniform(0.1, 0.9, _LAYER_DEPTH + 1)
 
@@ -155,7 +155,7 @@ def _layered_fn(tau_f: float, seed: int, lacunary_weight: float = 2.0) -> Callab
             spacing = 2.0 ** (-j)
             half = spacing / 2.0
             dense_amp = 2.0 ** (-j * tau_f * (1.0 + _LAYER_MARGIN))
-            lac_amp = lacunary_weight * 2.0 ** (-j * (tau_f - 0.5) * (1.0 + _LAYER_MARGIN))
+            lac_amp = _LAYER_LACUNARY_WEIGHT * 2.0 ** (-j * (tau_f - 0.5) * (1.0 + _LAYER_MARGIN))
             t = x / spacing - _LAYER_PHASE
             u = (t - np.round(t)) * spacing / half
             total = total + dense_amp * _bump_profile(u)
@@ -205,9 +205,6 @@ _NAMED: dict[str, tuple] = {
              "smooth unit bump; peak value 1.0 at x = 0.5"),
 }
 
-BUMP_PEAK_LOCATION = 0.5
-BUMP_PEAK_VALUE = 1.0
-
 
 def registry_ids() -> list[str]:
     return sorted(_NAMED)
@@ -246,7 +243,7 @@ class NoiseModel:
     kind: str = "none"
     sigma: float = 0.0           # gaussian
     schedule: str = "fixed"      # outliers: fixed | power | fraction
-    k: int = 0                   # outliers, fixed
+    k: int = 1                   # outliers, fixed
     alpha: float = 0.5           # outliers, power
     beta: float = 0.1            # outliers, fraction
     magnitude: float = 1.0       # outliers

@@ -4,8 +4,9 @@
 call the library directly, so they pin here to get the same one-thread
 results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
 ``failing_cho_factor`` fixture forces ``fit``'s jitter escalation, the
-``posterior_var`` fixture is the posterior-variance oracle, and the
-``counted`` fixture counts the calls of a gprates function.
+``oracle_factor`` and ``posterior_var`` fixtures are the Cholesky-factor and
+posterior-variance oracles, and the ``counted`` fixture counts the calls of a
+gprates function.
 """
 
 import pytest
@@ -46,23 +47,42 @@ def failing_cho_factor(monkeypatch):
 
 
 @pytest.fixture
-def posterior_var():
+def oracle_factor():
+    """The lower Cholesky factor of a fitted model's system, factored by numpy.
+
+    ``oracle_factor(model, lam=0.0)`` factors ``gram + (lam + jitter) I`` at
+    the model's design, with ``lam`` the regularization the model was fitted
+    with; the model keeps only its dual weights, so the oracle owes nothing
+    to ``fit``'s factor.
+    """
+    import numpy as np
+
+    from gprates.kernels import gram
+
+    def factor(model, lam=0.0):
+        K = gram(model.kernel, model.design)
+        return np.linalg.cholesky(K + (lam + model.jitter) * np.eye(len(K)))
+
+    return factor
+
+
+@pytest.fixture
+def posterior_var(oracle_factor):
     """The posterior variance of a fitted model, by one whole triangular solve.
 
-    ``posterior_var(model, x)`` is ``k(x, x) - |L^{-1} k_Xx|^2`` with ``L``
-    the model's factor, clamped at zero: one value for one point, else one
-    per row of ``x``.
+    ``posterior_var(model, x, lam=0.0)`` is ``k(x, x) - |L^{-1} k_Xx|^2``
+    with ``L = oracle_factor(model, lam)``, clamped at zero: one value per
+    row of the batch ``x``.
     """
     import numpy as np
     from scipy.linalg import solve_triangular
 
-    from gprates.kernels import as_points, cross_matrix
+    from gprates.kernels import cross_matrix
 
-    def variance(model, x):
-        xq, single = as_points(model.kernel.dim, x)
-        V = solve_triangular(model.chol, cross_matrix(model.kernel, xq, model.design).T, lower=True)
-        out = np.maximum(model.kernel.amplitude - np.sum(V * V, axis=0), 0.0)
-        return float(out[0]) if single else out
+    def variance(model, x, lam=0.0):
+        Kx = cross_matrix(model.kernel, x, model.design)
+        V = solve_triangular(oracle_factor(model, lam), Kx.T, lower=True)
+        return np.maximum(model.kernel.amplitude - np.sum(V * V, axis=0), 0.0)
 
     return variance
 

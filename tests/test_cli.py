@@ -87,6 +87,8 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
     (dict(SMALL_RATES, replicates=2.7), "replicates"),
     (dict(SMALL_BO, bo={"budgets": []}), "budgets"),
     (dict(SMALL_BO, bo={"budgets": [8, 1]}), "budgets"),
+    (dict(SMALL_BO, design={"kind": "grid", "candidate_resolution": 8},
+          bo={"budgets": [4, 10]}), "budget 10"),
     (dict(SMALL_RATES, q="two"), "q"),
     (dict(SMALL_RATES, q="-inf"), "q"),
     (dict(SMALL_RATES, tolerance="x"), "tolerance"),
@@ -133,6 +135,7 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
      "design.candidate_resolution"),
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
         "zero_replicates", "fractional_replicates", "empty_bo_budgets", "bo_budget_below_2",
+        "bo_budget_above_candidates",
         "q_not_a_number", "q_minus_inf", "tolerance_not_a_number", "tau_not_a_number",
         "boolean_tolerance", "boolean_tau", "domain_lower_not_a_list",
         "ladder_not_a_list", "kernel_not_an_object", "noise_not_an_object", "bo_not_an_object",
@@ -196,6 +199,15 @@ def test_one_point_design_rung_has_nan_mesh_ratio(tmp_path):
     first, *rest = json.loads((out / "des_metrics.json").read_text())["metrics"]
     assert math.isnan(first["q"]) and math.isnan(first["rho"])
     assert all(row["q"] > 0 and math.isfinite(row["rho"]) for row in rest)
+
+
+def test_bo_budget_may_select_every_candidate(tmp_path):
+    config = dict(SMALL_BO, design={"kind": "grid", "candidate_resolution": 8},
+                  bo={"budgets": [4, 9]})
+    code, out = _run(tmp_path, config)
+    assert code in (0, 1)
+    rows = (out / "small_bo_trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 7
 
 
 def test_bo_trace_writes_every_coordinate(tmp_path):

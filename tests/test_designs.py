@@ -270,10 +270,11 @@ class TestNewtonBasis:
         np.testing.assert_allclose(newton.power, posterior_var(model, cand), rtol=0, atol=1e-14)
         np.testing.assert_allclose(newton.mean(), posterior_mean(model, cand), rtol=0, atol=1e-14)
 
-    def test_rows_at_chosen_points_extend_the_cholesky_factor(self):
+    def test_rows_at_chosen_points_extend_the_cholesky_factor(self, oracle_factor):
         _, chosen, newton, model = self._basis_and_fit()
+        L = oracle_factor(model)
         for i, j in enumerate(chosen):
-            np.testing.assert_allclose(newton.basis[j, :i], model.chol[i, :i], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(newton.basis[j, :i], L[i, :i], rtol=0, atol=1e-15)
 
 
 class TestPGreedy:
@@ -290,8 +291,7 @@ class TestPGreedy:
         X = gen_p_greedy(2, spec, cand)
         first = PointSet(X.points[:1], UNIT)
         model = fit(spec, MeanSpec("constant", 0.0), first, [0.0], 0.0)
-        variances = [posterior_var(model, c) for c in cand.points]
-        best = cand.points[int(np.argmax(variances))]
+        best = cand.points[int(np.argmax(posterior_var(model, cand)))]
         np.testing.assert_allclose(X.points[1], best)
         np.testing.assert_allclose(X.points[1], [0.9])  # farthest from 0.1
 
@@ -299,7 +299,7 @@ class TestPGreedy:
         spec = KernelSpec(tau=2.0, lengthscale=0.3)
         X = gen_p_greedy(9, spec, gen_grid(64, UNIT))
         model = fit(spec, MeanSpec("constant", 0.0), X, np.zeros(9), 0.0)
-        assert max(posterior_var(model, p) for p in X.points) <= 1e-8
+        assert posterior_var(model, X).max() <= 1e-8
 
     def test_needs_enough_candidates(self):
         spec = KernelSpec(tau=2.0)

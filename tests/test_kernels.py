@@ -14,7 +14,6 @@ from gprates.kernels import (
     cross_matrix,
     distances,
     gram,
-    matern_eval,
     matern_of_r,
     min_eigenvalue,
     row_block,
@@ -43,24 +42,29 @@ class TestSpecValidation:
         assert not KernelSpec(tau=2.0, dim=2).is_half_integer
 
 
+def k(spec, x, y):
+    """The kernel value between two points, through the one batch path."""
+    return cross_matrix(spec, [x], [y])[0, 0]
+
+
 class TestMaternValues:
     def test_coincident_points_give_amplitude(self):
         spec = KernelSpec(tau=1.0, lengthscale=1.0, amplitude=1.0, dim=1)
-        assert matern_eval(spec, [0.0], [0.0]) == 1.0
+        assert k(spec, [0.0], [0.0]) == 1.0
         spec = KernelSpec(tau=1.7, lengthscale=0.3, amplitude=2.5, dim=1)
-        assert matern_eval(spec, [0.4], [0.4]) == 2.5
+        assert k(spec, [0.4], [0.4]) == 2.5
 
     def test_exponential_closed_form(self):
         # nu = 1/2: A * exp(-r/l)
         spec = KernelSpec(tau=1.0, lengthscale=1.0, amplitude=1.0, dim=1)
-        assert matern_eval(spec, [0.0], [1.0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert k(spec, [0.0], [1.0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_nu_three_halves_closed_form(self):
         # nu = 3/2: A * (1 + sqrt(3) r/l) exp(-sqrt(3) r/l); at r = l = 1 the
         # value is (1 + sqrt(3)) exp(-sqrt(3)) = 0.48335772..., frozen from the
         # Bessel-series oracle below
         spec = KernelSpec(tau=2.0, lengthscale=1.0, amplitude=1.0, dim=1)
-        v = matern_eval(spec, [0.0], [1.0])
+        v = k(spec, [0.0], [1.0])
         assert v == pytest.approx(0.4833577245965077, rel=1e-12)
         assert v == pytest.approx((1 + math.sqrt(3)) * math.exp(-math.sqrt(3)), rel=1e-12)
 
@@ -97,9 +101,6 @@ class TestMaternValues:
         assert np.array_equal(r, kept)  # the distances are not overwritten
         square = r[:3000].reshape(60, 50)
         assert np.array_equal(matern_of_r(spec, square), displayed(square))
-        for r0 in (0.0, 0.37, 2.9):  # a 0-d r, as matern_eval passes
-            value = matern_of_r(spec, np.asarray(r0))
-            assert np.shape(value) == () and value == displayed(np.asarray(r0))
 
     @pytest.mark.parametrize("nu, use_bessel", [(1.3, False), (2.0, False), (2.5, True)])
     def test_bessel_path_is_bitwise_the_displayed_formula(self, nu, use_bessel):
@@ -108,42 +109,39 @@ class TestMaternValues:
         spec = KernelSpec(tau=nu + 0.5, lengthscale=0.3, amplitude=1.7, dim=1)
 
         def displayed(r):
-            t = np.atleast_1d(np.sqrt(2.0 * nu) * r / 0.3)
+            t = np.sqrt(2.0 * nu) * r / 0.3
             out = np.full_like(t, 1.7)
             tp = t[t > 0]
             out[t > 0] = 1.7 * (2.0 ** (1.0 - nu) / gamma(nu)) * tp ** nu * kv(nu, tp)
-            return out.reshape(np.shape(r))
+            return out
 
         rng = np.random.default_rng(19)
         r = np.concatenate([[0.0], rng.random(2000) * 3.0, [0.0], np.logspace(-12, 1.5, 398)])
         assert np.array_equal(matern_of_r(spec, r, use_bessel), displayed(r))
         square = r.reshape(60, 40)
         assert np.array_equal(matern_of_r(spec, square, use_bessel), displayed(square))
-        for r0 in (0.0, 0.37, 2.9):  # a 0-d r, as matern_eval passes
-            value = matern_of_r(spec, np.asarray(r0), use_bessel)
-            assert np.shape(value) == () and value == displayed(np.asarray(r0))
 
     def test_general_order_uses_bessel(self):
         spec = KernelSpec(tau=1.75, lengthscale=0.5, amplitude=1.0, dim=1)
         assert not spec.is_half_integer
-        v = matern_eval(spec, [0.0], [0.25])
+        v = k(spec, [0.0], [0.25])
         assert 0.0 < v < 1.0
-        assert matern_eval(spec, [0.1], [0.1]) == 1.0  # r = 0 handled analytically
+        assert k(spec, [0.1], [0.1]) == 1.0  # r = 0 handled analytically
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         spec = KernelSpec(tau=2.2, lengthscale=0.4, amplitude=1.1, dim=3)
         for _ in range(25):
             x, y = rng.normal(size=3), rng.normal(size=3)
-            assert matern_eval(spec, x, y) == matern_eval(spec, y, x)
+            assert k(spec, x, y) == k(spec, y, x)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
         spec = KernelSpec(tau=1.6, lengthscale=0.7, amplitude=0.9, dim=2)
         for _ in range(25):
             x, y, c = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
-            a = matern_eval(spec, x, y)
-            b = matern_eval(spec, x + c, y + c)
+            a = k(spec, x, y)
+            b = k(spec, x + c, y + c)
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_monotone_decay(self):
@@ -155,41 +153,43 @@ class TestMaternValues:
     def test_dimension_mismatch_rejected(self):
         spec = KernelSpec(tau=2.0, dim=2)
         with pytest.raises(ConfigurationError):
-            matern_eval(spec, [0.0], [1.0])
+            cross_matrix(spec, [0.0], [1.0])
+        with pytest.raises(ConfigurationError):
+            cross_matrix(spec, np.zeros((3, 1)), np.zeros((3, 2)))
 
 
 class TestGram:
     def test_single_point(self):
         spec = KernelSpec(tau=2.0, amplitude=1.7)
-        K = gram(spec, np.array([[0.3]]), jitter=0.0)
+        K = gram(spec, np.array([[0.3]]))
         assert K.shape == (1, 1) and K[0, 0] == 1.7
 
     def test_duplicate_points_warn_and_return_rank_one(self):
         spec = KernelSpec(tau=2.0, amplitude=2.0)
         with pytest.warns(SingularGramWarning):
-            K = gram(spec, np.array([[0.5], [0.5]]), jitter=0.0)
+            K = gram(spec, np.array([[0.5], [0.5]]))
         np.testing.assert_allclose(K, [[2.0, 2.0], [2.0, 2.0]])
 
     def test_two_point_values(self):
         spec = KernelSpec(tau=1.0, lengthscale=1.0, amplitude=1.0)
-        K = gram(spec, np.array([[0.0], [1.0]]), jitter=0.0)
+        K = gram(spec, np.array([[0.0], [1.0]]))
         e1 = math.exp(-1.0)
         np.testing.assert_allclose(K, [[1.0, e1], [e1, 1.0]], rtol=1e-12)
 
-    def test_exact_symmetry_and_jitter(self):
+    def test_exact_symmetry_and_amplitude_diagonal(self):
         rng = np.random.default_rng(7)
-        spec = KernelSpec(tau=2.3, lengthscale=0.2, dim=2)
+        spec = KernelSpec(tau=2.3, lengthscale=0.2, amplitude=1.3, dim=2)
         X = rng.random((40, 2))
-        K = gram(spec, X, jitter=1e-8)
+        K = gram(spec, X)
         assert np.array_equal(K, K.T)
-        assert np.all(np.diag(K) == spec.amplitude + 1e-8)
+        assert np.all(np.diag(K) == spec.amplitude)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(11)
         for trial in range(5):
             spec = KernelSpec(tau=rng.uniform(0.8, 3.0), lengthscale=rng.uniform(0.1, 1.0))
             X = rng.random((30, 1))
-            K = gram(spec, X, jitter=0.0)
+            K = gram(spec, X)
             assert min_eigenvalue(K) >= -1e-8 * spec.amplitude
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -201,7 +201,7 @@ class TestGram:
         X = rng.random((25, dim))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # distinct points must not warn
-            K = gram(spec, X, 0.0)
+            K = gram(spec, X)
         assert np.array_equal(K, cross_matrix(spec, X, X))
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
         assert np.array_equal(K, K.T)
@@ -241,7 +241,7 @@ class TestBlockedGram:
         X[n - 1] = X[0]  # first and last block
         assert row_block(n) < n - 1
         with pytest.warns(SingularGramWarning):
-            gram(KernelSpec(tau=2.0), X, jitter=0.0)
+            gram(KernelSpec(tau=2.0), X)
 
 
 # every closed form and one Bessel order, as (nu, id)

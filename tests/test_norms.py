@@ -7,7 +7,7 @@ import pytest
 
 from gprates.designs import Domain, PointSet, gen_grid
 from gprates.fitting import MeanSpec, fit
-from gprates.kernels import KernelSpec, matern_eval
+from gprates.kernels import KernelSpec
 from gprates.norms import integrate, lq_error, make_grid, residual_norm
 from gprates.targets import TargetSpec, named_target
 
@@ -70,9 +70,6 @@ class TestResidualNorm:
         t = named_target("bump")
         spec = KernelSpec(tau=2.0, lengthscale=0.3)
         X = gen_grid(12, UNIT)
-        y = np.asarray(
-            [float(v) for v in np.atleast_1d(np.asarray(eval_t(t, X)))]
-        ) if False else None
         from gprates.targets import eval_target
 
         model = fit(spec, ZERO, X, eval_target(t, X.points), 0.0)
@@ -104,17 +101,17 @@ class TestResidualNorm:
 class TestIntegrate:
     def test_constant(self):
         grid = make_grid(UNIT, 1024)
-        assert integrate(1.0, 1.0, grid) == pytest.approx(1.0, abs=1e-12)
+        ones = np.ones(grid.size)
+        assert integrate(ones, ones, grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear(self):
         grid = make_grid(UNIT, 1024)
-        assert integrate(lambda x: np.atleast_2d(x)[:, 0], 1.0, grid) == pytest.approx(
-            0.5, abs=1e-10
-        )
+        x = grid.points[:, 0]
+        assert integrate(x, np.ones(grid.size), grid) == pytest.approx(0.5, abs=1e-10)
 
     def test_full_period_sine(self):
         grid = make_grid(UNIT, 2048)
-        val = integrate(lambda x: np.sin(2 * np.pi * np.atleast_2d(x)[:, 0]), 1.0, grid)
+        val = integrate(np.sin(2 * np.pi * grid.points[:, 0]), np.ones(grid.size), grid)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_weights_sum_to_volume(self):
