@@ -157,7 +157,7 @@ def run_acceptance(out_dir: str, seed: int = DEFAULT_SEED, echo=print) -> tuple[
         code, _, rep, files = run_experiment(cfgs[name], out_dir)
         written += files
         detail = f"fitted {rep.fitted:+.4f} vs theory {rep.theoretical:+.4f} tol {rep.tolerance:.2f}"
-        if rep.invalid:
+        if rep.invalid_reason:
             detail += f", invalid: {rep.invalid_reason}"
         record(name, code == 0, detail)
 

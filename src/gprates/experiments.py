@@ -107,11 +107,27 @@ def _int(value, where: str, low: int | None = None) -> int:
     return int(value)
 
 
-def _float(value, where: str) -> float:
-    """``value`` as a float; a boolean or a non-number is rejected."""
+def _float(value, where: str, low: float | None = None) -> float:
+    """``value`` as a float of at least ``low``; a boolean or a non-number is rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    if low is not None and not value >= low:  # rejects NaN as well
+        raise ConfigurationError(f"{where} must be at least {low:g}, got {value!r}")
     return float(value)
+
+
+def _str(value, where: str) -> str:
+    """``value`` as a string; anything else is rejected."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _given(d: dict, where: str, **readers) -> dict:
+    """``{key: read(d[key], "<where>.<key>")}`` for each key of ``readers`` that
+    ``d`` sets; a key it leaves out is not passed on, so its field keeps the
+    one default written on it."""
+    return {key: read(d[key], f"{where}.{key}") for key, read in readers.items() if key in d}
 
 
 def _list(value, where: str, read) -> list:
@@ -130,11 +146,8 @@ def _parse_kernel(d: dict) -> tuple:
             else [_float(tau, "kernel.tau")])
     if not taus:
         raise ConfigurationError("kernel tau schedule must be nonempty")
-    lengthscale = _float(d.get("lengthscale", 1.0), "kernel.lengthscale")
-    amplitude = _float(d.get("amplitude", 1.0), "kernel.amplitude")
-    dim = _int(d.get("dim", 1), "kernel.dim")
-    return tuple(KernelSpec(tau=t, lengthscale=lengthscale, amplitude=amplitude, dim=dim)
-                 for t in taus)
+    shape = _given(d, "kernel", lengthscale=_float, amplitude=_float, dim=_int)
+    return tuple(KernelSpec(tau=t, **shape) for t in taus)
 
 
 def _parse_domain(d: dict | None) -> Domain:
@@ -147,7 +160,7 @@ def _parse_domain(d: dict | None) -> Domain:
 
 def _parse_target(d: dict, domain: Domain) -> TargetSpec:
     _check_keys(d, {"name", "scale", "expansion"}, "target")
-    scale = _float(d.get("scale", 1.0), "target.scale")
+    scale_kw = _given(d, "target", scale=_float)
     if "expansion" in d:
         e = d["expansion"]
         _check_keys(e, {"tau", "n_centers", "seed", "lengthscale", "amplitude"}, "target.expansion")
@@ -155,12 +168,10 @@ def _parse_target(d: dict, domain: Domain) -> TargetSpec:
             tau_f=_float(_require(e, "tau", "target.expansion"), "target.expansion.tau"),
             domain=domain,
             seed=_int(_require(e, "seed", "target.expansion"), "target.expansion.seed"),
-            n_centers=_int(e.get("n_centers", 40), "target.expansion.n_centers"),
-            lengthscale=_float(e.get("lengthscale", 0.25), "target.expansion.lengthscale"),
-            amplitude=_float(e.get("amplitude", 1.0), "target.expansion.amplitude"),
-            scale=scale,
+            **_given(e, "target.expansion", n_centers=_int, lengthscale=_float, amplitude=_float),
+            **scale_kw,
         )
-    return named_target(str(_require(d, "name", "target")), domain, scale=scale)
+    return named_target(str(_require(d, "name", "target")), domain, **scale_kw)
 
 
 def _section_kind(d: dict, keys: dict, where: str, default: str | None = None) -> str:
@@ -189,21 +200,11 @@ def _parse_noise(d: dict | None, seed: int) -> NoiseModel:
         return NoiseModel("gaussian", sigma=_float(_require(d, "sigma", "noise"), "noise.sigma"),
                           seed=seed)
     if kind == "outliers":
-        return NoiseModel(
-            "outliers",
-            schedule=str(d.get("schedule", "fixed")),
-            k=_int(d.get("k", 1), "noise.k"),
-            alpha=_float(d.get("alpha", 0.5), "noise.alpha"),
-            beta=_float(d.get("beta", 0.1), "noise.beta"),
-            magnitude=_float(d.get("magnitude", 1.0), "noise.magnitude"),
-            seed=seed,
-        )
-    return NoiseModel(
-        "student_t",
-        df=_float(_require(d, "df", "noise"), "noise.df"),
-        t_scale=_float(d.get("scale", 1.0), "noise.scale"),
-        seed=seed,
-    )
+        return NoiseModel("outliers", seed=seed, **_given(
+            d, "noise", schedule=_str, k=_int, alpha=_float, beta=_float, magnitude=_float))
+    t_scale = {"t_scale": _float(d["scale"], "noise.scale")} if "scale" in d else {}
+    return NoiseModel("student_t", df=_float(_require(d, "df", "noise"), "noise.df"),
+                      seed=seed, **t_scale)
 
 
 def _parse_nugget(d: dict | None) -> NuggetPolicy:
@@ -218,17 +219,17 @@ def _parse_nugget(d: dict | None) -> NuggetPolicy:
     return NuggetPolicy(
         "adaptive_h",
         exponent=_float(_require(d, "exponent", "nugget"), "nugget.exponent"),
-        coeff=_float(d.get("coeff", 1.0), "nugget.coeff"),
+        **_given(d, "nugget", coeff=_float),
     )
 
 
 def _parse_mean(d: dict | None) -> MeanSpec:
     if d is None:
-        return MeanSpec("constant", 0.0)
+        return MeanSpec()
     kind = _section_kind(d, {"constant": {"value"}, "polynomial": {"coeffs"}}, "mean",
                          default="constant")
     if kind == "constant":
-        return MeanSpec("constant", _float(d.get("value", 0.0), "mean.value"))
+        return MeanSpec("constant", **_given(d, "mean", value=_float))
     return MeanSpec("polynomial",
                     coeffs=tuple(_list(_require(d, "coeffs", "mean"), "mean.coeffs", _float)))
 
@@ -336,9 +337,9 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         noise=noise, nugget=nugget, mean=_parse_mean(raw.get("mean")), design_kind=design_kind,
         candidate_resolution=candidate_resolution,
         ladder=ladder, replicates=replicates, burn_in=_int(raw.get("burn_in", 1), "burn_in", low=0),
-        q=parse_q(raw.get("q", 2)), tolerance=_float(raw.get("tolerance", 0.4), "tolerance"),
+        q=parse_q(raw.get("q", 2)), tolerance=_float(raw.get("tolerance", 0.4), "tolerance", low=0),
         grid_resolution=None if grid_res is None else _int(grid_res, "grid_resolution", low=1),
-        density=density, n_single=_int(raw.get("n", 64), "n"),
+        density=density, n_single=_int(raw.get("n", 64), "n", low=1),
         bo_gamma=_float(bo.get("gamma", 0.3), "bo.gamma"), bo_budgets=bo_budgets,
     )
 
@@ -458,7 +459,6 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
         stderr=stderr,
         tolerance=cfg.tolerance,
         rows=rows,
-        invalid=bool(reason),
         invalid_reason=reason,
         extras={
             "design_trace": [list(r) for r in geometry],
@@ -469,7 +469,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
             "grid_stability": stability,
             "q": "inf" if math.isinf(cfg.q) else cfg.q,
             "target": cfg.target.name,
-            "target_rkhs_norm": cfg.target.rkhs_norm(),
+            "target_rkhs_norm": cfg.target.rkhs_norm,
         },
     )
     return report
@@ -517,7 +517,6 @@ def run_bq_experiment(cfg: ExperimentConfig) -> RateReport:
         stderr=stderr,
         tolerance=cfg.tolerance,
         rows=rows,
-        invalid=bool(reason),
         invalid_reason=reason,
         extras={"holder_chain_ok": holder_ok, "holder_margin": margin},
     )
@@ -744,7 +743,7 @@ def run_fit_experiment(cfg: ExperimentConfig):
         "linf": norms["inf"],
         "norm_monotone_ok": bool(mono and norms[2] <= norms["inf"] * math.sqrt(cfg.domain.volume) + 1e-12),
         "residual_norm": residual_norm(cfg.target, model),
-        "target_rkhs_norm": cfg.target.rkhs_norm(),
+        "target_rkhs_norm": cfg.target.rkhs_norm,
     }
     return summary, {"fit.csv": csv, "summary.json": _json(summary)}
 
@@ -776,9 +775,8 @@ def _dispatch(cfg: ExperimentConfig):
         return 0, line, summary, files
     if cfg.kind in ("rates", "bq"):
         report = (run_rate_experiment if cfg.kind == "rates" else run_bq_experiment)(cfg)
-        payload = {k: v for k, v in vars(report).items() if k != "invalid"}
         files = {"curve.csv": _csv(["n", "mean_error", "std_error"], report.rows),
-                 "report.json": _json(dict(payload, verdict=report.status))}
+                 "report.json": _json(dict(vars(report), verdict=report.status))}
         return (0 if report.status == "pass" else 1), report.summary_line(), report, files
     if cfg.kind == "bo":
         result = run_bo_experiment(cfg)

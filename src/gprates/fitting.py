@@ -43,7 +43,6 @@ class MeanSpec:
     coeffs: tuple = ()  # (c0, c1[d], c2[d]) flattened for kind="polynomial"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.kind == "constant":
             return np.full(x.shape[0], self.value)
         if self.kind == "polynomial":

@@ -14,9 +14,9 @@ from .fitting import PosteriorModel, posterior_mean
 from .norms import EvalGrid, integrate
 
 DENSITY_REGISTRY = {
-    "uniform": lambda x: np.ones(np.atleast_2d(x).shape[0]),
+    "uniform": lambda x: np.ones(x.shape[0]),
     # normalized tent on (0,1): 2*(1 - |2x - 1|)
-    "tent": lambda x: 2.0 * (1.0 - np.abs(2.0 * np.atleast_2d(x)[:, 0] - 1.0)),
+    "tent": lambda x: 2.0 * (1.0 - np.abs(2.0 * x[:, 0] - 1.0)),
 }
 
 

@@ -230,14 +230,13 @@ class RateReport:
     stderr: float
     tolerance: float
     rows: list  # (n, mean_error, std_error)
-    invalid: bool = False
     invalid_reason: str = ""
     extras: dict = field(default_factory=dict)
 
     @property
     def status(self) -> str:
         """``invalid``, ``pass`` (fitted within tolerance of theory) or ``fail``."""
-        if self.invalid:
+        if self.invalid_reason:
             return "invalid"
         return "pass" if abs(self.fitted - self.theoretical) <= self.tolerance else "fail"
 

@@ -1,6 +1,8 @@
 """Ground-truth targets of known smoothness and observation-corruption models.
 
-Two target families:
+Both target families are one :class:`TargetSpec`: a function of an (m, d)
+batch, its declared smoothness ``tau_f`` and, where known, its exact RKHS
+norm.
 
 * **Kernel expansions** ``f = sum_i alpha_i k(., c_i)`` of a Matern spec.
   Their RKHS norm is exactly computable (``sqrt(alpha' K alpha)``), which is
@@ -46,75 +48,30 @@ _LAYER_MARGIN = 0.02  # smoothness slack keeping the dyadic sums summable
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """A ground-truth function with documented Sobolev smoothness ``tau_f``."""
+    """A ground-truth function with documented Sobolev smoothness ``tau_f``.
+
+    ``fn`` maps an (m, d) batch to its m values, and ``scale`` multiplies
+    them.  ``rkhs_norm`` is the exact RKHS norm of the scaled function where
+    one is known (kernel expansions), None otherwise.
+    """
 
     name: str
     tau_f: float
     domain: Domain
-    kind: str  # "named" | "expansion"
-    fn: Callable | None = None
-    kernel: KernelSpec | None = None
-    centers: np.ndarray | None = None
-    alpha: np.ndarray | None = None
+    fn: Callable
     scale: float = 1.0
+    rkhs_norm: float | None = None
 
     def __post_init__(self):
         if not self.tau_f > self.domain.dim / 2:
             raise ConfigurationError(
                 f"tau_f must exceed dim/2 = {self.domain.dim / 2}, got {self.tau_f}"
             )
-        if self.kind == "expansion":
-            if self.kernel is None or self.centers is None or self.alpha is None:
-                raise ConfigurationError("expansion target needs kernel, centers, alpha")
-            if abs(self.kernel.tau - self.tau_f) > 1e-12:
-                raise ConfigurationError("expansion target must have tau_f = kernel.tau")
-        elif self.kind == "named":
-            if self.fn is None:
-                raise ConfigurationError("named target needs a callable")
-        else:
-            raise ConfigurationError(f"unknown target kind {self.kind!r}")
-
-    def rkhs_norm(self) -> float | None:
-        """Exact RKHS norm for expansion targets, None otherwise."""
-        if self.kind != "expansion":
-            return None
-        return self.scale * rkhs_norm_expansion(self.kernel, self.centers, self.alpha)
 
 
 def eval_target(t: TargetSpec, x) -> np.ndarray:
     """Values of ``f`` at a batch of m points, shape (m,)."""
-    xq = as_points(t.domain.dim, x)
-    if t.kind == "expansion":
-        vals = cross_matrix(t.kernel, xq, t.centers) @ t.alpha
-    else:
-        vals = np.asarray(t.fn(xq), dtype=float).reshape(xq.shape[0])
-    return t.scale * vals
-
-
-def make_expansion_target(
-    kernel: KernelSpec,
-    centers,
-    alpha,
-    domain: Domain,
-    name: str = "expansion",
-    scale: float = 1.0,
-) -> TargetSpec:
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if centers.shape[0] and centers.shape[1] != kernel.dim:
-        centers = centers.reshape(-1, kernel.dim)
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    if centers.shape[0] != alpha.size:
-        raise ConfigurationError("one coefficient per center required")
-    return TargetSpec(
-        name=name,
-        tau_f=kernel.tau,
-        domain=domain,
-        kind="expansion",
-        kernel=kernel,
-        centers=centers,
-        alpha=alpha,
-        scale=scale,
-    )
+    return t.scale * t.fn(as_points(t.domain.dim, x))
 
 
 def random_expansion_target(
@@ -132,7 +89,14 @@ def random_expansion_target(
     c = lo + rng.random((n_centers, domain.dim)) * domain.widths
     a = rng.standard_normal(n_centers)
     spec = KernelSpec(tau=tau_f, lengthscale=lengthscale, amplitude=amplitude, dim=domain.dim)
-    return make_expansion_target(spec, c, a, domain, name=f"expansion_tau{tau_f:g}", scale=scale)
+    return TargetSpec(
+        name=f"expansion_tau{tau_f:g}",
+        tau_f=tau_f,
+        domain=domain,
+        fn=lambda x: cross_matrix(spec, x, c) @ a,
+        scale=scale,
+        rkhs_norm=scale * rkhs_norm_expansion(spec, c, a),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +113,7 @@ def _layered_fn(tau_f: float, seed: int) -> Callable:
     spots = rng.uniform(0.1, 0.9, _LAYER_DEPTH + 1)
 
     def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
+        x = x[:, 0]
         total = np.sin(2.0 * x)
         for j in range(_LAYER_DEPTH + 1):
             spacing = 2.0 ** (-j)
@@ -167,7 +131,7 @@ def _layered_fn(tau_f: float, seed: int) -> Callable:
 
 def _peaks3_fn(x: np.ndarray) -> np.ndarray:
     # three smooth peaks; global max sits on the narrowest one
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = x[:, 0]
     return (
         0.70 * np.exp(-(((x - 0.23) / 0.10) ** 2))
         + 0.92 * np.exp(-(((x - 0.61) / 0.07) ** 2))
@@ -177,12 +141,12 @@ def _peaks3_fn(x: np.ndarray) -> np.ndarray:
 
 
 def _bump_fn(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = x[:, 0]
     return np.exp(-(((x - 0.5) / 0.15) ** 2))
 
 
 def _cusp25_fn(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = x[:, 0]
     d = x - 0.37
     return d * np.abs(d) + np.sin(2.0 * x)
 
@@ -206,10 +170,6 @@ _NAMED: dict[str, tuple] = {
 }
 
 
-def registry_ids() -> list[str]:
-    return sorted(_NAMED)
-
-
 def registry_entries() -> list[tuple[str, float, str]]:
     return [(name, tau, doc) for name, (_, tau, doc) in sorted(_NAMED.items())]
 
@@ -217,14 +177,12 @@ def registry_entries() -> list[tuple[str, float, str]]:
 def named_target(name: str, domain: Domain = UNIT_INTERVAL, scale: float = 1.0) -> TargetSpec:
     if name not in _NAMED:
         raise ConfigurationError(
-            f"unknown target {name!r}; known: {', '.join(registry_ids())}"
+            f"unknown target {name!r}; known: {', '.join(sorted(_NAMED))}"
         )
     if domain.dim != 1:
         raise ConfigurationError("registry targets are one-dimensional")
     factory, tau_f, _ = _NAMED[name]
-    return TargetSpec(
-        name=name, tau_f=tau_f, domain=domain, kind="named", fn=factory(), scale=scale
-    )
+    return TargetSpec(name=name, tau_f=tau_f, domain=domain, fn=factory(), scale=scale)
 
 
 # ---------------------------------------------------------------------------

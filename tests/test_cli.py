@@ -133,6 +133,10 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
      "design.candidate_resolution"),
     (dict(SMALL_RATES, design={"kind": "p_greedy", "candidate_resolution": -5}),
      "design.candidate_resolution"),
+    (dict(SMALL_FIT, n=0), "n must be at least 1"),
+    (dict(SMALL_REGRESS, n=-3), "n must be at least 1"),
+    (dict(SMALL_RATES, tolerance=-1), "tolerance must be at least 0"),
+    (dict(SMALL_RATES, tolerance=float("nan")), "tolerance must be at least 0"),
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
         "zero_replicates", "fractional_replicates", "empty_bo_budgets", "bo_budget_below_2",
         "bo_budget_above_candidates",
@@ -147,7 +151,8 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
         "p_greedy_design_without_kernel", "sigma_on_no_noise", "df_on_gaussian_noise",
         "sigma_on_zero_nugget", "coeffs_on_constant_mean", "candidate_resolution_on_grid",
         "candidate_resolution_on_random", "negative_burn_in", "zero_grid_resolution",
-        "zero_candidate_resolution", "negative_candidate_resolution"])
+        "zero_candidate_resolution", "negative_candidate_resolution", "n_zero", "n_negative",
+        "negative_tolerance", "nan_tolerance"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     code, _ = _run(tmp_path, config, "--seed", "3")
     assert code == 2

@@ -11,7 +11,12 @@ import pytest
 import gprates
 from gprates import designs
 from gprates.acceptance import DEFAULT_SEED, acceptance_configs
+from gprates.designs import UNIT_INTERVAL
 from gprates.errors import ConfigurationError
+from gprates.fitting import MeanSpec
+from gprates.kernels import KernelSpec
+from gprates.rates import NuggetPolicy
+from gprates.targets import NoiseModel, eval_target, random_expansion_target
 from gprates.experiments import (
     _theoretical_exponent,
     config_from_dict,
@@ -81,6 +86,26 @@ ILL_ROWS = [
 ]
 
 
+# a 1-d expansion target at scale 2 on random designs, with a kernel rougher
+# than the target's declared smoothness; recorded with BLAS on one thread before
+# targets became one shape
+EXPANSION = {
+    "kind": "rates", "name": "frozen_expansion", "seed": 4,
+    "kernel": {"tau": 2.0, "lengthscale": 0.25},
+    "target": {"scale": 2.0, "expansion": {"tau": 2.5, "seed": 3, "n_centers": 20}},
+    "design": {"kind": "random"},
+    "ladder": [16, 32, 64, 128], "burn_in": 1, "grid_resolution": 1024,
+}
+EXPANSION_FITTED = -2.831608660917534
+EXPANSION_ROWS = [
+    (16, 0.07457465988606568, 0.0),
+    (32, 0.002403373405999839, 0.0),
+    (64, 0.00019274502875168959, 0.0),
+    (128, 4.742670637787801e-05, 0.0),
+]
+EXPANSION_RKHS_NORM = 4.843618804857773
+
+
 def _assert_rows(rows, expected):
     assert [r[0] for r in rows] == [r[0] for r in expected]
     for got, want in zip(rows, expected):
@@ -97,6 +122,13 @@ def test_bq_rows_frozen():
     report = run_bq_experiment(config_from_dict(BQ))
     assert report.fitted == pytest.approx(BQ_FITTED, rel=1e-12)
     _assert_rows(report.rows, BQ_ROWS)
+
+
+def test_expansion_rows_frozen():
+    report = run_rate_experiment(config_from_dict(EXPANSION))
+    assert report.fitted == pytest.approx(EXPANSION_FITTED, rel=1e-12)
+    _assert_rows(report.rows, EXPANSION_ROWS)
+    assert report.extras["target_rkhs_norm"] == pytest.approx(EXPANSION_RKHS_NORM, rel=1e-12)
 
 
 def test_ill_conditioned_rows_frozen(tmp_path):
@@ -196,3 +228,33 @@ def _shipped_configs():
 @pytest.mark.parametrize("raw", list(_shipped_configs()))
 def test_shipped_configs_parse(raw):
     config_from_dict(raw)
+
+
+# each section's kind with only the keys that kind requires, and the object
+# built from the same arguments: every optional key keeps its field's default
+@pytest.mark.parametrize("section, value, expected", [
+    ("noise", {"kind": "none"}, NoiseModel("none", seed=3)),
+    ("noise", {"kind": "gaussian", "sigma": 0.2}, NoiseModel("gaussian", sigma=0.2, seed=3)),
+    ("noise", {"kind": "outliers"}, NoiseModel("outliers", seed=3)),
+    ("noise", {"kind": "student_t", "df": 4}, NoiseModel("student_t", df=4.0, seed=3)),
+    ("nugget", {"kind": "zero"}, NuggetPolicy("zero")),
+    ("nugget", {"kind": "fixed", "sigma": 0.1}, NuggetPolicy("fixed", sigma=0.1)),
+    ("nugget", {"kind": "adaptive_h", "exponent": 1.5}, NuggetPolicy("adaptive_h", exponent=1.5)),
+    ("mean", {"kind": "constant"}, MeanSpec("constant")),
+    ("mean", {"kind": "polynomial", "coeffs": [1, 2, 3]},
+     MeanSpec("polynomial", coeffs=(1.0, 2.0, 3.0))),
+], ids=lambda v: v.get("kind") if isinstance(v, dict) else None)
+def test_bare_section_takes_the_field_defaults(section, value, expected):
+    cfg = config_from_dict(dict(RATES, seed=3, **{section: value}))
+    assert getattr(cfg, section) == expected
+
+
+def test_bare_kernel_and_expansion_target_take_the_field_defaults():
+    cfg = config_from_dict(dict(RATES, kernel={"tau": 2.0},
+                                target={"expansion": {"tau": 2.0, "seed": 3}}))
+    assert cfg.kernels == (KernelSpec(tau=2.0),)
+    expected = random_expansion_target(2.0, UNIT_INTERVAL, seed=3)
+    for field in ("name", "tau_f", "domain", "scale", "rkhs_norm"):
+        assert getattr(cfg.target, field) == getattr(expected, field)
+    xs = [0.1, 0.5, 0.9]
+    assert list(eval_target(cfg.target, xs)) == list(eval_target(expected, xs))

@@ -15,8 +15,9 @@ UNIT = Domain((0.0,), (1.0,))
 ZERO = MeanSpec("constant", 0.0)
 
 
-def named(fn, tau_f=1.0):
-    return TargetSpec(name="inline", tau_f=tau_f, domain=UNIT, kind="named", fn=fn)
+def inline(fn, tau_f=1.0):
+    """A target whose ``fn`` maps the (m, 1) query batch to its m values."""
+    return TargetSpec(name="inline", tau_f=tau_f, domain=UNIT, fn=fn)
 
 
 def zero_model(spec=None, mean_value=0.0):
@@ -29,13 +30,13 @@ def zero_model(spec=None, mean_value=0.0):
 class TestLqError:
     def test_identity_target_against_zero_model(self):
         # f(x) = x vs the zero approximant: L2 norm is 1/sqrt(3)
-        t = named(lambda x: np.atleast_2d(x)[:, 0])
+        t = inline(lambda x: x[:, 0])
         grid = make_grid(UNIT, 4096)
         err = lq_error(t, zero_model(), 2, grid)
         assert err == pytest.approx(1 / math.sqrt(3), abs=1e-4)
 
     def test_constant_target_with_matching_mean(self):
-        t = named(lambda x: np.full(np.atleast_2d(x).shape[0], 0.7))
+        t = inline(lambda x: np.full(x.shape[0], 0.7))
         model = zero_model(mean_value=0.7)
         grid = make_grid(UNIT, 512)
         assert lq_error(t, model, 2, grid) <= 1e-10
@@ -47,18 +48,18 @@ class TestLqError:
         base = fit(spec, ZERO, X, np.sin(3 * X.points[:, 0]), 0.0)
         from gprates.fitting import posterior_mean
 
-        t = named(lambda x: posterior_mean(base, np.atleast_2d(x)))
+        t = inline(lambda x: posterior_mean(base, x))
         grid = make_grid(UNIT, 1024)
         assert lq_error(t, base, 2, grid) <= 1e-8
 
     def test_invalid_q(self):
-        t = named(lambda x: np.atleast_2d(x)[:, 0])
+        t = inline(lambda x: x[:, 0])
         with pytest.raises(Exception):
             lq_error(t, zero_model(), 3, make_grid(UNIT, 64))
 
     def test_norm_ordering(self):
         # normalized: mean-absolute <= rms <= max on unit-volume domains
-        t = named(lambda x: np.sin(7 * np.atleast_2d(x)[:, 0]))
+        t = inline(lambda x: np.sin(7 * x[:, 0]))
         grid = make_grid(UNIT, 2048)
         l1, l2, linf = (lq_error(t, zero_model(), q, grid) for q in (1, 2, "inf"))
         assert l1 <= l2 + 1e-15
@@ -80,7 +81,7 @@ class TestResidualNorm:
         A, sig2, c = 1.3, 0.25, 2.0
         spec = KernelSpec(tau=2.0, amplitude=A)
         X = PointSet(np.array([[0.5]]), UNIT)
-        t = named(lambda x: np.full(np.atleast_2d(x).shape[0], c))
+        t = inline(lambda x: np.full(x.shape[0], c))
         model = fit(spec, ZERO, X, [c], sig2)
         assert residual_norm(t, model) == pytest.approx(c * sig2 / (A + sig2), rel=1e-9)
 

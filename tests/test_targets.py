@@ -5,39 +5,71 @@ import pytest
 
 from gprates.designs import Domain
 from gprates.errors import ConfigurationError, InfiniteMomentError
-from gprates.kernels import KernelSpec
+from gprates.fitting import rkhs_norm_expansion
+from gprates.kernels import KernelSpec, cross_matrix
 from gprates.targets import (
     NoiseModel,
+    TargetSpec,
     draw_noise,
     eval_target,
     expected_noise_growth,
-    make_expansion_target,
     named_target,
     random_expansion_target,
     registry_entries,
-    registry_ids,
 )
 
 UNIT = Domain((0.0,), (1.0,))
 
 
-class TestExpansionTargets:
-    def test_zero_coefficients_vanish(self):
-        spec = KernelSpec(tau=2.0)
-        t = make_expansion_target(spec, np.array([[0.3], [0.7]]), [0.0, 0.0], UNIT)
-        grid = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_allclose(eval_target(t, grid), 0.0)
+def _redrawn_expansion(seed, n_centers=40):
+    """The centers and coefficients ``random_expansion_target`` draws on UNIT."""
+    rng = np.random.default_rng(seed)
+    c = np.array(UNIT.lower) + rng.random((n_centers, 1)) * UNIT.widths
+    return c, rng.standard_normal(n_centers)
 
-    def test_single_center_peak_is_amplitude(self):
+
+class TestTargetShape:
+    def test_fn_gets_the_query_batch(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x.shape)
+            return x[:, 0]
+
+        t = TargetSpec(name="inline", tau_f=1.0, domain=UNIT, fn=fn, scale=2.0)
+        np.testing.assert_array_equal(eval_target(t, 0.25), [0.5])
+        xs = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(eval_target(t, xs), 2.0 * xs)
+        np.testing.assert_array_equal(eval_target(t, xs[:, None]), 2.0 * xs)
+        assert seen == [(1, 1), (11, 1), (11, 1)]
+
+    def test_one_center_expansion_peaks_at_the_amplitude(self):
         spec = KernelSpec(tau=2.0, amplitude=1.8)
-        t = make_expansion_target(spec, np.array([[0.4]]), [1.0], UNIT)
+        t = TargetSpec(name="inline", tau_f=2.0, domain=UNIT,
+                       fn=lambda x: cross_matrix(spec, x, np.array([[0.4]])) @ np.ones(1))
         assert eval_target(t, 0.4)[0] == pytest.approx(1.8)
 
-    def test_tau_f_matches_kernel(self):
-        spec = KernelSpec(tau=1.5)
-        t = make_expansion_target(spec, np.array([[0.5]]), [1.0], UNIT)
+    def test_smoothness_floor(self):
+        square = Domain((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ConfigurationError, match="tau_f must exceed"):
+            TargetSpec(name="inline", tau_f=1.0, domain=square, fn=lambda x: x[:, 0])
+
+
+class TestExpansionTargets:
+    def test_values_are_the_cross_matrix_product(self):
+        t = random_expansion_target(1.5, UNIT, seed=5)
+        c, a = _redrawn_expansion(5)
+        spec = KernelSpec(tau=1.5, lengthscale=0.25)
+        xs = np.linspace(0.0, 1.0, 101)[:, None]
+        np.testing.assert_array_equal(eval_target(t, xs), cross_matrix(spec, xs, c) @ a)
         assert t.tau_f == 1.5
-        assert t.rkhs_norm() == pytest.approx(1.0)  # sqrt(A) = 1
+
+    def test_rkhs_norm_is_the_scaled_quadratic_form(self):
+        t = random_expansion_target(2.0, UNIT, seed=5, n_centers=12, lengthscale=0.3,
+                                    amplitude=1.7, scale=2.5)
+        c, a = _redrawn_expansion(5, n_centers=12)
+        spec = KernelSpec(tau=2.0, lengthscale=0.3, amplitude=1.7)
+        assert t.rkhs_norm == 2.5 * rkhs_norm_expansion(spec, c, a)
 
     def test_random_expansion_deterministic(self):
         a = random_expansion_target(2.0, UNIT, seed=5)
@@ -49,14 +81,17 @@ class TestExpansionTargets:
         t1 = random_expansion_target(2.0, UNIT, seed=5)
         t3 = random_expansion_target(2.0, UNIT, seed=5, scale=3.0)
         assert eval_target(t3, 0.3)[0] == pytest.approx(3.0 * eval_target(t1, 0.3)[0])
-        assert t3.rkhs_norm() == pytest.approx(3.0 * t1.rkhs_norm())
+        assert t3.rkhs_norm == pytest.approx(3.0 * t1.rkhs_norm)
 
 
 class TestRegistry:
     def test_known_ids_present(self):
-        ids = registry_ids()
+        ids = [name for name, _, _ in registry_entries()]
         for name in ("layered_tau1", "layered_tau2", "layered_tau2p5", "bump", "peaks3"):
             assert name in ids
+
+    def test_named_targets_have_no_rkhs_norm(self):
+        assert all(named_target(name).rkhs_norm is None for name, _, _ in registry_entries())
 
     def test_bump_peak_documented_value(self):
         t = named_target("bump")
@@ -71,7 +106,7 @@ class TestRegistry:
         assert entries["layered_tau2p5"] == 2.5
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="known: bump, cusp_tau2p5, layered_tau1"):
             named_target("no_such_target")
 
     def test_named_targets_are_deterministic(self):
