@@ -168,7 +168,8 @@ def _parse_target(d: dict, domain: Domain) -> TargetSpec:
             tau_f=_float(_require(e, "tau", "target.expansion"), "target.expansion.tau"),
             domain=domain,
             seed=_int(_require(e, "seed", "target.expansion"), "target.expansion.seed"),
-            **_given(e, "target.expansion", n_centers=_int, lengthscale=_float, amplitude=_float),
+            **_given(e, "target.expansion", n_centers=lambda v, where: _int(v, where, low=1),
+                     lengthscale=_float, amplitude=_float),
             **scale_kw,
         )
     return named_target(str(_require(d, "name", "target")), domain, **scale_kw)

@@ -21,7 +21,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
 from .kernels import (
-    KernelSpec, as_points, cross_matrix, distances, gram, row_blocks, work_arrays,
+    KernelSpec, as_points, cross_matrix, distances, gram, lattice_table, row_blocks,
+    table_block, work_arrays,
 )
 
 logger = logging.getLogger(__name__)
@@ -159,6 +160,14 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
     queries against 512 points take 256 minor page faults instead of the
     14,592 of one fresh temporary per block.
 
+    When the queries and the design are 1-d and lie on one small dyadic
+    lattice (:func:`kernels.lattice_table`), the kernel is evaluated once per
+    lattice offset, and each block is gathered from that table in place,
+    through integer offsets written into the block's own buffer.  The
+    difference of two lattice points is exact, so every block is bitwise
+    the direct cross matrix, and the gemv sees the same blocks.  Any other
+    pair of sets evaluates ``cross_matrix`` block by block.
+
     Each mean is one row of a matrix-vector product, and a full block gives
     the same bits as the whole product.  A ragged last block (m not a
     multiple of ``row_block(n)``) can round a few rows differently, within
@@ -169,9 +178,13 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
     m_q = model.prior_mean(xq)
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
     out = np.empty((len(xq), dual.shape[1]))
-    buffers = 2 + work_arrays(model.kernel)
+    table = lattice_table(model.kernel, xq, model.design.points)
+    buffers = 1 if table else 2 + work_arrays(model.kernel)
     for rows, (Kq, *work) in row_blocks(len(xq), len(model.design), buffers):
-        cross_matrix(model.kernel, xq[rows], model.design, out=Kq, work=work)
+        if table:
+            table_block(table, rows, Kq)
+        else:
+            cross_matrix(model.kernel, xq[rows], model.design, out=Kq, work=work)
         # One matrix-vector product per column, never ``Kq @ dual``: a
         # matrix-matrix product rounds differently, and at a nugget near 1e-9
         # that moves the reported errors past 1e-9 relative, so a batched fit

@@ -5,10 +5,22 @@ smoothness ``tau`` has an RKHS norm-equivalent to ``W^tau_2``, and the
 classical Matern order is derived as ``nu = tau - dim/2``.  Half-integer
 ``nu`` dispatches to the closed forms; any other ``nu`` goes through the
 modified Bessel function of the second kind.
+
+The kernels are radial, ``k(x, y) = Phi(|x - y|)``.  When two 1-d point
+sets lie on one dyadic lattice (every coordinate a multiple of
+``delta = 2^-p``), :func:`lattice_table` evaluates ``Phi`` once per lattice
+offset, and ``gram`` and ``fitting.posterior_mean`` gather their blocks
+from that table instead of evaluating ``matern_of_r`` on every entry.  The
+values are bitwise those of the direct path: the difference of two
+multiples of ``delta`` whose integer offset ``k`` is below 2^53 is exact,
+so ``|a - b|`` is the same double as ``k * delta``, and ``matern_of_r`` is
+elementwise.  Sets in d >= 2, off a dyadic lattice, or whose lattice spans
+more offsets than a quarter of the block's entries take the direct path.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -209,6 +221,59 @@ def distances(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
+def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray):
+    """The kernel once per offset of the dyadic lattice that holds two 1-d batches.
+
+    If every coordinate of the (m, 1) and (n, 1) batches ``A`` and ``B`` is a
+    finite multiple of ``delta = 2^-p`` (p >= 0, the most fractional bits of
+    any coordinate, read from ``np.frexp``), and the table of the union's
+    integer span ``S`` is at most a quarter of the m x n block
+    (``4 (S + 1) <= m n``), returns ``(I_a, I_b, g)``: the integer
+    coordinates ``(x - min) / delta`` of each batch, as ``np.intp``, and
+    ``g[k] = matern_of_r(spec, k * delta)`` for ``k = 0 ... S``.  Since
+    ``S < 2^53``, ``|a - b|`` is exactly ``|I_a - I_b| * delta``, so
+    ``g[|I_a - I_b|]`` is bitwise ``matern_of_r(spec, distances(A, B))``.
+    Otherwise (d >= 2, a coordinate that is not finite or not dyadic, a span
+    too wide) returns None, and the caller evaluates the kernel directly.
+    """
+    if spec.dim != 1 or np.dtype(np.intp).itemsize != 8:
+        return None
+    x = np.concatenate([A[:, 0], B[:, 0]])
+    lo, hi = float(x.min()), float(x.max())
+    if not math.isfinite(hi - lo):  # a NaN or an infinite coordinate
+        return None
+    mant, exp = np.frexp(x[x != 0.0])
+    sig = np.ldexp(mant, 53, out=mant).astype(np.int64)  # x = sig * 2^(exp - 53)
+    sig &= -sig  # the lowest set bit of each, 2^t, whose frexp exponent is t + 1
+    # a coordinate has 53 - t - exp fractional bits; 2^-p covers them all
+    p = max(0, int((54 - np.frexp(sig.astype(float))[1] - exp).max(initial=0)))
+    if not hi - lo <= math.ldexp(len(A) * len(B) / 4 - 1, -p):
+        return None
+    span = int(math.ldexp(hi - lo, p))
+    x -= lo
+    index = np.ldexp(x, p, out=x).astype(np.intp)
+    r = np.ldexp(np.arange(span + 1, dtype=float), -p)
+    g = matern_of_r(spec, r, out=np.empty_like(r))
+    return index[: len(A)], index[len(A) :], g
+
+
+def table_block(table, rows: slice, out: np.ndarray) -> np.ndarray:
+    """Gather rows ``rows`` of a kernel block from a :func:`lattice_table` into ``out``.
+
+    The offsets ``|I_a[rows] - I_b|`` are written into ``out`` itself, viewed
+    as ``np.intp`` (the itemsize of float64), and ``np.take`` replaces each
+    offset by its kernel value in place: an entry's offset is read before
+    its value is written, and no other entry reads it, so a block needs no
+    buffer of its own.  Every offset lies in the table, so ``mode="clip"``
+    never clips and keeps ``np.take`` from copying ``out``.
+    """
+    ia, ib, g = table
+    offsets = out.view(np.intp)
+    np.subtract.outer(ia[rows], ib, out=offsets)
+    np.abs(offsets, out=offsets)
+    return np.take(g, offsets, out=out, mode="clip")
+
+
 def gram(spec: KernelSpec, X) -> np.ndarray:
     """Kernel matrix ``K[i, j] = k(x_i, x_j)``.
 
@@ -217,20 +282,33 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
     The rows are evaluated in blocks of ``row_block(n)`` straight into one
     preallocated n x n matrix, bitwise ``matern_of_r(spec, distances(X, X))``:
     each block's distances and work arrays reuse the buffers of
-    :func:`row_blocks`.
+    :func:`row_blocks`.  A 1-d set on a small dyadic lattice gathers its
+    blocks from one :func:`lattice_table`, whose values are bitwise the
+    direct ones (the differences of lattice points are exact); any other
+    set evaluates ``matern_of_r`` on every entry.
     Duplicate points make the matrix singular; a
     :class:`SingularGramWarning` is emitted and the matrix still returned.
+    On the table path, the zero offsets are counted: in 1-d they are
+    exactly the zero distances.
     """
     pts = as_points(spec.dim, X)
     if pts.shape[0] == 0:
         raise ConfigurationError("gram requires a nonempty point set")
     n = pts.shape[0]
     K = np.empty((n, n))
-    zeros = 0
-    for rows, (dist, *work) in row_blocks(n, n, 1 + work_arrays(spec)):
-        r = distances(pts[rows], pts, out=dist)
-        zeros += np.count_nonzero(r == 0.0)
-        matern_of_r(spec, r, out=K[rows], work=work)
+    table = lattice_table(spec, pts, pts)
+    if table:
+        # the zero offsets, one per ordered pair of equal integer coordinates
+        counts = np.bincount(table[0])
+        zeros = int(counts @ counts)
+        for rows, _ in row_blocks(n, n, 0):
+            table_block(table, rows, K[rows])
+    else:
+        zeros = 0
+        for rows, (dist, *work) in row_blocks(n, n, 1 + work_arrays(spec)):
+            r = distances(pts[rows], pts, out=dist)
+            zeros += np.count_nonzero(r == 0.0)
+            matern_of_r(spec, r, out=K[rows], work=work)
     if zeros > n:
         warnings.warn(
             "duplicate points give a singular Gram matrix", SingularGramWarning, stacklevel=2

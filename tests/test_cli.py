@@ -137,6 +137,10 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
     (dict(SMALL_REGRESS, n=-3), "n must be at least 1"),
     (dict(SMALL_RATES, tolerance=-1), "tolerance must be at least 0"),
     (dict(SMALL_RATES, tolerance=float("nan")), "tolerance must be at least 0"),
+    (dict(SMALL_FIT, target={"expansion": {"tau": 2.0, "seed": 1, "n_centers": 0}}),
+     "target.expansion.n_centers"),
+    (dict(SMALL_FIT, target={"expansion": {"tau": 2.0, "seed": 1, "n_centers": -2}}),
+     "target.expansion.n_centers"),
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
         "zero_replicates", "fractional_replicates", "empty_bo_budgets", "bo_budget_below_2",
         "bo_budget_above_candidates",
@@ -152,7 +156,8 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
         "sigma_on_zero_nugget", "coeffs_on_constant_mean", "candidate_resolution_on_grid",
         "candidate_resolution_on_random", "negative_burn_in", "zero_grid_resolution",
         "zero_candidate_resolution", "negative_candidate_resolution", "n_zero", "n_negative",
-        "negative_tolerance", "nan_tolerance"])
+        "negative_tolerance", "nan_tolerance", "zero_expansion_centers",
+        "negative_expansion_centers"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     code, _ = _run(tmp_path, config, "--seed", "3")
     assert code == 2

@@ -14,10 +14,12 @@ from gprates.acceptance import DEFAULT_SEED, acceptance_configs
 from gprates.designs import UNIT_INTERVAL
 from gprates.errors import ConfigurationError
 from gprates.fitting import MeanSpec
-from gprates.kernels import KernelSpec
+from gprates.kernels import KernelSpec, lattice_table
+from gprates.norms import make_grid
 from gprates.rates import NuggetPolicy
 from gprates.targets import NoiseModel, eval_target, random_expansion_target
 from gprates.experiments import (
+    _designs,
     _theoretical_exponent,
     config_from_dict,
     run_bq_experiment,
@@ -209,13 +211,19 @@ def test_p_greedy_ladder_grows_one_design_per_kernel(counted, taus, runs):
     assert report.extras["design_trace"] == [list(r) for r in trace]
 
 
-def _shipped_configs():
-    """Every raw config the repo runs: the acceptance presets and each benchmark
-    workload's configs, full and cut down."""
+def _bench_child():
+    """The benchmark's ``perfbench/child.py``, loaded as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_child", os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "child.py"))
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
+    return child
+
+
+def _shipped_configs():
+    """Every raw config the repo runs: the acceptance presets and each benchmark
+    workload's configs, full and cut down."""
+    child = _bench_child()
     for name, raw in acceptance_configs().items():
         yield pytest.param(raw, id=f"accept-{name}")
     for workload in sorted(child.WORKLOADS):
@@ -258,3 +266,27 @@ def test_bare_kernel_and_expansion_target_take_the_field_defaults():
         assert getattr(cfg.target, field) == getattr(expected, field)
     xs = [0.1, 0.5, 0.9]
     assert list(eval_target(cfg.target, xs)) == list(eval_target(expected, xs))
+
+
+def _table_guard_configs():
+    """The 1-d rates and bq accept presets, and the benchmark's P-greedy ladder."""
+    presets = dict(acceptance_configs(), pgreedy_l2=dict(_bench_child().P_GREEDY, seed=DEFAULT_SEED))
+    for name, raw in presets.items():
+        if raw["kind"] in ("rates", "bq") and raw["kernel"].get("dim", 1) == 1:
+            yield pytest.param(raw, id=name)
+
+
+@pytest.mark.parametrize("raw", list(_table_guard_configs()))
+def test_shipped_ladders_gather_from_a_kernel_table(raw):
+    # every prediction on the evaluation grid and on the doubled stability
+    # grid, and every Gram matrix of a grid design, takes the lattice table:
+    # a change that silently falls back to the direct path fails here
+    cfg = config_from_dict(raw)
+    grid = make_grid(cfg.domain, cfg.grid_resolution).points
+    fine = make_grid(cfg.domain, 2 * len(grid)).points
+    for idx, X in enumerate(_designs(cfg, cfg.ladder)):
+        kernel = cfg.kernel_for(idx)
+        assert lattice_table(kernel, grid, X.points) is not None
+        assert lattice_table(kernel, fine, X.points) is not None
+        if cfg.design_kind == "grid":
+            assert lattice_table(kernel, X.points, X.points) is not None

@@ -281,10 +281,11 @@ gprates.cli._pin_blas_threads()
 import numpy as np
 from gprates.designs import UNIT_INTERVAL, gen_grid
 from gprates.fitting import MeanSpec, fit, posterior_mean
-from gprates.kernels import KernelSpec
+from gprates.kernels import KernelSpec, lattice_table
 X = gen_grid(512, UNIT_INTERVAL)
 model = fit(KernelSpec(tau=2.0, lengthscale=0.25), MeanSpec(), X, np.sin(6.0 * X.points[:, 0]))
 Q = gen_grid(8192, UNIT_INTERVAL).points
+assert lattice_table(model.kernel, Q, X.points) is not None
 posterior_mean(model, Q)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 posterior_mean(model, Q)
@@ -297,7 +298,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_repeat_prediction_does_not_refault_its_block_memory():
     # 8192 queries against 512 points stream 64 blocks; one fresh 512 KiB
     # temporary per block cost 14,592 minor faults per call, and buffers
-    # reused across the blocks cost a few hundred at most
+    # reused across the blocks cost a few hundred at most.  Both grids are
+    # dyadic, so the blocks are gathered from a lattice table, in place in
+    # the one block buffer.
     src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _FAULTS_CHILD], env=env, capture_output=True,

@@ -5,15 +5,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma, kv
 
+from gprates import kernels
+from gprates.designs import UNIT_INTERVAL, Domain, PointSet, gen_grid
 from gprates.errors import ConfigurationError, SingularGramWarning
+from gprates.fitting import MeanSpec, PosteriorModel, posterior_mean
 from gprates.kernels import (
     BLOCK_ENTRIES,
     KernelSpec,
     cross_matrix,
     distances,
     gram,
+    lattice_table,
     matern_of_r,
     min_eigenvalue,
     row_block,
@@ -345,3 +351,161 @@ class TestMinEigenvalue:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             min_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+# Orders on the lattice-table path: the four closed forms, a7's Bessel order
+# nu = 2 (tau = 2.5 in 1-d) and nu = 1.3.  Amplitude 1.7 and lengthscale 0.3
+# (not a power of two) keep both scales inexact in binary.
+TABLE_ORDERS = pytest.mark.parametrize(
+    "nu", [0.5, 1.5, 2.5, 3.5, 2.0, 1.3],
+    ids=["nu1/2", "nu3/2", "nu5/2", "nu7/2", "bessel2", "bessel1.3"])
+
+
+def _table_spec(nu):
+    return KernelSpec(tau=nu + 0.5, lengthscale=0.3, amplitude=1.7)
+
+
+def _model(spec, X, rng):
+    """A model at the 1-d design ``X`` with two columns of random dual weights."""
+    domain = Domain((float(X.min()) - 1.0,), (float(X.max()) + 1.0,))
+    return PosteriorModel(spec, MeanSpec(), PointSet(X, domain),
+                          rng.standard_normal((len(X), 2)), 0.0)
+
+
+def _blocked_product(K, dual, step):
+    """``K @ dual`` as ``posterior_mean`` forms it: one gemv per column and
+    per block of ``step`` rows."""
+    return np.vstack([np.column_stack([K[i : i + step] @ w for w in dual.T])
+                      for i in range(0, len(K), step)])
+
+
+def _distinct_offsets(rng, n, span, low):
+    """``n`` distinct integers in ``[0, span]``, shuffled, holding both ends and
+    ``-low`` (the offset of coordinate zero)."""
+    fixed = np.unique([0, span, -low])
+    pool = np.setdiff1d(np.arange(span + 1), fixed)
+    offsets = np.concatenate([fixed, rng.choice(pool, n - len(fixed), replace=False)])
+    rng.shuffle(offsets)
+    return offsets
+
+
+@st.composite
+def dyadic_gram_sets(draw):
+    """Distinct multiples of ``2^-p`` (p in 0 ... 20) whose integer coordinates
+    run from ``low <= 0`` to ``low + span >= 0``, zero included: at least two
+    row blocks of ``gram``, the last one ragged, on a span the table takes."""
+    n = draw(st.integers(257, 320).filter(lambda n: n % row_block(n)))
+    span = draw(st.integers(n - 1, n * n // 4 - 1))
+    low = draw(st.integers(-span, 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ints = low + _distinct_offsets(rng, n, span, low)
+    return np.ldexp(ints.astype(float), -draw(st.integers(0, 20)))[:, None]
+
+
+@st.composite
+def dyadic_prediction_sets(draw):
+    """``(queries, design, seed)`` on one lattice as in :func:`dyadic_gram_sets`:
+    two row blocks of queries, the last ragged, which repeat each other and
+    meet the design points."""
+    n = draw(st.integers(8, 48))
+    step = row_block(n)
+    m = draw(st.integers(step + 1, 2 * step - 1))
+    span = draw(st.integers(n - 1, m * n // 4 - 1))
+    low = draw(st.integers(-span, 0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    design = low + _distinct_offsets(rng, n, span, low)
+    queries = low + rng.integers(0, span + 1, m)
+    p = draw(st.integers(0, 20))
+    return (np.ldexp(queries.astype(float), -p)[:, None],
+            np.ldexp(design.astype(float), -p)[:, None], seed)
+
+
+class TestLatticeTable:
+    """1-d sets on a small dyadic lattice gather their kernel blocks from one
+    table, bitwise the direct evaluation; every other set is evaluated directly."""
+
+    @TABLE_ORDERS
+    @settings(max_examples=12, deadline=None)
+    @given(X=dyadic_gram_sets())
+    def test_gram_through_the_table_is_bitwise_the_direct_matrix(self, nu, X):
+        spec = _table_spec(nu)
+        assert lattice_table(spec, X, X) is not None
+        K = gram(spec, X)
+        assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
+        assert np.array_equal(K, cross_matrix(spec, X, X))
+
+    @TABLE_ORDERS
+    @settings(max_examples=12, deadline=None)
+    @given(case=dyadic_prediction_sets())
+    def test_prediction_through_the_table_is_bitwise_the_blocked_product(self, nu, case):
+        Q, X, seed = case
+        spec = _table_spec(nu)
+        model = _model(spec, X, np.random.default_rng(seed))
+        assert lattice_table(spec, Q, X) is not None
+        K = matern_of_r(spec, distances(Q, X))
+        assert np.array_equal(K, cross_matrix(spec, Q, X))
+        assert np.array_equal(posterior_mean(model, Q),
+                              _blocked_product(K, model.dual, row_block(len(X))))
+
+    @pytest.mark.parametrize("X", [
+        gen_grid(100, UNIT_INTERVAL).points,
+        # the lower end 0.1 lies on no coarse lattice (a domain [0, 3] with a
+        # power-of-two grid does: see the next test)
+        gen_grid(64, Domain((0.1,), (3.1,))).points,
+        np.random.default_rng(8).random((300, 1)),
+        gen_grid(16, Domain((0.0, 0.0), (1.0, 1.0))).points,
+        np.ldexp(np.sort(np.random.default_rng(9).choice(2**20 + 1, 64, replace=False)),
+                 -20)[:, None],
+    ], ids=["grid100", "width3_offset", "random", "grid2d", "span_over_threshold"])
+    def test_other_sets_take_the_direct_path(self, counted, X):
+        spec = KernelSpec(tau=2.0 + X.shape[1] / 2, lengthscale=0.3, amplitude=1.7,
+                          dim=X.shape[1])
+        assert lattice_table(spec, X, X) is None
+        evaluated = counted(kernels, "matern_of_r")
+        K = gram(spec, X)
+        model = _model(spec, X, np.random.default_rng(1)) if X.shape[1] == 1 else None
+        means = None if model is None else posterior_mean(model, X)
+        n = len(X)
+        assert evaluated["entries"] == n * n * (1 if model is None else 2)
+        direct = matern_of_r(spec, distances(X, X))
+        assert np.array_equal(K, direct)
+        if model is not None:
+            assert np.array_equal(means, _blocked_product(direct, model.dual, row_block(n)))
+
+    @pytest.mark.parametrize("X", [
+        gen_grid(64, Domain((0.0,), (3.0,))).points,  # multiples of 3/128
+        gen_grid(1024, UNIT_INTERVAL).points,
+        gen_grid(256, Domain((-1.0,), (1.0,))).points,
+    ], ids=["width3_grid64", "grid1024", "symmetric_grid256"])
+    def test_dyadic_grids_evaluate_one_table(self, counted, X):
+        spec = KernelSpec(tau=2.0, lengthscale=0.3, amplitude=1.7)
+        _, _, g = lattice_table(spec, X, X)
+        evaluated = counted(kernels, "matern_of_r")
+        K = gram(spec, X)
+        assert evaluated == {"calls": 1, "entries": len(g)} and 4 * len(g) <= len(X) ** 2
+        assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
+
+    @pytest.mark.parametrize("span, taken", [(15, True), (16, False)])
+    def test_table_is_at_most_a_quarter_of_the_block(self, span, taken):
+        # 8 points on the integers 0 ... span: a table of span + 1 entries
+        # against a block of 64
+        X = np.array([0.0, 1, 2, 3, 4, 5, 6, span])[:, None]
+        assert (lattice_table(KernelSpec(tau=2.0), X, X) is not None) == taken
+
+    def test_duplicate_pair_in_different_blocks_warns_on_the_table_path(self):
+        X = gen_grid(1024, UNIT_INTERVAL).points.copy()
+        X[-1] = X[0]  # first and last block
+        spec = KernelSpec(tau=2.0)
+        assert lattice_table(spec, X, X) is not None and row_block(1024) < 1023
+        with pytest.warns(SingularGramWarning):
+            K = gram(spec, X)
+        assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
+
+    @pytest.mark.parametrize("coords", [[0.0, 0.5, np.inf], [np.inf, np.inf, np.inf],
+                                        [-np.inf, 0.5, np.inf], [0.25, np.nan, 0.5],
+                                        [-1e308, 0.5, 1e308]],
+                             ids=["inf", "all_inf", "both_infs", "nan", "overflowing_span"])
+    def test_unbounded_coordinates_have_no_table(self, coords):
+        X = np.array(coords)[:, None]
+        assert lattice_table(KernelSpec(tau=2.0), X, X) is None
