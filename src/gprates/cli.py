@@ -58,13 +58,20 @@ def _resolve_out(cli_out) -> str:
 
 
 def _report_errors(command) -> int:
-    """Exit code of ``command()``, with configuration and numerical errors as 2 and 3."""
+    """Exit code of ``command()``, with configuration and numerical errors as 2 and 3.
+
+    An allocation that fails is a config error too: the config asked for
+    arrays larger than the machine can hold (a huge ``grid_resolution``).
+    """
     from .errors import ConfigurationError, SingularDesignError
 
     try:
         return command()
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except SingularDesignError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import KernelSpec, cross_matrix, distances, row_blocks
+from .kernels import KernelSpec, cross_matrix, distances, lattice_table, row_blocks, table_block
 
 DEFAULT_PROBE_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
@@ -167,6 +167,12 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
     No pick looks at ``n``, so the first k points of a run to any ``n >= k``
     are bitwise the points of a run to k: a ladder of sizes takes prefixes of
     one run to its largest size.
+
+    The column ``k(cand, cand[j])`` of each pick is row j of the candidates'
+    :func:`kernels.lattice_table` against themselves when they have one (a
+    grid of candidates copies it as a window of the table; the kernel is
+    symmetric and the lattice differences exact, so the row is bitwise the
+    column), and ``cross_matrix`` otherwise.
     """
     cand = candidates.points
     m = cand.shape[0]
@@ -176,6 +182,8 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
         raise ConfigurationError("candidate dimension does not match kernel dim")
     newton = NewtonBasis(spec.amplitude, m, n)
     selected = np.zeros(n, dtype=int)
+    table = lattice_table(spec, cand, cand)
+    row = np.empty((1, m))
     for step in range(n):
         j = int(np.argmax(newton.power))  # np.argmax returns the first maximizer
         selected[step] = j
@@ -183,7 +191,11 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
             raise ConfigurationError(
                 "candidate pool exhausted: remaining posterior variance is zero"
             )
-        newton.add(j, cross_matrix(spec, cand, cand[j : j + 1])[:, 0])
+        if table:
+            column = table_block(table, slice(j, j + 1), row)[0]
+        else:
+            column = cross_matrix(spec, cand, cand[j : j + 1])[:, 0]
+        newton.add(j, column)
     return PointSet(cand[selected], candidates.domain)
 
 
@@ -202,10 +214,11 @@ def fill_distance(X: PointSet, probe_resolution: int | None = None):
         raise ConfigurationError("fill_distance requires a nonempty point set")
     res = probe_resolution or _default_probe(X.dim)
     probes = _probe_points(X.domain, res)
-    # stream the probes in row blocks through one small distance buffer
+    # stream the probes in row blocks through one small distance buffer (and,
+    # in d >= 2, one work buffer)
     best = 0.0
-    for rows, (d,) in row_blocks(probes.shape[0], len(X), 1):
-        distances(probes[rows], X.points, out=d)
+    for rows, (d, work) in row_blocks(probes.shape[0], len(X), 2):
+        distances(probes[rows], X.points, out=d, work=work)
         best = max(best, float(d.min(axis=1).max()))
     return best, fill_distance_bound(X.domain, res)
 
@@ -222,8 +235,8 @@ def separation_radius(X: PointSet) -> float:
     if n < 2:
         raise ConfigurationError("separation radius needs at least two points")
     best = np.inf
-    for rows, (d,) in row_blocks(n, n, 1):
-        distances(X.points[rows], X.points, out=d)
+    for rows, (d, work) in row_blocks(n, n, 2):
+        distances(X.points[rows], X.points, out=d, work=work)
         i = np.arange(len(d))
         d[i, rows.start + i] = np.inf  # the block's own diagonal
         best = min(best, d.min())

@@ -108,12 +108,19 @@ def _int(value, where: str, low: int | None = None) -> int:
 
 
 def _float(value, where: str, low: float | None = None) -> float:
-    """``value`` as a float of at least ``low``; a boolean or a non-number is rejected."""
+    """``value`` as a finite float of at least ``low``; a boolean, a non-number,
+    an infinity or a NaN (``json.load`` reads ``Infinity`` and ``NaN``) is rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where} must be a number, got {value!r}")
     if low is not None and not value >= low:  # rejects NaN as well
         raise ConfigurationError(f"{where} must be at least {low:g}, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{where} must be finite, got {number!r}")
+    return number
 
 
 def _str(value, where: str) -> str:

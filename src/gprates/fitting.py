@@ -162,11 +162,14 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
 
     When the queries and the design are 1-d and lie on one small dyadic
     lattice (:func:`kernels.lattice_table`), the kernel is evaluated once per
-    lattice offset, and each block is gathered from that table in place,
-    through integer offsets written into the block's own buffer.  The
-    difference of two lattice points is exact, so every block is bitwise
-    the direct cross matrix, and the gemv sees the same blocks.  Any other
-    pair of sets evaluates ``cross_matrix`` block by block.
+    lattice offset, and each block is read from that table by
+    :func:`kernels.table_block`: a window of the table copied into the
+    block's buffer when both sets are progressions (a grid of queries
+    against a grid design), else a gather through integer offsets written
+    into the block's own buffer.  The difference of two lattice points is
+    exact, so every block is bitwise the direct cross matrix, and the gemv
+    sees the same blocks.  Any other pair of sets evaluates
+    ``cross_matrix`` block by block.
 
     Each mean is one row of a matrix-vector product, and a full block gives
     the same bits as the whole product.  A ragged last block (m not a

@@ -9,13 +9,19 @@ modified Bessel function of the second kind.
 The kernels are radial, ``k(x, y) = Phi(|x - y|)``.  When two 1-d point
 sets lie on one dyadic lattice (every coordinate a multiple of
 ``delta = 2^-p``), :func:`lattice_table` evaluates ``Phi`` once per lattice
-offset, and ``gram`` and ``fitting.posterior_mean`` gather their blocks
+offset into a two-sided table ``H[S + k] = Phi(|k| delta)``, and ``gram``,
+``fitting.posterior_mean`` and ``designs.gen_p_greedy`` read their blocks
 from that table instead of evaluating ``matern_of_r`` on every entry.  The
 values are bitwise those of the direct path: the difference of two
 multiples of ``delta`` whose integer offset ``k`` is below 2^53 is exact,
-so ``|a - b|`` is the same double as ``k * delta``, and ``matern_of_r`` is
-elementwise.  Sets in d >= 2, off a dyadic lattice, or whose lattice spans
-more offsets than a quarter of the block's entries take the direct path.
+so ``|a - b|`` is the same double as ``|k| * delta``, and ``matern_of_r``
+is elementwise.  When both sets are arithmetic progressions on the lattice
+(midpoint grids), a block ``H[S + I_a[i] - I_b[j]]`` is Toeplitz, one
+strided window of ``H`` that :func:`table_block` copies with no index
+arithmetic; other lattice sets (P-greedy picks) gather the same entries
+through integer offsets.  Sets in d >= 2, off a dyadic lattice, or whose
+lattice spans more offsets than a quarter of the block's entries take the
+direct path.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import eigh
 from scipy.special import gamma as _gamma_fn
 from scipy.special import kv as _bessel_kv
@@ -204,37 +212,74 @@ def as_points(dim: int, x) -> np.ndarray:
     return x
 
 
-def distances(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+def distances(A: np.ndarray, B: np.ndarray, out=None, work=None) -> np.ndarray:
     """Euclidean distances ``D[i, j] = |a_i - b_j|`` between two ``(., d)`` batches.
 
     In 1-d this is ``|a_i - b_j|`` itself.  In base 2, ``sqrt(fl(d^2)) = |d|``
     unless ``d^2`` underflows or overflows (Boldo 2015), so it equals the root
     of the squared difference except for ``|d| < ~1e-154`` (or ``> ~1e154``),
     where it is exact and the root of the square is not.  For d >= 2 it is the
-    root of the sum of squared differences, whose (m, n, d) temporaries are
-    still allocated per call.  ``out`` receives the distances when given.
+    root of the sum of squared differences, added in coordinate order: the
+    first coordinate's square is written into the result, each further one
+    is squared in ``work`` (an array of the result's shape, allocated when
+    not given) and added, and the root is taken in place.  That is bitwise
+    ``np.sqrt(np.sum((A[:, None] - B[None]) ** 2, axis=-1))``, whose short
+    sum also adds in coordinate order, without its (m, n, d) temporaries.
+    ``out`` receives the distances when given.
     """
+    D = np.subtract.outer(A[:, 0], B[:, 0], out=out)
     if A.shape[1] == 1:
-        D = np.subtract.outer(A[:, 0], B[:, 0], out=out)
         return np.abs(D, out=D)
-    d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1, out=out)
-    return np.sqrt(d2, out=d2)
+    np.multiply(D, D, out=D)
+    if work is None:
+        work = np.empty_like(D)
+    for k in range(1, A.shape[1]):
+        np.subtract.outer(A[:, k], B[:, k], out=work)
+        np.multiply(work, work, out=work)
+        D += work
+    return np.sqrt(D, out=D)
 
 
-def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray):
+class LatticeTable(NamedTuple):
+    """What :func:`lattice_table` returns: two sets' integer lattice
+    coordinates, the two-sided kernel table ``H`` with its centre ``S``, and
+    each set's integer step (None when its coordinates are no progression)."""
+
+    ia: np.ndarray
+    ib: np.ndarray
+    H: np.ndarray
+    S: int
+    step_a: int | None
+    step_b: int | None
+
+
+def _step(index: np.ndarray) -> int | None:
+    """The common difference of ``index``: 0 for one point, None unless every
+    consecutive difference is the same."""
+    if len(index) < 2:
+        return 0
+    diff = np.diff(index)
+    return int(diff[0]) if np.all(diff == diff[0]) else None
+
+
+def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> LatticeTable | None:
     """The kernel once per offset of the dyadic lattice that holds two 1-d batches.
 
     If every coordinate of the (m, 1) and (n, 1) batches ``A`` and ``B`` is a
     finite multiple of ``delta = 2^-p`` (p >= 0, the most fractional bits of
-    any coordinate, read from ``np.frexp``), and the table of the union's
-    integer span ``S`` is at most a quarter of the m x n block
-    (``4 (S + 1) <= m n``), returns ``(I_a, I_b, g)``: the integer
-    coordinates ``(x - min) / delta`` of each batch, as ``np.intp``, and
-    ``g[k] = matern_of_r(spec, k * delta)`` for ``k = 0 ... S``.  Since
-    ``S < 2^53``, ``|a - b|`` is exactly ``|I_a - I_b| * delta``, so
-    ``g[|I_a - I_b|]`` is bitwise ``matern_of_r(spec, distances(A, B))``.
-    Otherwise (d >= 2, a coordinate that is not finite or not dyadic, a span
-    too wide) returns None, and the caller evaluates the kernel directly.
+    any coordinate, read from ``np.frexp``), and the union's integer span
+    ``S`` is small enough that ``4 (S + 1) <= m n``, returns a
+    :class:`LatticeTable`: the integer coordinates ``ia``, ``ib`` of each
+    batch, ``(x - min) / delta`` as ``np.intp``; the two-sided table ``H`` of
+    ``2 S + 1`` entries, ``H[S + k] = matern_of_r(spec, |k| * delta)``; and
+    each batch's step, the common difference of its integer coordinates (0
+    for one point, None when the differences are not all equal).
+    ``matern_of_r`` runs once, on the offsets ``0 ... S`` written into
+    ``H[S:]``, and ``H[:S]`` is their mirror image.  Since ``S < 2^53``,
+    ``a - b`` is exactly ``(I_a - I_b) * delta``, so ``H[S + I_a - I_b]`` is
+    bitwise ``matern_of_r(spec, distances(A, B))``.  Otherwise (d >= 2, a
+    coordinate that is not finite or not dyadic, a span too wide) returns
+    None, and the caller evaluates the kernel directly.
     """
     if spec.dim != 1 or np.dtype(np.intp).itemsize != 8:
         return None
@@ -252,26 +297,40 @@ def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray):
     span = int(math.ldexp(hi - lo, p))
     x -= lo
     index = np.ldexp(x, p, out=x).astype(np.intp)
-    r = np.ldexp(np.arange(span + 1, dtype=float), -p)
-    g = matern_of_r(spec, r, out=np.empty_like(r))
-    return index[: len(A)], index[len(A) :], g
+    ia, ib = index[: len(A)], index[len(A) :]
+    H = np.empty(2 * span + 1)
+    matern_of_r(spec, np.ldexp(np.arange(span + 1, dtype=float), -p), out=H[span:])
+    H[:span] = H[: span : -1]
+    return LatticeTable(ia, ib, H, span, _step(ia), _step(ib))
 
 
-def table_block(table, rows: slice, out: np.ndarray) -> np.ndarray:
-    """Gather rows ``rows`` of a kernel block from a :func:`lattice_table` into ``out``.
+def table_block(table: LatticeTable, rows: slice, out: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the kernel block ``H[S + I_a[rows] - I_b]`` of a
+    :func:`lattice_table`, written into ``out``.
 
-    The offsets ``|I_a[rows] - I_b|`` are written into ``out`` itself, viewed
-    as ``np.intp`` (the itemsize of float64), and ``np.take`` replaces each
+    When both sets are progressions (both steps known), the block is
+    Toeplitz: entry (i, j) is ``H[S + I_a[r0] - I_b[0] + s_a i - s_b j]``,
+    with ``r0 = rows.start``, so it is one strided window of ``H``, with
+    strides ``s_a`` and ``-s_b`` entries, and is copied into ``out`` with no
+    index arithmetic.  Every other pair gathers: the offsets
+    ``S + I_a[rows] - I_b`` are written into ``out`` itself, viewed as
+    ``np.intp`` (the itemsize of float64), and ``np.take`` replaces each
     offset by its kernel value in place: an entry's offset is read before
     its value is written, and no other entry reads it, so a block needs no
-    buffer of its own.  Every offset lies in the table, so ``mode="clip"``
-    never clips and keeps ``np.take`` from copying ``out``.
+    buffer of its own.  Every offset lies in ``H``, so ``mode="clip"``
+    never clips and keeps ``np.take`` from copying ``out``.  Both paths read
+    the same entries of ``H``, so their blocks are bitwise equal.
     """
-    ia, ib, g = table
+    ia, ib, H, S, step_a, step_b = table
+    if step_a is not None and step_b is not None:
+        size = H.itemsize
+        window = as_strided(H[S + ia[rows.start] - ib[0] :], out.shape,
+                            (size * step_a, -size * step_b), writeable=False)
+        np.copyto(out, window)
+        return out
     offsets = out.view(np.intp)
-    np.subtract.outer(ia[rows], ib, out=offsets)
-    np.abs(offsets, out=offsets)
-    return np.take(g, offsets, out=out, mode="clip")
+    np.subtract.outer(ia[rows] + S, ib, out=offsets)
+    return np.take(H, offsets, out=out, mode="clip")
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
@@ -282,10 +341,13 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
     The rows are evaluated in blocks of ``row_block(n)`` straight into one
     preallocated n x n matrix, bitwise ``matern_of_r(spec, distances(X, X))``:
     each block's distances and work arrays reuse the buffers of
-    :func:`row_blocks`.  A 1-d set on a small dyadic lattice gathers its
-    blocks from one :func:`lattice_table`, whose values are bitwise the
-    direct ones (the differences of lattice points are exact); any other
-    set evaluates ``matern_of_r`` on every entry.
+    :func:`row_blocks` (in d >= 2 the distances square each further
+    coordinate in the block of ``K`` they are about to fill).  A 1-d set on
+    a small dyadic lattice reads its blocks from one :func:`lattice_table`
+    through :func:`table_block` (a copied window of the table for a grid, a
+    gather otherwise), bitwise the direct values, since the differences of
+    lattice points are exact; any other set evaluates ``matern_of_r`` on
+    every entry.
     Duplicate points make the matrix singular; a
     :class:`SingularGramWarning` is emitted and the matrix still returned.
     On the table path, the zero offsets are counted: in 1-d they are
@@ -299,14 +361,14 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
     table = lattice_table(spec, pts, pts)
     if table:
         # the zero offsets, one per ordered pair of equal integer coordinates
-        counts = np.bincount(table[0])
+        counts = np.bincount(table.ia)
         zeros = int(counts @ counts)
         for rows, _ in row_blocks(n, n, 0):
             table_block(table, rows, K[rows])
     else:
         zeros = 0
         for rows, (dist, *work) in row_blocks(n, n, 1 + work_arrays(spec)):
-            r = distances(pts[rows], pts, out=dist)
+            r = distances(pts[rows], pts, out=dist, work=K[rows])
             zeros += np.count_nonzero(r == 0.0)
             matern_of_r(spec, r, out=K[rows], work=work)
     if zeros > n:
@@ -321,10 +383,11 @@ def cross_matrix(spec: KernelSpec, Xq, X, out=None, work=()) -> np.ndarray:
 
     The distances go into ``work[0]`` when given.  With ``out``, the kernel
     goes into ``out`` and ``work[1:]`` serve as :func:`matern_of_r`'s work
-    arrays.
+    arrays; in d >= 2, ``out`` is also the distances' work array before the
+    kernel overwrites it.
     """
     q, pts = as_points(spec.dim, Xq), as_points(spec.dim, X)
-    r = distances(q, pts, out=work[0] if len(work) else None)
+    r = distances(q, pts, out=work[0] if len(work) else None, work=out)
     return matern_of_r(spec, r, out=out, work=work[1:])
 
 

@@ -141,6 +141,17 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
      "target.expansion.n_centers"),
     (dict(SMALL_FIT, target={"expansion": {"tau": 2.0, "seed": 1, "n_centers": -2}}),
      "target.expansion.n_centers"),
+    # json.load reads Infinity and NaN; no number field takes them
+    (dict(SMALL_RATES, kernel={"tau": 2.0, "amplitude": math.inf}), "kernel.amplitude"),
+    (dict(SMALL_RATES, kernel={"tau": math.inf}), "kernel.tau"),
+    (dict(SMALL_RATES, kernel={"tau": 2.0, "lengthscale": math.inf}), "kernel.lengthscale"),
+    (dict(SMALL_REGRESS, noise={"kind": "gaussian", "sigma": math.inf}), "noise.sigma"),
+    (dict(SMALL_REGRESS, nugget={"kind": "fixed", "sigma": math.inf}), "nugget.sigma"),
+    (dict(SMALL_RATES, target={"name": "layered_tau2", "scale": math.inf}), "target.scale"),
+    (dict(SMALL_RATES, mean={"value": math.inf}), "mean.value"),
+    (dict(SMALL_RATES, mean={"value": math.nan}), "mean.value"),
+    (dict(SMALL_RATES, tolerance=math.inf), "tolerance must be finite"),
+    (dict(SMALL_RATES, tolerance=10**400), "tolerance must be finite"),  # past float range
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
         "zero_replicates", "fractional_replicates", "empty_bo_budgets", "bo_budget_below_2",
         "bo_budget_above_candidates",
@@ -157,7 +168,10 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
         "candidate_resolution_on_random", "negative_burn_in", "zero_grid_resolution",
         "zero_candidate_resolution", "negative_candidate_resolution", "n_zero", "n_negative",
         "negative_tolerance", "nan_tolerance", "zero_expansion_centers",
-        "negative_expansion_centers"])
+        "negative_expansion_centers", "infinite_amplitude", "infinite_tau",
+        "infinite_lengthscale", "infinite_noise_sigma", "infinite_nugget_sigma",
+        "infinite_target_scale", "infinite_mean", "nan_mean", "infinite_tolerance",
+        "huge_integer_tolerance"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     code, _ = _run(tmp_path, config, "--seed", "3")
     assert code == 2
@@ -165,6 +179,15 @@ def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert field is None or field in err
+
+
+def test_allocation_failure_exits_2_without_a_traceback(tmp_path, capsys):
+    # 10**15 grid points take 8 PB, more than any address space holds, so
+    # the allocation fails at once
+    code, _ = _run(tmp_path, dict(SMALL_RATES, grid_resolution=10**15))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("config", [

@@ -280,13 +280,24 @@ def _table_guard_configs():
 def test_shipped_ladders_gather_from_a_kernel_table(raw):
     # every prediction on the evaluation grid and on the doubled stability
     # grid, and every Gram matrix of a grid design, takes the lattice table:
-    # a change that silently falls back to the direct path fails here
+    # a change that silently falls back to the direct path fails here.  A
+    # grid against a grid is a window of the table (both steps known); a
+    # grid against P-greedy picks, which are no progression, is a gather.
     cfg = config_from_dict(raw)
     grid = make_grid(cfg.domain, cfg.grid_resolution).points
     fine = make_grid(cfg.domain, 2 * len(grid)).points
+    window = cfg.design_kind == "grid"
+    assert window or cfg.design_kind == "p_greedy"
     for idx, X in enumerate(_designs(cfg, cfg.ladder)):
         kernel = cfg.kernel_for(idx)
-        assert lattice_table(kernel, grid, X.points) is not None
-        assert lattice_table(kernel, fine, X.points) is not None
-        if cfg.design_kind == "grid":
-            assert lattice_table(kernel, X.points, X.points) is not None
+        for queries in (grid, fine):
+            table = lattice_table(kernel, queries, X.points)
+            assert table is not None and table.step_a is not None
+            assert (table.step_b is not None) == window
+        if window:
+            table = lattice_table(kernel, X.points, X.points)
+            assert table is not None and None not in (table.step_a, table.step_b)
+    if not window:  # every P-greedy column is a window of the candidates' table
+        candidates = designs.gen_grid(cfg.candidate_resolution, cfg.domain).points
+        table = lattice_table(cfg.kernel_for(0), candidates, candidates)
+        assert table is not None and None not in (table.step_a, table.step_b)

@@ -5,12 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, kv
 
-from gprates import kernels
-from gprates.designs import UNIT_INTERVAL, Domain, PointSet, gen_grid
+from gprates import designs, kernels
+from gprates.designs import UNIT_INTERVAL, Domain, PointSet, gen_grid, gen_p_greedy
 from gprates.errors import ConfigurationError, SingularGramWarning
 from gprates.fitting import MeanSpec, PosteriorModel, posterior_mean
 from gprates.kernels import (
@@ -24,6 +24,7 @@ from gprates.kernels import (
     min_eigenvalue,
     row_block,
     row_blocks,
+    table_block,
     work_arrays,
 )
 
@@ -317,6 +318,44 @@ def test_distances_in_1d_are_absolute_differences():
     assert tiny[0, 0] == 1e-200  # the root of the underflowed square would be 0
 
 
+def _tensor_distances(A, B):
+    """Distances through the (m, n, d) difference tensor, the formula the
+    coordinate-by-coordinate sum replaces."""
+    return np.sqrt(np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_distances_are_bitwise_the_tensor_formula(dim):
+    rng = np.random.default_rng(dim)
+    A, B = rng.standard_normal((1000, dim)), rng.random((300, dim))
+    assert len(A) % row_block(len(B))  # a ragged last block
+    expected = _tensor_distances(A, B)
+    for rows, (d, work) in row_blocks(len(A), len(B), 2):
+        assert np.array_equal(distances(A[rows], B, out=d, work=work), expected[rows])
+    assert np.array_equal(distances(A, B), expected)
+
+
+def test_2d_block_allocates_no_difference_tensor():
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    A, B = rng.random((128, 2)), rng.random((576, 2))
+    spec = KernelSpec(tau=3.5, dim=2)  # nu = 5/2: one matern work array
+    dist, out, *work = np.empty((2 + work_arrays(spec), 128, 576))
+    bound = A.shape[0] * B.shape[0] * 8 // 4  # a quarter of one block
+    peaks = []
+    for call in (lambda: distances(A, B, out=dist, work=out),
+                 lambda: cross_matrix(spec, A, B, out=out, work=[dist, *work]),
+                 lambda: _tensor_distances(A, B)):
+        tracemalloc.start()
+        call()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < bound and peaks[1] < bound
+    assert peaks[2] > 8 * bound  # the (m, n, d) tensor and its square
+    assert np.array_equal(out, matern_of_r(spec, _tensor_distances(A, B)))
+
+
 class TestCrossVector:
     """The kernel vector ``k(x, X)`` of one point: a one-row cross matrix."""
 
@@ -421,6 +460,49 @@ def dyadic_prediction_sets(draw):
             np.ldexp(design.astype(float), -p)[:, None], seed)
 
 
+def _is_progression(ints):
+    """Whether consecutive integers all differ by one step (one point: step 0)."""
+    return len(set(np.diff(ints).tolist())) <= 1
+
+
+@st.composite
+def lattice_ints(draw, max_len):
+    """Integer lattice coordinates: a progression of step 1 ... 8, ascending
+    or descending, one point, or points drawn with repeats from a window.
+    Sets of 40 or more points keep two of them on a table of their union
+    most of the time (``4 (S + 1) <= m n``)."""
+    kind = draw(st.sampled_from(["progression", "progression", "scattered", "one"]))
+    start = draw(st.integers(-16, 16))
+    if kind == "one":
+        return np.array([start])
+    n = draw(st.integers(40, max_len))
+    if kind == "progression":
+        step = draw(st.integers(1, 8)) * draw(st.sampled_from([1, -1]))
+        return start + step * np.arange(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return start + rng.integers(0, draw(st.integers(1, n)) + 1, n)
+
+
+@st.composite
+def progression_ints(draw, n):
+    """``n`` distinct integers in a progression of step 1 ... 8, ascending or
+    descending, starting between -64 and 64."""
+    step = draw(st.integers(1, 8)) * draw(st.sampled_from([1, -1]))
+    return draw(st.integers(-64, 64)) + step * np.arange(n)
+
+
+def _on_lattice(ints, p):
+    return np.ldexp(np.asarray(ints, dtype=float), -p)[:, None]
+
+
+def _picks(n, spec, cand):
+    """``gen_p_greedy``'s picks, or the type of the error it raises."""
+    try:
+        return gen_p_greedy(n, spec, cand).points
+    except ConfigurationError as exc:
+        return type(exc)
+
+
 class TestLatticeTable:
     """1-d sets on a small dyadic lattice gather their kernel blocks from one
     table, bitwise the direct evaluation; every other set is evaluated directly."""
@@ -447,6 +529,86 @@ class TestLatticeTable:
         assert np.array_equal(K, cross_matrix(spec, Q, X))
         assert np.array_equal(posterior_mean(model, Q),
                               _blocked_product(K, model.dual, row_block(len(X))))
+
+    @TABLE_ORDERS
+    @settings(max_examples=15, deadline=None)
+    @given(ia=lattice_ints(160), ib=lattice_ints(64), p=st.integers(0, 20),
+           height=st.integers(1, 64))
+    # one-point sets take a table only against repeated points
+    @example(ia=np.full(16, 5), ib=np.array([7]), p=3, height=5)
+    @example(ia=np.array([1, 2] * 20), ib=np.array([2]), p=0, height=7)
+    def test_window_and_gather_blocks_are_bitwise_the_direct_block(self, nu, ia, ib, p, height):
+        A, B = _on_lattice(ia, p), _on_lattice(ib, p)
+        spec = _table_spec(nu)
+        table = lattice_table(spec, A, B)
+        span = max(ia.max(), ib.max()) - min(ia.min(), ib.min())
+        assert (table is None) == (4 * (span + 1) > len(A) * len(B))
+        if table is None:
+            return
+        for ints, index, step in ((ia, table.ia, table.step_a), (ib, table.ib, table.step_b)):
+            assert (step is None) == (not _is_progression(ints))
+            if step is not None:
+                assert np.array_equal(index, index[0] + step * np.arange(len(index)))
+        direct = matern_of_r(spec, distances(A, B))
+        gather = table._replace(step_a=None)  # the same table, read by offsets
+        # blocks of ``height`` rows, the last one ragged
+        for start in range(0, len(A), height):
+            rows = slice(start, min(start + height, len(A)))
+            for t in (table, gather):
+                out = np.full((rows.stop - rows.start, len(B)), np.nan)
+                assert table_block(t, rows, out) is out
+                assert np.array_equal(out, direct[rows])
+
+    @TABLE_ORDERS
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), p=st.integers(0, 20))
+    def test_grids_through_the_window_are_bitwise_the_direct_path(self, nu, data, p):
+        spec = _table_spec(nu)
+        # gram: two row blocks, the last one ragged
+        n = data.draw(st.integers(257, 320).filter(lambda n: n % row_block(n)))
+        X = _on_lattice(data.draw(progression_ints(n)), p)
+        table = lattice_table(spec, X, X)
+        assert table is not None and None not in (table.step_a, table.step_b)
+        assert np.array_equal(gram(spec, X), matern_of_r(spec, distances(X, X)))
+        # prediction: a grid of queries against a grid design, two row
+        # blocks, the last one ragged
+        n = data.draw(st.integers(32, 48))
+        step = row_block(n)
+        m = data.draw(st.integers(step + 1, 2 * step - 1))
+        Q = _on_lattice(data.draw(progression_ints(m)), p)
+        X = _on_lattice(data.draw(progression_ints(n)), p)
+        table = lattice_table(spec, Q, X)
+        assert table is not None and None not in (table.step_a, table.step_b)
+        model = _model(spec, X[:, 0], np.random.default_rng(m))
+        K = matern_of_r(spec, distances(Q, X))
+        assert np.array_equal(posterior_mean(model, Q), _blocked_product(K, model.dual, step))
+
+    @TABLE_ORDERS
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), p=st.integers(0, 20))
+    def test_p_greedy_columns_from_the_table_are_bitwise_the_direct_ones(self, nu, data, p):
+        from unittest import mock
+
+        spec = _table_spec(nu)
+        m = data.draw(st.integers(32, 96))  # a span of 8 (m - 1) takes the table
+        if data.draw(st.booleans(), label="grid"):
+            ints = data.draw(progression_ints(m))
+        else:
+            ints = data.draw(st.lists(st.integers(-m, m), min_size=m, max_size=m, unique=True))
+        C = _on_lattice(ints, p)
+        table = lattice_table(spec, C, C)
+        assert table is not None
+        assert (table.step_a is not None) == _is_progression(ints)
+        row = np.empty((1, m))
+        for j in range(m):
+            assert np.array_equal(table_block(table, slice(j, j + 1), row)[0],
+                                  cross_matrix(spec, C, C[j : j + 1])[:, 0])
+        cand = PointSet(C, Domain((float(C.min()) - 1.0,), (float(C.max()) + 1.0,)))
+        n = data.draw(st.integers(1, min(m, 12)))
+        picks = _picks(n, spec, cand)
+        with mock.patch.object(designs, "lattice_table", lambda *args: None):
+            direct = _picks(n, spec, cand)
+        assert np.array_equal(picks, direct) if isinstance(direct, np.ndarray) else picks is direct
 
     @pytest.mark.parametrize("X", [
         gen_grid(100, UNIT_INTERVAL).points,
@@ -480,10 +642,15 @@ class TestLatticeTable:
     ], ids=["width3_grid64", "grid1024", "symmetric_grid256"])
     def test_dyadic_grids_evaluate_one_table(self, counted, X):
         spec = KernelSpec(tau=2.0, lengthscale=0.3, amplitude=1.7)
-        _, _, g = lattice_table(spec, X, X)
+        table = lattice_table(spec, X, X)
+        # a grid is a progression, so its blocks are windows of the table
+        assert table.step_a == table.step_b and table.step_a is not None
+        # one two-sided table, evaluated once on its nonnegative half
+        assert len(table.H) == 2 * table.S + 1 and np.array_equal(table.H, table.H[::-1])
         evaluated = counted(kernels, "matern_of_r")
         K = gram(spec, X)
-        assert evaluated == {"calls": 1, "entries": len(g)} and 4 * len(g) <= len(X) ** 2
+        assert evaluated == {"calls": 1, "entries": table.S + 1}
+        assert 4 * (table.S + 1) <= len(X) ** 2
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
 
     @pytest.mark.parametrize("span, taken", [(15, True), (16, False)])
