@@ -14,14 +14,21 @@ the target on the candidates and the reference grid once, and
 returns its record.  Every selected and final point's value is read from the
 one evaluation on the candidates, so the candidate regret is never negative.
 
-The loop repeats no work.  One incremental Newton basis
-(``designs.NewtonBasis``, with ``fit``'s interpolation jitter) gives the
-posterior mean and sd on every candidate, and only each budget's final step
-calls ``fit``.  A ``DistanceTable`` evaluates the kernel once per distinct
-candidate distance; grid candidates repeat their distances exactly, so 4096
-of them need 4096 kernel values in all.  A ``designs.MeshRatioTracker``
-updates the mesh ratio with each selected point.  Every kernel column and
-trace value is bitwise what the direct computation gives.
+The loop repeats no work and scores only what its pick reads.  One
+incremental Newton basis (``designs.NewtonBasis``, with ``fit``'s
+interpolation jitter) gives the posterior sd on every candidate, and the
+mean and expected improvement only on the stabilized set: the pick is the
+first maximizer there, so scoring every candidate would change nothing.
+Only each budget's final step calls ``fit``.  Each selected point's kernel
+column is one row of the candidates' ``kernels.lattice_table`` against
+themselves, read through ``designs.lattice_columns`` as
+``designs.gen_p_greedy`` reads its columns, when the candidates have one
+(every 1-d dyadic grid: a7's 4096 midpoints take one table of 4096 kernel
+values); other candidates (2-d, off a dyadic lattice) take a
+``DistanceTable``, which evaluates the kernel once per distinct candidate
+distance.  A ``designs.MeshRatioTracker`` updates the mesh ratio with each
+selected point.  Every kernel column, mean, sd, acquisition and trace value
+is bitwise what the direct computation on every candidate gives.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 from scipy.linalg import solve_triangular  # noqa: F401  (perfbench/layers.py traces it here)
 from scipy.special import ndtr
 
-from .designs import MeshRatioTracker, NewtonBasis, PointSet, gen_grid
+from .designs import MeshRatioTracker, NewtonBasis, PointSet, gen_grid, lattice_columns
 from .errors import ConfigurationError
 from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit
 from .kernels import KernelSpec, distances, matern_of_r
@@ -169,41 +176,57 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     acquisition value, and the mesh ratio of the points selected so far
     (probe-grid fill distance over the candidate domain).
 
-    One ``DistanceTable`` gives every selected point's kernel column, so
-    ``matern_of_r`` sees each distinct candidate distance once, and one
-    ``MeshRatioTracker`` takes each point as it is selected: bitwise the
-    ``cross_matrix`` columns, and the fill distance over separation radius
-    of each selected prefix.  Every target value is read from ``f_cand``.
+    Each selected point's kernel column comes from
+    ``designs.lattice_columns``, as ``designs.gen_p_greedy``'s do, when the
+    candidates have a lattice table (every 1-d dyadic grid); otherwise a
+    ``DistanceTable`` gives it.  Either way ``matern_of_r`` runs once per
+    lattice offset or distinct candidate distance, not once per column, and
+    the column is bitwise the ``cross_matrix`` column.
+
+    Each step forms the posterior sd on every candidate, but the mean and
+    the expected improvement only on the stabilized set ``eligible``
+    (``NewtonBasis.mean`` on the runs of 8-row groups that hold it).  The
+    pick is the first maximizer over that set, so the picks, and the mean,
+    sd and acquisition at each, are bitwise those of scoring every
+    candidate.  One ``MeshRatioTracker`` takes each point as it is
+    selected: the fill distance over separation radius of each selected
+    prefix.  Every target value is read from ``f_cand``.
     """
     cand = config.candidates
     cpts = cand.points
+    m = len(cpts)
     A = config.kernel.amplitude
-    newton = NewtonBasis(A, len(cpts), config.n - 1, eps=DEFAULT_JITTER_FACTOR * A)
-    columns = DistanceTable(config.kernel, cpts)
+    newton = NewtonBasis(A, m, config.n - 1, eps=DEFAULT_JITTER_FACTOR * A)
+    column_of = (lattice_columns(config.kernel, cpts)
+                 or DistanceTable(config.kernel, cpts).column)
     mesh = MeshRatioTracker(cand.domain)
     ref = gen_grid(REFERENCE_RESOLUTION, cand.domain).points if cand.domain.dim == 1 else cpts
     run = BOTrajectory(config, eval_target(target, cpts),
-                       float(np.max(eval_target(target, ref))), np.empty((len(cpts), config.n - 1)))
+                       float(np.max(eval_target(target, ref))), np.empty((m, config.n - 1)))
 
     def choose(j: int) -> None:
         # selected points are always candidates, so the candidate-by-selected
         # cross-covariance grows by one column per step
-        column = columns.column(j)
+        column = column_of(j)
         run.cols[:, len(run.chosen)] = column
         run.chosen.append(j)
         newton.add(j, column, run.f_cand[j])
         mesh.add(cpts[j])
 
     choose(0)
+    best = run.f_cand[0]
+    mean = np.empty(m)
     for step in range(2, config.n):
-        mean = newton.mean()
         sd = np.sqrt(newton.power)
         threshold = config.gamma * sd.max()
-        acq = expected_improvement(mean, sd, run.f_cand[run.chosen].max())
-        masked = np.where(sd >= threshold, acq, -np.inf)
-        j = int(np.argmax(masked))  # first maximizer wins ties
+        eligible = np.flatnonzero(sd >= threshold)
+        newton.mean(eligible, out=mean)
+        acq = expected_improvement(mean[eligible], sd[eligible], best)
+        i = int(np.argmax(acq))  # first maximizer wins ties
+        j = int(eligible[i])
         run.slacks.append(threshold - sd[j])
         choose(j)
+        best = np.maximum(best, run.f_cand[j])  # the best value selected so far
         run.trace.append(
             {
                 "step": step,
@@ -211,7 +234,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
                 "f": float(run.f_cand[j]),
                 "threshold": float(threshold),
                 "sd": float(sd[j]),
-                "acquisition": float(acq[j]),
+                "acquisition": float(acq[i]),
                 "rho_so_far": mesh.ratio(),
             }
         )

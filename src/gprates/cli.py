@@ -82,13 +82,16 @@ def _cmd_run(args) -> int:
     from .experiments import config_from_dict, run_experiment
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        print(f"config error: no such file {args.config!r}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON at line {exc.lineno}: {exc.msg}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # no such file, a directory, no permission
+        print(f"config error: cannot read {args.config!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # bytes that are not UTF-8, an integer too long to convert
+        print(f"config error: cannot read {args.config!r}: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed

@@ -138,22 +138,59 @@ class NewtonBasis:
         self.z = np.zeros(capacity)
         self.eps = eps
         self.size = 0
+        self._col = np.empty(m)
 
     def add(self, j: int, column, value: float = 0.0) -> None:
-        """Add candidate ``j``; ``column`` is ``k(cand, cand[j])``, ``value`` its observation."""
+        """Add candidate ``j``; ``column`` is ``k(cand, cand[j])``, ``value`` its observation.
+
+        The new basis column is formed in one buffer and ``power`` is
+        updated in place, with the operations and rounding of
+        ``power = max(power - col * col, 0)``.
+        """
         k = self.size
         row = self.basis[j, :k]
         pivot = np.sqrt(self.power[j] + self.eps)
-        col = column - self.basis[:, :k] @ row
+        col = np.matmul(self.basis[:, :k], row, out=self._col)
+        np.subtract(column, col, out=col)
         col /= pivot
         self.z[k] = (value - row @ self.z[:k]) / pivot
         self.basis[:, k] = col
-        self.power = np.maximum(self.power - col * col, 0.0)
+        col *= col
+        self.power -= col
+        np.maximum(self.power, 0.0, out=self.power)
         self.size = k + 1
 
-    def mean(self) -> np.ndarray:
-        """Posterior mean on every candidate of the values added so far."""
-        return self.basis[:, : self.size] @ self.z[: self.size]
+    def mean(self, rows, out) -> np.ndarray:
+        """Posterior mean of the values added so far, at least on the candidates ``rows``.
+
+        ``rows`` is an ascending index array, and the means go into ``out``,
+        an (m,) array, which is returned.  The mean is
+        ``basis[:, :k] @ z[:k]``, formed only on the runs of 8-row groups
+        that hold a row of ``rows``: each run is one product of a view of
+        ``basis``, no copy.  A run starts at a multiple of 8 and ends at one
+        or at m, so every row keeps its place in OpenBLAS's gemv row groups
+        (see ``kernels.row_block``) and gets bitwise its value in the whole
+        product; a last group of one row joins the group before it.  That
+        holds with BLAS on one thread, as ``cli.main`` and the tests pin it:
+        two threads split the whole product's rows near m / 2.
+        Entries of ``out`` outside the runs are left as they were.
+        """
+        for a, b in _group_runs(rows, len(out)):
+            np.matmul(self.basis[a:b, : self.size], self.z[: self.size], out=out[a:b])
+        return out
+
+
+def _group_runs(rows, m: int):
+    """The runs ``(a, b)`` of consecutive 8-row groups of ``range(m)`` that
+    hold an entry of the ascending index array ``rows``."""
+    groups = np.asarray(rows) // 8
+    starts = (8 * groups[np.diff(groups, prepend=-2) > 1]).tolist()
+    stops = np.minimum(8 * groups[np.diff(groups, append=groups[-1:] + 2) > 1] + 8, m).tolist()
+    if m > 1 and starts and starts[-1] == m - 1:
+        # numpy forms a one-row product as a dot product, which rounds
+        # otherwise than gemv, so a last group of one row joins the one before
+        starts[-1] -= 8
+    return zip(starts, stops)
 
 
 def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
@@ -168,11 +205,9 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
     are bitwise the points of a run to k: a ladder of sizes takes prefixes of
     one run to its largest size.
 
-    The column ``k(cand, cand[j])`` of each pick is row j of the candidates'
-    :func:`kernels.lattice_table` against themselves when they have one (a
-    grid of candidates copies it as a window of the table; the kernel is
-    symmetric and the lattice differences exact, so the row is bitwise the
-    column), and ``cross_matrix`` otherwise.
+    The column ``k(cand, cand[j])`` of each pick comes from
+    :func:`lattice_columns` when the candidates have a lattice table, and
+    from ``cross_matrix`` otherwise.
     """
     cand = candidates.points
     m = cand.shape[0]
@@ -182,8 +217,8 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
         raise ConfigurationError("candidate dimension does not match kernel dim")
     newton = NewtonBasis(spec.amplitude, m, n)
     selected = np.zeros(n, dtype=int)
-    table = lattice_table(spec, cand, cand)
-    row = np.empty((1, m))
+    column_of = lattice_columns(spec, cand) or (
+        lambda j: cross_matrix(spec, cand, cand[j : j + 1])[:, 0])
     for step in range(n):
         j = int(np.argmax(newton.power))  # np.argmax returns the first maximizer
         selected[step] = j
@@ -191,12 +226,27 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
             raise ConfigurationError(
                 "candidate pool exhausted: remaining posterior variance is zero"
             )
-        if table:
-            column = table_block(table, slice(j, j + 1), row)[0]
-        else:
-            column = cross_matrix(spec, cand, cand[j : j + 1])[:, 0]
-        newton.add(j, column)
+        newton.add(j, column_of(j))
     return PointSet(cand[selected], candidates.domain)
+
+
+def lattice_columns(spec: KernelSpec, points: np.ndarray):
+    """The kernel columns ``j -> k(points, points[j])`` of a set with a lattice
+    table, or None.
+
+    Column j is row j of the points' :func:`kernels.lattice_table` against
+    themselves, read through :func:`kernels.table_block` (a copied window of
+    the table for a grid, a gather otherwise) into one buffer that the next
+    call overwrites.  The kernel is symmetric and the lattice differences
+    exact, so the row is bitwise ``cross_matrix(spec, points, points[j])[:, 0]``.
+    None when the points have no table (d >= 2, off a dyadic lattice).
+    ``gen_p_greedy`` and ``bayesopt.run_gamma_F_n`` read their columns here.
+    """
+    table = lattice_table(spec, points, points)
+    if table is None:
+        return None
+    row = np.empty((1, len(points)))
+    return lambda j: table_block(table, slice(j, j + 1), row)[0]
 
 
 def _probe_points(domain: Domain, probe_resolution: int) -> np.ndarray:

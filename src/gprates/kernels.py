@@ -7,21 +7,22 @@ classical Matern order is derived as ``nu = tau - dim/2``.  Half-integer
 modified Bessel function of the second kind.
 
 The kernels are radial, ``k(x, y) = Phi(|x - y|)``.  When two 1-d point
-sets lie on one dyadic lattice (every coordinate a multiple of
-``delta = 2^-p``), :func:`lattice_table` evaluates ``Phi`` once per lattice
-offset into a two-sided table ``H[S + k] = Phi(|k| delta)``, and ``gram``,
-``fitting.posterior_mean`` and ``designs.gen_p_greedy`` read their blocks
-from that table instead of evaluating ``matern_of_r`` on every entry.  The
-values are bitwise those of the direct path: the difference of two
-multiples of ``delta`` whose integer offset ``k`` is below 2^53 is exact,
-so ``|a - b|`` is the same double as ``|k| * delta``, and ``matern_of_r``
-is elementwise.  When both sets are arithmetic progressions on the lattice
-(midpoint grids), a block ``H[S + I_a[i] - I_b[j]]`` is Toeplitz, one
-strided window of ``H`` that :func:`table_block` copies with no index
-arithmetic; other lattice sets (P-greedy picks) gather the same entries
-through integer offsets.  Sets in d >= 2, off a dyadic lattice, or whose
-lattice spans more offsets than a quarter of the block's entries take the
-direct path.
+sets lie on one dyadic lattice (every coordinate a multiple of some
+``2^-q``), :func:`lattice_table` evaluates ``Phi`` once per offset of the
+lattice ``delta = 2^-p`` that holds their differences, into a two-sided
+table ``H[S + k] = Phi(|k| delta)``, and ``gram``,
+``fitting.posterior_mean``, ``designs.gen_p_greedy`` and
+``bayesopt.run_gamma_F_n`` read their blocks from that table instead of
+evaluating ``matern_of_r`` on every entry.  The values are bitwise those of
+the direct path: the difference of two lattice points whose integer offset
+``k`` is below 2^53 is exact, so ``|a - b|`` is the same double as
+``|k| * delta``, and ``matern_of_r`` is elementwise.  When both sets are
+arithmetic progressions on the lattice (midpoint grids), a block
+``H[S + I_a[i] - I_b[j]]`` is Toeplitz, one strided window of ``H`` that
+:func:`table_block` copies with no index arithmetic; other lattice sets
+(P-greedy picks) gather the same entries through integer offsets.  Sets
+in d >= 2, off a dyadic lattice, or whose lattice spans more offsets than a
+quarter of the block's entries take the direct path.
 """
 
 from __future__ import annotations
@@ -265,15 +266,23 @@ def _step(index: np.ndarray) -> int | None:
 def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> LatticeTable | None:
     """The kernel once per offset of the dyadic lattice that holds two 1-d batches.
 
-    If every coordinate of the (m, 1) and (n, 1) batches ``A`` and ``B`` is a
-    finite multiple of ``delta = 2^-p`` (p >= 0, the most fractional bits of
-    any coordinate, read from ``np.frexp``), and the union's integer span
-    ``S`` is small enough that ``4 (S + 1) <= m n``, returns a
-    :class:`LatticeTable`: the integer coordinates ``ia``, ``ib`` of each
-    batch, ``(x - min) / delta`` as ``np.intp``; the two-sided table ``H`` of
-    ``2 S + 1`` entries, ``H[S + k] = matern_of_r(spec, |k| * delta)``; and
-    each batch's step, the common difference of its integer coordinates (0
-    for one point, None when the differences are not all equal).
+    The (m, 1) and (n, 1) batches ``A`` and ``B`` take a table when every
+    coordinate is a finite multiple of ``2^-q`` (q >= 0, the most fractional
+    bits of any coordinate, read from ``np.frexp``) and the union spans at
+    most ``m n / 4 - 1`` steps of that lattice, which also makes every
+    offset ``x - min`` exact (below 2^53 steps of ``2^-q``).  The table is
+    laid on the lattice of the offsets, which may be coarser:
+    ``delta = 2^-p``, with ``p <= q`` the most fractional bits of any
+    offset.  A midpoint grid's coordinates are odd multiples of ``2^-q``
+    and its offsets even ones, so against itself its table evaluates the
+    kernel on n offsets, where the coordinates' lattice would take 2n - 1.
+
+    Returns a :class:`LatticeTable`: the integer coordinates ``ia``, ``ib``
+    of each batch, ``(x - min) / delta`` as ``np.intp``; the two-sided table
+    ``H`` of ``2 S + 1`` entries, with ``S`` the union's span in steps of
+    ``delta`` and ``H[S + k] = matern_of_r(spec, |k| * delta)``; and each
+    batch's step, the common difference of its integer coordinates (0 for
+    one point, None when the differences are not all equal).
     ``matern_of_r`` runs once, on the offsets ``0 ... S`` written into
     ``H[S:]``, and ``H[:S]`` is their mirror image.  Since ``S < 2^53``,
     ``a - b`` is exactly ``(I_a - I_b) * delta``, so ``H[S + I_a - I_b]`` is
@@ -290,13 +299,18 @@ def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> LatticeTabl
     mant, exp = np.frexp(x[x != 0.0])
     sig = np.ldexp(mant, 53, out=mant).astype(np.int64)  # x = sig * 2^(exp - 53)
     sig &= -sig  # the lowest set bit of each, 2^t, whose frexp exponent is t + 1
-    # a coordinate has 53 - t - exp fractional bits; 2^-p covers them all
-    p = max(0, int((54 - np.frexp(sig.astype(float))[1] - exp).max(initial=0)))
-    if not hi - lo <= math.ldexp(len(A) * len(B) / 4 - 1, -p):
+    # a coordinate has 53 - t - exp fractional bits; 2^-q covers them all
+    q = max(0, int((54 - np.frexp(sig.astype(float))[1] - exp).max(initial=0)))
+    if not hi - lo <= math.ldexp(len(A) * len(B) / 4 - 1, -q):
         return None
+    x -= lo  # exact: every offset is an integer below 2^53 steps of 2^-q
+    index = np.ldexp(x, q, out=x).astype(np.intp)
+    # the offsets' lattice drops the trailing zero bits that all of them share
+    bits = int(np.bitwise_or.reduce(index))
+    shift = q if bits == 0 else min(q, (bits & -bits).bit_length() - 1)
+    index >>= shift
+    p = q - shift
     span = int(math.ldexp(hi - lo, p))
-    x -= lo
-    index = np.ldexp(x, p, out=x).astype(np.intp)
     ia, ib = index[: len(A)], index[len(A) :]
     H = np.empty(2 * span + 1)
     matern_of_r(spec, np.ldexp(np.arange(span + 1, dtype=float), -p), out=H[span:])

@@ -6,14 +6,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gprates
-from gprates import designs, kernels
+from gprates import bayesopt, designs, kernels
+from gprates.acceptance import acceptance_configs
 from gprates.bayesopt import BOConfig, DistanceTable, expected_improvement, run_gamma_F_n
 from gprates.designs import Domain, PointSet, fill_distance, gen_grid, separation_radius
 from gprates.errors import ConfigurationError
 from gprates.experiments import config_from_dict, run_bo_experiment
 from gprates.kernels import KernelSpec, cross_matrix
+from gprates.targets import random_expansion_target
 
 # a7's kernel, target and strategy on 512 candidates; from step 51 on, the
 # masked expected improvement is exactly 0 on every stabilized candidate, so
@@ -149,6 +153,65 @@ def test_expected_improvement_is_bitwise_the_scipy_stats_formula():
         z = np.where(sd > 0, gap / np.where(sd > 0, sd, 1.0), 0.0)
         oracle = np.where(sd > 0, gap * norm.cdf(z) + sd * norm.pdf(z), np.maximum(gap, 0.0))
         assert np.array_equal(expected_improvement(mean, sd, best), oracle)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300), best=st.floats(-3.0, 3.0))
+def test_expected_improvement_on_a_subset_is_bitwise_the_full_call(seed, size, best):
+    # the BO loop scores only its stabilized set; any subset, of any length
+    # and offset, gets bitwise the entries of the call on every candidate
+    rng = np.random.default_rng(seed)
+    mean = np.concatenate([rng.standard_normal(4000) * 3.0, [0.0, -0.0, 1e-300, 50.0, -50.0]])
+    sd = np.concatenate([rng.random(4000) * 2.0, [1.0, 0.0, 1e-320, 1e-3, 1.0]])
+    rows = np.sort(rng.choice(len(mean), size, replace=False))
+    with np.errstate(over="ignore"):  # gap / 1e-320
+        full = expected_improvement(mean, sd, best)
+        assert np.array_equal(expected_improvement(mean[rows], sd[rows], best), full[rows])
+
+
+def _count_distance_table_columns(monkeypatch):
+    calls = []
+    column = DistanceTable.column
+    monkeypatch.setattr(DistanceTable, "column", lambda self, j: calls.append(j) or column(self, j))
+    return calls
+
+
+def test_a7_reads_every_column_from_the_lattice_table(counted, monkeypatch):
+    # a7's 4096 midpoint candidates have a table of 4096 offsets against
+    # themselves: the whole loop evaluates the kernel once, on that table
+    cfg = config_from_dict(acceptance_configs()["a7"])
+    config = BOConfig(gamma=cfg.bo_gamma, n=max(cfg.bo_budgets), kernel=cfg.kernel_for(0),
+                      candidates=gen_grid(cfg.candidate_resolution, cfg.domain))
+    columns = _count_distance_table_columns(monkeypatch)
+    evaluated = counted(kernels, "matern_of_r")
+    trajectory = run_gamma_F_n(cfg.target, config)
+    assert len(trajectory.chosen) == 199
+    assert columns == []
+    assert evaluated == {"calls": 1, "entries": 4096}
+
+
+@pytest.mark.parametrize("resolution, domain", [
+    (32, Domain((0.0, 0.0), (1.0, 1.0))),
+    (1000, Domain((0.1,), (3.1,))),
+], ids=["32x32", "offset_1000"])
+def test_other_candidates_take_the_distance_table(monkeypatch, resolution, domain):
+    dim = domain.dim
+    spec = KernelSpec(tau=2.0 + dim / 2, lengthscale=0.3, dim=dim)
+    cand = gen_grid(resolution, domain)
+    assert kernels.lattice_table(spec, cand.points, cand.points) is None
+    target = random_expansion_target(tau_f=3.0, domain=domain, seed=10)
+    columns = _count_distance_table_columns(monkeypatch)
+    trajectory = run_gamma_F_n(target, BOConfig(gamma=0.3, n=24, kernel=spec, candidates=cand))
+    assert columns == trajectory.chosen
+
+
+def test_table_trajectory_is_bitwise_the_distance_table_one(monkeypatch):
+    table = _trajectory(60)
+    monkeypatch.setattr(bayesopt, "lattice_columns", lambda *args: None)
+    direct = _trajectory(60)
+    assert table.chosen == direct.chosen
+    assert table.trace == direct.trace
+    assert np.array_equal(table.cols, direct.cols)
 
 
 def test_importing_the_harnesses_does_not_load_scipy_stats():

@@ -52,9 +52,19 @@ def _restore_thread_vars(monkeypatch):
         monkeypatch.setenv(var, "1")
 
 
+# a ``config`` for ``_run`` that makes ``--config`` name an empty directory
+A_DIRECTORY = object()
+
+
 def _run(tmp_path, config, *extra):
+    """Run ``config`` (a dict, JSON text, raw bytes or ``A_DIRECTORY``) through ``main``."""
     path = tmp_path / "config.json"
-    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    if config is A_DIRECTORY:
+        path.mkdir()
+    elif isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "out"
     out.mkdir()
     return main(["run", "--config", str(path), "--out", str(out), *extra]), out
@@ -152,6 +162,11 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
     (dict(SMALL_RATES, mean={"value": math.nan}), "mean.value"),
     (dict(SMALL_RATES, tolerance=math.inf), "tolerance must be finite"),
     (dict(SMALL_RATES, tolerance=10**400), "tolerance must be finite"),  # past float range
+    # files json cannot read: an integer past Python's 4300-digit conversion
+    # limit, bytes that are not UTF-8, a directory
+    ('{"kind": "rates", "tolerance": 1' + "0" * 5000 + "}", "config.json"),
+    (b'{"kind": "rates", "name": "\xff"}', "config.json"),
+    (A_DIRECTORY, "config.json"),
 ], ids=["unknown_key", "bad_json", "not_an_object", "empty_ladder", "bad_later_tau",
         "zero_replicates", "fractional_replicates", "empty_bo_budgets", "bo_budget_below_2",
         "bo_budget_above_candidates",
@@ -171,7 +186,8 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
         "negative_expansion_centers", "infinite_amplitude", "infinite_tau",
         "infinite_lengthscale", "infinite_noise_sigma", "infinite_nugget_sigma",
         "infinite_target_scale", "infinite_mean", "nan_mean", "infinite_tolerance",
-        "huge_integer_tolerance"])
+        "huge_integer_tolerance", "integer_past_conversion_limit", "not_utf8",
+        "config_is_a_directory"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     code, _ = _run(tmp_path, config, "--seed", "3")
     assert code == 2

@@ -541,7 +541,11 @@ class TestLatticeTable:
         A, B = _on_lattice(ia, p), _on_lattice(ib, p)
         spec = _table_spec(nu)
         table = lattice_table(spec, A, B)
-        span = max(ia.max(), ib.max()) - min(ia.min(), ib.min())
+        # the rule reads the span in steps of the coordinates' own lattice,
+        # which is coarser than 2^-p when every integer shares a factor 2
+        bits = int(np.bitwise_or.reduce(np.concatenate([ia, ib])))
+        shared = p if bits == 0 else min(p, (bits & -bits).bit_length() - 1)
+        span = (max(ia.max(), ib.max()) - min(ia.min(), ib.min())) >> shared
         assert (table is None) == (4 * (span + 1) > len(A) * len(B))
         if table is None:
             return
@@ -571,8 +575,10 @@ class TestLatticeTable:
         assert table is not None and None not in (table.step_a, table.step_b)
         assert np.array_equal(gram(spec, X), matern_of_r(spec, distances(X, X)))
         # prediction: a grid of queries against a grid design, two row
-        # blocks, the last one ragged
-        n = data.draw(st.integers(32, 48))
+        # blocks, the last one ragged; from n = 33 on, the union of two such
+        # progressions spans at most 8 (m + n) + 112 <= m n / 4 - 1 steps,
+        # so every drawn pair takes a table (at n = 32 some did not)
+        n = data.draw(st.integers(33, 48))
         step = row_block(n)
         m = data.draw(st.integers(step + 1, 2 * step - 1))
         Q = _on_lattice(data.draw(progression_ints(m)), p)
@@ -652,6 +658,27 @@ class TestLatticeTable:
         assert evaluated == {"calls": 1, "entries": table.S + 1}
         assert 4 * (table.S + 1) <= len(X) ** 2
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
+
+    @TABLE_ORDERS
+    @pytest.mark.parametrize("n, domain", [
+        (8, UNIT_INTERVAL), (512, UNIT_INTERVAL), (4096, UNIT_INTERVAL),
+        (256, Domain((-1.0,), (1.0,))),
+    ], ids=["grid8", "grid512", "grid4096", "symmetric_grid256"])
+    def test_midpoint_grid_has_one_offset_per_point(self, nu, n, domain):
+        # coordinates are odd multiples of half a cell and their differences
+        # whole cells, so the table of the grid against itself holds n offsets
+        X = gen_grid(n, domain).points
+        spec = _table_spec(nu)
+        table = lattice_table(spec, X, X)
+        assert table.S == n - 1 and table.step_a == table.step_b == 1
+        rng = np.random.default_rng(n)
+        for start in [0, n - 8, *rng.integers(0, n - 7, 4)]:
+            rows = slice(start, start + 8)
+            out = np.empty((8, n))
+            assert np.array_equal(table_block(table, rows, out),
+                                  matern_of_r(spec, distances(X[rows], X)))
+            assert np.array_equal(table_block(table._replace(step_a=None), rows, out),
+                                  cross_matrix(spec, X[rows], X))
 
     @pytest.mark.parametrize("span, taken", [(15, True), (16, False)])
     def test_table_is_at_most_a_quarter_of_the_block(self, span, taken):
