@@ -53,8 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(cli_out) -> str:
-    return cli_out or os.environ.get(_ENV_OUT) or os.getcwd()
+def _make_out(cli_out) -> str:
+    """The output directory, created before any work: ``--out``, else
+    ``$GPRATES_OUT_DIR``, else the working directory.  A path that cannot be
+    a directory (a file, or a path through one) is a config error."""
+    from .errors import ConfigurationError
+
+    out = cli_out or os.environ.get(_ENV_OUT) or os.getcwd()
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write output directory {out!r}: {exc.strerror}") from exc
+    return out
 
 
 def _report_errors(command) -> int:
@@ -81,6 +92,7 @@ def _report_errors(command) -> int:
 def _cmd_run(args) -> int:
     from .experiments import config_from_dict, run_experiment
 
+    out = _make_out(args.out)
     try:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -95,7 +107,7 @@ def _cmd_run(args) -> int:
         return 2
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
-    code, line, _, _ = run_experiment(config_from_dict(raw), _resolve_out(args.out))
+    code, line, _, _ = run_experiment(config_from_dict(raw), out)
     print(line)
     return code
 
@@ -119,8 +131,8 @@ def _cmd_accept(args) -> int:
     from .acceptance import DEFAULT_SEED, run_acceptance
     from .experiments import write_json
 
+    out = _make_out(args.out)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    out = _resolve_out(args.out)
     summary, written = run_acceptance(out, seed=seed)
     all_ok = summary["all_pass"]
     if not args.skip_determinism:

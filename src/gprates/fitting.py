@@ -22,7 +22,7 @@ from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
 from .kernels import (
     KernelSpec, as_points, cross_matrix, distances, gram, lattice_table, row_blocks,
-    table_block, work_arrays,
+    table_blocks, work_arrays,
 )
 
 logger = logging.getLogger(__name__)
@@ -148,28 +148,42 @@ def fit(
     )
 
 
+def _cross_blocks(kernel: KernelSpec, xq: np.ndarray, design: np.ndarray):
+    """``(rows, block)`` of the cross matrix of ``xq`` against ``design``, in
+    blocks of ``row_block(n)`` rows evaluated by ``cross_matrix`` into the
+    buffers of :func:`row_blocks`."""
+    for rows, (Kq, *work) in row_blocks(len(xq), len(design), 2 + work_arrays(kernel)):
+        yield rows, cross_matrix(kernel, xq[rows], design, out=Kq, work=work)
+
+
 def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
     """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)`` at a batch of m queries.
 
     The result has shape (m,) for one fit, or (m, r) for a model fitted to
     r columns: one column of means per fit.  The query rows are streamed in
     blocks of ``row_block(n)``, and each block's cross matrix serves every
-    column.  The cross matrix, its distances and its work arrays live in the
-    buffers of :func:`row_blocks`, allocated once per call, so memory stays at
-    a few ``BLOCK_ENTRIES`` blocks whatever the number of queries, and 8192
-    queries against 512 points take 256 minor page faults instead of the
-    14,592 of one fresh temporary per block.
+    column.  Each block lives in buffers allocated once per call, so memory
+    stays within 9/8 of one block (plus the distances and work arrays of the
+    direct path) whatever the number of queries, and 8192 queries against
+    512 points take 256 minor page faults instead of the 14,592 of one
+    fresh temporary per block.  The prior mean is written
+    into the result first and each block's product added to it, the same
+    sum as ``m(x) + k_xX w`` in either order.
 
     When the queries and the design are 1-d and lie on one small dyadic
     lattice (:func:`kernels.lattice_table`), the kernel is evaluated once per
-    lattice offset, and each block is read from that table by
-    :func:`kernels.table_block`: a window of the table copied into the
-    block's buffer when both sets are progressions (a grid of queries
-    against a grid design), else a gather through integer offsets written
-    into the block's own buffer.  The difference of two lattice points is
-    exact, so every block is bitwise the direct cross matrix, and the gemv
-    sees the same blocks.  Any other pair of sets evaluates
-    ``cross_matrix`` block by block.
+    lattice offset, and the blocks are read from that table by
+    :func:`kernels.table_blocks`.  A grid of queries against a grid design
+    (two progressions, steps ``s_a`` and ``s_b``) reads each block as a
+    column slice of a strip window: block k + 1 is block k moved
+    ``M = h s_a / s_b`` columns, so when ``M`` is a whole number, up to
+    ``1 + n // (8 |M|)`` full blocks share one window of the table, copied
+    once, and each goes to gemv as a view with row stride at least n.  Other
+    lattice sets (P-greedy designs) gather each block through integer
+    offsets into the block's buffer.  The difference of two lattice points
+    is exact, so every block holds the doubles of the direct cross matrix,
+    and the gemv, which reads a strided view in place, gives the same bits.
+    Any other pair of sets evaluates ``cross_matrix`` block by block.
 
     Each mean is one row of a matrix-vector product, and a full block gives
     the same bits as the whole product.  A ragged last block (m not a
@@ -178,22 +192,18 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
     depends on m, so no canonical value is lost.
     """
     xq = as_points(model.kernel.dim, x)
-    m_q = model.prior_mean(xq)
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
     out = np.empty((len(xq), dual.shape[1]))
-    table = lattice_table(model.kernel, xq, model.design.points)
-    buffers = 1 if table else 2 + work_arrays(model.kernel)
-    for rows, (Kq, *work) in row_blocks(len(xq), len(model.design), buffers):
-        if table:
-            table_block(table, rows, Kq)
-        else:
-            cross_matrix(model.kernel, xq[rows], model.design, out=Kq, work=work)
+    out[:] = model.prior_mean(xq)[:, None]
+    design = model.design.points
+    table = lattice_table(model.kernel, xq, design)
+    for rows, Kq in table_blocks(table) if table else _cross_blocks(model.kernel, xq, design):
         # One matrix-vector product per column, never ``Kq @ dual``: a
         # matrix-matrix product rounds differently, and at a nugget near 1e-9
         # that moves the reported errors past 1e-9 relative, so a batched fit
         # would no longer reproduce the one-column fits.
         for k in range(dual.shape[1]):
-            out[rows, k] = m_q[rows] + Kq @ dual[:, k]
+            out[rows, k] += Kq @ dual[:, k]
     return out[:, 0] if model.dual.ndim == 1 else out
 
 

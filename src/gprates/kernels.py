@@ -17,12 +17,25 @@ evaluating ``matern_of_r`` on every entry.  The values are bitwise those of
 the direct path: the difference of two lattice points whose integer offset
 ``k`` is below 2^53 is exact, so ``|a - b|`` is the same double as
 ``|k| * delta``, and ``matern_of_r`` is elementwise.  When both sets are
-arithmetic progressions on the lattice (midpoint grids), a block
-``H[S + I_a[i] - I_b[j]]`` is Toeplitz, one strided window of ``H`` that
-:func:`table_block` copies with no index arithmetic; other lattice sets
-(P-greedy picks) gather the same entries through integer offsets.  Sets
-in d >= 2, off a dyadic lattice, or whose lattice spans more offsets than a
-quarter of the block's entries take the direct path.
+arithmetic progressions on the lattice (midpoint grids), with steps ``s_a``
+and ``s_b``, a block ``H[S + I_a[i] - I_b[j]]`` is Toeplitz, one strided
+window of ``H`` that :func:`table_block` copies with no index arithmetic;
+other lattice sets (P-greedy picks) gather the same entries through
+integer offsets.  Sets in d >= 2, off a dyadic lattice, or whose table
+would hold more than a quarter of the block's entries take the direct
+path.
+
+A prediction walks its query rows in blocks of ``h = row_block(n)`` rows
+(:func:`table_blocks`).  For two progressions, block k + 1 is block k
+moved ``M = h s_a / s_b`` columns along the same diagonals of ``H``, so
+when ``M`` is a whole number, G consecutive full blocks are column slices
+``W[:, c : c + n]`` of one strip window ``W`` of ``h`` rows and
+``n + (G - 1) |M|`` columns, copied from ``H`` once.  G is capped at
+``1 + n // (8 |M|)`` (:func:`blocks_per_strip`), so a strip holds at most
+9/8 of a block's entries; G = 1 is the plain window copy.  A column slice
+has unit inner stride and a row stride of at least n, a matrix BLAS reads
+in place, and it holds the same doubles as the block's own copy, so gemv
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -268,14 +281,16 @@ def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> LatticeTabl
 
     The (m, 1) and (n, 1) batches ``A`` and ``B`` take a table when every
     coordinate is a finite multiple of ``2^-q`` (q >= 0, the most fractional
-    bits of any coordinate, read from ``np.frexp``) and the union spans at
-    most ``m n / 4 - 1`` steps of that lattice, which also makes every
-    offset ``x - min`` exact (below 2^53 steps of ``2^-q``).  The table is
+    bits of any coordinate, read from ``np.frexp``), the union spans fewer
+    than 2^53 steps of that lattice, which makes every offset ``x - min``
+    exact, and the table is at most a quarter of the block.  The table is
     laid on the lattice of the offsets, which may be coarser:
     ``delta = 2^-p``, with ``p <= q`` the most fractional bits of any
-    offset.  A midpoint grid's coordinates are odd multiples of ``2^-q``
-    and its offsets even ones, so against itself its table evaluates the
-    kernel on n offsets, where the coordinates' lattice would take 2n - 1.
+    offset, and the quarter rule reads the span ``S`` in steps of
+    ``delta``: ``S <= m n / 4 - 1``.  A midpoint grid's coordinates are odd
+    multiples of ``2^-q`` and its offsets even ones, so against itself its
+    table evaluates the kernel on n offsets, where the coordinates' lattice
+    would take 2n - 1, and a grid of 4 points takes a table of 4 entries.
 
     Returns a :class:`LatticeTable`: the integer coordinates ``ia``, ``ib``
     of each batch, ``(x - min) / delta`` as ``np.intp``; the two-sided table
@@ -301,9 +316,9 @@ def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> LatticeTabl
     sig &= -sig  # the lowest set bit of each, 2^t, whose frexp exponent is t + 1
     # a coordinate has 53 - t - exp fractional bits; 2^-q covers them all
     q = max(0, int((54 - np.frexp(sig.astype(float))[1] - exp).max(initial=0)))
-    if not hi - lo <= math.ldexp(len(A) * len(B) / 4 - 1, -q):
+    if not hi - lo < math.ldexp(1.0, 53 - q):  # x - min is exact below 2^53 steps
         return None
-    x -= lo  # exact: every offset is an integer below 2^53 steps of 2^-q
+    x -= lo
     index = np.ldexp(x, q, out=x).astype(np.intp)
     # the offsets' lattice drops the trailing zero bits that all of them share
     bits = int(np.bitwise_or.reduce(index))
@@ -311,11 +326,24 @@ def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> LatticeTabl
     index >>= shift
     p = q - shift
     span = int(math.ldexp(hi - lo, p))
+    if 4 * (span + 1) > len(A) * len(B):  # a table of more than a quarter of the block
+        return None
     ia, ib = index[: len(A)], index[len(A) :]
     H = np.empty(2 * span + 1)
     matern_of_r(spec, np.ldexp(np.arange(span + 1, dtype=float), -p), out=H[span:])
     H[:span] = H[: span : -1]
     return LatticeTable(ia, ib, H, span, _step(ia), _step(ib))
+
+
+def _copy_window(table: LatticeTable, start: int, column: int, out: np.ndarray) -> np.ndarray:
+    """Copy into ``out`` the window of ``H`` with strides ``(s_a, -s_b)``
+    whose column ``column`` of row 0 is the pair (query ``start``, design 0)."""
+    ia, ib, H, S, step_a, step_b = table
+    size = H.itemsize
+    window = as_strided(H[S + ia[start] - ib[0] + step_b * column :], out.shape,
+                        (size * step_a, -size * step_b), writeable=False)
+    np.copyto(out, window)
+    return out
 
 
 def table_block(table: LatticeTable, rows: slice, out: np.ndarray) -> np.ndarray:
@@ -337,14 +365,69 @@ def table_block(table: LatticeTable, rows: slice, out: np.ndarray) -> np.ndarray
     """
     ia, ib, H, S, step_a, step_b = table
     if step_a is not None and step_b is not None:
-        size = H.itemsize
-        window = as_strided(H[S + ia[rows.start] - ib[0] :], out.shape,
-                            (size * step_a, -size * step_b), writeable=False)
-        np.copyto(out, window)
-        return out
+        return _copy_window(table, rows.start, 0, out)
     offsets = out.view(np.intp)
     np.subtract.outer(ia[rows] + S, ib, out=offsets)
     return np.take(H, offsets, out=out, mode="clip")
+
+
+def _strip_shift(table: LatticeTable) -> int:
+    """``M = h s_a / s_b``, the columns from one block of ``h = row_block(n)``
+    rows to the next; 0 when it is no whole number or a step is 0."""
+    if not table.step_b:
+        return 0
+    shift, rest = divmod(row_block(len(table.ib)) * table.step_a, table.step_b)
+    return 0 if rest else shift
+
+
+def blocks_per_strip(table: LatticeTable) -> int | None:
+    """How many full row blocks :func:`table_blocks` reads from one strip
+    window: ``G = 1 + n // (8 |M|)``, at most the number of full blocks, and
+    1 when ``M`` is 0 or no whole number; None when a set is no progression.  A
+    strip of G blocks is ``n + (G - 1) |M| <= 9 n / 8`` columns wide."""
+    if table.step_a is None or table.step_b is None:
+        return None
+    shift = _strip_shift(table)
+    if not shift:
+        return 1
+    n = len(table.ib)
+    return max(1, min(1 + n // (8 * abs(shift)), len(table.ia) // row_block(n)))
+
+
+def table_blocks(table: LatticeTable):
+    """Walk the kernel block ``H[S + I_a - I_b]`` of a :func:`lattice_table`
+    in blocks of ``h = row_block(n)`` rows, as :func:`row_blocks` does,
+    yielding ``(rows, block)``; a block is valid until the next is read.
+
+    When a set is no progression, each block is gathered by
+    :func:`table_block` into one buffer.  For two progressions, up to
+    ``G = blocks_per_strip(table)`` full blocks are column slices of one
+    strip window ``W``, copied from ``H`` once into a buffer allocated once
+    (see the module docstring): block g of a strip of c blocks is
+    ``W[:, f - g M : f - g M + n]`` with ``f = (c - 1) max(M, 0)``.  Two
+    ascending or two descending sets have M > 0, and the strip's first block
+    sits at its right end; one descending set makes M < 0, and it sits at
+    column 0.  A ragged last block is a strip of its own.
+    """
+    G = blocks_per_strip(table)
+    m, n = len(table.ia), len(table.ib)
+    if G is None:
+        for rows, (block,) in row_blocks(m, n, 1):
+            yield rows, table_block(table, rows, block)
+        return
+    h, shift = row_block(n), _strip_shift(table)
+    strip = np.empty((min(h, m), n + (G - 1) * abs(shift)))
+    start = 0
+    while start < m:
+        count = min(G, (m - start) // h) or 1  # full blocks, or the ragged last one
+        height = min(h, m - start)
+        first = (count - 1) * max(shift, 0)
+        window = _copy_window(table, start, first,
+                              strip[:height, : n + (count - 1) * abs(shift)])
+        for g in range(count):
+            column = first - g * shift
+            yield slice(start, start + height), window[:, column : column + n]
+            start += height
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:

@@ -221,6 +221,28 @@ def test_bad_seed_exits_2_before_any_work(tmp_path, capsys, config):
     assert err.startswith("config error: seed ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "accept"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "path_through_file"])
+def test_out_on_a_file_exits_2_before_any_work(tmp_path, capsys, command, below):
+    # an existing file F as --out, or F/sub: no directory can be made there,
+    # which is a config error before the experiment runs, not a traceback
+    # once it has written nothing
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if below else blocker
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_RATES))
+    argv = (["run", "--config", str(config)] if command == "run"
+            else ["accept", "--skip-determinism"])
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write output directory {str(out)!r}: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "config.json"]
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_accept_with_negative_seed_exits_2_before_any_work(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

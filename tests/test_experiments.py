@@ -14,7 +14,7 @@ from gprates.acceptance import DEFAULT_SEED, acceptance_configs
 from gprates.designs import UNIT_INTERVAL
 from gprates.errors import ConfigurationError
 from gprates.fitting import MeanSpec
-from gprates.kernels import KernelSpec, lattice_table
+from gprates.kernels import KernelSpec, blocks_per_strip, lattice_table, row_block
 from gprates.norms import make_grid
 from gprates.rates import NuggetPolicy
 from gprates.targets import NoiseModel, eval_target, random_expansion_target
@@ -281,22 +281,40 @@ def test_shipped_ladders_gather_from_a_kernel_table(raw):
     # every prediction on the evaluation grid and on the doubled stability
     # grid, and every Gram matrix of a grid design, takes the lattice table:
     # a change that silently falls back to the direct path fails here.  A
-    # grid against a grid is a window of the table (both steps known); a
-    # grid against P-greedy picks, which are no progression, is a gather.
+    # grid against a grid reads its blocks from strip windows of the table
+    # (both steps known); a grid against P-greedy picks, which are no
+    # progression, is a gather.  On every grid rung, block k + 1 is block k
+    # moved a whole number M = h s_a / s_b of columns, and a rung of two or
+    # more full blocks shares a strip among two or more of them wherever the
+    # 9/8 width cap admits two (8 |M| <= n; rungs of 16 and 32 points, and
+    # a3's 64 on its 4096-point grid, have M > n / 8 and read one block per
+    # strip).
     cfg = config_from_dict(raw)
     grid = make_grid(cfg.domain, cfg.grid_resolution).points
     fine = make_grid(cfg.domain, 2 * len(grid)).points
     window = cfg.design_kind == "grid"
     assert window or cfg.design_kind == "p_greedy"
+    shared = 0
     for idx, X in enumerate(_designs(cfg, cfg.ladder)):
         kernel = cfg.kernel_for(idx)
         for queries in (grid, fine):
             table = lattice_table(kernel, queries, X.points)
             assert table is not None and table.step_a is not None
             assert (table.step_b is not None) == window
+            G = blocks_per_strip(table)
+            assert (G is not None) == window
+            if window:
+                h, n = row_block(len(X)), len(X)
+                shift, rest = divmod(h * table.step_a, table.step_b)
+                assert rest == 0 and shift != 0
+                full = len(queries) // h
+                # two or more blocks per strip when full >= 2 and 8 |M| <= n
+                assert G == min(full, 1 + n // (8 * abs(shift)))
+                shared += G >= 2
         if window:
             table = lattice_table(kernel, X.points, X.points)
             assert table is not None and None not in (table.step_a, table.step_b)
+    assert shared > 0 or not window
     if not window:  # every P-greedy column is a window of the candidates' table
         candidates = designs.gen_grid(cfg.candidate_resolution, cfg.domain).points
         table = lattice_table(cfg.kernel_for(0), candidates, candidates)

@@ -16,19 +16,23 @@ from gprates.errors import ConfigurationError
 from gprates.fitting import (
     DEFAULT_JITTER_FACTOR,
     MeanSpec,
+    PosteriorModel,
     fit,
     noise_interpolant_norm,
     posterior_mean,
     rkhs_norm_expansion,
 )
 from gprates.kernels import (
+    BLOCK_ENTRIES,
     KernelSpec,
     cross_matrix,
     distances,
     gram,
+    lattice_table,
     matern_of_r,
     min_eigenvalue,
     row_block,
+    table_blocks,
 )
 
 UNIT = Domain((0.0,), (1.0,))
@@ -291,6 +295,34 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 posterior_mean(model, Q)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+@pytest.mark.parametrize("m, n, r", [(8192, 512, 1), (4096, 2048, 20)])
+def test_grid_prediction_peaks_at_a_strip_of_9_8_blocks(m, n, r):
+    # Both grids are progressions with a whole-number shift of M = 8 and 16
+    # columns, so 9 and 17 blocks share a strip of exactly 9/8 of a block.
+    # Beyond the strip, a call holds its output, the lattice table with its
+    # integer coordinates, one gemv result of a block's height and a few
+    # Python objects; a strip of twice a block would pass the bound by
+    # BLOCK_ENTRIES float64s less one eighth.
+    X = gen_grid(n, UNIT)
+    Q = gen_grid(m, UNIT).points
+    spec = KernelSpec(tau=2.0, lengthscale=0.25)
+    dual = np.random.default_rng(m).standard_normal((n, r))
+    model = PosteriorModel(spec, ZERO, X, dual[:, 0] if r == 1 else dual, 0.0)
+    table = lattice_table(spec, Q, X.points)
+    for _, block in table_blocks(table):
+        assert block.base.size == row_block(n) * (n + n // 8)
+    held = table.H.nbytes + 8 * (m + n)
+    del table, block
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        means = posterior_mean(model, Q)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 / 8 * 8 * BLOCK_ENTRIES + means.nbytes + held + 16 * 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux",

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, kv
 
@@ -541,11 +541,13 @@ class TestLatticeTable:
         A, B = _on_lattice(ia, p), _on_lattice(ib, p)
         spec = _table_spec(nu)
         table = lattice_table(spec, A, B)
-        # the rule reads the span in steps of the coordinates' own lattice,
-        # which is coarser than 2^-p when every integer shares a factor 2
-        bits = int(np.bitwise_or.reduce(np.concatenate([ia, ib])))
+        # the rule reads the span in steps of the offsets' lattice, which is
+        # coarser than 2^-p when every offset from the lowest point shares a
+        # factor 2
+        offsets = np.concatenate([ia, ib]) - min(ia.min(), ib.min())
+        bits = int(np.bitwise_or.reduce(offsets))
         shared = p if bits == 0 else min(p, (bits & -bits).bit_length() - 1)
-        span = (max(ia.max(), ib.max()) - min(ia.min(), ib.min())) >> shared
+        span = int(offsets.max()) >> shared
         assert (table is None) == (4 * (span + 1) > len(A) * len(B))
         if table is None:
             return
@@ -687,6 +689,18 @@ class TestLatticeTable:
         X = np.array([0.0, 1, 2, 3, 4, 5, 6, span])[:, None]
         assert (lattice_table(KernelSpec(tau=2.0), X, X) is not None) == taken
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_small_midpoint_grids_gate_on_their_offsets(self, n):
+        # n offsets against an n x n block: a table from n = 4 on (4 <= 16 / 4),
+        # although at n = 4 the coordinates span 6 steps of their own lattice
+        X = gen_grid(n, UNIT_INTERVAL).points
+        spec = _table_spec(2.5)
+        table = lattice_table(spec, X, X)
+        assert (table is not None) == (n >= 4)
+        if table is not None:
+            assert table.S == n - 1
+            assert np.array_equal(gram(spec, X), matern_of_r(spec, distances(X, X)))
+
     def test_duplicate_pair_in_different_blocks_warns_on_the_table_path(self):
         X = gen_grid(1024, UNIT_INTERVAL).points.copy()
         X[-1] = X[0]  # first and last block
@@ -698,8 +712,153 @@ class TestLatticeTable:
 
     @pytest.mark.parametrize("coords", [[0.0, 0.5, np.inf], [np.inf, np.inf, np.inf],
                                         [-np.inf, 0.5, np.inf], [0.25, np.nan, 0.5],
-                                        [-1e308, 0.5, 1e308]],
-                             ids=["inf", "all_inf", "both_infs", "nan", "overflowing_span"])
+                                        [-1e308, 0.5, 1e308], [-2.0**70, 0.5, 2.0**70]],
+                             ids=["inf", "all_inf", "both_infs", "nan", "overflowing_span",
+                                  "span_past_2^53_steps"])
     def test_unbounded_coordinates_have_no_table(self, coords):
         X = np.array(coords)[:, None]
         assert lattice_table(KernelSpec(tau=2.0), X, X) is None
+
+
+# Orders of the strip tests: the four closed forms and a7's Bessel order nu = 2.
+STRIP_ORDERS = pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 2.0],
+                                       ids=["nu1/2", "nu3/2", "nu5/2", "nu7/2", "bessel2"])
+
+
+def _strip_model(spec, X, r, seed):
+    """A model at the 1-d design ``X`` with a nonzero prior mean and ``r``
+    columns of random dual weights (one fit of shape (n,) when r = 1)."""
+    rng = np.random.default_rng(seed)
+    dual = rng.standard_normal((len(X), r))
+    domain = Domain((float(X.min()) - 1.0,), (float(X.max()) + 1.0,))
+    return PosteriorModel(spec, MeanSpec("constant", 0.3), PointSet(X, domain),
+                          dual[:, 0] if r == 1 else dual, 0.0)
+
+
+def _per_block_means(model, Q, table):
+    """``posterior_mean`` as the per-block window path forms it: each block of
+    ``row_block(n)`` rows copied by ``table_block`` into a C-contiguous array,
+    ``m(x) + block @ w`` per column."""
+    dual = model.dual.reshape(len(model.design), -1)
+    m_q = model.prior_mean(Q)
+    step = row_block(len(model.design))
+    out = np.empty((len(Q), dual.shape[1]))
+    for start in range(0, len(Q), step):
+        rows = slice(start, min(start + step, len(Q)))
+        block = table_block(table, rows, np.empty((rows.stop - start, len(model.design))))
+        for k in range(dual.shape[1]):
+            out[rows, k] = m_q[rows] + block @ dual[:, k]
+    return out[:, 0] if model.dual.ndim == 1 else out
+
+
+def _query_count(draw, h):
+    """A query count against blocks of ``h`` rows: one point, below one block,
+    an exact multiple of ``h``, ``1 (mod 8)``, or ragged after full blocks."""
+    kind = draw(st.sampled_from(["one", "below", "multiple", "one_mod_8", "ragged"]))
+    if kind == "one":
+        return 1
+    if kind == "below":
+        return draw(st.integers(2, h - 1))
+    if kind == "multiple":
+        return h * draw(st.integers(1, 4))
+    if kind == "one_mod_8":
+        return 8 * draw(st.integers(1, h // 2)) + 1
+    return h * draw(st.integers(1, 3)) + draw(st.integers(1, h - 1))
+
+
+@st.composite
+def strip_cases(draw):
+    """``(query ints, design ints, r)``: two progressions, ascending, descending,
+    of one point or of one point repeated (step 0), whose table is at most a
+    quarter of the block.  Half of
+    the design steps make the block shift ``M = h s_a / s_b`` a whole number
+    of at most n / 8 columns, so several blocks share a strip; the others
+    are drawn freely, and ``M`` is then mostly no whole number."""
+    n = draw(st.sampled_from([1, 8, 40, 100, 256, 512]))
+    h = row_block(n)
+    m = _query_count(draw, h)
+    s_a = draw(st.integers(0, 3)) * draw(st.sampled_from([1, -1]))
+    whole = [M for M in range(1, n // 8 + 1) if h * abs(s_a) % M == 0]
+    if s_a and whole and draw(st.booleans(), label="whole shift"):
+        s_b = h * abs(s_a) // draw(st.sampled_from(whole))
+    else:
+        s_b = draw(st.integers(0, 64))
+    s_b *= draw(st.sampled_from([1, -1]))
+    ia = draw(st.integers(-64, 64)) + s_a * np.arange(m)
+    ib = draw(st.integers(-64, 64)) + s_b * np.arange(n)
+    ints = np.concatenate([ia, ib])
+    assume(4 * (int(ints.max() - ints.min()) + 1) <= m * n)
+    return ia, ib, draw(st.sampled_from([1, 3, 20]))
+
+
+class TestStrips:
+    """Grid predictions read G consecutive blocks as column slices of one strip
+    window of the lattice table, bitwise the per-block windows and the
+    direct path, with the strip at most 9/8 of a block."""
+
+    @STRIP_ORDERS
+    @settings(max_examples=25, deadline=None)
+    @given(case=strip_cases(), p=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+    # one query point against a repeated design point, and repeated queries
+    # against one design point: a single point takes a table only against
+    # repeats of one point
+    @example(case=(np.array([3]), np.full(40, 5), 3), p=2, seed=0)
+    @example(case=(np.full(40, 3), np.array([5]), 20), p=0, seed=1)
+    def test_strip_means_are_bitwise_the_block_windows_and_the_direct_path(
+            self, nu, case, p, seed):
+        from unittest import mock
+
+        from gprates import fitting
+
+        ia, ib, r = case
+        Q, X = _on_lattice(ia, p), _on_lattice(ib, p)
+        spec = _table_spec(nu)
+        model = _strip_model(spec, X, r, seed)
+        table = lattice_table(spec, Q, X)
+        assert table is not None and kernels.blocks_per_strip(table) is not None
+        means = posterior_mean(model, Q)
+        assert np.array_equal(means, _per_block_means(model, Q, table))
+        with mock.patch.object(fitting, "lattice_table", lambda *args: None):
+            assert np.array_equal(means, posterior_mean(model, Q))
+
+    @pytest.mark.parametrize("s_a, s_b", [(2, 32), (-2, -32), (2, -32), (-2, 32), (3, 48)],
+                             ids=["ascending", "descending", "design_descending",
+                                  "queries_descending", "odd_steps"])
+    @pytest.mark.parametrize("extra", [0, 1, 77], ids=["whole", "one_mod_8", "ragged"])
+    def test_strips_span_several_blocks_in_every_direction(self, s_a, s_b, extra):
+        # h = 128 rows against 512 points and M = 128 s_a / s_b = +-8 columns:
+        # G = 1 + 512 // 64 = 9 blocks per strip, fewer than the 11 full blocks
+        n, h = 512, row_block(512)
+        m = 11 * h + extra
+        Q, X = _on_lattice(s_a * np.arange(m), 4), _on_lattice(5 + s_b * np.arange(n), 4)
+        spec = _table_spec(2.5)
+        table = lattice_table(spec, Q, X)
+        assert kernels.blocks_per_strip(table) == 9
+        direct = matern_of_r(spec, distances(Q, X))
+        walked, buffers = [], set()
+        # a block is a view of a buffer that the next strip overwrites, so
+        # each is checked as it is yielded
+        for rows, block in kernels.table_blocks(table):
+            walked.append(rows)
+            buffers.add((block.base.ctypes.data, block.base.size))
+            assert block.strides[1] == 8 and block.strides[0] >= 8 * n
+            assert np.array_equal(block, direct[rows])
+        assert walked == [slice(i, min(i + h, m)) for i in range(0, m, h)]
+        # every block is a view of the one strip buffer, 9/8 of a block wide
+        assert [size for _, size in buffers] == [h * (n + n // 8)]
+        model = _strip_model(spec, X, 3, m)
+        assert np.array_equal(posterior_mean(model, Q), _per_block_means(model, Q, table))
+
+    @pytest.mark.parametrize("s_a, s_b, G", [
+        (2, 33, 1),    # M = 256 / 33 is no whole number
+        (1, 128, 4),   # M = 1: G = 1 + 512 // 8 = 65, capped at the 4 full blocks
+        (0, 7, 1),     # repeated queries: M = 0
+        (2, 0, 1),     # repeated design points
+    ], ids=["shift_not_whole", "capped_by_full_blocks", "query_step_0", "design_step_0"])
+    def test_strip_length(self, s_a, s_b, G):
+        n, h = 512, row_block(512)
+        ia, ib = s_a * np.arange(4 * h), s_b * np.arange(n)
+        table = kernels.LatticeTable(ia - min(ia.min(), ib.min()), ib - min(ia.min(), ib.min()),
+                                     np.zeros(1), 0, s_a, s_b)
+        assert kernels.blocks_per_strip(table) == G
+        assert kernels.blocks_per_strip(table._replace(step_b=None)) is None
