@@ -19,14 +19,15 @@ incremental Newton basis (``designs.NewtonBasis``, with ``fit``'s
 interpolation jitter) gives the posterior sd on every candidate, and the
 mean and expected improvement only on the stabilized set: the pick is the
 first maximizer there, so scoring every candidate would change nothing.
-Only each budget's final step calls ``fit``.  Each selected point's kernel
-column is one row of the candidates' ``kernels.lattice_table`` against
-themselves, read through ``designs.lattice_columns`` as
-``designs.gen_p_greedy`` reads its columns, when the candidates have one
-(every 1-d dyadic grid: a7's 4096 midpoints take one table of 4096 kernel
-values); other candidates (2-d, off a dyadic lattice) take a
-``DistanceTable``, which evaluates the kernel once per distinct candidate
-distance.  A ``designs.MeshRatioTracker`` updates the mesh ratio with each
+Only each budget's final step calls ``fit``, and it predicts on the
+candidates through ``fitting.posterior_mean``.  Each selected point's kernel
+column is a view of the candidates' ``kernels.lattice_table`` from
+``designs.lattice_columns``, as ``designs.gen_p_greedy``'s are, when the
+candidates have one (every 1-d dyadic grid: a7's 4096 midpoints take one
+table of 4096 kernel values); other candidates (2-d, off a dyadic lattice)
+take a ``DistanceTable``, which evaluates the kernel once per distinct
+candidate distance.  The Newton basis reads each column once, and no column
+is kept.  A ``designs.MeshRatioTracker`` updates the mesh ratio with each
 selected point.  Every kernel column, mean, sd, acquisition and trace value
 is bitwise what the direct computation on every candidate gives.
 """
@@ -41,7 +42,7 @@ from scipy.special import ndtr
 
 from .designs import MeshRatioTracker, NewtonBasis, PointSet, gen_grid, lattice_columns
 from .errors import ConfigurationError
-from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit
+from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean
 from .kernels import KernelSpec, distances, matern_of_r
 from .targets import TargetSpec, eval_target
 
@@ -124,16 +125,16 @@ class BOTrajectory:
     """One run of the strategy to budget ``config.n``.
 
     ``chosen`` holds the candidate indices of the n-1 selected points (the
-    first candidate, then one per trace row), and column k of ``cols`` the
-    kernel column over the candidates of the k-th of them.  ``f_cand`` is
-    the target on every candidate and ``f_ref_max`` its maximum on the
-    reference grid; every budget reads its target values from them.
+    first candidate, then one per trace row).  ``f_cand`` is the target on
+    every candidate and ``f_ref_max`` its maximum on the reference grid;
+    every budget reads its target values from them.  No kernel column is
+    kept: a budget's final fit predicts on the candidates through
+    ``posterior_mean``.
     """
 
     config: BOConfig
     f_cand: np.ndarray
     f_ref_max: float
-    cols: np.ndarray  # (candidates, n - 1), C-ordered, filled one column per step
     chosen: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     slacks: list = field(default_factory=list)
@@ -147,7 +148,7 @@ class BOTrajectory:
         X = PointSet(cand.points[chosen], cand.domain)
         model = fit(self.config.kernel, MeanSpec("constant", 0.0), X, self.f_cand[chosen], 0.0)
         # final step: maximize the interpolant over the candidates
-        mean_on_cand = self.cols[:, : n - 1] @ model.dual
+        mean_on_cand = posterior_mean(model, cand.points)
         final = int(np.argmax(mean_on_cand))
         regret_candidates = float(self.f_cand.max() - self.f_cand[final])
         sup_error = float(np.abs(self.f_cand - mean_on_cand).max())
@@ -177,11 +178,10 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     (probe-grid fill distance over the candidate domain).
 
     Each selected point's kernel column comes from
-    ``designs.lattice_columns``, as ``designs.gen_p_greedy``'s do, when the
-    candidates have a lattice table (every 1-d dyadic grid); otherwise a
-    ``DistanceTable`` gives it.  Either way ``matern_of_r`` runs once per
-    lattice offset or distinct candidate distance, not once per column, and
-    the column is bitwise the ``cross_matrix`` column.
+    ``designs.lattice_columns`` (a view of the candidates' table) or a
+    ``DistanceTable``, so ``matern_of_r`` runs once per lattice offset or
+    distinct candidate distance, not once per column, and the column is
+    bitwise the ``cross_matrix`` column.
 
     Each step forms the posterior sd on every candidate, but the mean and
     the expected improvement only on the stabilized set ``eligible``
@@ -201,16 +201,12 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
                  or DistanceTable(config.kernel, cpts).column)
     mesh = MeshRatioTracker(cand.domain)
     ref = gen_grid(REFERENCE_RESOLUTION, cand.domain).points if cand.domain.dim == 1 else cpts
-    run = BOTrajectory(config, eval_target(target, cpts),
-                       float(np.max(eval_target(target, ref))), np.empty((m, config.n - 1)))
+    run = BOTrajectory(config, eval_target(target, cpts), float(np.max(eval_target(target, ref))))
 
     def choose(j: int) -> None:
-        # selected points are always candidates, so the candidate-by-selected
-        # cross-covariance grows by one column per step
-        column = column_of(j)
-        run.cols[:, len(run.chosen)] = column
+        # selected points are candidates: the basis grows by their own column
         run.chosen.append(j)
-        newton.add(j, column, run.f_cand[j])
+        newton.add(j, column_of(j), run.f_cand[j])
         mesh.add(cpts[j])
 
     choose(0)

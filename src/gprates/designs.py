@@ -12,9 +12,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError
-from .kernels import KernelSpec, cross_matrix, distances, lattice_table, row_blocks, table_block
+from .kernels import KernelSpec, cross_matrix, distances, lattice_table, row_blocks
 
 DEFAULT_PROBE_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
@@ -205,9 +206,8 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
     are bitwise the points of a run to k: a ladder of sizes takes prefixes of
     one run to its largest size.
 
-    The column ``k(cand, cand[j])`` of each pick comes from
-    :func:`lattice_columns` when the candidates have a lattice table, and
-    from ``cross_matrix`` otherwise.
+    The column ``k(cand, cand[j])`` of each pick is a view from
+    :func:`lattice_columns`, or, when that is None, a ``cross_matrix`` column.
     """
     cand = candidates.points
     m = cand.shape[0]
@@ -231,22 +231,23 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
 
 
 def lattice_columns(spec: KernelSpec, points: np.ndarray):
-    """The kernel columns ``j -> k(points, points[j])`` of a set with a lattice
-    table, or None.
+    """The kernel columns ``j -> k(points, points[j])`` of a progression with a
+    lattice table, or None (d >= 2, off a dyadic lattice, no progression).
 
     Column j is row j of the points' :func:`kernels.lattice_table` against
-    themselves, read through :func:`kernels.table_block` (a copied window of
-    the table for a grid, a gather otherwise) into one buffer that the next
-    call overwrites.  The kernel is symmetric and the lattice differences
-    exact, so the row is bitwise ``cross_matrix(spec, points, points[j])[:, 0]``.
-    None when the points have no table (d >= 2, off a dyadic lattice).
-    ``gen_p_greedy`` and ``bayesopt.run_gamma_F_n`` read their columns here.
+    themselves, ``H[S + s j - s i]`` over i for points of step s: a
+    read-only strided view of ``H``, valid as long as the table, with no
+    copy.  The kernel is symmetric and the lattice differences exact, so it
+    is bitwise ``cross_matrix(spec, points, points[j])[:, 0]``.  Every
+    midpoint grid with a table is a progression.  ``gen_p_greedy`` and
+    ``bayesopt.run_gamma_F_n`` read their columns here.
     """
     table = lattice_table(spec, points, points)
-    if table is None:
+    if table is None or table.step_a is None:
         return None
-    row = np.empty((1, len(points)))
-    return lambda j: table_block(table, slice(j, j + 1), row)[0]
+    H, S, s = table.H, table.S, table.step_a
+    return lambda j: as_strided(H[S + s * j :], (len(points),), (-H.itemsize * s,),
+                                writeable=False)
 
 
 def _probe_points(domain: Domain, probe_resolution: int) -> np.ndarray:

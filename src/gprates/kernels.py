@@ -10,20 +10,20 @@ The kernels are radial, ``k(x, y) = Phi(|x - y|)``.  When two 1-d point
 sets lie on one dyadic lattice (every coordinate a multiple of some
 ``2^-q``), :func:`lattice_table` evaluates ``Phi`` once per offset of the
 lattice ``delta = 2^-p`` that holds their differences, into a two-sided
-table ``H[S + k] = Phi(|k| delta)``, and ``gram``,
-``fitting.posterior_mean``, ``designs.gen_p_greedy`` and
-``bayesopt.run_gamma_F_n`` read their blocks from that table instead of
-evaluating ``matern_of_r`` on every entry.  The values are bitwise those of
-the direct path: the difference of two lattice points whose integer offset
-``k`` is below 2^53 is exact, so ``|a - b|`` is the same double as
-``|k| * delta``, and ``matern_of_r`` is elementwise.  When both sets are
-arithmetic progressions on the lattice (midpoint grids), with steps ``s_a``
-and ``s_b``, a block ``H[S + I_a[i] - I_b[j]]`` is Toeplitz, one strided
-window of ``H`` that :func:`table_block` copies with no index arithmetic;
-other lattice sets (P-greedy picks) gather the same entries through
-integer offsets.  Sets in d >= 2, off a dyadic lattice, or whose table
-would hold more than a quarter of the block's entries take the direct
-path.
+table ``H[S + k] = Phi(|k| delta)``: ``gram`` and ``fitting.posterior_mean``
+read their blocks from that table, and ``designs.lattice_columns`` (for
+``gen_p_greedy`` and ``bayesopt.run_gamma_F_n``) its columns as strided
+views, instead of evaluating ``matern_of_r`` on every entry.  The values
+are bitwise those of the direct path: the difference of two lattice points
+whose integer offset ``k`` is below 2^53 is exact, so ``|a - b|`` is the
+same double as ``|k| * delta``, and ``matern_of_r`` is elementwise.  When
+both sets are arithmetic progressions on the lattice (midpoint grids),
+with steps ``s_a`` and ``s_b``, a block ``H[S + I_a[i] - I_b[j]]`` is
+Toeplitz, one strided window of ``H`` that :func:`table_block` copies with
+no index arithmetic; other lattice sets (P-greedy picks) gather the same
+entries through integer offsets.  Sets in d >= 2, off a dyadic lattice, or
+whose table would hold more than a quarter of the block's entries take the
+direct path.
 
 A prediction walks its query rows in blocks of ``h = row_block(n)`` rows
 (:func:`table_blocks`).  For two progressions, block k + 1 is block k
@@ -361,7 +361,8 @@ def table_block(table: LatticeTable, rows: slice, out: np.ndarray) -> np.ndarray
     its value is written, and no other entry reads it, so a block needs no
     buffer of its own.  Every offset lies in ``H``, so ``mode="clip"``
     never clips and keeps ``np.take`` from copying ``out``.  Both paths read
-    the same entries of ``H``, so their blocks are bitwise equal.
+    the same entries of ``H``, so their blocks are bitwise equal.  ``gram``
+    and the gathered blocks of :func:`table_blocks` read it.
     """
     ia, ib, H, S, step_a, step_b = table
     if step_a is not None and step_b is not None:

@@ -1,5 +1,6 @@
 """The stabilized BO harness: budgets nested in one trajectory, frozen selections."""
 
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from gprates.bayesopt import BOConfig, DistanceTable, expected_improvement, run_
 from gprates.designs import Domain, PointSet, fill_distance, gen_grid, separation_radius
 from gprates.errors import ConfigurationError
 from gprates.experiments import config_from_dict, run_bo_experiment
+from gprates.fitting import MeanSpec, fit
 from gprates.kernels import KernelSpec, cross_matrix
 from gprates.targets import random_expansion_target
 
@@ -207,11 +209,48 @@ def test_other_candidates_take_the_distance_table(monkeypatch, resolution, domai
 
 def test_table_trajectory_is_bitwise_the_distance_table_one(monkeypatch):
     table = _trajectory(60)
+    spec, pts = table.config.kernel, table.config.candidates.points
+    column_of, distance_table = designs.lattice_columns(spec, pts), DistanceTable(spec, pts)
+    for j in table.chosen:
+        assert np.array_equal(column_of(j), distance_table.column(j))
     monkeypatch.setattr(bayesopt, "lattice_columns", lambda *args: None)
     direct = _trajectory(60)
     assert table.chosen == direct.chosen
     assert table.trace == direct.trace
-    assert np.array_equal(table.cols, direct.cols)
+    # json spells out every float (and budget 2's NaN rho) for an exact comparison
+    for n in range(2, 61):
+        assert json.dumps(table.result(n)) == json.dumps(direct.result(n))
+
+
+def test_trajectory_holds_no_candidate_by_budget_array():
+    trajectory = _trajectory(60)
+    m, n = len(trajectory.config.candidates), trajectory.config.n
+    arrays = [v for v in vars(trajectory).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size < m * (n - 1) for a in arrays)
+
+
+@pytest.mark.parametrize("resolution, domain", [
+    (777, Domain((0.0,), (1.0,))),
+    (1000, Domain((0.1,), (3.1,))),
+], ids=["777", "offset_1000"])
+def test_final_fits_are_the_whole_product_with_a_ragged_last_block(resolution, domain):
+    # neither count is a multiple of 8, so once a block of row_block(n - 1)
+    # rows no longer holds every candidate (from 85 and 66 selected points),
+    # posterior_mean's last block is ragged; each budget's final point and
+    # sup error are still those of the whole product over the candidates
+    spec = KernelSpec(tau=2.0, lengthscale=0.15)  # nu = 3/2: no Bessel K, fast enough
+    cand = gen_grid(resolution, domain)
+    target = random_expansion_target(tau_f=3.0, domain=domain, seed=10)
+    trajectory = run_gamma_F_n(target, BOConfig(gamma=0.3, n=200, kernel=spec, candidates=cand))
+    f = trajectory.f_cand
+    for n in [2, 3, 17, *range(60, 201, 7), 200]:
+        chosen = trajectory.chosen[: n - 1]
+        X = PointSet(cand.points[chosen], domain)
+        dual = fit(spec, MeanSpec("constant", 0.0), X, f[chosen], 0.0).dual
+        whole = cross_matrix(spec, cand.points, X.points) @ dual
+        result = trajectory.result(n)
+        assert result["x_final"] == [float(cand.points[int(np.argmax(whole)), 0])]
+        assert result["sup_error"] == float(np.abs(f - whole).max())
 
 
 def test_importing_the_harnesses_does_not_load_scipy_stats():

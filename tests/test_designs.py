@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gprates import designs, kernels
 from gprates.designs import (
     Domain,
     MeshRatioTracker,
@@ -16,6 +17,7 @@ from gprates.designs import (
     gen_grid,
     gen_p_greedy,
     gen_uniform_random,
+    lattice_columns,
     quasi_uniformity_trace,
     separation_radius,
 )
@@ -385,6 +387,45 @@ class TestPGreedy:
         spec = KernelSpec(tau=1.25, lengthscale=0.25)
         X = gen_p_greedy(12, spec, gen_grid(256, UNIT))
         assert np.isfinite(_mesh_ratio(X))
+
+
+class TestLatticeColumns:
+    """A progression with a lattice table reads its kernel columns as views of the table."""
+
+    @pytest.mark.parametrize("nu", [1.5, 2.0], ids=["nu3/2", "bessel"])
+    @pytest.mark.parametrize("n, domain", [
+        (1, UNIT), (4, UNIT), (512, UNIT), (4096, UNIT), (256, Domain((-1.0,), (1.0,))),
+    ], ids=["grid1", "grid4", "grid512", "grid4096", "symmetric_grid256"])
+    def test_column_is_a_read_only_view_of_the_table(self, monkeypatch, nu, n, domain):
+        spec = KernelSpec(tau=nu + 0.5, lengthscale=0.15, amplitude=1.3)
+        pts = gen_grid(n, domain).points
+        tables = []
+        monkeypatch.setattr(designs, "lattice_table",
+                            lambda *args: tables.append(kernels.lattice_table(*args)) or tables[-1])
+        column_of = lattice_columns(spec, pts)
+        # a midpoint grid takes a table from 4 points on (see test_kernels)
+        assert (column_of is None) == (tables[0] is None) == (n < 4)
+        if column_of is None:
+            return
+        picks = sorted({0, n // 2, n - 1})
+        # every view stays valid while later columns are read
+        columns = [column_of(j) for j in picks]
+        for j, column in zip(picks, columns):
+            assert not column.flags.writeable
+            assert np.shares_memory(column, tables[0].H)
+            assert np.array_equal(column, cross_matrix(spec, pts, pts[j : j + 1])[:, 0])
+
+    @pytest.mark.parametrize("pts, has_table", [
+        (gen_grid(32, SQUARE).points, False),
+        (gen_grid(100, UNIT).points, False),  # midpoints (j + 1/2) / 100 are not dyadic
+        # P-greedy-like picks of a dyadic grid: a table, but no progression
+        (gen_grid(512, UNIT).points[np.sort(np.random.default_rng(3).choice(512, 300, False))],
+         True),
+    ], ids=["grid2d", "non_dyadic", "no_progression"])
+    def test_other_sets_have_no_lattice_columns(self, pts, has_table):
+        spec = KernelSpec(tau=2.0 + pts.shape[1] / 2, dim=pts.shape[1])
+        assert (kernels.lattice_table(spec, pts, pts) is not None) == has_table
+        assert lattice_columns(spec, pts) is None
 
 
 class TestCsv:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import gprates
-from gprates import designs
+from gprates import designs, fitting, kernels
 from gprates.acceptance import DEFAULT_SEED, acceptance_configs
 from gprates.designs import UNIT_INTERVAL
 from gprates.errors import ConfigurationError
@@ -23,6 +23,7 @@ from gprates.experiments import (
     _theoretical_exponent,
     config_from_dict,
     run_bq_experiment,
+    run_experiment,
     run_rate_experiment,
 )
 
@@ -319,3 +320,21 @@ def test_shipped_ladders_gather_from_a_kernel_table(raw):
         candidates = designs.gen_grid(cfg.candidate_resolution, cfg.domain).points
         table = lattice_table(cfg.kernel_for(0), candidates, candidates)
         assert table is not None and None not in (table.step_a, table.step_b)
+
+
+def _artifacts(out_dir, names):
+    """Run the accept presets ``names`` into ``out_dir``; the bytes of each file written."""
+    cfgs = {name: config_from_dict(raw) for name, raw in acceptance_configs().items()}
+    files = [f for name in names for f in run_experiment(cfgs[name], str(out_dir))[3]]
+    return {f: (out_dir / f).read_bytes() for f in files}
+
+
+def test_fast_paths_write_the_files_of_their_off_switch(tmp_path, monkeypatch):
+    # a1_l2 reads grid strips, a3 20-replicate strips, and a7 its BO columns
+    # as views of the candidates' table and each final fit's prediction
+    # through a gather; with lattice_table off, every one takes the direct path
+    names = ["a1_l2", "a3", "a7"]
+    fast = _artifacts(tmp_path / "fast", names)
+    for module in (kernels, fitting, designs):
+        monkeypatch.setattr(module, "lattice_table", lambda *args: None)
+    assert _artifacts(tmp_path / "off", names) == fast
