@@ -255,18 +255,30 @@ def _probe_points(domain: Domain, probe_resolution: int) -> np.ndarray:
     return np.vstack([grid, domain.corners()])
 
 
+def _ascending(X: PointSet):
+    """The coordinates of a strictly ascending 1-d set (any grid design), or None."""
+    x = X.points[:, 0]
+    return x if X.dim == 1 and np.all(x[1:] > x[:-1]) else None
+
+
 def fill_distance(X: PointSet, probe_resolution: int | None = None):
     """Approximate ``sup_x inf_y ||x - y||`` over the domain.
 
     Returns ``(value, bound)`` where the true fill distance lies in
     ``[value, value + bound]``; ``bound`` is half the probe-cell diagonal.
+    A strictly ascending 1-d set takes a probe's nearest point from the two
+    that bracket it (rounding is monotone, so ``fl|p - x|`` is least at a
+    neighbour, bitwise the stream's); other sets stream the probes in blocks.
     """
     if len(X) == 0:
         raise ConfigurationError("fill_distance requires a nonempty point set")
     res = probe_resolution or _default_probe(X.dim)
     probes = _probe_points(X.domain, res)
-    # stream the probes in row blocks through one small distance buffer (and,
-    # in d >= 2, one work buffer)
+    x = _ascending(X)
+    if x is not None:
+        i = np.searchsorted(x, probes[:, 0])  # x[i - 1] < p <= x[i]
+        nearest = x[np.stack([np.maximum(i - 1, 0), np.minimum(i, len(x) - 1)], axis=1)]
+        return float(np.abs(probes - nearest).min(axis=1).max()), fill_distance_bound(X.domain, res)
     best = 0.0
     for rows, (d, work) in row_blocks(probes.shape[0], len(X), 2):
         distances(probes[rows], X.points, out=d, work=work)
@@ -281,10 +293,15 @@ def fill_distance_bound(domain: Domain, probe_resolution: int | None = None) -> 
 
 
 def separation_radius(X: PointSet) -> float:
-    """Exact ``min_{i != j} ||x_i - x_j|| / 2``, streamed in row blocks."""
+    """Exact ``min_{i != j} ||x_i - x_j|| / 2``, streamed in row blocks, or
+    ``np.diff(x).min() / 2`` for a strictly ascending 1-d set: rounding is
+    monotone, so a least distance is one of neighbours, bitwise the stream's."""
     n = len(X)
     if n < 2:
         raise ConfigurationError("separation radius needs at least two points")
+    x = _ascending(X)
+    if x is not None:
+        return float(np.diff(x).min() / 2.0)
     best = np.inf
     for rows, (d, work) in row_blocks(n, n, 2):
         distances(X.points[rows], X.points, out=d, work=work)

@@ -418,12 +418,12 @@ def _run_ladder(cfg: ExperimentConfig, measure):
     geometry, h_slope = quasi_uniformity_trace(designs)
     rows = []
     for idx, (X, (_, h, _, _)) in enumerate(zip(designs, geometry)):
-        lam = cfg.nugget.sigma_n(h) ** 2
-        fX = eval_target(cfg.target, X.points)
-        eps = np.column_stack(
+        lam = cfg.nugget.lam(h)
+        y = np.column_stack(
             [draw_noise(cfg.noise, len(X), replicate=rep) for rep in range(cfg.replicates)]
         )
-        errs = measure(idx, fit(cfg.kernel_for(idx), cfg.mean, X, fX[:, None] + eps, lam))
+        y += eval_target(cfg.target, X.points)[:, None]  # eps_k + f(X) in place: one n x r array
+        errs = measure(idx, fit(cfg.kernel_for(idx), cfg.mean, X, y, lam))
         rows.append((len(X), float(np.mean(errs)), float(np.std(errs))))
     return geometry, h_slope, rows
 
@@ -728,7 +728,7 @@ def run_fit_experiment(cfg: ExperimentConfig):
     X = _designs(cfg, [cfg.n_single])[0]
     h, _ = fill_distance(X)
     kernel = cfg.kernel_for(0)
-    lam = cfg.nugget.sigma_n(h) ** 2
+    lam = cfg.nugget.lam(h)
     fX = eval_target(cfg.target, X.points)
     eps = draw_noise(cfg.noise, len(X), replicate=0)
     model = fit(kernel, cfg.mean, X, fX + eps, lam)

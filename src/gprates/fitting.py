@@ -120,7 +120,8 @@ def fit(
     L = None
     jitter = ladder[0]
     for jitter in ladder:
-        K = gram(kernel, X)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            K = gram(kernel, X)
         K[np.diag_indices(n)] += lam + jitter
         try:
             # K is exactly symmetric, so K.T is K in Fortran order, which
@@ -129,6 +130,9 @@ def fit(
             break
         except np.linalg.LinAlgError:
             logger.warning("cholesky failed at jitter %.1e, escalating", jitter)
+        except ValueError:  # scipy's finiteness check: the kernel overflowed
+            raise ConfigurationError(f"kernel matrix not finite: kernel.amplitude {A!r} or "
+                                     f"kernel.lengthscale {kernel.lengthscale!r}") from None
     if L is None:
         i, j, d = _closest_pair(X.points)
         raise SingularDesignError(
@@ -166,9 +170,9 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
     stays within 9/8 of one block (plus the distances and work arrays of the
     direct path) whatever the number of queries, and 8192 queries against
     512 points take 256 minor page faults instead of the 14,592 of one
-    fresh temporary per block.  The prior mean is written
-    into the result first and each block's product added to it, the same
-    sum as ``m(x) + k_xX w`` in either order.
+    fresh temporary per block.  Each block's products are written into the
+    result in place and the prior mean is added after, the same sum as
+    ``m(x) + k_xX w``, since addition commutes.
 
     When the queries and the design are 1-d and lie on one small dyadic
     lattice (:func:`kernels.lattice_table`), the kernel is evaluated once per
@@ -185,26 +189,29 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
     and the gemv, which reads a strided view in place, gives the same bits.
     Any other pair of sets evaluates ``cross_matrix`` block by block.
 
-    Each mean is one row of a matrix-vector product, and a full block gives
-    the same bits as the whole product.  A ragged last block (m not a
-    multiple of ``row_block(n)``) can round a few rows differently, within
-    dot-product rounding; the whole product's value of a row already
-    depends on m, so no canonical value is lost.
+    A block's r columns come from one ``np.matmul`` of the view
+    ``dual.T[:, :, None]`` (no copy) into rows of an (r, m) result, whose
+    transpose is returned: with a trailing 1, numpy calls gemv once per
+    column, as ``Kq @ dual[:, k]`` does, so each column is bitwise its
+    one-column fit.  Never ``Kq @ dual``: gemm rounds differently, moving the
+    errors past 1e-9 relative at a nugget near 1e-9.  Each mean is one row of
+    a matrix-vector product, and a full block gives the same bits as the
+    whole product.  A ragged last block (m not a multiple of
+    ``row_block(n)``) can round a few rows differently, within dot-product
+    rounding; the whole product's value of a row already depends on m, so
+    no canonical value is lost.
     """
     xq = as_points(model.kernel.dim, x)
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
-    out = np.empty((len(xq), dual.shape[1]))
-    out[:] = model.prior_mean(xq)[:, None]
+    out = np.empty((dual.shape[1], len(xq), 1))  # column k's means are out[k, :, 0]
     design = model.design.points
     table = lattice_table(model.kernel, xq, design)
     for rows, Kq in table_blocks(table) if table else _cross_blocks(model.kernel, xq, design):
-        # One matrix-vector product per column, never ``Kq @ dual``: a
-        # matrix-matrix product rounds differently, and at a nugget near 1e-9
-        # that moves the reported errors past 1e-9 relative, so a batched fit
-        # would no longer reproduce the one-column fits.
-        for k in range(dual.shape[1]):
-            out[rows, k] += Kq @ dual[:, k]
-    return out[:, 0] if model.dual.ndim == 1 else out
+        np.matmul(Kq, dual.T[:, :, None], out=out[:, rows])
+    Kq = None  # frees the last block's buffer before the prior mean is formed
+    out = out[:, :, 0]
+    out += model.prior_mean(xq)
+    return out[0] if model.dual.ndim == 1 else out.T
 
 
 def rkhs_norm_expansion(spec: KernelSpec, centers, alpha) -> float:

@@ -48,12 +48,14 @@ class NuggetPolicy:
         if self.kind == "adaptive_h" and not self.exponent > 0:
             raise ConfigurationError("adaptive nugget needs a positive exponent")
 
-    def sigma_n(self, h: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "fixed":
-            return self.sigma
-        return self.coeff * h ** self.exponent
+    def lam(self, h: float) -> float:
+        """The regularization ``sigma_n(h)^2``; one past the float range is a config error."""
+        try:
+            if self.kind == "adaptive_h":
+                return (self.coeff * h ** self.exponent) ** 2
+            return (self.sigma if self.kind == "fixed" else 0.0) ** 2
+        except OverflowError:
+            raise ConfigurationError("nugget.sigma or nugget.coeff is too large") from None
 
     def sigma_slope(self, d: int) -> float:
         """Decay exponent: sigma_n ~ n^(-sigma_slope) under h ~ n^(-1/d)."""

@@ -71,7 +71,11 @@ class TargetSpec:
 
 def eval_target(t: TargetSpec, x) -> np.ndarray:
     """Values of ``f`` at a batch of m points, shape (m,)."""
-    return t.scale * t.fn(as_points(t.domain.dim, x))
+    with np.errstate(over="ignore"):
+        values = t.scale * t.fn(as_points(t.domain.dim, x))
+    if not np.isfinite(values).all():
+        raise ConfigurationError(f"target values are not finite at target.scale {t.scale!r}")
+    return values
 
 
 def random_expansion_target(
@@ -104,11 +108,14 @@ def random_expansion_target(
 # ---------------------------------------------------------------------------
 
 def _bump_profile(u: np.ndarray) -> np.ndarray:
-    # C^2 compactly supported profile on [-1, 1]
-    return np.where(np.abs(u) < 1.0, (1.0 - np.minimum(u * u, 1.0)) ** 3, 0.0)
+    # C^2 compactly supported profile, for |u| <= 1; it is 0 at |u| = 1
+    return (1.0 - u * u) ** 3
 
 
 def _layered_fn(tau_f: float, seed: int) -> Callable:
+    """The layered target of smoothness ``tau_f``.  A dense row's ``u`` lies in
+    [-1, 1] exactly; a lacunary bump is added only where ``|v| < 1``, since it
+    adds +0.0 elsewhere, which changes no total but -0.0 (only x = -0.0 makes one)."""
     rng = np.random.default_rng(seed)
     spots = rng.uniform(0.1, 0.9, _LAYER_DEPTH + 1)
 
@@ -122,8 +129,10 @@ def _layered_fn(tau_f: float, seed: int) -> Callable:
             lac_amp = _LAYER_LACUNARY_WEIGHT * 2.0 ** (-j * (tau_f - 0.5) * (1.0 + _LAYER_MARGIN))
             t = x / spacing - _LAYER_PHASE
             u = (t - np.round(t)) * spacing / half
-            total = total + dense_amp * _bump_profile(u)
-            total = total + lac_amp * _bump_profile((x - spots[j]) / half)
+            total += dense_amp * _bump_profile(u)
+            v = (x - spots[j]) / half
+            near = np.flatnonzero(np.abs(v) < 1.0)
+            total[near] += lac_amp * _bump_profile(v[near])
         return total
 
     return f
@@ -239,10 +248,13 @@ def draw_noise(noise: NoiseModel, n: int, replicate: int = 0) -> np.ndarray:
     if noise.kind == "none":
         return np.zeros(n)
     rng = np.random.default_rng((noise.seed, replicate))
-    if noise.kind == "gaussian":
-        return rng.normal(0.0, noise.sigma, n)
-    if noise.kind == "student_t":
-        return noise.t_scale * rng.standard_t(noise.df, n)
+    if noise.kind in ("gaussian", "student_t"):
+        with np.errstate(over="ignore"):
+            eps = (rng.normal(0.0, noise.sigma, n) if noise.kind == "gaussian"
+                   else noise.t_scale * rng.standard_t(noise.df, n))
+        if not np.isfinite(eps).all():
+            raise ConfigurationError("noise.sigma or noise.scale is too large: a draw overflows")
+        return eps
     count = noise.outlier_count(n)
     eps = np.zeros(n)
     if count > 0:

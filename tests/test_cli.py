@@ -85,6 +85,14 @@ def test_failed_gate_exits_1(tmp_path):
 SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
 
 
+def _cut_preset(name, section, **fields):
+    """Accept preset ``name`` on the ladder [16, 32, 64] with 256 grid points,
+    its ``section`` updated with ``fields``."""
+    raw = gprates.acceptance.acceptance_configs()[name]
+    return dict(raw, ladder=[16, 32, 64], grid_resolution=256,
+                **{section: dict(raw[section], **fields)})
+
+
 # ``field`` is the name the one-line message must contain, or None where there
 # is no field to name (the file is not a JSON object)
 @pytest.mark.parametrize("config, field", [
@@ -162,6 +170,12 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
     (dict(SMALL_RATES, mean={"value": math.nan}), "mean.value"),
     (dict(SMALL_RATES, tolerance=math.inf), "tolerance must be finite"),
     (dict(SMALL_RATES, tolerance=10**400), "tolerance must be finite"),  # past float range
+    # finite numbers whose kernel, observations or nugget leave the float range
+    (_cut_preset("a1_l2", "kernel", lengthscale=1e-320), "kernel.lengthscale"),
+    (_cut_preset("a1_l2", "kernel", amplitude=1e308), "kernel.amplitude"),
+    (_cut_preset("a1_l2", "target", scale=1e308), "target.scale"),
+    (_cut_preset("a3", "noise", sigma=1e308), "noise.sigma"),
+    (_cut_preset("a3", "nugget", sigma=1e200), "nugget.sigma"),
     # files json cannot read: an integer past Python's 4300-digit conversion
     # limit, bytes that are not UTF-8, a directory
     ('{"kind": "rates", "tolerance": 1' + "0" * 5000 + "}", "config.json"),
@@ -186,7 +200,9 @@ SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
         "negative_expansion_centers", "infinite_amplitude", "infinite_tau",
         "infinite_lengthscale", "infinite_noise_sigma", "infinite_nugget_sigma",
         "infinite_target_scale", "infinite_mean", "nan_mean", "infinite_tolerance",
-        "huge_integer_tolerance", "integer_past_conversion_limit", "not_utf8",
+        "huge_integer_tolerance", "subnormal_lengthscale", "overflowing_amplitude",
+        "overflowing_target_scale", "overflowing_noise_sigma", "overflowing_nugget_square",
+        "integer_past_conversion_limit", "not_utf8",
         "config_is_a_directory"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     code, _ = _run(tmp_path, config, "--seed", "3")

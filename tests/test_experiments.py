@@ -332,9 +332,47 @@ def _artifacts(out_dir, names):
 def test_fast_paths_write_the_files_of_their_off_switch(tmp_path, monkeypatch):
     # a1_l2 reads grid strips, a3 20-replicate strips, and a7 its BO columns
     # as views of the candidates' table and each final fit's prediction
-    # through a gather; with lattice_table off, every one takes the direct path
+    # through a gather; with lattice_table off, every one takes the direct
+    # path, and with the neighbour geometry off, every fill distance and
+    # separation radius streams the distances
     names = ["a1_l2", "a3", "a7"]
     fast = _artifacts(tmp_path / "fast", names)
     for module in (kernels, fitting, designs):
         monkeypatch.setattr(module, "lattice_table", lambda *args: None)
+    monkeypatch.setattr(designs, "_ascending", lambda X: None)
     assert _artifacts(tmp_path / "off", names) == fast
+
+
+def _grid_presets():
+    """The accept presets whose ladders are 1-d grids (a1 to a6)."""
+    for name, raw in acceptance_configs().items():
+        if raw["kind"] in ("rates", "bq") and raw["design"]["kind"] == "grid":
+            yield pytest.param(raw, id=name)
+
+
+@pytest.mark.parametrize("raw", list(_grid_presets()))
+def test_shipped_grid_ladders_take_the_neighbour_geometry(raw, monkeypatch):
+    # every rung's fill distance and separation radius comes from neighbours:
+    # a change that silently falls back to streaming the distances fails here
+    cfg = config_from_dict(raw)
+    assert cfg.domain.dim == 1
+    ladder = _designs(cfg, cfg.ladder)
+    assert all(designs._ascending(X) is not None for X in ladder)
+
+    def streamed(*args):
+        raise AssertionError("a grid rung streamed its distances")
+
+    monkeypatch.setattr(designs, "row_blocks", streamed)
+    rows, _ = designs.quasi_uniformity_trace(ladder)
+    assert [row[0] for row in rows] == cfg.ladder
+
+
+def test_linf_minus_l2_slope_tells_the_q_term():
+    # a1_l2 and a1_linf differ only in q: the theorem's d (1/2 - 1/q)_+ term
+    # predicts their exponents differ by +0.5 (d = 1, q = inf), and by 0
+    # without it; the measured difference must be nearer the prediction
+    cfgs = acceptance_configs()
+    l2, linf = (run_rate_experiment(config_from_dict(cfgs[name])) for name in ("a1_l2", "a1_linf"))
+    assert linf.theoretical - l2.theoretical == 0.5
+    measured = linf.fitted - l2.fitted
+    assert abs(measured - 0.5) < abs(measured - 0.0)

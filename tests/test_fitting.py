@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import gprates
+from gprates import fitting
 from gprates.designs import Domain, PointSet, gen_grid
 from gprates.errors import ConfigurationError
 from gprates.fitting import (
@@ -25,6 +26,7 @@ from gprates.fitting import (
 from gprates.kernels import (
     BLOCK_ENTRIES,
     KernelSpec,
+    blocks_per_strip,
     cross_matrix,
     distances,
     gram,
@@ -274,6 +276,75 @@ class TestRowBlocks:
         whole = np.vstack([np.column_stack([K[i : i + ROW_BLOCK] @ w for w in model.dual.T])
                            for i in range(0, len(Q), ROW_BLOCK)])
         assert np.array_equal(posterior_mean(model, Q), whole)
+
+
+SPEC_STACK = KernelSpec(tau=2.0, lengthscale=0.25)
+
+
+def _per_column_means(model, Q):
+    """``posterior_mean`` as one ``Kq @ dual[:, k]`` per column of each block,
+    over the same blocks: the loop the stacked product replaced."""
+    design = model.design.points
+    dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
+    out = np.empty((len(Q), dual.shape[1]))
+    out[:] = model.prior_mean(Q)[:, None]
+    table = lattice_table(model.kernel, Q, design)
+    for rows, Kq in (table_blocks(table) if table
+                     else fitting._cross_blocks(model.kernel, Q, design)):
+        for k in range(dual.shape[1]):
+            out[rows, k] += Kq @ dual[:, k]
+    return out[:, 0] if model.dual.ndim == 1 else out
+
+
+def _strip_layout():
+    # two grids: blocks are column slices of shared strip windows
+    X = gen_grid(256, UNIT).points
+    return X, gen_grid(4096, UNIT).points
+
+
+def _gathered_layout():
+    # P-greedy-like picks of a dyadic grid: a lattice set that is no progression
+    cand = gen_grid(2048, UNIT).points
+    X = cand[np.random.default_rng(5).permutation(2048)[:200]]
+    return X, cand
+
+
+def _direct_layout():
+    # a design on no dyadic lattice: every block is a cross matrix
+    return jittered_design(np.random.default_rng(6), 100).points, gen_grid(1000, UNIT).points
+
+
+def _ragged_layout():
+    # 1000 grid queries against 512 points: 7 full blocks of 128 rows and 104 left
+    return gen_grid(512, UNIT).points, gen_grid(1024, UNIT).points[:1000]
+
+
+class TestStackedColumns:
+    """Every column's block product comes from one stacked gemv call, bitwise
+    the per-column loop."""
+
+    @pytest.mark.parametrize("r", [1, 3, 20])
+    @pytest.mark.parametrize("layout, path", [
+        (_strip_layout, "strip"), (_gathered_layout, "gather"),
+        (_direct_layout, "direct"), (_ragged_layout, "ragged"),
+    ], ids=["strip", "gather", "direct", "ragged"])
+    def test_bitwise_the_per_column_loop(self, layout, path, r):
+        X, Q = layout()
+        table = lattice_table(SPEC_STACK, Q, X)
+        if path == "strip":
+            assert blocks_per_strip(table) >= 2
+        elif path == "gather":
+            assert table is not None and table.step_b is None
+        elif path == "direct":
+            assert table is None
+        else:
+            assert len(Q) % row_block(len(X)) != 0 and blocks_per_strip(table) is not None
+        dual = np.random.default_rng(r).standard_normal((len(X), r))
+        model = PosteriorModel(SPEC_STACK, MeanSpec("constant", 0.3), PointSet(X, UNIT),
+                               dual[:, 0] if r == 1 else dual, 0.0)
+        means = posterior_mean(model, Q)
+        assert means.shape == ((len(Q),) if r == 1 else (len(Q), r))
+        assert means.tobytes() == _per_column_means(model, Q).tobytes()
 
 
 # A fresh interpreter: earlier tests can raise glibc's dynamic mmap threshold

@@ -116,6 +116,72 @@ class TestRegistry:
         np.testing.assert_array_equal(a, b)
 
 
+def _frozen_layered(tau_f, seed):
+    """The layered target's formula as first written: every profile on every
+    point, masked to its support by ``np.where``."""
+    spots = np.random.default_rng(seed).uniform(0.1, 0.9, 12)
+
+    def profile(u):
+        return np.where(np.abs(u) < 1.0, (1.0 - np.minimum(u * u, 1.0)) ** 3, 0.0)
+
+    def f(x):
+        total = np.sin(2.0 * x)
+        for j in range(12):
+            spacing = 2.0 ** (-j)
+            half = spacing / 2.0
+            dense_amp = 2.0 ** (-j * tau_f * (1.0 + 0.02))
+            lac_amp = 2.0 * 2.0 ** (-j * (tau_f - 0.5) * (1.0 + 0.02))
+            t = x / spacing - 0.37
+            u = (t - np.round(t)) * spacing / half
+            total = total + dense_amp * profile(u)
+            total = total + lac_amp * profile((x - spots[j]) / half)
+        return total
+
+    return f, spots
+
+
+def _support_edges(spots):
+    """Points within 4 ulps of a bump's support edge, and which of them have
+    ``|u| = 1`` (a dense row) or ``|v| = 1`` (a lacunary bump) exactly."""
+    centres = []
+    for j in range(12):
+        spacing = 2.0 ** (-j)
+        centres += [spots[j] - spacing / 2, spots[j] + spacing / 2]
+        centres += list((np.arange(2**j) + 0.87) * spacing)
+    x = np.array(centres)
+    near = [x]
+    for direction in (0.0, 1.0):
+        y = x
+        for _ in range(4):
+            y = np.nextafter(y, direction)
+            near.append(y)
+    x = np.concatenate(near)
+    x = x[(x > 0) & (x < 1)]
+    u_edge = v_edge = np.zeros(len(x), dtype=bool)
+    for j in range(12):
+        spacing = 2.0 ** (-j)
+        t = x / spacing - 0.37
+        u_edge = u_edge | (np.abs((t - np.round(t)) * spacing / (spacing / 2)) == 1.0)
+        v_edge = v_edge | (np.abs((x - spots[j]) / (spacing / 2)) == 1.0)
+    return x, u_edge, v_edge
+
+
+class TestLayeredFormula:
+    """The layered targets are bitwise their formula as first written."""
+
+    @pytest.mark.parametrize("name, tau_f, seed", [
+        ("layered_tau1", 1.0, 9), ("layered_tau2", 2.0, 7), ("layered_tau2p5", 2.5, 5)])
+    def test_bitwise_the_frozen_formula(self, name, tau_f, seed):
+        target = named_target(name)
+        assert target.tau_f == tau_f
+        frozen, spots = _frozen_layered(tau_f, seed)
+        edges, u_edge, v_edge = _support_edges(spots)
+        assert u_edge.any() and v_edge.any()
+        grids = [(np.arange(m) + 0.5) / m for m in (2**k for k in range(4, 15))]
+        for x in [*grids, np.random.default_rng(seed).random(5000), edges]:
+            assert target.fn(x[:, None]).tobytes() == frozen(x).tobytes()
+
+
 class TestCorrupt:
     def test_no_noise(self):
         np.testing.assert_array_equal(draw_noise(NoiseModel("none"), 8), np.zeros(8))
