@@ -27,9 +27,12 @@ candidates have one (every 1-d dyadic grid: a7's 4096 midpoints take one
 table of 4096 kernel values); other candidates (2-d, off a dyadic lattice)
 take a ``DistanceTable``, which evaluates the kernel once per distinct
 candidate distance.  The Newton basis reads each column once, and no column
-is kept.  A ``designs.MeshRatioTracker`` updates the mesh ratio with each
-selected point.  Every kernel column, mean, sd, acquisition and trace value
-is bitwise what the direct computation on every candidate gives.
+is kept.  The final step's Gram matrix and its prediction on the candidates
+read the same table, so a run on a dyadic grid evaluates the kernel once,
+on the table's offsets, whatever its budgets.  A ``designs.MeshRatioTracker``
+updates the mesh ratio with each selected point.  Every kernel column, mean,
+sd, acquisition and trace value is bitwise what the direct computation on
+every candidate gives.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ import numpy as np
 from scipy.linalg import solve_triangular  # noqa: F401  (perfbench/layers.py traces it here)
 from scipy.special import ndtr
 
-from .designs import MeshRatioTracker, NewtonBasis, PointSet, gen_grid, lattice_columns
+from .designs import (
+    LatticeColumns, MeshRatioTracker, NewtonBasis, PointSet, gen_grid, lattice_columns,
+)
 from .errors import ConfigurationError
 from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean
 from .kernels import KernelSpec, distances, matern_of_r
@@ -79,14 +84,28 @@ def expected_improvement(mean, sd, best: float):
     The standard normal cdf and pdf are ``scipy.special.ndtr`` and
     ``exp(-z^2/2) / sqrt(2 pi)``, which is how ``scipy.stats.norm`` computes
     them; importing ``scipy.stats`` itself would cost most of start-up.
+
+    Where ``sd > 0`` this is ``gap Phi(z) + sd phi(z)``, with ``gap = mean - best``
+    and ``z = gap / sd``, and elsewhere ``max(gap, 0)``.  It is formed in one
+    pass, in place, by the operations of that masked formula, so the values
+    are bitwise the formula's.
     """
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     gap = mean - best
+    positive = sd > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sd > 0, gap / np.where(sd > 0, sd, 1.0), 0.0)
-    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
-    ei = np.where(sd > 0, gap * ndtr(z) + sd * pdf, np.maximum(gap, 0.0))
+        z = np.divide(gap, sd, out=np.zeros_like(gap), where=positive)
+    pdf = np.square(z)
+    np.negative(pdf, out=pdf)
+    pdf /= 2.0
+    np.exp(pdf, out=pdf)
+    pdf /= np.sqrt(2 * np.pi)
+    pdf *= sd
+    ei = ndtr(z, out=z)
+    ei *= gap
+    ei += pdf
+    np.maximum(gap, 0.0, out=ei, where=~positive)
     return ei
 
 
@@ -127,14 +146,16 @@ class BOTrajectory:
     ``chosen`` holds the candidate indices of the n-1 selected points (the
     first candidate, then one per trace row).  ``f_cand`` is the target on
     every candidate and ``f_ref_max`` its maximum on the reference grid;
-    every budget reads its target values from them.  No kernel column is
-    kept: a budget's final fit predicts on the candidates through
-    ``posterior_mean``.
+    every budget reads its target values from them.  ``columns`` is the
+    loop's ``designs.LatticeColumns`` (None when the candidates have no
+    table); no kernel column is kept.  A budget's final fit reads its Gram
+    matrix and its prediction on the candidates from that table.
     """
 
     config: BOConfig
     f_cand: np.ndarray
     f_ref_max: float
+    columns: LatticeColumns | None
     chosen: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     slacks: list = field(default_factory=list)
@@ -144,11 +165,16 @@ class BOTrajectory:
         if not 2 <= n <= self.config.n:
             raise ConfigurationError(f"budget {n} outside [2, {self.config.n}]")
         cand = self.config.candidates
-        chosen = self.chosen[: n - 1]
+        chosen = np.array(self.chosen[: n - 1])
         X = PointSet(cand.points[chosen], cand.domain)
-        model = fit(self.config.kernel, MeanSpec("constant", 0.0), X, self.f_cand[chosen], 0.0)
+        gram_table = cross_table = None
+        if self.columns:  # X against X, and the candidates against X
+            gram_table = self.columns.table(chosen, chosen)
+            cross_table = self.columns.table(np.arange(len(cand)), chosen)
+        model = fit(self.config.kernel, MeanSpec("constant", 0.0), X, self.f_cand[chosen], 0.0,
+                    table=gram_table)
         # final step: maximize the interpolant over the candidates
-        mean_on_cand = posterior_mean(model, cand.points)
+        mean_on_cand = posterior_mean(model, cand.points, table=cross_table)
         final = int(np.argmax(mean_on_cand))
         regret_candidates = float(self.f_cand.max() - self.f_cand[final])
         sup_error = float(np.abs(self.f_cand - mean_on_cand).max())
@@ -197,11 +223,12 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     m = len(cpts)
     A = config.kernel.amplitude
     newton = NewtonBasis(A, m, config.n - 1, eps=DEFAULT_JITTER_FACTOR * A)
-    column_of = (lattice_columns(config.kernel, cpts)
-                 or DistanceTable(config.kernel, cpts).column)
+    columns = lattice_columns(config.kernel, cpts)
+    column_of = columns or DistanceTable(config.kernel, cpts).column
     mesh = MeshRatioTracker(cand.domain)
     ref = gen_grid(REFERENCE_RESOLUTION, cand.domain).points if cand.domain.dim == 1 else cpts
-    run = BOTrajectory(config, eval_target(target, cpts), float(np.max(eval_target(target, ref))))
+    run = BOTrajectory(config, eval_target(target, cpts), float(np.max(eval_target(target, ref))),
+                       columns)
 
     def choose(j: int) -> None:
         # selected points are candidates: the basis grows by their own column

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError
-from .kernels import KernelSpec, cross_matrix, distances, lattice_table, row_blocks
+from .kernels import (
+    KernelSpec, LatticeTable, cross_matrix, distances, lattice_table, progression_step, row_blocks,
+)
 
 DEFAULT_PROBE_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
@@ -230,24 +232,49 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
     return PointSet(cand[selected], candidates.domain)
 
 
-def lattice_columns(spec: KernelSpec, points: np.ndarray):
-    """The kernel columns ``j -> k(points, points[j])`` of a progression with a
-    lattice table, or None (d >= 2, off a dyadic lattice, no progression).
+class LatticeColumns(NamedTuple):
+    """The kernel columns of a progression of ``size`` points with a lattice
+    table, and the tables of its subsets: the table ``H`` with its centre
+    ``S``, the integer coordinate ``origin`` of the first point and the
+    integer ``step``, so point i sits at ``origin + step * i``.  It holds no
+    array of the points' integer coordinates."""
+
+    H: np.ndarray
+    S: int
+    origin: int
+    step: int
+    size: int
+
+    def __call__(self, j: int) -> np.ndarray:
+        """Column j, ``H[S + s j - s i]`` over i: a slice of the read-only ``H``."""
+        return self.H[self.S + self.step * j :: -self.step or 1][: self.size]
+
+    def table(self, a: np.ndarray, b: np.ndarray) -> LatticeTable:
+        """The :class:`kernels.LatticeTable` of the points at indices ``a``
+        against those at ``b``: their integer coordinates, each set's own
+        step, and this ``H``, which holds every offset between two points."""
+        ia, ib = self.origin + self.step * a, self.origin + self.step * b
+        return LatticeTable(ia, ib, self.H, self.S, progression_step(ia), progression_step(ib))
+
+
+def lattice_columns(spec: KernelSpec, points: np.ndarray) -> LatticeColumns | None:
+    """The :class:`LatticeColumns` of a progression with a lattice table, or
+    None (d >= 2, off a dyadic lattice, no progression).
 
     Column j is row j of the points' :func:`kernels.lattice_table` against
     themselves, ``H[S + s j - s i]`` over i for points of step s: a
-    read-only strided view of ``H``, valid as long as the table, with no
-    copy.  The kernel is symmetric and the lattice differences exact, so it
-    is bitwise ``cross_matrix(spec, points, points[j])[:, 0]``.  Every
+    read-only slice of ``H``, with no copy.  The kernel is symmetric and the
+    lattice differences exact, so it is bitwise
+    ``cross_matrix(spec, points, points[j])[:, 0]``.  Every
     midpoint grid with a table is a progression.  ``gen_p_greedy`` and
-    ``bayesopt.run_gamma_F_n`` read their columns here.
+    ``bayesopt.run_gamma_F_n`` read their columns here, and a BO budget's
+    final fit its tables.
     """
     table = lattice_table(spec, points, points)
     if table is None or table.step_a is None:
         return None
-    H, S, s = table.H, table.S, table.step_a
-    return lambda j: as_strided(H[S + s * j :], (len(points),), (-H.itemsize * s,),
-                                writeable=False)
+    table.H.flags.writeable = False
+    return LatticeColumns(table.H, table.S, int(table.ia[0]), table.step_a, len(points))
 
 
 def _probe_points(domain: Domain, probe_resolution: int) -> np.ndarray:

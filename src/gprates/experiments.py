@@ -47,7 +47,7 @@ from .fitting import (
     posterior_mean,
 )
 from .kernels import KernelSpec, gram, matern_of_r, min_eigenvalue
-from .norms import integrate, lq_error, lq_norm, make_grid, parse_q, residual_norm
+from .norms import integrate, lq_error, lq_norm, make_grid, overflow_safe, parse_q, residual_norm
 from .quadrature import density_by_name
 from .rates import (
     NuggetPolicy,
@@ -412,7 +412,8 @@ def _run_ladder(cfg: ExperimentConfig, measure):
     ``measure(ladder_index, model)`` returns the errors of the model's
     columns, one per replicate.  Returns ``(geometry, h_slope, rows)``: the
     ``(n, h, q, rho)`` rows and h slope of :func:`quasi_uniformity_trace`,
-    and ``(n, mean_error, std_error)`` per rung.
+    and ``(n, mean_error, std_error)`` per rung; a spread whose squares
+    overflow is taken scaled by the largest error (``norms.overflow_safe``).
     """
     designs = _designs(cfg, cfg.ladder)
     geometry, h_slope = quasi_uniformity_trace(designs)
@@ -424,7 +425,7 @@ def _run_ladder(cfg: ExperimentConfig, measure):
         )
         y += eval_target(cfg.target, X.points)[:, None]  # eps_k + f(X) in place: one n x r array
         errs = measure(idx, fit(cfg.kernel_for(idx), cfg.mean, X, y, lam))
-        rows.append((len(X), float(np.mean(errs)), float(np.std(errs))))
+        rows.append((len(X), float(np.mean(errs)), overflow_safe(lambda e: float(np.std(e)), errs)))
     return geometry, h_slope, rows
 
 

@@ -21,8 +21,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
 from .kernels import (
-    KernelSpec, as_points, cross_matrix, distances, gram, lattice_table, row_blocks,
-    table_blocks, work_arrays,
+    KernelSpec, LatticeTable, as_points, cross_matrix, distances, gram, lattice_table, row_block,
+    row_blocks, table_blocks, work_arrays,
 )
 
 logger = logging.getLogger(__name__)
@@ -76,6 +76,18 @@ class PosteriorModel:
         return replace(self, dual=self.dual[:, k])
 
 
+def _all_finite(K: np.ndarray) -> bool:
+    """Whether every entry of ``K`` is finite, checked in blocks of
+    ``row_block(n)`` rows into one boolean buffer."""
+    h = row_block(K.shape[1])
+    finite = np.empty((min(h, len(K)), K.shape[1]), dtype=bool)
+    for start in range(0, len(K), h):
+        block = K[start : start + h]
+        if not np.isfinite(block, out=finite[: len(block)]).all():
+            return False
+    return True
+
+
 def _closest_pair(pts: np.ndarray):
     d = distances(pts, pts)
     d[np.diag_indices(len(pts))] = np.inf
@@ -89,6 +101,7 @@ def fit(
     X: PointSet,
     y,
     lam: float = 0.0,
+    table: LatticeTable | None = None,
 ) -> PosteriorModel:
     """Condition on observations ``y`` at ``X`` with regularization ``lam``.
 
@@ -102,7 +115,12 @@ def fit(
     triangle with the factor, which ``cho_solve`` reads alone; ``K`` is the
     only n x n array, and the model does not keep it.  A failed
     factorization has overwritten ``K``, so ``K`` is rebuilt before the next
-    jitter step.
+    jitter step.  ``K`` is checked for finite entries in row blocks, so the
+    factor and the solve skip scipy's check, which allocates an n x n
+    boolean array in each; the right-hand side is formed in Fortran order,
+    checked, and solved in place.  ``table`` is the
+    :class:`kernels.LatticeTable` of ``X`` against itself when the caller
+    holds one; None looks one up.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -121,18 +139,18 @@ def fit(
     jitter = ladder[0]
     for jitter in ladder:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            K = gram(kernel, X)
+            K = gram(kernel, X, table)
         K[np.diag_indices(n)] += lam + jitter
+        if not _all_finite(K):  # the kernel overflowed
+            raise ConfigurationError(f"kernel matrix not finite: kernel.amplitude {A!r} or "
+                                     f"kernel.lengthscale {kernel.lengthscale!r}")
         try:
             # K is exactly symmetric, so K.T is K in Fortran order, which
             # LAPACK factors in place without a copy.
-            L, _ = cho_factor(K.T, lower=True, overwrite_a=True)
+            L, _ = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
             break
         except np.linalg.LinAlgError:
             logger.warning("cholesky failed at jitter %.1e, escalating", jitter)
-        except ValueError:  # scipy's finiteness check: the kernel overflowed
-            raise ConfigurationError(f"kernel matrix not finite: kernel.amplitude {A!r} or "
-                                     f"kernel.lengthscale {kernel.lengthscale!r}") from None
     if L is None:
         i, j, d = _closest_pair(X.points)
         raise SingularDesignError(
@@ -142,7 +160,15 @@ def fit(
     if jitter > DEFAULT_JITTER_FACTOR * A:
         logger.warning("fit used escalated jitter %.1e", jitter)
     m_X = prior_mean(X.points)
-    dual = cho_solve((L, True), y - (m_X[:, None] if y.ndim == 2 else m_X))
+    if y.ndim == 2:
+        # in LAPACK's column order, one column at a time (a broadcast
+        # subtraction buffers its operands), so the solve overwrites it
+        rhs = np.empty(y.shape, order="F")
+        for k in range(y.shape[1]):
+            np.subtract(y[:, k], m_X, out=rhs[:, k])
+    else:
+        rhs = y - m_X
+    dual = cho_solve((L, True), np.asarray_chkfinite(rhs), overwrite_b=True, check_finite=False)
     return PosteriorModel(
         kernel=kernel,
         prior_mean=prior_mean,
@@ -160,7 +186,7 @@ def _cross_blocks(kernel: KernelSpec, xq: np.ndarray, design: np.ndarray):
         yield rows, cross_matrix(kernel, xq[rows], design, out=Kq, work=work)
 
 
-def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
+def posterior_mean(model: PosteriorModel, x, table: LatticeTable | None = None) -> np.ndarray:
     """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)`` at a batch of m queries.
 
     The result has shape (m,) for one fit, or (m, r) for a model fitted to
@@ -188,6 +214,9 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
     is exact, so every block holds the doubles of the direct cross matrix,
     and the gemv, which reads a strided view in place, gives the same bits.
     Any other pair of sets evaluates ``cross_matrix`` block by block.
+    ``table`` is the lattice table of the queries against the design when
+    the caller already holds one (a BO budget's final step, read from the
+    candidates' table); None looks one up with :func:`kernels.lattice_table`.
 
     A block's r columns come from one ``np.matmul`` of the view
     ``dual.T[:, :, None]`` (no copy) into rows of an (r, m) result, whose
@@ -205,7 +234,8 @@ def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
     out = np.empty((dual.shape[1], len(xq), 1))  # column k's means are out[k, :, 0]
     design = model.design.points
-    table = lattice_table(model.kernel, xq, design)
+    if table is None:
+        table = lattice_table(model.kernel, xq, design)
     for rows, Kq in table_blocks(table) if table else _cross_blocks(model.kernel, xq, design):
         np.matmul(Kq, dual.T[:, :, None], out=out[:, rows])
     Kq = None  # frees the last block's buffer before the prior mean is formed

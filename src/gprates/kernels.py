@@ -12,8 +12,10 @@ sets lie on one dyadic lattice (every coordinate a multiple of some
 lattice ``delta = 2^-p`` that holds their differences, into a two-sided
 table ``H[S + k] = Phi(|k| delta)``: ``gram`` and ``fitting.posterior_mean``
 read their blocks from that table, and ``designs.lattice_columns`` (for
-``gen_p_greedy`` and ``bayesopt.run_gamma_F_n``) its columns as strided
-views, instead of evaluating ``matern_of_r`` on every entry.  The values
+``gen_p_greedy`` and ``bayesopt.run_gamma_F_n``) its columns as slices,
+instead of evaluating ``matern_of_r`` on every entry.  A caller that
+holds a table of a superset passes ``gram`` and ``fitting.posterior_mean`` the
+table of its subsets on the same ``H`` (a BO budget's final fit).  The values
 are bitwise those of the direct path: the difference of two lattice points
 whose integer offset ``k`` is below 2^53 is exact, so ``|a - b|`` is the
 same double as ``|k| * delta``, and ``matern_of_r`` is elementwise.  When
@@ -267,7 +269,7 @@ class LatticeTable(NamedTuple):
     step_b: int | None
 
 
-def _step(index: np.ndarray) -> int | None:
+def progression_step(index: np.ndarray) -> int | None:
     """The common difference of ``index``: 0 for one point, None unless every
     consecutive difference is the same."""
     if len(index) < 2:
@@ -332,7 +334,7 @@ def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> LatticeTabl
     H = np.empty(2 * span + 1)
     matern_of_r(spec, np.ldexp(np.arange(span + 1, dtype=float), -p), out=H[span:])
     H[:span] = H[: span : -1]
-    return LatticeTable(ia, ib, H, span, _step(ia), _step(ib))
+    return LatticeTable(ia, ib, H, span, progression_step(ia), progression_step(ib))
 
 
 def _copy_window(table: LatticeTable, start: int, column: int, out: np.ndarray) -> np.ndarray:
@@ -431,7 +433,7 @@ def table_blocks(table: LatticeTable):
             start += height
 
 
-def gram(spec: KernelSpec, X) -> np.ndarray:
+def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
     """Kernel matrix ``K[i, j] = k(x_i, x_j)``.
 
     Every entry is evaluated, and the distance from ``x_i`` to ``x_j`` is
@@ -445,7 +447,9 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
     through :func:`table_block` (a copied window of the table for a grid, a
     gather otherwise), bitwise the direct values, since the differences of
     lattice points are exact; any other set evaluates ``matern_of_r`` on
-    every entry.
+    every entry.  ``table`` is the :class:`LatticeTable` of ``X`` against
+    itself when the caller already holds one (a BO budget's points, read
+    from the candidates' table); None looks one up with :func:`lattice_table`.
     Duplicate points make the matrix singular; a
     :class:`SingularGramWarning` is emitted and the matrix still returned.
     On the table path, the zero offsets are counted: in 1-d they are
@@ -456,7 +460,8 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
         raise ConfigurationError("gram requires a nonempty point set")
     n = pts.shape[0]
     K = np.empty((n, n))
-    table = lattice_table(spec, pts, pts)
+    if table is None:
+        table = lattice_table(spec, pts, pts)
     if table:
         # the zero offsets, one per ordered pair of equal integer coordinates
         counts = np.bincount(table.ia)

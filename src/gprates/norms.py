@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +47,33 @@ def parse_q(q) -> float:
     return qf
 
 
+def overflow_safe(norm, values) -> float:
+    """``norm(values)`` for a ``norm`` that is positively homogeneous of degree 1.
+
+    When the plain form is not finite but the values are (squares of errors
+    near 1e200 overflow), this is ``s * norm(values / s)`` with
+    ``s = max |values|``, which is finite; every other call returns the plain
+    form, bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        plain = norm(values)
+    if math.isfinite(plain) or not values.size or not np.isfinite(values).all():
+        return plain
+    scale = float(np.abs(values).max())
+    return float(scale * norm(values / scale))
+
+
 def lq_norm(values, q, grid: EvalGrid) -> float:
-    """``(sum_i w_i |v_i|^q)^(1/q)`` of values on the grid, or ``max |v_i|`` for q = inf."""
+    """``(sum_i w_i |v_i|^q)^(1/q)`` of values on the grid, or ``max |v_i|`` for q = inf.
+
+    A sum that overflows on finite values is taken scaled by the largest
+    (:func:`overflow_safe`)."""
     qf = parse_q(q)
     diff = np.abs(values)
     if qf == float("inf"):
         return float(diff.max())
-    return float(np.sum(grid.weights * diff ** qf) ** (1.0 / qf))
+    return overflow_safe(lambda v: float(np.sum(grid.weights * v ** qf) ** (1.0 / qf)), diff)
 
 
 def lq_error(t: TargetSpec, model: PosteriorModel, q, grid: EvalGrid) -> float:

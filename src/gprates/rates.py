@@ -49,13 +49,20 @@ class NuggetPolicy:
             raise ConfigurationError("adaptive nugget needs a positive exponent")
 
     def lam(self, h: float) -> float:
-        """The regularization ``sigma_n(h)^2``; one past the float range is a config error."""
+        """The regularization ``sigma_n(h)^2``; one past the float range
+        (an ``OverflowError``, or a product that is ``inf``) is a config error."""
+        fields = ("nugget.coeff and nugget.exponent" if self.kind == "adaptive_h"
+                  else "nugget.sigma")
         try:
             if self.kind == "adaptive_h":
-                return (self.coeff * h ** self.exponent) ** 2
-            return (self.sigma if self.kind == "fixed" else 0.0) ** 2
+                lam = (self.coeff * h ** self.exponent) ** 2
+            else:
+                lam = (self.sigma if self.kind == "fixed" else 0.0) ** 2
         except OverflowError:
-            raise ConfigurationError("nugget.sigma or nugget.coeff is too large") from None
+            lam = math.inf
+        if not math.isfinite(lam):
+            raise ConfigurationError(f"the nugget square is past the float range: {fields}")
+        return lam
 
     def sigma_slope(self, d: int) -> float:
         """Decay exponent: sigma_n ~ n^(-sigma_slope) under h ~ n^(-1/d)."""

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import gprates
 from gprates import bayesopt, designs, kernels
@@ -157,6 +159,50 @@ def test_expected_improvement_is_bitwise_the_scipy_stats_formula():
         assert np.array_equal(expected_improvement(mean, sd, best), oracle)
 
 
+def _masked_expected_improvement(mean, sd, best):
+    """The two-branch formula: both branches on every entry, then a select."""
+    gap = mean - best
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(sd > 0, gap / np.where(sd > 0, sd, 1.0), 0.0)
+    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+    return np.where(sd > 0, gap * ndtr(z) + sd * pdf, np.maximum(gap, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 2000),
+       zero_sd=st.floats(0.0, 1.0), ties=st.floats(0.0, 1.0))
+def test_one_pass_expected_improvement_is_bitwise_the_masked_formula(seed, size, zero_sd, ties):
+    # sd == 0 (and -0.0) entries, gaps of both signs, and means that tie the
+    # incumbent, including at sd == 0, where the gap is +0.0
+    rng = np.random.default_rng(seed)
+    best = float(rng.standard_normal())
+    mean = rng.standard_normal(size) * 3.0
+    mean[rng.random(size) < ties] = best
+    sd = rng.random(size) * 2.0
+    sd[rng.random(size) < zero_sd] = 0.0
+    sd[rng.random(size) < 0.05] = -0.0
+    ei, oracle = expected_improvement(mean, sd, best), _masked_expected_improvement(mean, sd, best)
+    assert np.array_equal(ei, oracle)
+    assert np.array_equal(np.signbit(ei), np.signbit(oracle))
+
+
+def test_expected_improvement_holds_three_arrays_at_its_peak():
+    # gap, z (which becomes Phi(z) and the result) and the pdf term, plus two
+    # boolean masks; the masked formula kept both branches and six arrays
+    m = 100_000
+    rng = np.random.default_rng(11)
+    mean, sd = rng.standard_normal(m), rng.random(m)
+    sd[::3] = 0.0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        expected_improvement(mean, sd, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * m
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300), best=st.floats(-3.0, 3.0))
 def test_expected_improvement_on_a_subset_is_bitwise_the_full_call(seed, size, best):
@@ -205,6 +251,28 @@ def test_other_candidates_take_the_distance_table(monkeypatch, resolution, domai
     columns = _count_distance_table_columns(monkeypatch)
     trajectory = run_gamma_F_n(target, BOConfig(gamma=0.3, n=24, kernel=spec, candidates=cand))
     assert columns == trajectory.chosen
+
+
+def test_run_on_a_dyadic_grid_evaluates_the_kernel_once(counted):
+    # 512 midpoint candidates take one table of 512 offsets; the loop reads
+    # its columns there, and every budget's Gram matrix and prediction on
+    # the candidates read the same table
+    evaluated = counted(kernels, "matern_of_r")
+    grams = counted(kernels, "gram")
+    result = run_bo_experiment(config_from_dict(SMALL_BO))
+    assert [run["n"] for run in result["runs"]] == [8, 16, 32, 64]
+    assert grams["calls"] == 4
+    assert evaluated == {"calls": 1, "entries": 512}
+
+
+def test_trajectory_keeps_no_integer_coordinates():
+    # the final fits rebuild the coordinates of the points they read; the
+    # trajectory keeps the table, its centre, the origin and the step
+    trajectory = _trajectory(12)
+    columns = trajectory.columns
+    assert isinstance(columns, designs.LatticeColumns)
+    assert [type(v) for v in columns[1:]] == [int] * 4
+    assert columns.H.size == 2 * columns.S + 1 == 1023
 
 
 def test_table_trajectory_is_bitwise_the_distance_table_one(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,9 @@ def _cut_preset(name, section, **fields):
     (_cut_preset("a1_l2", "target", scale=1e308), "target.scale"),
     (_cut_preset("a3", "noise", sigma=1e308), "noise.sigma"),
     (_cut_preset("a3", "nugget", sigma=1e200), "nugget.sigma"),
+    # coeff * h^2 is inf on [0, 1000] with no exception raised
+    (dict(_cut_preset("a5", "nugget", exponent=2.0, coeff=1e308),
+          domain={"lower": [0.0], "upper": [1000.0]}), "nugget.coeff and nugget.exponent"),
     # files json cannot read: an integer past Python's 4300-digit conversion
     # limit, bytes that are not UTF-8, a directory
     ('{"kind": "rates", "tolerance": 1' + "0" * 5000 + "}", "config.json"),
@@ -202,6 +206,7 @@ def _cut_preset(name, section, **fields):
         "infinite_target_scale", "infinite_mean", "nan_mean", "infinite_tolerance",
         "huge_integer_tolerance", "subnormal_lengthscale", "overflowing_amplitude",
         "overflowing_target_scale", "overflowing_noise_sigma", "overflowing_nugget_square",
+        "overflowing_adaptive_nugget",
         "integer_past_conversion_limit", "not_utf8",
         "config_is_a_directory"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
@@ -211,6 +216,23 @@ def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert field is None or field in err
+
+
+def test_overflowing_errors_give_a_finite_verdict(tmp_path):
+    # a prior mean of 1e200 squares every error past the float range; the
+    # norms and spreads are then taken scaled by their largest entry, with no
+    # RuntimeWarning, and the run fails its gate on a finite slope
+    config = dict(_cut_preset("a3", "kernel"), ladder=[16, 32, 64, 128],
+                  mean={"kind": "constant", "value": 1e200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = _run(tmp_path, config, "--seed", "3")
+    assert code == 1
+    report = json.loads((out / "a3_report.json").read_text())
+    assert report["verdict"] == "fail" and not report.get("invalid_reason")
+    assert math.isfinite(report["fitted"]) and abs(report["fitted"] - (-0.667)) < 0.01
+    curve = (out / "a3_curve.csv").read_text()
+    assert "inf" not in curve and "nan" not in curve
 
 
 def test_allocation_failure_exits_2_without_a_traceback(tmp_path, capsys):

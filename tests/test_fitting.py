@@ -139,6 +139,26 @@ class TestInPlaceFactor:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * n * n
 
+    def test_fit_allocates_no_n_by_n_temporary_besides_k(self):
+        # K's finiteness is checked in row blocks, and the right-hand side is
+        # solved in place, so beyond K and the n x r weights the peak holds
+        # only block-sized buffers; scipy's own check_finite allocates an
+        # n x n boolean array (n^2 bytes) in the factor and again in the solve
+        n, r = 1024, 20
+        X = gen_grid(n, UNIT)
+        Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
+        for lam in (1e-4, 0.0):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                model = fit(KernelSpec(tau=2.0, lengthscale=0.2), MeanSpec("constant", 0.3), X,
+                            Y, lam)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert model.dual.shape == (n, r)
+            assert peak - 8 * n * n - 8 * n * r < n * n / 8
+
     def test_model_holds_no_n_by_n_array(self):
         n = 1024
         X = gen_grid(n, UNIT)

@@ -8,7 +8,7 @@ import pytest
 from gprates.designs import Domain, PointSet, gen_grid
 from gprates.fitting import MeanSpec, fit
 from gprates.kernels import KernelSpec
-from gprates.norms import integrate, lq_error, make_grid, residual_norm
+from gprates.norms import integrate, lq_error, lq_norm, make_grid, overflow_safe, residual_norm
 from gprates.targets import TargetSpec, named_target
 
 UNIT = Domain((0.0,), (1.0,))
@@ -120,3 +120,32 @@ class TestIntegrate:
         grid = make_grid(dom, 32)
         assert grid.weights.sum() == pytest.approx(dom.volume, rel=1e-12)
         assert grid.size == 32 ** 2
+
+
+class TestOverflowSafe:
+    GRID = make_grid(UNIT, 4)
+
+    @pytest.mark.parametrize("q", [1, 2, "inf"])
+    def test_huge_finite_errors_have_a_finite_norm(self, q):
+        values = np.array([3e200, -4e200, 0.0, 1e-300])
+        scaled = lq_norm(values / 1e200, q, self.GRID) * 1e200
+        with np.errstate(over="raise"):
+            norm = lq_norm(values, q, self.GRID)
+        assert math.isfinite(norm) and norm == pytest.approx(scaled, rel=1e-15)
+
+    def test_plain_form_is_kept_bit_for_bit(self):
+        values = np.random.default_rng(2).standard_normal(4) * 1e100
+        plain = float(np.sum(self.GRID.weights * np.abs(values) ** 2.0) ** 0.5)
+        assert lq_norm(values, 2, self.GRID) == plain
+        assert overflow_safe(lambda v: float(np.std(v)), values) == float(np.std(values))
+
+    def test_spread_of_huge_values(self):
+        values = [1e300, 1.5e300, 2e300]
+        with np.errstate(over="raise"):
+            spread = overflow_safe(lambda v: float(np.std(v)), values)
+        assert spread == pytest.approx(np.std(np.array(values) / 1e300) * 1e300, rel=1e-15)
+
+    def test_infinite_values_keep_the_plain_form(self):
+        assert lq_norm(np.array([1.0, math.inf, 0.0, 0.0]), 2, self.GRID) == math.inf
+        with np.errstate(invalid="ignore"):  # inf - inf in the spread
+            assert math.isnan(overflow_safe(lambda v: float(np.std(v)), [1.0, math.inf]))
