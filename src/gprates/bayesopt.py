@@ -19,6 +19,11 @@ incremental Newton basis (``designs.NewtonBasis``, with ``fit``'s
 interpolation jitter) gives the posterior sd on every candidate, and the
 mean and expected improvement only on the stabilized set: the pick is the
 first maximizer there, so scoring every candidate would change nothing.
+Apart from the basis update's product, a step makes a fixed handful of
+passes over the candidates (the sd into one buffer, its maximum, the
+stabilized mask and its indices) and otherwise touches only the stabilized
+set: one gather of its sd, the mean on the 8-row runs that cover it, and
+expected improvement without masks, since every sd there is positive.
 Only each budget's final step calls ``fit``, and it predicts on the
 candidates through ``fitting.posterior_mean``.  Each selected point's kernel
 column is a view of the candidates' ``kernels.lattice_table`` from
@@ -33,10 +38,19 @@ on the table's offsets, whatever its budgets.  A ``designs.MeshRatioTracker``
 updates the mesh ratio with each selected point.  Every kernel column, mean,
 sd, acquisition and trace value is bitwise what the direct computation on
 every candidate gives.
+
+Kernel values are checked as ``fit`` checks its Gram matrix: formed with
+floating-point warnings off, then required finite.  A kernel that leaves
+the float range on the candidates (a lengthscale far below their spacing,
+a domain far wider than the lengthscale) and a posterior variance that
+turns NaN (an amplitude so small that the jitter underflows to zero and a
+pivot vanishes) each raise a ``ConfigurationError`` before any file is
+written.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +66,7 @@ from .kernels import KernelSpec, distances, matern_of_r
 from .targets import TargetSpec, eval_target
 
 REFERENCE_RESOLUTION = 65536
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -88,25 +103,39 @@ def expected_improvement(mean, sd, best: float):
     Where ``sd > 0`` this is ``gap Phi(z) + sd phi(z)``, with ``gap = mean - best``
     and ``z = gap / sd``, and elsewhere ``max(gap, 0)``.  It is formed in one
     pass, in place, by the operations of that masked formula, so the values
-    are bitwise the formula's.
+    are bitwise the formula's (``-z^2 / 2`` is formed as ``z^2 * -0.5``:
+    both are the correctly rounded ``-z^2 / 2``).  When every sd is
+    positive, as on a BO step's stabilized set, the masks and the zero fill
+    are skipped.
     """
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     gap = mean - best
-    positive = sd > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.divide(gap, sd, out=np.zeros_like(gap), where=positive)
+    positive = None if sd.min(initial=np.inf) > 0 else sd > 0  # NaN takes the masked path
+    if positive is None:
+        z = gap / sd
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.divide(gap, sd, out=np.zeros_like(gap), where=positive)
     pdf = np.square(z)
-    np.negative(pdf, out=pdf)
-    pdf /= 2.0
+    pdf *= -0.5
     np.exp(pdf, out=pdf)
-    pdf /= np.sqrt(2 * np.pi)
+    pdf /= _SQRT_2PI
     pdf *= sd
     ei = ndtr(z, out=z)
     ei *= gap
     ei += pdf
-    np.maximum(gap, 0.0, out=ei, where=~positive)
+    if positive is not None:
+        np.maximum(gap, 0.0, out=ei, where=~positive)
     return ei
+
+
+def _check_kernel_values(spec: KernelSpec, values: np.ndarray) -> None:
+    """Raise a ``ConfigurationError`` unless every kernel value is finite."""
+    if not np.isfinite(values).all():
+        raise ConfigurationError(
+            f"kernel not finite on the candidates: kernel.amplitude {spec.amplitude!r}, "
+            f"kernel.lengthscale {spec.lengthscale!r} or the domain")
 
 
 class DistanceTable:
@@ -133,8 +162,10 @@ class DistanceTable:
         new = np.unique(r[self.r[at] != r])
         if new.size:
             where = np.searchsorted(self.r, new)
+            values = matern_of_r(self.spec, new)
+            _check_kernel_values(self.spec, values)
             self.r = np.insert(self.r, where, new)
-            self.k = np.insert(self.k, where, matern_of_r(self.spec, new))
+            self.k = np.insert(self.k, where, values)
             at = np.searchsorted(self.r, r)
         return self.k[at]
 
@@ -209,56 +240,69 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     distinct candidate distance, not once per column, and the column is
     bitwise the ``cross_matrix`` column.
 
-    Each step forms the posterior sd on every candidate, but the mean and
-    the expected improvement only on the stabilized set ``eligible``
-    (``NewtonBasis.mean`` on the runs of 8-row groups that hold it).  The
-    pick is the first maximizer over that set, so the picks, and the mean,
-    sd and acquisition at each, are bitwise those of scoring every
-    candidate.  One ``MeshRatioTracker`` takes each point as it is
-    selected: the fill distance over separation radius of each selected
-    prefix.  Every target value is read from ``f_cand``.
+    Each step writes the posterior sd on every candidate into one buffer,
+    takes its maximum and the stabilized set ``eligible`` from it, and
+    gathers ``sd[eligible]`` once; the mean (``NewtonBasis.mean`` on the
+    runs of 8-row groups that cover ``eligible``) and the expected
+    improvement are formed only there.  The pick is the first maximizer over
+    that set, so the picks, and the mean, sd and acquisition at each, are
+    bitwise those of scoring every candidate.  One ``MeshRatioTracker``
+    takes each point as it is selected: the fill distance over separation
+    radius of each selected prefix.  Every target value is read from
+    ``f_cand``.
+
+    Raises ``ConfigurationError`` if a kernel value on the candidates is
+    not finite, or if the posterior variance turns NaN.
     """
     cand = config.candidates
     cpts = cand.points
     m = len(cpts)
-    A = config.kernel.amplitude
-    newton = NewtonBasis(A, m, config.n - 1, eps=DEFAULT_JITTER_FACTOR * A)
-    columns = lattice_columns(config.kernel, cpts)
-    column_of = columns or DistanceTable(config.kernel, cpts).column
+    spec = config.kernel
+    newton = NewtonBasis(spec.amplitude, m, config.n - 1, eps=DEFAULT_JITTER_FACTOR * spec.amplitude)
     mesh = MeshRatioTracker(cand.domain)
     ref = gen_grid(REFERENCE_RESOLUTION, cand.domain).points if cand.domain.dim == 1 else cpts
-    run = BOTrajectory(config, eval_target(target, cpts), float(np.max(eval_target(target, ref))),
-                       columns)
+    f_cand = eval_target(target, cpts)
+    f_ref_max = float(np.max(eval_target(target, ref)))
+    # kernel values and variances past the float range are checked, not warned of
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        columns = lattice_columns(spec, cpts)
+        if columns:
+            _check_kernel_values(spec, columns.H)
+        column_of = columns or DistanceTable(spec, cpts).column
+        run = BOTrajectory(config, f_cand, f_ref_max, columns)
 
-    def choose(j: int) -> None:
-        # selected points are candidates: the basis grows by their own column
-        run.chosen.append(j)
-        newton.add(j, column_of(j), run.f_cand[j])
-        mesh.add(cpts[j])
+        def choose(j: int) -> None:
+            # selected points are candidates: the basis grows by their own column
+            run.chosen.append(j)
+            newton.add(j, column_of(j), f_cand[j])
+            mesh.add(cpts[j])
 
-    choose(0)
-    best = run.f_cand[0]
-    mean = np.empty(m)
-    for step in range(2, config.n):
-        sd = np.sqrt(newton.power)
-        threshold = config.gamma * sd.max()
-        eligible = np.flatnonzero(sd >= threshold)
-        newton.mean(eligible, out=mean)
-        acq = expected_improvement(mean[eligible], sd[eligible], best)
-        i = int(np.argmax(acq))  # first maximizer wins ties
-        j = int(eligible[i])
-        run.slacks.append(threshold - sd[j])
-        choose(j)
-        best = np.maximum(best, run.f_cand[j])  # the best value selected so far
-        run.trace.append(
-            {
-                "step": step,
-                "x": [float(v) for v in cpts[j]],
-                "f": float(run.f_cand[j]),
-                "threshold": float(threshold),
-                "sd": float(sd[j]),
-                "acquisition": float(acq[i]),
-                "rho_so_far": mesh.ratio(),
-            }
-        )
+        choose(0)
+        best = f_cand[0]
+        mean, sd, stable = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+        for step in range(2, config.n):
+            threshold = config.gamma * np.sqrt(newton.power, out=sd).max()
+            if not math.isfinite(threshold):  # max() is NaN if any sd is
+                raise ConfigurationError(
+                    f"posterior variance not finite after {step - 1} points: kernel.amplitude "
+                    f"{spec.amplitude!r} or kernel.lengthscale {spec.lengthscale!r}")
+            eligible = np.flatnonzero(np.greater_equal(sd, threshold, out=stable))
+            sd_eligible = sd[eligible]
+            acq = expected_improvement(newton.mean(eligible, out=mean)[eligible], sd_eligible, best)
+            i = int(np.argmax(acq))  # first maximizer wins ties
+            j = int(eligible[i])
+            run.slacks.append(threshold - sd_eligible[i])
+            choose(j)
+            best = np.maximum(best, f_cand[j])  # the best value selected so far
+            run.trace.append(
+                {
+                    "step": step,
+                    "x": cpts[j].tolist(),
+                    "f": float(f_cand[j]),
+                    "threshold": float(threshold),
+                    "sd": float(sd_eligible[i]),
+                    "acquisition": float(acq[i]),
+                    "rho_so_far": mesh.ratio(),
+                }
+            )
     return run

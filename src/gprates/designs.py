@@ -8,6 +8,7 @@ most half a probe-cell diagonal, and that bound is returned alongside.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -166,30 +167,41 @@ class NewtonBasis:
     def mean(self, rows, out) -> np.ndarray:
         """Posterior mean of the values added so far, at least on the candidates ``rows``.
 
-        ``rows`` is an ascending index array, and the means go into ``out``,
-        an (m,) array, which is returned.  The mean is
+        ``rows`` is an ascending integer index array, and the means go into
+        ``out``, an (m,) array, which is returned.  The mean is
         ``basis[:, :k] @ z[:k]``, formed only on the runs of 8-row groups
-        that hold a row of ``rows``: each run is one product of a view of
+        from :func:`_group_runs`: each run is one product of a view of
         ``basis``, no copy.  A run starts at a multiple of 8 and ends at one
         or at m, so every row keeps its place in OpenBLAS's gemv row groups
         (see ``kernels.row_block``) and gets bitwise its value in the whole
-        product; a last group of one row joins the group before it.  That
-        holds with BLAS on one thread, as ``cli.main`` and the tests pin it:
-        two threads split the whole product's rows near m / 2.
+        product.  That holds with BLAS on one thread, as ``cli.main`` and the
+        tests pin it: two threads split the whole product's rows near m / 2.
         Entries of ``out`` outside the runs are left as they were.
         """
+        B, z = self.basis[:, : self.size], self.z[: self.size]
         for a, b in _group_runs(rows, len(out)):
-            np.matmul(self.basis[a:b, : self.size], self.z[: self.size], out=out[a:b])
+            np.matmul(B[a:b], z, out=out[a:b])
         return out
 
 
+# a run of 8-row groups spans up to this many groups that hold no row: on
+# a7's basis one more product call costs about as much as 48 more rows
+_JOIN_GROUPS = 6
+
+
 def _group_runs(rows, m: int):
-    """The runs ``(a, b)`` of consecutive 8-row groups of ``range(m)`` that
-    hold an entry of the ascending index array ``rows``."""
-    groups = np.asarray(rows) // 8
-    starts = (8 * groups[np.diff(groups, prepend=-2) > 1]).tolist()
-    stops = np.minimum(8 * groups[np.diff(groups, append=groups[-1:] + 2) > 1] + 8, m).tolist()
-    if m > 1 and starts and starts[-1] == m - 1:
+    """The runs ``(a, b)`` of 8-row groups of ``range(m)`` that cover the
+    ascending index array ``rows``; groups at most ``_JOIN_GROUPS`` apart
+    share a run."""
+    groups = np.asarray(rows) >> 3
+    if not groups.size:
+        return ()
+    cut = (groups[1:] - groups[:-1] > _JOIN_GROUPS + 1).nonzero()[0]
+    starts = (groups[cut + 1] << 3).tolist()
+    starts.insert(0, int(groups[0]) << 3)
+    stops = ((groups[cut] << 3) + 8).tolist()
+    stops.append(min((int(groups[-1]) << 3) + 8, m))
+    if m > 1 and starts[-1] == m - 1:
         # numpy forms a one-row product as a dot product, which rounds
         # otherwise than gemv, so a last group of one row joins the one before
         starts[-1] -= 8
@@ -346,16 +358,34 @@ class MeshRatioTracker:
     a point takes one minimum with its distances to the probes and one with
     its distances to the earlier points.  Minima are exact, so ``ratio()`` is
     bitwise ``fill_distance / separation_radius`` of the points added so far.
+
+    In 1-d the points are kept as a sorted list, and a new point's least
+    distance to the earlier ones is to one of its two neighbours there
+    (rounding is monotone, as in :func:`separation_radius`); its distances to
+    the probes are formed in one preallocated buffer.
     """
 
     def __init__(self, domain: Domain, probe_resolution: int | None = None):
         self.probes = _probe_points(domain, probe_resolution or _default_probe(domain.dim))
         self.nearest = np.full(len(self.probes), np.inf)
-        self.points = np.empty((0, domain.dim))
         self.closest = np.inf
+        if domain.dim == 1:
+            self.points = []  # ascending coordinates
+            self._gaps = np.empty(len(self.probes))
+        else:
+            self.points = np.empty((0, domain.dim))
 
     def add(self, x) -> None:
         x = np.asarray(x, dtype=float).reshape(1, -1)
+        if isinstance(self.points, list):
+            v = float(x[0, 0])
+            i = bisect.bisect_left(self.points, v)
+            for y in self.points[max(i - 1, 0) : i + 1]:
+                self.closest = min(self.closest, abs(y - v))
+            self.points.insert(i, v)
+            gaps = np.subtract(self.probes[:, 0], v, out=self._gaps)
+            np.minimum(self.nearest, np.abs(gaps, out=gaps), out=self.nearest)
+            return
         np.minimum(self.nearest, distances(self.probes, x)[:, 0], out=self.nearest)
         self.closest = min(self.closest, distances(self.points, x).min(initial=np.inf))
         self.points = np.vstack([self.points, x])

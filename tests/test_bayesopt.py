@@ -16,12 +16,14 @@ import gprates
 from gprates import bayesopt, designs, kernels
 from gprates.acceptance import acceptance_configs
 from gprates.bayesopt import BOConfig, DistanceTable, expected_improvement, run_gamma_F_n
-from gprates.designs import Domain, PointSet, fill_distance, gen_grid, separation_radius
+from gprates.designs import (
+    Domain, NewtonBasis, PointSet, fill_distance, gen_grid, separation_radius,
+)
 from gprates.errors import ConfigurationError
 from gprates.experiments import config_from_dict, run_bo_experiment
-from gprates.fitting import MeanSpec, fit
+from gprates.fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit
 from gprates.kernels import KernelSpec, cross_matrix
-from gprates.targets import random_expansion_target
+from gprates.targets import eval_target, random_expansion_target
 
 # a7's kernel, target and strategy on 512 candidates; from step 51 on, the
 # masked expected improvement is exactly 0 on every stabilized candidate, so
@@ -215,6 +217,63 @@ def test_expected_improvement_on_a_subset_is_bitwise_the_full_call(seed, size, b
     with np.errstate(over="ignore"):  # gap / 1e-320
         full = expected_improvement(mean, sd, best)
         assert np.array_equal(expected_improvement(mean[rows], sd[rows], best), full[rows])
+
+
+def _plain_bo_loop(target, config):
+    """The strategy as a plain loop that scores every candidate: the mean is
+    the whole product, expected improvement the masked formula, the pick the
+    first maximizer with sd at least the threshold, and each mesh ratio
+    ``fill_distance / separation_radius`` of the selected prefix."""
+    cand, spec = config.candidates, config.kernel
+    pts, m = cand.points, len(cand)
+    f = eval_target(target, pts)
+    newton = NewtonBasis(spec.amplitude, m, config.n - 1, DEFAULT_JITTER_FACTOR * spec.amplitude)
+    chosen, slacks, trace = [], [], []
+
+    def choose(j):
+        chosen.append(j)
+        newton.add(j, cross_matrix(spec, pts, pts[j : j + 1])[:, 0], f[j])
+
+    choose(0)
+    best = f[0]
+    for step in range(2, config.n):
+        k = newton.size
+        sd = np.sqrt(newton.power)
+        threshold = config.gamma * sd.max()
+        acq = _masked_expected_improvement(newton.basis[:, :k] @ newton.z[:k], sd, best)
+        j = int(np.argmax(np.where(sd >= threshold, acq, -np.inf)))
+        slacks.append(threshold - sd[j])
+        choose(j)
+        best = max(best, f[j])
+        X = PointSet(pts[chosen], cand.domain)
+        trace.append({"step": step, "x": [float(v) for v in pts[j]], "f": float(f[j]),
+                      "threshold": float(threshold), "sd": float(sd[j]),
+                      "acquisition": float(acq[j]),
+                      "rho_so_far": fill_distance(X)[0] / separation_radius(X)})
+    return chosen, slacks, trace
+
+
+@pytest.mark.parametrize("resolution, domain, n", [
+    (512, Domain((0.0,), (1.0,)), 64),
+    (777, Domain((0.1,), (3.1,)), 48),
+    (25, Domain((0.0, 0.0), (1.0, 1.0)), 40),
+], ids=["dyadic_512", "offset_777", "25x25"])
+def test_loop_is_bitwise_a_plain_loop_over_every_candidate(resolution, domain, n):
+    # a lattice table, a distance table (777 = 8 * 97 + 1 and 625 = 8 * 78 + 1
+    # candidates end in a one-row group), and a 2-d grid; the dyadic run
+    # reaches steps where expected improvement ties at 0 on every
+    # stabilized candidate
+    dim = domain.dim
+    spec = KernelSpec(tau=2.5 if dim == 1 else 3.0, lengthscale=0.15, dim=dim)
+    target = (config_from_dict(SMALL_BO).target if resolution == 512
+              else random_expansion_target(tau_f=3.0, domain=domain, seed=10))
+    config = BOConfig(gamma=0.3, n=n, kernel=spec, candidates=gen_grid(resolution, domain))
+    run = run_gamma_F_n(target, config)
+    chosen, slacks, trace = _plain_bo_loop(target, config)
+    assert run.chosen == chosen
+    assert np.array(run.slacks).tobytes() == np.array(slacks).tobytes()
+    # json spells out every float, sign of zero included
+    assert json.dumps(run.trace) == json.dumps(trace)
 
 
 def _count_distance_table_columns(monkeypatch):

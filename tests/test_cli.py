@@ -94,6 +94,12 @@ def _cut_preset(name, section, **fields):
                 **{section: dict(raw[section], **fields)})
 
 
+def _a7(section, value):
+    """Accept preset a7 with its ``section`` updated (a dict) or replaced."""
+    raw = gprates.acceptance.acceptance_configs()["a7"]
+    return dict(raw, **{section: dict(raw[section], **value) if section in raw else value})
+
+
 # ``field`` is the name the one-line message must contain, or None where there
 # is no field to name (the file is not a JSON object)
 @pytest.mark.parametrize("config, field", [
@@ -180,6 +186,11 @@ def _cut_preset(name, section, **fields):
     # coeff * h^2 is inf on [0, 1000] with no exception raised
     (dict(_cut_preset("a5", "nugget", exponent=2.0, coeff=1e308),
           domain={"lower": [0.0], "upper": [1000.0]}), "nugget.coeff and nugget.exponent"),
+    # a7 with kernel values past the float range on the candidates, and with
+    # a posterior variance that turns NaN once the jitter underflows
+    (_a7("kernel", {"lengthscale": 1e-300}), "kernel.lengthscale"),
+    (_a7("kernel", {"amplitude": 1e-320}), "kernel.amplitude"),
+    (_a7("domain", {"lower": [0.0], "upper": [1e300]}), "domain"),
     # files json cannot read: an integer past Python's 4300-digit conversion
     # limit, bytes that are not UTF-8, a directory
     ('{"kind": "rates", "tolerance": 1' + "0" * 5000 + "}", "config.json"),
@@ -206,7 +217,8 @@ def _cut_preset(name, section, **fields):
         "infinite_target_scale", "infinite_mean", "nan_mean", "infinite_tolerance",
         "huge_integer_tolerance", "subnormal_lengthscale", "overflowing_amplitude",
         "overflowing_target_scale", "overflowing_noise_sigma", "overflowing_nugget_square",
-        "overflowing_adaptive_nugget",
+        "overflowing_adaptive_nugget", "bo_lengthscale_below_float_range",
+        "bo_subnormal_amplitude", "bo_domain_past_float_range",
         "integer_past_conversion_limit", "not_utf8",
         "config_is_a_directory"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):

@@ -168,11 +168,20 @@ class TestSeparationAndMeshRatio:
             assert _mesh_ratio(X) >= 1.0 - 1e-9
 
 
-    @pytest.mark.parametrize("dim, res", [(1, None), (2, None), (2, 9)])
-    def test_tracker_is_bitwise_fill_over_separation(self, dim, res):
+    @pytest.mark.parametrize("dim, res, ends", [
+        (1, None, False), (1, None, True), (1, 7, True), (2, None, False), (2, 9, False)])
+    def test_tracker_is_bitwise_fill_over_separation(self, dim, res, ends):
         rng = np.random.default_rng(40 + dim)
         domain = Domain((0.0,) * dim, (1.0,) * dim)
         pts = rng.uniform(0.01, 0.99, (30, dim))
+        if ends:
+            # the points nearest both domain ends (a point set lies strictly
+            # inside), and a point between two close neighbours, added in
+            # random order
+            a = pts[3, 0]
+            close = [[5e-324], [np.nextafter(1.0, 0.0)], [a + 2e-9], [a + 1e-9],
+                     [np.nextafter(a, 1.0)]]
+            pts = rng.permutation(np.vstack([pts, close]))
         tracker = MeshRatioTracker(domain, res)
         for k, x in enumerate(pts, start=1):
             tracker.add(x)

@@ -376,3 +376,26 @@ def test_linf_minus_l2_slope_tells_the_q_term():
     assert linf.theoretical - l2.theoretical == 0.5
     measured = linf.fitted - l2.fitted
     assert abs(measured - 0.5) < abs(measured - 0.0)
+
+
+# the 2-d rows of the same check: an expansion target (tau_f 2.5) on grid
+# ladders of the unit square; the exponent -(tau_f - d (1/2 - 1/q)_+) / d
+# again differs by +0.5 between q = inf and q = 2, and by 0 without the term
+SQUARE_RATES = {
+    "kind": "rates", "name": "square", "seed": 1,
+    "target": {"expansion": {"tau": 2.5, "seed": 3, "n_centers": 40}},
+    "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "design": {"kind": "grid"}, "ladder": [16, 36, 64, 144, 256, 576],
+    "tolerance": 0.4, "grid_resolution": 96,
+}
+
+
+@pytest.mark.parametrize("tau", [2.5, 3.5])
+def test_linf_minus_l2_slope_tells_the_q_term_in_2d(tau):
+    # measured +0.429 (tau 2.5) and +0.524 (tau 3.5)
+    kernel = {"tau": tau, "lengthscale": 0.25, "amplitude": 1.0, "dim": 2}
+    l2, linf = (run_rate_experiment(config_from_dict(dict(SQUARE_RATES, kernel=kernel, q=q)))
+                for q in (2, "inf"))
+    assert linf.theoretical - l2.theoretical == 0.5
+    measured = linf.fitted - l2.fitted
+    assert abs(measured - 0.5) < abs(measured - 0.0)
