@@ -30,14 +30,13 @@ column is a view of the candidates' ``kernels.lattice_table`` from
 ``designs.lattice_columns``, as ``designs.gen_p_greedy``'s are, when the
 candidates have one (every 1-d dyadic grid: a7's 4096 midpoints take one
 table of 4096 kernel values); other candidates (2-d, off a dyadic lattice)
-take a ``DistanceTable``, which evaluates the kernel once per distinct
-candidate distance.  The Newton basis reads each column once, and no column
-is kept.  The final step's Gram matrix and its prediction on the candidates
-read the same table, so a run on a dyadic grid evaluates the kernel once,
-on the table's offsets, whatever its budgets.  A ``designs.MeshRatioTracker``
-updates the mesh ratio with each selected point.  Every kernel column, mean,
-sd, acquisition and trace value is bitwise what the direct computation on
-every candidate gives.
+take a ``cross_matrix`` column.  The Newton basis reads each column once,
+and no column is kept.  The final step's Gram matrix and its prediction on
+the candidates read the same table, so a run on a dyadic grid evaluates the
+kernel once, on the table's offsets, whatever its budgets.  A
+``designs.MeshRatioTracker`` updates the mesh ratio with each selected
+point.  Every kernel column, mean, sd, acquisition and trace value is
+bitwise what the direct computation on every candidate gives.
 
 Kernel values are checked as ``fit`` checks its Gram matrix: formed with
 floating-point warnings off, then required finite.  A kernel that leaves
@@ -45,7 +44,9 @@ the float range on the candidates (a lengthscale far below their spacing,
 a domain far wider than the lengthscale) and a posterior variance that
 turns NaN (an amplitude so small that the jitter underflows to zero and a
 pivot vanishes) each raise a ``ConfigurationError`` before any file is
-written.
+written.  A pick of a candidate already selected (its sd, which the jitter
+keeps near ``sqrt(jitter)``, has reached the stabilization threshold) is a
+singular design: it raises a ``SingularDesignError``.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ from scipy.special import ndtr
 from .designs import (
     LatticeColumns, MeshRatioTracker, NewtonBasis, PointSet, gen_grid, lattice_columns,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SingularDesignError
 from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean
-from .kernels import KernelSpec, distances, matern_of_r
+from .kernels import KernelSpec, cross_matrix
 from .targets import TargetSpec, eval_target
 
 REFERENCE_RESOLUTION = 65536
@@ -138,38 +139,6 @@ def _check_kernel_values(spec: KernelSpec, values: np.ndarray) -> None:
             f"kernel.lengthscale {spec.lengthscale!r} or the domain")
 
 
-class DistanceTable:
-    """Kernel columns ``k(cand, cand[j])`` over fixed candidates, one kernel value per distance.
-
-    A sorted table maps every candidate distance seen so far to its
-    ``matern_of_r`` value.  A column looks its distances up with
-    ``searchsorted`` and evaluates the kernel only on the distinct distances
-    new to the table.  ``matern_of_r`` is elementwise, so every column is
-    bitwise ``cross_matrix(spec, cand, cand[j])[:, 0]``.  The table ends in
-    an infinite distance, which no two candidates have, so every lookup
-    lands inside it.
-    """
-
-    def __init__(self, spec: KernelSpec, points: np.ndarray):
-        self.spec = spec
-        self.points = points
-        self.r = np.array([np.inf])
-        self.k = np.array([0.0])
-
-    def column(self, j: int) -> np.ndarray:
-        r = distances(self.points, self.points[j : j + 1])[:, 0]
-        at = np.searchsorted(self.r, r)
-        new = np.unique(r[self.r[at] != r])
-        if new.size:
-            where = np.searchsorted(self.r, new)
-            values = matern_of_r(self.spec, new)
-            _check_kernel_values(self.spec, values)
-            self.r = np.insert(self.r, where, new)
-            self.k = np.insert(self.k, where, values)
-            at = np.searchsorted(self.r, r)
-        return self.k[at]
-
-
 @dataclass
 class BOTrajectory:
     """One run of the strategy to budget ``config.n``.
@@ -234,11 +203,11 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     acquisition value, and the mesh ratio of the points selected so far
     (probe-grid fill distance over the candidate domain).
 
-    Each selected point's kernel column comes from
-    ``designs.lattice_columns`` (a view of the candidates' table) or a
-    ``DistanceTable``, so ``matern_of_r`` runs once per lattice offset or
-    distinct candidate distance, not once per column, and the column is
-    bitwise the ``cross_matrix`` column.
+    Each selected point's kernel column is a view of the candidates' table
+    from ``designs.lattice_columns``, so ``matern_of_r`` runs once per
+    lattice offset, not once per column; candidates without a table take a
+    ``cross_matrix`` column, and either is checked finite.  The last
+    selected point is not added to the Newton basis: nothing reads it.
 
     Each step writes the posterior sd on every candidate into one buffer,
     takes its maximum and the stabilized set ``eligible`` from it, and
@@ -252,7 +221,8 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     ``f_cand``.
 
     Raises ``ConfigurationError`` if a kernel value on the candidates is
-    not finite, or if the posterior variance turns NaN.
+    not finite, or if the posterior variance turns NaN, and
+    ``SingularDesignError`` if a step picks a candidate already selected.
     """
     cand = config.candidates
     cpts = cand.points
@@ -268,13 +238,20 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
         columns = lattice_columns(spec, cpts)
         if columns:
             _check_kernel_values(spec, columns.H)
-        column_of = columns or DistanceTable(spec, cpts).column
         run = BOTrajectory(config, f_cand, f_ref_max, columns)
+
+        def cross_column(j: int) -> np.ndarray:
+            column = cross_matrix(spec, cpts, cpts[j : j + 1])[:, 0]
+            _check_kernel_values(spec, column)
+            return column
+
+        column_of = columns or cross_column
 
         def choose(j: int) -> None:
             # selected points are candidates: the basis grows by their own column
             run.chosen.append(j)
-            newton.add(j, column_of(j), f_cand[j])
+            if len(run.chosen) < config.n - 1:  # nothing reads the basis after the last pick
+                newton.add(j, column_of(j), f_cand[j])
             mesh.add(cpts[j])
 
         choose(0)
@@ -291,6 +268,10 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
             acq = expected_improvement(newton.mean(eligible, out=mean)[eligible], sd_eligible, best)
             i = int(np.argmax(acq))  # first maximizer wins ties
             j = int(eligible[i])
+            if j in run.chosen:
+                raise SingularDesignError(
+                    f"step {step} picked candidate {j} ({cpts[j].tolist()}) again: its "
+                    f"posterior sd {sd_eligible[i]:.3e} reached the threshold {threshold:.3e}")
             run.slacks.append(threshold - sd_eligible[i])
             choose(j)
             best = np.maximum(best, f_cand[j])  # the best value selected so far

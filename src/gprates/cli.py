@@ -72,7 +72,8 @@ def _report_errors(command) -> int:
     """Exit code of ``command()``, with configuration and numerical errors as 2 and 3.
 
     An allocation that fails is a config error too: the config asked for
-    arrays larger than the machine can hold (a huge ``grid_resolution``).
+    arrays larger than the machine can hold (a huge ``grid_resolution``), which
+    numpy reports as a ``MemoryError``, or past int64 bytes as "array is too big".
     """
     from .errors import ConfigurationError, SingularDesignError
 
@@ -81,7 +82,9 @@ def _report_errors(command) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
         print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except SingularDesignError as exc:

@@ -8,7 +8,6 @@ most half a probe-cell diagonal, and that bound is returned alongside.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -240,7 +239,8 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
             raise ConfigurationError(
                 "candidate pool exhausted: remaining posterior variance is zero"
             )
-        newton.add(j, column_of(j))
+        if step < n - 1:  # nothing reads the basis after the last pick
+            newton.add(j, column_of(j))
     return PointSet(cand[selected], candidates.domain)
 
 
@@ -294,30 +294,17 @@ def _probe_points(domain: Domain, probe_resolution: int) -> np.ndarray:
     return np.vstack([grid, domain.corners()])
 
 
-def _ascending(X: PointSet):
-    """The coordinates of a strictly ascending 1-d set (any grid design), or None."""
-    x = X.points[:, 0]
-    return x if X.dim == 1 and np.all(x[1:] > x[:-1]) else None
-
-
 def fill_distance(X: PointSet, probe_resolution: int | None = None):
     """Approximate ``sup_x inf_y ||x - y||`` over the domain.
 
     Returns ``(value, bound)`` where the true fill distance lies in
     ``[value, value + bound]``; ``bound`` is half the probe-cell diagonal.
-    A strictly ascending 1-d set takes a probe's nearest point from the two
-    that bracket it (rounding is monotone, so ``fl|p - x|`` is least at a
-    neighbour, bitwise the stream's); other sets stream the probes in blocks.
+    The probes are streamed against the set in row blocks.
     """
     if len(X) == 0:
         raise ConfigurationError("fill_distance requires a nonempty point set")
     res = probe_resolution or _default_probe(X.dim)
     probes = _probe_points(X.domain, res)
-    x = _ascending(X)
-    if x is not None:
-        i = np.searchsorted(x, probes[:, 0])  # x[i - 1] < p <= x[i]
-        nearest = x[np.stack([np.maximum(i - 1, 0), np.minimum(i, len(x) - 1)], axis=1)]
-        return float(np.abs(probes - nearest).min(axis=1).max()), fill_distance_bound(X.domain, res)
     best = 0.0
     for rows, (d, work) in row_blocks(probes.shape[0], len(X), 2):
         distances(probes[rows], X.points, out=d, work=work)
@@ -332,15 +319,10 @@ def fill_distance_bound(domain: Domain, probe_resolution: int | None = None) -> 
 
 
 def separation_radius(X: PointSet) -> float:
-    """Exact ``min_{i != j} ||x_i - x_j|| / 2``, streamed in row blocks, or
-    ``np.diff(x).min() / 2`` for a strictly ascending 1-d set: rounding is
-    monotone, so a least distance is one of neighbours, bitwise the stream's."""
+    """Exact ``min_{i != j} ||x_i - x_j|| / 2``, streamed in row blocks."""
     n = len(X)
     if n < 2:
         raise ConfigurationError("separation radius needs at least two points")
-    x = _ascending(X)
-    if x is not None:
-        return float(np.diff(x).min() / 2.0)
     best = np.inf
     for rows, (d, work) in row_blocks(n, n, 2):
         distances(X.points[rows], X.points, out=d, work=work)
@@ -358,46 +340,26 @@ class MeshRatioTracker:
     a point takes one minimum with its distances to the probes and one with
     its distances to the earlier points.  Minima are exact, so ``ratio()`` is
     bitwise ``fill_distance / separation_radius`` of the points added so far.
-
-    In 1-d the points are kept as a sorted list, and a new point's least
-    distance to the earlier ones is to one of its two neighbours there
-    (rounding is monotone, as in :func:`separation_radius`); its distances to
-    the probes are formed in one preallocated buffer.
     """
 
     def __init__(self, domain: Domain, probe_resolution: int | None = None):
         self.probes = _probe_points(domain, probe_resolution or _default_probe(domain.dim))
         self.nearest = np.full(len(self.probes), np.inf)
         self.closest = np.inf
-        if domain.dim == 1:
-            self.points = []  # ascending coordinates
-            self._gaps = np.empty(len(self.probes))
-        else:
-            self.points = np.empty((0, domain.dim))
+        self.points = np.empty((0, domain.dim))
 
     def add(self, x) -> None:
         x = np.asarray(x, dtype=float).reshape(1, -1)
-        if isinstance(self.points, list):
-            v = float(x[0, 0])
-            i = bisect.bisect_left(self.points, v)
-            for y in self.points[max(i - 1, 0) : i + 1]:
-                self.closest = min(self.closest, abs(y - v))
-            self.points.insert(i, v)
-            gaps = np.subtract(self.probes[:, 0], v, out=self._gaps)
-            np.minimum(self.nearest, np.abs(gaps, out=gaps), out=self.nearest)
-            return
         np.minimum(self.nearest, distances(self.probes, x)[:, 0], out=self.nearest)
         self.closest = min(self.closest, distances(self.points, x).min(initial=np.inf))
         self.points = np.vstack([self.points, x])
 
     def ratio(self) -> float:
-        """Fill distance over separation radius of the points added so far."""
+        """Fill distance over separation radius of the points added so far;
+        a repeated point raises ``ZeroDivisionError``."""
         if len(self.points) < 2:
             raise ConfigurationError("separation radius needs at least two points")
-        q = float(self.closest / 2.0)
-        if q == 0.0:
-            raise ZeroDivisionError("separation radius is zero (duplicate points)")
-        return float(self.nearest.max()) / q
+        return float(self.nearest.max()) / float(self.closest / 2.0)
 
 
 def quasi_uniformity_trace(sequence):

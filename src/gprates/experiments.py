@@ -107,6 +107,14 @@ def _int(value, where: str, low: int | None = None) -> int:
     return int(value)
 
 
+def _size(value, where: str) -> int:
+    """``value`` as an int from 1 to below 2**63, past which numpy allocates no array."""
+    n = _int(value, where, low=1)
+    if n >= 2**63:
+        raise ConfigurationError(f"{where} must be below 2**63, got {value!r}")
+    return n
+
+
 def _float(value, where: str, low: float | None = None) -> float:
     """``value`` as a finite float of at least ``low``; a boolean, a non-number,
     an infinity or a NaN (``json.load`` reads ``Infinity`` and ``NaN``) is rejected."""
@@ -175,7 +183,7 @@ def _parse_target(d: dict, domain: Domain) -> TargetSpec:
             tau_f=_float(_require(e, "tau", "target.expansion"), "target.expansion.tau"),
             domain=domain,
             seed=_int(_require(e, "seed", "target.expansion"), "target.expansion.seed"),
-            **_given(e, "target.expansion", n_centers=lambda v, where: _int(v, where, low=1),
+            **_given(e, "target.expansion", n_centers=_size,
                      lengthscale=_float, amplitude=_float),
             **scale_kw,
         )
@@ -308,8 +316,8 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     design_keys = ({"grid": {"candidate_resolution"}} if kind == "bo" else
                    {"grid": set(), "random": set(), "p_greedy": {"candidate_resolution"}})
     design_kind = _section_kind(design, design_keys, "design", default="grid")
-    candidate_resolution = _int(design.get("candidate_resolution", 2048),
-                                "design.candidate_resolution", low=1)
+    candidate_resolution = _size(design.get("candidate_resolution", 2048),
+                                 "design.candidate_resolution")
 
     kernels = ()  # only a grid or random design ladder runs without a kernel
     if kind != "design" or design_kind == "p_greedy" or "kernel" in raw:
@@ -324,17 +332,16 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("interpolate experiments require a zero nugget")
     if kind == "regress" and nugget.kind == "zero":
         raise ConfigurationError("regress experiments require a fixed or adaptive nugget")
-    ladder = _list(raw.get("ladder", [16, 32, 64, 128, 256, 512]), "ladder", _int)
-    if not ladder or any(n < 1 for n in ladder):
+    ladder = _list(raw.get("ladder", [16, 32, 64, 128, 256, 512]), "ladder", _size)
+    if not ladder:
         raise ConfigurationError("ladder must be a nonempty list of positive sizes")
-    replicates = _int(raw.get("replicates", 20 if noise.kind != "none" else 1), "replicates",
-                      low=1)
+    replicates = _size(raw.get("replicates", 20 if noise.kind != "none" else 1), "replicates")
     density = str(raw.get("density", "uniform"))
     density_by_name(density)
     grid_res = raw.get("grid_resolution")
     bo = raw.get("bo", {})
     _check_keys(bo, {"gamma", "budgets"}, "bo")
-    bo_budgets = _list(bo.get("budgets", [25, 50, 100, 200]), "bo.budgets", _int)
+    bo_budgets = _list(bo.get("budgets", [25, 50, 100, 200]), "bo.budgets", _size)
     if not bo_budgets or any(n < 2 for n in bo_budgets):
         raise ConfigurationError("bo budgets must be a nonempty list of sizes >= 2")
 
@@ -346,8 +353,8 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         candidate_resolution=candidate_resolution,
         ladder=ladder, replicates=replicates, burn_in=_int(raw.get("burn_in", 1), "burn_in", low=0),
         q=parse_q(raw.get("q", 2)), tolerance=_float(raw.get("tolerance", 0.4), "tolerance", low=0),
-        grid_resolution=None if grid_res is None else _int(grid_res, "grid_resolution", low=1),
-        density=density, n_single=_int(raw.get("n", 64), "n", low=1),
+        grid_resolution=None if grid_res is None else _size(grid_res, "grid_resolution"),
+        density=density, n_single=_size(raw.get("n", 64), "n"),
         bo_gamma=_float(bo.get("gamma", 0.3), "bo.gamma"), bo_budgets=bo_budgets,
     )
 
@@ -420,10 +427,10 @@ def _run_ladder(cfg: ExperimentConfig, measure):
     rows = []
     for idx, (X, (_, h, _, _)) in enumerate(zip(designs, geometry)):
         lam = cfg.nugget.lam(h)
-        y = np.column_stack(
-            [draw_noise(cfg.noise, len(X), replicate=rep) for rep in range(cfg.replicates)]
-        )
-        y += eval_target(cfg.target, X.points)[:, None]  # eps_k + f(X) in place: one n x r array
+        y = np.empty((len(X), cfg.replicates))  # allocated before any draw: one n x r array
+        for rep in range(cfg.replicates):
+            y[:, rep] = draw_noise(cfg.noise, len(X), replicate=rep)
+        y += eval_target(cfg.target, X.points)[:, None]  # eps_k + f(X) in place
         errs = measure(idx, fit(cfg.kernel_for(idx), cfg.mean, X, y, lam))
         rows.append((len(X), float(np.mean(errs)), overflow_safe(lambda e: float(np.std(e)), errs)))
     return geometry, h_slope, rows

@@ -117,8 +117,9 @@ def fit(
     factorization has overwritten ``K``, so ``K`` is rebuilt before the next
     jitter step.  ``K`` is checked for finite entries in row blocks, so the
     factor and the solve skip scipy's check, which allocates an n x n
-    boolean array in each; the right-hand side is formed in Fortran order,
-    checked, and solved in place.  ``table`` is the
+    boolean array in each; the right-hand side ``y - m_X`` is formed in
+    Fortran order, checked finite (a prior mean past the float range is a
+    ``ConfigurationError``), and solved in place.  ``table`` is the
     :class:`kernels.LatticeTable` of ``X`` against itself when the caller
     holds one; None looks one up.
     """
@@ -159,16 +160,21 @@ def fit(
         )
     if jitter > DEFAULT_JITTER_FACTOR * A:
         logger.warning("fit used escalated jitter %.1e", jitter)
-    m_X = prior_mean(X.points)
-    if y.ndim == 2:
-        # in LAPACK's column order, one column at a time (a broadcast
-        # subtraction buffers its operands), so the solve overwrites it
-        rhs = np.empty(y.shape, order="F")
-        for k in range(y.shape[1]):
-            np.subtract(y[:, k], m_X, out=rhs[:, k])
-    else:
-        rhs = y - m_X
-    dual = cho_solve((L, True), np.asarray_chkfinite(rhs), overwrite_b=True, check_finite=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        m_X = prior_mean(X.points)
+        if y.ndim == 2:
+            # in LAPACK's column order, one column at a time (a broadcast
+            # subtraction buffers its operands), so the solve overwrites it
+            rhs = np.empty(y.shape, order="F")
+            for k in range(y.shape[1]):
+                np.subtract(y[:, k], m_X, out=rhs[:, k])
+        else:
+            rhs = y - m_X
+    if not np.isfinite(rhs).all():
+        field = "value" if prior_mean.kind == "constant" else "coeffs"
+        raise ConfigurationError("observations minus the prior mean are not finite: "
+                                 f"mean.{field} {getattr(prior_mean, field)!r}")
+    dual = cho_solve((L, True), rhs, overwrite_b=True, check_finite=False)
     return PosteriorModel(
         kernel=kernel,
         prior_mean=prior_mean,

@@ -7,6 +7,9 @@ results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
 ``oracle_factor`` and ``posterior_var`` fixtures are the Cholesky-factor and
 posterior-variance oracles, and the ``counted`` fixture counts the calls of a
 gprates function.
+
+``FAST_PATHS`` is the switchboard of gprates' fast paths: each one claims to
+be bitwise a plain path, and lists every binding that switches it off.
 """
 
 import pytest
@@ -14,6 +17,50 @@ import pytest
 import gprates.cli
 
 gprates.cli._pin_blas_threads()
+
+# numpy and scipy load only after the pin
+import numpy as np
+from scipy.special import ndtr
+
+from gprates import kernels
+
+
+def masked_expected_improvement(mean, sd, best):
+    """The two-branch formula: both branches on every entry, then a select."""
+    gap = mean - best
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(sd > 0, gap / np.where(sd > 0, sd, 1.0), 0.0)
+    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+    return np.where(sd > 0, gap * ndtr(z) + sd * pdf, np.maximum(gap, 0.0))
+
+
+def _no_lattice_table(*args):
+    return None
+
+
+def _one_block_per_strip(table, blocks_per_strip=kernels.blocks_per_strip):
+    """None where ``kernels.blocks_per_strip`` is None, else one block per strip."""
+    return blocks_per_strip(table) and 1
+
+
+def _whole_product(rows, m):
+    """One run over every row: ``NewtonBasis.mean`` forms the whole product."""
+    return [(0, m)]
+
+
+# fast path -> the (gprates module, name, off value) of each binding that
+# switches it off
+FAST_PATHS = {
+    # every 1-d set on a small dyadic lattice reads its kernel values from a table
+    "lattice_tables": [(module, "lattice_table", _no_lattice_table)
+                       for module in ("kernels", "fitting", "designs")],
+    # up to blocks_per_strip(table) blocks of a grid against a grid share one window
+    "strip_windows": [("kernels", "blocks_per_strip", _one_block_per_strip)],
+    # NewtonBasis.mean forms only the 8-row groups that cover the stabilized set
+    "group_runs": [("designs", "_group_runs", _whole_product)],
+    # expected improvement skips its masks when every sd is positive
+    "positive_sd_pass": [("bayesopt", "expected_improvement", masked_expected_improvement)],
+}
 
 
 @pytest.fixture

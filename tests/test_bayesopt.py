@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 import gprates
 from gprates import bayesopt, designs, kernels
 from gprates.acceptance import acceptance_configs
-from gprates.bayesopt import BOConfig, DistanceTable, expected_improvement, run_gamma_F_n
+from conftest import masked_expected_improvement
+from gprates.bayesopt import BOConfig, expected_improvement, run_gamma_F_n
 from gprates.designs import (
     Domain, NewtonBasis, PointSet, fill_distance, gen_grid, separation_radius,
 )
@@ -111,18 +111,6 @@ def test_budget_outside_the_trajectory_is_rejected(n):
         _trajectory(12).result(n)
 
 
-@pytest.mark.parametrize("nu", [2.0, 1.5], ids=["bessel", "nu3/2"])
-@pytest.mark.parametrize("grid, dim", [(4096, 1), (1000, 1), (32, 2)], ids=["4096", "1000", "32x32"])
-def test_table_columns_are_bitwise_cross_matrix(nu, grid, dim):
-    spec = KernelSpec(tau=nu + dim / 2, lengthscale=0.15, amplitude=1.3, dim=dim)
-    cand = gen_grid(grid, Domain((0.0,) * dim, (1.0,) * dim)).points
-    table = DistanceTable(spec, cand)
-    rng = np.random.default_rng(5)
-    # both ends, a repeat, and columns whose distances are all in the table
-    for j in [0, len(cand) - 1, *rng.integers(0, len(cand), 24), 0]:
-        assert np.array_equal(table.column(j), cross_matrix(spec, cand, cand[j])[:, 0])
-
-
 def test_rho_so_far_is_the_prefix_mesh_ratio():
     trajectory = _trajectory(40)
     cand = trajectory.config.candidates
@@ -161,15 +149,6 @@ def test_expected_improvement_is_bitwise_the_scipy_stats_formula():
         assert np.array_equal(expected_improvement(mean, sd, best), oracle)
 
 
-def _masked_expected_improvement(mean, sd, best):
-    """The two-branch formula: both branches on every entry, then a select."""
-    gap = mean - best
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sd > 0, gap / np.where(sd > 0, sd, 1.0), 0.0)
-    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
-    return np.where(sd > 0, gap * ndtr(z) + sd * pdf, np.maximum(gap, 0.0))
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 2000),
        zero_sd=st.floats(0.0, 1.0), ties=st.floats(0.0, 1.0))
@@ -183,7 +162,7 @@ def test_one_pass_expected_improvement_is_bitwise_the_masked_formula(seed, size,
     sd = rng.random(size) * 2.0
     sd[rng.random(size) < zero_sd] = 0.0
     sd[rng.random(size) < 0.05] = -0.0
-    ei, oracle = expected_improvement(mean, sd, best), _masked_expected_improvement(mean, sd, best)
+    ei, oracle = expected_improvement(mean, sd, best), masked_expected_improvement(mean, sd, best)
     assert np.array_equal(ei, oracle)
     assert np.array_equal(np.signbit(ei), np.signbit(oracle))
 
@@ -240,7 +219,7 @@ def _plain_bo_loop(target, config):
         k = newton.size
         sd = np.sqrt(newton.power)
         threshold = config.gamma * sd.max()
-        acq = _masked_expected_improvement(newton.basis[:, :k] @ newton.z[:k], sd, best)
+        acq = masked_expected_improvement(newton.basis[:, :k] @ newton.z[:k], sd, best)
         j = int(np.argmax(np.where(sd >= threshold, acq, -np.inf)))
         slacks.append(threshold - sd[j])
         choose(j)
@@ -259,7 +238,7 @@ def _plain_bo_loop(target, config):
     (25, Domain((0.0, 0.0), (1.0, 1.0)), 40),
 ], ids=["dyadic_512", "offset_777", "25x25"])
 def test_loop_is_bitwise_a_plain_loop_over_every_candidate(resolution, domain, n):
-    # a lattice table, a distance table (777 = 8 * 97 + 1 and 625 = 8 * 78 + 1
+    # a lattice table, cross_matrix columns (777 = 8 * 97 + 1 and 625 = 8 * 78 + 1
     # candidates end in a one-row group), and a 2-d grid; the dyadic run
     # reaches steps where expected improvement ties at 0 on every
     # stabilized candidate
@@ -276,24 +255,17 @@ def test_loop_is_bitwise_a_plain_loop_over_every_candidate(resolution, domain, n
     assert json.dumps(run.trace) == json.dumps(trace)
 
 
-def _count_distance_table_columns(monkeypatch):
-    calls = []
-    column = DistanceTable.column
-    monkeypatch.setattr(DistanceTable, "column", lambda self, j: calls.append(j) or column(self, j))
-    return calls
-
-
-def test_a7_reads_every_column_from_the_lattice_table(counted, monkeypatch):
+def test_a7_reads_every_column_from_the_lattice_table(counted):
     # a7's 4096 midpoint candidates have a table of 4096 offsets against
     # themselves: the whole loop evaluates the kernel once, on that table
     cfg = config_from_dict(acceptance_configs()["a7"])
     config = BOConfig(gamma=cfg.bo_gamma, n=max(cfg.bo_budgets), kernel=cfg.kernel_for(0),
                       candidates=gen_grid(cfg.candidate_resolution, cfg.domain))
-    columns = _count_distance_table_columns(monkeypatch)
+    columns = counted(kernels, "cross_matrix")
     evaluated = counted(kernels, "matern_of_r")
     trajectory = run_gamma_F_n(cfg.target, config)
     assert len(trajectory.chosen) == 199
-    assert columns == []
+    assert columns["calls"] == 0
     assert evaluated == {"calls": 1, "entries": 4096}
 
 
@@ -301,15 +273,20 @@ def test_a7_reads_every_column_from_the_lattice_table(counted, monkeypatch):
     (32, Domain((0.0, 0.0), (1.0, 1.0))),
     (1000, Domain((0.1,), (3.1,))),
 ], ids=["32x32", "offset_1000"])
-def test_other_candidates_take_the_distance_table(monkeypatch, resolution, domain):
+def test_other_candidates_take_cross_matrix_columns(monkeypatch, resolution, domain):
+    # one column per selected point but the last, which the Newton basis
+    # never reads
     dim = domain.dim
     spec = KernelSpec(tau=2.0 + dim / 2, lengthscale=0.3, dim=dim)
     cand = gen_grid(resolution, domain)
     assert kernels.lattice_table(spec, cand.points, cand.points) is None
     target = random_expansion_target(tau_f=3.0, domain=domain, seed=10)
-    columns = _count_distance_table_columns(monkeypatch)
+    columns = []
+    monkeypatch.setattr(bayesopt, "cross_matrix",
+                        lambda *args: columns.append(args[2]) or cross_matrix(*args))
     trajectory = run_gamma_F_n(target, BOConfig(gamma=0.3, n=24, kernel=spec, candidates=cand))
-    assert columns == trajectory.chosen
+    assert len(trajectory.chosen) == 23
+    assert np.array_equal(np.vstack(columns), cand.points[trajectory.chosen[:-1]])
 
 
 def test_run_on_a_dyadic_grid_evaluates_the_kernel_once(counted):
@@ -334,12 +311,12 @@ def test_trajectory_keeps_no_integer_coordinates():
     assert columns.H.size == 2 * columns.S + 1 == 1023
 
 
-def test_table_trajectory_is_bitwise_the_distance_table_one(monkeypatch):
+def test_table_trajectory_is_bitwise_the_direct_one(monkeypatch):
     table = _trajectory(60)
     spec, pts = table.config.kernel, table.config.candidates.points
-    column_of, distance_table = designs.lattice_columns(spec, pts), DistanceTable(spec, pts)
+    column_of = designs.lattice_columns(spec, pts)
     for j in table.chosen:
-        assert np.array_equal(column_of(j), distance_table.column(j))
+        assert np.array_equal(column_of(j), cross_matrix(spec, pts, pts[j])[:, 0])
     monkeypatch.setattr(bayesopt, "lattice_columns", lambda *args: None)
     direct = _trajectory(60)
     assert table.chosen == direct.chosen

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -191,6 +192,9 @@ def _a7(section, value):
     (_a7("kernel", {"lengthscale": 1e-300}), "kernel.lengthscale"),
     (_a7("kernel", {"amplitude": 1e-320}), "kernel.amplitude"),
     (_a7("domain", {"lower": [0.0], "upper": [1e300]}), "domain"),
+    # a prior mean past the float range at the design
+    (dict(_cut_preset("a1_l2", "kernel"), mean={"kind": "polynomial", "coeffs": [1e308] * 3}),
+     "mean.coeffs"),
     # files json cannot read: an integer past Python's 4300-digit conversion
     # limit, bytes that are not UTF-8, a directory
     ('{"kind": "rates", "tolerance": 1' + "0" * 5000 + "}", "config.json"),
@@ -218,7 +222,7 @@ def _a7(section, value):
         "huge_integer_tolerance", "subnormal_lengthscale", "overflowing_amplitude",
         "overflowing_target_scale", "overflowing_noise_sigma", "overflowing_nugget_square",
         "overflowing_adaptive_nugget", "bo_lengthscale_below_float_range",
-        "bo_subnormal_amplitude", "bo_domain_past_float_range",
+        "bo_subnormal_amplitude", "bo_domain_past_float_range", "overflowing_polynomial_mean",
         "integer_past_conversion_limit", "not_utf8",
         "config_is_a_directory"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
@@ -247,13 +251,45 @@ def test_overflowing_errors_give_a_finite_verdict(tmp_path):
     assert "inf" not in curve and "nan" not in curve
 
 
-def test_allocation_failure_exits_2_without_a_traceback(tmp_path, capsys):
+# every size field, as a config that sets it to ``value``
+SIZE_FIELDS = {
+    "grid_resolution": lambda value: dict(SMALL_RATES, grid_resolution=value),
+    "p_greedy_candidate_resolution": lambda value: dict(
+        SMALL_RATES, design={"kind": "p_greedy", "candidate_resolution": value}),
+    "bo_candidate_resolution": lambda value: dict(
+        SMALL_BO, design={"kind": "grid", "candidate_resolution": value}),
+    "n": lambda value: dict(SMALL_FIT, n=value),
+    "ladder_entry": lambda value: dict(SMALL_RATES, ladder=[16, value]),
+    "replicates": lambda value: dict(SMALL_RATES, replicates=value),
+}
+
+
+# 2**62 doubles or more take 32 EiB, past numpy's int64 byte count: no
+# allocation of them can succeed
+HUGE_SIZES = {"2^62": 2**62, "2^63": 2**63, "10^25": 10**25, "1e300": 1e300}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_resolution", 10**15),
+    *((field, value) for field in SIZE_FIELDS for value in HUGE_SIZES.values()),
+], ids=["grid_resolution-1e15", *(f"{field}-{name}" for field in SIZE_FIELDS
+                                  for name in HUGE_SIZES)])
+def test_allocation_failure_exits_2_without_a_traceback(tmp_path, capsys, field, value):
+    # from 2**63 on the parser rejects a size, naming its field; below it,
     # 10**15 grid points take 8 PB, more than any address space holds, so
-    # the allocation fails at once
-    code, _ = _run(tmp_path, dict(SMALL_RATES, grid_resolution=10**15))
+    # the first allocation fails at once (numpy raises MemoryError, or a
+    # ValueError past its int64 byte count), before any loop over the size
+    start = time.perf_counter()
+    code, out = _run(tmp_path, SIZE_FIELDS[field](value))
+    assert time.perf_counter() - start < 5.0
     assert code == 2
+    assert list(out.iterdir()) == []
     err = capsys.readouterr().err
-    assert err.startswith("config error: out of memory: ") and err.count("\n") == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if value >= 2**63:
+        assert err.startswith("config error: ") and "below 2**63" in err
+    else:
+        assert err.startswith("config error: out of memory: ")
 
 
 @pytest.mark.parametrize("config", [
@@ -358,6 +394,19 @@ def test_singular_design_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(gprates.experiments, "fit", singular)
     code, _ = _run(tmp_path, SMALL_RATES)
     assert code == 3
+
+
+@pytest.mark.parametrize("lengthscale", [3.0, 1e25])
+def test_repeated_bo_pick_exits_3(tmp_path, capsys, lengthscale):
+    # from step 149 on, the posterior sd on the stabilized set is at the
+    # jitter's scale, and an already-selected candidate is picked again:
+    # a singular design, with no file written
+    code, out = _run(tmp_path, _a7("kernel", {"lengthscale": lengthscale}))
+    assert code == 3
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: step ") and "again" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_degenerate_bq_ladder_is_invalid(tmp_path, capsys):

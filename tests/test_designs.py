@@ -198,52 +198,6 @@ class TestSeparationAndMeshRatio:
         with pytest.raises(ZeroDivisionError):
             tracker.ratio()
 
-@st.composite
-def _one_d_sets(draw):
-    """A 1-d point set that is strictly ascending, unsorted, holds duplicates
-    (sorted, so it ascends but not strictly) or holds two points, with a
-    probe resolution."""
-    shape = draw(st.sampled_from(["ascending", "unsorted", "duplicates", "two_points"]))
-    domain = draw(st.sampled_from([UNIT, Domain((-1.0,), (3.0,))]))
-    coord = st.floats(domain.lower[0], domain.upper[0], exclude_min=True, exclude_max=True)
-    x = draw(st.lists(coord, min_size=2, max_size=2 if shape == "two_points" else 60))
-    if shape == "ascending":
-        x = sorted(set(x))
-    elif shape == "duplicates":
-        x = sorted(x + draw(st.lists(st.sampled_from(x), min_size=1, max_size=3)))
-    return shape, PointSet(np.array(x), domain), draw(st.integers(1, 600))
-
-
-def _bits(value):
-    return np.float64(value).tobytes()
-
-
-class TestNeighbourGeometry:
-    """A strictly ascending 1-d set's fill distance and separation radius come
-    from neighbours, bitwise the streamed distances."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=_one_d_sets())
-    def test_bitwise_the_streaming_oracle(self, case):
-        shape, X, res = case
-        x = X.points[:, 0]
-        assert (designs._ascending(X) is not None) == bool(np.all(np.diff(x) > 0))
-        if shape == "ascending":
-            assert designs._ascending(X) is not None
-        probes = designs._probe_points(X.domain, res)
-        oracle = distances(probes, X.points).min(axis=1).max()
-        assert _bits(fill_distance(X, res)[0]) == _bits(oracle)
-        if len(X) >= 2:
-            d = distances(X.points, X.points)
-            d[np.diag_indices(len(X))] = np.inf
-            assert _bits(separation_radius(X)) == _bits(d.min() / 2.0)
-
-    def test_other_sets_stream(self):
-        # an unsorted set and a 2-d grid never take the neighbour path
-        unsorted = PointSet(np.array([0.5, 0.25, 0.75]), UNIT)
-        assert designs._ascending(unsorted) is None
-        assert designs._ascending(gen_grid(4, SQUARE)) is None
-
 
 class TestQuasiUniformityTrace:
     def test_grid_slope_1d(self):
@@ -404,6 +358,14 @@ class TestPGreedy:
         spec = KernelSpec(tau=2.0)
         with pytest.raises(ConfigurationError):
             gen_p_greedy(5, spec, gen_grid(2, UNIT))
+
+    def test_last_pick_forms_no_column(self, counted):
+        # candidates off a dyadic lattice take cross_matrix columns; the basis
+        # is never read after the last pick, so its column is not formed
+        columns = counted(kernels, "cross_matrix")
+        X = gen_p_greedy(9, KernelSpec(tau=2.0), gen_grid(100, Domain((0.1,), (3.1,))))
+        assert len(X) == 9
+        assert columns == {"calls": 8, "entries": 800}
 
     def test_mesh_ratio_stays_bounded(self):
         # smooth kernel (tau > d/2 + 1): rho trend over doublings within 20%

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import gprates
-from gprates import designs, fitting, kernels
+from conftest import FAST_PATHS
+from gprates import designs
 from gprates.acceptance import DEFAULT_SEED, acceptance_configs
 from gprates.designs import UNIT_INTERVAL
 from gprates.errors import ConfigurationError
@@ -322,49 +323,59 @@ def test_shipped_ladders_gather_from_a_kernel_table(raw):
         assert table is not None and None not in (table.step_a, table.step_b)
 
 
-def _artifacts(out_dir, names):
-    """Run the accept presets ``names`` into ``out_dir``; the bytes of each file written."""
-    cfgs = {name: config_from_dict(raw) for name, raw in acceptance_configs().items()}
-    files = [f for name in names for f in run_experiment(cfgs[name], str(out_dir))[3]]
-    return {f: (out_dir / f).read_bytes() for f in files}
+# the configs that reach each fast path of the switchboard: a1_l2 and a3
+# predict grids on grids (strips), a3 with 20 replicates; a7 reads its BO
+# columns and final fits from the candidates' table, forms the mean on group
+# runs and scores the stabilized set in one pass; a cut P-greedy ladder
+# reads its columns and predictions from tables through gathers
+REACHES = {
+    "lattice_tables": ("a1_l2", "a3", "a7", "pgreedy_l2"),
+    "strip_windows": ("a1_l2", "a3"),
+    "group_runs": ("a7",),
+    "positive_sd_pass": ("a7",),
+}
 
 
-def test_fast_paths_write_the_files_of_their_off_switch(tmp_path, monkeypatch):
-    # a1_l2 reads grid strips, a3 20-replicate strips, and a7 its BO columns
-    # as views of the candidates' table and each final fit's prediction
-    # through a gather; with lattice_table off, every one takes the direct
-    # path, and with the neighbour geometry off, every fill distance and
-    # separation radius streams the distances
-    names = ["a1_l2", "a3", "a7"]
-    fast = _artifacts(tmp_path / "fast", names)
-    for module in (kernels, fitting, designs):
-        monkeypatch.setattr(module, "lattice_table", lambda *args: None)
-    monkeypatch.setattr(designs, "_ascending", lambda X: None)
-    assert _artifacts(tmp_path / "off", names) == fast
+@pytest.fixture(scope="module")
+def switchboard_runs(tmp_path_factory):
+    """The configs of ``REACHES`` by name, and the bytes of each one's files
+    from a normal run.  a7 stops at its budget 100: its picks are the first
+    99 of the preset's one trajectory, and without tables each of them
+    evaluates a kernel column."""
+    raw = acceptance_configs()
+    raw["a7"]["bo"] = dict(raw["a7"]["bo"], budgets=[25, 50, 100])
+    raw["pgreedy_l2"] = dict(_bench_child().P_GREEDY, seed=DEFAULT_SEED, ladder=[16, 32, 64, 128],
+                             grid_resolution=2048)
+    cfgs = {name: config_from_dict(raw[name]) for name in REACHES["lattice_tables"]}
+    out = tmp_path_factory.mktemp("normal")
+    return cfgs, {name: _artifacts(out, cfg) for name, cfg in cfgs.items()}
 
 
-def _grid_presets():
-    """The accept presets whose ladders are 1-d grids (a1 to a6)."""
-    for name, raw in acceptance_configs().items():
-        if raw["kind"] in ("rates", "bq") and raw["design"]["kind"] == "grid":
-            yield pytest.param(raw, id=name)
+def _artifacts(out_dir, cfg):
+    """Run ``cfg`` into ``out_dir``; the bytes of each file written."""
+    return {f: (out_dir / f).read_bytes() for f in run_experiment(cfg, str(out_dir))[3]}
 
 
-@pytest.mark.parametrize("raw", list(_grid_presets()))
-def test_shipped_grid_ladders_take_the_neighbour_geometry(raw, monkeypatch):
-    # every rung's fill distance and separation radius comes from neighbours:
-    # a change that silently falls back to streaming the distances fails here
-    cfg = config_from_dict(raw)
-    assert cfg.domain.dim == 1
-    ladder = _designs(cfg, cfg.ladder)
-    assert all(designs._ascending(X) is not None for X in ladder)
+@pytest.mark.parametrize("switches", [*([name] for name in FAST_PATHS), list(FAST_PATHS)],
+                         ids=[*FAST_PATHS, "all"])
+def test_fast_paths_write_the_files_of_their_off_switch(tmp_path, monkeypatch, switchboard_runs,
+                                                        switches):
+    # each fast path switched off alone, and all of them together, on the
+    # configs that reach it: every file keeps the normal run's bytes, and a
+    # switch off alone is called (with the tables off, no strip is reached)
+    assert set(REACHES) == set(FAST_PATHS)
+    cfgs, normal = switchboard_runs
+    calls = {}
+    for switch in switches:
+        for module, attr, off in FAST_PATHS[switch]:
+            def counted_off(*args, off=off, switch=switch, **kwargs):
+                calls[switch] = calls.get(switch, 0) + 1
+                return off(*args, **kwargs)
 
-    def streamed(*args):
-        raise AssertionError("a grid rung streamed its distances")
-
-    monkeypatch.setattr(designs, "row_blocks", streamed)
-    rows, _ = designs.quasi_uniformity_trace(ladder)
-    assert [row[0] for row in rows] == cfg.ladder
+            monkeypatch.setattr(sys.modules[f"gprates.{module}"], attr, counted_off)
+    for name in sorted({name for switch in switches for name in REACHES[switch]}):
+        assert _artifacts(tmp_path, cfgs[name]) == normal[name], name
+    assert len(switches) > 1 or list(calls) == switches
 
 
 def test_linf_minus_l2_slope_tells_the_q_term():

@@ -150,6 +150,34 @@ def test_exponent_misspec_gaussian(params, expected, notes):
     assert got == notes
 
 
+# One row per term of the term-wise maximum, each the unique maximum, at
+# q = 2 (1/gamma = 1/2) with tau_f < tau_k- (so tau_f ^ tau_k- = tau_f) and
+# sig = exponent / d for an adaptive nugget.  The expected value is the
+# term, written from the theorem; the comment gives the other three (bias,
+# nugget_bias, noise_fill, noise_flat in order).
+@pytest.mark.parametrize("params, expected", [
+    # h term -1/2 - (tau_f - d/2)/d; others -4.5, -7, -10.5
+    (_params(1.0, 2.0, noise_growth=-10.0, nugget=_adaptive(5.0)), -0.5 - (1.0 - 0.5) / 1),
+    # h term at d = 2, sig = 3; others -3, -8.25, -10.5
+    (_params(1.5, 2.5, d=2, noise_growth=-10.0, nugget=_adaptive(6.0)), -0.5 - (1.5 - 1.0) / 2),
+    # nugget_bias -1/2 - 0 + (tau_k+ - tau_f)/d, fixed nugget; others -1, -12, -10.5
+    (_params(1.0, 2.0, noise_growth=-10.0, nugget=FIXED), -0.5 - 0.0 + (2.0 - 1.0) / 1),
+    # nugget_bias at d = 2, sig = 0.5 / 2; others -0.75, -11.5, -10.5
+    (_params(1.5, 3.5, d=2, noise_growth=-10.0, nugget=_adaptive(0.5)),
+     -0.5 - 0.5 / 2 + (3.5 - 1.5) / 2),
+    # noise_fill -1/2 - (tau_k- - d/2)/d + sig + g at d = 2, sig = 3; others -0.75, -3, -0.5
+    (_params(1.5, 2.5, d=2, noise_growth=0.0, nugget=_adaptive(6.0)),
+     -0.5 - (2.5 - 1.0) / 2 + 6.0 / 2 + 0.0),
+    # noise_flat -1/2 + g, fixed nugget; others -1, 0.5, 0
+    (_params(1.0, 2.0, noise_growth=2.0, nugget=FIXED), -0.5 + 2.0),
+], ids=["h_term_d1", "h_term_d2_adaptive", "nugget_bias_d1", "nugget_bias_d2_adaptive",
+        "noise_fill_d2_adaptive", "noise_flat_d1"])
+def test_each_term_of_the_term_wise_maximum(params, expected):
+    n_exp, notes = theoretical_exponent(params)
+    assert n_exp == pytest.approx(expected, abs=1e-15)
+    assert notes[-1].endswith("using the term-wise maximum")
+
+
 @st.composite
 def noiseless_limit_cases(draw):
     d = draw(st.integers(1, 3))
