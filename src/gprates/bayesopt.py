@@ -25,15 +25,11 @@ stabilized mask and its indices) and otherwise touches only the stabilized
 set: one gather of its sd, the mean on the 8-row runs that cover it, and
 expected improvement without masks, since every sd there is positive.
 Only each budget's final step calls ``fit``, and it predicts on the
-candidates through ``fitting.posterior_mean``.  Each selected point's kernel
-column is a view of the candidates' ``kernels.lattice_table`` from
-``designs.lattice_columns``, as ``designs.gen_p_greedy``'s are, when the
-candidates have one (every 1-d dyadic grid: a7's 4096 midpoints take one
-table of 4096 kernel values); other candidates (2-d, off a dyadic lattice)
-take a ``cross_matrix`` column.  The Newton basis reads each column once,
-and no column is kept.  The final step's Gram matrix and its prediction on
-the candidates read the same table, so a run on a dyadic grid evaluates the
-kernel once, on the table's offsets, whatever its budgets.  A
+candidates through ``fitting.posterior_mean``.  The Newton basis reads each
+kernel column once from ``designs.kernel_columns`` and keeps none; on a
+1-d dyadic grid (a7's 4096 midpoints) the columns, the final steps' Gram
+matrices and their predictions all read one table, so the kernel is
+evaluated once, on the table's offsets, whatever the budgets.  A
 ``designs.MeshRatioTracker`` updates the mesh ratio with each selected
 point.  Every kernel column, mean, sd, acquisition and trace value is
 bitwise what the direct computation on every candidate gives.
@@ -59,11 +55,11 @@ from scipy.linalg import solve_triangular  # noqa: F401  (perfbench/layers.py tr
 from scipy.special import ndtr
 
 from .designs import (
-    LatticeColumns, MeshRatioTracker, NewtonBasis, PointSet, gen_grid, lattice_columns,
+    LatticeColumns, MeshRatioTracker, NewtonBasis, PointSet, gen_grid, kernel_columns,
 )
 from .errors import ConfigurationError, SingularDesignError
 from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean
-from .kernels import KernelSpec, cross_matrix
+from .kernels import KernelSpec
 from .targets import TargetSpec, eval_target
 
 REFERENCE_RESOLUTION = 65536
@@ -131,14 +127,6 @@ def expected_improvement(mean, sd, best: float):
     return ei
 
 
-def _check_kernel_values(spec: KernelSpec, values: np.ndarray) -> None:
-    """Raise a ``ConfigurationError`` unless every kernel value is finite."""
-    if not np.isfinite(values).all():
-        raise ConfigurationError(
-            f"kernel not finite on the candidates: kernel.amplitude {spec.amplitude!r}, "
-            f"kernel.lengthscale {spec.lengthscale!r} or the domain")
-
-
 @dataclass
 class BOTrajectory:
     """One run of the strategy to budget ``config.n``.
@@ -203,11 +191,11 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     acquisition value, and the mesh ratio of the points selected so far
     (probe-grid fill distance over the candidate domain).
 
-    Each selected point's kernel column is a view of the candidates' table
-    from ``designs.lattice_columns``, so ``matern_of_r`` runs once per
-    lattice offset, not once per column; candidates without a table take a
-    ``cross_matrix`` column, and either is checked finite.  The last
-    selected point is not added to the Newton basis: nothing reads it.
+    Each selected point's kernel column comes from
+    ``designs.kernel_columns``: a view of the candidates' table, so
+    ``matern_of_r`` runs once per lattice offset, not once per column, or,
+    without a table, a ``cross_matrix`` column; either is checked finite.
+    The last selected point is not added to the Newton basis: nothing reads it.
 
     Each step writes the posterior sd on every candidate into one buffer,
     takes its maximum and the stabilized set ``eligible`` from it, and
@@ -235,17 +223,9 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     f_ref_max = float(np.max(eval_target(target, ref)))
     # kernel values and variances past the float range are checked, not warned of
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        columns = lattice_columns(spec, cpts)
-        if columns:
-            _check_kernel_values(spec, columns.H)
-        run = BOTrajectory(config, f_cand, f_ref_max, columns)
-
-        def cross_column(j: int) -> np.ndarray:
-            column = cross_matrix(spec, cpts, cpts[j : j + 1])[:, 0]
-            _check_kernel_values(spec, column)
-            return column
-
-        column_of = columns or cross_column
+        column_of = kernel_columns(spec, cpts)
+        run = BOTrajectory(config, f_cand, f_ref_max,
+                           column_of if isinstance(column_of, LatticeColumns) else None)
 
         def choose(j: int) -> None:
             # selected points are candidates: the basis grows by their own column

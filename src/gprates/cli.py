@@ -72,8 +72,9 @@ def _report_errors(command) -> int:
     """Exit code of ``command()``, with configuration and numerical errors as 2 and 3.
 
     An allocation that fails is a config error too: the config asked for
-    arrays larger than the machine can hold (a huge ``grid_resolution``), which
-    numpy reports as a ``MemoryError``, or past int64 bytes as "array is too big".
+    arrays larger than the machine can hold (a huge ``grid_resolution``).
+    numpy reports that as a ``MemoryError``, or, for a size past int64, as a
+    ``ValueError`` told only by its words, in bytes or in elements.
     """
     from .errors import ConfigurationError, SingularDesignError
 
@@ -83,7 +84,8 @@ def _report_errors(command) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, ValueError) as exc:
-        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+                ("array is too big", "Maximum allowed size exceeded")):
             raise
         print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2

@@ -219,8 +219,8 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
     are bitwise the points of a run to k: a ladder of sizes takes prefixes of
     one run to its largest size.
 
-    The column ``k(cand, cand[j])`` of each pick is a view from
-    :func:`lattice_columns`, or, when that is None, a ``cross_matrix`` column.
+    The column ``k(cand, cand[j])`` of each pick comes from
+    :func:`kernel_columns`.
     """
     cand = candidates.points
     m = cand.shape[0]
@@ -230,8 +230,8 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
         raise ConfigurationError("candidate dimension does not match kernel dim")
     newton = NewtonBasis(spec.amplitude, m, n)
     selected = np.zeros(n, dtype=int)
-    column_of = lattice_columns(spec, cand) or (
-        lambda j: cross_matrix(spec, cand, cand[j : j + 1])[:, 0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked finite
+        column_of = kernel_columns(spec, cand)
     for step in range(n):
         j = int(np.argmax(newton.power))  # np.argmax returns the first maximizer
         selected[step] = j
@@ -278,15 +278,32 @@ def lattice_columns(spec: KernelSpec, points: np.ndarray) -> LatticeColumns | No
     read-only slice of ``H``, with no copy.  The kernel is symmetric and the
     lattice differences exact, so it is bitwise
     ``cross_matrix(spec, points, points[j])[:, 0]``.  Every
-    midpoint grid with a table is a progression.  ``gen_p_greedy`` and
-    ``bayesopt.run_gamma_F_n`` read their columns here, and a BO budget's
-    final fit its tables.
+    midpoint grid with a table is a progression.  :func:`kernel_columns`
+    reads its columns here, and a BO budget's final fit its tables.
     """
     table = lattice_table(spec, points, points)
     if table is None or table.step_a is None:
         return None
     table.H.flags.writeable = False
     return LatticeColumns(table.H, table.S, int(table.ia[0]), table.step_a, len(points))
+
+
+def kernel_columns(spec: KernelSpec, points: np.ndarray):
+    """Column j of ``k(points, points)`` by j: the points' :class:`LatticeColumns`
+    or, without them, ``cross_matrix`` column j.  The table, or each column
+    formed, must be finite, else a ``ConfigurationError`` names the fields."""
+    def finite(values: np.ndarray) -> np.ndarray:
+        if not np.isfinite(values).all():
+            raise ConfigurationError(
+                f"kernel not finite on the candidates: kernel.amplitude {spec.amplitude!r}, "
+                f"kernel.lengthscale {spec.lengthscale!r} or the domain")
+        return values
+
+    columns = lattice_columns(spec, points)
+    if columns:
+        finite(columns.H)
+        return columns
+    return lambda j: finite(cross_matrix(spec, points, points[j : j + 1])[:, 0])
 
 
 def _probe_points(domain: Domain, probe_resolution: int) -> np.ndarray:

@@ -427,11 +427,12 @@ def _run_ladder(cfg: ExperimentConfig, measure):
     rows = []
     for idx, (X, (_, h, _, _)) in enumerate(zip(designs, geometry)):
         lam = cfg.nugget.lam(h)
-        y = np.empty((len(X), cfg.replicates))  # allocated before any draw: one n x r array
+        y = np.empty((len(X), cfg.replicates), order="F")  # before any draw; fit solves in it
         for rep in range(cfg.replicates):
             y[:, rep] = draw_noise(cfg.noise, len(X), replicate=rep)
-        y += eval_target(cfg.target, X.points)[:, None]  # eps_k + f(X) in place
-        errs = measure(idx, fit(cfg.kernel_for(idx), cfg.mean, X, y, lam))
+        with np.errstate(over="ignore"):  # fit checks the sum finite
+            y += eval_target(cfg.target, X.points)[:, None]  # eps_k + f(X) in place
+        errs = measure(idx, fit(cfg.kernel_for(idx), cfg.mean, X, y, lam, overwrite_y=True))
         rows.append((len(X), float(np.mean(errs)), overflow_safe(lambda e: float(np.std(e)), errs)))
     return geometry, h_slope, rows
 
@@ -739,7 +740,9 @@ def run_fit_experiment(cfg: ExperimentConfig):
     lam = cfg.nugget.lam(h)
     fX = eval_target(cfg.target, X.points)
     eps = draw_noise(cfg.noise, len(X), replicate=0)
-    model = fit(kernel, cfg.mean, X, fX + eps, lam)
+    with np.errstate(over="ignore"):  # fit checks the sum finite
+        y = fX + eps
+    model = fit(kernel, cfg.mean, X, y, lam)
     grid = make_grid(cfg.domain, cfg.grid_resolution)
     mean_vals = posterior_mean(model, grid.points)
     f_vals = eval_target(cfg.target, grid.points)

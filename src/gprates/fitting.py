@@ -102,6 +102,7 @@ def fit(
     y,
     lam: float = 0.0,
     table: LatticeTable | None = None,
+    overwrite_y: bool = False,
 ) -> PosteriorModel:
     """Condition on observations ``y`` at ``X`` with regularization ``lam``.
 
@@ -117,9 +118,11 @@ def fit(
     factorization has overwritten ``K``, so ``K`` is rebuilt before the next
     jitter step.  ``K`` is checked for finite entries in row blocks, so the
     factor and the solve skip scipy's check, which allocates an n x n
-    boolean array in each; the right-hand side ``y - m_X`` is formed in
-    Fortran order, checked finite (a prior mean past the float range is a
-    ``ConfigurationError``), and solved in place.  ``table`` is the
+    boolean array in each.  ``y`` and the right-hand side ``y - m_X`` are
+    checked finite (observations or a prior mean past the float range are a
+    ``ConfigurationError``); a 2-d right-hand side is formed in Fortran order,
+    in ``y`` itself with ``overwrite_y`` (a Fortran-ordered ``y`` is then the
+    dual weights), and solved in place.  ``table`` is the
     :class:`kernels.LatticeTable` of ``X`` against itself when the caller
     holds one; None looks one up.
     """
@@ -130,6 +133,8 @@ def fit(
         raise ConfigurationError(f"got {len(y)} observations for {len(X)} points")
     if lam < 0:
         raise ConfigurationError(f"lambda must be nonnegative, got {lam}")
+    if not np.isfinite(y).all():  # the target plus its noise overflowed
+        raise ConfigurationError("observations are not finite: target.scale or the noise")
     n = len(X)
     A = kernel.amplitude
     # jitter ladder: none needed when lam > 0, else start at 1e-10*A and
@@ -165,7 +170,7 @@ def fit(
         if y.ndim == 2:
             # in LAPACK's column order, one column at a time (a broadcast
             # subtraction buffers its operands), so the solve overwrites it
-            rhs = np.empty(y.shape, order="F")
+            rhs = y if overwrite_y else np.empty(y.shape, order="F")
             for k in range(y.shape[1]):
                 np.subtract(y[:, k], m_X, out=rhs[:, k])
         else:

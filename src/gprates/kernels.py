@@ -11,7 +11,7 @@ sets lie on one dyadic lattice (every coordinate a multiple of some
 ``2^-q``), :func:`lattice_table` evaluates ``Phi`` once per offset of the
 lattice ``delta = 2^-p`` that holds their differences, into a two-sided
 table ``H[S + k] = Phi(|k| delta)``: ``gram`` and ``fitting.posterior_mean``
-read their blocks from that table, and ``designs.lattice_columns`` (for
+read their blocks from that table, and ``designs.kernel_columns`` (for
 ``gen_p_greedy`` and ``bayesopt.run_gamma_F_n``) its columns as slices,
 instead of evaluating ``matern_of_r`` on every entry.  A caller that
 holds a table of a superset passes ``gram`` and ``fitting.posterior_mean`` the

@@ -282,7 +282,7 @@ def test_other_candidates_take_cross_matrix_columns(monkeypatch, resolution, dom
     assert kernels.lattice_table(spec, cand.points, cand.points) is None
     target = random_expansion_target(tau_f=3.0, domain=domain, seed=10)
     columns = []
-    monkeypatch.setattr(bayesopt, "cross_matrix",
+    monkeypatch.setattr(designs, "cross_matrix",
                         lambda *args: columns.append(args[2]) or cross_matrix(*args))
     trajectory = run_gamma_F_n(target, BOConfig(gamma=0.3, n=24, kernel=spec, candidates=cand))
     assert len(trajectory.chosen) == 23
@@ -317,7 +317,7 @@ def test_table_trajectory_is_bitwise_the_direct_one(monkeypatch):
     column_of = designs.lattice_columns(spec, pts)
     for j in table.chosen:
         assert np.array_equal(column_of(j), cross_matrix(spec, pts, pts[j])[:, 0])
-    monkeypatch.setattr(bayesopt, "lattice_columns", lambda *args: None)
+    monkeypatch.setattr(designs, "lattice_columns", lambda *args: None)
     direct = _trajectory(60)
     assert table.chosen == direct.chosen
     assert table.trace == direct.trace

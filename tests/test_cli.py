@@ -9,12 +9,13 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gprates
 import gprates.acceptance
 import gprates.experiments
-from gprates.cli import main
+from gprates.cli import _report_errors, main
 from gprates.errors import SingularDesignError
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
@@ -192,9 +193,15 @@ def _a7(section, value):
     (_a7("kernel", {"lengthscale": 1e-300}), "kernel.lengthscale"),
     (_a7("kernel", {"amplitude": 1e-320}), "kernel.amplitude"),
     (_a7("domain", {"lower": [0.0], "upper": [1e300]}), "domain"),
+    # the same check on P-greedy's candidate table
+    (dict(SMALL_RATES, kernel={"tau": 2.0, "lengthscale": 1e-320},
+          design={"kind": "p_greedy", "candidate_resolution": 256}), "kernel.lengthscale"),
     # a prior mean past the float range at the design
     (dict(_cut_preset("a1_l2", "kernel"), mean={"kind": "polynomial", "coeffs": [1e308] * 3}),
      "mean.coeffs"),
+    # finite target values (up to 1.68e308) and finite noise whose sum is not
+    (dict(_cut_preset("a3", "noise", sigma=1e307), target={"name": "layered_tau2p5",
+                                                           "scale": 4.5e307}), "target.scale"),
     # files json cannot read: an integer past Python's 4300-digit conversion
     # limit, bytes that are not UTF-8, a directory
     ('{"kind": "rates", "tolerance": 1' + "0" * 5000 + "}", "config.json"),
@@ -222,7 +229,9 @@ def _a7(section, value):
         "huge_integer_tolerance", "subnormal_lengthscale", "overflowing_amplitude",
         "overflowing_target_scale", "overflowing_noise_sigma", "overflowing_nugget_square",
         "overflowing_adaptive_nugget", "bo_lengthscale_below_float_range",
-        "bo_subnormal_amplitude", "bo_domain_past_float_range", "overflowing_polynomial_mean",
+        "bo_subnormal_amplitude", "bo_domain_past_float_range", "p_greedy_lengthscale_below_float_range",
+        "overflowing_polynomial_mean",
+        "overflowing_target_plus_noise",
         "integer_past_conversion_limit", "not_utf8",
         "config_is_a_directory"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
@@ -290,6 +299,22 @@ def test_allocation_failure_exits_2_without_a_traceback(tmp_path, capsys, field,
         assert err.startswith("config error: ") and "below 2**63" in err
     else:
         assert err.startswith("config error: out of memory: ")
+
+
+def test_element_count_past_int64_exits_2(capsys):
+    # numpy words a size past int64 in elements otherwise than in bytes (the
+    # 2**62 rows above); the parser's limit keeps every config from it, but
+    # it must still read as out of memory
+    assert _report_errors(lambda: np.arange(1e300)) == 2
+    assert capsys.readouterr().err.startswith("config error: out of memory: ")
+
+
+def test_other_value_errors_propagate():
+    def command():
+        raise ValueError("not a size")
+
+    with pytest.raises(ValueError, match="not a size"):
+        _report_errors(command)
 
 
 @pytest.mark.parametrize("config", [

@@ -193,6 +193,21 @@ class TestReplicateColumns:
         if lam == 0.0:
             assert batch.jitter > 0.0
 
+    def test_overwrite_y_solves_in_the_observations(self):
+        # a Fortran-ordered y becomes the dual weights, bitwise those of the
+        # fit that forms its own right-hand side and leaves y alone
+        rng = np.random.default_rng(5)
+        spec = KernelSpec(tau=2.0, lengthscale=0.25)
+        X = jittered_design(rng, 40)
+        mean = MeanSpec("constant", 0.3)
+        Y = np.asfortranarray(np.sin(5 * X.points) + rng.normal(0.0, 0.1, (40, 6)))
+        kept = Y.copy()
+        plain = fit(spec, mean, X, Y, 0.01)
+        assert np.array_equal(Y, kept)
+        model = fit(spec, mean, X, Y, 0.01, overwrite_y=True)
+        assert np.shares_memory(model.dual, Y)
+        assert np.array_equal(model.dual, plain.dual)
+
 
 class TestPosteriorMean:
     def test_interpolates_at_design_points(self):
