@@ -26,13 +26,14 @@ set: one gather of its sd, the mean on the 8-row runs that cover it, and
 expected improvement without masks, since every sd there is positive.
 Only each budget's final step calls ``fit``, and it predicts on the
 candidates through ``fitting.posterior_mean``.  The Newton basis reads each
-kernel column once from ``designs.kernel_columns`` and keeps none; on a
+kernel column once from ``kernels.kernel_columns`` and keeps none; on a
 1-d dyadic grid (a7's 4096 midpoints) the columns, the final steps' Gram
-matrices and their predictions all read one table, so the kernel is
-evaluated once, on the table's offsets, whatever the budgets.  A
-``designs.MeshRatioTracker`` updates the mesh ratio with each selected
-point.  Every kernel column, mean, sd, acquisition and trace value is
-bitwise what the direct computation on every candidate gives.
+matrices and their predictions all read the candidates'
+``kernels.LatticeTable``, so the kernel is evaluated once, on the table's
+offsets, whatever the budgets.  A ``designs.MeshRatioTracker`` updates the
+mesh ratio with each selected point.  Every kernel column, mean, sd,
+acquisition and trace value is bitwise what the direct computation on
+every candidate gives.
 
 Kernel values are checked as ``fit`` checks its Gram matrix: formed with
 floating-point warnings off, then required finite.  A kernel that leaves
@@ -54,12 +55,10 @@ import numpy as np
 from scipy.linalg import solve_triangular  # noqa: F401  (perfbench/layers.py traces it here)
 from scipy.special import ndtr
 
-from .designs import (
-    LatticeColumns, MeshRatioTracker, NewtonBasis, PointSet, gen_grid, kernel_columns,
-)
+from .designs import MeshRatioTracker, NewtonBasis, PointSet, gen_grid
 from .errors import ConfigurationError, SingularDesignError
 from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean
-from .kernels import KernelSpec
+from .kernels import KernelSpec, LatticeTable, kernel_columns
 from .targets import TargetSpec, eval_target
 
 REFERENCE_RESOLUTION = 65536
@@ -134,16 +133,17 @@ class BOTrajectory:
     ``chosen`` holds the candidate indices of the n-1 selected points (the
     first candidate, then one per trace row).  ``f_cand`` is the target on
     every candidate and ``f_ref_max`` its maximum on the reference grid;
-    every budget reads its target values from them.  ``columns`` is the
-    loop's ``designs.LatticeColumns`` (None when the candidates have no
-    table); no kernel column is kept.  A budget's final fit reads its Gram
-    matrix and its prediction on the candidates from that table.
+    every budget reads its target values from them.  ``table`` is the
+    candidates' ``kernels.LatticeTable`` against themselves, from
+    ``kernels.kernel_columns`` (None when they have none); no kernel column
+    is kept.  A budget's final fit reads its Gram matrix and its prediction
+    on the candidates from that table's subsets.
     """
 
     config: BOConfig
     f_cand: np.ndarray
     f_ref_max: float
-    columns: LatticeColumns | None
+    table: LatticeTable | None
     chosen: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     slacks: list = field(default_factory=list)
@@ -156,9 +156,9 @@ class BOTrajectory:
         chosen = np.array(self.chosen[: n - 1])
         X = PointSet(cand.points[chosen], cand.domain)
         gram_table = cross_table = None
-        if self.columns:  # X against X, and the candidates against X
-            gram_table = self.columns.table(chosen, chosen)
-            cross_table = self.columns.table(np.arange(len(cand)), chosen)
+        if self.table:  # X against X, and the candidates against X
+            gram_table = self.table.subset(chosen, chosen)
+            cross_table = self.table.subset(np.arange(len(cand)), chosen)
         model = fit(self.config.kernel, MeanSpec("constant", 0.0), X, self.f_cand[chosen], 0.0,
                     table=gram_table)
         # final step: maximize the interpolant over the candidates
@@ -192,7 +192,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     (probe-grid fill distance over the candidate domain).
 
     Each selected point's kernel column comes from
-    ``designs.kernel_columns``: a view of the candidates' table, so
+    ``kernels.kernel_columns``: a view of the candidates' table, so
     ``matern_of_r`` runs once per lattice offset, not once per column, or,
     without a table, a ``cross_matrix`` column; either is checked finite.
     The last selected point is not added to the Newton basis: nothing reads it.
@@ -221,19 +221,18 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     ref = gen_grid(REFERENCE_RESOLUTION, cand.domain).points if cand.domain.dim == 1 else cpts
     f_cand = eval_target(target, cpts)
     f_ref_max = float(np.max(eval_target(target, ref)))
-    # kernel values and variances past the float range are checked, not warned of
+    table, column_of = kernel_columns(spec, cpts)
+    run = BOTrajectory(config, f_cand, f_ref_max, table)
+
+    def choose(j: int) -> None:
+        # selected points are candidates: the basis grows by their own column
+        run.chosen.append(j)
+        if len(run.chosen) < config.n - 1:  # nothing reads the basis after the last pick
+            newton.add(j, column_of(j), f_cand[j])
+        mesh.add(cpts[j])
+
+    # posterior variances past the float range are checked, not warned of
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        column_of = kernel_columns(spec, cpts)
-        run = BOTrajectory(config, f_cand, f_ref_max,
-                           column_of if isinstance(column_of, LatticeColumns) else None)
-
-        def choose(j: int) -> None:
-            # selected points are candidates: the basis grows by their own column
-            run.chosen.append(j)
-            if len(run.chosen) < config.n - 1:  # nothing reads the basis after the last pick
-                newton.add(j, column_of(j), f_cand[j])
-            mesh.add(cpts[j])
-
         choose(0)
         best = f_cand[0]
         mean, sd, stable = np.empty(m), np.empty(m), np.empty(m, dtype=bool)

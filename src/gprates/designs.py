@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import (
-    KernelSpec, LatticeTable, cross_matrix, distances, lattice_table, progression_step, row_blocks,
-)
+from .kernels import KernelSpec, distances, kernel_columns, row_blocks
 
 DEFAULT_PROBE_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
@@ -220,7 +217,10 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
     one run to its largest size.
 
     The column ``k(cand, cand[j])`` of each pick comes from
-    :func:`kernel_columns`.
+    ``kernels.kernel_columns``.  A column that is zero on every other
+    candidate (a lengthscale so short that every off-diagonal kernel value
+    underflows) would make the picks run in index order: it raises a
+    ``ConfigurationError``.
     """
     cand = candidates.points
     m = cand.shape[0]
@@ -230,8 +230,7 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
         raise ConfigurationError("candidate dimension does not match kernel dim")
     newton = NewtonBasis(spec.amplitude, m, n)
     selected = np.zeros(n, dtype=int)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked finite
-        column_of = kernel_columns(spec, cand)
+    _, column_of = kernel_columns(spec, cand)
     for step in range(n):
         j = int(np.argmax(newton.power))  # np.argmax returns the first maximizer
         selected[step] = j
@@ -240,70 +239,13 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
                 "candidate pool exhausted: remaining posterior variance is zero"
             )
         if step < n - 1:  # nothing reads the basis after the last pick
-            newton.add(j, column_of(j))
+            column = column_of(j)
+            if np.count_nonzero(column) < 2:  # k(x_j, x_j) = amplitude is the one nonzero
+                raise ConfigurationError(
+                    f"kernel.lengthscale {spec.lengthscale!r} is too short for the candidates: "
+                    f"the kernel is zero between candidate {j} and every other")
+            newton.add(j, column)
     return PointSet(cand[selected], candidates.domain)
-
-
-class LatticeColumns(NamedTuple):
-    """The kernel columns of a progression of ``size`` points with a lattice
-    table, and the tables of its subsets: the table ``H`` with its centre
-    ``S``, the integer coordinate ``origin`` of the first point and the
-    integer ``step``, so point i sits at ``origin + step * i``.  It holds no
-    array of the points' integer coordinates."""
-
-    H: np.ndarray
-    S: int
-    origin: int
-    step: int
-    size: int
-
-    def __call__(self, j: int) -> np.ndarray:
-        """Column j, ``H[S + s j - s i]`` over i: a slice of the read-only ``H``."""
-        return self.H[self.S + self.step * j :: -self.step or 1][: self.size]
-
-    def table(self, a: np.ndarray, b: np.ndarray) -> LatticeTable:
-        """The :class:`kernels.LatticeTable` of the points at indices ``a``
-        against those at ``b``: their integer coordinates, each set's own
-        step, and this ``H``, which holds every offset between two points."""
-        ia, ib = self.origin + self.step * a, self.origin + self.step * b
-        return LatticeTable(ia, ib, self.H, self.S, progression_step(ia), progression_step(ib))
-
-
-def lattice_columns(spec: KernelSpec, points: np.ndarray) -> LatticeColumns | None:
-    """The :class:`LatticeColumns` of a progression with a lattice table, or
-    None (d >= 2, off a dyadic lattice, no progression).
-
-    Column j is row j of the points' :func:`kernels.lattice_table` against
-    themselves, ``H[S + s j - s i]`` over i for points of step s: a
-    read-only slice of ``H``, with no copy.  The kernel is symmetric and the
-    lattice differences exact, so it is bitwise
-    ``cross_matrix(spec, points, points[j])[:, 0]``.  Every
-    midpoint grid with a table is a progression.  :func:`kernel_columns`
-    reads its columns here, and a BO budget's final fit its tables.
-    """
-    table = lattice_table(spec, points, points)
-    if table is None or table.step_a is None:
-        return None
-    table.H.flags.writeable = False
-    return LatticeColumns(table.H, table.S, int(table.ia[0]), table.step_a, len(points))
-
-
-def kernel_columns(spec: KernelSpec, points: np.ndarray):
-    """Column j of ``k(points, points)`` by j: the points' :class:`LatticeColumns`
-    or, without them, ``cross_matrix`` column j.  The table, or each column
-    formed, must be finite, else a ``ConfigurationError`` names the fields."""
-    def finite(values: np.ndarray) -> np.ndarray:
-        if not np.isfinite(values).all():
-            raise ConfigurationError(
-                f"kernel not finite on the candidates: kernel.amplitude {spec.amplitude!r}, "
-                f"kernel.lengthscale {spec.lengthscale!r} or the domain")
-        return values
-
-    columns = lattice_columns(spec, points)
-    if columns:
-        finite(columns.H)
-        return columns
-    return lambda j: finite(cross_matrix(spec, points, points[j : j + 1])[:, 0])
 
 
 def _probe_points(domain: Domain, probe_resolution: int) -> np.ndarray:

@@ -11,11 +11,12 @@ sets lie on one dyadic lattice (every coordinate a multiple of some
 ``2^-q``), :func:`lattice_table` evaluates ``Phi`` once per offset of the
 lattice ``delta = 2^-p`` that holds their differences, into a two-sided
 table ``H[S + k] = Phi(|k| delta)``: ``gram`` and ``fitting.posterior_mean``
-read their blocks from that table, and ``designs.kernel_columns`` (for
-``gen_p_greedy`` and ``bayesopt.run_gamma_F_n``) its columns as slices,
-instead of evaluating ``matern_of_r`` on every entry.  A caller that
-holds a table of a superset passes ``gram`` and ``fitting.posterior_mean`` the
-table of its subsets on the same ``H`` (a BO budget's final fit).  The values
+read their blocks from that table, and :func:`kernel_columns` (for
+``designs.gen_p_greedy`` and ``bayesopt.run_gamma_F_n``) its columns as
+slices (:meth:`LatticeTable.column`), instead of evaluating ``matern_of_r``
+on every entry.  A caller that holds a table of a superset passes ``gram``
+and ``fitting.posterior_mean`` the table of its subsets on the same ``H``,
+from :meth:`LatticeTable.subset` (a BO budget's final fit).  The values
 are bitwise those of the direct path: the difference of two lattice points
 whose integer offset ``k`` is below 2^53 is exact, so ``|a - b|`` is the
 same double as ``|k| * delta``, and ``matern_of_r`` is elementwise.  When
@@ -268,6 +269,17 @@ class LatticeTable(NamedTuple):
     step_a: int | None
     step_b: int | None
 
+    def column(self, j: int) -> np.ndarray:
+        """Column j of the block, ``H[S + I_a - I_b[j]]``, for a first set
+        that is a progression: a slice of ``H``, with no copy."""
+        return self.H[self.S + self.ia[0] - self.ib[j] :: self.step_a or 1][: len(self.ia)]
+
+    def subset(self, a, b) -> LatticeTable:
+        """The table of the first set's points at indices ``a`` against the
+        second set's at ``b``: their coordinates and steps on this ``H``."""
+        ia, ib = self.ia[a], self.ib[b]
+        return LatticeTable(ia, ib, self.H, self.S, progression_step(ia), progression_step(ib))
+
 
 def progression_step(index: np.ndarray) -> int | None:
     """The common difference of ``index``: 0 for one point, None unless every
@@ -492,6 +504,39 @@ def cross_matrix(spec: KernelSpec, Xq, X, out=None, work=()) -> np.ndarray:
     q, pts = as_points(spec.dim, Xq), as_points(spec.dim, X)
     r = distances(q, pts, out=work[0] if len(work) else None, work=out)
     return matern_of_r(spec, r, out=out, work=work[1:])
+
+
+def kernel_columns(spec: KernelSpec, points: np.ndarray):
+    """``(table, column_of)``: column j of ``k(points, points)`` by j.
+
+    For a progression with a :func:`lattice_table`, ``table`` is that table
+    against itself, its ``H`` read-only, and ``column_of`` is
+    :meth:`LatticeTable.column`: a slice of ``H``, bitwise
+    ``cross_matrix(spec, points, points[j])[:, 0]``, since the kernel is
+    symmetric and the lattice differences exact.  Every midpoint grid with
+    a table is a progression.  Otherwise ``table`` is None and
+    ``column_of(j)`` is that ``cross_matrix`` column.  The table, or each
+    column, is formed with floating-point warnings off and must be finite,
+    else a ``ConfigurationError`` names the fields.
+    """
+    def finite(values: np.ndarray) -> np.ndarray:
+        if not np.isfinite(values).all():
+            raise ConfigurationError(
+                f"kernel not finite on the candidates: kernel.amplitude {spec.amplitude!r}, "
+                f"kernel.lengthscale {spec.lengthscale!r} or the domain")
+        return values
+
+    def column_of(j: int) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return finite(cross_matrix(spec, points, points[j : j + 1])[:, 0])
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = lattice_table(spec, points, points)
+    if table is not None and table.step_a is not None:
+        table.H.flags.writeable = False
+        finite(table.H)
+        return table, table.column
+    return None, column_of
 
 
 def min_eigenvalue(K: np.ndarray) -> float:

@@ -9,7 +9,8 @@ posterior-variance oracles, and the ``counted`` fixture counts the calls of a
 gprates function.
 
 ``FAST_PATHS`` is the switchboard of gprates' fast paths: each one claims to
-be bitwise a plain path, and lists every binding that switches it off.
+be bitwise a plain path, and lists every binding that switches it off
+(``test_public_names`` checks that it lists every module that binds the name).
 """
 
 import pytest
@@ -53,7 +54,7 @@ def _whole_product(rows, m):
 FAST_PATHS = {
     # every 1-d set on a small dyadic lattice reads its kernel values from a table
     "lattice_tables": [(module, "lattice_table", _no_lattice_table)
-                       for module in ("kernels", "fitting", "designs")],
+                       for module in ("kernels", "fitting")],
     # up to blocks_per_strip(table) blocks of a grid against a grid share one window
     "strip_windows": [("kernels", "blocks_per_strip", _one_block_per_strip)],
     # NewtonBasis.mean forms only the 8-row groups that cover the stabilized set

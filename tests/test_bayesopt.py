@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gprates
-from gprates import bayesopt, designs, kernels
+from gprates import bayesopt, designs, fitting, kernels
 from gprates.acceptance import acceptance_configs
 from conftest import masked_expected_improvement
 from gprates.bayesopt import BOConfig, expected_improvement, run_gamma_F_n
@@ -282,7 +282,7 @@ def test_other_candidates_take_cross_matrix_columns(monkeypatch, resolution, dom
     assert kernels.lattice_table(spec, cand.points, cand.points) is None
     target = random_expansion_target(tau_f=3.0, domain=domain, seed=10)
     columns = []
-    monkeypatch.setattr(designs, "cross_matrix",
+    monkeypatch.setattr(kernels, "cross_matrix",
                         lambda *args: columns.append(args[2]) or cross_matrix(*args))
     trajectory = run_gamma_F_n(target, BOConfig(gamma=0.3, n=24, kernel=spec, candidates=cand))
     assert len(trajectory.chosen) == 23
@@ -301,24 +301,25 @@ def test_run_on_a_dyadic_grid_evaluates_the_kernel_once(counted):
     assert evaluated == {"calls": 1, "entries": 512}
 
 
-def test_trajectory_keeps_no_integer_coordinates():
-    # the final fits rebuild the coordinates of the points they read; the
-    # trajectory keeps the table, its centre, the origin and the step
-    trajectory = _trajectory(12)
-    columns = trajectory.columns
-    assert isinstance(columns, designs.LatticeColumns)
-    assert [type(v) for v in columns[1:]] == [int] * 4
-    assert columns.H.size == 2 * columns.S + 1 == 1023
+def test_trajectory_keeps_the_candidates_table():
+    # the final fits read their tables as subsets of the candidates' one
+    table = _trajectory(12).table
+    assert isinstance(table, kernels.LatticeTable) and not table.H.flags.writeable
+    assert table.H.size == 2 * table.S + 1 == 1023
+    assert np.array_equal(table.ia, np.arange(512)) and table.step_a == table.step_b == 1
 
 
 def test_table_trajectory_is_bitwise_the_direct_one(monkeypatch):
     table = _trajectory(60)
     spec, pts = table.config.kernel, table.config.candidates.points
-    column_of = designs.lattice_columns(spec, pts)
+    _, column_of = kernels.kernel_columns(spec, pts)
     for j in table.chosen:
         assert np.array_equal(column_of(j), cross_matrix(spec, pts, pts[j])[:, 0])
-    monkeypatch.setattr(designs, "lattice_columns", lambda *args: None)
+    # every column, Gram matrix and prediction evaluated directly
+    for module in (kernels, fitting):
+        monkeypatch.setattr(module, "lattice_table", lambda *args: None)
     direct = _trajectory(60)
+    assert direct.table is None
     assert table.chosen == direct.chosen
     assert table.trace == direct.trace
     # json spells out every float (and budget 2's NaN rho) for an exact comparison

@@ -196,6 +196,13 @@ def _a7(section, value):
     # the same check on P-greedy's candidate table
     (dict(SMALL_RATES, kernel={"tau": 2.0, "lengthscale": 1e-320},
           design={"kind": "p_greedy", "candidate_resolution": 256}), "kernel.lengthscale"),
+    # and on its cross_matrix columns, off a dyadic lattice
+    (dict(SMALL_RATES, kernel={"tau": 2.0, "lengthscale": 1e-320},
+          domain={"lower": [0.1], "upper": [3.1]},
+          design={"kind": "p_greedy", "candidate_resolution": 256}), "kernel.lengthscale"),
+    # a finite P-greedy table that is 0 off its centre: the picks would run in index order
+    (dict(SMALL_RATES, kernel={"tau": 2.0, "lengthscale": 1e-300}, ladder=[16, 32, 64],
+          design={"kind": "p_greedy", "candidate_resolution": 256}), "kernel.lengthscale"),
     # a prior mean past the float range at the design
     (dict(_cut_preset("a1_l2", "kernel"), mean={"kind": "polynomial", "coeffs": [1e308] * 3}),
      "mean.coeffs"),
@@ -230,6 +237,7 @@ def _a7(section, value):
         "overflowing_target_scale", "overflowing_noise_sigma", "overflowing_nugget_square",
         "overflowing_adaptive_nugget", "bo_lengthscale_below_float_range",
         "bo_subnormal_amplitude", "bo_domain_past_float_range", "p_greedy_lengthscale_below_float_range",
+        "p_greedy_columns_below_float_range", "p_greedy_identity_kernel",
         "overflowing_polynomial_mean",
         "overflowing_target_plus_noise",
         "integer_past_conversion_limit", "not_utf8",

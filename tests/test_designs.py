@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gprates import designs, kernels
+from gprates import kernels
 from gprates.designs import (
     Domain,
     MeshRatioTracker,
@@ -17,7 +17,6 @@ from gprates.designs import (
     gen_grid,
     gen_p_greedy,
     gen_uniform_random,
-    lattice_columns,
     quasi_uniformity_trace,
     separation_radius,
 )
@@ -359,6 +358,17 @@ class TestPGreedy:
         with pytest.raises(ConfigurationError):
             gen_p_greedy(5, spec, gen_grid(2, UNIT))
 
+    @pytest.mark.parametrize("candidates", [
+        gen_grid(256, UNIT),  # a lattice table whose every off-diagonal entry is 0
+        gen_grid(100, Domain((0.1,), (3.1,))),  # cross_matrix columns
+    ], ids=["table", "cross_matrix"])
+    def test_identity_kernel_is_a_config_error(self, candidates):
+        # every off-diagonal kernel value underflows to 0: the picks would run
+        # in index order
+        spec = KernelSpec(tau=2.0, lengthscale=1e-300)
+        with pytest.raises(ConfigurationError, match="kernel.lengthscale 1e-300"):
+            gen_p_greedy(3, spec, candidates)
+
     def test_last_pick_forms_no_column(self, counted):
         # candidates off a dyadic lattice take cross_matrix columns; the basis
         # is never read after the last pick, so its column is not formed
@@ -405,45 +415,6 @@ class TestPGreedy:
         spec = KernelSpec(tau=1.25, lengthscale=0.25)
         X = gen_p_greedy(12, spec, gen_grid(256, UNIT))
         assert np.isfinite(_mesh_ratio(X))
-
-
-class TestLatticeColumns:
-    """A progression with a lattice table reads its kernel columns as views of the table."""
-
-    @pytest.mark.parametrize("nu", [1.5, 2.0], ids=["nu3/2", "bessel"])
-    @pytest.mark.parametrize("n, domain", [
-        (1, UNIT), (4, UNIT), (512, UNIT), (4096, UNIT), (256, Domain((-1.0,), (1.0,))),
-    ], ids=["grid1", "grid4", "grid512", "grid4096", "symmetric_grid256"])
-    def test_column_is_a_read_only_view_of_the_table(self, monkeypatch, nu, n, domain):
-        spec = KernelSpec(tau=nu + 0.5, lengthscale=0.15, amplitude=1.3)
-        pts = gen_grid(n, domain).points
-        tables = []
-        monkeypatch.setattr(designs, "lattice_table",
-                            lambda *args: tables.append(kernels.lattice_table(*args)) or tables[-1])
-        column_of = lattice_columns(spec, pts)
-        # a midpoint grid takes a table from 4 points on (see test_kernels)
-        assert (column_of is None) == (tables[0] is None) == (n < 4)
-        if column_of is None:
-            return
-        picks = sorted({0, n // 2, n - 1})
-        # every view stays valid while later columns are read
-        columns = [column_of(j) for j in picks]
-        for j, column in zip(picks, columns):
-            assert not column.flags.writeable
-            assert np.shares_memory(column, tables[0].H)
-            assert np.array_equal(column, cross_matrix(spec, pts, pts[j : j + 1])[:, 0])
-
-    @pytest.mark.parametrize("pts, has_table", [
-        (gen_grid(32, SQUARE).points, False),
-        (gen_grid(100, UNIT).points, False),  # midpoints (j + 1/2) / 100 are not dyadic
-        # P-greedy-like picks of a dyadic grid: a table, but no progression
-        (gen_grid(512, UNIT).points[np.sort(np.random.default_rng(3).choice(512, 300, False))],
-         True),
-    ], ids=["grid2d", "non_dyadic", "no_progression"])
-    def test_other_sets_have_no_lattice_columns(self, pts, has_table):
-        spec = KernelSpec(tau=2.0 + pts.shape[1] / 2, dim=pts.shape[1])
-        assert (kernels.lattice_table(spec, pts, pts) is not None) == has_table
-        assert lattice_columns(spec, pts) is None
 
 
 class TestCsv:

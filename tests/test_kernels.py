@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, kv
 
-from gprates import designs, kernels
+from gprates import kernels
 from gprates.designs import UNIT_INTERVAL, Domain, PointSet, gen_grid, gen_p_greedy
 from gprates.errors import ConfigurationError, SingularGramWarning
 from gprates.fitting import MeanSpec, PosteriorModel, posterior_mean
@@ -614,7 +614,7 @@ class TestLatticeTable:
         cand = PointSet(C, Domain((float(C.min()) - 1.0,), (float(C.max()) + 1.0,)))
         n = data.draw(st.integers(1, min(m, 12)))
         picks = _picks(n, spec, cand)
-        with mock.patch.object(designs, "lattice_table", lambda *args: None):
+        with mock.patch.object(kernels, "lattice_table", lambda *args: None):
             direct = _picks(n, spec, cand)
         assert np.array_equal(picks, direct) if isinstance(direct, np.ndarray) else picks is direct
 
@@ -862,3 +862,63 @@ class TestStrips:
                                      np.zeros(1), 0, s_a, s_b)
         assert kernels.blocks_per_strip(table) == G
         assert kernels.blocks_per_strip(table._replace(step_b=None)) is None
+
+
+class TestKernelColumns:
+    """A progression with a lattice table reads its kernel columns as slices
+    of the table, and its subsets' tables from the same ``H``."""
+
+    @pytest.mark.parametrize("nu", [1.5, 2.0], ids=["nu3/2", "bessel"])
+    @pytest.mark.parametrize("n, domain, flip", [
+        (1, UNIT_INTERVAL, False), (4, UNIT_INTERVAL, False), (512, UNIT_INTERVAL, False),
+        (4096, UNIT_INTERVAL, False), (256, Domain((-1.0,), (1.0,)), False),
+        (512, UNIT_INTERVAL, True),
+    ], ids=["grid1", "grid4", "grid512", "grid4096", "symmetric_grid256", "descending_grid512"])
+    def test_column_is_a_read_only_slice_of_the_table(self, nu, n, domain, flip):
+        spec = KernelSpec(tau=nu + 0.5, lengthscale=0.15, amplitude=1.3)
+        pts = gen_grid(n, domain).points[:: -1 if flip else 1]
+        table, column_of = kernels.kernel_columns(spec, pts)
+        # a midpoint grid takes a table from 4 points on (see TestLatticeTable)
+        assert (table is None) == (lattice_table(spec, pts, pts) is None) == (n < 4)
+        assert table is None or table.step_a == table.step_b == (-1 if flip else 1)
+        picks = sorted({0, n // 2, n - 1})
+        # every column stays valid while later columns are read
+        columns = [column_of(j) for j in picks]
+        for j, column in zip(picks, columns):
+            assert np.array_equal(column, cross_matrix(spec, pts, pts[j : j + 1])[:, 0])
+            if table is not None:
+                assert not column.flags.writeable
+                assert np.shares_memory(column, table.H)
+
+    @pytest.mark.parametrize("pts, has_table", [
+        (gen_grid(32, Domain((0.0, 0.0), (1.0, 1.0))).points, False),
+        (gen_grid(100, UNIT_INTERVAL).points, False),  # midpoints (j + 1/2) / 100 are not dyadic
+        # P-greedy-like picks of a dyadic grid: a table, but no progression
+        (gen_grid(512, UNIT_INTERVAL).points[
+            np.sort(np.random.default_rng(3).choice(512, 300, False))], True),
+    ], ids=["grid2d", "non_dyadic", "no_progression"])
+    def test_other_sets_take_cross_matrix_columns(self, pts, has_table):
+        spec = KernelSpec(tau=2.0 + pts.shape[1] / 2, dim=pts.shape[1])
+        assert (lattice_table(spec, pts, pts) is not None) == has_table
+        table, column_of = kernels.kernel_columns(spec, pts)
+        assert table is None
+        for j in (0, 7, len(pts) - 1):
+            assert np.array_equal(column_of(j), cross_matrix(spec, pts, pts[j : j + 1])[:, 0])
+
+    @pytest.mark.parametrize("a, b", [
+        (np.arange(512), np.sort(np.random.default_rng(4).choice(512, 40, False))),
+        (np.array([3, 9, 1, 200]), np.array([3, 9, 1, 200])),
+        (np.arange(0, 512, 8), np.arange(500, 100, -16)),
+        (np.array([17]), np.array([17])),
+    ], ids=["candidates_against_picks", "picks_against_picks", "two_progressions", "one_point"])
+    def test_subset_blocks_are_bitwise_the_direct_block(self, a, b):
+        spec = KernelSpec(tau=2.5, lengthscale=0.15)
+        pts = gen_grid(512, UNIT_INTERVAL).points
+        table, _ = kernels.kernel_columns(spec, pts)
+        sub = table.subset(a, b)
+        assert sub.H is table.H and sub.S == table.S
+        for index, ints, step in ((sub.ia, a, sub.step_a), (sub.ib, b, sub.step_b)):
+            assert np.array_equal(index, table.ia[ints])
+            assert step == kernels.progression_step(ints)
+        block = table_block(sub, slice(0, len(a)), np.empty((len(a), len(b))))
+        assert np.array_equal(block, cross_matrix(spec, pts[a], pts[b]))

@@ -1,5 +1,9 @@
-"""No public name without a caller: every public top-level name of ``gprates``
-is used in ``src/`` outside its own definition, or is a benchmark layer."""
+"""Scans of ``src/`` by ``ast``.
+
+No public name without a caller: every public top-level name of ``gprates``
+is used in ``src/`` outside its own definition, or is a benchmark layer.
+Only ``kernels.py`` reads a lattice table's fields, and the fast-path
+switchboard lists every module that binds a switched name."""
 
 import ast
 import importlib.util
@@ -9,6 +13,14 @@ import gprates
 
 SRC = os.path.dirname(os.path.abspath(gprates.__file__))
 ROOT = os.path.dirname(os.path.dirname(SRC))
+
+
+def _modules():
+    """``(module, tree)`` for each source file of ``gprates``."""
+    for file in sorted(os.listdir(SRC)):
+        if file.endswith(".py"):
+            with open(os.path.join(SRC, file)) as fh:
+                yield file[:-3], ast.parse(fh.read())
 
 
 def _bench_layer_names():
@@ -34,12 +46,8 @@ def _used_names(stmt):
 
 
 def test_every_public_name_has_a_caller():
-    statements = []  # (module, names the statement binds, names it uses)
-    for file in sorted(os.listdir(SRC)):
-        if file.endswith(".py"):
-            with open(os.path.join(SRC, file)) as fh:
-                tree = ast.parse(fh.read())
-            statements += [(file[:-3], _defined_names(s), _used_names(s)) for s in tree.body]
+    statements = [(module, _defined_names(s), _used_names(s))  # (module, binds, uses)
+                  for module, tree in _modules() for s in tree.body]
     layers = _bench_layer_names()
     unused = [
         f"{module}.{name}"
@@ -49,3 +57,47 @@ def test_every_public_name_has_a_caller():
         and not any(name in used for j, (_, _, used) in enumerate(statements) if j != i)
     ]
     assert unused == []
+
+
+TABLE_FIELDS = {"H", "S", "ia", "ib", "step_a", "step_b"}
+
+
+def _called_name(node):
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_kernels_reads_the_table_layout():
+    # a LatticeTable's layout is kernels.py's own: every other module reads
+    # its columns and its subsets' tables through its methods
+    readers = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _modules() if module != "kernels"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in TABLE_FIELDS
+        or isinstance(node, ast.Call) and _called_name(node) == "LatticeTable"
+    ]
+    assert readers == []
+
+
+def _binds(tree, name):
+    """Whether a module binds ``name`` at its top level by a def or a relative import."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
+            return True
+        if isinstance(stmt, ast.ImportFrom) and stmt.level and any(
+                name in (alias.name, alias.asname) for alias in stmt.names):
+            return True
+    return False
+
+
+def test_switchboard_lists_every_binding_of_a_switched_name():
+    # a module that binds a switched name but is not on the switchboard would
+    # keep its fast path with the switch off
+    from conftest import FAST_PATHS
+
+    modules = list(_modules())
+    for switch, bindings in FAST_PATHS.items():
+        for name in {attr for _, attr, _ in bindings}:
+            listed = sorted(module for module, attr, _ in bindings if attr == name)
+            assert listed == [module for module, tree in modules if _binds(tree, name)], switch

@@ -69,6 +69,13 @@ def test_unmeasured_mesh_ratio_trend_is_not_called_growth(rho_trend):
     assert notes == [f"mesh-ratio trend could not be measured (slope {rho_trend}); no prediction"]
 
 
+def test_mesh_ratio_trend_defaults_to_flat():
+    # a call without a measured trend inflates the prediction by nothing
+    n_exp, notes = theoretical_exponent(_params(1.0, 2.0, quasi_uniform=False))
+    assert n_exp == -1.0
+    assert notes == ["mesh ratio grows (slope 0.000); prediction inflated"]
+
+
 # -1/gamma + max(growth, -min(tau_f, tau_k-)/d + 1/2); without noise,
 # -(h exponent)/d
 @pytest.mark.parametrize("params, expected", [
@@ -106,8 +113,12 @@ FALLBACK = ("prescribed-smoothness preconditions not met (need tau_k = tau_f + d
      [FALLBACK, "misspecified branch: bias term carries rho^0.5"]),
     (_params(1.0, 1.5, quasi_uniform=False, nugget=FIXED), -1 / 3,  # -1/2 + 1/6
      [FALLBACK, "misspecified branch: bias term carries rho^0.5"]),
+    # prescribed smoothness past q = 2: 1/gamma = 1/3
+    (_params(2.0, 2.5, nugget=FIXED), -0.4, []),               # -2/(4 + 1)
+    (_params(2.0, 2.5, q=3, nugget=FIXED), -1 / 3 + 1 / 10,    # -1/3 + max(1/10, 1/10)
+     [FALLBACK, "misspecified branch: bias term carries rho^0.5"]),
 ], ids=["optimum", "optimum_d2_q1", "fallback", "fallback_rho", "fallback_q_inf",
-        "fallback_not_quasi_uniform"])
+        "fallback_not_quasi_uniform", "optimum_tau_f2", "fallback_q3"])
 def test_exponent_gaussian_regression(params, expected, notes):
     n_exp, got = theoretical_exponent(params, well_specified=True)
     assert n_exp == pytest.approx(expected, abs=1e-15)
