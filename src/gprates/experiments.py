@@ -15,6 +15,12 @@ of one observation matrix, so the Gram matrix and its Cholesky factor are
 built once per rung and shared by every replicate.  Prediction streams the
 evaluation grid in row blocks, and each block's cross matrix serves every
 replicate.
+
+The rates and bq harnesses share one ladder driver, ``_run_ladder``, which
+returns the ladder's verdict as a :class:`RateReport`: the designs'
+quasi-uniformity and mesh-ratio trend, the theorem under them, the fitted
+slope, and INVALID when either is undefined.  A harness only measures its
+errors per rung, then adds its own INVALID reason and extras to that report.
 """
 
 from __future__ import annotations
@@ -67,6 +73,10 @@ from .targets import (
 )
 
 GRID_STABILITY_TOLERANCE = 0.05
+# a ladder's designs are quasi-uniform when |h slope + 1/d| and the mesh-ratio
+# trend are below these
+QUASI_UNIFORM_H_SLOPE = 0.2
+QUASI_UNIFORM_RHO_TREND = 0.1
 
 # The top-level keys each kind reads, besides kind, name, seed, domain and design.
 _KEYS = {
@@ -391,8 +401,9 @@ def _designs(cfg: ExperimentConfig, ladder: list) -> list:
 def _theoretical_exponent(cfg: ExperimentConfig, rho_trend: float, quasi_uniform: bool):
     """``(n_exponent, notes)`` of the theorem for the config's likelihood and smoothness.
 
-    A bq ladder takes the L1 exponent (q = 1): its integration error is at
-    most ``sup p * ||f - m||_L1``, the Hoelder chain the harness checks.
+    A bq ladder takes the L1 exponent (q = 1), under the same design
+    geometry: its integration error is at most ``sup p * ||f - m||_L1``, the
+    Hoelder chain the harness checks.
     """
     params = RateParams(
         tau_f=cfg.target.tau_f,
@@ -410,17 +421,21 @@ def _theoretical_exponent(cfg: ExperimentConfig, rho_trend: float, quasi_uniform
     return theoretical_exponent(params, rho_trend, well_specified)
 
 
-def _run_ladder(cfg: ExperimentConfig, measure):
-    """Walk the ladder: its designs and their geometry, then per rung one fit.
+def _run_ladder(cfg: ExperimentConfig, measure) -> RateReport:
+    """Walk the ladder and return its verdict as a :class:`RateReport`.
 
     Column k of a rung's observations is ``f(X) + eps_k``, with ``eps_k``
     drawn from the seed ``(seed, k)``, so one Cholesky factor serves every
     replicate and each column's fit is bitwise the one-replicate fit.
     ``measure(ladder_index, model)`` returns the errors of the model's
-    columns, one per replicate.  Returns ``(geometry, h_slope, rows)``: the
-    ``(n, h, q, rho)`` rows and h slope of :func:`quasi_uniformity_trace`,
-    and ``(n, mean_error, std_error)`` per rung; a spread whose squares
-    overflow is taken scaled by the largest error (``norms.overflow_safe``).
+    columns, one per replicate.  The rows are ``(n, mean_error, std_error)``
+    per rung; a spread whose squares overflow is taken scaled by the largest
+    error (``norms.overflow_safe``).  The designs are quasi-uniform when
+    ``|h_slope + 1/d|`` is below ``QUASI_UNIFORM_H_SLOPE`` and the mesh-ratio
+    trend below ``QUASI_UNIFORM_RHO_TREND``; the theorem takes both.  The
+    extras hold ``design_trace`` (the ``(n, h, q, rho)`` rows of
+    :func:`quasi_uniformity_trace`), ``h_slope``, ``rho_trend``,
+    ``quasi_uniform`` and the theorem's ``notes``.
     """
     designs = _designs(cfg, cfg.ladder)
     geometry, h_slope = quasi_uniformity_trace(designs)
@@ -434,7 +449,20 @@ def _run_ladder(cfg: ExperimentConfig, measure):
             y += eval_target(cfg.target, X.points)[:, None]  # eps_k + f(X) in place
         errs = measure(idx, fit(cfg.kernel_for(idx), cfg.mean, X, y, lam, overwrite_y=True))
         rows.append((len(X), float(np.mean(errs)), overflow_safe(lambda e: float(np.std(e)), errs)))
-    return geometry, h_slope, rows
+
+    rho_trend = loglog_slope([r[0] for r in geometry], [r[3] for r in geometry])
+    quasi_uniform = (abs(h_slope + 1.0 / cfg.domain.dim) < QUASI_UNIFORM_H_SLOPE
+                     and rho_trend < QUASI_UNIFORM_RHO_TREND)
+    theoretical, notes = _theoretical_exponent(cfg, rho_trend, quasi_uniform)
+    fitted, stderr, reason = fit_empirical_rate([(n, e) for n, e, _ in rows], cfg.burn_in)
+    if not reason and not (math.isfinite(theoretical) and math.isfinite(rho_trend)):
+        reason = (f"theory {theoretical} from mesh-ratio trend {rho_trend} is not finite "
+                  "(every rung needs two distinct points)")
+    return RateReport(setting=cfg.name, theoretical=theoretical, fitted=fitted, stderr=stderr,
+                      tolerance=cfg.tolerance, rows=rows, invalid_reason=reason, extras={
+                          "design_trace": [list(r) for r in geometry], "h_slope": h_slope,
+                          "rho_trend": rho_trend, "quasi_uniform": quasi_uniform,
+                          "notes": notes})
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
@@ -454,41 +482,11 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
             stability = abs(e2 - e1) / max(e2, 1e-300)
         return errs
 
-    geometry, h_slope, rows = _run_ladder(cfg, measure)
-    rho_trend = loglog_slope([r[0] for r in geometry], [r[3] for r in geometry])
-    d = cfg.domain.dim
-    quasi_uniform = abs(h_slope + 1.0 / d) < 0.2 and rho_trend < 0.1
-
-    theoretical, notes = _theoretical_exponent(cfg, rho_trend, quasi_uniform)
-    fitted, stderr, reason = fit_empirical_rate([(n, e) for n, e, _ in rows], cfg.burn_in)
-    if not reason and not (math.isfinite(theoretical) and math.isfinite(rho_trend)):
-        reason = (
-            f"theory {theoretical} from mesh-ratio trend {rho_trend} is not finite "
-            "(every rung needs two distinct points)"
-        )
+    report = _run_ladder(cfg, measure)
     if stability is not None and stability > GRID_STABILITY_TOLERANCE:
-        reason = f"evaluation grid unresolved: L2 changed {stability:.1%} on refinement"
-
-    report = RateReport(
-        setting=cfg.name,
-        theoretical=theoretical,
-        fitted=fitted,
-        stderr=stderr,
-        tolerance=cfg.tolerance,
-        rows=rows,
-        invalid_reason=reason,
-        extras={
-            "design_trace": [list(r) for r in geometry],
-            "h_slope": h_slope,
-            "rho_trend": rho_trend,
-            "quasi_uniform": quasi_uniform,
-            "notes": notes,
-            "grid_stability": stability,
-            "q": "inf" if math.isinf(cfg.q) else cfg.q,
-            "target": cfg.target.name,
-            "target_rkhs_norm": cfg.target.rkhs_norm,
-        },
-    )
+        report.invalid_reason = f"evaluation grid unresolved: L2 changed {stability:.1%} on refinement"
+    report.extras.update(grid_stability=stability, q="inf" if math.isinf(cfg.q) else cfg.q,
+                         target=cfg.target.name, target_rkhs_norm=cfg.target.rkhs_norm)
     return report
 
 
@@ -521,22 +519,11 @@ def run_bq_experiment(cfg: ExperimentConfig) -> RateReport:
             errs.append(err)
         return errs
 
-    _, _, rows = _run_ladder(cfg, measure)
-    fitted, stderr, reason = fit_empirical_rate([(n, e) for n, e, _ in rows], cfg.burn_in)
-    theoretical, _ = _theoretical_exponent(cfg, 0.0, True)
-    holder_ok = margin >= 0
-    if not holder_ok:
-        reason = f"Hoelder chain violated: bound minus error {margin:.3e}"
-    return RateReport(
-        setting=cfg.name,
-        theoretical=theoretical,
-        fitted=fitted,
-        stderr=stderr,
-        tolerance=cfg.tolerance,
-        rows=rows,
-        invalid_reason=reason,
-        extras={"holder_chain_ok": holder_ok, "holder_margin": margin},
-    )
+    report = _run_ladder(cfg, measure)
+    if margin < 0:
+        report.invalid_reason = f"Hoelder chain violated: bound minus error {margin:.3e}"
+    report.extras.update(holder_chain_ok=margin >= 0, holder_margin=margin)
+    return report
 
 
 def run_bo_experiment(cfg: ExperimentConfig) -> dict:
@@ -577,16 +564,16 @@ def _expansion_case(rng, tau_high: float, n_high: int):
     return gram(spec, PointSet(np.vstack([X.points, Z.points]), UNIT_INTERVAL)), len(X), alpha
 
 
-def pythagorean_suite(seed: int = 0, trials: int = 50, max_n: int = 64) -> dict:
+def pythagorean_suite(seed: int) -> dict:
     """Norm splitting of the interpolant: ||f-Rf||^2 + ||Rf||^2 = ||f||^2.
 
     Targets are finite kernel expansions so every norm is an exact
     finite-dimensional quadratic form on the combined center set.
     """
     rng = np.random.default_rng((seed, 81))
-    worst = 0.0
+    worst, trials = 0.0, 50
     for _ in range(trials):
-        K, n, alpha = _expansion_case(rng, 2.0, max_n + 1)
+        K, n, alpha = _expansion_case(rng, 2.0, 65)  # designs of up to 64 points
         KXX = K[:n, :n]
         w = np.linalg.solve(KXX, K[:n, n:] @ alpha)
         norm_f2 = float(alpha @ K[n:, n:] @ alpha)
@@ -599,7 +586,7 @@ def pythagorean_suite(seed: int = 0, trials: int = 50, max_n: int = 64) -> dict:
             "ok": worst <= 1e-6}
 
 
-def regression_bound_suite(seed: int = 0, trials: int = 100) -> dict:
+def regression_bound_suite(seed: int) -> dict:
     """Ridge solution norms against the variational bounds.
 
     For f in the RKHS with exactly known norm, sigma > 0 and arbitrary eps:
@@ -607,7 +594,7 @@ def regression_bound_suite(seed: int = 0, trials: int = 100) -> dict:
     and the design residual at most ||eps|| + sqrt(||eps||^2 + sigma^2 ||f||^2).
     """
     rng = np.random.default_rng((seed, 82))
-    worst = -float("inf")
+    worst, trials = -float("inf"), 100
     for _ in range(trials):
         Kall, n, alpha = _expansion_case(rng, 2.5, 48)
         sigma = rng.uniform(0.05, 1.0)
@@ -628,11 +615,11 @@ def regression_bound_suite(seed: int = 0, trials: int = 100) -> dict:
             "ok": worst <= 1e-8}
 
 
-def rayleigh_suite(seed: int = 0, trials: int = 100) -> dict:
+def rayleigh_suite(seed: int) -> dict:
     """Noise-interpolant norm against the eigenvalue bound
     eps' K^{-1} eps <= ||eps||^2 / lambda_min(K)."""
     rng = np.random.default_rng((seed, 83))
-    worst = -float("inf")
+    worst, trials = -float("inf"), 100
     for _ in range(trials):
         tau = rng.uniform(0.75, 2.0)
         spec = KernelSpec(tau=tau, lengthscale=rng.uniform(0.15, 0.6), amplitude=rng.uniform(0.5, 2.0))
@@ -659,7 +646,7 @@ def half_integer_suite() -> dict:
     return {"worst_rel_error": rel, "tolerance": 1e-9, "ok": rel <= 1e-9}
 
 
-def noise_growth_suite(seed: int = 0, n_seeds: int = 50) -> dict:
+def noise_growth_suite(seed: int) -> dict:
     """Fitted growth of E||eps||_2 vs the declared exponent per noise model."""
     ns = [32, 64, 128, 256, 512, 1024, 2048]
     cases = [
@@ -673,8 +660,8 @@ def noise_growth_suite(seed: int = 0, n_seeds: int = 50) -> dict:
     for name, model, tol in cases:
         expected = expected_noise_growth(model)
         means = []
-        for n in ns:
-            norms = [float(np.linalg.norm(draw_noise(model, n, replicate=r))) for r in range(n_seeds)]
+        for n in ns:  # 50 draws per size
+            norms = [float(np.linalg.norm(draw_noise(model, n, replicate=r))) for r in range(50)]
             means.append(float(np.mean(norms)))
         x = np.log(ns)
         y = np.log(means)

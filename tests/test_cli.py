@@ -471,9 +471,10 @@ def test_violated_holder_chain_is_invalid(tmp_path, capsys, monkeypatch):
     assert report["extras"]["holder_margin"] < 0
 
 
-def test_one_point_rung_is_invalid(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["rates", "bq"])
+def test_one_point_rung_is_invalid(tmp_path, capsys, kind):
     # a one-point rung has no separation radius, so no mesh-ratio trend and no theory
-    code, out = _run(tmp_path, dict(SMALL_RATES, ladder=[1, 4, 16, 64]))
+    code, out = _run(tmp_path, dict(SMALL_RATES, kind=kind, ladder=[1, 4, 16, 64]))
     assert code == 1
     assert capsys.readouterr().out.startswith("[INVALID] small:")
     report = json.loads((out / "small_report.json").read_text())
@@ -584,6 +585,10 @@ def test_whole_acceptance_suite_passes(tmp_path):
             rows = [[r["n"], r["regret"], r["sup_error"]] for r in report["runs"]]
         else:
             fitted, rows = report["fitted"], report["rows"]
+            # every slope gate's designs are quasi-uniform, and its theorem
+            # takes the branch the gate is named for, with no fallback note
+            assert report["extras"]["quasi_uniform"] is True, name
+            assert report["extras"]["notes"] == [], name
         got = [fitted, *(v for row in rows for v in row)]
         want = [expected[name]["fitted"], *(v for row in expected[name]["rows"] for v in row)]
         assert got == pytest.approx(want, rel=1e-9, abs=0), name

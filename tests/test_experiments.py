@@ -183,11 +183,38 @@ OUTLIERS = {"kind": "outliers", "schedule": "fixed", "k": 3}
 def test_noisy_bq_takes_the_l1_theorem_of_its_rates_config(nugget):
     bq = dict(BQ, noise=OUTLIERS, nugget=nugget, ladder=[8, 16, 32], replicates=2,
               grid_resolution=256, density="uniform")
+    theory = run_bq_experiment(config_from_dict(bq)).theoretical
+    assert theory == run_rate_experiment(config_from_dict(_rates_twin(bq))).theoretical
+    assert theory == pytest.approx(-0.5, rel=1e-12)
+
+
+def _rates_twin(bq: dict) -> dict:
+    """The rates config that measures a bq config's ladder in L1."""
     rates = {k: v for k, v in bq.items() if k != "density"}
     rates.update(kind="rates", q=1)
-    theory = run_bq_experiment(config_from_dict(bq)).theoretical
-    assert theory == run_rate_experiment(config_from_dict(rates)).theoretical
-    assert theory == pytest.approx(-0.5, rel=1e-12)
+    return rates
+
+
+# noiseless random designs: their mesh ratio grows with n, so they are not
+# quasi-uniform and the rough target's theorem carries the mesh-ratio trend
+RANDOM_BQ = {
+    "kind": "bq", "name": "random_bq", "seed": 3,
+    "kernel": {"tau": 2.0, "lengthscale": 0.25},
+    "target": {"name": "layered_tau1"},
+    "design": {"kind": "random"},
+    "ladder": [16, 32, 64, 128], "burn_in": 1, "grid_resolution": 1024,
+}
+
+
+def test_random_design_bq_takes_the_l1_theorem_of_its_rates_config():
+    report = run_bq_experiment(config_from_dict(RANDOM_BQ))
+    twin = run_rate_experiment(config_from_dict(_rates_twin(RANDOM_BQ)))
+    assert report.theoretical == twin.theoretical
+    for key in ("design_trace", "h_slope", "rho_trend", "quasi_uniform", "notes"):
+        assert report.extras[key] == twin.extras[key], key
+    assert report.extras["quasi_uniform"] is False
+    # not the quasi-uniform -tau_f/d = -1.0
+    assert report.theoretical == pytest.approx(-0.0667, abs=1e-4)
 
 
 P_GREEDY_LADDER = {

@@ -2,8 +2,9 @@
 
 No public name without a caller: every public top-level name of ``gprates``
 is used in ``src/`` outside its own definition, or is a benchmark layer.
-Only ``kernels.py`` reads a lattice table's fields, and the fast-path
-switchboard lists every module that binds a switched name."""
+Only ``kernels.py`` reads a lattice table's fields, the fast-path
+switchboard lists every module that binds a switched name, and one function
+calls the theorem for a ladder."""
 
 import ast
 import importlib.util
@@ -101,3 +102,16 @@ def test_switchboard_lists_every_binding_of_a_switched_name():
         for name in {attr for _, attr, _ in bindings}:
             listed = sorted(module for module, attr, _ in bindings if attr == name)
             assert listed == [module for module, tree in modules if _binds(tree, name)], switch
+
+
+def test_one_function_calls_the_theorem():
+    # the ladder driver forms every ladder's verdict, so no harness can call
+    # the theorem under a geometry of its own
+    callers = [
+        f"{module}.{fn.name}"
+        for module, tree in _modules()
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and _called_name(node) == "_theoretical_exponent"
+                for node in ast.walk(fn))
+    ]
+    assert callers == ["experiments._run_ladder"]
