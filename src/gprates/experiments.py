@@ -554,14 +554,16 @@ def _jittered_design(rng, n: int, domain: Domain) -> PointSet:
 
 def _expansion_case(rng, tau_high: float, n_high: int):
     """One random case on the unit interval: a kernel, an expansion
-    ``f = sum_j alpha_j k(., z_j)`` and a design X.  Returns ``(K, n, alpha)``,
-    with ``K`` the Gram matrix of X stacked on the centers Z and ``n = |X|``."""
+    ``f = sum_j alpha_j k(., z_j)`` and a design X.  Returns
+    ``(K, n, alpha, spec, X)``, with ``K`` the Gram matrix of X stacked on
+    the centers Z, ``n = |X|`` and ``spec`` the kernel."""
     spec = KernelSpec(tau=rng.uniform(0.75, tau_high), lengthscale=rng.uniform(0.15, 0.6),
                       amplitude=rng.uniform(0.5, 2.0))
     Z = _jittered_design(rng, int(rng.integers(3, 9)), UNIT_INTERVAL)
     alpha = rng.standard_normal(len(Z))
     X = _jittered_design(rng, int(rng.integers(8, n_high)), UNIT_INTERVAL)
-    return gram(spec, PointSet(np.vstack([X.points, Z.points]), UNIT_INTERVAL)), len(X), alpha
+    K = gram(spec, PointSet(np.vstack([X.points, Z.points]), UNIT_INTERVAL))
+    return K, len(X), alpha, spec, X
 
 
 def pythagorean_suite(seed: int) -> dict:
@@ -573,7 +575,7 @@ def pythagorean_suite(seed: int) -> dict:
     rng = np.random.default_rng((seed, 81))
     worst, trials = 0.0, 50
     for _ in range(trials):
-        K, n, alpha = _expansion_case(rng, 2.0, 65)  # designs of up to 64 points
+        K, n, alpha, _, _ = _expansion_case(rng, 2.0, 65)  # designs of up to 64 points
         KXX = K[:n, :n]
         w = np.linalg.solve(KXX, K[:n, n:] @ alpha)
         norm_f2 = float(alpha @ K[n:, n:] @ alpha)
@@ -592,16 +594,18 @@ def regression_bound_suite(seed: int) -> dict:
     For f in the RKHS with exactly known norm, sigma > 0 and arbitrary eps:
     the RKHS norm of the ridge fit is at most sqrt(||eps||^2/sigma^2 + ||f||^2)
     and the design residual at most ||eps|| + sqrt(||eps||^2 + sigma^2 ||f||^2).
+    The ridge weights come from :func:`fitting.fit` with ``lambda = sigma^2``,
+    whose half Gram of a jittered design takes the direct path.
     """
     rng = np.random.default_rng((seed, 82))
     worst, trials = -float("inf"), 100
     for _ in range(trials):
-        Kall, n, alpha = _expansion_case(rng, 2.5, 48)
+        Kall, n, alpha, spec, X = _expansion_case(rng, 2.5, 48)
         sigma = rng.uniform(0.05, 1.0)
         eps = rng.normal(0.0, rng.uniform(0.01, 0.5), n)
         KXX = Kall[:n, :n]
         fX = Kall[:n, n:] @ alpha
-        w = np.linalg.solve(KXX + sigma**2 * np.eye(n), fX + eps)
+        w = fit(spec, MeanSpec("constant", 0.0), X, fX + eps, sigma**2).dual
         norm_f = float(np.sqrt(max(alpha @ Kall[n:, n:] @ alpha, 0.0)))
         norm_r = float(np.sqrt(max(w @ KXX @ w, 0.0)))
         resid = float(np.linalg.norm(fX - KXX @ w))

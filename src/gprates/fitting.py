@@ -77,13 +77,15 @@ class PosteriorModel:
 
 
 def _all_finite(K: np.ndarray) -> bool:
-    """Whether every entry of ``K`` is finite, checked in blocks of
-    ``row_block(n)`` rows into one boolean buffer."""
+    """Whether every entry that ``gram(..., half=True)`` writes into ``K`` is
+    finite: each block of ``row_block(n)`` rows from its first row's column
+    on, checked into one boolean buffer.  That covers the triangle LAPACK
+    reads; the other entries of a half Gram were never written."""
     h = row_block(K.shape[1])
     finite = np.empty((min(h, len(K)), K.shape[1]), dtype=bool)
     for start in range(0, len(K), h):
-        block = K[start : start + h]
-        if not np.isfinite(block, out=finite[: len(block)]).all():
+        block = K[start : start + h, start:]
+        if not np.isfinite(block, out=finite[: len(block), start:]).all():
             return False
     return True
 
@@ -111,14 +113,18 @@ def fit(
     Cholesky factor, and each column's weights are bitwise those of a fit to
     that column alone.
 
-    ``K`` is factored in place: ``lam + jitter`` is added to its diagonal
-    (bitwise ``K + (lam + jitter) I``) and LAPACK overwrites its lower
-    triangle with the factor, which ``cho_solve`` reads alone; ``K`` is the
-    only n x n array, and the model does not keep it.  A failed
-    factorization has overwritten ``K``, so ``K`` is rebuilt before the next
-    jitter step.  ``K`` is checked for finite entries in row blocks, so the
-    factor and the solve skip scipy's check, which allocates an n x n
-    boolean array in each.  ``y`` and the right-hand side ``y - m_X`` are
+    ``K`` is the half Gram of :func:`kernels.gram` (``half=True``): only
+    the triangle that LAPACK reads of ``K.T``, its lower one, is written, so
+    a Gram of 4 MiB or more keeps about 5/8 of its pages resident.  It is
+    factored in place: ``lam + jitter`` is added to its diagonal (bitwise
+    ``K + (lam + jitter) I``) and LAPACK overwrites that triangle with the
+    factor, which ``cho_solve`` reads alone; ``K`` is the only n x n array,
+    and the model does not keep it.  A failed factorization has overwritten
+    ``K``, so ``K`` is rebuilt before the next jitter step.  The written
+    triangle is checked for finite entries in row blocks
+    (:func:`_all_finite`), so the factor and the solve skip scipy's check,
+    which allocates an n x n boolean array in each and would read the
+    unwritten half.  ``y`` and the right-hand side ``y - m_X`` are
     checked finite (observations or a prior mean past the float range are a
     ``ConfigurationError``); a 2-d right-hand side is formed in Fortran order,
     in ``y`` itself with ``overwrite_y`` (a Fortran-ordered ``y`` is then the
@@ -145,14 +151,14 @@ def fit(
     jitter = ladder[0]
     for jitter in ladder:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            K = gram(kernel, X, table)
+            K = gram(kernel, X, table, half=True)
         K[np.diag_indices(n)] += lam + jitter
         if not _all_finite(K):  # the kernel overflowed
             raise ConfigurationError(f"kernel matrix not finite: kernel.amplitude {A!r} or "
                                      f"kernel.lengthscale {kernel.lengthscale!r}")
         try:
-            # K is exactly symmetric, so K.T is K in Fortran order, which
-            # LAPACK factors in place without a copy.
+            # K.T is K in Fortran order, which LAPACK factors in place
+            # without a copy, reading only its written lower triangle.
             L, _ = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
             break
         except np.linalg.LinAlgError:

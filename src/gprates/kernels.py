@@ -39,6 +39,14 @@ when ``M`` is a whole number, G consecutive full blocks are column slices
 has unit inner stride and a row stride of at least n, a matrix BLAS reads
 in place, and it holds the same doubles as the block's own copy, so gemv
 gives the same bits.
+
+``fitting.fit`` asks :func:`gram` for a half Gram: the same block walk, on
+the window, gather and direct paths, writes each block of rows only from
+its first row's column on, the triangle that LAPACK's Cholesky reads.  A
+half Gram of 4 MiB or more is a mapping of its own on 4 KiB pages, so its
+unwritten half stays mostly off resident memory (5/8 of the matrix is
+resident at n = 2048); on numpy's huge pages one written byte makes 2 MiB
+resident, and a half write saved nothing.
 """
 
 from __future__ import annotations
@@ -70,6 +78,10 @@ _HALF_INTEGER_ATOL = 1e-12
 # on 8192 queries against 512 points took 14,592 minor page faults, and
 # takes 256 with reused buffers.
 BLOCK_ENTRIES = 2**16
+
+# A half-written Gram of this many bytes or more is mapped on its own
+# (:func:`_half_gram_matrix`), the size from which numpy asks for huge pages.
+_MAPPED_BYTES = 4 * 2**20
 
 
 def row_block(n: int) -> int:
@@ -360,9 +372,9 @@ def _copy_window(table: LatticeTable, start: int, column: int, out: np.ndarray) 
     return out
 
 
-def table_block(table: LatticeTable, rows: slice, out: np.ndarray) -> np.ndarray:
+def table_block(table: LatticeTable, rows: slice, out: np.ndarray, column: int = 0) -> np.ndarray:
     """Rows ``rows`` of the kernel block ``H[S + I_a[rows] - I_b]`` of a
-    :func:`lattice_table`, written into ``out``.
+    :func:`lattice_table`, from column ``column`` on, written into ``out``.
 
     When both sets are progressions (both steps known), the block is
     Toeplitz: entry (i, j) is ``H[S + I_a[r0] - I_b[0] + s_a i - s_b j]``,
@@ -374,15 +386,16 @@ def table_block(table: LatticeTable, rows: slice, out: np.ndarray) -> np.ndarray
     offset by its kernel value in place: an entry's offset is read before
     its value is written, and no other entry reads it, so a block needs no
     buffer of its own.  Every offset lies in ``H``, so ``mode="clip"``
-    never clips and keeps ``np.take`` from copying ``out``.  Both paths read
-    the same entries of ``H``, so their blocks are bitwise equal.  ``gram``
-    and the gathered blocks of :func:`table_blocks` read it.
+    never clips and keeps ``np.take`` from copying a C-contiguous ``out``
+    (a half Gram's row block is not, and ``np.take`` buffers it).  Both
+    paths read the same entries of ``H``, so their blocks are bitwise equal.
+    ``gram`` and the gathered blocks of :func:`table_blocks` read it.
     """
     ia, ib, H, S, step_a, step_b = table
     if step_a is not None and step_b is not None:
-        return _copy_window(table, rows.start, 0, out)
+        return _copy_window(table, rows.start, -column, out)
     offsets = out.view(np.intp)
-    np.subtract.outer(ia[rows] + S, ib, out=offsets)
+    np.subtract.outer(ia[rows] + S, ib[column:], out=offsets)
     return np.take(H, offsets, out=out, mode="clip")
 
 
@@ -445,7 +458,32 @@ def table_blocks(table: LatticeTable):
             start += height
 
 
-def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
+def _half_gram_matrix(n: int) -> np.ndarray:
+    """An uninitialized n x n matrix for a half-written Gram.
+
+    numpy asks for transparent huge pages on arrays of 4 MiB or more, and
+    one written byte makes a huge page's whole 2 MiB resident, so there a
+    half-written matrix is as resident as a full one.  From that size on the
+    matrix is an anonymous private mapping of its own, advised
+    ``MADV_NOHUGEPAGE`` (a hint about this mapping alone), so only the 4 KiB
+    pages its triangle touches become resident: at n = 2048, 5/8 of the
+    32 MiB, since row i's 16 KiB skip about their first i // 512 pages.  The
+    mapping is unmapped when the array is freed.  Smaller matrices, and
+    systems without the hint, take ``np.empty``.
+    """
+    size = 8 * n * n
+    if size < _MAPPED_BYTES:
+        return np.empty((n, n))
+    import mmap  # here, so a run that maps no Gram does not load the module (36 KiB resident)
+
+    if not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return np.empty((n, n))
+    buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=float).reshape(n, n)
+
+
+def gram(spec: KernelSpec, X, table: LatticeTable | None = None, half: bool = False) -> np.ndarray:
     """Kernel matrix ``K[i, j] = k(x_i, x_j)``.
 
     Every entry is evaluated, and the distance from ``x_i`` to ``x_j`` is
@@ -462,16 +500,26 @@ def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
     every entry.  ``table`` is the :class:`LatticeTable` of ``X`` against
     itself when the caller already holds one (a BO budget's points, read
     from the candidates' table); None looks one up with :func:`lattice_table`.
+
+    With ``half``, the same block walk writes each block of rows only from
+    the column of its first row on: a superset of the upper triangle, which
+    is the lower triangle of ``K.T`` that ``cho_factor(K.T, lower=True)``
+    reads, holding the same doubles as the full matrix.  The other entries
+    are left unwritten, whatever their memory held, in a matrix from
+    :func:`_half_gram_matrix`.
+
     Duplicate points make the matrix singular; a
     :class:`SingularGramWarning` is emitted and the matrix still returned.
     On the table path, the zero offsets are counted: in 1-d they are
-    exactly the zero distances.
+    exactly the zero distances.  The direct path counts the zero distances
+    it evaluates: a half evaluates every pair i <= j, so the count exceeds
+    n exactly when the full one does.
     """
     pts = as_points(spec.dim, X)
     if pts.shape[0] == 0:
         raise ConfigurationError("gram requires a nonempty point set")
     n = pts.shape[0]
-    K = np.empty((n, n))
+    K = _half_gram_matrix(n) if half else np.empty((n, n))
     if table is None:
         table = lattice_table(spec, pts, pts)
     if table:
@@ -479,13 +527,16 @@ def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
         counts = np.bincount(table.ia)
         zeros = int(counts @ counts)
         for rows, _ in row_blocks(n, n, 0):
-            table_block(table, rows, K[rows])
+            first = rows.start if half else 0
+            table_block(table, rows, K[rows, first:], first)
     else:
         zeros = 0
-        for rows, (dist, *work) in row_blocks(n, n, 1 + work_arrays(spec)):
-            r = distances(pts[rows], pts, out=dist, work=K[rows])
+        for rows, bufs in row_blocks(n, n, 1 + work_arrays(spec)):
+            first = rows.start if half else 0
+            dist, *work = bufs[:, :, first:]
+            r = distances(pts[rows], pts[first:], out=dist, work=K[rows, first:])
             zeros += np.count_nonzero(r == 0.0)
-            matern_of_r(spec, r, out=K[rows], work=work)
+            matern_of_r(spec, r, out=K[rows, first:], work=work)
     if zeros > n:
         warnings.warn(
             "duplicate points give a singular Gram matrix", SingularGramWarning, stacklevel=2

@@ -8,6 +8,8 @@ results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
 posterior-variance oracles, and the ``counted`` fixture counts the calls of a
 gprates function.
 
+``half_written`` masks the entries a half Gram writes.
+
 ``FAST_PATHS`` is the switchboard of gprates' fast paths: each one claims to
 be bitwise a plain path, and lists every binding that switches it off
 (``test_public_names`` checks that it lists every module that binds the name).
@@ -24,6 +26,16 @@ import numpy as np
 from scipy.special import ndtr
 
 from gprates import kernels
+
+
+def half_written(n):
+    """The entries ``gram(..., half=True)`` writes: each block of
+    ``row_block(n)`` rows from its first row's column on."""
+    h = kernels.row_block(n)
+    mask = np.zeros((n, n), dtype=bool)
+    for start in range(0, n, h):
+        mask[start : start + h, start:] = True
+    return mask
 
 
 def masked_expected_improvement(mean, sd, best):
@@ -44,6 +56,11 @@ def _one_block_per_strip(table, blocks_per_strip=kernels.blocks_per_strip):
     return blocks_per_strip(table) and 1
 
 
+def _full_gram(spec, X, table=None, half=False, gram=kernels.gram):
+    """The whole matrix on ``np.empty``, whatever ``half`` asks."""
+    return gram(spec, X, table)
+
+
 def _whole_product(rows, m):
     """One run over every row: ``NewtonBasis.mean`` forms the whole product."""
     return [(0, m)]
@@ -55,6 +72,9 @@ FAST_PATHS = {
     # every 1-d set on a small dyadic lattice reads its kernel values from a table
     "lattice_tables": [(module, "lattice_table", _no_lattice_table)
                        for module in ("kernels", "fitting")],
+    # fit writes only the Gram triangle LAPACK reads, a Gram of 4 MiB or more
+    # in a mapping of its own
+    "half_gram": [(module, "gram", _full_gram) for module in ("experiments", "fitting", "kernels")],
     # up to blocks_per_strip(table) blocks of a grid against a grid share one window
     "strip_windows": [("kernels", "blocks_per_strip", _one_block_per_strip)],
     # NewtonBasis.mean forms only the 8-row groups that cover the stabilized set

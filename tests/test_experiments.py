@@ -351,12 +351,14 @@ def test_shipped_ladders_gather_from_a_kernel_table(raw):
 
 
 # the configs that reach each fast path of the switchboard: a1_l2 and a3
-# predict grids on grids (strips), a3 with 20 replicates; a7 reads its BO
+# predict grids on grids (strips), a3 with 20 replicates; both fit half
+# Grams, a3 the only one of 4 MiB or more (n = 2048); a7 reads its BO
 # columns and final fits from the candidates' table, forms the mean on group
 # runs and scores the stabilized set in one pass; a cut P-greedy ladder
 # reads its columns and predictions from tables through gathers
 REACHES = {
     "lattice_tables": ("a1_l2", "a3", "a7", "pgreedy_l2"),
+    "half_gram": ("a1_l2", "a3"),
     "strip_windows": ("a1_l2", "a3"),
     "group_runs": ("a7",),
     "positive_sd_pass": ("a7",),

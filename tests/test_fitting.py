@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import gprates
+from conftest import half_written
 from gprates import fitting
 from gprates.designs import Domain, PointSet, gen_grid
 from gprates.errors import ConfigurationError
@@ -124,9 +125,14 @@ class TestInPlaceFactor:
         assert np.array_equal(model.dual, self._oracle(X, Y, 0.0, jitter))
 
     def test_traced_peak_is_one_matrix(self):
-        # K itself, then gram's distance block and the two block temporaries
-        # of nu = 3/2, each n^2 / 16 at n = 1024 (nu = 5/2 adds a third and
-        # lands just over the bound); the copying factor peaked at 3.1 x 8 n^2
+        # K is a half Gram of 8 MiB in a mapping of its own, which tracemalloc
+        # does not see (its residency is bounded by
+        # test_half_gram_keeps_5_8_of_its_pages_resident), so what is traced
+        # is the rest, held to the 0.25 x 8 n^2 that gram's block temporaries
+        # had beside a traced K (a distance block and two work arrays of
+        # nu = 3/2 on the direct path, n^2 / 16 each at n = 1024; this grid
+        # takes a table and peaks at 0.02 x 8 n^2); the copying factor peaked
+        # at 3.1 x 8 n^2
         n = 1024
         X = gen_grid(n, UNIT)
         y = np.sin(5.0 * X.points[:, 0])
@@ -137,13 +143,15 @@ class TestInPlaceFactor:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * n * n
+        assert peak <= 0.25 * 8 * n * n
 
     def test_fit_allocates_no_n_by_n_temporary_besides_k(self):
         # K's finiteness is checked in row blocks, and the right-hand side is
         # solved in place, so beyond K and the n x r weights the peak holds
         # only block-sized buffers; scipy's own check_finite allocates an
-        # n x n boolean array (n^2 bytes) in the factor and again in the solve
+        # n x n boolean array (n^2 bytes) in the factor and again in the solve.
+        # K is mapped outside tracemalloc's view (see
+        # test_traced_peak_is_one_matrix), so the traced peak holds no K
         n, r = 1024, 20
         X = gen_grid(n, UNIT)
         Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
@@ -157,7 +165,7 @@ class TestInPlaceFactor:
             finally:
                 tracemalloc.stop()
             assert model.dual.shape == (n, r)
-            assert peak - 8 * n * n - 8 * n * r < n * n / 8
+            assert peak - 8 * n * r < n * n / 8
 
     def test_model_holds_no_n_by_n_array(self):
         n = 1024
@@ -166,6 +174,56 @@ class TestInPlaceFactor:
         model = fit(KernelSpec(tau=2.0, lengthscale=0.2), ZERO, X, y, 1e-4)
         arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
         assert arrays and all(a.size < n * n for a in arrays)
+
+
+def _half_gram_designs():
+    """A grid (window path), grid picks (gather path) and a jittered design
+    (direct path), each several row blocks tall."""
+    rng = np.random.default_rng(12)
+    picks = np.sort(rng.choice(2048, 512, replace=False))
+    return {"window": gen_grid(512, UNIT),
+            "gather": PointSet(gen_grid(2048, UNIT).points[picks], UNIT),
+            "direct": jittered_design(rng, 600)}
+
+
+class TestHalfGram:
+    """``fit`` writes only the Gram triangle that LAPACK reads: with the
+    other entries NaN, the dual weights are bitwise those of the full matrix,
+    so a finiteness check, a factor or a solve that read them would fail."""
+
+    SPEC = KernelSpec(tau=3.0, lengthscale=0.2, amplitude=1.3)  # nu = 5/2
+    DESIGNS = _half_gram_designs()
+
+    @pytest.mark.parametrize("fails", [0, 1], ids=["first_step", "jitter_ladder"])
+    @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["ridge", "interpolation_jitter"])
+    @pytest.mark.parametrize("path", ["window", "gather", "direct"])
+    def test_unwritten_triangle_is_never_read(self, monkeypatch, failing_cho_factor, path, lam,
+                                              fails):
+        X = self.DESIGNS[path]
+        n = len(X)
+        table = lattice_table(self.SPEC, X.points, X.points)
+        steps = None if table is None else (table.step_a, table.step_b)
+        assert {"window": steps and None not in steps, "gather": steps and None in steps,
+                "direct": steps is None}[path]
+        assert n // row_block(n) >= 3
+        Y = np.sin(7.0 * X.points) + 0.1 * np.random.default_rng(n).standard_normal((n, 3))
+        failing_cho_factor(fails)
+        with monkeypatch.context() as m:
+            m.setattr(fitting, "gram", lambda spec, X, table=None, half=False: gram(spec, X, table))
+            full = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
+        matrices = []
+
+        def nan_matrix(size):
+            matrices.append(np.full((size, size), np.nan))
+            return matrices[-1]
+
+        monkeypatch.setattr(gprates.kernels, "_half_gram_matrix", nan_matrix)
+        factored = failing_cho_factor(fails)
+        half = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
+        assert len(factored) == len(matrices) == fails + 1
+        assert half.jitter == full.jitter
+        assert half.dual.tobytes() == full.dual.tobytes()
+        assert all(np.isnan(K[~half_written(n)]).all() for K in matrices)
 
 
 class TestReplicateColumns:
@@ -401,6 +459,52 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 posterior_mean(model, Q)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+# A fresh interpreter, so that what is resident before the measured fit is
+# this process's own.  The first fit of the same size loads OpenBLAS's
+# buffers for that size; the second's peak above what was resident before
+# it is then its own Gram and block buffers.
+_RESIDENCY_CHILD = """
+import gprates.cli
+gprates.cli._pin_blas_threads()
+import numpy as np
+from gprates.designs import UNIT_INTERVAL, gen_grid
+from gprates.fitting import MeanSpec, fit
+from gprates.kernels import KernelSpec
+
+
+def status(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+
+n, r = 2048, 20
+X = gen_grid(n, UNIT_INTERVAL)
+Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
+spec = KernelSpec(tau=2.0, lengthscale=0.2)
+fit(spec, MeanSpec("constant", 0.3), X, Y, 1e-4)
+before = status("VmRSS")
+fit(spec, MeanSpec("constant", 0.3), X, Y, 1e-4)
+print(1024 * (status("VmHWM") - before))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmRSS and VmHWM from Linux's /proc/self/status")
+def test_half_gram_keeps_5_8_of_its_pages_resident():
+    # A 2048-point Gram is 16 KiB rows of 4 KiB pages, and the half written
+    # skips row i's first i // 512 pages: 5/8 of its 32 MiB (20 MiB on a
+    # 2-core VM).  On huge pages, or written whole, all 32 MiB are resident.
+    # The slack of 2 MiB holds the n x r right-hand side (320 KiB), the
+    # block buffers and the lattice table.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _RESIDENCY_CHILD], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    n = 2048
+    assert int(proc.stdout) <= 5 / 8 * 8 * n * n + 2 * 2**20
 
 
 @pytest.mark.parametrize("m, n, r", [(8192, 512, 1), (4096, 2048, 20)])

@@ -1,6 +1,7 @@
 """Kernel evaluation: frozen examples, closed-form vs Bessel oracle, Gram properties."""
 
 import math
+import mmap
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, kv
 
+from conftest import half_written
 from gprates import kernels
 from gprates.designs import UNIT_INTERVAL, Domain, PointSet, gen_grid, gen_p_greedy
 from gprates.errors import ConfigurationError, SingularGramWarning
@@ -227,8 +229,22 @@ class TestRowBlock:
             assert row_block(n) * n <= BLOCK_ENTRIES
 
 
+def _half_is(K, X, spec):
+    """Whether the half Gram of ``X`` holds ``K``'s doubles where it writes."""
+    mask = half_written(len(K))
+    return gram(spec, X, half=True)[mask].tobytes() == K[mask].tobytes()
+
+
+def _mapped(K):
+    """Whether ``K``'s memory is an ``mmap`` mapping."""
+    while isinstance(K, np.ndarray):
+        K = K.base
+    return isinstance(K, memoryview) and isinstance(K.obj, mmap.mmap)
+
+
 class TestBlockedGram:
-    """``gram`` fills row blocks of ``row_block(n)`` into one n x n matrix."""
+    """``gram`` fills row blocks of ``row_block(n)`` into one n x n matrix,
+    and its half writes each block from its first row's column on."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("nu", [1.5, 2.5, 1.3, 0.5, 3.5],
@@ -241,14 +257,26 @@ class TestBlockedGram:
         X = rng.random((n, dim))
         K = gram(spec, X)
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
+        assert _half_is(K, X, spec)
 
-    def test_duplicate_pair_in_different_blocks_warns(self):
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    def test_duplicate_pair_in_different_blocks_warns(self, half):
         n = 1000
         X = np.random.default_rng(5).random((n, 1))
         X[n - 1] = X[0]  # first and last block
         assert row_block(n) < n - 1
         with pytest.warns(SingularGramWarning):
-            gram(KernelSpec(tau=2.0), X)
+            gram(KernelSpec(tau=2.0), X, half=half)
+
+    @pytest.mark.parametrize("n, mapped", [(724, False), (725, True)])
+    def test_half_of_4_mib_or_more_is_mapped(self, n, mapped):
+        # 8 n^2 crosses 4 MiB between n = 724 and 725; the full matrix stays
+        # on np.empty at every size
+        spec = KernelSpec(tau=2.0, lengthscale=0.3)
+        X = np.random.default_rng(n).random((n, 1))
+        K = gram(spec, X)
+        assert not _mapped(K) and _mapped(gram(spec, X, half=True)) == mapped
+        assert _half_is(K, X, spec)
 
 
 # every closed form and one Bessel order, as (nu, id)
@@ -516,6 +544,7 @@ class TestLatticeTable:
         K = gram(spec, X)
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
         assert np.array_equal(K, cross_matrix(spec, X, X))
+        assert _half_is(K, X, spec)
 
     @TABLE_ORDERS
     @settings(max_examples=12, deadline=None)
@@ -709,6 +738,8 @@ class TestLatticeTable:
         with pytest.warns(SingularGramWarning):
             K = gram(spec, X)
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
+        with pytest.warns(SingularGramWarning):
+            assert _half_is(K, X, spec)
 
     @pytest.mark.parametrize("coords", [[0.0, 0.5, np.inf], [np.inf, np.inf, np.inf],
                                         [-np.inf, 0.5, np.inf], [0.25, np.nan, 0.5],
