@@ -570,14 +570,16 @@ def pythagorean_suite(seed: int) -> dict:
     """Norm splitting of the interpolant: ||f-Rf||^2 + ||Rf||^2 = ||f||^2.
 
     Targets are finite kernel expansions so every norm is an exact
-    finite-dimensional quadratic form on the combined center set.
+    finite-dimensional quadratic form on the combined center set.  The
+    interpolant's weights come from :func:`fitting.fit` at ``lambda = 0``,
+    with its jitter.
     """
     rng = np.random.default_rng((seed, 81))
     worst, trials = 0.0, 50
     for _ in range(trials):
-        K, n, alpha, _, _ = _expansion_case(rng, 2.0, 65)  # designs of up to 64 points
+        K, n, alpha, spec, X = _expansion_case(rng, 2.0, 65)  # designs of up to 64 points
         KXX = K[:n, :n]
-        w = np.linalg.solve(KXX, K[:n, n:] @ alpha)
+        w = fit(spec, MeanSpec("constant", 0.0), X, K[:n, n:] @ alpha, 0.0).dual
         norm_f2 = float(alpha @ K[n:, n:] @ alpha)
         norm_rf2 = float(w @ KXX @ w)
         coeff = np.concatenate([-w, alpha])
@@ -595,7 +597,7 @@ def regression_bound_suite(seed: int) -> dict:
     the RKHS norm of the ridge fit is at most sqrt(||eps||^2/sigma^2 + ||f||^2)
     and the design residual at most ||eps|| + sqrt(||eps||^2 + sigma^2 ||f||^2).
     The ridge weights come from :func:`fitting.fit` with ``lambda = sigma^2``,
-    whose half Gram of a jittered design takes the direct path.
+    whose Gram of a jittered design takes the direct path.
     """
     rng = np.random.default_rng((seed, 82))
     worst, trials = -float("inf"), 100

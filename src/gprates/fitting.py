@@ -3,11 +3,15 @@
 ``fit`` solves the regularized kernel system ``(K + lambda I) w = y - m_X``
 by one Cholesky factorization; ``y`` may hold r columns of observations at
 the same design (noise replicates), and the one factor solves for all of
-them.  The fitted model keeps only what prediction reads, the dual weights
-``w``; it is immutable and its predictors are pure functions.
-``lambda = 0`` is interpolation and gets a small diagonal jitter (escalated
-on factorization failure, and recorded, since a large jitter technically
-shifts the estimator toward approximate interpolation).
+them.  A Gram of 4 MiB or more is written and factored in LAPACK's
+rectangular full packed format (``kernels.packed_gram``, ``dpftrf`` and
+``dpftrs``), which holds its lower triangle and nothing else; a smaller one
+is written whole and factored by ``cho_factor``.  The fitted model keeps
+only what prediction reads, the dual weights ``w``; it is immutable and its
+predictors are pure functions.  ``lambda = 0`` is interpolation and gets a
+small diagonal jitter (escalated on factorization failure, and recorded,
+since a large jitter technically shifts the estimator toward approximate
+interpolation).
 """
 
 from __future__ import annotations
@@ -17,18 +21,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
 from .kernels import (
-    KernelSpec, LatticeTable, as_points, cross_matrix, distances, gram, lattice_table, row_block,
-    row_blocks, table_blocks, work_arrays,
+    BLOCK_ENTRIES, KernelSpec, LatticeTable, as_points, cross_matrix, distances, gram,
+    lattice_table, packed_diagonal, packed_gram, row_blocks, table_blocks, work_arrays,
 )
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_JITTER_FACTOR = 1e-10
 MAX_JITTER_FACTOR = 1e-6
+
+# A Gram of this many bytes or more (n >= 725) is packed.  Smaller ones keep
+# cho_factor's bits: packed, the 512-point rungs of a1 and a2 moved their
+# errors by 1.3e-9 relative and a5 by 1.7e-8, past the 1e-9 to which the
+# benchmark holds its recorded values.
+PACKED_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -72,20 +83,19 @@ class PosteriorModel:
     jitter: float
 
     def replicate(self, k: int) -> "PosteriorModel":
-        """The fit to column ``k`` of the observations alone."""
+        """The fit to column ``k`` of the observations: its column of the dual weights."""
         return replace(self, dual=self.dual[:, k])
 
 
 def _all_finite(K: np.ndarray) -> bool:
-    """Whether every entry that ``gram(..., half=True)`` writes into ``K`` is
-    finite: each block of ``row_block(n)`` rows from its first row's column
-    on, checked into one boolean buffer.  That covers the triangle LAPACK
-    reads; the other entries of a half Gram were never written."""
-    h = row_block(K.shape[1])
-    finite = np.empty((min(h, len(K)), K.shape[1]), dtype=bool)
-    for start in range(0, len(K), h):
-        block = K[start : start + h, start:]
-        if not np.isfinite(block, out=finite[: len(block), start:]).all():
+    """Whether every entry of ``K`` is finite, checked in blocks of
+    ``BLOCK_ENTRIES`` into one boolean buffer: scipy's own check allocates a
+    boolean array of ``K``'s size."""
+    flat = K.reshape(-1)
+    finite = np.empty(min(BLOCK_ENTRIES, flat.size), dtype=bool)
+    for start in range(0, flat.size, BLOCK_ENTRIES):
+        block = flat[start : start + BLOCK_ENTRIES]
+        if not np.isfinite(block, out=finite[: len(block)]).all():
             return False
     return True
 
@@ -109,26 +119,30 @@ def fit(
     """Condition on observations ``y`` at ``X`` with regularization ``lam``.
 
     ``y`` has shape (n,), or (n, r) for r sets of observations at ``X``; the
-    dual weights have the same shape.  Every column is solved with the one
-    Cholesky factor, and each column's weights are bitwise those of a fit to
-    that column alone.
+    dual weights have the same shape, and the one Cholesky factor solves
+    every column.
 
-    ``K`` is the half Gram of :func:`kernels.gram` (``half=True``): only
-    the triangle that LAPACK reads of ``K.T``, its lower one, is written, so
-    a Gram of 4 MiB or more keeps about 5/8 of its pages resident.  It is
-    factored in place: ``lam + jitter`` is added to its diagonal (bitwise
-    ``K + (lam + jitter) I``) and LAPACK overwrites that triangle with the
-    factor, which ``cho_solve`` reads alone; ``K`` is the only n x n array,
-    and the model does not keep it.  A failed factorization has overwritten
-    ``K``, so ``K`` is rebuilt before the next jitter step.  The written
-    triangle is checked for finite entries in row blocks
-    (:func:`_all_finite`), so the factor and the solve skip scipy's check,
-    which allocates an n x n boolean array in each and would read the
-    unwritten half.  ``y`` and the right-hand side ``y - m_X`` are
+    ``K`` is factored in place, with ``lam + jitter`` added to its diagonal
+    (bitwise ``K + (lam + jitter) I``), and is the only matrix of its size;
+    the model does not keep it.  Below ``PACKED_BYTES``, :func:`kernels.gram`
+    writes it whole and ``cho_factor`` overwrites the lower triangle of
+    ``K.T`` (Fortran order, no copy) with the factor that ``cho_solve``
+    reads; each column's weights are bitwise those of a fit to that column
+    alone.  From ``PACKED_BYTES`` on, :func:`kernels.packed_gram` writes
+    only its lower triangle, bitwise ``gram``'s, in LAPACK's rectangular
+    full packed format, the diagonal is at :func:`kernels.packed_diagonal`,
+    and ``dpftrf`` and ``dpftrs`` factor and solve it at level-3 speed; the
+    blocked solve gives each column's weights to rounding of a one-column
+    fit, not bitwise.  A failed factorization has overwritten ``K``, so
+    ``K`` is rebuilt before the next jitter step.
+
+    ``K`` is checked finite in blocks (:func:`_all_finite`), so the factor
+    and the solve skip scipy's check, which allocates a boolean array of
+    ``K``'s size in each.  ``y`` and the right-hand side ``y - m_X`` are
     checked finite (observations or a prior mean past the float range are a
-    ``ConfigurationError``); a 2-d right-hand side is formed in Fortran order,
-    in ``y`` itself with ``overwrite_y`` (a Fortran-ordered ``y`` is then the
-    dual weights), and solved in place.  ``table`` is the
+    ``ConfigurationError``); a 2-d right-hand side is formed in Fortran
+    order, in ``y`` itself with ``overwrite_y`` (a Fortran-ordered ``y`` is
+    then the dual weights), and solved in place.  ``table`` is the
     :class:`kernels.LatticeTable` of ``X`` against itself when the caller
     holds one; None looks one up.
     """
@@ -143,27 +157,30 @@ def fit(
         raise ConfigurationError("observations are not finite: target.scale or the noise")
     n = len(X)
     A = kernel.amplitude
+    packed = 8 * n * n >= PACKED_BYTES
     # jitter ladder: none needed when lam > 0, else start at 1e-10*A and
     # escalate by 100x up to 1e-6*A before giving up
     ladder = [0.0] if lam > 0 else []
     ladder += [f * A for f in (DEFAULT_JITTER_FACTOR, 1e-8, MAX_JITTER_FACTOR)]
-    L = None
-    jitter = ladder[0]
     for jitter in ladder:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            K = gram(kernel, X, table, half=True)
-        K[np.diag_indices(n)] += lam + jitter
+            K = packed_gram(kernel, X, table) if packed else gram(kernel, X, table)
+        K[packed_diagonal(n) if packed else np.diag_indices(n)] += lam + jitter
         if not _all_finite(K):  # the kernel overflowed
             raise ConfigurationError(f"kernel matrix not finite: kernel.amplitude {A!r} or "
                                      f"kernel.lengthscale {kernel.lengthscale!r}")
-        try:
-            # K.T is K in Fortran order, which LAPACK factors in place
-            # without a copy, reading only its written lower triangle.
-            L, _ = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
-            break
-        except np.linalg.LinAlgError:
-            logger.warning("cholesky failed at jitter %.1e, escalating", jitter)
-    if L is None:
+        if packed:
+            K, info = dpftrf(n, K, transr="N", uplo="L", overwrite_a=1)
+            if info == 0:
+                break
+        else:
+            try:
+                K, _ = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        logger.warning("cholesky failed at jitter %.1e, escalating", jitter)
+    else:
         i, j, d = _closest_pair(X.points)
         raise SingularDesignError(
             f"Cholesky failed up to jitter {MAX_JITTER_FACTOR * A:.1e}; closest "
@@ -185,7 +202,11 @@ def fit(
         field = "value" if prior_mean.kind == "constant" else "coeffs"
         raise ConfigurationError("observations minus the prior mean are not finite: "
                                  f"mean.{field} {getattr(prior_mean, field)!r}")
-    dual = cho_solve((L, True), rhs, overwrite_b=True, check_finite=False)
+    if packed:
+        dual = dpftrs(n, K, rhs.reshape(n, -1), transr="N", uplo="L", overwrite_b=1)[0]
+        dual = dual.reshape(rhs.shape)
+    else:
+        dual = cho_solve((K, True), rhs, overwrite_b=True, check_finite=False)
     return PosteriorModel(
         kernel=kernel,
         prior_mean=prior_mean,

@@ -40,13 +40,16 @@ has unit inner stride and a row stride of at least n, a matrix BLAS reads
 in place, and it holds the same doubles as the block's own copy, so gemv
 gives the same bits.
 
-``fitting.fit`` asks :func:`gram` for a half Gram: the same block walk, on
-the window, gather and direct paths, writes each block of rows only from
-its first row's column on, the triangle that LAPACK's Cholesky reads.  A
-half Gram of 4 MiB or more is a mapping of its own on 4 KiB pages, so its
-unwritten half stays mostly off resident memory (5/8 of the matrix is
-resident at n = 2048); on numpy's huge pages one written byte makes 2 MiB
-resident, and a half write saved nothing.
+:func:`gram` writes a Gram matrix whole, in blocks of ``row_block(n)``
+whole rows, each C-contiguous, so a gathered block is filled in place.
+``fitting.fit`` factors a Gram of 4 MiB or more in LAPACK's rectangular
+full packed (RFP) format (Gustavson, Wasniewski, Dongarra & Langou 2010,
+"Rectangular full packed format for Cholesky's algorithm", ACM TOMS
+37(2)): :func:`packed_gram` walks the same row blocks into one buffer and
+copies each row's segment of the lower triangle into an array of
+n (n + 1) / 2 doubles with no unused entry, so every packed entry is
+bitwise the whole matrix's, and :func:`packed_diagonal` says where the
+diagonal lies in it.
 """
 
 from __future__ import annotations
@@ -78,10 +81,6 @@ _HALF_INTEGER_ATOL = 1e-12
 # on 8192 queries against 512 points took 14,592 minor page faults, and
 # takes 256 with reused buffers.
 BLOCK_ENTRIES = 2**16
-
-# A half-written Gram of this many bytes or more is mapped on its own
-# (:func:`_half_gram_matrix`), the size from which numpy asks for huge pages.
-_MAPPED_BYTES = 4 * 2**20
 
 
 def row_block(n: int) -> int:
@@ -372,9 +371,9 @@ def _copy_window(table: LatticeTable, start: int, column: int, out: np.ndarray) 
     return out
 
 
-def table_block(table: LatticeTable, rows: slice, out: np.ndarray, column: int = 0) -> np.ndarray:
+def table_block(table: LatticeTable, rows: slice, out: np.ndarray) -> np.ndarray:
     """Rows ``rows`` of the kernel block ``H[S + I_a[rows] - I_b]`` of a
-    :func:`lattice_table`, from column ``column`` on, written into ``out``.
+    :func:`lattice_table`, written into the C-contiguous ``out``.
 
     When both sets are progressions (both steps known), the block is
     Toeplitz: entry (i, j) is ``H[S + I_a[r0] - I_b[0] + s_a i - s_b j]``,
@@ -386,16 +385,15 @@ def table_block(table: LatticeTable, rows: slice, out: np.ndarray, column: int =
     offset by its kernel value in place: an entry's offset is read before
     its value is written, and no other entry reads it, so a block needs no
     buffer of its own.  Every offset lies in ``H``, so ``mode="clip"``
-    never clips and keeps ``np.take`` from copying a C-contiguous ``out``
-    (a half Gram's row block is not, and ``np.take`` buffers it).  Both
-    paths read the same entries of ``H``, so their blocks are bitwise equal.
+    never clips and keeps ``np.take`` from copying ``out``.  Both paths
+    read the same entries of ``H``, so their blocks are bitwise equal.
     ``gram`` and the gathered blocks of :func:`table_blocks` read it.
     """
     ia, ib, H, S, step_a, step_b = table
     if step_a is not None and step_b is not None:
-        return _copy_window(table, rows.start, -column, out)
+        return _copy_window(table, rows.start, 0, out)
     offsets = out.view(np.intp)
-    np.subtract.outer(ia[rows] + S, ib[column:], out=offsets)
+    np.subtract.outer(ia[rows] + S, ib, out=offsets)
     return np.take(H, offsets, out=out, mode="clip")
 
 
@@ -458,90 +456,107 @@ def table_blocks(table: LatticeTable):
             start += height
 
 
-def _half_gram_matrix(n: int) -> np.ndarray:
-    """An uninitialized n x n matrix for a half-written Gram.
+def _gram_rows(spec: KernelSpec, pts: np.ndarray, table: LatticeTable | None, K=None):
+    """Walk the Gram matrix of the (n, d) batch ``pts`` in blocks of
+    ``row_block(n)`` whole rows, yielding ``(rows, block)``: the block is
+    ``K[rows]`` when the n x n ``K`` is given, else one buffer that every
+    block reuses.  A 1-d set on a small dyadic lattice reads its blocks from
+    its :func:`lattice_table` through :func:`table_block` (a window of the
+    table for a grid, a gather otherwise); any other set evaluates
+    ``matern_of_r`` on its distances in the buffers of :func:`row_blocks`.
+    ``table`` is that table when the caller holds one; None looks one up.
 
-    numpy asks for transparent huge pages on arrays of 4 MiB or more, and
-    one written byte makes a huge page's whole 2 MiB resident, so there a
-    half-written matrix is as resident as a full one.  From that size on the
-    matrix is an anonymous private mapping of its own, advised
-    ``MADV_NOHUGEPAGE`` (a hint about this mapping alone), so only the 4 KiB
-    pages its triangle touches become resident: at n = 2048, 5/8 of the
-    32 MiB, since row i's 16 KiB skip about their first i // 512 pages.  The
-    mapping is unmapped when the array is freed.  Smaller matrices, and
-    systems without the hint, take ``np.empty``.
+    After the last block, duplicate points (more than n zero distances)
+    emit a :class:`SingularGramWarning`.  On the table path the zero offsets
+    are counted: in 1-d they are exactly the zero distances.
     """
-    size = 8 * n * n
-    if size < _MAPPED_BYTES:
-        return np.empty((n, n))
-    import mmap  # here, so a run that maps no Gram does not load the module (36 KiB resident)
-
-    if not hasattr(mmap, "MADV_NOHUGEPAGE"):
-        return np.empty((n, n))
-    buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-    buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buffer, dtype=float).reshape(n, n)
-
-
-def gram(spec: KernelSpec, X, table: LatticeTable | None = None, half: bool = False) -> np.ndarray:
-    """Kernel matrix ``K[i, j] = k(x_i, x_j)``.
-
-    Every entry is evaluated, and the distance from ``x_i`` to ``x_j`` is
-    bitwise that from ``x_j`` to ``x_i``, so the result is exactly symmetric.
-    The rows are evaluated in blocks of ``row_block(n)`` straight into one
-    preallocated n x n matrix, bitwise ``matern_of_r(spec, distances(X, X))``:
-    each block's distances and work arrays reuse the buffers of
-    :func:`row_blocks` (in d >= 2 the distances square each further
-    coordinate in the block of ``K`` they are about to fill).  A 1-d set on
-    a small dyadic lattice reads its blocks from one :func:`lattice_table`
-    through :func:`table_block` (a copied window of the table for a grid, a
-    gather otherwise), bitwise the direct values, since the differences of
-    lattice points are exact; any other set evaluates ``matern_of_r`` on
-    every entry.  ``table`` is the :class:`LatticeTable` of ``X`` against
-    itself when the caller already holds one (a BO budget's points, read
-    from the candidates' table); None looks one up with :func:`lattice_table`.
-
-    With ``half``, the same block walk writes each block of rows only from
-    the column of its first row on: a superset of the upper triangle, which
-    is the lower triangle of ``K.T`` that ``cho_factor(K.T, lower=True)``
-    reads, holding the same doubles as the full matrix.  The other entries
-    are left unwritten, whatever their memory held, in a matrix from
-    :func:`_half_gram_matrix`.
-
-    Duplicate points make the matrix singular; a
-    :class:`SingularGramWarning` is emitted and the matrix still returned.
-    On the table path, the zero offsets are counted: in 1-d they are
-    exactly the zero distances.  The direct path counts the zero distances
-    it evaluates: a half evaluates every pair i <= j, so the count exceeds
-    n exactly when the full one does.
-    """
-    pts = as_points(spec.dim, X)
-    if pts.shape[0] == 0:
+    n = len(pts)
+    if n == 0:
         raise ConfigurationError("gram requires a nonempty point set")
-    n = pts.shape[0]
-    K = _half_gram_matrix(n) if half else np.empty((n, n))
     if table is None:
         table = lattice_table(spec, pts, pts)
     if table:
         # the zero offsets, one per ordered pair of equal integer coordinates
         counts = np.bincount(table.ia)
         zeros = int(counts @ counts)
-        for rows, _ in row_blocks(n, n, 0):
-            first = rows.start if half else 0
-            table_block(table, rows, K[rows, first:], first)
+        for rows, bufs in row_blocks(n, n, 1 if K is None else 0):
+            yield rows, table_block(table, rows, bufs[0] if K is None else K[rows])
     else:
         zeros = 0
-        for rows, bufs in row_blocks(n, n, 1 + work_arrays(spec)):
-            first = rows.start if half else 0
-            dist, *work = bufs[:, :, first:]
-            r = distances(pts[rows], pts[first:], out=dist, work=K[rows, first:])
+        for rows, (dist, *work) in row_blocks(n, n, (2 if K is None else 1) + work_arrays(spec)):
+            block = work.pop() if K is None else K[rows]
+            # in d >= 2 the block is the distances' work array before it holds the kernel
+            r = distances(pts[rows], pts, out=dist, work=block)
             zeros += np.count_nonzero(r == 0.0)
-            matern_of_r(spec, r, out=K[rows, first:], work=work)
+            yield rows, matern_of_r(spec, r, out=block, work=work)
     if zeros > n:
         warnings.warn(
-            "duplicate points give a singular Gram matrix", SingularGramWarning, stacklevel=2
+            "duplicate points give a singular Gram matrix", SingularGramWarning, stacklevel=3
         )
+
+
+def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
+    """Kernel matrix ``K[i, j] = k(x_i, x_j)``.
+
+    Every entry is evaluated, and the distance from ``x_i`` to ``x_j`` is
+    bitwise that from ``x_j`` to ``x_i``, so the result is exactly symmetric.
+    The rows are evaluated in blocks of ``row_block(n)`` straight into one
+    n x n matrix on ``np.empty``, bitwise ``matern_of_r(spec, distances(X, X))``:
+    each block's distances and work arrays reuse the buffers of
+    :func:`row_blocks`.  A 1-d set on a small dyadic lattice reads its
+    blocks from one :func:`lattice_table` through :func:`table_block`,
+    bitwise the direct values, since the differences of lattice points are
+    exact; a block of whole rows is C-contiguous, so a gather fills it in
+    place.  ``table`` is the :class:`LatticeTable` of ``X`` against itself
+    when the caller already holds one (a BO budget's points, read from the
+    candidates' table); None looks one up with :func:`lattice_table`.
+
+    Duplicate points make the matrix singular; a
+    :class:`SingularGramWarning` is emitted and the matrix still returned.
+    """
+    pts = as_points(spec.dim, X)
+    K = np.empty((len(pts), len(pts)))
+    for _ in _gram_rows(spec, pts, table, K):
+        pass
     return K
+
+
+def packed_gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
+    """The lower triangle of ``gram(spec, X, table)`` in LAPACK's rectangular
+    full packed format, ``TRANSR = 'N'``, ``UPLO = 'L'``: a 1-d array of
+    n (n + 1) / 2 doubles, the ``arf`` of ``dtrttf`` and ``dpftrf``.
+
+    Viewed in C order as k x (n + e), with k = ceil(n / 2) and e = 1 for
+    even n, else 0, row j holds ``R[j, j+e:] = K[j, j:n]`` and
+    ``R[j, :j+e] = K[k-1+e+j, k : k+j+e]``.  So row r of ``K`` gives one
+    segment: from its diagonal on when r < k, from column k to its diagonal
+    when r >= k.  The rows are walked as :func:`gram` walks them, from the
+    same sources (table window, table gather, or distances and
+    ``matern_of_r``) into one block buffer of whole rows, and each row's
+    segment is copied into the array: every entry is bitwise ``gram``'s, on
+    the table path or off it, and duplicate points warn as ``gram`` does.
+    Nothing of n x n size is allocated.
+    """
+    pts = as_points(spec.dim, X)
+    n = len(pts)
+    k, e = (n + 1) // 2, 1 - n % 2
+    R = np.empty((k, n + e))
+    for rows, block in _gram_rows(spec, pts, table):
+        for r, row in zip(range(rows.start, rows.stop), block):
+            if r < k:
+                R[r, r + e :] = row[r:]
+            else:
+                R[r - k + 1 - e, : r - k + 1] = row[k : r + 1]
+    return R.reshape(-1)
+
+
+def packed_diagonal(n: int) -> np.ndarray:
+    """Where :func:`packed_gram`'s array holds the diagonal of an n x n ``K``:
+    ``K[j, j]`` at row j, column j + e of its k x (n + e) view for j < k,
+    and ``K[r, r]`` at row r - k + 1 - e, column r - k for r >= k."""
+    k, e = (n + 1) // 2, 1 - n % 2
+    j = np.arange(n)
+    return np.where(j < k, j * (n + e + 1) + e, (j - k + 1 - e) * (n + e) + j - k)
 
 
 def cross_matrix(spec: KernelSpec, Xq, X, out=None, work=()) -> np.ndarray:

@@ -3,12 +3,10 @@
 ``gprates.cli.main`` pins them for every command-line run; in-process tests
 call the library directly, so they pin here to get the same one-thread
 results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
-``failing_cho_factor`` fixture forces ``fit``'s jitter escalation, the
-``oracle_factor`` and ``posterior_var`` fixtures are the Cholesky-factor and
-posterior-variance oracles, and the ``counted`` fixture counts the calls of a
-gprates function.
-
-``half_written`` masks the entries a half Gram writes.
+``failing_cho_factor`` and ``failing_dpftrf`` fixtures force ``fit``'s
+jitter escalation on a whole and on a packed Gram, the ``oracle_factor`` and
+``posterior_var`` fixtures are the Cholesky-factor and posterior-variance
+oracles, and the ``counted`` fixture counts the calls of a gprates function.
 
 ``FAST_PATHS`` is the switchboard of gprates' fast paths: each one claims to
 be bitwise a plain path, and lists every binding that switches it off
@@ -26,16 +24,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from gprates import kernels
-
-
-def half_written(n):
-    """The entries ``gram(..., half=True)`` writes: each block of
-    ``row_block(n)`` rows from its first row's column on."""
-    h = kernels.row_block(n)
-    mask = np.zeros((n, n), dtype=bool)
-    for start in range(0, n, h):
-        mask[start : start + h, start:] = True
-    return mask
 
 
 def masked_expected_improvement(mean, sd, best):
@@ -56,11 +44,6 @@ def _one_block_per_strip(table, blocks_per_strip=kernels.blocks_per_strip):
     return blocks_per_strip(table) and 1
 
 
-def _full_gram(spec, X, table=None, half=False, gram=kernels.gram):
-    """The whole matrix on ``np.empty``, whatever ``half`` asks."""
-    return gram(spec, X, table)
-
-
 def _whole_product(rows, m):
     """One run over every row: ``NewtonBasis.mean`` forms the whole product."""
     return [(0, m)]
@@ -72,9 +55,6 @@ FAST_PATHS = {
     # every 1-d set on a small dyadic lattice reads its kernel values from a table
     "lattice_tables": [(module, "lattice_table", _no_lattice_table)
                        for module in ("kernels", "fitting")],
-    # fit writes only the Gram triangle LAPACK reads, a Gram of 4 MiB or more
-    # in a mapping of its own
-    "half_gram": [(module, "gram", _full_gram) for module in ("experiments", "fitting", "kernels")],
     # up to blocks_per_strip(table) blocks of a grid against a grid share one window
     "strip_windows": [("kernels", "blocks_per_strip", _one_block_per_strip)],
     # NewtonBasis.mean forms only the 8-row groups that cover the stabilized set
@@ -109,6 +89,34 @@ def failing_cho_factor(monkeypatch):
             return result
 
         monkeypatch.setattr(gprates.fitting, "cho_factor", factor)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def failing_dpftrf(monkeypatch):
+    """Replace ``fitting.dpftrf`` with one that counts calls and fails the first few.
+
+    ``failing_dpftrf(count)`` installs it and returns the list of factored
+    sizes, one per call.  Each of the first ``count`` calls runs the real
+    factorization in place and then reports LAPACK's failure code (the
+    order of a leading minor that is not positive definite), so a fit that
+    reused the array would factor garbage.
+    """
+    from scipy.linalg.lapack import dpftrf
+
+    import gprates.fitting
+
+    def install(count):
+        calls = []
+
+        def factor(n, a, *args, **kwargs):
+            calls.append(n)
+            result, info = dpftrf(n, a, *args, **kwargs)
+            return result, (1 if len(calls) <= count else info)
+
+        monkeypatch.setattr(gprates.fitting, "dpftrf", factor)
         return calls
 
     return install

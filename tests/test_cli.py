@@ -429,6 +429,19 @@ def test_singular_design_exits_3(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_packed_fit_that_never_factors_exits_3(tmp_path, capsys, failing_dpftrf):
+    # an 800-point interpolation packs its Gram (4.9 MiB); dpftrf fails at
+    # every jitter step, and the run exits 3 naming the closest pair
+    factored = failing_dpftrf(3)
+    code, out = _run(tmp_path, dict(SMALL_FIT, n=800))
+    assert code == 3 and factored == [800] * 3
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("numerical abort: Cholesky failed up to jitter 1.0e-06; "
+                                           "closest design pair is (")
+
+
 @pytest.mark.parametrize("lengthscale", [3.0, 1e25])
 def test_repeated_bo_pick_exits_3(tmp_path, capsys, lengthscale):
     # from step 149 on, the posterior sd on the stabilized set is at the

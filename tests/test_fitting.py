@@ -11,12 +11,12 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import gprates
-from conftest import half_written
 from gprates import fitting
-from gprates.designs import Domain, PointSet, gen_grid
-from gprates.errors import ConfigurationError
+from gprates.designs import Domain, PointSet, gen_grid, gen_p_greedy
+from gprates.errors import ConfigurationError, SingularDesignError
 from gprates.fitting import (
     DEFAULT_JITTER_FACTOR,
+    PACKED_BYTES,
     MeanSpec,
     PosteriorModel,
     fit,
@@ -125,15 +125,13 @@ class TestInPlaceFactor:
         assert np.array_equal(model.dual, self._oracle(X, Y, 0.0, jitter))
 
     def test_traced_peak_is_one_matrix(self):
-        # K is a half Gram of 8 MiB in a mapping of its own, which tracemalloc
-        # does not see (its residency is bounded by
-        # test_half_gram_keeps_5_8_of_its_pages_resident), so what is traced
-        # is the rest, held to the 0.25 x 8 n^2 that gram's block temporaries
-        # had beside a traced K (a distance block and two work arrays of
-        # nu = 3/2 on the direct path, n^2 / 16 each at n = 1024; this grid
-        # takes a table and peaks at 0.02 x 8 n^2); the copying factor peaked
-        # at 3.1 x 8 n^2
+        # a 1024-point Gram is 8 MiB, so K is packed: its n (n + 1) / 2
+        # doubles, beside which the peak holds at most two blocks of
+        # BLOCK_ENTRIES doubles (the buffer of whole rows that packed_gram
+        # copies from, and the table); the copying factor peaked at
+        # 3.1 x 8 n^2, and a whole K alone is twice the packed array
         n = 1024
+        assert 8 * n * n >= PACKED_BYTES
         X = gen_grid(n, UNIT)
         y = np.sin(5.0 * X.points[:, 0])
         tracemalloc.start()
@@ -143,16 +141,18 @@ class TestInPlaceFactor:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 0.25 * 8 * n * n
+        assert peak <= 8 * n * (n + 1) / 2 + 2 * 8 * BLOCK_ENTRIES
 
-    def test_fit_allocates_no_n_by_n_temporary_besides_k(self):
-        # K's finiteness is checked in row blocks, and the right-hand side is
-        # solved in place, so beyond K and the n x r weights the peak holds
-        # only block-sized buffers; scipy's own check_finite allocates an
-        # n x n boolean array (n^2 bytes) in the factor and again in the solve.
-        # K is mapped outside tracemalloc's view (see
-        # test_traced_peak_is_one_matrix), so the traced peak holds no K
-        n, r = 1024, 20
+    @pytest.mark.parametrize("n", [512, 2048], ids=["whole", "packed"])
+    def test_fit_allocates_no_n_by_n_temporary_besides_k(self, n):
+        # K's finiteness is checked in blocks, and the right-hand side is
+        # solved in place, so beyond K (whole, or packed from 4 MiB on) and
+        # the n x r weights the peak holds only block-sized buffers; a
+        # finiteness check of all of K at once allocates a boolean array of
+        # its size, n^2 bytes whole (scipy's check_finite, in the factor and
+        # again in the solve) or n (n + 1) / 2 packed
+        r = 20
+        held = 8 * n * (n + 1) / 2 if 8 * n * n >= PACKED_BYTES else 8 * n * n
         X = gen_grid(n, UNIT)
         Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
         for lam in (1e-4, 0.0):
@@ -165,7 +165,7 @@ class TestInPlaceFactor:
             finally:
                 tracemalloc.stop()
             assert model.dual.shape == (n, r)
-            assert peak - 8 * n * r < n * n / 8
+            assert peak - 8 * n * r - held < n * n / 8
 
     def test_model_holds_no_n_by_n_array(self):
         n = 1024
@@ -176,54 +176,73 @@ class TestInPlaceFactor:
         assert arrays and all(a.size < n * n for a in arrays)
 
 
-def _half_gram_designs():
-    """A grid (window path), grid picks (gather path) and a jittered design
-    (direct path), each several row blocks tall."""
+def _packed_designs():
+    """Designs whose Gram is packed, one per source of its blocks: a dyadic
+    progression (window), lattice picks in pick order (gather) and a
+    jittered design (direct)."""
     rng = np.random.default_rng(12)
-    picks = np.sort(rng.choice(2048, 512, replace=False))
-    return {"window": gen_grid(512, UNIT),
+    picks = rng.permutation(2048)[:726]
+    return {"window": PointSet(gen_grid(1024, UNIT).points[:725], UNIT),
             "gather": PointSet(gen_grid(2048, UNIT).points[picks], UNIT),
-            "direct": jittered_design(rng, 600)}
+            "direct": jittered_design(rng, 726)}
 
 
-class TestHalfGram:
-    """``fit`` writes only the Gram triangle that LAPACK reads: with the
-    other entries NaN, the dual weights are bitwise those of the full matrix,
-    so a finiteness check, a factor or a solve that read them would fail."""
+class TestPackedFit:
+    """A Gram of ``PACKED_BYTES`` or more is factored in LAPACK's rectangular
+    full packed format by ``dpftrf`` and ``dpftrs``; a smaller one whole by
+    ``cho_factor``."""
 
     SPEC = KernelSpec(tau=3.0, lengthscale=0.2, amplitude=1.3)  # nu = 5/2
-    DESIGNS = _half_gram_designs()
+    DESIGNS = _packed_designs()
 
-    @pytest.mark.parametrize("fails", [0, 1], ids=["first_step", "jitter_ladder"])
+    @pytest.mark.parametrize("n, packed", [(724, False), (725, True)])
+    def test_4_mib_and_more_is_packed(self, failing_cho_factor, failing_dpftrf, n, packed):
+        # 8 n^2 crosses 4 MiB between n = 724 and 725
+        whole, factored = failing_cho_factor(0), failing_dpftrf(0)
+        X = jittered_design(np.random.default_rng(n), n)
+        fit(self.SPEC, ZERO, X, np.sin(7.0 * X.points[:, 0]), 1e-3)
+        assert (whole, factored) == (([], [n]) if packed else ([n], []))
+
+    @pytest.mark.parametrize("path", ["window", "gather", "direct"])
+    def test_duals_are_within_1e_10_of_the_whole_factor(self, path):
+        X = self.DESIGNS[path]
+        n, lam = len(X), 0.01
+        Y = np.sin(7.0 * X.points) + 0.1 * np.random.default_rng(n).standard_normal((n, 3))
+        model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
+        whole = cho_solve(cho_factor(gram(self.SPEC, X) + lam * np.eye(n), lower=True), Y - 0.2)
+        assert np.abs(model.dual - whole).max() <= 1e-10 * np.abs(whole).max()
+        # dpftrs solves the columns in blocks: each agrees with its own fit to rounding
+        for k in range(3):
+            single = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y[:, k], lam).dual
+            assert np.allclose(model.dual[:, k], single, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["ridge", "interpolation_jitter"])
     @pytest.mark.parametrize("path", ["window", "gather", "direct"])
-    def test_unwritten_triangle_is_never_read(self, monkeypatch, failing_cho_factor, path, lam,
-                                              fails):
+    def test_failed_step_is_a_clean_fit_at_the_next_jitter(self, failing_dpftrf, path, lam):
+        # the failed dpftrf has overwritten the array, so the next step
+        # rebuilds it; a fit whose lambda is the escalated lam + jitter adds
+        # the same double to the diagonal, and its duals are bitwise equal
         X = self.DESIGNS[path]
         n = len(X)
-        table = lattice_table(self.SPEC, X.points, X.points)
-        steps = None if table is None else (table.step_a, table.step_b)
-        assert {"window": steps and None not in steps, "gather": steps and None in steps,
-                "direct": steps is None}[path]
-        assert n // row_block(n) >= 3
-        Y = np.sin(7.0 * X.points) + 0.1 * np.random.default_rng(n).standard_normal((n, 3))
-        failing_cho_factor(fails)
-        with monkeypatch.context() as m:
-            m.setattr(fitting, "gram", lambda spec, X, table=None, half=False: gram(spec, X, table))
-            full = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
-        matrices = []
+        Y = np.cos(4.0 * X.points) + 0.05 * np.random.default_rng(n).standard_normal((n, 2))
+        factored = failing_dpftrf(1)
+        model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
+        jitter = (1e-10 if lam > 0 else 1e-8) * self.SPEC.amplitude
+        assert factored == [n, n] and model.jitter == jitter
+        failing_dpftrf(0)
+        clean = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam + jitter)
+        assert clean.jitter == 0.0
+        assert model.dual.tobytes() == clean.dual.tobytes()
 
-        def nan_matrix(size):
-            matrices.append(np.full((size, size), np.nan))
-            return matrices[-1]
-
-        monkeypatch.setattr(gprates.kernels, "_half_gram_matrix", nan_matrix)
-        factored = failing_cho_factor(fails)
-        half = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
-        assert len(factored) == len(matrices) == fails + 1
-        assert half.jitter == full.jitter
-        assert half.dual.tobytes() == full.dual.tobytes()
-        assert all(np.isnan(K[~half_written(n)]).all() for K in matrices)
+    def test_every_step_failing_names_the_closest_pair(self, failing_dpftrf):
+        X = self.DESIGNS["direct"]
+        pts = X.points.copy()
+        pts[101] = pts[100] + 1e-7
+        factored = failing_dpftrf(3)
+        with pytest.raises(SingularDesignError, match=r"closest design pair is \(100, 101\) at "
+                                                      r"distance 1\.000e-07"):
+            fit(self.SPEC, ZERO, PointSet(pts, UNIT), np.zeros(len(pts)), 0.0)
+        assert factored == [len(pts)] * 3
 
 
 class TestReplicateColumns:
@@ -492,19 +511,49 @@ print(1024 * (status("VmHWM") - before))
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads VmRSS and VmHWM from Linux's /proc/self/status")
-def test_half_gram_keeps_5_8_of_its_pages_resident():
-    # A 2048-point Gram is 16 KiB rows of 4 KiB pages, and the half written
-    # skips row i's first i // 512 pages: 5/8 of its 32 MiB (20 MiB on a
-    # 2-core VM).  On huge pages, or written whole, all 32 MiB are resident.
+def test_packed_gram_keeps_its_triangle_resident():
+    # A 2048-point Gram is packed: n (n + 1) / 2 doubles, 16.0 of the whole
+    # matrix's 32 MiB, all of them written (16.5 MiB read on a 2-core VM).
+    # A whole matrix, or a triangle written into it, keeps more of its
+    # pages resident (a half-written Gram on 4 KiB pages read 20.0 MiB).
     # The slack of 2 MiB holds the n x r right-hand side (320 KiB), the
-    # block buffers and the lattice table.
+    # block buffer of whole rows and the lattice table.
     src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _RESIDENCY_CHILD], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     n = 2048
-    assert int(proc.stdout) <= 5 / 8 * 8 * n * n + 2 * 2**20
+    assert int(proc.stdout) <= 8 * n * (n + 1) / 2 + 2 * 2**20
+
+
+def test_gathered_gram_of_a_fit_takes_no_write_back_buffer():
+    # P-greedy picks are no progression, so the Gram's blocks are gathered
+    # by np.take into whole rows of K, each C-contiguous, in place.  Into a
+    # block that is not C-contiguous (a half Gram's K[rows, first:]), np.take
+    # copies its offsets and buffers the block with a write-back: 847 KB
+    # traced beyond K, against 193 KB into whole rows.
+    spec = KernelSpec(tau=2.0, lengthscale=0.2)
+    X = gen_p_greedy(512, spec, gen_grid(2048, UNIT))
+    n = len(X)
+    table = lattice_table(spec, X.points, X.points)
+    assert table is not None and table.step_a is None and 8 * n * n < PACKED_BYTES
+    peaks = []
+
+    def traced_gram(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            K = gram(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        return K
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fitting, "gram", traced_gram)
+        fit(spec, ZERO, X, np.sin(5.0 * X.points[:, 0]), 1e-4)
+    assert len(peaks) == 1 and peaks[0] - 8 * n * n < 8 * BLOCK_ENTRIES / 2
 
 
 @pytest.mark.parametrize("m, n, r", [(8192, 512, 1), (4096, 2048, 20)])

@@ -1,16 +1,15 @@
 """Kernel evaluation: frozen examples, closed-form vs Bessel oracle, Gram properties."""
 
 import math
-import mmap
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtfttr, dtrttf
 from scipy.special import gamma, kv
 
-from conftest import half_written
 from gprates import kernels
 from gprates.designs import UNIT_INTERVAL, Domain, PointSet, gen_grid, gen_p_greedy
 from gprates.errors import ConfigurationError, SingularGramWarning
@@ -24,6 +23,8 @@ from gprates.kernels import (
     lattice_table,
     matern_of_r,
     min_eigenvalue,
+    packed_diagonal,
+    packed_gram,
     row_block,
     row_blocks,
     table_block,
@@ -229,22 +230,14 @@ class TestRowBlock:
             assert row_block(n) * n <= BLOCK_ENTRIES
 
 
-def _half_is(K, X, spec):
-    """Whether the half Gram of ``X`` holds ``K``'s doubles where it writes."""
-    mask = half_written(len(K))
-    return gram(spec, X, half=True)[mask].tobytes() == K[mask].tobytes()
-
-
-def _mapped(K):
-    """Whether ``K``'s memory is an ``mmap`` mapping."""
-    while isinstance(K, np.ndarray):
-        K = K.base
-    return isinstance(K, memoryview) and isinstance(K.obj, mmap.mmap)
+def _packed_is(K, X, spec):
+    """Whether the packed Gram of ``X`` is ``K``'s lower triangle packed by LAPACK."""
+    return packed_gram(spec, X).tobytes() == dtrttf(K, transr="N", uplo="L")[0].tobytes()
 
 
 class TestBlockedGram:
     """``gram`` fills row blocks of ``row_block(n)`` into one n x n matrix,
-    and its half writes each block from its first row's column on."""
+    and ``packed_gram`` packs the lower triangle of the same blocks."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("nu", [1.5, 2.5, 1.3, 0.5, 3.5],
@@ -257,26 +250,72 @@ class TestBlockedGram:
         X = rng.random((n, dim))
         K = gram(spec, X)
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
-        assert _half_is(K, X, spec)
+        assert _packed_is(K, X, spec)
 
-    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
-    def test_duplicate_pair_in_different_blocks_warns(self, half):
+    @pytest.mark.parametrize("writer", [gram, packed_gram], ids=["full", "packed"])
+    def test_duplicate_pair_in_different_blocks_warns(self, writer):
         n = 1000
         X = np.random.default_rng(5).random((n, 1))
         X[n - 1] = X[0]  # first and last block
         assert row_block(n) < n - 1
         with pytest.warns(SingularGramWarning):
-            gram(KernelSpec(tau=2.0), X, half=half)
+            writer(KernelSpec(tau=2.0), X)
 
-    @pytest.mark.parametrize("n, mapped", [(724, False), (725, True)])
-    def test_half_of_4_mib_or_more_is_mapped(self, n, mapped):
-        # 8 n^2 crosses 4 MiB between n = 724 and 725; the full matrix stays
-        # on np.empty at every size
+
+def _packed_sources():
+    """Designs of 725 and 726 points on each source of ``gram``'s blocks:
+    a dyadic progression (window), lattice picks in pick order (gather), a
+    random design (direct), and a 27 x 27 grid of the square (direct, 729)."""
+    cases = []
+    for n in (725, 726):
+        rng = np.random.default_rng(n)
+        cases += [
+            pytest.param(gen_grid(1024, UNIT_INTERVAL).points[:n], "window", id=f"window{n}"),
+            pytest.param(gen_grid(2048, UNIT_INTERVAL).points[rng.permutation(2048)[:n]],
+                         "gather", id=f"gather{n}"),
+            pytest.param(rng.random((n, 1)), "direct", id=f"direct{n}"),
+        ]
+    square = gen_grid(27, Domain((0.0, 0.0), (1.0, 1.0))).points
+    return cases + [pytest.param(square, "direct", id="square729")]
+
+
+class TestPackedGram:
+    """``packed_gram`` is LAPACK's rectangular full packed array (TRANSR 'N',
+    UPLO 'L') of the lower triangle of ``gram``, bitwise, on every source."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 725, 726])
+    def test_layout_is_lapacks(self, n):
+        # viewed in C order as k x (n + e): R[j, j+e:] = K[j, j:n] and
+        # R[j, :j+e] = K[k-1+e+j, k : k+j+e], which dtrttf lays out too
         spec = KernelSpec(tau=2.0, lengthscale=0.3)
         X = np.random.default_rng(n).random((n, 1))
         K = gram(spec, X)
-        assert not _mapped(K) and _mapped(gram(spec, X, half=True)) == mapped
-        assert _half_is(K, X, spec)
+        k, e = (n + 1) // 2, 1 - n % 2
+        R = packed_gram(spec, X)
+        assert R.tobytes() == dtrttf(K, transr="N", uplo="L")[0].tobytes()
+        R = R.reshape(k, n + e)
+        for j in range(k):
+            assert np.array_equal(R[j, j + e :], K[j, j:n])
+            assert np.array_equal(R[j, : j + e], K[k - 1 + e + j, k : k + j + e])
+        diagonal = np.zeros(R.size)
+        diagonal[packed_diagonal(n)] = 1.0
+        assert np.array_equal(diagonal, dtrttf(np.eye(n), transr="N", uplo="L")[0])
+
+    @pytest.mark.parametrize("X, source", _packed_sources())
+    def test_unpacks_to_grams_lower_triangle(self, monkeypatch, X, source):
+        spec = KernelSpec(tau=2.0 + X.shape[1] / 2, lengthscale=0.3, amplitude=1.3,
+                          dim=X.shape[1])
+        n = len(X)
+        table = lattice_table(spec, X, X)
+        steps = None if table is None else (table.step_a, table.step_b)
+        assert source == ("direct" if steps is None else "gather" if None in steps else "window")
+        assert n // row_block(n) >= 3
+        R = packed_gram(spec, X)
+        assert R.size == n * (n + 1) // 2
+        unpacked = dtfttr(n, R, transr="N", uplo="L")[0]
+        assert np.tril(unpacked).tobytes() == np.tril(gram(spec, X)).tobytes()
+        monkeypatch.setattr(kernels, "lattice_table", lambda *args: None)
+        assert packed_gram(spec, X).tobytes() == R.tobytes()  # tables off: the same bytes
 
 
 # every closed form and one Bessel order, as (nu, id)
@@ -544,7 +583,7 @@ class TestLatticeTable:
         K = gram(spec, X)
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
         assert np.array_equal(K, cross_matrix(spec, X, X))
-        assert _half_is(K, X, spec)
+        assert _packed_is(K, X, spec)
 
     @TABLE_ORDERS
     @settings(max_examples=12, deadline=None)
@@ -739,7 +778,7 @@ class TestLatticeTable:
             K = gram(spec, X)
         assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
         with pytest.warns(SingularGramWarning):
-            assert _half_is(K, X, spec)
+            assert _packed_is(K, X, spec)
 
     @pytest.mark.parametrize("coords", [[0.0, 0.5, np.inf], [np.inf, np.inf, np.inf],
                                         [-np.inf, 0.5, np.inf], [0.25, np.nan, 0.5],
