@@ -1,8 +1,9 @@
 """Experiment orchestration: config parsing, runners, and artifact writing.
 
 Configs are flat JSON objects.  ``_KEYS`` names the top-level keys each
-experiment kind reads; any other key is rejected, a missing required key is
-named, and so is the field of every malformed value.  Every run is
+experiment kind reads, and ``_SECTIONS`` the kinds and keys of each section
+with the reader of each key; any other key is rejected, a missing required
+key is named, and so is the field of every malformed value.  Every run is
 a pure function of the config plus its seed: noise replicates use seeds
 derived as ``(seed, replicate)``, and artifacts contain no timestamps, so
 identical configs produce byte-identical files.  This module owns the
@@ -25,6 +26,7 @@ errors per rung, then adds its own INVALID reason and extras to that report.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -148,13 +150,6 @@ def _str(value, where: str) -> str:
     return value
 
 
-def _given(d: dict, where: str, **readers) -> dict:
-    """``{key: read(d[key], "<where>.<key>")}`` for each key of ``readers`` that
-    ``d`` sets; a key it leaves out is not passed on, so its field keeps the
-    one default written on it."""
-    return {key: read(d[key], f"{where}.{key}") for key, read in readers.items() if key in d}
-
-
 def _list(value, where: str, read) -> list:
     """``value`` as a list, each entry read by ``read(entry, where)``."""
     if not isinstance(value, list):
@@ -162,102 +157,89 @@ def _list(value, where: str, read) -> list:
     return [read(v, f"{where} entry") for v in value]
 
 
-def _parse_kernel(d: dict) -> tuple:
-    """The KernelSpec of each tau in the schedule, cycled over the ladder
-    (a fixed kernel is a 1-tuple)."""
-    _check_keys(d, {"tau", "lengthscale", "amplitude", "dim"}, "kernel")
-    tau = _require(d, "tau", "kernel")
-    taus = (_list(tau, "kernel.tau", _float) if isinstance(tau, list)
-            else [_float(tau, "kernel.tau")])
+def _floats(value, where: str) -> tuple:
+    """``value`` as a tuple of finite floats."""
+    return tuple(_list(value, where, _float))
+
+
+def _taus(value, where: str) -> list:
+    """A kernel's tau schedule, cycled over the ladder: a number, or a nonempty list of them."""
+    taus = _list(value, where, _float) if isinstance(value, list) else [_float(value, where)]
     if not taus:
         raise ConfigurationError("kernel tau schedule must be nonempty")
-    shape = _given(d, "kernel", lengthscale=_float, amplitude=_float, dim=_int)
-    return tuple(KernelSpec(tau=t, **shape) for t in taus)
+    return taus
 
 
-def _parse_domain(d: dict | None) -> Domain:
-    if d is None:
-        return UNIT_INTERVAL
-    _check_keys(d, {"lower", "upper"}, "domain")
-    return Domain(*(_list(_require(d, k, "domain"), f"domain.{k}", _float)
-                    for k in ("lower", "upper")))
+# Each config section's kinds (the one kind None for a section without
+# ``kind``), and each kind's keys besides ``kind`` as ``(required, optional)``,
+# each key mapped to its reader and named as its field.  A key a config leaves
+# out is not passed on, so each default is written once, on its field.  A bo
+# config's design is read by "bo design": only a p_greedy ladder and the bo
+# candidate grid read candidate_resolution.
+_SECTIONS = {
+    "noise": {"none": ({}, {}), "gaussian": ({"sigma": _float}, {}),
+              "outliers": ({}, {"schedule": _str, "k": _int, "alpha": _float, "beta": _float,
+                                "magnitude": _float}),
+              "student_t": ({"df": _float}, {"scale": _float})},
+    "nugget": {"zero": ({}, {}), "fixed": ({"sigma": _float}, {}),
+               "adaptive_h": ({"exponent": _float}, {"coeff": _float})},
+    "mean": {"constant": ({}, {"value": _float}), "polynomial": ({"coeffs": _floats}, {})},
+    "design": {"grid": ({}, {}), "random": ({}, {}),
+               "p_greedy": ({}, {"candidate_resolution": _size})},
+    "bo design": {"grid": ({}, {"candidate_resolution": _size})},
+    "kernel": {None: ({"tau": _taus}, {"lengthscale": _float, "amplitude": _float, "dim": _int})},
+    "domain": {None: ({"lower": _floats, "upper": _floats}, {})},
+    "target.expansion": {None: ({"tau": _float, "seed": _int},
+                                {"n_centers": _size, "lengthscale": _float, "amplitude": _float})},
+    "bo": {None: ({}, {"gamma": _float, "budgets": functools.partial(_list, read=_size)})},
+}
+
+
+def _section(d: dict, where: str, default: str | None = None, kinds: dict | None = None):
+    """``(kind, fields)`` of the config section ``d``, read by its ``_SECTIONS``
+    entry ``kinds`` (by default the one named ``where``).
+
+    A section that leaves out ``kind`` has ``default``, or names it as
+    missing, and one whose entry has the one kind None takes no ``kind``; its
+    other keys must be ones its kind reads.  ``fields`` maps each key the
+    section sets to its read value, and a required key it leaves out is named.
+    """
+    kinds = _SECTIONS[where] if kinds is None else kinds
+    keys = {kind: set(required) | set(optional) | ({"kind"} if kind else set())
+            for kind, (required, optional) in kinds.items()}
+    _check_keys(d, set().union(*keys.values()), where)
+    kind = None
+    if None not in kinds:
+        kind = str(d.get("kind", default) if default is not None else _require(d, "kind", where))
+        if kind not in kinds:
+            raise ConfigurationError(f"{where}.kind must be one of {tuple(kinds)}, got {kind!r}")
+        _check_keys(d, keys[kind], f"{where} of kind {kind!r}")
+    required, optional = kinds[kind]
+    fields = {}
+    for key, read in {**required, **optional}.items():
+        if key in d:
+            fields[key] = read(d[key], f"{where}.{key}")
+        elif key in required:
+            raise ConfigurationError(f"missing field {key!r} in {where}")
+    return kind, fields
+
+
+def _build(cls, raw: dict, where: str, default: str | None = None, absent: str | None = None,
+           **extra):
+    """``cls(kind, **extra, **fields)`` of the section ``raw[where]``; a section
+    left out or null is one of kind ``absent`` (by default ``default``)."""
+    d = raw.get(where)
+    kind, fields = _section({"kind": absent or default} if d is None else d, where, default)
+    return cls(kind, **extra, **fields)
 
 
 def _parse_target(d: dict, domain: Domain) -> TargetSpec:
     _check_keys(d, {"name", "scale", "expansion"}, "target")
-    scale_kw = _given(d, "target", scale=_float)
+    scale = {"scale": _float(d["scale"], "target.scale")} if "scale" in d else {}
     if "expansion" in d:
-        e = d["expansion"]
-        _check_keys(e, {"tau", "n_centers", "seed", "lengthscale", "amplitude"}, "target.expansion")
-        return random_expansion_target(
-            tau_f=_float(_require(e, "tau", "target.expansion"), "target.expansion.tau"),
-            domain=domain,
-            seed=_int(_require(e, "seed", "target.expansion"), "target.expansion.seed"),
-            **_given(e, "target.expansion", n_centers=_size,
-                     lengthscale=_float, amplitude=_float),
-            **scale_kw,
-        )
-    return named_target(str(_require(d, "name", "target")), domain, **scale_kw)
-
-
-def _section_kind(d: dict, keys: dict, where: str, default: str | None = None) -> str:
-    """The ``kind`` of a config section whose other keys must be ones that kind reads.
-
-    ``keys`` maps each known kind to the keys it reads besides ``kind``; a
-    section without ``kind`` has ``default``, or names it as missing.
-    """
-    _check_keys(d, {"kind"}.union(*keys.values()), where)
-    kind = str(d.get("kind", default) if default is not None else _require(d, "kind", where))
-    if kind not in keys:
-        raise ConfigurationError(f"{where}.kind must be one of {tuple(keys)}, got {kind!r}")
-    _check_keys(d, {"kind"} | keys[kind], f"{where} of kind {kind!r}")
-    return kind
-
-
-def _parse_noise(d: dict | None, seed: int) -> NoiseModel:
-    d = {} if d is None else d
-    keys = {"none": set(), "gaussian": {"sigma"},
-            "outliers": {"schedule", "k", "alpha", "beta", "magnitude"},
-            "student_t": {"df", "scale"}}
-    kind = _section_kind(d, keys, "noise", default="none")
-    if kind == "none":
-        return NoiseModel("none", seed=seed)
-    if kind == "gaussian":
-        return NoiseModel("gaussian", sigma=_float(_require(d, "sigma", "noise"), "noise.sigma"),
-                          seed=seed)
-    if kind == "outliers":
-        return NoiseModel("outliers", seed=seed, **_given(
-            d, "noise", schedule=_str, k=_int, alpha=_float, beta=_float, magnitude=_float))
-    t_scale = {"t_scale": _float(d["scale"], "noise.scale")} if "scale" in d else {}
-    return NoiseModel("student_t", df=_float(_require(d, "df", "noise"), "noise.df"),
-                      seed=seed, **t_scale)
-
-
-def _parse_nugget(d: dict | None) -> NuggetPolicy:
-    if d is None:
-        return NuggetPolicy("zero")
-    keys = {"zero": set(), "fixed": {"sigma"}, "adaptive_h": {"exponent", "coeff"}}
-    kind = _section_kind(d, keys, "nugget")
-    if kind == "zero":
-        return NuggetPolicy("zero")
-    if kind == "fixed":
-        return NuggetPolicy("fixed", sigma=_float(_require(d, "sigma", "nugget"), "nugget.sigma"))
-    return NuggetPolicy(
-        "adaptive_h",
-        exponent=_float(_require(d, "exponent", "nugget"), "nugget.exponent"),
-        **_given(d, "nugget", coeff=_float),
-    )
-
-
-def _parse_mean(d: dict | None) -> MeanSpec:
-    if d is None:
-        return MeanSpec()
-    kind = _section_kind(d, {"constant": {"value"}, "polynomial": {"coeffs"}}, "mean",
-                         default="constant")
-    if kind == "constant":
-        return MeanSpec("constant", **_given(d, "mean", value=_float))
-    return MeanSpec("polynomial",
-                    coeffs=tuple(_list(_require(d, "coeffs", "mean"), "mean.coeffs", _float)))
+        _, e = _section(d["expansion"], "target.expansion")
+        return random_expansion_target(tau_f=e.pop("tau"), domain=domain, **e, **scale)
+    return named_target(str(_require(d, "name", "target")), domain, **scale)
 
 
 @dataclass
@@ -319,25 +301,22 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     name = raw.get("name", kind)
     if not isinstance(name, str) or not name or os.path.basename(name) != name:
         raise ConfigurationError(f"name must be a plain file name, got {name!r}")
-    domain = _parse_domain(raw.get("domain"))
-
-    # only a p_greedy ladder and the bo candidate grid read candidate_resolution
-    design = raw.get("design", {})
-    design_keys = ({"grid": {"candidate_resolution"}} if kind == "bo" else
-                   {"grid": set(), "random": set(), "p_greedy": {"candidate_resolution"}})
-    design_kind = _section_kind(design, design_keys, "design", default="grid")
-    candidate_resolution = _size(design.get("candidate_resolution", 2048),
-                                 "design.candidate_resolution")
+    domain = (UNIT_INTERVAL if raw.get("domain") is None
+              else Domain(**_section(raw["domain"], "domain")[1]))
+    design_kind, design = _section(raw.get("design", {}), "design", "grid",
+                                   _SECTIONS["bo design" if kind == "bo" else "design"])
 
     kernels = ()  # only a grid or random design ladder runs without a kernel
     if kind != "design" or design_kind == "p_greedy" or "kernel" in raw:
-        kernels = _parse_kernel(_require(raw, "kernel", "config"))
+        _, shape = _section(_require(raw, "kernel", "config"), "kernel")
+        taus = shape.pop("tau")
+        kernels = tuple(KernelSpec(tau=t, **shape) for t in taus)
         if kernels[0].dim != domain.dim:
             raise ConfigurationError(
                 f"kernel dim {kernels[0].dim} does not match domain dim {domain.dim}")
 
-    noise = _parse_noise(raw.get("noise"), seed)
-    nugget = _parse_nugget(raw.get("nugget"))
+    noise = _build(NoiseModel, raw, "noise", "none", seed=seed)
+    nugget = _build(NuggetPolicy, raw, "nugget", absent="zero")
     if kind == "interpolate" and nugget.kind != "zero":
         raise ConfigurationError("interpolate experiments require a zero nugget")
     if kind == "regress" and nugget.kind == "zero":
@@ -349,9 +328,8 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     density = str(raw.get("density", "uniform"))
     density_by_name(density)
     grid_res = raw.get("grid_resolution")
-    bo = raw.get("bo", {})
-    _check_keys(bo, {"gamma", "budgets"}, "bo")
-    bo_budgets = _list(bo.get("budgets", [25, 50, 100, 200]), "bo.budgets", _size)
+    _, bo = _section(raw.get("bo", {}), "bo")
+    bo_budgets = bo.get("budgets", [25, 50, 100, 200])
     if not bo_budgets or any(n < 2 for n in bo_budgets):
         raise ConfigurationError("bo budgets must be a nonempty list of sizes >= 2")
 
@@ -359,13 +337,13 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         kind=kind, name=name, seed=seed, domain=domain, kernels=kernels,
         target=(_parse_target(_require(raw, "target", "config"), domain)
                 if "target" in _KEYS[kind] else None),
-        noise=noise, nugget=nugget, mean=_parse_mean(raw.get("mean")), design_kind=design_kind,
-        candidate_resolution=candidate_resolution,
+        noise=noise, nugget=nugget, mean=_build(MeanSpec, raw, "mean", "constant"),
+        design_kind=design_kind, candidate_resolution=design.get("candidate_resolution", 2048),
         ladder=ladder, replicates=replicates, burn_in=_int(raw.get("burn_in", 1), "burn_in", low=0),
         q=parse_q(raw.get("q", 2)), tolerance=_float(raw.get("tolerance", 0.4), "tolerance", low=0),
         grid_resolution=None if grid_res is None else _size(grid_res, "grid_resolution"),
         density=density, n_single=_size(raw.get("n", 64), "n"),
-        bo_gamma=_float(bo.get("gamma", 0.3), "bo.gamma"), bo_budgets=bo_budgets,
+        bo_gamma=bo.get("gamma", 0.3), bo_budgets=bo_budgets,
     )
 
 

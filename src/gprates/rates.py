@@ -137,7 +137,11 @@ def _gaussian_regression(p: RateParams):
     optimum ``-tau_f/(2 tau_f + d)``.  Outside those preconditions the
     general three-term bound applies, with a note; its slowest (largest)
     term is the prediction, and its bias term carries the mesh ratio when
-    the kernel overshoots the target smoothness.
+    the kernel overshoots the target smoothness.  The maximum leaves out the
+    bound's fill-distance noise term ``1/2 - 1/gamma - (tau_k- - d/2)/d``,
+    which never binds: with ``t = tau_k-/d > 1/2`` it exceeds the residual
+    term's ``-1/gamma + d/(4 tau_k-)`` only if ``1 - t > 1/(4t)``, that is
+    ``(2t - 1)^2 < 0``.
     """
     d = p.d
     prescribed = (
@@ -154,8 +158,8 @@ def _gaussian_regression(p: RateParams):
     ig = _inv_gamma(p.q)
     residual = max(_positive_part(0.5 - p.tau_f / (2.0 * p.tau_k_plus)),
                    d / (4.0 * p.tau_k_minus))
-    # bias, noise on the fill distance, noise residual
-    n_exp = max(_bias(p), 0.5 - ig - (p.tau_k_minus - d / 2.0) / d, -ig + residual)
+    # bias, noise residual
+    n_exp = max(_bias(p), -ig + residual)
     rho_pen = _positive_part(p.tau_k_plus - p.tau_f)
     if rho_pen > 0:
         notes.append(f"misspecified branch: bias term carries rho^{rho_pen:g}")

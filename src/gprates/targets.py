@@ -215,7 +215,7 @@ class NoiseModel:
     beta: float = 0.1            # outliers, fraction
     magnitude: float = 1.0       # outliers
     df: float = 3.0              # student_t
-    t_scale: float = 1.0         # student_t
+    scale: float = 1.0           # student_t
     seed: int = 0
 
     def __post_init__(self):
@@ -251,7 +251,7 @@ def draw_noise(noise: NoiseModel, n: int, replicate: int = 0) -> np.ndarray:
     if noise.kind in ("gaussian", "student_t"):
         with np.errstate(over="ignore"):
             eps = (rng.normal(0.0, noise.sigma, n) if noise.kind == "gaussian"
-                   else noise.t_scale * rng.standard_t(noise.df, n))
+                   else noise.scale * rng.standard_t(noise.df, n))
         if not np.isfinite(eps).all():
             raise ConfigurationError("noise.sigma or noise.scale is too large: a draw overflows")
         return eps

@@ -168,6 +168,19 @@ def _a7(section, value):
      "target.expansion.n_centers"),
     (dict(SMALL_FIT, target={"expansion": {"tau": 2.0, "seed": 1, "n_centers": -2}}),
      "target.expansion.n_centers"),
+    # every required key of a section, left out
+    (dict(SMALL_RATES, noise={"kind": "gaussian"}), "missing field 'sigma' in noise"),
+    (dict(SMALL_RATES, noise={"kind": "student_t"}), "missing field 'df' in noise"),
+    (dict(SMALL_REGRESS, nugget={"sigma": 0.1}), "missing field 'kind' in nugget"),
+    (dict(SMALL_REGRESS, nugget={"kind": "fixed"}), "missing field 'sigma' in nugget"),
+    (dict(SMALL_RATES, nugget={"kind": "adaptive_h"}), "missing field 'exponent' in nugget"),
+    (dict(SMALL_RATES, mean={"kind": "polynomial"}), "missing field 'coeffs' in mean"),
+    (dict(SMALL_RATES, domain={"upper": [1.0]}), "missing field 'lower' in domain"),
+    (dict(SMALL_RATES, domain={"lower": [0.0]}), "missing field 'upper' in domain"),
+    (dict(SMALL_RATES, kernel={"lengthscale": 0.25}), "missing field 'tau' in kernel"),
+    (dict(SMALL_RATES, target={"scale": 2.0}), "missing field 'name' in target"),
+    (dict(SMALL_FIT, target={"expansion": {"seed": 1}}), "missing field 'tau' in target.expansion"),
+    (dict(SMALL_FIT, target={"expansion": {"tau": 2.0}}), "missing field 'seed' in target.expansion"),
     # json.load reads Infinity and NaN; no number field takes them
     (dict(SMALL_RATES, kernel={"tau": 2.0, "amplitude": math.inf}), "kernel.amplitude"),
     (dict(SMALL_RATES, kernel={"tau": math.inf}), "kernel.tau"),
@@ -230,7 +243,12 @@ def _a7(section, value):
         "candidate_resolution_on_random", "negative_burn_in", "zero_grid_resolution",
         "zero_candidate_resolution", "negative_candidate_resolution", "n_zero", "n_negative",
         "negative_tolerance", "nan_tolerance", "zero_expansion_centers",
-        "negative_expansion_centers", "infinite_amplitude", "infinite_tau",
+        "negative_expansion_centers",
+        "gaussian_noise_without_sigma", "student_t_noise_without_df", "nugget_without_kind",
+        "fixed_nugget_without_sigma", "adaptive_nugget_without_exponent",
+        "polynomial_mean_without_coeffs", "domain_without_lower", "domain_without_upper",
+        "kernel_without_tau", "target_without_name", "expansion_without_tau",
+        "expansion_without_seed", "infinite_amplitude", "infinite_tau",
         "infinite_lengthscale", "infinite_noise_sigma", "infinite_nugget_sigma",
         "infinite_target_scale", "infinite_mean", "nan_mean", "infinite_tolerance",
         "huge_integer_tolerance", "subnormal_lengthscale", "overflowing_amplitude",

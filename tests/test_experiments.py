@@ -10,7 +10,7 @@ import pytest
 
 import gprates
 from conftest import FAST_PATHS
-from gprates import designs
+from gprates import designs, experiments
 from gprates.acceptance import DEFAULT_SEED, acceptance_configs
 from gprates.designs import UNIT_INTERVAL
 from gprates.errors import ConfigurationError
@@ -272,7 +272,7 @@ def test_shipped_configs_parse(raw):
 
 # each section's kind with only the keys that kind requires, and the object
 # built from the same arguments: every optional key keeps its field's default
-@pytest.mark.parametrize("section, value, expected", [
+BARE_SECTIONS = [
     ("noise", {"kind": "none"}, NoiseModel("none", seed=3)),
     ("noise", {"kind": "gaussian", "sigma": 0.2}, NoiseModel("gaussian", sigma=0.2, seed=3)),
     ("noise", {"kind": "outliers"}, NoiseModel("outliers", seed=3)),
@@ -283,10 +283,22 @@ def test_shipped_configs_parse(raw):
     ("mean", {"kind": "constant"}, MeanSpec("constant")),
     ("mean", {"kind": "polynomial", "coeffs": [1, 2, 3]},
      MeanSpec("polynomial", coeffs=(1.0, 2.0, 3.0))),
-], ids=lambda v: v.get("kind") if isinstance(v, dict) else None)
+]
+
+
+@pytest.mark.parametrize("section, value, expected", BARE_SECTIONS,
+                         ids=lambda v: v.get("kind") if isinstance(v, dict) else None)
 def test_bare_section_takes_the_field_defaults(section, value, expected):
     cfg = config_from_dict(dict(RATES, seed=3, **{section: value}))
     assert getattr(cfg, section) == expected
+
+
+def test_every_section_kind_has_a_defaults_row():
+    # a kind added to the schema table without a row above fails here
+    table = {(section, kind) for section in ("noise", "nugget", "mean")
+             for kind in experiments._SECTIONS[section]}
+    assert table == {(section, value["kind"]) for section, value, _ in BARE_SECTIONS}
+    assert len(table) == 9
 
 
 def test_bare_kernel_and_expansion_target_take_the_field_defaults():

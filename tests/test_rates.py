@@ -1,13 +1,16 @@
 """The theorem entry point against hand-derived exponents, the noiseless limit,
 and the degenerate rate tables."""
 
+import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gprates.errors import ConfigurationError
 from gprates.rates import NuggetPolicy, RateParams, fit_empirical_rate, theoretical_exponent
 
 INF = math.inf
@@ -125,6 +128,36 @@ def test_exponent_gaussian_regression(params, expected, notes):
     assert got == notes
 
 
+def _three_term_bound(p):
+    """The Gaussian-regression fallback with all three terms of the theorem."""
+    ig = 0.0 if math.isinf(p.q) else 1.0 / max(2.0, p.q)
+    d = p.d
+    bias = -ig - (min(p.tau_f, p.tau_k_minus) - d / 2.0) / d
+    noise_fill = 0.5 - ig - (p.tau_k_minus - d / 2.0) / d
+    shortfall = 0.5 - p.tau_f / (2.0 * p.tau_k_plus)
+    residual = -ig + max(shortfall if shortfall > 0 else 0.0, d / (4.0 * p.tau_k_minus))
+    return max(bias, noise_fill, residual)
+
+
+def test_gaussian_fallback_is_the_three_term_bound():
+    # the fill-distance noise term never binds, so the maximum without it is
+    # bitwise the maximum with it, for every valid input off the optimum
+    cases = 0
+    for d, tau_f, lo, span, q, quasi_uniform in itertools.product(
+            (1, 2), (0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 4.5),
+            (0.6, 0.75, 1.05, 1.25, 1.5, 2.0, 2.5, 3.5, 5.0), (0.0, 0.5, 2.0), (1, 2, INF),
+            (True, False)):
+        if not (tau_f > d / 2 and lo > d / 2):
+            continue
+        p = _params(tau_f, (lo, lo + span), d=d, q=q, quasi_uniform=quasi_uniform, nugget=FIXED)
+        n_exp, notes = theoretical_exponent(p, well_specified=True)
+        if notes[:1] != [FALLBACK]:
+            continue  # the prescribed-smoothness optimum
+        assert n_exp.hex() == _three_term_bound(p).hex(), p
+        cases += 1
+    assert cases == 1750
+
+
 def _adaptive(exponent):
     return NuggetPolicy("adaptive_h", exponent=exponent)
 
@@ -223,3 +256,34 @@ def test_degenerate_rate_table_has_no_slope(table, burn_in, reason):
     assert math.isnan(slope) and math.isnan(stderr)
     assert got.startswith(reason)
 
+
+
+def test_standard_error_is_the_ols_one():
+    table = [(16, 0.3), (32, 0.11), (64, 0.05), (128, 0.013), (256, 0.0041)]
+    x = np.log([n for n, _ in table[1:]])
+    y = np.log([e for _, e in table[1:]])
+    coeffs, cov = np.polyfit(x, y, 1, cov=True)
+    slope, stderr, reason = fit_empirical_rate(table, burn_in=1)
+    assert reason == ""
+    assert slope == pytest.approx(coeffs[0], rel=1e-12)
+    assert stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+    assert stderr == pytest.approx(0.11327976431043, rel=1e-12)
+
+
+def test_two_distinct_sizes_give_a_slope():
+    slope, stderr, reason = fit_empirical_rate([(16, 0.1), (16, 0.09), (32, 0.05)])
+    assert reason == "" and math.isfinite(slope) and math.isfinite(stderr)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_target_at_half_the_dimension_is_rejected(d):
+    with pytest.raises(ConfigurationError, match="tau_f must exceed d/2"):
+        RateParams(tau_f=d / 2, tau_k_minus=d / 2 + 1, tau_k_plus=d / 2 + 1, d=d)
+
+
+@pytest.mark.parametrize("nugget", [dict(kind="fixed", sigma=0.0), dict(kind="adaptive_h", exponent=0.0),
+                                    dict(kind="adaptive_h")],
+                         ids=["fixed_sigma_0", "adaptive_exponent_0", "adaptive_default_exponent"])
+def test_nugget_at_its_boundary_is_rejected(nugget):
+    with pytest.raises(ConfigurationError, match="nugget needs"):
+        NuggetPolicy(**nugget)
