@@ -1,17 +1,23 @@
 """Conditioning: the unified approximant and RKHS norms.
 
-``fit`` solves the regularized kernel system ``(K + lambda I) w = y - m_X``
-by one Cholesky factorization; ``y`` may hold r columns of observations at
-the same design (noise replicates), and the one factor solves for all of
-them.  A Gram of 4 MiB or more is written and factored in LAPACK's
-rectangular full packed format (``kernels.packed_gram``, ``dpftrf`` and
-``dpftrs``), which holds its lower triangle and nothing else; a smaller one
-is written whole and factored by ``cho_factor``.  The fitted model keeps
-only what prediction reads, the dual weights ``w``; it is immutable and its
-predictors are pure functions.  ``lambda = 0`` is interpolation and gets a
-small diagonal jitter (escalated on factorization failure, and recorded,
-since a large jitter technically shifts the estimator toward approximate
-interpolation).
+``fit`` solves the regularized kernel system ``(K + lambda I) w = y - m_X``;
+``y`` may hold r columns of observations at the same design (noise
+replicates), and one solve serves all of them.  It takes one of three
+routes.  A Gram under 4 MiB is written whole and factored by
+``cho_factor``.  A Gram of 4 MiB or more is written and factored in
+LAPACK's rectangular full packed format (``kernels.packed_gram``,
+``dpftrf`` and ``dpftrs``), which holds its lower triangle and nothing
+else, unless the system is Toeplitz: a ridge fit (``lambda > 0``) on an
+equally spaced 1-d design, whose ``K + lambda I`` is set by its first
+column.  That one is solved in O(n^2) from that column (Levinson's
+recursion for the first column of the inverse, then the Gohberg-Semencul
+formula applied by FFTs in :func:`_toeplitz_solve`) and kept only if its
+backward error is certified small; otherwise it is packed and factored.
+The fitted model keeps only what prediction reads, the dual weights ``w``;
+it is immutable and its predictors are pure functions.  ``lambda = 0`` is
+interpolation and gets a small diagonal jitter (escalated on factorization
+failure, and recorded, since a large jitter technically shifts the
+estimator toward approximate interpolation).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_toeplitz
 from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .designs import PointSet
@@ -35,7 +41,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_JITTER_FACTOR = 1e-10
 MAX_JITTER_FACTOR = 1e-6
 
-# A Gram of this many bytes or more (n >= 725) is packed.  Smaller ones keep
+# A Gram of this many bytes or more (n >= 725) is packed, or solved as a
+# Toeplitz system when its fit allows (see ``fit``).  Smaller ones keep
 # cho_factor's bits: packed, the 512-point rungs of a1 and a2 moved their
 # errors by 1.3e-9 relative and a5 by 1.7e-8, past the 1e-9 to which the
 # benchmark holds its recorded values.
@@ -100,6 +107,76 @@ def _all_finite(K: np.ndarray) -> bool:
     return True
 
 
+def _toeplitz_solve(c: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """``T^{-1} rhs`` for the symmetric Toeplitz ``T`` with first column ``c``,
+    from ``g = T^{-1} e_1`` with ``g_0 > 0``, or None when the result cannot
+    be certified.
+
+    ``T^{-1} = (L(g) L(g)^T - L(h) L(h)^T) / g_0`` with
+    ``h = (0, g_{n-1}, ..., g_1)`` and ``L(v)`` the lower triangular Toeplitz
+    matrix with first column v (Gohberg & Semencul 1972; Golub & Van Loan,
+    *Matrix Computations*, section 4.7).  ``L(v) z`` is the first n entries
+    of the convolution of v and z, and ``L(v)^T z`` those of their
+    correlation, so each is one product of real FFTs of a power-of-two
+    length N >= 2n - 1 (2n for a power-of-two n), taken for every column of
+    ``rhs`` at once.  The result ``W`` is accepted only if each column's
+    normwise backward error ``|T w - b|_inf / (|T|_inf |w|_inf + |b|_inf)``
+    is at most n eps (Rigal & Gaches 1967; Higham 2002, ch. 7).  The
+    residual is one FFT product with the circulant of order N that embeds
+    ``T``, and ``|T|_inf``, the largest row sum of ``|c_{|i-j|}|``, comes
+    from the cumulative sums of ``|c|``.  Nothing of n x n size is allocated.
+    """
+    n = len(c)
+    N = 1 << (2 * n - 2).bit_length()
+    fft, ifft = np.fft.rfft, np.fft.irfft
+    G, H = fft(g, N), fft(np.r_[0.0, g[:0:-1]], N)
+    B = rhs.reshape(n, -1).T  # one row per column of observations
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite W fails the test
+        Z = fft(B, N)
+        W = ifft(G * fft(ifft(Z * G.conj(), N)[:, :n], N)
+                 - H * fft(ifft(Z * H.conj(), N)[:, :n], N), N)[:, :n] / g[0]
+        R = ifft(fft(np.r_[c, np.zeros(N - 2 * n + 1), c[:0:-1]]) * fft(W, N), N)[:, :n] - B
+        sums = np.cumsum(np.abs(c))
+        norm_T = (sums + sums[::-1] - sums[0]).max()
+        certified = np.abs(R).max(axis=1) <= n * np.finfo(float).eps * (
+            norm_T * np.abs(W).max(axis=1) + np.abs(B).max(axis=1))
+    return W.T.reshape(rhs.shape) if certified.all() else None
+
+
+def _equal_steps(pts: np.ndarray) -> bool:
+    """Whether the (n, d) batch ``pts`` is 1-d with every consecutive
+    difference the same nonzero double: a design whose Gram is Toeplitz."""
+    if pts.shape[1] != 1 or len(pts) < 2:
+        return False
+    steps = np.diff(pts[:, 0])
+    return steps[0] != 0 and bool((steps == steps[0]).all())
+
+
+def _kernel_overflow(kernel: KernelSpec) -> ConfigurationError:
+    return ConfigurationError(f"kernel matrix not finite: kernel.amplitude {kernel.amplitude!r} "
+                              f"or kernel.lengthscale {kernel.lengthscale!r}")
+
+
+def _centred(y: np.ndarray, prior_mean: MeanSpec, X: PointSet, overwrite_y: bool) -> np.ndarray:
+    """The right-hand side ``y - m_X``, checked finite; a 2-d one in Fortran
+    order, in ``y`` itself with ``overwrite_y``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        m_X = prior_mean(X.points)
+        if y.ndim == 2:
+            # in LAPACK's column order, one column at a time (a broadcast
+            # subtraction buffers its operands), so the solve overwrites it
+            rhs = y if overwrite_y else np.empty(y.shape, order="F")
+            for k in range(y.shape[1]):
+                np.subtract(y[:, k], m_X, out=rhs[:, k])
+        else:
+            rhs = y - m_X
+    if not np.isfinite(rhs).all():
+        field = "value" if prior_mean.kind == "constant" else "coeffs"
+        raise ConfigurationError("observations minus the prior mean are not finite: "
+                                 f"mean.{field} {getattr(prior_mean, field)!r}")
+    return rhs
+
+
 def _closest_pair(pts: np.ndarray):
     d = distances(pts, pts)
     d[np.diag_indices(len(pts))] = np.inf
@@ -119,32 +196,50 @@ def fit(
     """Condition on observations ``y`` at ``X`` with regularization ``lam``.
 
     ``y`` has shape (n,), or (n, r) for r sets of observations at ``X``; the
-    dual weights have the same shape, and the one Cholesky factor solves
-    every column.
+    dual weights have the same shape, and one solve serves every column.
+    There are three routes.
 
-    ``K`` is factored in place, with ``lam + jitter`` added to its diagonal
-    (bitwise ``K + (lam + jitter) I``), and is the only matrix of its size;
-    the model does not keep it.  Below ``PACKED_BYTES``, :func:`kernels.gram`
-    writes it whole and ``cho_factor`` overwrites the lower triangle of
-    ``K.T`` (Fortran order, no copy) with the factor that ``cho_solve``
-    reads; each column's weights are bitwise those of a fit to that column
-    alone.  From ``PACKED_BYTES`` on, :func:`kernels.packed_gram` writes
-    only its lower triangle, bitwise ``gram``'s, in LAPACK's rectangular
-    full packed format, the diagonal is at :func:`kernels.packed_diagonal`,
-    and ``dpftrf`` and ``dpftrs`` factor and solve it at level-3 speed; the
-    blocked solve gives each column's weights to rounding of a one-column
-    fit, not bitwise.  A failed factorization has overwritten ``K``, so
-    ``K`` is rebuilt before the next jitter step.
+    *Whole.*  Below ``PACKED_BYTES``, :func:`kernels.gram` writes ``K`` whole
+    and ``cho_factor`` overwrites the lower triangle of ``K.T`` (Fortran
+    order, no copy) with the factor that ``cho_solve`` reads; each column's
+    weights are bitwise those of a fit to that column alone.
 
-    ``K`` is checked finite in blocks (:func:`_all_finite`), so the factor
-    and the solve skip scipy's check, which allocates a boolean array of
-    ``K``'s size in each.  ``y`` and the right-hand side ``y - m_X`` are
-    checked finite (observations or a prior mean past the float range are a
-    ``ConfigurationError``); a 2-d right-hand side is formed in Fortran
-    order, in ``y`` itself with ``overwrite_y`` (a Fortran-ordered ``y`` is
-    then the dual weights), and solved in place.  ``table`` is the
-    :class:`kernels.LatticeTable` of ``X`` against itself when the caller
-    holds one; None looks one up.
+    *Toeplitz.*  From ``PACKED_BYTES`` on, a ridge fit (``lam > 0``) on a
+    1-d design whose consecutive differences are all the same double has a
+    symmetric Toeplitz ``K + lam I``.  Its first column is
+    ``cross_matrix(kernel, X, x_0)`` with ``lam`` added to its first entry
+    (on a dyadic grid, bitwise ``gram``'s first column; no lattice table is
+    read), Levinson's recursion (``solve_toeplitz``) gives the first column
+    ``g`` of its inverse, and :func:`_toeplitz_solve` applies the inverse
+    to every column at once by FFTs: O(n^2) work and O(n r) memory, each
+    column's weights to rounding of a one-column fit's.  The weights are
+    kept, with jitter 0, when ``g`` is finite with ``g_0 > 0`` and each
+    column's backward error is at most n eps; otherwise the fit takes the
+    packed route.
+
+    *Packed.*  Any other Gram of ``PACKED_BYTES`` or more is written by
+    :func:`kernels.packed_gram`, only its lower triangle, bitwise ``gram``'s,
+    in LAPACK's rectangular full packed format, the diagonal is at
+    :func:`kernels.packed_diagonal`, and ``dpftrf`` and ``dpftrs`` factor
+    and solve it at level-3 speed; the blocked solve gives each column's
+    weights to rounding of a one-column fit, not bitwise.
+
+    On the whole and packed routes ``K`` is factored in place, with
+    ``lam + jitter`` added to its diagonal (bitwise ``K + (lam + jitter) I``),
+    and is the only matrix of its size; the model does not keep it.  A
+    failed factorization has overwritten ``K``, so ``K`` is rebuilt before
+    the next jitter step.  ``K`` is checked finite in blocks
+    (:func:`_all_finite`), so the factor and the solve skip scipy's check,
+    which allocates a boolean array of ``K``'s size in each.
+
+    ``y``, the kernel (``K``, or the Toeplitz column) and the right-hand
+    side ``y - m_X`` are checked finite, in that order (observations, a
+    kernel or a prior mean past the float range are a
+    ``ConfigurationError``).  A 2-d right-hand side is formed in Fortran
+    order, in ``y`` itself with ``overwrite_y``, and the factored routes
+    solve it in place (a Fortran-ordered ``y`` is then their dual weights).
+    ``table`` is the :class:`kernels.LatticeTable` of ``X`` against itself
+    when the caller holds one; None looks one up.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -158,6 +253,21 @@ def fit(
     n = len(X)
     A = kernel.amplitude
     packed = 8 * n * n >= PACKED_BYTES
+    rhs = None
+    if packed and lam > 0 and _equal_steps(X.points):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            c = cross_matrix(kernel, X.points, X.points[:1])[:, 0]
+        c[0] += lam
+        if not np.isfinite(c).all():
+            raise _kernel_overflow(kernel)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked next
+            g = solve_toeplitz(c, np.eye(1, n)[0], check_finite=False)  # Levinson's recursion
+        if np.isfinite(g).all() and g[0] > 0:
+            rhs = _centred(y, prior_mean, X, overwrite_y)
+            dual = _toeplitz_solve(c, g, rhs)
+            if dual is not None:
+                return PosteriorModel(kernel, prior_mean, X, dual, 0.0)
+        logger.debug("Toeplitz solve of %d points not certified, factoring", n)
     # jitter ladder: none needed when lam > 0, else start at 1e-10*A and
     # escalate by 100x up to 1e-6*A before giving up
     ladder = [0.0] if lam > 0 else []
@@ -167,8 +277,7 @@ def fit(
             K = packed_gram(kernel, X, table) if packed else gram(kernel, X, table)
         K[packed_diagonal(n) if packed else np.diag_indices(n)] += lam + jitter
         if not _all_finite(K):  # the kernel overflowed
-            raise ConfigurationError(f"kernel matrix not finite: kernel.amplitude {A!r} or "
-                                     f"kernel.lengthscale {kernel.lengthscale!r}")
+            raise _kernel_overflow(kernel)
         if packed:
             K, info = dpftrf(n, K, transr="N", uplo="L", overwrite_a=1)
             if info == 0:
@@ -188,20 +297,8 @@ def fit(
         )
     if jitter > DEFAULT_JITTER_FACTOR * A:
         logger.warning("fit used escalated jitter %.1e", jitter)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        m_X = prior_mean(X.points)
-        if y.ndim == 2:
-            # in LAPACK's column order, one column at a time (a broadcast
-            # subtraction buffers its operands), so the solve overwrites it
-            rhs = y if overwrite_y else np.empty(y.shape, order="F")
-            for k in range(y.shape[1]):
-                np.subtract(y[:, k], m_X, out=rhs[:, k])
-        else:
-            rhs = y - m_X
-    if not np.isfinite(rhs).all():
-        field = "value" if prior_mean.kind == "constant" else "coeffs"
-        raise ConfigurationError("observations minus the prior mean are not finite: "
-                                 f"mean.{field} {getattr(prior_mean, field)!r}")
+    if rhs is None:
+        rhs = _centred(y, prior_mean, X, overwrite_y)
     if packed:
         dual = dpftrs(n, K, rhs.reshape(n, -1), transr="N", uplo="L", overwrite_b=1)[0]
         dual = dual.reshape(rhs.shape)

@@ -42,10 +42,11 @@ gives the same bits.
 
 :func:`gram` writes a Gram matrix whole, in blocks of ``row_block(n)``
 whole rows, each C-contiguous, so a gathered block is filled in place.
-``fitting.fit`` factors a Gram of 4 MiB or more in LAPACK's rectangular
-full packed (RFP) format (Gustavson, Wasniewski, Dongarra & Langou 2010,
-"Rectangular full packed format for Cholesky's algorithm", ACM TOMS
-37(2)): :func:`packed_gram` walks the same row blocks into one buffer and
+``fitting.fit`` factors a Gram of 4 MiB or more that it cannot solve as a
+Toeplitz system in LAPACK's rectangular full packed (RFP) format
+(Gustavson, Wasniewski, Dongarra & Langou 2010, "Rectangular full packed
+format for Cholesky's algorithm", ACM TOMS 37(2)): :func:`packed_gram`
+walks the same row blocks into one buffer and
 copies each row's segment of the lower triangle into an array of
 n (n + 1) / 2 doubles with no unused entry, so every packed entry is
 bitwise the whole matrix's, and :func:`packed_diagonal` says where the

@@ -87,17 +87,34 @@ def random_expansion_target(
     amplitude: float = 1.0,
     scale: float = 1.0,
 ) -> TargetSpec:
-    """Expansion with uniform centers and standard-normal coefficients."""
+    """Expansion with uniform centers and standard-normal coefficients.
+
+    Its kernel, at the centers and at every batch of points it is evaluated
+    on, is formed with floating-point warnings off and must be finite, else
+    a ``ConfigurationError`` names the ``target.expansion`` fields.
+    """
     rng = np.random.default_rng(seed)
     lo = np.array(domain.lower)
     c = lo + rng.random((n_centers, domain.dim)) * domain.widths
     a = rng.standard_normal(n_centers)
     spec = KernelSpec(tau=tau_f, lengthscale=lengthscale, amplitude=amplitude, dim=domain.dim)
+
+    def kernel(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            K = cross_matrix(spec, x, c)
+        if not np.isfinite(K).all():
+            raise ConfigurationError(
+                f"expansion kernel not finite: target.expansion.tau {tau_f!r}, "
+                f"target.expansion.lengthscale {lengthscale!r} or "
+                f"target.expansion.amplitude {amplitude!r}")
+        return K
+
+    kernel(c)  # checked before rkhs_norm_expansion evaluates it
     return TargetSpec(
         name=f"expansion_tau{tau_f:g}",
         tau_f=tau_f,
         domain=domain,
-        fn=lambda x: cross_matrix(spec, x, c) @ a,
+        fn=lambda x: kernel(x) @ a,
         scale=scale,
         rkhs_norm=scale * rkhs_norm_expansion(spec, c, a),
     )

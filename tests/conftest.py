@@ -4,9 +4,11 @@
 call the library directly, so they pin here to get the same one-thread
 results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
 ``failing_cho_factor`` and ``failing_dpftrf`` fixtures force ``fit``'s
-jitter escalation on a whole and on a packed Gram, the ``oracle_factor`` and
-``posterior_var`` fixtures are the Cholesky-factor and posterior-variance
-oracles, and the ``counted`` fixture counts the calls of a gprates function.
+jitter escalation on a whole and on a packed Gram, ``failing_solve_toeplitz``
+switches its Toeplitz route off or spoils its certificate, the
+``oracle_factor`` and ``posterior_var`` fixtures are the Cholesky-factor and
+posterior-variance oracles, and the ``counted`` fixture counts the calls of
+a gprates function.
 
 ``FAST_PATHS`` is the switchboard of gprates' fast paths: each one claims to
 be bitwise a plain path, and lists every binding that switches it off
@@ -117,6 +119,35 @@ def failing_dpftrf(monkeypatch):
             return result, (1 if len(calls) <= count else info)
 
         monkeypatch.setattr(gprates.fitting, "dpftrf", factor)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def failing_solve_toeplitz(monkeypatch):
+    """Replace ``fitting.solve_toeplitz`` with one that counts calls and spoils the first few.
+
+    ``failing_solve_toeplitz(count, factor=nan)`` installs it and returns the
+    list of system sizes, one per call.  Each of the first ``count`` calls
+    (``math.inf``: every call) runs the real recursion and returns its
+    result times ``factor``.  A NaN factor switches ``fit``'s Toeplitz route
+    off, so the fit is packed and factored; a finite factor off 1 gives
+    weights that the route's backward-error test must reject.
+    """
+    from scipy.linalg import solve_toeplitz
+
+    import gprates.fitting
+
+    def install(count, factor=float("nan")):
+        calls = []
+
+        def solve(c, b, *args, **kwargs):
+            calls.append(len(c))
+            result = solve_toeplitz(c, b, *args, **kwargs)
+            return result * factor if len(calls) <= count else result
+
+        monkeypatch.setattr(gprates.fitting, "solve_toeplitz", solve)
         return calls
 
     return install

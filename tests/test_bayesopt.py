@@ -1,9 +1,6 @@
 """The stabilized BO harness: budgets nested in one trajectory, frozen selections."""
 
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gprates
 from gprates import bayesopt, designs, fitting, kernels
 from gprates.acceptance import acceptance_configs
 from conftest import masked_expected_improvement
@@ -356,14 +352,3 @@ def test_final_fits_are_the_whole_product_with_a_ragged_last_block(resolution, d
         result = trajectory.result(n)
         assert result["x_final"] == [float(cand.points[int(np.argmax(whole)), 0])]
         assert result["sup_error"] == float(np.abs(f - whole).max())
-
-
-def test_importing_the_harnesses_does_not_load_scipy_stats():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = "import sys, gprates.experiments; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"

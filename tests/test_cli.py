@@ -168,6 +168,8 @@ def _a7(section, value):
      "target.expansion.n_centers"),
     (dict(SMALL_FIT, target={"expansion": {"tau": 2.0, "seed": 1, "n_centers": -2}}),
      "target.expansion.n_centers"),
+    # a finite tau past what the kernel can raise to a power
+    (dict(SMALL_FIT, target={"expansion": {"tau": 1e300, "seed": 1}}), "target.expansion.tau"),
     # every required key of a section, left out
     (dict(SMALL_RATES, noise={"kind": "gaussian"}), "missing field 'sigma' in noise"),
     (dict(SMALL_RATES, noise={"kind": "student_t"}), "missing field 'df' in noise"),
@@ -243,7 +245,7 @@ def _a7(section, value):
         "candidate_resolution_on_random", "negative_burn_in", "zero_grid_resolution",
         "zero_candidate_resolution", "negative_candidate_resolution", "n_zero", "n_negative",
         "negative_tolerance", "nan_tolerance", "zero_expansion_centers",
-        "negative_expansion_centers",
+        "negative_expansion_centers", "overflowing_expansion_tau",
         "gaussian_noise_without_sigma", "student_t_noise_without_df", "nugget_without_kind",
         "fixed_nugget_without_sigma", "adaptive_nugget_without_exponent",
         "polynomial_mean_without_coeffs", "domain_without_lower", "domain_without_upper",
@@ -261,7 +263,10 @@ def _a7(section, value):
         "integer_past_conversion_limit", "not_utf8",
         "config_is_a_directory"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
-    code, _ = _run(tmp_path, config, "--seed", "3")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = _run(tmp_path, config, "--seed", "3")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code == 2
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "out"]
     err = capsys.readouterr().err
@@ -586,6 +591,26 @@ def test_blas_pin_precedes_numpy():
     assert not numpy_on_import
     assert code == 0
     assert openblas == "1"
+
+
+def test_importing_the_harnesses_loads_only_scipy_linalg_and_special():
+    # each public scipy subpackage loaded adds its import time to every
+    # run's set-up; the CLI and the harnesses need scipy.linalg and
+    # scipy.special (which load scipy.version), and nothing else: not
+    # scipy.stats, nor scipy.fft for a fast path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = (
+        "import json, sys\n"
+        "import gprates.cli, gprates.experiments\n"
+        "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules\n"
+        "                         if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["linalg", "special", "version"]
 
 
 def test_whole_acceptance_suite_passes(tmp_path):

@@ -365,14 +365,17 @@ def test_shipped_ladders_gather_from_a_kernel_table(raw):
         assert table is not None and None not in (table.step_a, table.step_b)
 
 
-def test_only_a3s_largest_rungs_are_packed(tmp_path, failing_cho_factor, failing_dpftrf):
-    # every shipped fit, by whether its Gram is packed (dpftrf) or whole
-    # (cho_factor): the accept presets, BO final fits and a8's suites
-    # included, and the benchmark's P-greedy ladder.  Exactly a3's rungs of
-    # 1024 and 2048 points cross PACKED_BYTES; a change of the threshold
-    # that moves a ladder's rung across it, or a fit that takes the other
-    # path, fails here
+def test_only_a3s_largest_rungs_take_the_toeplitz_route(tmp_path, failing_cho_factor,
+                                                        failing_dpftrf, failing_solve_toeplitz):
+    # every shipped fit, by its route: a whole Gram (cho_factor), a packed
+    # one (dpftrf) or a Toeplitz solve (solve_toeplitz): the accept presets,
+    # BO final fits and a8's suites included, and the benchmark's P-greedy
+    # ladder.  Exactly a3's ridge rungs of 1024 and 2048 grid points cross
+    # PACKED_BYTES, and both are Toeplitz, so no shipped fit is packed; a
+    # change of the threshold that moves a ladder's rung across it, or a fit
+    # that takes another route, fails here
     whole, packed = failing_cho_factor(0), failing_dpftrf(0)
+    toeplitz = failing_solve_toeplitz(0)
     raw = dict(acceptance_configs(), pgreedy_l2=dict(_bench_child().P_GREEDY, seed=DEFAULT_SEED))
     runs = {name: lambda cfg=cfg: run_experiment(config_from_dict(cfg), str(tmp_path))
             for name, cfg in raw.items()}
@@ -380,17 +383,18 @@ def test_only_a3s_largest_rungs_are_packed(tmp_path, failing_cho_factor, failing
                  for suite in (pythagorean_suite, regression_bound_suite, rayleigh_suite)})
     sizes = {}
     for name, run in runs.items():
-        start = len(whole), len(packed)
+        start = len(whole), len(packed), len(toeplitz)
         run()
-        sizes[name] = whole[start[0]:], packed[start[1]:]
-    assert {name: p for name, (_, p) in sizes.items() if p} == {"a3": [1024, 2048]}
-    assert all(w for w, _ in sizes.values())
-    assert max(n for w, _ in sizes.values() for n in w) == 512
+        sizes[name] = whole[start[0]:], packed[start[1]:], toeplitz[start[2]:]
+    assert {name: t for name, (_, _, t) in sizes.items() if t} == {"a3": [1024, 2048]}
+    assert not any(p for _, p, _ in sizes.values())
+    assert all(w for w, _, _ in sizes.values())
+    assert max(n for w, _, _ in sizes.values() for n in w) == 512
 
 
 # the configs that reach each fast path of the switchboard: a1_l2 and a3
-# predict grids on grids (strips), a3 with 20 replicates, and a3 packs its
-# Grams of 1024 and 2048 points from the table's windows; a7 reads its BO
+# predict grids on grids (strips), a3 with 20 replicates, and a3 reads its
+# Grams of up to 512 points from the table's windows; a7 reads its BO
 # columns and final fits from the candidates' table, forms the mean on group
 # runs and scores the stabilized set in one pass; a cut P-greedy ladder
 # reads its columns and predictions from tables through gathers

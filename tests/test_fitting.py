@@ -124,16 +124,19 @@ class TestInPlaceFactor:
         assert model.jitter == jitter
         assert np.array_equal(model.dual, self._oracle(X, Y, 0.0, jitter))
 
-    def test_traced_peak_is_one_matrix(self):
-        # a 1024-point Gram is 8 MiB, so K is packed: its n (n + 1) / 2
-        # doubles, beside which the peak holds at most two blocks of
-        # BLOCK_ENTRIES doubles (the buffer of whole rows that packed_gram
-        # copies from, and the table); the copying factor peaked at
-        # 3.1 x 8 n^2, and a whole K alone is twice the packed array
+    def test_traced_peak_is_one_matrix(self, failing_dpftrf, failing_solve_toeplitz):
+        # a 1024-point Gram is 8 MiB, so K is packed (the Toeplitz route is
+        # switched off): its n (n + 1) / 2 doubles, beside which the peak
+        # holds at most two blocks of BLOCK_ENTRIES doubles (the buffer of
+        # whole rows that packed_gram copies from, and the table); the
+        # copying factor peaked at 3.1 x 8 n^2, and a whole K alone is twice
+        # the packed array
         n = 1024
         assert 8 * n * n >= PACKED_BYTES
         X = gen_grid(n, UNIT)
         y = np.sin(5.0 * X.points[:, 0])
+        factored = failing_dpftrf(0)
+        failing_solve_toeplitz(math.inf)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -141,16 +144,19 @@ class TestInPlaceFactor:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert factored == [n]
         assert peak <= 8 * n * (n + 1) / 2 + 2 * 8 * BLOCK_ENTRIES
 
     @pytest.mark.parametrize("n", [512, 2048], ids=["whole", "packed"])
-    def test_fit_allocates_no_n_by_n_temporary_besides_k(self, n):
+    def test_fit_allocates_no_n_by_n_temporary_besides_k(self, failing_solve_toeplitz, n):
         # K's finiteness is checked in blocks, and the right-hand side is
-        # solved in place, so beyond K (whole, or packed from 4 MiB on) and
-        # the n x r weights the peak holds only block-sized buffers; a
-        # finiteness check of all of K at once allocates a boolean array of
-        # its size, n^2 bytes whole (scipy's check_finite, in the factor and
-        # again in the solve) or n (n + 1) / 2 packed
+        # solved in place, so beyond K (whole, or packed from 4 MiB on, with
+        # the Toeplitz route switched off) and the n x r weights the peak
+        # holds only block-sized buffers; a finiteness check of all of K at
+        # once allocates a boolean array of its size, n^2 bytes whole
+        # (scipy's check_finite, in the factor and again in the solve) or
+        # n (n + 1) / 2 packed
+        failing_solve_toeplitz(math.inf)
         r = 20
         held = 8 * n * (n + 1) / 2 if 8 * n * n >= PACKED_BYTES else 8 * n * n
         X = gen_grid(n, UNIT)
@@ -194,6 +200,12 @@ class TestPackedFit:
 
     SPEC = KernelSpec(tau=3.0, lengthscale=0.2, amplitude=1.3)  # nu = 5/2
     DESIGNS = _packed_designs()
+
+    @pytest.fixture(autouse=True)
+    def no_toeplitz_route(self, failing_solve_toeplitz):
+        # the window design is a progression, whose ridge fits would take the
+        # Toeplitz route; switched off, they pack from the table's windows
+        failing_solve_toeplitz(math.inf)
 
     @pytest.mark.parametrize("n, packed", [(724, False), (725, True)])
     def test_4_mib_and_more_is_packed(self, failing_cho_factor, failing_dpftrf, n, packed):
@@ -243,6 +255,94 @@ class TestPackedFit:
                                                       r"distance 1\.000e-07"):
             fit(self.SPEC, ZERO, PointSet(pts, UNIT), np.zeros(len(pts)), 0.0)
         assert factored == [len(pts)] * 3
+
+
+def _progression(n):
+    """n points of a dyadic grid: equal steps, so a ridge Gram is Toeplitz."""
+    return PointSet(gen_grid(1 << (n - 1).bit_length(), UNIT).points[:n], UNIT)
+
+
+class TestToeplitzFit:
+    """A ridge fit of ``PACKED_BYTES`` or more on an equally spaced 1-d design
+    solves its Toeplitz system from the first column in O(n^2), holding no
+    n x n or packed array, and falls back to the packed factor when the
+    backward error is not certified."""
+
+    SPEC = KernelSpec(tau=3.0, lengthscale=0.2, amplitude=1.3)  # nu = 5/2
+
+    @pytest.mark.parametrize("n", [725, 1024, 2048])
+    def test_duals_are_within_1e_10_of_the_whole_factor(self, failing_dpftrf,
+                                                        failing_solve_toeplitz, n):
+        factored, solved = failing_dpftrf(0), failing_solve_toeplitz(0)
+        X, lam = _progression(n), 0.01
+        Y = np.sin(7.0 * X.points) + 0.1 * np.random.default_rng(n).standard_normal((n, 3))
+        model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
+        assert (factored, solved, model.jitter) == ([], [n], 0.0)
+        whole = cho_solve(cho_factor(gram(self.SPEC, X) + lam * np.eye(n), lower=True), Y - 0.2)
+        assert np.abs(model.dual - whole).max() <= 1e-10 * np.abs(whole).max()
+        for k in range(3):
+            single = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y[:, k], lam).dual
+            assert np.allclose(model.dual[:, k], single, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("r", [1, 20])
+    def test_traced_peak_is_a_few_fft_arrays(self, failing_solve_toeplitz, r):
+        # the FFTs work on r rows of 2n doubles (or n + 1 complex numbers),
+        # at most five at once, beside a few vectors of 2n doubles; the
+        # packed array alone is 8 n (n + 1) / 2 bytes, 16 MiB at n = 2048
+        n = 2048
+        solved = failing_solve_toeplitz(0)
+        X = _progression(n)
+        Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model = fit(KernelSpec(tau=2.0, lengthscale=0.2), MeanSpec("constant", 0.3), X, Y,
+                        1e-4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert solved == [n] and model.dual.shape == (n, r)
+        assert peak <= 8 * 2 * n * (5 * r + 20)
+        assert all(a.size < n * n for a in vars(model).values() if isinstance(a, np.ndarray))
+
+    @pytest.mark.parametrize("factor", [math.nan, -1.0, 1.0 + 1e-6],
+                             ids=["not_finite", "negative_g0", "backward_error"])
+    def test_uncertified_solve_falls_back_to_the_packed_fit(self, failing_dpftrf,
+                                                            failing_solve_toeplitz, factor):
+        # g times 1 + 1e-6 is finite with g_0 > 0, and it scales the weights
+        # by 1 + 1e-6: a backward error of about 1e-6 / (1 + kappa), far past
+        # n eps at lambda = 0.01
+        n = 1024
+        X = _progression(n)
+        Y = np.cos(4.0 * X.points) + 0.05 * np.random.default_rng(n).standard_normal((n, 2))
+        factored, solved = failing_dpftrf(0), failing_solve_toeplitz(1, factor)
+        model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, 0.01)
+        assert (factored, solved, model.jitter) == ([n], [n], 0.0)
+        failing_solve_toeplitz(math.inf)
+        packed = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, 0.01)
+        assert model.dual.tobytes() == packed.dual.tobytes()
+
+    @pytest.mark.parametrize("case", ["interpolation", "gather", "direct", "square", "midpoints"])
+    def test_other_large_fits_still_pack(self, failing_dpftrf, failing_solve_toeplitz, case):
+        # the route takes only lambda > 0 on a 1-d design of equal steps
+        rng = np.random.default_rng(13)
+        spec, lam = self.SPEC, 0.01
+        if case == "interpolation":
+            X, lam = _progression(1024), 0.0
+        elif case == "square":
+            X = gen_grid(32, Domain((0.0, 0.0), (1.0, 1.0)))  # 32 x 32 points
+            spec = KernelSpec(tau=3.5, lengthscale=0.2, dim=2)
+        elif case == "midpoints":
+            # the midpoints of 725 cells are equally spaced, but their
+            # rounded differences are not all one double
+            X = gen_grid(725, UNIT)
+            steps = np.diff(X.points[:, 0])
+            assert np.allclose(steps, 1 / 725, rtol=1e-12) and not (steps == steps[0]).all()
+        else:
+            X = _packed_designs()[case]
+        factored, solved = failing_dpftrf(0), failing_solve_toeplitz(0)
+        fit(spec, ZERO, X, rng.standard_normal(len(X)), lam)
+        assert (factored, solved) == ([len(X)], [])
 
 
 class TestReplicateColumns:
@@ -488,6 +588,7 @@ _RESIDENCY_CHILD = """
 import gprates.cli
 gprates.cli._pin_blas_threads()
 import numpy as np
+import gprates.fitting
 from gprates.designs import UNIT_INTERVAL, gen_grid
 from gprates.fitting import MeanSpec, fit
 from gprates.kernels import KernelSpec
@@ -498,6 +599,7 @@ def status(field):
         return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
 
 
+gprates.fitting.solve_toeplitz = lambda c, b, **kwargs: np.full(len(c), np.nan)  # route off
 n, r = 2048, 20
 X = gen_grid(n, UNIT_INTERVAL)
 Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
@@ -512,7 +614,8 @@ print(1024 * (status("VmHWM") - before))
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads VmRSS and VmHWM from Linux's /proc/self/status")
 def test_packed_gram_keeps_its_triangle_resident():
-    # A 2048-point Gram is packed: n (n + 1) / 2 doubles, 16.0 of the whole
+    # With the Toeplitz route switched off in the child, a 2048-point Gram
+    # is packed: n (n + 1) / 2 doubles, 16.0 of the whole
     # matrix's 32 MiB, all of them written (16.5 MiB read on a 2-core VM).
     # A whole matrix, or a triangle written into it, keeps more of its
     # pages resident (a half-written Gram on 4 KiB pages read 20.0 MiB).

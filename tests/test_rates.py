@@ -128,6 +128,27 @@ def test_exponent_gaussian_regression(params, expected, notes):
     assert got == notes
 
 
+# tau_k a quarter off tau_f + d/2 at one end, q = 2 and a quasi-uniform
+# design: the three-term bound, not the optimum -tau_f/(2 tau_f + d) = -1/3,
+# whichever end is off.  Each expected value is the larger of
+#   bias -1/2 - (min(tau_f, tau_k-) - d/2)/d and
+#   noise_residual -1/2 + max((1/2 - tau_f/(2 tau_k+))_+, d/(4 tau_k-)).
+@pytest.mark.parametrize("params, expected, rho", [
+    (_params(1.0, (1.25, 1.5), nugget=FIXED),
+     max(-0.5 - (1.0 - 0.5) / 1, -0.5 + max(0.5 - 1.0 / (2 * 1.5), 1 / (4 * 1.25))), "0.5"),
+    (_params(1.0, (1.5, 1.75), nugget=FIXED),
+     max(-0.5 - (1.0 - 0.5) / 1, -0.5 + max(0.5 - 1.0 / (2 * 1.75), 1 / (4 * 1.5))), "0.75"),
+    (_params(2.0, (2.75, 3.0), d=2, nugget=FIXED),
+     max(-0.5 - (2.0 - 1.0) / 2, -0.5 + max(0.5 - 2.0 / (2 * 3.0), 2 / (4 * 2.75))), "1"),
+    (_params(2.0, (3.0, 3.25), d=2, nugget=FIXED),
+     max(-0.5 - (2.0 - 1.0) / 2, -0.5 + max(0.5 - 2.0 / (2 * 3.25), 2 / (4 * 3.0))), "1.25"),
+], ids=["tau_k_minus_low_d1", "tau_k_plus_high_d1", "tau_k_minus_low_d2", "tau_k_plus_high_d2"])
+def test_a_quarter_off_the_prescribed_smoothness_is_the_fallback(params, expected, rho):
+    n_exp, notes = theoretical_exponent(params, well_specified=True)
+    assert n_exp == pytest.approx(expected, abs=1e-15) and expected != pytest.approx(-1 / 3)
+    assert notes == [FALLBACK, f"misspecified branch: bias term carries rho^{rho}"]
+
+
 def _three_term_bound(p):
     """The Gaussian-regression fallback with all three terms of the theorem."""
     ig = 0.0 if math.isinf(p.q) else 1.0 / max(2.0, p.q)
@@ -220,6 +241,35 @@ def test_each_term_of_the_term_wise_maximum(params, expected):
     n_exp, notes = theoretical_exponent(params)
     assert n_exp == pytest.approx(expected, abs=1e-15)
     assert notes[-1].endswith("using the term-wise maximum")
+
+
+# An adaptive exponent a quarter off tau_k- - d/2 at tau_k- = tau_k+: the
+# term-wise maximum, not the combined corollary -1/2 + max(g, 1/2 - tau/d)
+# (the comment's value).  Each expected value is the largest of bias,
+# nugget_bias, noise_fill and noise_flat, in that order, with sig = exponent/d.
+@pytest.mark.parametrize("params, expected", [
+    # exponent 1.5 + 1/4; combined -1/2
+    (_params(2.0, 2.0, noise_growth=0.0, nugget=_adaptive(1.75)),
+     max(-0.5 - (2.0 - 0.5) / 1, -0.5 - 1.75 + 0.0, -0.5 - (2.0 - 0.5) / 1 + 1.75 + 0.0, -0.5 + 0.0)),
+    # exponent 2.5 - 1/4; combined -1
+    (_params(1.0, 3.0, noise_growth=-2.0, nugget=_adaptive(2.25)),
+     max(-0.5 - (1.0 - 0.5) / 1, -0.5 - 2.25 + (3.0 - 1.0) / 1,
+         -0.5 - (3.0 - 0.5) / 1 + 2.25 - 2.0, -0.5 - 2.0)),
+    # d = 2, exponent 1.5 + 1/4; combined -1/2
+    (_params(1.5, 2.5, d=2, noise_growth=0.0, nugget=_adaptive(1.75)),
+     max(-0.5 - (1.5 - 1.0) / 2, -0.5 - 1.75 / 2 + (2.5 - 1.5) / 2,
+         -0.5 - (2.5 - 1.0) / 2 + 1.75 / 2 + 0.0, -0.5 + 0.0)),
+    # d = 2, exponent 1.5 - 1/4; combined -3/4
+    (_params(1.5, 2.5, d=2, noise_growth=-2.0, nugget=_adaptive(1.25)),
+     max(-0.5 - (1.5 - 1.0) / 2, -0.5 - 1.25 / 2 + (2.5 - 1.5) / 2,
+         -0.5 - (2.5 - 1.0) / 2 + 1.25 / 2 - 2.0, -0.5 - 2.0)),
+], ids=["above_d1", "below_d1", "above_d2", "below_d2"])
+def test_a_quarter_off_the_adaptive_exponent_is_the_term_wise_maximum(params, expected):
+    n_exp, notes = theoretical_exponent(params)
+    combined, _ = theoretical_exponent(replace(params, nugget=_adaptive(params.tau_k_minus
+                                                                        - params.d / 2)))
+    assert n_exp == pytest.approx(expected, abs=1e-15) and expected > combined
+    assert notes == [ADAPTIVE_MISMATCH]
 
 
 @st.composite
