@@ -16,24 +16,27 @@ one evaluation on the candidates, so the candidate regret is never negative.
 
 The loop repeats no work and scores only what its pick reads.  One
 incremental Newton basis (``designs.NewtonBasis``, with ``fit``'s
-interpolation jitter) gives the posterior sd on every candidate, and the
-mean and expected improvement only on the stabilized set: the pick is the
-first maximizer there, so scoring every candidate would change nothing.
-Apart from the basis update's product, a step makes a fixed handful of
-passes over the candidates (the sd into one buffer, its maximum, the
-stabilized mask and its indices) and otherwise touches only the stabilized
-set: one gather of its sd, the mean on the 8-row runs that cover it, and
-expected improvement without masks, since every sd there is positive.
-Only each budget's final step calls ``fit``, and it predicts on the
-candidates through ``fitting.posterior_mean``.  The Newton basis reads each
-kernel column once from ``kernels.kernel_columns`` and keeps none; on a
-1-d dyadic grid (a7's 4096 midpoints) the columns, the final steps' Gram
-matrices and their predictions all read the candidates'
+interpolation jitter) keeps the posterior variance and mean on every
+candidate and updates both with each new basis column, so a step forms one
+product with the basis: the one that makes that column.  Expected
+improvement is formed only on the stabilized set: the pick is the first
+maximizer there, so scoring every candidate would change nothing.  Apart
+from the basis update, a step makes a fixed handful of passes over the
+candidates (the sd into one buffer, its maximum, the stabilized mask and
+its indices) and otherwise touches only the stabilized set: one gather each
+of its sd and mean, and expected improvement without masks, since every sd
+there is positive.  Only each budget's final step calls ``fit``, and it
+predicts on the candidates through ``fitting.posterior_mean``.  The Newton
+basis reads each kernel column once from ``kernels.kernel_columns`` and
+keeps none; on a 1-d dyadic grid (a7's 4096 midpoints) the columns, the
+final steps' Gram matrices and their predictions all read the candidates'
 ``kernels.LatticeTable``, so the kernel is evaluated once, on the table's
 offsets, whatever the budgets.  A ``designs.MeshRatioTracker`` updates the
-mesh ratio with each selected point.  Every kernel column, mean, sd,
-acquisition and trace value is bitwise what the direct computation on
-every candidate gives.
+mesh ratio with each selected point.  Every kernel column, sd, threshold
+and mesh ratio is bitwise what the direct computation on every candidate
+gives.  The mean is the Newton form's sum ``sum_l z_l basis[:, l]`` in pick
+order, so it and the acquisition differ from the whole product
+``basis @ z`` only by the rounding of a k-term sum.
 
 Kernel values are checked as ``fit`` checks its Gram matrix: formed with
 floating-point warnings off, then required finite.  A kernel that leaves
@@ -199,14 +202,12 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
 
     Each step writes the posterior sd on every candidate into one buffer,
     takes its maximum and the stabilized set ``eligible`` from it, and
-    gathers ``sd[eligible]`` once; the mean (``NewtonBasis.mean`` on the
-    runs of 8-row groups that cover ``eligible``) and the expected
-    improvement are formed only there.  The pick is the first maximizer over
-    that set, so the picks, and the mean, sd and acquisition at each, are
-    bitwise those of scoring every candidate.  One ``MeshRatioTracker``
-    takes each point as it is selected: the fill distance over separation
-    radius of each selected prefix.  Every target value is read from
-    ``f_cand``.
+    gathers ``sd[eligible]`` and ``newton.mean[eligible]`` once; expected
+    improvement is formed only there.  The pick is the first maximizer over
+    that set, so it is the pick of scoring every candidate with the same
+    mean.  One ``MeshRatioTracker`` takes each point as it is selected: the
+    fill distance over separation radius of each selected prefix.  Every
+    target value is read from ``f_cand``.
 
     Raises ``ConfigurationError`` if a kernel value on the candidates is
     not finite, or if the posterior variance turns NaN, and
@@ -235,7 +236,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         choose(0)
         best = f_cand[0]
-        mean, sd, stable = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+        sd, stable = np.empty(m), np.empty(m, dtype=bool)
         for step in range(2, config.n):
             threshold = config.gamma * np.sqrt(newton.power, out=sd).max()
             if not math.isfinite(threshold):  # max() is NaN if any sd is
@@ -244,7 +245,7 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
                     f"{spec.amplitude!r} or kernel.lengthscale {spec.lengthscale!r}")
             eligible = np.flatnonzero(np.greater_equal(sd, threshold, out=stable))
             sd_eligible = sd[eligible]
-            acq = expected_improvement(newton.mean(eligible, out=mean)[eligible], sd_eligible, best)
+            acq = expected_improvement(newton.mean[eligible], sd_eligible, best)
             i = int(np.argmax(acq))  # first maximizer wins ties
             j = int(eligible[i])
             if j in run.chosen:

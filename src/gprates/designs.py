@@ -124,28 +124,35 @@ class NewtonBasis:
     After k candidates ``x_1..x_k`` are added, ``basis[:, :k]`` is
     ``K(cand, X) L^{-T}`` with ``L`` the Cholesky factor of ``K(X, X) + eps I``,
     ``power`` is the posterior variance ``k(x, x) - |basis[i, :k]|^2`` on every
-    candidate (clamped at zero: the squared power function), and
-    ``basis[:, :k] @ z[:k]`` is the zero-prior posterior mean of the added values.
+    candidate (clamped at zero: the squared power function), and ``mean`` is
+    the zero-prior posterior mean of the added values on every candidate.
     Adding candidate j extends ``L`` by one row, with off-diagonal
     ``basis[j, :k]`` and pivot ``sqrt(power[j] + eps)`` (Pazouki & Schaback
     2011, "Bases for kernel-based spaces").  ``eps = 0`` is exact
     interpolation; a positive ``eps`` is the jitter ``fit`` adds.
+
+    In Newton form the interpolant is ``sum_l z_l basis[:, l]``, so ``mean``
+    is that sum taken in the order the candidates were added: each ``add``
+    adds ``z_k`` times the new column, and no step forms a product with the
+    whole basis for it.
     """
 
     def __init__(self, amplitude: float, m: int, capacity: int, eps: float = 0.0):
         self.power = np.full(m, amplitude)
+        self.mean = np.zeros(m)
         self.basis = np.zeros((m, capacity))
         self.z = np.zeros(capacity)
         self.eps = eps
         self.size = 0
         self._col = np.empty(m)
+        self._term = np.empty(m)
 
     def add(self, j: int, column, value: float = 0.0) -> None:
         """Add candidate ``j``; ``column`` is ``k(cand, cand[j])``, ``value`` its observation.
 
-        The new basis column is formed in one buffer and ``power`` is
-        updated in place, with the operations and rounding of
-        ``power = max(power - col * col, 0)``.
+        The new basis column is formed in one buffer, and ``mean`` and
+        ``power`` are updated in place, with the operations and rounding of
+        ``mean = mean + z_k * col`` and ``power = max(power - col * col, 0)``.
         """
         k = self.size
         row = self.basis[j, :k]
@@ -153,55 +160,13 @@ class NewtonBasis:
         col = np.matmul(self.basis[:, :k], row, out=self._col)
         np.subtract(column, col, out=col)
         col /= pivot
-        self.z[k] = (value - row @ self.z[:k]) / pivot
+        self.z[k] = z = (value - row @ self.z[:k]) / pivot
         self.basis[:, k] = col
+        self.mean += np.multiply(col, z, out=self._term)
         col *= col
         self.power -= col
         np.maximum(self.power, 0.0, out=self.power)
         self.size = k + 1
-
-    def mean(self, rows, out) -> np.ndarray:
-        """Posterior mean of the values added so far, at least on the candidates ``rows``.
-
-        ``rows`` is an ascending integer index array, and the means go into
-        ``out``, an (m,) array, which is returned.  The mean is
-        ``basis[:, :k] @ z[:k]``, formed only on the runs of 8-row groups
-        from :func:`_group_runs`: each run is one product of a view of
-        ``basis``, no copy.  A run starts at a multiple of 8 and ends at one
-        or at m, so every row keeps its place in OpenBLAS's gemv row groups
-        (see ``kernels.row_block``) and gets bitwise its value in the whole
-        product.  That holds with BLAS on one thread, as ``cli.main`` and the
-        tests pin it: two threads split the whole product's rows near m / 2.
-        Entries of ``out`` outside the runs are left as they were.
-        """
-        B, z = self.basis[:, : self.size], self.z[: self.size]
-        for a, b in _group_runs(rows, len(out)):
-            np.matmul(B[a:b], z, out=out[a:b])
-        return out
-
-
-# a run of 8-row groups spans up to this many groups that hold no row: on
-# a7's basis one more product call costs about as much as 48 more rows
-_JOIN_GROUPS = 6
-
-
-def _group_runs(rows, m: int):
-    """The runs ``(a, b)`` of 8-row groups of ``range(m)`` that cover the
-    ascending index array ``rows``; groups at most ``_JOIN_GROUPS`` apart
-    share a run."""
-    groups = np.asarray(rows) >> 3
-    if not groups.size:
-        return ()
-    cut = (groups[1:] - groups[:-1] > _JOIN_GROUPS + 1).nonzero()[0]
-    starts = (groups[cut + 1] << 3).tolist()
-    starts.insert(0, int(groups[0]) << 3)
-    stops = ((groups[cut] << 3) + 8).tolist()
-    stops.append(min((int(groups[-1]) << 3) + 8, m))
-    if m > 1 and starts[-1] == m - 1:
-        # numpy forms a one-row product as a dot product, which rounds
-        # otherwise than gemv, so a last group of one row joins the one before
-        starts[-1] -= 8
-    return zip(starts, stops)
 
 
 def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
@@ -299,24 +264,31 @@ class MeshRatioTracker:
     a point takes one minimum with its distances to the probes and one with
     its distances to the earlier points.  Minima are exact, so ``ratio()`` is
     bitwise ``fill_distance / separation_radius`` of the points added so far.
+    The first ``size`` rows of ``points`` hold them; the array doubles when
+    full, so adding a point does not copy the earlier ones.
     """
 
     def __init__(self, domain: Domain, probe_resolution: int | None = None):
         self.probes = _probe_points(domain, probe_resolution or _default_probe(domain.dim))
         self.nearest = np.full(len(self.probes), np.inf)
         self.closest = np.inf
-        self.points = np.empty((0, domain.dim))
+        self.points = np.empty((16, domain.dim))
+        self.size = 0
 
     def add(self, x) -> None:
         x = np.asarray(x, dtype=float).reshape(1, -1)
+        n = self.size
         np.minimum(self.nearest, distances(self.probes, x)[:, 0], out=self.nearest)
-        self.closest = min(self.closest, distances(self.points, x).min(initial=np.inf))
-        self.points = np.vstack([self.points, x])
+        self.closest = min(self.closest, distances(self.points[:n], x).min(initial=np.inf))
+        if n == len(self.points):
+            self.points = np.concatenate([self.points, np.empty_like(self.points)])
+        self.points[n] = x[0]
+        self.size = n + 1
 
     def ratio(self) -> float:
         """Fill distance over separation radius of the points added so far;
         a repeated point raises ``ZeroDivisionError``."""
-        if len(self.points) < 2:
+        if self.size < 2:
             raise ConfigurationError("separation radius needs at least two points")
         return float(self.nearest.max()) / float(self.closest / 2.0)
 

@@ -46,11 +46,6 @@ def _one_block_per_strip(table, blocks_per_strip=kernels.blocks_per_strip):
     return blocks_per_strip(table) and 1
 
 
-def _whole_product(rows, m):
-    """One run over every row: ``NewtonBasis.mean`` forms the whole product."""
-    return [(0, m)]
-
-
 # fast path -> the (gprates module, name, off value) of each binding that
 # switches it off
 FAST_PATHS = {
@@ -59,8 +54,6 @@ FAST_PATHS = {
                        for module in ("kernels", "fitting")],
     # up to blocks_per_strip(table) blocks of a grid against a grid share one window
     "strip_windows": [("kernels", "blocks_per_strip", _one_block_per_strip)],
-    # NewtonBasis.mean forms only the 8-row groups that cover the stabilized set
-    "group_runs": [("designs", "_group_runs", _whole_product)],
     # expected improvement skips its masks when every sd is positive
     "positive_sd_pass": [("bayesopt", "expected_improvement", masked_expected_improvement)],
 }

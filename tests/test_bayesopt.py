@@ -194,16 +194,21 @@ def test_expected_improvement_on_a_subset_is_bitwise_the_full_call(seed, size, b
         assert np.array_equal(expected_improvement(mean[rows], sd[rows], best), full[rows])
 
 
-def _plain_bo_loop(target, config):
+def _plain_bo_loop(target, config, whole_product=False):
     """The strategy as a plain loop that scores every candidate: the mean is
-    the whole product, expected improvement the masked formula, the pick the
-    first maximizer with sd at least the threshold, and each mesh ratio
-    ``fill_distance / separation_radius`` of the selected prefix."""
+    the Newton form's sum ``z_1 v_1 + ... + z_k v_k`` over the basis columns
+    in pick order (the whole product ``basis @ z`` with ``whole_product``),
+    expected improvement the masked formula, the pick the first maximizer
+    with sd at least the threshold, and each mesh ratio
+    ``fill_distance / separation_radius`` of the selected prefix.  With
+    ``whole_product`` it also returns, per step, ``NewtonBasis.mean``'s
+    distance from that product and the float64 bound
+    ``2 k eps sum_l |z_l| |basis[:, l]|`` on the distance of two k-term sums."""
     cand, spec = config.candidates, config.kernel
     pts, m = cand.points, len(cand)
     f = eval_target(target, pts)
     newton = NewtonBasis(spec.amplitude, m, config.n - 1, DEFAULT_JITTER_FACTOR * spec.amplitude)
-    chosen, slacks, trace = [], [], []
+    chosen, slacks, trace, errors = [], [], [], []
 
     def choose(j):
         chosen.append(j)
@@ -213,9 +218,18 @@ def _plain_bo_loop(target, config):
     best = f[0]
     for step in range(2, config.n):
         k = newton.size
+        basis, z = newton.basis[:, :k], newton.z[:k]
         sd = np.sqrt(newton.power)
         threshold = config.gamma * sd.max()
-        acq = masked_expected_improvement(newton.basis[:, :k] @ newton.z[:k], sd, best)
+        if whole_product:
+            mean = basis @ z
+            bound = 2 * k * np.finfo(float).eps * (np.abs(basis) @ np.abs(z))
+            errors.append((np.abs(newton.mean - mean), bound))
+        else:
+            mean = np.zeros(m)
+            for l in range(k):
+                mean += z[l] * basis[:, l]
+        acq = masked_expected_improvement(mean, sd, best)
         j = int(np.argmax(np.where(sd >= threshold, acq, -np.inf)))
         slacks.append(threshold - sd[j])
         choose(j)
@@ -225,41 +239,69 @@ def _plain_bo_loop(target, config):
                       "threshold": float(threshold), "sd": float(sd[j]),
                       "acquisition": float(acq[j]),
                       "rho_so_far": fill_distance(X)[0] / separation_radius(X)})
-    return chosen, slacks, trace
+    return chosen, slacks, trace, errors
 
 
-@pytest.mark.parametrize("resolution, domain, n", [
-    (512, Domain((0.0,), (1.0,)), 64),
-    (777, Domain((0.1,), (3.1,)), 48),
-    (25, Domain((0.0, 0.0), (1.0, 1.0)), 40),
-], ids=["dyadic_512", "offset_777", "25x25"])
-def test_loop_is_bitwise_a_plain_loop_over_every_candidate(resolution, domain, n):
-    # a lattice table, cross_matrix columns (777 = 8 * 97 + 1 and 625 = 8 * 78 + 1
-    # candidates end in a one-row group), and a 2-d grid; the dyadic run
-    # reaches steps where expected improvement ties at 0 on every
-    # stabilized candidate
+def _a7_config():
+    cfg = config_from_dict(acceptance_configs()["a7"])
+    return cfg.target, BOConfig(gamma=cfg.bo_gamma, n=max(cfg.bo_budgets),
+                                kernel=cfg.kernel_for(0),
+                                candidates=gen_grid(cfg.candidate_resolution, cfg.domain))
+
+
+def _grid_config(resolution, domain, n):
     dim = domain.dim
     spec = KernelSpec(tau=2.5 if dim == 1 else 3.0, lengthscale=0.15, dim=dim)
     target = (config_from_dict(SMALL_BO).target if resolution == 512
               else random_expansion_target(tau_f=3.0, domain=domain, seed=10))
-    config = BOConfig(gamma=0.3, n=n, kernel=spec, candidates=gen_grid(resolution, domain))
+    return target, BOConfig(gamma=0.3, n=n, kernel=spec, candidates=gen_grid(resolution, domain))
+
+
+# a lattice table, cross_matrix columns, and a 2-d grid; the dyadic run
+# reaches steps where expected improvement ties at 0 on every stabilized
+# candidate
+GRIDS = {
+    "dyadic_512": (512, Domain((0.0,), (1.0,)), 64),
+    "offset_777": (777, Domain((0.1,), (3.1,)), 48),
+    "25x25": (25, Domain((0.0, 0.0), (1.0, 1.0)), 40),
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_loop_is_bitwise_a_plain_loop_over_every_candidate(grid):
+    target, config = _grid_config(*GRIDS[grid])
     run = run_gamma_F_n(target, config)
-    chosen, slacks, trace = _plain_bo_loop(target, config)
+    chosen, slacks, trace, _ = _plain_bo_loop(target, config)
     assert run.chosen == chosen
     assert np.array(run.slacks).tobytes() == np.array(slacks).tobytes()
     # json spells out every float, sign of zero included
     assert json.dumps(run.trace) == json.dumps(trace)
 
 
+@pytest.mark.parametrize("case", [*GRIDS, "a7_200"])
+def test_loop_picks_what_the_whole_product_picks(case):
+    # the mean summed in pick order and the whole product, whose gemv sums
+    # in blocks, round differently; every pick, slack, threshold and sd must
+    # still be bitwise the whole-product loop's, and at every step the
+    # basis's mean must lie within float64's bound of the product
+    target, config = _a7_config() if case == "a7_200" else _grid_config(*GRIDS[case])
+    run = run_gamma_F_n(target, config)
+    chosen, slacks, trace, errors = _plain_bo_loop(target, config, whole_product=True)
+    assert run.chosen == chosen
+    assert np.array(run.slacks).tobytes() == np.array(slacks).tobytes()
+    for key in ("threshold", "sd"):
+        assert [row[key] for row in run.trace] == [row[key] for row in trace], key
+    assert len(errors) == config.n - 2
+    assert all(np.all(error <= bound) for error, bound in errors)
+
+
 def test_a7_reads_every_column_from_the_lattice_table(counted):
     # a7's 4096 midpoint candidates have a table of 4096 offsets against
     # themselves: the whole loop evaluates the kernel once, on that table
-    cfg = config_from_dict(acceptance_configs()["a7"])
-    config = BOConfig(gamma=cfg.bo_gamma, n=max(cfg.bo_budgets), kernel=cfg.kernel_for(0),
-                      candidates=gen_grid(cfg.candidate_resolution, cfg.domain))
+    target, config = _a7_config()
     columns = counted(kernels, "cross_matrix")
     evaluated = counted(kernels, "matern_of_r")
-    trajectory = run_gamma_F_n(cfg.target, config)
+    trajectory = run_gamma_F_n(target, config)
     assert len(trajectory.chosen) == 199
     assert columns["calls"] == 0
     assert evaluated == {"calls": 1, "entries": 4096}

@@ -265,68 +265,33 @@ P_GREEDY_2D = [
 
 
 class TestNewtonBasis:
-    def _basis_and_fit(self):
+    def _basis_and_fits(self):
+        """The basis after each added candidate, with ``fit`` on the candidates added so far."""
         spec = KernelSpec(tau=2.5, lengthscale=0.2, amplitude=2.0)
         cand = gen_grid(64, UNIT)
         chosen = [5, 40, 20, 63, 0, 31, 12]
         y = np.sin(6.0 * cand.points[chosen, 0])
         eps = DEFAULT_JITTER_FACTOR * spec.amplitude
         newton = NewtonBasis(spec.amplitude, len(cand), len(chosen), eps)
-        for j, value in zip(chosen, y):
-            newton.add(j, cross_matrix(spec, cand, cand.points[j])[:, 0], value)
-        model = fit(spec, MeanSpec("constant", 0.0), PointSet(cand.points[chosen], UNIT), y, 0.0)
-        assert model.jitter == eps
-        return cand, chosen, newton, model
+        for k, j in enumerate(chosen, start=1):
+            newton.add(j, cross_matrix(spec, cand, cand.points[j])[:, 0], y[k - 1])
+            X = PointSet(cand.points[chosen[:k]], UNIT)
+            model = fit(spec, MeanSpec("constant", 0.0), X, y[:k], 0.0)
+            assert model.jitter == eps
+            yield cand, chosen, newton, model
 
     def test_matches_fit_with_its_jitter(self, posterior_var):
-        cand, _, newton, model = self._basis_and_fit()
-        np.testing.assert_allclose(newton.power, posterior_var(model, cand), rtol=0, atol=1e-14)
-        mean = newton.mean(np.arange(len(cand)), np.empty(len(cand)))
-        np.testing.assert_allclose(mean, posterior_mean(model, cand), rtol=0, atol=1e-14)
+        for k, (cand, _, newton, model) in enumerate(self._basis_and_fits(), start=1):
+            assert newton.size == k
+            np.testing.assert_allclose(newton.power, posterior_var(model, cand), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(newton.mean, posterior_mean(model, cand), rtol=0, atol=1e-14)
+        assert k == 7
 
     def test_rows_at_chosen_points_extend_the_cholesky_factor(self, oracle_factor):
-        _, chosen, newton, model = self._basis_and_fit()
+        *_, (_, chosen, newton, model) = self._basis_and_fits()
         L = oracle_factor(model)
         for i, j in enumerate(chosen):
             np.testing.assert_allclose(newton.basis[j, :i], L[i, :i], rtol=0, atol=1e-15)
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_mean_on_rows_is_bitwise_the_whole_product(self, data):
-        # any number of candidates (a multiple of 8 or not; m = 8 g + 1, whose
-        # last group holds one row, is drawn on its own), any fill of the
-        # basis, and rows that are a random mask, one row, the last row, the
-        # two end rows or one contiguous run
-        m = data.draw(st.one_of(st.integers(1, 64), st.integers(65, 4500),
-                                st.integers(1, 560).map(lambda g: 8 * g + 1)), label="m")
-        capacity = data.draw(st.integers(1, min(m, 200)), label="capacity")
-        k = data.draw(st.integers(1, capacity), label="k")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        spec = KernelSpec(tau=2.5, lengthscale=0.15, amplitude=1.3)
-        cand = gen_grid(m, UNIT)
-        newton = NewtonBasis(spec.amplitude, m, capacity, DEFAULT_JITTER_FACTOR * spec.amplitude)
-        for j in rng.choice(m, k, replace=False):
-            newton.add(j, cross_matrix(spec, cand, cand.points[j])[:, 0], rng.standard_normal())
-        kind = data.draw(st.sampled_from(["mask", "one", "last", "ends", "run"]), label="rows")
-        if kind == "mask":
-            rows = np.flatnonzero(rng.random(m) < data.draw(st.floats(0.01, 1.0)))
-        elif kind == "one":
-            rows = np.array([data.draw(st.integers(0, m - 1))])
-        elif kind == "last":
-            rows = np.array([m - 1])
-        elif kind == "ends":
-            rows = np.unique([0, m - 1])
-        else:
-            start = data.draw(st.integers(0, m - 1))
-            rows = np.arange(start, data.draw(st.integers(start + 1, m)))
-        whole = newton.basis[:, :k] @ newton.z[:k]
-        out = np.full(m, np.nan)
-        assert newton.mean(rows, out) is out
-        assert np.array_equal(out[rows], whole[rows])
-        # the rows formed beside them, in the same 8-row groups, are exact too
-        formed = ~np.isnan(out)
-        assert np.array_equal(out[formed], whole[formed])
-        assert np.array_equal(newton.mean(np.arange(m), out), whole)
 
 
 class TestPGreedy:
