@@ -2,17 +2,14 @@
 
 ``fit`` solves the regularized kernel system ``(K + lambda I) w = y - m_X``;
 ``y`` may hold r columns of observations at the same design (noise
-replicates), and one solve serves all of them.  It takes one of three
-routes.  A Gram under 4 MiB is written whole and factored by
-``cho_factor``.  A Gram of 4 MiB or more is written and factored in
-LAPACK's rectangular full packed format (``kernels.packed_gram``,
-``dpftrf`` and ``dpftrs``), which holds its lower triangle and nothing
-else, unless the system is Toeplitz: a ridge fit (``lambda > 0``) on an
-equally spaced 1-d design, whose ``K + lambda I`` is set by its first
-column.  That one is solved in O(n^2) from that column (Levinson's
-recursion for the first column of the inverse, then the Gohberg-Semencul
-formula applied by FFTs in :func:`_toeplitz_solve`) and kept only if its
-backward error is certified small; otherwise it is packed and factored.
+replicates), and one solve serves all of them.  It takes one of two
+routes.  A ridge fit (``lambda > 0``) of 4 MiB or more on an equally
+spaced 1-d design has a Toeplitz ``K + lambda I``, set by its first
+column; it is solved in O(n^2) from that column (Levinson's recursion for
+the first column of the inverse, then the Gohberg-Semencul formula
+applied by FFTs in :func:`_toeplitz_solve`) and kept only if its backward
+error is certified small.  Every other fit, and a Toeplitz solve that is
+not certified, writes its Gram whole and factors it with ``cho_factor``.
 The fitted model keeps only what prediction reads, the dual weights ``w``;
 it is immutable and its predictors are pure functions.  ``lambda = 0`` is
 interpolation and gets a small diagonal jitter (escalated on factorization
@@ -27,13 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_toeplitz
-from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
 from .kernels import (
     BLOCK_ENTRIES, KernelSpec, LatticeTable, as_points, cross_matrix, distances, gram,
-    lattice_table, packed_diagonal, packed_gram, row_blocks, table_blocks, work_arrays,
+    lattice_table, row_blocks, table_blocks, work_arrays,
 )
 
 logger = logging.getLogger(__name__)
@@ -41,12 +37,13 @@ logger = logging.getLogger(__name__)
 DEFAULT_JITTER_FACTOR = 1e-10
 MAX_JITTER_FACTOR = 1e-6
 
-# A Gram of this many bytes or more (n >= 725) is packed, or solved as a
-# Toeplitz system when its fit allows (see ``fit``).  Smaller ones keep
-# cho_factor's bits: packed, the 512-point rungs of a1 and a2 moved their
-# errors by 1.3e-9 relative and a5 by 1.7e-8, past the 1e-9 to which the
-# benchmark holds its recorded values.
-PACKED_BYTES = 4 * 2**20
+# A ridge fit on an equally spaced 1-d design whose Gram would be this many
+# bytes or more (n >= 725) is solved as a Toeplitz system (see ``fit``).
+# Smaller ones keep cho_factor's bits, to which the benchmark holds the
+# recorded errors of a1, a2, a4 and a5 within 1e-9: another factorization's
+# rounding moved the 512-point rungs of a1 and a2 by 1.3e-9 relative and a5
+# by 1.7e-8.
+TOEPLITZ_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -95,9 +92,10 @@ class PosteriorModel:
 
 
 def _all_finite(K: np.ndarray) -> bool:
-    """Whether every entry of ``K`` is finite, checked in blocks of
-    ``BLOCK_ENTRIES`` into one boolean buffer: scipy's own check allocates a
-    boolean array of ``K``'s size."""
+    """Whether every entry of the whole Gram ``K`` is finite, checked in
+    blocks of ``BLOCK_ENTRIES`` into one boolean buffer: scipy's own check,
+    in ``cho_factor`` and again in ``cho_solve``, allocates a boolean array
+    of ``K``'s size in each."""
     flat = K.reshape(-1)
     finite = np.empty(min(BLOCK_ENTRIES, flat.size), dtype=bool)
     for start in range(0, flat.size, BLOCK_ENTRIES):
@@ -197,14 +195,9 @@ def fit(
 
     ``y`` has shape (n,), or (n, r) for r sets of observations at ``X``; the
     dual weights have the same shape, and one solve serves every column.
-    There are three routes.
+    There are two routes.
 
-    *Whole.*  Below ``PACKED_BYTES``, :func:`kernels.gram` writes ``K`` whole
-    and ``cho_factor`` overwrites the lower triangle of ``K.T`` (Fortran
-    order, no copy) with the factor that ``cho_solve`` reads; each column's
-    weights are bitwise those of a fit to that column alone.
-
-    *Toeplitz.*  From ``PACKED_BYTES`` on, a ridge fit (``lam > 0``) on a
+    *Toeplitz.*  From ``TOEPLITZ_BYTES`` on, a ridge fit (``lam > 0``) on a
     1-d design whose consecutive differences are all the same double has a
     symmetric Toeplitz ``K + lam I``.  Its first column is
     ``cross_matrix(kernel, X, x_0)`` with ``lam`` added to its first entry
@@ -215,29 +208,26 @@ def fit(
     column's weights to rounding of a one-column fit's.  The weights are
     kept, with jitter 0, when ``g`` is finite with ``g_0 > 0`` and each
     column's backward error is at most n eps; otherwise the fit takes the
-    packed route.
+    whole route.
 
-    *Packed.*  Any other Gram of ``PACKED_BYTES`` or more is written by
-    :func:`kernels.packed_gram`, only its lower triangle, bitwise ``gram``'s,
-    in LAPACK's rectangular full packed format, the diagonal is at
-    :func:`kernels.packed_diagonal`, and ``dpftrf`` and ``dpftrs`` factor
-    and solve it at level-3 speed; the blocked solve gives each column's
-    weights to rounding of a one-column fit, not bitwise.
-
-    On the whole and packed routes ``K`` is factored in place, with
-    ``lam + jitter`` added to its diagonal (bitwise ``K + (lam + jitter) I``),
-    and is the only matrix of its size; the model does not keep it.  A
-    failed factorization has overwritten ``K``, so ``K`` is rebuilt before
-    the next jitter step.  ``K`` is checked finite in blocks
-    (:func:`_all_finite`), so the factor and the solve skip scipy's check,
-    which allocates a boolean array of ``K``'s size in each.
+    *Whole.*  Every other fit: :func:`kernels.gram` writes ``K`` whole,
+    ``lam + jitter`` is added to its diagonal (bitwise
+    ``K + (lam + jitter) I``), and ``cho_factor`` overwrites the lower
+    triangle of ``K.T`` (Fortran order, no copy) in place with the factor
+    that ``cho_solve`` reads; each column's weights are bitwise those of a
+    fit to that column alone.  ``K`` is the only matrix of its size, and
+    the model does not keep it.  A failed factorization has overwritten
+    ``K``, so ``K`` is rebuilt before the next jitter step.  ``K`` is
+    checked finite in blocks (:func:`_all_finite`), so the factor and the
+    solve skip scipy's check, which allocates a boolean array of ``K``'s
+    size in each.
 
     ``y``, the kernel (``K``, or the Toeplitz column) and the right-hand
     side ``y - m_X`` are checked finite, in that order (observations, a
     kernel or a prior mean past the float range are a
     ``ConfigurationError``).  A 2-d right-hand side is formed in Fortran
-    order, in ``y`` itself with ``overwrite_y``, and the factored routes
-    solve it in place (a Fortran-ordered ``y`` is then their dual weights).
+    order, in ``y`` itself with ``overwrite_y``, and the whole route
+    solves it in place (a Fortran-ordered ``y`` is then its dual weights).
     ``table`` is the :class:`kernels.LatticeTable` of ``X`` against itself
     when the caller holds one; None looks one up.
     """
@@ -252,9 +242,8 @@ def fit(
         raise ConfigurationError("observations are not finite: target.scale or the noise")
     n = len(X)
     A = kernel.amplitude
-    packed = 8 * n * n >= PACKED_BYTES
     rhs = None
-    if packed and lam > 0 and _equal_steps(X.points):
+    if 8 * n * n >= TOEPLITZ_BYTES and lam > 0 and _equal_steps(X.points):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             c = cross_matrix(kernel, X.points, X.points[:1])[:, 0]
         c[0] += lam
@@ -274,20 +263,15 @@ def fit(
     ladder += [f * A for f in (DEFAULT_JITTER_FACTOR, 1e-8, MAX_JITTER_FACTOR)]
     for jitter in ladder:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            K = packed_gram(kernel, X, table) if packed else gram(kernel, X, table)
-        K[packed_diagonal(n) if packed else np.diag_indices(n)] += lam + jitter
+            K = gram(kernel, X, table)
+        K[np.diag_indices(n)] += lam + jitter
         if not _all_finite(K):  # the kernel overflowed
             raise _kernel_overflow(kernel)
-        if packed:
-            K, info = dpftrf(n, K, transr="N", uplo="L", overwrite_a=1)
-            if info == 0:
-                break
-        else:
-            try:
-                K, _ = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
-                break
-            except np.linalg.LinAlgError:
-                pass
+        try:
+            K, _ = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
+            break
+        except np.linalg.LinAlgError:
+            pass
         logger.warning("cholesky failed at jitter %.1e, escalating", jitter)
     else:
         i, j, d = _closest_pair(X.points)
@@ -299,11 +283,7 @@ def fit(
         logger.warning("fit used escalated jitter %.1e", jitter)
     if rhs is None:
         rhs = _centred(y, prior_mean, X, overwrite_y)
-    if packed:
-        dual = dpftrs(n, K, rhs.reshape(n, -1), transr="N", uplo="L", overwrite_b=1)[0]
-        dual = dual.reshape(rhs.shape)
-    else:
-        dual = cho_solve((K, True), rhs, overwrite_b=True, check_finite=False)
+    dual = cho_solve((K, True), rhs, overwrite_b=True, check_finite=False)
     return PosteriorModel(
         kernel=kernel,
         prior_mean=prior_mean,

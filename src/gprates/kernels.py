@@ -42,15 +42,6 @@ gives the same bits.
 
 :func:`gram` writes a Gram matrix whole, in blocks of ``row_block(n)``
 whole rows, each C-contiguous, so a gathered block is filled in place.
-``fitting.fit`` factors a Gram of 4 MiB or more that it cannot solve as a
-Toeplitz system in LAPACK's rectangular full packed (RFP) format
-(Gustavson, Wasniewski, Dongarra & Langou 2010, "Rectangular full packed
-format for Cholesky's algorithm", ACM TOMS 37(2)): :func:`packed_gram`
-walks the same row blocks into one buffer and
-copies each row's segment of the lower triangle into an array of
-n (n + 1) / 2 doubles with no unused entry, so every packed entry is
-bitwise the whole matrix's, and :func:`packed_diagonal` says where the
-diagonal lies in it.
 """
 
 from __future__ import annotations
@@ -457,45 +448,6 @@ def table_blocks(table: LatticeTable):
             start += height
 
 
-def _gram_rows(spec: KernelSpec, pts: np.ndarray, table: LatticeTable | None, K=None):
-    """Walk the Gram matrix of the (n, d) batch ``pts`` in blocks of
-    ``row_block(n)`` whole rows, yielding ``(rows, block)``: the block is
-    ``K[rows]`` when the n x n ``K`` is given, else one buffer that every
-    block reuses.  A 1-d set on a small dyadic lattice reads its blocks from
-    its :func:`lattice_table` through :func:`table_block` (a window of the
-    table for a grid, a gather otherwise); any other set evaluates
-    ``matern_of_r`` on its distances in the buffers of :func:`row_blocks`.
-    ``table`` is that table when the caller holds one; None looks one up.
-
-    After the last block, duplicate points (more than n zero distances)
-    emit a :class:`SingularGramWarning`.  On the table path the zero offsets
-    are counted: in 1-d they are exactly the zero distances.
-    """
-    n = len(pts)
-    if n == 0:
-        raise ConfigurationError("gram requires a nonempty point set")
-    if table is None:
-        table = lattice_table(spec, pts, pts)
-    if table:
-        # the zero offsets, one per ordered pair of equal integer coordinates
-        counts = np.bincount(table.ia)
-        zeros = int(counts @ counts)
-        for rows, bufs in row_blocks(n, n, 1 if K is None else 0):
-            yield rows, table_block(table, rows, bufs[0] if K is None else K[rows])
-    else:
-        zeros = 0
-        for rows, (dist, *work) in row_blocks(n, n, (2 if K is None else 1) + work_arrays(spec)):
-            block = work.pop() if K is None else K[rows]
-            # in d >= 2 the block is the distances' work array before it holds the kernel
-            r = distances(pts[rows], pts, out=dist, work=block)
-            zeros += np.count_nonzero(r == 0.0)
-            yield rows, matern_of_r(spec, r, out=block, work=work)
-    if zeros > n:
-        warnings.warn(
-            "duplicate points give a singular Gram matrix", SingularGramWarning, stacklevel=3
-        )
-
-
 def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
     """Kernel matrix ``K[i, j] = k(x_i, x_j)``.
 
@@ -512,52 +464,37 @@ def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
     when the caller already holds one (a BO budget's points, read from the
     candidates' table); None looks one up with :func:`lattice_table`.
 
-    Duplicate points make the matrix singular; a
-    :class:`SingularGramWarning` is emitted and the matrix still returned.
-    """
-    pts = as_points(spec.dim, X)
-    K = np.empty((len(pts), len(pts)))
-    for _ in _gram_rows(spec, pts, table, K):
-        pass
-    return K
-
-
-def packed_gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
-    """The lower triangle of ``gram(spec, X, table)`` in LAPACK's rectangular
-    full packed format, ``TRANSR = 'N'``, ``UPLO = 'L'``: a 1-d array of
-    n (n + 1) / 2 doubles, the ``arf`` of ``dtrttf`` and ``dpftrf``.
-
-    Viewed in C order as k x (n + e), with k = ceil(n / 2) and e = 1 for
-    even n, else 0, row j holds ``R[j, j+e:] = K[j, j:n]`` and
-    ``R[j, :j+e] = K[k-1+e+j, k : k+j+e]``.  So row r of ``K`` gives one
-    segment: from its diagonal on when r < k, from column k to its diagonal
-    when r >= k.  The rows are walked as :func:`gram` walks them, from the
-    same sources (table window, table gather, or distances and
-    ``matern_of_r``) into one block buffer of whole rows, and each row's
-    segment is copied into the array: every entry is bitwise ``gram``'s, on
-    the table path or off it, and duplicate points warn as ``gram`` does.
-    Nothing of n x n size is allocated.
+    Duplicate points (more than n zero distances) make the matrix singular;
+    a :class:`SingularGramWarning` is emitted and the matrix still returned.
+    On the table path the zero offsets are counted: in 1-d they are exactly
+    the zero distances.
     """
     pts = as_points(spec.dim, X)
     n = len(pts)
-    k, e = (n + 1) // 2, 1 - n % 2
-    R = np.empty((k, n + e))
-    for rows, block in _gram_rows(spec, pts, table):
-        for r, row in zip(range(rows.start, rows.stop), block):
-            if r < k:
-                R[r, r + e :] = row[r:]
-            else:
-                R[r - k + 1 - e, : r - k + 1] = row[k : r + 1]
-    return R.reshape(-1)
-
-
-def packed_diagonal(n: int) -> np.ndarray:
-    """Where :func:`packed_gram`'s array holds the diagonal of an n x n ``K``:
-    ``K[j, j]`` at row j, column j + e of its k x (n + e) view for j < k,
-    and ``K[r, r]`` at row r - k + 1 - e, column r - k for r >= k."""
-    k, e = (n + 1) // 2, 1 - n % 2
-    j = np.arange(n)
-    return np.where(j < k, j * (n + e + 1) + e, (j - k + 1 - e) * (n + e) + j - k)
+    if n == 0:
+        raise ConfigurationError("gram requires a nonempty point set")
+    K = np.empty((n, n))
+    if table is None:
+        table = lattice_table(spec, pts, pts)
+    zeros = 0
+    if table:
+        # the zero offsets, one per ordered pair of equal integer coordinates
+        counts = np.bincount(table.ia)
+        zeros = int(counts @ counts)
+    for rows, bufs in row_blocks(n, n, 0 if table else 1 + work_arrays(spec)):
+        if table:
+            table_block(table, rows, K[rows])
+        else:
+            dist, *work = bufs
+            # in d >= 2 the block is the distances' work array before it holds the kernel
+            r = distances(pts[rows], pts, out=dist, work=K[rows])
+            zeros += np.count_nonzero(r == 0.0)
+            matern_of_r(spec, r, out=K[rows], work=work)
+    if zeros > n:
+        warnings.warn(
+            "duplicate points give a singular Gram matrix", SingularGramWarning, stacklevel=2
+        )
+    return K
 
 
 def cross_matrix(spec: KernelSpec, Xq, X, out=None, work=()) -> np.ndarray:

@@ -3,9 +3,9 @@
 ``gprates.cli.main`` pins them for every command-line run; in-process tests
 call the library directly, so they pin here to get the same one-thread
 results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
-``failing_cho_factor`` and ``failing_dpftrf`` fixtures force ``fit``'s
-jitter escalation on a whole and on a packed Gram, ``failing_solve_toeplitz``
-switches its Toeplitz route off or spoils its certificate, the
+``failing_cho_factor`` fixture forces ``fit``'s jitter escalation on a whole
+Gram and counts its factorizations, ``failing_solve_toeplitz`` switches its
+Toeplitz route off or spoils its certificate, the
 ``oracle_factor`` and ``posterior_var`` fixtures are the Cholesky-factor and
 posterior-variance oracles, and the ``counted`` fixture counts the calls of
 a gprates function.
@@ -90,34 +90,6 @@ def failing_cho_factor(monkeypatch):
 
 
 @pytest.fixture
-def failing_dpftrf(monkeypatch):
-    """Replace ``fitting.dpftrf`` with one that counts calls and fails the first few.
-
-    ``failing_dpftrf(count)`` installs it and returns the list of factored
-    sizes, one per call.  Each of the first ``count`` calls runs the real
-    factorization in place and then reports LAPACK's failure code (the
-    order of a leading minor that is not positive definite), so a fit that
-    reused the array would factor garbage.
-    """
-    from scipy.linalg.lapack import dpftrf
-
-    import gprates.fitting
-
-    def install(count):
-        calls = []
-
-        def factor(n, a, *args, **kwargs):
-            calls.append(n)
-            result, info = dpftrf(n, a, *args, **kwargs)
-            return result, (1 if len(calls) <= count else info)
-
-        monkeypatch.setattr(gprates.fitting, "dpftrf", factor)
-        return calls
-
-    return install
-
-
-@pytest.fixture
 def failing_solve_toeplitz(monkeypatch):
     """Replace ``fitting.solve_toeplitz`` with one that counts calls and spoils the first few.
 
@@ -125,7 +97,7 @@ def failing_solve_toeplitz(monkeypatch):
     list of system sizes, one per call.  Each of the first ``count`` calls
     (``math.inf``: every call) runs the real recursion and returns its
     result times ``factor``.  A NaN factor switches ``fit``'s Toeplitz route
-    off, so the fit is packed and factored; a finite factor off 1 gives
+    off, so the Gram is written whole and factored; a finite factor off 1 gives
     weights that the route's backward-error test must reject.
     """
     from scipy.linalg import solve_toeplitz

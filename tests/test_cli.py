@@ -452,10 +452,10 @@ def test_singular_design_exits_3(tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_packed_fit_that_never_factors_exits_3(tmp_path, capsys, failing_dpftrf):
-    # an 800-point interpolation packs its Gram (4.9 MiB); dpftrf fails at
-    # every jitter step, and the run exits 3 naming the closest pair
-    factored = failing_dpftrf(3)
+def test_large_fit_that_never_factors_exits_3(tmp_path, capsys, failing_cho_factor):
+    # an 800-point interpolation factors its whole Gram (4.9 MiB); cho_factor
+    # fails at every jitter step, and the run exits 3 naming the closest pair
+    factored = failing_cho_factor(3)
     code, out = _run(tmp_path, dict(SMALL_FIT, n=800))
     assert code == 3 and factored == [800] * 3
     assert list(out.iterdir()) == []

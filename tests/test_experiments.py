@@ -366,16 +366,14 @@ def test_shipped_ladders_gather_from_a_kernel_table(raw):
 
 
 def test_only_a3s_largest_rungs_take_the_toeplitz_route(tmp_path, failing_cho_factor,
-                                                        failing_dpftrf, failing_solve_toeplitz):
-    # every shipped fit, by its route: a whole Gram (cho_factor), a packed
-    # one (dpftrf) or a Toeplitz solve (solve_toeplitz): the accept presets,
-    # BO final fits and a8's suites included, and the benchmark's P-greedy
-    # ladder.  Exactly a3's ridge rungs of 1024 and 2048 grid points cross
-    # PACKED_BYTES, and both are Toeplitz, so no shipped fit is packed; a
-    # change of the threshold that moves a ladder's rung across it, or a fit
-    # that takes another route, fails here
-    whole, packed = failing_cho_factor(0), failing_dpftrf(0)
-    toeplitz = failing_solve_toeplitz(0)
+                                                        failing_solve_toeplitz):
+    # every shipped fit, by its route: a whole Gram (cho_factor) or a
+    # Toeplitz solve (solve_toeplitz): the accept presets, BO final fits and
+    # a8's suites included, and the benchmark's P-greedy ladder.  Exactly
+    # a3's ridge rungs of 1024 and 2048 grid points cross TOEPLITZ_BYTES,
+    # and both are Toeplitz; a change of the threshold that moves a ladder's
+    # rung across it, or a fit that takes another route, fails here
+    whole, toeplitz = failing_cho_factor(0), failing_solve_toeplitz(0)
     raw = dict(acceptance_configs(), pgreedy_l2=dict(_bench_child().P_GREEDY, seed=DEFAULT_SEED))
     runs = {name: lambda cfg=cfg: run_experiment(config_from_dict(cfg), str(tmp_path))
             for name, cfg in raw.items()}
@@ -383,13 +381,12 @@ def test_only_a3s_largest_rungs_take_the_toeplitz_route(tmp_path, failing_cho_fa
                  for suite in (pythagorean_suite, regression_bound_suite, rayleigh_suite)})
     sizes = {}
     for name, run in runs.items():
-        start = len(whole), len(packed), len(toeplitz)
+        start = len(whole), len(toeplitz)
         run()
-        sizes[name] = whole[start[0]:], packed[start[1]:], toeplitz[start[2]:]
-    assert {name: t for name, (_, _, t) in sizes.items() if t} == {"a3": [1024, 2048]}
-    assert not any(p for _, p, _ in sizes.values())
-    assert all(w for w, _, _ in sizes.values())
-    assert max(n for w, _, _ in sizes.values() for n in w) == 512
+        sizes[name] = whole[start[0]:], toeplitz[start[1]:]
+    assert {name: t for name, (_, t) in sizes.items() if t} == {"a3": [1024, 2048]}
+    assert all(w for w, _ in sizes.values())
+    assert max(n for w, _ in sizes.values() for n in w) == 512
 
 
 # the configs that reach each fast path of the switchboard: a1_l2 and a3

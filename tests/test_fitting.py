@@ -16,7 +16,7 @@ from gprates.designs import Domain, PointSet, gen_grid, gen_p_greedy
 from gprates.errors import ConfigurationError, SingularDesignError
 from gprates.fitting import (
     DEFAULT_JITTER_FACTOR,
-    PACKED_BYTES,
+    TOEPLITZ_BYTES,
     MeanSpec,
     PosteriorModel,
     fit,
@@ -124,18 +124,17 @@ class TestInPlaceFactor:
         assert model.jitter == jitter
         assert np.array_equal(model.dual, self._oracle(X, Y, 0.0, jitter))
 
-    def test_traced_peak_is_one_matrix(self, failing_dpftrf, failing_solve_toeplitz):
-        # a 1024-point Gram is 8 MiB, so K is packed (the Toeplitz route is
-        # switched off): its n (n + 1) / 2 doubles, beside which the peak
-        # holds at most two blocks of BLOCK_ENTRIES doubles (the buffer of
-        # whole rows that packed_gram copies from, and the table); the
-        # copying factor peaked at 3.1 x 8 n^2, and a whole K alone is twice
-        # the packed array
+    def test_traced_peak_is_one_matrix(self, failing_cho_factor, failing_solve_toeplitz):
+        # a 1024-point Gram is 8 MiB; with the Toeplitz route switched off, K
+        # is written whole and factored in place, and beside its n^2 doubles
+        # the peak holds at most two blocks of BLOCK_ENTRIES doubles (the
+        # finiteness check's buffer and the table); the copying factor
+        # peaked at 3.1 x 8 n^2
         n = 1024
-        assert 8 * n * n >= PACKED_BYTES
+        assert 8 * n * n >= TOEPLITZ_BYTES
         X = gen_grid(n, UNIT)
         y = np.sin(5.0 * X.points[:, 0])
-        factored = failing_dpftrf(0)
+        factored = failing_cho_factor(0)
         failing_solve_toeplitz(math.inf)
         tracemalloc.start()
         try:
@@ -145,20 +144,18 @@ class TestInPlaceFactor:
         finally:
             tracemalloc.stop()
         assert factored == [n]
-        assert peak <= 8 * n * (n + 1) / 2 + 2 * 8 * BLOCK_ENTRIES
+        assert peak <= 8 * n * n + 2 * 8 * BLOCK_ENTRIES
 
-    @pytest.mark.parametrize("n", [512, 2048], ids=["whole", "packed"])
+    @pytest.mark.parametrize("n", [512, 1024])
     def test_fit_allocates_no_n_by_n_temporary_besides_k(self, failing_solve_toeplitz, n):
         # K's finiteness is checked in blocks, and the right-hand side is
-        # solved in place, so beyond K (whole, or packed from 4 MiB on, with
-        # the Toeplitz route switched off) and the n x r weights the peak
-        # holds only block-sized buffers; a finiteness check of all of K at
-        # once allocates a boolean array of its size, n^2 bytes whole
-        # (scipy's check_finite, in the factor and again in the solve) or
-        # n (n + 1) / 2 packed
+        # solved in place, so beyond K (with the Toeplitz route switched off
+        # at 1024 points) and the n x r weights the peak holds only
+        # block-sized buffers; a finiteness check of all of K at once
+        # (scipy's check_finite, in the factor and again in the solve)
+        # allocates a boolean array of n^2 bytes
         failing_solve_toeplitz(math.inf)
         r = 20
-        held = 8 * n * (n + 1) / 2 if 8 * n * n >= PACKED_BYTES else 8 * n * n
         X = gen_grid(n, UNIT)
         Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
         for lam in (1e-4, 0.0):
@@ -171,7 +168,7 @@ class TestInPlaceFactor:
             finally:
                 tracemalloc.stop()
             assert model.dual.shape == (n, r)
-            assert peak - 8 * n * r - held < n * n / 8
+            assert peak - 8 * n * r - 8 * n * n < n * n / 8
 
     def test_model_holds_no_n_by_n_array(self):
         n = 1024
@@ -182,10 +179,10 @@ class TestInPlaceFactor:
         assert arrays and all(a.size < n * n for a in arrays)
 
 
-def _packed_designs():
-    """Designs whose Gram is packed, one per source of its blocks: a dyadic
-    progression (window), lattice picks in pick order (gather) and a
-    jittered design (direct)."""
+def _large_designs():
+    """Designs of 4 MiB Grams or more, one per source of their blocks: a
+    dyadic progression (window), lattice picks in pick order (gather) and
+    a jittered design (direct)."""
     rng = np.random.default_rng(12)
     picks = rng.permutation(2048)[:726]
     return {"window": PointSet(gen_grid(1024, UNIT).points[:725], UNIT),
@@ -193,64 +190,42 @@ def _packed_designs():
             "direct": jittered_design(rng, 726)}
 
 
-class TestPackedFit:
-    """A Gram of ``PACKED_BYTES`` or more is factored in LAPACK's rectangular
-    full packed format by ``dpftrf`` and ``dpftrs``; a smaller one whole by
-    ``cho_factor``."""
+class TestLargeWholeFit:
+    """A Gram of ``TOEPLITZ_BYTES`` or more that the Toeplitz route does not
+    solve is written whole and factored by ``cho_factor``, as a smaller one is."""
 
     SPEC = KernelSpec(tau=3.0, lengthscale=0.2, amplitude=1.3)  # nu = 5/2
-    DESIGNS = _packed_designs()
+    DESIGNS = _large_designs()
 
     @pytest.fixture(autouse=True)
     def no_toeplitz_route(self, failing_solve_toeplitz):
         # the window design is a progression, whose ridge fits would take the
-        # Toeplitz route; switched off, they pack from the table's windows
+        # Toeplitz route; switched off, they fall back to the whole factor
         failing_solve_toeplitz(math.inf)
-
-    @pytest.mark.parametrize("n, packed", [(724, False), (725, True)])
-    def test_4_mib_and_more_is_packed(self, failing_cho_factor, failing_dpftrf, n, packed):
-        # 8 n^2 crosses 4 MiB between n = 724 and 725
-        whole, factored = failing_cho_factor(0), failing_dpftrf(0)
-        X = jittered_design(np.random.default_rng(n), n)
-        fit(self.SPEC, ZERO, X, np.sin(7.0 * X.points[:, 0]), 1e-3)
-        assert (whole, factored) == (([], [n]) if packed else ([n], []))
-
-    @pytest.mark.parametrize("path", ["window", "gather", "direct"])
-    def test_duals_are_within_1e_10_of_the_whole_factor(self, path):
-        X = self.DESIGNS[path]
-        n, lam = len(X), 0.01
-        Y = np.sin(7.0 * X.points) + 0.1 * np.random.default_rng(n).standard_normal((n, 3))
-        model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
-        whole = cho_solve(cho_factor(gram(self.SPEC, X) + lam * np.eye(n), lower=True), Y - 0.2)
-        assert np.abs(model.dual - whole).max() <= 1e-10 * np.abs(whole).max()
-        # dpftrs solves the columns in blocks: each agrees with its own fit to rounding
-        for k in range(3):
-            single = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y[:, k], lam).dual
-            assert np.allclose(model.dual[:, k], single, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["ridge", "interpolation_jitter"])
     @pytest.mark.parametrize("path", ["window", "gather", "direct"])
-    def test_failed_step_is_a_clean_fit_at_the_next_jitter(self, failing_dpftrf, path, lam):
-        # the failed dpftrf has overwritten the array, so the next step
+    def test_failed_step_is_a_clean_fit_at_the_next_jitter(self, failing_cho_factor, path, lam):
+        # the failed cho_factor has overwritten K, so the next step
         # rebuilds it; a fit whose lambda is the escalated lam + jitter adds
         # the same double to the diagonal, and its duals are bitwise equal
         X = self.DESIGNS[path]
         n = len(X)
         Y = np.cos(4.0 * X.points) + 0.05 * np.random.default_rng(n).standard_normal((n, 2))
-        factored = failing_dpftrf(1)
+        factored = failing_cho_factor(1)
         model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
         jitter = (1e-10 if lam > 0 else 1e-8) * self.SPEC.amplitude
         assert factored == [n, n] and model.jitter == jitter
-        failing_dpftrf(0)
+        failing_cho_factor(0)
         clean = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam + jitter)
         assert clean.jitter == 0.0
         assert model.dual.tobytes() == clean.dual.tobytes()
 
-    def test_every_step_failing_names_the_closest_pair(self, failing_dpftrf):
+    def test_every_step_failing_names_the_closest_pair(self, failing_cho_factor):
         X = self.DESIGNS["direct"]
         pts = X.points.copy()
         pts[101] = pts[100] + 1e-7
-        factored = failing_dpftrf(3)
+        factored = failing_cho_factor(3)
         with pytest.raises(SingularDesignError, match=r"closest design pair is \(100, 101\) at "
                                                       r"distance 1\.000e-07"):
             fit(self.SPEC, ZERO, PointSet(pts, UNIT), np.zeros(len(pts)), 0.0)
@@ -263,17 +238,27 @@ def _progression(n):
 
 
 class TestToeplitzFit:
-    """A ridge fit of ``PACKED_BYTES`` or more on an equally spaced 1-d design
-    solves its Toeplitz system from the first column in O(n^2), holding no
-    n x n or packed array, and falls back to the packed factor when the
+    """A ridge fit of ``TOEPLITZ_BYTES`` or more on an equally spaced 1-d
+    design solves its Toeplitz system from the first column in O(n^2),
+    holding no n x n array, and falls back to the whole factor when the
     backward error is not certified."""
 
     SPEC = KernelSpec(tau=3.0, lengthscale=0.2, amplitude=1.3)  # nu = 5/2
 
+    @pytest.mark.parametrize("n, toeplitz", [(724, False), (725, True)])
+    def test_4_mib_and_more_is_toeplitz(self, failing_cho_factor, failing_solve_toeplitz, n,
+                                        toeplitz):
+        # 8 n^2 crosses 4 MiB between n = 724 and 725; both are ridge fits
+        # on a dyadic progression
+        factored, solved = failing_cho_factor(0), failing_solve_toeplitz(0)
+        X = _progression(n)
+        fit(self.SPEC, ZERO, X, np.sin(7.0 * X.points[:, 0]), 1e-3)
+        assert (factored, solved) == (([], [n]) if toeplitz else ([n], []))
+
     @pytest.mark.parametrize("n", [725, 1024, 2048])
-    def test_duals_are_within_1e_10_of_the_whole_factor(self, failing_dpftrf,
+    def test_duals_are_within_1e_10_of_the_whole_factor(self, failing_cho_factor,
                                                         failing_solve_toeplitz, n):
-        factored, solved = failing_dpftrf(0), failing_solve_toeplitz(0)
+        factored, solved = failing_cho_factor(0), failing_solve_toeplitz(0)
         X, lam = _progression(n), 0.01
         Y = np.sin(7.0 * X.points) + 0.1 * np.random.default_rng(n).standard_normal((n, 3))
         model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
@@ -287,8 +272,8 @@ class TestToeplitzFit:
     @pytest.mark.parametrize("r", [1, 20])
     def test_traced_peak_is_a_few_fft_arrays(self, failing_solve_toeplitz, r):
         # the FFTs work on r rows of 2n doubles (or n + 1 complex numbers),
-        # at most five at once, beside a few vectors of 2n doubles; the
-        # packed array alone is 8 n (n + 1) / 2 bytes, 16 MiB at n = 2048
+        # at most five at once, beside a few vectors of 2n doubles; a whole
+        # Gram alone is 8 n^2 bytes, 32 MiB at n = 2048
         n = 2048
         solved = failing_solve_toeplitz(0)
         X = _progression(n)
@@ -307,23 +292,24 @@ class TestToeplitzFit:
 
     @pytest.mark.parametrize("factor", [math.nan, -1.0, 1.0 + 1e-6],
                              ids=["not_finite", "negative_g0", "backward_error"])
-    def test_uncertified_solve_falls_back_to_the_packed_fit(self, failing_dpftrf,
-                                                            failing_solve_toeplitz, factor):
+    def test_uncertified_solve_falls_back_to_the_whole_fit(self, failing_cho_factor,
+                                                           failing_solve_toeplitz, factor):
         # g times 1 + 1e-6 is finite with g_0 > 0, and it scales the weights
         # by 1 + 1e-6: a backward error of about 1e-6 / (1 + kappa), far past
         # n eps at lambda = 0.01
         n = 1024
         X = _progression(n)
         Y = np.cos(4.0 * X.points) + 0.05 * np.random.default_rng(n).standard_normal((n, 2))
-        factored, solved = failing_dpftrf(0), failing_solve_toeplitz(1, factor)
+        factored, solved = failing_cho_factor(0), failing_solve_toeplitz(1, factor)
         model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, 0.01)
         assert (factored, solved, model.jitter) == ([n], [n], 0.0)
         failing_solve_toeplitz(math.inf)
-        packed = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, 0.01)
-        assert model.dual.tobytes() == packed.dual.tobytes()
+        whole = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, 0.01)
+        assert model.dual.tobytes() == whole.dual.tobytes()
 
     @pytest.mark.parametrize("case", ["interpolation", "gather", "direct", "square", "midpoints"])
-    def test_other_large_fits_still_pack(self, failing_dpftrf, failing_solve_toeplitz, case):
+    def test_other_large_fits_are_factored_whole(self, failing_cho_factor, failing_solve_toeplitz,
+                                                 case):
         # the route takes only lambda > 0 on a 1-d design of equal steps
         rng = np.random.default_rng(13)
         spec, lam = self.SPEC, 0.01
@@ -339,8 +325,8 @@ class TestToeplitzFit:
             steps = np.diff(X.points[:, 0])
             assert np.allclose(steps, 1 / 725, rtol=1e-12) and not (steps == steps[0]).all()
         else:
-            X = _packed_designs()[case]
-        factored, solved = failing_dpftrf(0), failing_solve_toeplitz(0)
+            X = _large_designs()[case]
+        factored, solved = failing_cho_factor(0), failing_solve_toeplitz(0)
         fit(spec, ZERO, X, rng.standard_normal(len(X)), lam)
         assert (factored, solved) == ([len(X)], [])
 
@@ -580,56 +566,6 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-# A fresh interpreter, so that what is resident before the measured fit is
-# this process's own.  The first fit of the same size loads OpenBLAS's
-# buffers for that size; the second's peak above what was resident before
-# it is then its own Gram and block buffers.
-_RESIDENCY_CHILD = """
-import gprates.cli
-gprates.cli._pin_blas_threads()
-import numpy as np
-import gprates.fitting
-from gprates.designs import UNIT_INTERVAL, gen_grid
-from gprates.fitting import MeanSpec, fit
-from gprates.kernels import KernelSpec
-
-
-def status(field):
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
-
-
-gprates.fitting.solve_toeplitz = lambda c, b, **kwargs: np.full(len(c), np.nan)  # route off
-n, r = 2048, 20
-X = gen_grid(n, UNIT_INTERVAL)
-Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
-spec = KernelSpec(tau=2.0, lengthscale=0.2)
-fit(spec, MeanSpec("constant", 0.3), X, Y, 1e-4)
-before = status("VmRSS")
-fit(spec, MeanSpec("constant", 0.3), X, Y, 1e-4)
-print(1024 * (status("VmHWM") - before))
-"""
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads VmRSS and VmHWM from Linux's /proc/self/status")
-def test_packed_gram_keeps_its_triangle_resident():
-    # With the Toeplitz route switched off in the child, a 2048-point Gram
-    # is packed: n (n + 1) / 2 doubles, 16.0 of the whole
-    # matrix's 32 MiB, all of them written (16.5 MiB read on a 2-core VM).
-    # A whole matrix, or a triangle written into it, keeps more of its
-    # pages resident (a half-written Gram on 4 KiB pages read 20.0 MiB).
-    # The slack of 2 MiB holds the n x r right-hand side (320 KiB), the
-    # block buffer of whole rows and the lattice table.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _RESIDENCY_CHILD], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    n = 2048
-    assert int(proc.stdout) <= 8 * n * (n + 1) / 2 + 2 * 2**20
-
-
 def test_gathered_gram_of_a_fit_takes_no_write_back_buffer():
     # P-greedy picks are no progression, so the Gram's blocks are gathered
     # by np.take into whole rows of K, each C-contiguous, in place.  Into a
@@ -640,7 +576,7 @@ def test_gathered_gram_of_a_fit_takes_no_write_back_buffer():
     X = gen_p_greedy(512, spec, gen_grid(2048, UNIT))
     n = len(X)
     table = lattice_table(spec, X.points, X.points)
-    assert table is not None and table.step_a is None and 8 * n * n < PACKED_BYTES
+    assert table is not None and table.step_a is None
     peaks = []
 
     def traced_gram(*args, **kwargs):
