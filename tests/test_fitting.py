@@ -203,6 +203,21 @@ class TestLargeWholeFit:
         # Toeplitz route; switched off, they fall back to the whole factor
         failing_solve_toeplitz(math.inf)
 
+    @pytest.mark.parametrize("path", ["window", "gather", "direct"])
+    def test_duals_are_within_1e_10_of_the_whole_factor(self, failing_cho_factor, path):
+        X = self.DESIGNS[path]
+        n, lam = len(X), 0.01
+        Y = np.sin(7.0 * X.points) + 0.1 * np.random.default_rng(n).standard_normal((n, 3))
+        factored = failing_cho_factor(0)
+        model = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y, lam)
+        assert factored == [n]
+        whole = cho_solve(cho_factor(gram(self.SPEC, X) + lam * np.eye(n), lower=True), Y - 0.2)
+        assert np.abs(model.dual - whole).max() <= 1e-10 * np.abs(whole).max()
+        # every column agrees with its own fit to rounding
+        for k in range(3):
+            single = fit(self.SPEC, MeanSpec("constant", 0.2), X, Y[:, k], lam).dual
+            assert np.allclose(model.dual[:, k], single, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["ridge", "interpolation_jitter"])
     @pytest.mark.parametrize("path", ["window", "gather", "direct"])
     def test_failed_step_is_a_clean_fit_at_the_next_jitter(self, failing_cho_factor, path, lam):
@@ -564,6 +579,54 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 posterior_mean(model, Q)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+# A fresh interpreter, so that what is resident before the measured fit is
+# this process's own.  The first fit of the same size loads OpenBLAS's
+# buffers for that size; the second's peak above what was resident before
+# it is then its own Gram and block buffers.
+_RESIDENCY_CHILD = """
+import gprates.cli
+gprates.cli._pin_blas_threads()
+import numpy as np
+import gprates.fitting
+from gprates.designs import UNIT_INTERVAL, gen_grid
+from gprates.fitting import MeanSpec, fit
+from gprates.kernels import KernelSpec
+
+
+def status(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+
+gprates.fitting.solve_toeplitz = lambda c, b, **kwargs: np.full(len(c), np.nan)  # route off
+n, r = 2048, 20
+X = gen_grid(n, UNIT_INTERVAL)
+Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
+spec = KernelSpec(tau=2.0, lengthscale=0.2)
+fit(spec, MeanSpec("constant", 0.3), X, Y, 1e-4)
+before = status("VmRSS")
+fit(spec, MeanSpec("constant", 0.3), X, Y, 1e-4)
+print(1024 * (status("VmHWM") - before))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmRSS and VmHWM from Linux's /proc/self/status")
+def test_whole_gram_keeps_one_matrix_resident():
+    # With the Toeplitz route switched off in the child, a 2048-point Gram
+    # is written whole and factored in place: its 32 MiB are resident, and
+    # no copy of K (scipy's copying factor, or a finiteness mask of all of
+    # K) is.  The slack of 2 MiB holds the n x r right-hand side (320 KiB),
+    # the block buffers and the lattice table.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gprates.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _RESIDENCY_CHILD], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    n = 2048
+    assert int(proc.stdout) <= 8 * n * n + 2 * 2**20
 
 
 def test_gathered_gram_of_a_fit_takes_no_write_back_buffer():

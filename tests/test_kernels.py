@@ -251,6 +251,68 @@ class TestBlockedGram:
             gram(KernelSpec(tau=2.0), X)
         assert [w.filename for w in record] == [__file__]  # the warning names gram's caller
 
+    def test_duplicate_pair_in_2d_warns(self):
+        # in d >= 2 a block of K is its distances' work array before it holds
+        # the kernel, and the zeros are counted between the two
+        n = 1000
+        X = np.random.default_rng(6).random((n, 2))
+        X[n - 1] = X[0]
+        spec = KernelSpec(tau=2.5, lengthscale=0.3, dim=2)
+        with pytest.warns(SingularGramWarning) as record:
+            K = gram(spec, X)
+        assert [w.filename for w in record] == [__file__]
+        assert np.array_equal(K, matern_of_r(spec, distances(X, X)))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 725, 726])
+    def test_each_row_block_is_its_cross_matrix(self, n):
+        # the walk writes every row once: one block shorter than row_block(n)
+        # (n < 8), one of exactly 8 rows, a single row past it, and the
+        # ragged tails of 725 and 726 points
+        spec = KernelSpec(tau=2.0, lengthscale=0.3)
+        X = np.random.default_rng(n).random((n, 1))
+        K = gram(spec, X)
+        blocks = [rows for rows, _ in row_blocks(n, n, 1)]
+        assert sum(rows.stop - rows.start for rows in blocks) == n
+        for rows in blocks:
+            assert K[rows].tobytes() == cross_matrix(spec, X[rows], X).tobytes()
+
+
+def _gram_sources():
+    """Designs of 725 and 726 points on each source of ``gram``'s blocks:
+    a dyadic progression (window), lattice picks in pick order (gather), a
+    random design (direct), and a 27 x 27 grid of the square (direct, 729)."""
+    cases = []
+    for n in (725, 726):
+        rng = np.random.default_rng(n)
+        cases += [
+            pytest.param(gen_grid(1024, UNIT_INTERVAL).points[:n], "window", id=f"window{n}"),
+            pytest.param(gen_grid(2048, UNIT_INTERVAL).points[rng.permutation(2048)[:n]],
+                         "gather", id=f"gather{n}"),
+            pytest.param(rng.random((n, 1)), "direct", id=f"direct{n}"),
+        ]
+    square = gen_grid(27, Domain((0.0, 0.0), (1.0, 1.0))).points
+    return cases + [pytest.param(square, "direct", id="square729")]
+
+
+class TestGramSources:
+    """On every source of its blocks, ``gram`` is exactly symmetric, holds the
+    amplitude on its diagonal, and is bitwise the Gram with tables off."""
+
+    @pytest.mark.parametrize("X, source", _gram_sources())
+    def test_tables_off_give_the_same_bytes(self, monkeypatch, X, source):
+        spec = KernelSpec(tau=2.0 + X.shape[1] / 2, lengthscale=0.3, amplitude=1.3,
+                          dim=X.shape[1])
+        n = len(X)
+        table = lattice_table(spec, X, X)
+        steps = None if table is None else (table.step_a, table.step_b)
+        assert source == ("direct" if steps is None else "gather" if None in steps else "window")
+        assert n // row_block(n) >= 3
+        K = gram(spec, X)
+        assert np.array_equal(K, K.T)
+        assert (np.diag(K) == spec.amplitude).all()
+        monkeypatch.setattr(kernels, "lattice_table", lambda *args: None)
+        assert gram(spec, X).tobytes() == K.tobytes()
+
 
 # every closed form and one Bessel order, as (nu, id)
 ORDERS = pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 1.3],
