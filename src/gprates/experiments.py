@@ -647,9 +647,7 @@ def noise_growth_suite(seed: int) -> dict:
         for n in ns:  # 50 draws per size
             norms = [float(np.linalg.norm(draw_noise(model, n, replicate=r))) for r in range(50)]
             means.append(float(np.mean(norms)))
-        x = np.log(ns)
-        y = np.log(means)
-        slope = float(np.polyfit(x, y, 1)[0])
+        slope = loglog_slope(ns, means)
         ok = abs(slope - expected) <= tol
         all_ok = all_ok and ok
         out[name] = {"fitted": slope, "expected": expected, "tolerance": tol, "ok": ok}

@@ -15,6 +15,10 @@ it is immutable and its predictors are pure functions.  ``lambda = 0`` is
 interpolation and gets a small diagonal jitter (escalated on factorization
 failure, and recorded, since a large jitter technically shifts the
 estimator toward approximate interpolation).
+
+Kernel values come from :mod:`kernels`, which alone decides whether a
+block is read from a lattice table or evaluated directly; a ``table``
+passed to ``fit`` or ``posterior_mean`` is handed on unread.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .designs import PointSet
 from .errors import ConfigurationError, SingularDesignError
 from .kernels import (
     BLOCK_ENTRIES, KernelSpec, LatticeTable, as_points, cross_matrix, distances, gram,
-    lattice_table, row_blocks, table_blocks, work_arrays,
+    kernel_blocks,
 )
 
 logger = logging.getLogger(__name__)
@@ -217,7 +221,8 @@ def fit(
     that ``cho_solve`` reads; each column's weights are bitwise those of a
     fit to that column alone.  ``K`` is the only matrix of its size, and
     the model does not keep it.  A failed factorization has overwritten
-    ``K``, so ``K`` is rebuilt before the next jitter step.  ``K`` is
+    ``K``, so ``K`` is dropped and rebuilt before the next jitter step, and
+    an escalated fit still holds one matrix of its size.  ``K`` is
     checked finite in blocks (:func:`_all_finite`), so the factor and the
     solve skip scipy's check, which allocates a boolean array of ``K``'s
     size in each.
@@ -271,7 +276,7 @@ def fit(
             K, _ = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
             break
         except np.linalg.LinAlgError:
-            pass
+            K = None  # the failed factor, freed before the next step writes its Gram
         logger.warning("cholesky failed at jitter %.1e, escalating", jitter)
     else:
         i, j, d = _closest_pair(X.points)
@@ -293,45 +298,20 @@ def fit(
     )
 
 
-def _cross_blocks(kernel: KernelSpec, xq: np.ndarray, design: np.ndarray):
-    """``(rows, block)`` of the cross matrix of ``xq`` against ``design``, in
-    blocks of ``row_block(n)`` rows evaluated by ``cross_matrix`` into the
-    buffers of :func:`row_blocks`."""
-    for rows, (Kq, *work) in row_blocks(len(xq), len(design), 2 + work_arrays(kernel)):
-        yield rows, cross_matrix(kernel, xq[rows], design, out=Kq, work=work)
-
-
 def posterior_mean(model: PosteriorModel, x, table: LatticeTable | None = None) -> np.ndarray:
     """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)`` at a batch of m queries.
 
     The result has shape (m,) for one fit, or (m, r) for a model fitted to
     r columns: one column of means per fit.  The query rows are streamed in
-    blocks of ``row_block(n)``, and each block's cross matrix serves every
-    column.  Each block lives in buffers allocated once per call, so memory
-    stays within 9/8 of one block (plus the distances and work arrays of the
-    direct path) whatever the number of queries, and 8192 queries against
-    512 points take 256 minor page faults instead of the 14,592 of one
-    fresh temporary per block.  Each block's products are written into the
-    result in place and the prior mean is added after, the same sum as
-    ``m(x) + k_xX w``, since addition commutes.
-
-    When the queries and the design are 1-d and lie on one small dyadic
-    lattice (:func:`kernels.lattice_table`), the kernel is evaluated once per
-    lattice offset, and the blocks are read from that table by
-    :func:`kernels.table_blocks`.  A grid of queries against a grid design
-    (two progressions, steps ``s_a`` and ``s_b``) reads each block as a
-    column slice of a strip window: block k + 1 is block k moved
-    ``M = h s_a / s_b`` columns, so when ``M`` is a whole number, up to
-    ``1 + n // (8 |M|)`` full blocks share one window of the table, copied
-    once, and each goes to gemv as a view with row stride at least n.  Other
-    lattice sets (P-greedy designs) gather each block through integer
-    offsets into the block's buffer.  The difference of two lattice points
-    is exact, so every block holds the doubles of the direct cross matrix,
-    and the gemv, which reads a strided view in place, gives the same bits.
-    Any other pair of sets evaluates ``cross_matrix`` block by block.
-    ``table`` is the lattice table of the queries against the design when
+    the blocks of :func:`kernels.kernel_blocks`, ``row_block(n)`` rows each,
+    and each block serves every column.  A block is read from the lattice
+    table of the queries against the design when both are 1-d on one small
+    dyadic lattice, else evaluated by ``cross_matrix``; both hold the same
+    doubles, so the means are bitwise the same.  ``table`` is that table when
     the caller already holds one (a BO budget's final step, read from the
-    candidates' table); None looks one up with :func:`kernels.lattice_table`.
+    candidates' table); None has ``kernel_blocks`` look one up.  Each block's
+    products are written into the result in place and the prior mean is
+    added after, the same sum as ``m(x) + k_xX w``, since addition commutes.
 
     A block's r columns come from one ``np.matmul`` of the view
     ``dual.T[:, :, None]`` (no copy) into rows of an (r, m) result, whose
@@ -348,10 +328,7 @@ def posterior_mean(model: PosteriorModel, x, table: LatticeTable | None = None) 
     xq = as_points(model.kernel.dim, x)
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
     out = np.empty((dual.shape[1], len(xq), 1))  # column k's means are out[k, :, 0]
-    design = model.design.points
-    if table is None:
-        table = lattice_table(model.kernel, xq, design)
-    for rows, Kq in table_blocks(table) if table else _cross_blocks(model.kernel, xq, design):
+    for rows, Kq in kernel_blocks(model.kernel, xq, model.design.points, table):
         np.matmul(Kq, dual.T[:, :, None], out=out[:, rows])
     Kq = None  # frees the last block's buffer before the prior mean is formed
     out = out[:, :, 0]

@@ -1,4 +1,4 @@
-"""Matern kernel evaluation and Gram-matrix construction.
+"""Matern kernel evaluation and kernel blocks.
 
 Smoothness is parameterized on the Sobolev scale: a kernel spec with
 smoothness ``tau`` has an RKHS norm-equivalent to ``W^tau_2``, and the
@@ -6,18 +6,20 @@ classical Matern order is derived as ``nu = tau - dim/2``.  Half-integer
 ``nu`` dispatches to the closed forms; any other ``nu`` goes through the
 modified Bessel function of the second kind.
 
-The kernels are radial, ``k(x, y) = Phi(|x - y|)``.  When two 1-d point
-sets lie on one dyadic lattice (every coordinate a multiple of some
-``2^-q``), :func:`lattice_table` evaluates ``Phi`` once per offset of the
-lattice ``delta = 2^-p`` that holds their differences, into a two-sided
-table ``H[S + k] = Phi(|k| delta)``: ``gram`` and ``fitting.posterior_mean``
-read their blocks from that table, and :func:`kernel_columns` (for
-``designs.gen_p_greedy`` and ``bayesopt.run_gamma_F_n``) its columns as
-slices (:meth:`LatticeTable.column`), instead of evaluating ``matern_of_r``
-on every entry.  A caller that holds a table of a superset passes ``gram``
-and ``fitting.posterior_mean`` the table of its subsets on the same ``H``,
-from :meth:`LatticeTable.subset` (a BO budget's final fit).  The values
-are bitwise those of the direct path: the difference of two lattice points
+The kernels are radial, ``k(x, y) = Phi(|x - y|)``, and this module alone
+chooses how a block of ``k(A, B)`` is formed.  When two 1-d point sets lie
+on one dyadic lattice (every coordinate a multiple of some ``2^-q``),
+:func:`lattice_table` evaluates ``Phi`` once per offset of the lattice
+``delta = 2^-p`` that holds their differences, into a two-sided table
+``H[S + k] = Phi(|k| delta)``: :func:`gram` and :func:`kernel_blocks` (the
+blocks ``fitting.posterior_mean`` multiplies) read their blocks from that
+table, and :func:`kernel_columns` (for ``designs.gen_p_greedy`` and
+``bayesopt.run_gamma_F_n``) its columns as slices
+(:meth:`LatticeTable.column`), instead of evaluating ``matern_of_r`` on
+every entry.  A caller that holds a table of a superset passes ``gram`` and
+``kernel_blocks`` the table of its subsets on the same ``H``, from
+:meth:`LatticeTable.subset` (a BO budget's final fit).  The values are
+bitwise those of the direct path: the difference of two lattice points
 whose integer offset ``k`` is below 2^53 is exact, so ``|a - b|`` is the
 same double as ``|k| * delta``, and ``matern_of_r`` is elementwise.  When
 both sets are arithmetic progressions on the lattice (midpoint grids),
@@ -26,19 +28,19 @@ Toeplitz, one strided window of ``H`` that :func:`table_block` copies with
 no index arithmetic; other lattice sets (P-greedy picks) gather the same
 entries through integer offsets.  Sets in d >= 2, off a dyadic lattice, or
 whose table would hold more than a quarter of the block's entries take the
-direct path.
+direct path, :func:`cross_matrix`, in fresh arrays.
 
 A prediction walks its query rows in blocks of ``h = row_block(n)`` rows
-(:func:`table_blocks`).  For two progressions, block k + 1 is block k
+(:func:`kernel_blocks`).  For two progressions, block k + 1 is block k
 moved ``M = h s_a / s_b`` columns along the same diagonals of ``H``, so
 when ``M`` is a whole number, G consecutive full blocks are column slices
 ``W[:, c : c + n]`` of one strip window ``W`` of ``h`` rows and
-``n + (G - 1) |M|`` columns, copied from ``H`` once.  G is capped at
-``1 + n // (8 |M|)`` (:func:`blocks_per_strip`), so a strip holds at most
-9/8 of a block's entries; G = 1 is the plain window copy.  A column slice
-has unit inner stride and a row stride of at least n, a matrix BLAS reads
-in place, and it holds the same doubles as the block's own copy, so gemv
-gives the same bits.
+``n + (G - 1) |M|`` columns, copied from ``H`` once (:func:`table_blocks`).
+G is capped at ``1 + n // (8 |M|)`` (:func:`blocks_per_strip`), so a strip
+holds at most 9/8 of a block's entries; G = 1 is the plain window copy.  A
+column slice has unit inner stride and a row stride of at least n, a matrix
+BLAS reads in place, and it holds the same doubles as the block's own copy,
+so gemv gives the same bits.
 
 :func:`gram` writes a Gram matrix whole, in blocks of ``row_block(n)``
 whole rows, each C-contiguous, so a gathered block is filled in place.
@@ -64,14 +66,15 @@ _HALF_INTEGER_ATOL = 1e-12
 
 # Entries per block when a Gram matrix, a prediction, a fill distance or a
 # separation radius streams its rows against n points.  Blocks are sized in
-# entries, not rows, so each elementwise pass of ``matern_of_r`` works on a
-# cache-sized block (512 KiB of float64) whatever n is; a fixed 512 rows
-# would make 8 MiB blocks at n = 2048, several times a core's L2 cache.
-# ``row_blocks`` allocates a loop's block buffers once and every block reuses
-# them.  A fresh temporary per block is as large as glibc's mmap threshold,
-# so each one was mapped, touched and unmapped again: one ``posterior_mean``
-# on 8192 queries against 512 points took 14,592 minor page faults, and
-# takes 256 with reused buffers.
+# entries, not rows, so each elementwise pass works on a cache-sized block
+# (512 KiB of float64) whatever n is; a fixed 512 rows would make 8 MiB
+# blocks at n = 2048, several times a core's L2 cache.  A table's blocks,
+# ``gram``'s distances and the distance scans of ``designs`` fill buffers
+# that ``row_blocks`` allocates once: a fresh temporary per block is as large
+# as glibc's mmap threshold, so each was mapped, touched and unmapped again,
+# and a grid ``posterior_mean`` of 8192 queries against 512 points took
+# 14,592 minor page faults, where it takes 256.  A direct block
+# (``cross_matrix``) is formed in fresh arrays; no workload streams one.
 BLOCK_ENTRIES = 2**16
 
 
@@ -146,15 +149,7 @@ class KernelSpec:
         return any(abs(self.nu - h) <= _HALF_INTEGER_ATOL for h in _HALF_INTEGER_ORDERS)
 
 
-def work_arrays(spec: KernelSpec) -> int:
-    """How many ``work`` arrays ``matern_of_r`` fills: the ``t^2`` term of nu = 5/2
-    and 7/2, and the ``t^3`` term of nu = 7/2."""
-    if not spec.is_half_integer:
-        return 0
-    return max(0, round(spec.nu - 1.5))
-
-
-def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False, out=None, work=()) -> np.ndarray:
+def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False, out=None) -> np.ndarray:
     """Evaluate the kernel profile at distances ``r >= 0`` (vectorized).
 
     With ``t = sqrt(2 nu) r / lengthscale``, the half-integer orders are the
@@ -167,10 +162,11 @@ def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False, out=None, work=()
     closed forms.
 
     With ``out`` (an array of r's shape), ``r`` is overwritten as the work
-    array ``t`` and the kernel is written into ``out``, which is returned;
-    nu = 5/2 and 7/2 put their ``t^2`` and ``t^3`` terms in the first
-    :func:`work_arrays` arrays of ``work``.  Without ``out``, ``r`` is left
-    as it was.  The Bessel path computes in fresh arrays either way.
+    array ``t`` and the kernel is written into ``out``, which is returned
+    (:func:`lattice_table` writes its table and :func:`gram` its rows this
+    way).  Without ``out``, ``r`` is left as it was and the kernel is a
+    fresh array.  The ``t^2`` and ``t^3`` terms of nu = 5/2 and 7/2, and the
+    Bessel path, are formed in fresh arrays either way.
     """
     r = np.asarray(r, dtype=float)
     nu = spec.nu
@@ -186,14 +182,14 @@ def matern_of_r(spec: KernelSpec, r, use_bessel: bool = False, out=None, work=()
         if abs(nu - 1.5) <= _HALF_INTEGER_ATOL:
             t += 1.0
         elif abs(nu - 2.5) <= _HALF_INTEGER_ATOL:
-            sq = np.multiply(t, t, out=work[0] if len(work) else None)
+            sq = np.multiply(t, t)
             sq /= 3.0
             t += 1.0
             t += sq
         else:  # nu = 7/2
-            sq = np.multiply(0.4, t, out=work[0] if len(work) else None)
+            sq = np.multiply(0.4, t)
             sq *= t
-            cube = np.power(t, 3, out=work[1]) if len(work) > 1 else t ** 3
+            cube = t ** 3
             cube /= 15.0
             t += 1.0
             t += sq
@@ -455,12 +451,11 @@ def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
     bitwise that from ``x_j`` to ``x_i``, so the result is exactly symmetric.
     The rows are evaluated in blocks of ``row_block(n)`` straight into one
     n x n matrix on ``np.empty``, bitwise ``matern_of_r(spec, distances(X, X))``:
-    each block's distances and work arrays reuse the buffers of
-    :func:`row_blocks`.  A 1-d set on a small dyadic lattice reads its
-    blocks from one :func:`lattice_table` through :func:`table_block`,
-    bitwise the direct values, since the differences of lattice points are
-    exact; a block of whole rows is C-contiguous, so a gather fills it in
-    place.  ``table`` is the :class:`LatticeTable` of ``X`` against itself
+    each block's distances reuse one buffer of :func:`row_blocks`.  A 1-d
+    set on a small dyadic lattice reads its blocks from one
+    :func:`lattice_table` through :func:`table_block`, bitwise the direct
+    values, since the differences of lattice points are exact; a block of
+    whole rows is C-contiguous, so a gather fills it in place.  ``table`` is the :class:`LatticeTable` of ``X`` against itself
     when the caller already holds one (a BO budget's points, read from the
     candidates' table); None looks one up with :func:`lattice_table`.
 
@@ -481,15 +476,14 @@ def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
         # the zero offsets, one per ordered pair of equal integer coordinates
         counts = np.bincount(table.ia)
         zeros = int(counts @ counts)
-    for rows, bufs in row_blocks(n, n, 0 if table else 1 + work_arrays(spec)):
+    for rows, bufs in row_blocks(n, n, 0 if table else 1):
         if table:
             table_block(table, rows, K[rows])
         else:
-            dist, *work = bufs
             # in d >= 2 the block is the distances' work array before it holds the kernel
-            r = distances(pts[rows], pts, out=dist, work=K[rows])
+            r = distances(pts[rows], pts, out=bufs[0], work=K[rows])
             zeros += np.count_nonzero(r == 0.0)
-            matern_of_r(spec, r, out=K[rows], work=work)
+            matern_of_r(spec, r, out=K[rows])
     if zeros > n:
         warnings.warn(
             "duplicate points give a singular Gram matrix", SingularGramWarning, stacklevel=2
@@ -497,17 +491,26 @@ def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
     return K
 
 
-def cross_matrix(spec: KernelSpec, Xq, X, out=None, work=()) -> np.ndarray:
-    """Cross-covariance ``K[i, j] = k(xq_i, x_j)`` for batched queries.
+def cross_matrix(spec: KernelSpec, Xq, X) -> np.ndarray:
+    """Cross-covariance ``K[i, j] = k(xq_i, x_j)`` for batched queries, on
+    the direct path: ``matern_of_r(spec, distances(Xq, X))``, in fresh arrays."""
+    return matern_of_r(spec, distances(as_points(spec.dim, Xq), as_points(spec.dim, X)))
 
-    The distances go into ``work[0]`` when given.  With ``out``, the kernel
-    goes into ``out`` and ``work[1:]`` serve as :func:`matern_of_r`'s work
-    arrays; in d >= 2, ``out`` is also the distances' work array before the
-    kernel overwrites it.
-    """
-    q, pts = as_points(spec.dim, Xq), as_points(spec.dim, X)
-    r = distances(q, pts, out=work[0] if len(work) else None, work=out)
-    return matern_of_r(spec, r, out=out, work=work[1:])
+
+def kernel_blocks(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
+                  table: LatticeTable | None = None):
+    """``(rows, block)`` of ``k(A, B)`` in blocks of ``row_block(len(B))``
+    rows, each valid until the next is read: :func:`table_blocks`'s when the
+    sets have a :func:`lattice_table` (``table`` when the caller holds it,
+    else looked up), else :func:`cross_matrix` of each row slice of
+    :func:`row_blocks`, so both paths have the same heights and gemv rounding."""
+    if table is None:
+        table = lattice_table(spec, A, B)
+    if table:
+        yield from table_blocks(table)
+        return
+    for rows, _ in row_blocks(len(A), len(B), 0):
+        yield rows, cross_matrix(spec, A[rows], B)
 
 
 def kernel_columns(spec: KernelSpec, points: np.ndarray):

@@ -50,8 +50,7 @@ def _one_block_per_strip(table, blocks_per_strip=kernels.blocks_per_strip):
 # switches it off
 FAST_PATHS = {
     # every 1-d set on a small dyadic lattice reads its kernel values from a table
-    "lattice_tables": [(module, "lattice_table", _no_lattice_table)
-                       for module in ("kernels", "fitting")],
+    "lattice_tables": [("kernels", "lattice_table", _no_lattice_table)],
     # up to blocks_per_strip(table) blocks of a grid against a grid share one window
     "strip_windows": [("kernels", "blocks_per_strip", _one_block_per_strip)],
     # expected improvement skips its masks when every sd is positive

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gprates import bayesopt, designs, fitting, kernels
+from gprates import bayesopt, designs, kernels
 from gprates.acceptance import acceptance_configs
 from conftest import masked_expected_improvement
 from gprates.bayesopt import BOConfig, expected_improvement, run_gamma_F_n
@@ -354,8 +354,7 @@ def test_table_trajectory_is_bitwise_the_direct_one(monkeypatch):
     for j in table.chosen:
         assert np.array_equal(column_of(j), cross_matrix(spec, pts, pts[j])[:, 0])
     # every column, Gram matrix and prediction evaluated directly
-    for module in (kernels, fitting):
-        monkeypatch.setattr(module, "lattice_table", lambda *args: None)
+    monkeypatch.setattr(kernels, "lattice_table", lambda *args: None)
     direct = _trajectory(60)
     assert direct.table is None
     assert table.chosen == direct.chosen

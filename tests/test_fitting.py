@@ -31,6 +31,7 @@ from gprates.kernels import (
     cross_matrix,
     distances,
     gram,
+    kernel_blocks,
     lattice_table,
     matern_of_r,
     min_eigenvalue,
@@ -124,26 +125,30 @@ class TestInPlaceFactor:
         assert model.jitter == jitter
         assert np.array_equal(model.dual, self._oracle(X, Y, 0.0, jitter))
 
-    def test_traced_peak_is_one_matrix(self, failing_cho_factor, failing_solve_toeplitz):
+    @pytest.mark.parametrize("failures, lam", [(0, 1e-4), (1, 1e-4), (1, 0.0)],
+                             ids=["ridge", "ridge_escalated", "interpolation_escalated"])
+    def test_traced_peak_is_one_matrix(self, failing_cho_factor, failing_solve_toeplitz,
+                                       failures, lam):
         # a 1024-point Gram is 8 MiB; with the Toeplitz route switched off, K
         # is written whole and factored in place, and beside its n^2 doubles
         # the peak holds at most two blocks of BLOCK_ENTRIES doubles (the
         # finiteness check's buffer and the table); the copying factor
-        # peaked at 3.1 x 8 n^2
+        # peaked at 3.1 x 8 n^2.  A failed factor is dropped before the next
+        # jitter step writes its Gram; kept, it peaked at 2.01 x 8 n^2
         n = 1024
         assert 8 * n * n >= TOEPLITZ_BYTES
         X = gen_grid(n, UNIT)
         y = np.sin(5.0 * X.points[:, 0])
-        factored = failing_cho_factor(0)
+        factored = failing_cho_factor(failures)
         failing_solve_toeplitz(math.inf)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            fit(KernelSpec(tau=2.0, lengthscale=0.2), ZERO, X, y, 1e-4)
+            fit(KernelSpec(tau=2.0, lengthscale=0.2), ZERO, X, y, lam)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert factored == [n]
+        assert factored == [n] * (failures + 1)
         assert peak <= 8 * n * n + 2 * 8 * BLOCK_ENTRIES
 
     @pytest.mark.parametrize("n", [512, 1024])
@@ -501,9 +506,7 @@ def _per_column_means(model, Q):
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
     out = np.empty((len(Q), dual.shape[1]))
     out[:] = model.prior_mean(Q)[:, None]
-    table = lattice_table(model.kernel, Q, design)
-    for rows, Kq in (table_blocks(table) if table
-                     else fitting._cross_blocks(model.kernel, Q, design)):
+    for rows, Kq in kernel_blocks(model.kernel, Q, design):
         for k in range(dual.shape[1]):
             out[rows, k] += Kq @ dual[:, k]
     return out[:, 0] if model.dual.ndim == 1 else out

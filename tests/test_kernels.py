@@ -25,7 +25,6 @@ from gprates.kernels import (
     row_block,
     row_blocks,
     table_block,
-    work_arrays,
 )
 
 
@@ -320,7 +319,8 @@ ORDERS = pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 1.3],
 
 
 class TestBuffers:
-    """Kernel blocks written into caller-owned buffers are bitwise the unbuffered ones."""
+    """Blocks written into buffers a loop owns are bitwise the unbuffered ones,
+    and a direct cross matrix is the kernel of its distances."""
 
     def test_row_blocks_cover_the_rows_with_one_stack(self):
         m, n = 1000, 300
@@ -333,10 +333,6 @@ class TestBuffers:
             seen.extend(range(rows.start, rows.stop))
             bases.add(bufs.__array_interface__["data"][0])
         assert seen == list(range(m)) and len(bases) == 1
-
-    @pytest.mark.parametrize("nu, count", [(0.5, 0), (1.5, 0), (2.5, 1), (3.5, 2), (1.3, 0)])
-    def test_work_arrays(self, nu, count):
-        assert work_arrays(KernelSpec(tau=nu + 0.5)) == count
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_distances_into_out(self, dim):
@@ -352,23 +348,18 @@ class TestBuffers:
         r = np.random.default_rng(4).random((60, 50)) * 3.0
         r[0, :3] = 0.0
         expected = matern_of_r(spec, r)
-        work = np.full((2, 60, 50), np.nan)
         out = np.full((60, 50), np.nan)
-        assert matern_of_r(spec, r.copy(), out=out, work=work) is out
+        assert matern_of_r(spec, r.copy(), out=out) is out
         assert np.array_equal(out, expected)
-        assert not np.isnan(work[: work_arrays(spec)]).any()  # the terms went into work
-        out = np.full((60, 50), np.nan)  # no work arrays: the terms are allocated
-        assert np.array_equal(matern_of_r(spec, r.copy(), out=out), expected)
 
     @ORDERS
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_cross_matrix_into_buffers(self, nu, dim):
+    def test_cross_matrix_is_the_kernel_of_the_distances(self, nu, dim):
         spec = KernelSpec(tau=nu + dim / 2, lengthscale=0.3, amplitude=1.4, dim=dim)
         rng = np.random.default_rng(dim)
         Xq, X = rng.random((90, dim)), rng.random((35, dim))
-        out, *work = np.full((2 + work_arrays(spec), 90, 35), np.nan)
-        assert cross_matrix(spec, Xq, X, out=out, work=work) is out
-        assert np.array_equal(out, matern_of_r(spec, distances(Xq, X)))
+        K = cross_matrix(spec, Xq, X)
+        assert K.tobytes() == matern_of_r(spec, distances(Xq, X)).tobytes()
 
 
 def test_distances_in_1d_are_absolute_differences():
@@ -379,6 +370,41 @@ def test_distances_in_1d_are_absolute_differences():
     assert np.array_equal(D, np.sqrt((a - b.T) ** 2))
     tiny = distances(np.array([[1e-200]]), np.array([[0.0]]))
     assert tiny[0, 0] == 1e-200  # the root of the underflowed square would be 0
+
+
+class TestKernelBlocks:
+    """``kernel_blocks`` yields a lattice table's blocks when the sets have one,
+    else one ``cross_matrix`` per row block of ``row_blocks``."""
+
+    @pytest.mark.parametrize("nu", [2.5, 3.5], ids=["nu5/2", "nu7/2"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_direct_blocks_are_cross_matrices_of_the_row_blocks(self, nu, dim):
+        spec = KernelSpec(tau=nu + dim / 2, lengthscale=0.3, amplitude=1.4, dim=dim)
+        rng = np.random.default_rng(dim)
+        A, B = rng.random((1000, dim)), rng.random((300, dim))
+        assert lattice_table(spec, A, B) is None and len(A) % row_block(len(B))
+        walked = []
+        for rows, block in kernels.kernel_blocks(spec, A, B):
+            walked.append(rows)
+            assert block.tobytes() == cross_matrix(spec, A[rows], B).tobytes()
+        assert walked == [rows for rows, _ in row_blocks(len(A), len(B), 0)]
+
+    @pytest.mark.parametrize("picks", [False, True], ids=["strip", "gather"])
+    @pytest.mark.parametrize("passed", [False, True], ids=["looked_up", "passed_in"])
+    def test_table_blocks_are_the_tables(self, monkeypatch, picks, passed):
+        spec = KernelSpec(tau=2.0, lengthscale=0.25)
+        Q, X = gen_grid(4096, UNIT_INTERVAL).points, gen_grid(256, UNIT_INTERVAL).points
+        if picks:  # a lattice set that is no progression
+            X = X[np.random.default_rng(3).permutation(256)[:100]]
+        table = lattice_table(spec, Q, X)
+        assert table is not None and (table.step_b is None) == picks
+        expected = [(rows, block.copy()) for rows, block in kernels.table_blocks(table)]
+        if passed:  # the caller's table is read, none is looked up
+            monkeypatch.setattr(kernels, "lattice_table", None)
+        walked = [(rows, block.copy())
+                  for rows, block in kernels.kernel_blocks(spec, Q, X, table if passed else None)]
+        assert [rows for rows, _ in walked] == [rows for rows, _ in expected]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(walked, expected))
 
 
 def _tensor_distances(A, B):
@@ -403,20 +429,17 @@ def test_2d_block_allocates_no_difference_tensor():
 
     rng = np.random.default_rng(5)
     A, B = rng.random((128, 2)), rng.random((576, 2))
-    spec = KernelSpec(tau=3.5, dim=2)  # nu = 5/2: one matern work array
-    dist, out, *work = np.empty((2 + work_arrays(spec), 128, 576))
+    dist, work = np.empty((2, 128, 576))
     bound = A.shape[0] * B.shape[0] * 8 // 4  # a quarter of one block
     peaks = []
-    for call in (lambda: distances(A, B, out=dist, work=out),
-                 lambda: cross_matrix(spec, A, B, out=out, work=[dist, *work]),
-                 lambda: _tensor_distances(A, B)):
+    for call in (lambda: distances(A, B, out=dist, work=work), lambda: _tensor_distances(A, B)):
         tracemalloc.start()
         call()
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert peaks[0] < bound and peaks[1] < bound
-    assert peaks[2] > 8 * bound  # the (m, n, d) tensor and its square
-    assert np.array_equal(out, matern_of_r(spec, _tensor_distances(A, B)))
+    assert peaks[0] < bound
+    assert peaks[1] > 8 * bound  # the (m, n, d) tensor and its square
+    assert np.array_equal(dist, _tensor_distances(A, B))
 
 
 class TestCrossVector:
@@ -872,8 +895,6 @@ class TestStrips:
             self, nu, case, p, seed):
         from unittest import mock
 
-        from gprates import fitting
-
         ia, ib, r = case
         Q, X = _on_lattice(ia, p), _on_lattice(ib, p)
         spec = _table_spec(nu)
@@ -882,7 +903,7 @@ class TestStrips:
         assert table is not None and kernels.blocks_per_strip(table) is not None
         means = posterior_mean(model, Q)
         assert np.array_equal(means, _per_block_means(model, Q, table))
-        with mock.patch.object(fitting, "lattice_table", lambda *args: None):
+        with mock.patch.object(kernels, "lattice_table", lambda *args: None):
             assert np.array_equal(means, posterior_mean(model, Q))
 
     @pytest.mark.parametrize("s_a, s_b", [(2, 32), (-2, -32), (2, -32), (-2, 32), (3, 48)],

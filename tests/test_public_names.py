@@ -2,9 +2,10 @@
 
 No public name without a caller: every public top-level name of ``gprates``
 is used in ``src/`` outside its own definition, or is a benchmark layer.
-Only ``kernels.py`` reads a lattice table's fields, the fast-path
-switchboard lists every module that binds a switched name, and one function
-calls the theorem for a ladder."""
+Only ``kernels.py`` reads a lattice table's fields or chooses between a
+table and the direct path, the fast-path switchboard lists every module
+that binds a switched name, and one function calls the theorem for a
+ladder."""
 
 import ast
 import importlib.util
@@ -102,6 +103,19 @@ def test_switchboard_lists_every_binding_of_a_switched_name():
         for name in {attr for _, attr, _ in bindings}:
             listed = sorted(module for module, attr, _ in bindings if attr == name)
             assert listed == [module for module, tree in modules if _binds(tree, name)], switch
+
+
+def test_only_kernels_chooses_table_or_direct():
+    # whether a kernel block is read from a lattice table or evaluated
+    # directly is decided in kernels.py: every other module takes its blocks
+    # from gram, kernel_blocks or kernel_columns
+    callers = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _modules() if module != "kernels"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) in ("lattice_table", "table_blocks")
+    ]
+    assert callers == []
 
 
 def test_one_function_calls_the_theorem():
