@@ -24,11 +24,11 @@ maximizer there, so scoring every candidate would change nothing.  Apart
 from the basis update, a step makes a fixed handful of passes over the
 candidates (the sd into one buffer, its maximum, the stabilized mask and
 its indices) and otherwise touches only the stabilized set: one gather each
-of its sd and mean, and expected improvement without masks, since every sd
-there is positive.  Only each budget's final step calls ``fit``, and it
-predicts on the candidates through ``fitting.posterior_mean``.  The Newton
-basis reads each kernel column once from ``kernels.kernel_columns`` and
-keeps none; on a 1-d dyadic grid (a7's 4096 midpoints) the columns, the
+of its sd and mean, a check that every sd there is positive, and expected
+improvement.  Only each budget's final step calls ``fit``, and it predicts
+on the candidates through ``fitting.posterior_mean``.  The Newton basis
+reads each kernel column once from ``kernels.kernel_columns`` and keeps
+none; on a 1-d dyadic grid (a7's 4096 midpoints) the columns, the
 final steps' Gram matrices and their predictions all read the candidates'
 ``kernels.LatticeTable``, so the kernel is evaluated once, on the table's
 offsets, whatever the budgets.  A ``designs.MeshRatioTracker`` updates the
@@ -42,11 +42,13 @@ Kernel values are checked as ``fit`` checks its Gram matrix: formed with
 floating-point warnings off, then required finite.  A kernel that leaves
 the float range on the candidates (a lengthscale far below their spacing,
 a domain far wider than the lengthscale) and a posterior variance that
-turns NaN (an amplitude so small that the jitter underflows to zero and a
-pivot vanishes) each raise a ``ConfigurationError`` before any file is
-written.  A pick of a candidate already selected (its sd, which the jitter
-keeps near ``sqrt(jitter)``, has reached the stabilization threshold) is a
-singular design: it raises a ``SingularDesignError``.
+turns NaN or vanishes on every candidate (an amplitude so small that the
+jitter underflows to zero and a pivot vanishes) each raise a
+``ConfigurationError`` before any file is written.  A pick of a candidate
+already selected (its sd, which the jitter keeps near ``sqrt(jitter)``, has
+reached the stabilization threshold) is a singular design: it raises a
+``SingularDesignError``, and so does a zero sd on the stabilized set, which
+only a threshold of 0 admits.
 """
 
 from __future__ import annotations
@@ -93,29 +95,21 @@ class BOConfig:
 
 
 def expected_improvement(mean, sd, best: float):
-    """E[(g(x) - best)_+] under the pointwise Gaussian posterior.
+    """E[(g(x) - best)_+] under the pointwise Gaussian posterior, for every sd positive.
 
-    The standard normal cdf and pdf are ``scipy.special.ndtr`` and
-    ``exp(-z^2/2) / sqrt(2 pi)``, which is how ``scipy.stats.norm`` computes
-    them; importing ``scipy.stats`` itself would cost most of start-up.
-
-    Where ``sd > 0`` this is ``gap Phi(z) + sd phi(z)``, with ``gap = mean - best``
-    and ``z = gap / sd``, and elsewhere ``max(gap, 0)``.  It is formed in one
-    pass, in place, by the operations of that masked formula, so the values
-    are bitwise the formula's (``-z^2 / 2`` is formed as ``z^2 * -0.5``:
-    both are the correctly rounded ``-z^2 / 2``).  When every sd is
-    positive, as on a BO step's stabilized set, the masks and the zero fill
-    are skipped.
+    This is ``gap Phi(z) + sd phi(z)``, with ``gap = mean - best`` and
+    ``z = gap / sd``.  The standard normal cdf and pdf are
+    ``scipy.special.ndtr`` and ``exp(-z^2/2) / sqrt(2 pi)``, which is how
+    ``scipy.stats.norm`` computes them; importing ``scipy.stats`` itself
+    would cost most of start-up.  It is formed in one pass, in place
+    (``-z^2 / 2`` is formed as ``z^2 * -0.5``: both are the correctly
+    rounded ``-z^2 / 2``).  The caller guarantees the precondition: a BO
+    step scores only its stabilized set, whose sd it has checked positive.
     """
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     gap = mean - best
-    positive = None if sd.min(initial=np.inf) > 0 else sd > 0  # NaN takes the masked path
-    if positive is None:
-        z = gap / sd
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.divide(gap, sd, out=np.zeros_like(gap), where=positive)
+    z = gap / sd
     pdf = np.square(z)
     pdf *= -0.5
     np.exp(pdf, out=pdf)
@@ -124,8 +118,6 @@ def expected_improvement(mean, sd, best: float):
     ei = ndtr(z, out=z)
     ei *= gap
     ei += pdf
-    if positive is not None:
-        np.maximum(gap, 0.0, out=ei, where=~positive)
     return ei
 
 
@@ -203,15 +195,20 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     Each step writes the posterior sd on every candidate into one buffer,
     takes its maximum and the stabilized set ``eligible`` from it, and
     gathers ``sd[eligible]`` and ``newton.mean[eligible]`` once; expected
-    improvement is formed only there.  The pick is the first maximizer over
-    that set, so it is the pick of scoring every candidate with the same
-    mean.  One ``MeshRatioTracker`` takes each point as it is selected: the
-    fill distance over separation radius of each selected prefix.  Every
-    target value is read from ``f_cand``.
+    improvement is formed only there, and needs every sd there positive.
+    The largest sd is checked positive and finite, and stabilized sd are at
+    least the threshold, so only a threshold that rounds to 0 (``gamma``
+    5e-324) can admit a zero sd.  The step checks the sd, not the threshold:
+    such a threshold with every sd positive runs on.  The pick is the first
+    maximizer over that set, so it is the pick of scoring every candidate
+    with the same mean.  One ``MeshRatioTracker`` takes each point as it is
+    selected: the fill distance over separation radius of each selected
+    prefix.  Every target value is read from ``f_cand``.
 
     Raises ``ConfigurationError`` if a kernel value on the candidates is
-    not finite, or if the posterior variance turns NaN, and
-    ``SingularDesignError`` if a step picks a candidate already selected.
+    not finite, or if the posterior variance turns NaN or vanishes on every
+    candidate, and ``SingularDesignError`` if a stabilized sd is zero or a
+    step picks a candidate already selected.
     """
     cand = config.candidates
     cpts = cand.points
@@ -238,13 +235,19 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
         best = f_cand[0]
         sd, stable = np.empty(m), np.empty(m, dtype=bool)
         for step in range(2, config.n):
-            threshold = config.gamma * np.sqrt(newton.power, out=sd).max()
-            if not math.isfinite(threshold):  # max() is NaN if any sd is
+            top = np.sqrt(newton.power, out=sd).max()
+            if not 0 < top < math.inf:  # NaN if any sd is, 0 if every variance underflowed
                 raise ConfigurationError(
-                    f"posterior variance not finite after {step - 1} points: kernel.amplitude "
+                    f"largest posterior sd {float(top)} after {step - 1} points: kernel.amplitude "
                     f"{spec.amplitude!r} or kernel.lengthscale {spec.lengthscale!r}")
+            threshold = config.gamma * top
             eligible = np.flatnonzero(np.greater_equal(sd, threshold, out=stable))
             sd_eligible = sd[eligible]
+            if not sd_eligible.min() > 0:  # expected_improvement's precondition
+                j = int(eligible[np.argmin(sd_eligible)])
+                raise SingularDesignError(
+                    f"step {step} would score candidate {j} ({cpts[j].tolist()}) at posterior "
+                    f"sd 0: the threshold {threshold:.3e} admits it")
             acq = expected_improvement(newton.mean[eligible], sd_eligible, best)
             i = int(np.argmax(acq))  # first maximizer wins ties
             j = int(eligible[i])

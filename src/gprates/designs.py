@@ -242,18 +242,31 @@ def fill_distance_bound(domain: Domain, probe_resolution: int | None = None) -> 
     return float(np.linalg.norm(domain.widths / res)) / 2.0
 
 
-def separation_radius(X: PointSet) -> float:
-    """Exact ``min_{i != j} ||x_i - x_j|| / 2``, streamed in row blocks."""
+def closest_pair(X: PointSet):
+    """``(i, j, d)``: the least distance ``d`` between two points of ``X``,
+    and the first pair ``(i, j)`` at that distance in row-major order.
+
+    The rows are streamed in row blocks; each block's first minimizer
+    replaces the best only when strictly closer, so the pair is the
+    whole distance matrix's ``argmin`` (diagonal excluded).
+    """
     n = len(X)
     if n < 2:
         raise ConfigurationError("separation radius needs at least two points")
-    best = np.inf
+    best = (0, 0, np.inf)
     for rows, (d, work) in row_blocks(n, n, 2):
         distances(X.points[rows], X.points, out=d, work=work)
         i = np.arange(len(d))
         d[i, rows.start + i] = np.inf  # the block's own diagonal
-        best = min(best, d.min())
-    return float(best / 2.0)
+        k = int(np.argmin(d))
+        if d.flat[k] < best[2]:
+            best = (rows.start + k // n, k % n, float(d.flat[k]))
+    return best
+
+
+def separation_radius(X: PointSet) -> float:
+    """Exact ``min_{i != j} ||x_i - x_j|| / 2``: half the closest pair's distance."""
+    return closest_pair(X)[2] / 2.0
 
 
 class MeshRatioTracker:

@@ -14,8 +14,8 @@ determinism check through :func:`write_json`, all with LF line ends.
 A ladder rung is fitted once: its replicates' noise vectors are the columns
 of one observation matrix, so the Gram matrix and its Cholesky factor are
 built once per rung and shared by every replicate.  Prediction streams the
-evaluation grid in row blocks, and each block's cross matrix serves every
-replicate.
+evaluation grid in the blocks of ``kernels.kernel_blocks``, and each block
+serves every replicate.
 
 The rates and bq harnesses share one ladder driver, ``_run_ladder``, which
 returns the ladder's verdict as a :class:`RateReport`: the designs'

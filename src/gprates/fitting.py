@@ -24,17 +24,15 @@ passed to ``fit`` or ``posterior_mean`` is handed on unread.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_toeplitz
 
-from .designs import PointSet
+from .designs import PointSet, closest_pair
 from .errors import ConfigurationError, SingularDesignError
-from .kernels import (
-    BLOCK_ENTRIES, KernelSpec, LatticeTable, as_points, cross_matrix, distances, gram,
-    kernel_blocks,
-)
+from .kernels import KernelSpec, LatticeTable, as_points, cross_matrix, gram, kernel_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -93,20 +91,6 @@ class PosteriorModel:
     def replicate(self, k: int) -> "PosteriorModel":
         """The fit to column ``k`` of the observations: its column of the dual weights."""
         return replace(self, dual=self.dual[:, k])
-
-
-def _all_finite(K: np.ndarray) -> bool:
-    """Whether every entry of the whole Gram ``K`` is finite, checked in
-    blocks of ``BLOCK_ENTRIES`` into one boolean buffer: scipy's own check,
-    in ``cho_factor`` and again in ``cho_solve``, allocates a boolean array
-    of ``K``'s size in each."""
-    flat = K.reshape(-1)
-    finite = np.empty(min(BLOCK_ENTRIES, flat.size), dtype=bool)
-    for start in range(0, flat.size, BLOCK_ENTRIES):
-        block = flat[start : start + BLOCK_ENTRIES]
-        if not np.isfinite(block, out=finite[: len(block)]).all():
-            return False
-    return True
 
 
 def _toeplitz_solve(c: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -179,13 +163,6 @@ def _centred(y: np.ndarray, prior_mean: MeanSpec, X: PointSet, overwrite_y: bool
     return rhs
 
 
-def _closest_pair(pts: np.ndarray):
-    d = distances(pts, pts)
-    d[np.diag_indices(len(pts))] = np.inf
-    i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-    return i, j, float(d[i, j])
-
-
 def fit(
     kernel: KernelSpec,
     prior_mean: MeanSpec,
@@ -223,9 +200,11 @@ def fit(
     the model does not keep it.  A failed factorization has overwritten
     ``K``, so ``K`` is dropped and rebuilt before the next jitter step, and
     an escalated fit still holds one matrix of its size.  ``K`` is
-    checked finite in blocks (:func:`_all_finite`), so the factor and the
-    solve skip scipy's check, which allocates a boolean array of ``K``'s
-    size in each.
+    checked finite by its minimum and maximum, which are NaN if any entry
+    is and allocate nothing, so the factor and the solve skip scipy's
+    check, which allocates a boolean array of ``K``'s size in each.  When
+    every jitter step fails, the error names the design's closest pair
+    (:func:`designs.closest_pair`).
 
     ``y``, the kernel (``K``, or the Toeplitz column) and the right-hand
     side ``y - m_X`` are checked finite, in that order (observations, a
@@ -270,7 +249,7 @@ def fit(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             K = gram(kernel, X, table)
         K[np.diag_indices(n)] += lam + jitter
-        if not _all_finite(K):  # the kernel overflowed
+        if not (math.isfinite(K.min()) and math.isfinite(K.max())):  # the kernel overflowed
             raise _kernel_overflow(kernel)
         try:
             K, _ = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
@@ -279,7 +258,7 @@ def fit(
             K = None  # the failed factor, freed before the next step writes its Gram
         logger.warning("cholesky failed at jitter %.1e, escalating", jitter)
     else:
-        i, j, d = _closest_pair(X.points)
+        i, j, d = closest_pair(X)
         raise SingularDesignError(
             f"Cholesky failed up to jitter {MAX_JITTER_FACTOR * A:.1e}; closest "
             f"design pair is ({i}, {j}) at distance {d:.3e}"

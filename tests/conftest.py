@@ -10,9 +10,12 @@ Toeplitz route off or spoils its certificate, the
 posterior-variance oracles, and the ``counted`` fixture counts the calls of
 a gprates function.
 
-``FAST_PATHS`` is the switchboard of gprates' fast paths: each one claims to
-be bitwise a plain path, and lists every binding that switches it off
-(``test_public_names`` checks that it lists every module that binds the name).
+``FAST_PATHS`` is the switchboard of gprates' two fast paths, the lattice
+tables and the strip windows: each one claims to be bitwise a plain path,
+and lists every binding that switches it off (``test_public_names`` checks
+that it lists every module that binds the name).
+``masked_expected_improvement`` is the expected-improvement oracle of the
+plain BO loop in ``test_bayesopt``.
 """
 
 import pytest
@@ -53,8 +56,6 @@ FAST_PATHS = {
     "lattice_tables": [("kernels", "lattice_table", _no_lattice_table)],
     # up to blocks_per_strip(table) blocks of a grid against a grid share one window
     "strip_windows": [("kernels", "blocks_per_strip", _one_block_per_strip)],
-    # expected improvement skips its masks when every sd is positive
-    "positive_sd_pass": [("bayesopt", "expected_improvement", masked_expected_improvement)],
 }
 
 

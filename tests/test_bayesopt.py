@@ -15,14 +15,14 @@ from gprates.bayesopt import BOConfig, expected_improvement, run_gamma_F_n
 from gprates.designs import (
     Domain, NewtonBasis, PointSet, fill_distance, gen_grid, separation_radius,
 )
-from gprates.errors import ConfigurationError
+from gprates.errors import ConfigurationError, SingularDesignError
 from gprates.experiments import config_from_dict, run_bo_experiment
 from gprates.fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit
 from gprates.kernels import KernelSpec, cross_matrix
 from gprates.targets import eval_target, random_expansion_target
 
-# a7's kernel, target and strategy on 512 candidates; from step 51 on, the
-# masked expected improvement is exactly 0 on every stabilized candidate, so
+# a7's kernel, target and strategy on 512 candidates; from step 51 on,
+# expected improvement is exactly 0 on every stabilized candidate, so
 # budget 64 also checks that ties break to the first maximizer
 SMALL_BO = {
     "kind": "bo", "name": "small_bo", "seed": 1,
@@ -107,6 +107,31 @@ def test_budget_outside_the_trajectory_is_rejected(n):
         _trajectory(12).result(n)
 
 
+@pytest.mark.parametrize("power, error, message", [
+    (0.0, SingularDesignError, r"^step 2 would score candidate 5 \("),
+    (np.nan, ConfigurationError, r"^largest posterior sd nan after 1 points: kernel\.amplitude"),
+], ids=["zero", "nan"])
+def test_a_zero_or_nan_sd_stops_the_loop(monkeypatch, power, error, message):
+    # gamma 5e-324 times a largest sd below 1/2 rounds the threshold to 0, so
+    # every candidate is stabilized; with every sd positive the run goes on.
+    # A basis that sets candidate 5's power to 0 stops it at the first step,
+    # as a singular design; a NaN power, a variance past the float range, is
+    # a configuration error
+    cfg = config_from_dict(SMALL_BO)
+    spec = KernelSpec(tau=2.5, lengthscale=0.15, amplitude=0.1)
+    config = BOConfig(gamma=5e-324, n=8, kernel=spec, candidates=gen_grid(512, cfg.domain))
+    assert [row["threshold"] for row in run_gamma_F_n(cfg.target, config).trace] == [0.0] * 6
+
+    class SpoiledPower(NewtonBasis):
+        def add(self, *args):
+            super().add(*args)
+            self.power[5] = power
+
+    monkeypatch.setattr(bayesopt, "NewtonBasis", SpoiledPower)
+    with pytest.raises(error, match=message):
+        run_gamma_F_n(cfg.target, config)
+
+
 def test_rho_so_far_is_the_prefix_mesh_ratio():
     trajectory = _trajectory(40)
     cand = trajectory.config.candidates
@@ -135,41 +160,38 @@ def test_expected_improvement_is_bitwise_the_scipy_stats_formula():
 
     rng = np.random.default_rng(9)
     mean = np.concatenate([rng.standard_normal(20000) * 3.0, [0.0, -0.0, 1e-300, -1e-300,
-                                                               50.0, -50.0, 0.7, 0.7]])
-    sd = np.concatenate([rng.random(20000) * 2.0, [1.0, 1.0, 1e-3, 1e-3, 1.0, 1.0, 0.0, 1e-320]])
+                                                               50.0, -50.0, 0.7]])
+    sd = np.concatenate([rng.random(20000) * 2.0, [1.0, 1.0, 1e-3, 1e-3, 1.0, 1.0, 1e-320]])
+    assert sd.min() > 0
     best = 0.2
     gap = mean - best
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = np.where(sd > 0, gap / np.where(sd > 0, sd, 1.0), 0.0)
-        oracle = np.where(sd > 0, gap * norm.cdf(z) + sd * norm.pdf(z), np.maximum(gap, 0.0))
+    with np.errstate(over="ignore"):  # gap / 1e-320
+        z = gap / sd
+        oracle = gap * norm.cdf(z) + sd * norm.pdf(z)
         assert np.array_equal(expected_improvement(mean, sd, best), oracle)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 2000),
-       zero_sd=st.floats(0.0, 1.0), ties=st.floats(0.0, 1.0))
-def test_one_pass_expected_improvement_is_bitwise_the_masked_formula(seed, size, zero_sd, ties):
-    # sd == 0 (and -0.0) entries, gaps of both signs, and means that tie the
-    # incumbent, including at sd == 0, where the gap is +0.0
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 2000), ties=st.floats(0.0, 1.0))
+def test_one_pass_expected_improvement_is_bitwise_the_masked_formula(seed, size, ties):
+    # positive sd, gaps of both signs, and means that tie the incumbent
     rng = np.random.default_rng(seed)
     best = float(rng.standard_normal())
     mean = rng.standard_normal(size) * 3.0
     mean[rng.random(size) < ties] = best
-    sd = rng.random(size) * 2.0
-    sd[rng.random(size) < zero_sd] = 0.0
-    sd[rng.random(size) < 0.05] = -0.0
+    sd = 2.0 - rng.random(size) * 2.0  # in (0, 2]
     ei, oracle = expected_improvement(mean, sd, best), masked_expected_improvement(mean, sd, best)
     assert np.array_equal(ei, oracle)
     assert np.array_equal(np.signbit(ei), np.signbit(oracle))
 
 
 def test_expected_improvement_holds_three_arrays_at_its_peak():
-    # gap, z (which becomes Phi(z) and the result) and the pdf term, plus two
-    # boolean masks; the masked formula kept both branches and six arrays
+    # gap, z (which becomes Phi(z) and the result) and the pdf term; the
+    # masked formula kept both branches and six arrays
     m = 100_000
     rng = np.random.default_rng(11)
     mean, sd = rng.standard_normal(m), rng.random(m)
-    sd[::3] = 0.0
+    assert sd.min() > 0
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -186,8 +208,8 @@ def test_expected_improvement_on_a_subset_is_bitwise_the_full_call(seed, size, b
     # the BO loop scores only its stabilized set; any subset, of any length
     # and offset, gets bitwise the entries of the call on every candidate
     rng = np.random.default_rng(seed)
-    mean = np.concatenate([rng.standard_normal(4000) * 3.0, [0.0, -0.0, 1e-300, 50.0, -50.0]])
-    sd = np.concatenate([rng.random(4000) * 2.0, [1.0, 0.0, 1e-320, 1e-3, 1.0]])
+    mean = np.concatenate([rng.standard_normal(4000) * 3.0, [0.0, 1e-300, 50.0, -50.0]])
+    sd = np.concatenate([2.0 - rng.random(4000) * 2.0, [1.0, 1e-320, 1e-3, 1.0]])
     rows = np.sort(rng.choice(len(mean), size, replace=False))
     with np.errstate(over="ignore"):  # gap / 1e-320
         full = expected_improvement(mean, sd, best)

@@ -204,7 +204,8 @@ def _a7(section, value):
     (dict(_cut_preset("a5", "nugget", exponent=2.0, coeff=1e308),
           domain={"lower": [0.0], "upper": [1000.0]}), "nugget.coeff and nugget.exponent"),
     # a7 with kernel values past the float range on the candidates, and with
-    # a posterior variance that turns NaN once the jitter underflows
+    # a posterior variance that vanishes on every candidate once the jitter
+    # underflows
     (_a7("kernel", {"lengthscale": 1e-300}), "kernel.lengthscale"),
     (_a7("kernel", {"amplitude": 1e-320}), "kernel.amplitude"),
     (_a7("domain", {"lower": [0.0], "upper": [1e300]}), "domain"),
@@ -465,12 +466,18 @@ def test_large_fit_that_never_factors_exits_3(tmp_path, capsys, failing_cho_fact
                                            "closest design pair is (")
 
 
-@pytest.mark.parametrize("lengthscale", [3.0, 1e25])
-def test_repeated_bo_pick_exits_3(tmp_path, capsys, lengthscale):
-    # from step 149 on, the posterior sd on the stabilized set is at the
-    # jitter's scale, and an already-selected candidate is picked again:
-    # a singular design, with no file written
-    code, out = _run(tmp_path, _a7("kernel", {"lengthscale": lengthscale}))
+@pytest.mark.parametrize("section, value", [
+    ("kernel", {"lengthscale": 3.0}),
+    ("kernel", {"lengthscale": 1e25}),
+    ("bo", {"gamma": 5e-324}),
+], ids=["3.0", "1e25", "gamma_5e-324"])
+def test_repeated_bo_pick_exits_3(tmp_path, capsys, section, value):
+    # from some step on (149 at a long lengthscale, 27 at a gamma whose
+    # threshold rounds to 0, where every sd stays positive), the posterior sd
+    # of an already-selected candidate, at the jitter's scale, is stabilized,
+    # and that candidate is picked again: a singular design, with no file
+    # written
+    code, out = _run(tmp_path, _a7(section, value))
     assert code == 3
     assert list(out.iterdir()) == []
     err = capsys.readouterr().err

@@ -13,6 +13,7 @@ from gprates.designs import (
     MeshRatioTracker,
     NewtonBasis,
     PointSet,
+    closest_pair,
     fill_distance,
     gen_grid,
     gen_p_greedy,
@@ -147,6 +148,27 @@ class TestSeparationAndMeshRatio:
         d = np.sqrt(((X.points[:, None, :] - X.points[None, :, :]) ** 2).sum(-1))
         d[np.diag_indices(1000)] = np.inf
         assert separation_radius(X) == d.min() / 2.0
+
+    @pytest.mark.parametrize("case", ["random_1d", "random_2d", "dyadic_grid"])
+    def test_closest_pair_is_the_whole_argmin(self, case):
+        # 1024 points take row blocks of 64: the random pair (63, 64)
+        # straddles the first boundary and is seen as (63, 64), then as
+        # (64, 63); every neighbour pair of the dyadic grid is exactly 1/1024
+        # apart, in every block.  The first pair in row-major order wins
+        n = 1024
+        assert row_block(n) == 64
+        if case == "dyadic_grid":
+            X = gen_grid(n, UNIT)
+        else:
+            dim = int(case[-2])
+            pts = np.random.default_rng(dim).uniform(0.1, 0.9, (n, dim))
+            pts[64] = pts[63] + 1e-9
+            X = PointSet(pts, Domain((0.0,) * dim, (1.0,) * dim))
+        d = distances(X.points, X.points)
+        d[np.diag_indices(n)] = np.inf
+        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+        assert closest_pair(X) == (i, j, d[i, j])
+        assert (i, j) == ((0, 1) if case == "dyadic_grid" else (63, 64))
 
     def test_mesh_ratio_grid_is_one(self):
         assert _mesh_ratio(gen_grid(16, UNIT), probe_resolution=4096) == pytest.approx(1.0, abs=0.01)

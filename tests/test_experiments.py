@@ -392,13 +392,11 @@ def test_only_a3s_largest_rungs_take_the_toeplitz_route(tmp_path, failing_cho_fa
 # the configs that reach each fast path of the switchboard: a1_l2 and a3
 # predict grids on grids (strips), a3 with 20 replicates, and a3 reads its
 # Grams of up to 512 points from the table's windows; a7 reads its BO
-# columns and final fits from the candidates' table and scores the
-# stabilized set in one pass; a cut P-greedy ladder
+# columns and final fits from the candidates' table; a cut P-greedy ladder
 # reads its columns and predictions from tables through gathers
 REACHES = {
     "lattice_tables": ("a1_l2", "a3", "a7", "pgreedy_l2"),
     "strip_windows": ("a1_l2", "a3"),
-    "positive_sd_pass": ("a7",),
 }
 
 

@@ -79,6 +79,18 @@ class TestFitBasics:
         with pytest.raises(ConfigurationError):
             fit(spec, ZERO, gen_grid(4, UNIT), [1.0, 2.0], 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_gram_not_finite_is_a_kernel_overflow(self, monkeypatch, value):
+        # one entry far off the diagonal is enough
+        def spoiled(*args):
+            K = gram(*args)
+            K[-1, 0] = value
+            return K
+
+        monkeypatch.setattr(fitting, "gram", spoiled)
+        with pytest.raises(ConfigurationError, match="^kernel matrix not finite"):
+            fit(KernelSpec(tau=2.0), ZERO, gen_grid(40, UNIT), np.zeros(40), 0.0)
+
     def test_dual_solves_system(self):
         spec = KernelSpec(tau=2.0, lengthscale=0.25)
         X = gen_grid(20, UNIT)
