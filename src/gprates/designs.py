@@ -246,9 +246,10 @@ def closest_pair(X: PointSet):
     """``(i, j, d)``: the least distance ``d`` between two points of ``X``,
     and the first pair ``(i, j)`` at that distance in row-major order.
 
-    The rows are streamed in row blocks; each block's first minimizer
-    replaces the best only when strictly closer, so the pair is the
-    whole distance matrix's ``argmin`` (diagonal excluded).
+    The rows are streamed in row blocks.  A block's minimum is compared
+    first, and only a strictly closer block is searched for its first
+    minimizer, which replaces the best; so the pair is the whole distance
+    matrix's ``argmin`` (diagonal excluded).
     """
     n = len(X)
     if n < 2:
@@ -258,8 +259,8 @@ def closest_pair(X: PointSet):
         distances(X.points[rows], X.points, out=d, work=work)
         i = np.arange(len(d))
         d[i, rows.start + i] = np.inf  # the block's own diagonal
-        k = int(np.argmin(d))
-        if d.flat[k] < best[2]:
+        if d.min() < best[2]:
+            k = int(np.argmin(d))
             best = (rows.start + k // n, k % n, float(d.flat[k]))
     return best
 

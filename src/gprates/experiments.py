@@ -12,10 +12,12 @@ artifact byte format: ``_csv`` writes every CSV (17 significant digits),
 determinism check through :func:`write_json`, all with LF line ends.
 
 A ladder rung is fitted once: its replicates' noise vectors are the columns
-of one observation matrix, so the Gram matrix and its Cholesky factor are
-built once per rung and shared by every replicate.  Prediction streams the
-evaluation grid in the blocks of ``kernels.kernel_blocks``, and each block
-serves every replicate.
+of one observation matrix, so the rung's solve (a Cholesky factor, or a
+Toeplitz solve on a large grid) is done once and shared by every replicate.
+Prediction streams the evaluation grid in the blocks of
+``kernels.kernel_blocks``, and each block serves every replicate; a
+Toeplitz-route rung predicts the grid by FFT products instead
+(``fitting.posterior_mean``).
 
 The rates and bq harnesses share one ladder driver, ``_run_ladder``, which
 returns the ladder's verdict as a :class:`RateReport`: the designs'

@@ -10,11 +10,14 @@ the first column of the inverse, then the Gohberg-Semencul formula
 applied by FFTs in :func:`_toeplitz_solve`) and kept only if its backward
 error is certified small.  Every other fit, and a Toeplitz solve that is
 not certified, writes its Gram whole and factors it with ``cho_factor``.
-The fitted model keeps only what prediction reads, the dual weights ``w``;
-it is immutable and its predictors are pure functions.  ``lambda = 0`` is
-interpolation and gets a small diagonal jitter (escalated on factorization
-failure, and recorded, since a large jitter technically shifts the
-estimator toward approximate interpolation).
+The fitted model keeps only what prediction reads, the dual weights ``w``,
+and the route it took: a Toeplitz-route model predicts equally spaced 1-d
+queries whose step divides the design's by FFT Toeplitz products
+(:func:`_toeplitz_product`), and every other prediction streams kernel
+blocks through gemv.  The model is immutable and its predictors are pure
+functions.  ``lambda = 0`` is interpolation and gets a small diagonal
+jitter (escalated on factorization failure, and recorded, since a large
+jitter technically shifts the estimator toward approximate interpolation).
 
 Kernel values come from :mod:`kernels`, which alone decides whether a
 block is read from a lattice table or evaluated directly; a ``table``
@@ -40,11 +43,12 @@ DEFAULT_JITTER_FACTOR = 1e-10
 MAX_JITTER_FACTOR = 1e-6
 
 # A ridge fit on an equally spaced 1-d design whose Gram would be this many
-# bytes or more (n >= 725) is solved as a Toeplitz system (see ``fit``).
-# Smaller ones keep cho_factor's bits, to which the benchmark holds the
-# recorded errors of a1, a2, a4 and a5 within 1e-9: another factorization's
-# rounding moved the 512-point rungs of a1 and a2 by 1.3e-9 relative and a5
-# by 1.7e-8.
+# bytes or more (n >= 725) is solved as a Toeplitz system (see ``fit``), and
+# the model predicts by FFTs where its queries allow (see ``posterior_mean``).
+# Smaller ones keep cho_factor's bits and gemv's, to which the benchmark
+# holds the recorded errors of a1, a2, a4 and a5 within 1e-9: another
+# factorization's rounding moved the 512-point rungs of a1 and a2 by 1.3e-9
+# relative and a5 by 1.7e-8.
 TOEPLITZ_BYTES = 4 * 2**20
 
 
@@ -80,6 +84,9 @@ class PosteriorModel:
 
     ``dual`` has shape (n,) for one fit, or (n, r) for r fits that share
     the design.  ``jitter`` is the diagonal jitter the factorization used.
+    ``route`` is the route :func:`fit` took, ``"toeplitz"`` or
+    ``"cholesky"``; on the Toeplitz route the design is equally spaced, so
+    :func:`posterior_mean` may form its means by FFTs.
     """
 
     kernel: KernelSpec
@@ -87,6 +94,7 @@ class PosteriorModel:
     design: PointSet
     dual: np.ndarray
     jitter: float
+    route: str = "cholesky"
 
     def replicate(self, k: int) -> "PosteriorModel":
         """The fit to column ``k`` of the observations: its column of the dual weights."""
@@ -127,6 +135,55 @@ def _toeplitz_solve(c: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray
         certified = np.abs(R).max(axis=1) <= n * np.finfo(float).eps * (
             norm_T * np.abs(W).max(axis=1) + np.abs(B).max(axis=1))
     return W.T.reshape(rhs.shape) if certified.all() else None
+
+
+def _toeplitz_phases(model: PosteriorModel, xq: np.ndarray) -> int:
+    """The whole number ``b`` of query steps in one design step, from 1 to
+    the number of queries, when the model was fitted on the Toeplitz route
+    (its design equally spaced) and the queries ``xq`` are 1-d with equal
+    steps, b of which make the design step exactly; else 0."""
+    if model.route != "toeplitz" or not _equal_steps(xq):
+        return 0
+    X = model.design.points[:, 0]
+    step = xq[1, 0] - xq[0, 0]
+    ratio = (X[1] - X[0]) / step
+    b = round(ratio) if 1 <= ratio <= len(xq) else 0
+    return b if b * step == X[1] - X[0] else 0
+
+
+def _toeplitz_product(kernel: KernelSpec, xq: np.ndarray, X: np.ndarray, dual: np.ndarray,
+                      b: int) -> np.ndarray:
+    """``(k(xq, X) dual).T``, shape (r, m), by FFT Toeplitz products, for 1-d
+    queries with b steps in each step of the equally spaced design ``X``.
+
+    Phase e of the queries, ``xq[e::b]`` (``m_e`` points), has steps equal
+    to the design's, so its block ``T_e = k(xq[e::b], X)`` is Toeplitz, set
+    by its first column, rows e::b of ``cross_matrix(kernel, xq, X[:1])``,
+    and its first row, row e of ``cross_matrix(kernel, xq[:b], X)``; both
+    hold the doubles of the direct block's entries, and no lattice table is
+    read.  ``T_e w`` is entries ``n - 1`` on of the convolution of ``w``
+    with ``t_e = (row reversed, column)``, of length ``m_e + n - 1``: one
+    product of real FFTs of a power-of-two length ``N >= ceil(m / b) + n - 1``
+    (Golub & Van Loan, *Matrix Computations*, section 4.7).  The phases'
+    spectra are formed once; the columns of ``dual`` are taken one at a
+    time, each with one ``rfft`` that all phases share, so each column is
+    bitwise its one-column product: besides the result, the product holds
+    the b spectra of ``N / 2 + 1`` complex numbers and a few arrays of N,
+    never one of r x N.
+    """
+    m, n = len(xq), len(X)
+    N = 1 << (-(-m // b) + n - 2).bit_length()
+    fft, ifft = np.fft.rfft, np.fft.irfft
+    rows = cross_matrix(kernel, xq[:b], X)  # row e is phase e's first row
+    column = cross_matrix(kernel, xq, X[:1])[:, 0]  # column[e::b] is its first column
+    spectra = [fft(np.r_[rows[e, :0:-1], column[e::b]], N) for e in range(b)]
+    out = np.empty((dual.shape[1], m))
+    for k in range(dual.shape[1]):
+        w = fft(dual[:, k], N)
+        for e, spectrum in enumerate(spectra):
+            phase = out[k, e::b]
+            phase[:] = ifft(spectrum * w, N)[n - 1 : n - 1 + len(phase)]
+    return out
 
 
 def _equal_steps(pts: np.ndarray) -> bool:
@@ -187,16 +244,18 @@ def fit(
     ``g`` of its inverse, and :func:`_toeplitz_solve` applies the inverse
     to every column at once by FFTs: O(n^2) work and O(n r) memory, each
     column's weights to rounding of a one-column fit's.  The weights are
-    kept, with jitter 0, when ``g`` is finite with ``g_0 > 0`` and each
-    column's backward error is at most n eps; otherwise the fit takes the
-    whole route.
+    kept, with jitter 0 and route ``"toeplitz"``, when ``g`` is finite with
+    ``g_0 > 0`` and each column's backward error is at most n eps; otherwise
+    the fit takes the whole route.  The route carries over to prediction:
+    :func:`posterior_mean` forms a Toeplitz-route model's means on equally
+    spaced 1-d queries by FFT products too.
 
-    *Whole.*  Every other fit: :func:`kernels.gram` writes ``K`` whole,
-    ``lam + jitter`` is added to its diagonal (bitwise
-    ``K + (lam + jitter) I``), and ``cho_factor`` overwrites the lower
-    triangle of ``K.T`` (Fortran order, no copy) in place with the factor
-    that ``cho_solve`` reads; each column's weights are bitwise those of a
-    fit to that column alone.  ``K`` is the only matrix of its size, and
+    *Whole.*  Every other fit, with route ``"cholesky"``:
+    :func:`kernels.gram` writes ``K`` whole, ``lam + jitter`` is added to
+    its diagonal (bitwise ``K + (lam + jitter) I``), and ``cho_factor``
+    overwrites the lower triangle of ``K.T`` (Fortran order, no copy) in
+    place with the factor that ``cho_solve`` reads; each column's weights
+    are bitwise those of a fit to that column alone.  ``K`` is the only matrix of its size, and
     the model does not keep it.  A failed factorization has overwritten
     ``K``, so ``K`` is dropped and rebuilt before the next jitter step, and
     an escalated fit still holds one matrix of its size.  ``K`` is
@@ -239,7 +298,7 @@ def fit(
             rhs = _centred(y, prior_mean, X, overwrite_y)
             dual = _toeplitz_solve(c, g, rhs)
             if dual is not None:
-                return PosteriorModel(kernel, prior_mean, X, dual, 0.0)
+                return PosteriorModel(kernel, prior_mean, X, dual, 0.0, "toeplitz")
         logger.debug("Toeplitz solve of %d points not certified, factoring", n)
     # jitter ladder: none needed when lam > 0, else start at 1e-10*A and
     # escalate by 100x up to 1e-6*A before giving up
@@ -281,36 +340,53 @@ def posterior_mean(model: PosteriorModel, x, table: LatticeTable | None = None) 
     """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)`` at a batch of m queries.
 
     The result has shape (m,) for one fit, or (m, r) for a model fitted to
-    r columns: one column of means per fit.  The query rows are streamed in
-    the blocks of :func:`kernels.kernel_blocks`, ``row_block(n)`` rows each,
-    and each block serves every column.  A block is read from the lattice
-    table of the queries against the design when both are 1-d on one small
-    dyadic lattice, else evaluated by ``cross_matrix``; both hold the same
-    doubles, so the means are bitwise the same.  ``table`` is that table when
-    the caller already holds one (a BO budget's final step, read from the
-    candidates' table); None has ``kernel_blocks`` look one up.  Each block's
-    products are written into the result in place and the prior mean is
-    added after, the same sum as ``m(x) + k_xX w``, since addition commutes.
+    r columns: one column of means per fit.  The products ``k_xX w`` are
+    written into the result and the prior mean is added after, the same sum
+    as ``m(x) + k_xX w``, since addition commutes.  They take one of two
+    paths, and on both each column is bitwise its one-column fit's.
 
-    A block's r columns come from one ``np.matmul`` of the view
-    ``dual.T[:, :, None]`` (no copy) into rows of an (r, m) result, whose
-    transpose is returned: with a trailing 1, numpy calls gemv once per
-    column, as ``Kq @ dual[:, k]`` does, so each column is bitwise its
-    one-column fit.  Never ``Kq @ dual``: gemm rounds differently, moving the
-    errors past 1e-9 relative at a nugget near 1e-9.  Each mean is one row of
-    a matrix-vector product, and a full block gives the same bits as the
-    whole product.  A ragged last block (m not a multiple of
-    ``row_block(n)``) can round a few rows differently, within dot-product
-    rounding; the whole product's value of a row already depends on m, so
-    no canonical value is lost.
+    *FFT.*  A model fitted on the Toeplitz route has an equally spaced 1-d
+    design.  When the queries are 1-d with equal steps, and b of them make
+    the design step exactly (a whole number b from 1 to m), each phase
+    ``x[e::b]`` of the queries against the design is a Toeplitz matrix, and
+    :func:`_toeplitz_product` applies it by real FFTs of a power-of-two
+    length N >= ceil(m / b) + n - 1, one column at a time: O((b + 1) r N
+    log N) work in place of m n r, and no block streamed.  The means agree
+    with the block product to FFT rounding (a3's 1024- and 2048-point rungs
+    moved by at most 5.1e-12 relative).  ``table`` is not read.
+
+    *Blocks.*  Every other prediction streams the query rows in the blocks
+    of :func:`kernels.kernel_blocks`, ``row_block(n)`` rows each, and each
+    block serves every column.  A block is read from the lattice table of
+    the queries against the design when both are 1-d on one small dyadic
+    lattice, else evaluated by ``cross_matrix``; both hold the same doubles,
+    so the means are bitwise the same.  ``table`` is that table when the
+    caller already holds one (a BO budget's final step, read from the
+    candidates' table); None has ``kernel_blocks`` look one up.  A block's r
+    columns come from one ``np.matmul`` of the view ``dual.T[:, :, None]``
+    (no copy) into rows of an (r, m) result, whose transpose is returned:
+    with a trailing 1, numpy calls gemv once per column, as
+    ``Kq @ dual[:, k]`` does.  These models keep gemv's bits, not an FFT's
+    or gemm's: they include every fit under ``TOEPLITZ_BYTES``, whose
+    recorded errors the benchmark holds within 1e-9, and a gemm of the
+    whole block moved a5's errors, at a nugget near 1e-9, past that.  Each
+    mean is one row of a matrix-vector product, and a full block gives the
+    same bits as the whole product.  A ragged last block (m not a multiple
+    of ``row_block(n)``) can round a few rows differently, within
+    dot-product rounding; the whole product's value of a row already
+    depends on m, so no canonical value is lost.
     """
     xq = as_points(model.kernel.dim, x)
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
-    out = np.empty((dual.shape[1], len(xq), 1))  # column k's means are out[k, :, 0]
-    for rows, Kq in kernel_blocks(model.kernel, xq, model.design.points, table):
-        np.matmul(Kq, dual.T[:, :, None], out=out[:, rows])
-    Kq = None  # frees the last block's buffer before the prior mean is formed
-    out = out[:, :, 0]
+    b = _toeplitz_phases(model, xq)
+    if b:
+        out = _toeplitz_product(model.kernel, xq, model.design.points, dual, b)
+    else:
+        out = np.empty((dual.shape[1], len(xq), 1))  # column k's means are out[k, :, 0]
+        for rows, Kq in kernel_blocks(model.kernel, xq, model.design.points, table):
+            np.matmul(Kq, dual.T[:, :, None], out=out[:, rows])
+        Kq = None  # frees the last block's buffer before the prior mean is formed
+        out = out[:, :, 0]
     out += model.prior_mean(xq)
     return out[0] if model.dual.ndim == 1 else out.T
 

@@ -5,7 +5,8 @@ call the library directly, so they pin here to get the same one-thread
 results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
 ``failing_cho_factor`` fixture forces ``fit``'s jitter escalation on a whole
 Gram and counts its factorizations, ``failing_solve_toeplitz`` switches its
-Toeplitz route off or spoils its certificate, the
+Toeplitz route off or spoils its certificate, ``toeplitz_products`` records
+the predictions that take the FFT product, the
 ``oracle_factor`` and ``posterior_var`` fixtures are the Cholesky-factor and
 posterior-variance oracles, and the ``counted`` fixture counts the calls of
 a gprates function.
@@ -116,6 +117,27 @@ def failing_solve_toeplitz(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def toeplitz_products(monkeypatch):
+    """Record each call of ``fitting._toeplitz_product``: the FFT route of
+    ``posterior_mean``.
+
+    Returns the list of ``(n, m)`` (design points, queries) of every call,
+    which it appends to as predictions run.
+    """
+    import gprates.fitting
+
+    calls = []
+    product = gprates.fitting._toeplitz_product
+
+    def record(kernel, xq, X, dual, b):
+        calls.append((len(X), len(xq)))
+        return product(kernel, xq, X, dual, b)
+
+    monkeypatch.setattr(gprates.fitting, "_toeplitz_product", record)
+    return calls
 
 
 @pytest.fixture

@@ -366,25 +366,32 @@ def test_shipped_ladders_gather_from_a_kernel_table(raw):
 
 
 def test_only_a3s_largest_rungs_take_the_toeplitz_route(tmp_path, failing_cho_factor,
-                                                        failing_solve_toeplitz):
+                                                        failing_solve_toeplitz,
+                                                        toeplitz_products):
     # every shipped fit, by its route: a whole Gram (cho_factor) or a
     # Toeplitz solve (solve_toeplitz): the accept presets, BO final fits and
     # a8's suites included, and the benchmark's P-greedy ladder.  Exactly
     # a3's ridge rungs of 1024 and 2048 grid points cross TOEPLITZ_BYTES,
     # and both are Toeplitz; a change of the threshold that moves a ladder's
-    # rung across it, or a fit that takes another route, fails here
+    # rung across it, or a fit that takes another route, fails here.  Only
+    # those two models predict by FFT products: each on the 4096-point grid,
+    # and the last rung also on the 8192-point grid of the stability check;
+    # every other prediction streams kernel blocks
     whole, toeplitz = failing_cho_factor(0), failing_solve_toeplitz(0)
     raw = dict(acceptance_configs(), pgreedy_l2=dict(_bench_child().P_GREEDY, seed=DEFAULT_SEED))
     runs = {name: lambda cfg=cfg: run_experiment(config_from_dict(cfg), str(tmp_path))
             for name, cfg in raw.items()}
     runs.update({suite.__name__: lambda suite=suite: suite(DEFAULT_SEED)
                  for suite in (pythagorean_suite, regression_bound_suite, rayleigh_suite)})
-    sizes = {}
+    sizes, products = {}, {}
     for name, run in runs.items():
-        start = len(whole), len(toeplitz)
+        start = len(whole), len(toeplitz), len(toeplitz_products)
         run()
         sizes[name] = whole[start[0]:], toeplitz[start[1]:]
+        products[name] = toeplitz_products[start[2]:]
     assert {name: t for name, (_, t) in sizes.items() if t} == {"a3": [1024, 2048]}
+    assert {name: p for name, p in products.items() if p} == {
+        "a3": [(1024, 4096), (2048, 4096), (2048, 8192)]}
     assert all(w for w, _ in sizes.values())
     assert max(n for w, _ in sizes.values() for n in w) == 512
 

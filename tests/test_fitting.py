@@ -1,10 +1,12 @@
 """Conditioning: interpolation/regression identities and RKHS-norm properties."""
 
+import functools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,6 +363,125 @@ class TestToeplitzFit:
         factored, solved = failing_cho_factor(0), failing_solve_toeplitz(0)
         fit(spec, ZERO, X, rng.standard_normal(len(X)), lam)
         assert (factored, solved) == ([len(X)], [])
+
+
+@functools.lru_cache(maxsize=None)
+def _toeplitz_model(n):
+    """A ridge fit of 3 columns on the n-point grid, on the Toeplitz route."""
+    X = gen_grid(n, UNIT)
+    Y = np.sin(7.0 * X.points) + 0.1 * np.random.default_rng(n).standard_normal((n, 3))
+    model = fit(TestToeplitzFit.SPEC, MeanSpec("constant", 0.2), X, Y, 0.01)
+    assert model.route == "toeplitz"
+    return model
+
+
+def _fine_midpoints(n, b, m):
+    """The first m midpoints of cells b times finer than an n-point grid's,
+    from 0 on: equal dyadic steps of 1 / (b n), so the design step is b
+    query steps (past 1 when m > b n)."""
+    return ((np.arange(m) + 0.5) / (b * n)).reshape(-1, 1)
+
+
+class TestToeplitzProduct:
+    """A Toeplitz-route model predicts 1-d queries whose step divides the
+    design's step b times by one FFT product per phase ``x[e::b]``; every
+    other prediction streams kernel blocks."""
+
+    # and one length past a power of two: 2050 + 2048 - 1 = 4097 needs N = 8192
+    CASES = [(n, b, m) for n in (1024, 2048) for b in (1, 2, 4) for m in (4096, 4095)]
+    CASES.append((2048, 2, 4099))
+
+    @pytest.mark.parametrize("n, b, m", CASES)
+    def test_within_fft_rounding_of_the_block_product(self, toeplitz_products, n, b, m):
+        # Higham (2002), Theorem 24.2: one radix-2 transform of length N has
+        # relative 2-norm error at most log2(N) eta, eta = mu + gamma_4
+        # (sqrt 2 + mu) ~ 3.3 eps for twiddle factors exact to mu ~ u.  A
+        # product takes three transforms (the kernel's, the weights' and the
+        # inverse), so c = 3 x 3.3 = 10, scaled by |h|_2 |w|_2 (h the
+        # longest phase's kernel vector, w a column of weights).  The block
+        # product's own dot-product rounding falls inside it here, and the
+        # worst case carries a further sqrt(N) that this check drops; the
+        # measured difference is at most 0.05 of the bound, and an index
+        # slip moves a mean by O(1)
+        model = _toeplitz_model(n)
+        Q = _fine_midpoints(n, b, m)
+        means = posterior_mean(model, Q)
+        N = 1 << (-(-m // b) + n - 2).bit_length()
+        assert toeplitz_products == [(n, m)]
+        blocks = posterior_mean(replace(model, route="cholesky"), Q)
+        X = model.design.points
+        h = max(np.linalg.norm(np.r_[cross_matrix(model.kernel, Q[e : e + 1], X)[0],
+                                     cross_matrix(model.kernel, Q[e::b], X[:1])[:, 0]])
+                for e in range(b))
+        bound = 10 * math.log2(N) * np.finfo(float).eps * h * np.linalg.norm(model.dual, axis=0)
+        assert np.all(np.abs(means - blocks).max(axis=0) <= bound)
+
+    @pytest.mark.parametrize("n, b, m", CASES)
+    def test_every_column_is_bitwise_its_one_column_prediction(self, toeplitz_products, n, b, m):
+        model = _toeplitz_model(n)
+        Q = _fine_midpoints(n, b, m)
+        means = posterior_mean(model, Q)
+        for k in range(3):
+            assert means[:, k].tobytes() == posterior_mean(model.replicate(k), Q).tobytes()
+        assert toeplitz_products == [(n, m)] * 4
+
+    @pytest.mark.parametrize("case", ["unequal_steps", "step_not_a_multiple", "step_off_by_an_ulp",
+                                      "coarser_queries", "fewer_queries_than_phases", "square",
+                                      "cholesky_route"])
+    def test_other_predictions_stream_blocks(self, toeplitz_products, failing_solve_toeplitz,
+                                             case):
+        # bitwise the per-column gemv of each block, the parent's product
+        model, Q = _toeplitz_model(1024), _fine_midpoints(1024, 2, 4096)
+        if case == "unequal_steps":
+            Q = gen_grid(3000, UNIT).points  # midpoints whose rounded steps differ
+            assert len(set(np.diff(Q[:, 0]))) > 1
+        elif case == "step_not_a_multiple":
+            Q = (np.arange(3000) + 0.5).reshape(-1, 1) / 1536  # 1.5 query steps a design step
+        elif case == "step_off_by_an_ulp":
+            # two points 3 query steps and one ulp apart: the ratio rounds to 3
+            X = PointSet(np.array([[0.5], [np.nextafter(0.5 + 3 / 4096, 1.0)]]), UNIT)
+            assert round((X.points[1, 0] - 0.5) * 4096) == 3 and X.points[1, 0] - 0.5 != 3 / 4096
+            model = PosteriorModel(model.kernel, model.prior_mean, X, np.array([0.5, -0.25]),
+                                   0.0, "toeplitz")
+            Q = _fine_midpoints(1024, 4, 4096)
+        elif case == "coarser_queries":
+            Q = _fine_midpoints(512, 1, 512)  # half a query step a design step
+        elif case == "fewer_queries_than_phases":
+            Q = _fine_midpoints(1024, 4, 3)
+        elif case == "square":
+            X = gen_grid(32, Domain((0.0, 0.0), (1.0, 1.0)))
+            spec = KernelSpec(tau=3.5, lengthscale=0.2, dim=2)
+            dual = np.random.default_rng(2).standard_normal((len(X), 3))
+            model = PosteriorModel(spec, MeanSpec("constant", 0.2), X, dual, 0.0, "toeplitz")
+            Q = gen_grid(64, Domain((0.0, 0.0), (1.0, 1.0))).points
+        else:
+            failing_solve_toeplitz(math.inf)
+            X = model.design
+            model = fit(model.kernel, model.prior_mean, X, np.sin(7.0 * X.points), 0.01)
+            assert model.route == "cholesky"
+        assert posterior_mean(model, Q).tobytes() == _per_column_means(model, Q).tobytes()
+        assert toeplitz_products == []
+
+    def test_traced_peak_is_the_result_and_one_column_of_ffts(self, toeplitz_products):
+        # 20 columns of 4096 queries against 2048 points take two phases of
+        # N = 4096: their two spectra and the kernel vectors, and per column
+        # one rfft, one product and one irfft of N, under 0.25 MiB beside the
+        # (4096, 20) result; the block product's strip alone is 9/8 of
+        # 512 KiB, and a spectrum of every column at once is 20 x 32 KiB
+        n, r = 2048, 20
+        X = gen_grid(n, UNIT)
+        Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
+        model = fit(KernelSpec(tau=3.0, lengthscale=0.25), MeanSpec("constant", 0.3), X, Y, 1e-2)
+        Q = gen_grid(4096, UNIT).points
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            means = posterior_mean(model, Q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert toeplitz_products == [(n, 4096)] and means.shape == (4096, r)
+        assert peak <= means.nbytes + 2**20
 
 
 class TestReplicateColumns:
