@@ -4,20 +4,22 @@
 ``y`` may hold r columns of observations at the same design (noise
 replicates), and one solve serves all of them.  It takes one of two
 routes.  A ridge fit (``lambda > 0``) of 4 MiB or more on an equally
-spaced 1-d design has a Toeplitz ``K + lambda I``, set by its first
-column; it is solved in O(n^2) from that column (Levinson's recursion for
-the first column of the inverse, then the Gohberg-Semencul formula
-applied by FFTs in :func:`_toeplitz_solve`) and kept only if its backward
-error is certified small.  Every other fit, and a Toeplitz solve that is
-not certified, writes its Gram whole and factors it with ``cho_factor``.
-The fitted model keeps only what prediction reads, the dual weights ``w``,
-and the route it took: a Toeplitz-route model predicts equally spaced 1-d
-queries whose step divides the design's by FFT Toeplitz products
-(:func:`_toeplitz_product`), and every other prediction streams kernel
-blocks through gemv.  The model is immutable and its predictors are pure
-functions.  ``lambda = 0`` is interpolation and gets a small diagonal
-jitter (escalated on factorization failure, and recorded, since a large
-jitter technically shifts the estimator toward approximate interpolation).
+spaced 1-d design has a Toeplitz ``K + lambda I``; it is solved in O(n^2)
+(Levinson's recursion for the first column of the inverse, then the
+Gohberg-Semencul formula applied by FFTs in :func:`_toeplitz_solve`) and
+kept only if its backward error is certified small.  Every other fit, and
+a Toeplitz solve that is not certified, writes its Gram whole and factors
+it with ``cho_factor``.  The fitted model keeps only what prediction
+reads, the dual weights ``w``, and the route it took.  One vector holds
+the Toeplitz blocks of equally spaced 1-d points against such a design
+(:func:`_toeplitz_vector`), and one FFT product applies them
+(:func:`_toeplitz_product`): in the solve's certificate, and in a
+Toeplitz-route model's predictions on such queries; every other prediction
+streams kernel blocks through gemv.  The model is immutable and its
+predictors are pure functions.  ``lambda = 0`` is interpolation and gets a
+small diagonal jitter (escalated on factorization failure, and recorded,
+since a large jitter technically shifts the estimator toward approximate
+interpolation).
 
 Kernel values come from :mod:`kernels`, which alone decides whether a
 block is read from a lattice table or evaluated directly; a ``table``
@@ -86,7 +88,7 @@ class PosteriorModel:
     the design.  ``jitter`` is the diagonal jitter the factorization used.
     ``route`` is the route :func:`fit` took, ``"toeplitz"`` or
     ``"cholesky"``; on the Toeplitz route the design is equally spaced, so
-    :func:`posterior_mean` may form its means by FFTs.
+    :func:`posterior_mean` may form its means by :func:`_toeplitz_product`.
     """
 
     kernel: KernelSpec
@@ -101,82 +103,48 @@ class PosteriorModel:
         return replace(self, dual=self.dual[:, k])
 
 
-def _toeplitz_solve(c: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """``T^{-1} rhs`` for the symmetric Toeplitz ``T`` with first column ``c``,
-    from ``g = T^{-1} e_1`` with ``g_0 > 0``, or None when the result cannot
-    be certified.
+def _toeplitz_vector(kernel: KernelSpec, A: np.ndarray, B: np.ndarray) -> tuple | None:
+    """``(b, v)``: the block ``k(A, B)`` as b Toeplitz matrices in one
+    vector, when the 1-d batches ``A`` (m points) and ``B`` (n points) each
+    step by one nonzero double and b steps of ``A`` make the step of ``B``
+    exactly (1 <= b <= m); else None.
 
-    ``T^{-1} = (L(g) L(g)^T - L(h) L(h)^T) / g_0`` with
-    ``h = (0, g_{n-1}, ..., g_1)`` and ``L(v)`` the lower triangular Toeplitz
-    matrix with first column v (Gohberg & Semencul 1972; Golub & Van Loan,
-    *Matrix Computations*, section 4.7).  ``L(v) z`` is the first n entries
-    of the convolution of v and z, and ``L(v)^T z`` those of their
-    correlation, so each is one product of real FFTs of a power-of-two
-    length N >= 2n - 1 (2n for a power-of-two n), taken for every column of
-    ``rhs`` at once.  The result ``W`` is accepted only if each column's
-    normwise backward error ``|T w - b|_inf / (|T|_inf |w|_inf + |b|_inf)``
-    is at most n eps (Rigal & Gaches 1967; Higham 2002, ch. 7).  The
-    residual is one FFT product with the circulant of order N that embeds
-    ``T``, and ``|T|_inf``, the largest row sum of ``|c_{|i-j|}|``, comes
-    from the cumulative sums of ``|c|``.  Nothing of n x n size is allocated.
+    Phase e of ``A``, ``A[e::b]``, steps as ``B`` does, so its block
+    ``T_e = k(A[e::b], B)`` is Toeplitz, set by its first row reversed,
+    then its first column: ``v[e::b]``.  ``v`` interleaves the reversed
+    rows of ``k(A[:b], B)`` but their first entries, then ends with the
+    column ``k(A, B[:1])``; no lattice table is read.  For ``A = B``, b = 1
+    and ``v[n - 1:]`` is the Gram's first column.
     """
-    n = len(c)
-    N = 1 << (2 * n - 2).bit_length()
-    fft, ifft = np.fft.rfft, np.fft.irfft
-    G, H = fft(g, N), fft(np.r_[0.0, g[:0:-1]], N)
-    B = rhs.reshape(n, -1).T  # one row per column of observations
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite W fails the test
-        Z = fft(B, N)
-        W = ifft(G * fft(ifft(Z * G.conj(), N)[:, :n], N)
-                 - H * fft(ifft(Z * H.conj(), N)[:, :n], N), N)[:, :n] / g[0]
-        R = ifft(fft(np.r_[c, np.zeros(N - 2 * n + 1), c[:0:-1]]) * fft(W, N), N)[:, :n] - B
-        sums = np.cumsum(np.abs(c))
-        norm_T = (sums + sums[::-1] - sums[0]).max()
-        certified = np.abs(R).max(axis=1) <= n * np.finfo(float).eps * (
-            norm_T * np.abs(W).max(axis=1) + np.abs(B).max(axis=1))
-    return W.T.reshape(rhs.shape) if certified.all() else None
+    if A.shape[1] != 1 or B.shape[1] != 1 or min(len(A), len(B)) < 2:
+        return None
+    da, db = np.diff(A[:, 0]), np.diff(B[:, 0])
+    b = round(db[0] / da[0]) if da[0] != 0 and 1 <= db[0] / da[0] <= len(A) else 0
+    if not (b and b * da[0] == db[0] and (da == da[0]).all() and (db == db[0]).all()):
+        return None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the fit checks v
+        rows = cross_matrix(kernel, A[:b], B)
+        column = cross_matrix(kernel, A, B[:1])[:, 0]
+    return b, np.r_[rows[:, :0:-1].T.ravel(), column]
 
 
-def _toeplitz_phases(model: PosteriorModel, xq: np.ndarray) -> int:
-    """The whole number ``b`` of query steps in one design step, from 1 to
-    the number of queries, when the model was fitted on the Toeplitz route
-    (its design equally spaced) and the queries ``xq`` are 1-d with equal
-    steps, b of which make the design step exactly; else 0."""
-    if model.route != "toeplitz" or not _equal_steps(xq):
-        return 0
-    X = model.design.points[:, 0]
-    step = xq[1, 0] - xq[0, 0]
-    ratio = (X[1] - X[0]) / step
-    b = round(ratio) if 1 <= ratio <= len(xq) else 0
-    return b if b * step == X[1] - X[0] else 0
+def _toeplitz_product(v: np.ndarray, b: int, dual: np.ndarray) -> np.ndarray:
+    """``(k(A, B) dual).T``, shape (r, m), for ``(b, v)`` from
+    :func:`_toeplitz_vector` and weights ``dual`` of shape (n, r).
 
-
-def _toeplitz_product(kernel: KernelSpec, xq: np.ndarray, X: np.ndarray, dual: np.ndarray,
-                      b: int) -> np.ndarray:
-    """``(k(xq, X) dual).T``, shape (r, m), by FFT Toeplitz products, for 1-d
-    queries with b steps in each step of the equally spaced design ``X``.
-
-    Phase e of the queries, ``xq[e::b]`` (``m_e`` points), has steps equal
-    to the design's, so its block ``T_e = k(xq[e::b], X)`` is Toeplitz, set
-    by its first column, rows e::b of ``cross_matrix(kernel, xq, X[:1])``,
-    and its first row, row e of ``cross_matrix(kernel, xq[:b], X)``; both
-    hold the doubles of the direct block's entries, and no lattice table is
-    read.  ``T_e w`` is entries ``n - 1`` on of the convolution of ``w``
-    with ``t_e = (row reversed, column)``, of length ``m_e + n - 1``: one
-    product of real FFTs of a power-of-two length ``N >= ceil(m / b) + n - 1``
-    (Golub & Van Loan, *Matrix Computations*, section 4.7).  The phases'
-    spectra are formed once; the columns of ``dual`` are taken one at a
-    time, each with one ``rfft`` that all phases share, so each column is
-    bitwise its one-column product: besides the result, the product holds
-    the b spectra of ``N / 2 + 1`` complex numbers and a few arrays of N,
-    never one of r x N.
+    Entries e::b of row k, ``T_e dual[:, k]``, are entries ``n - 1`` on of
+    the convolution of ``v[e::b]`` and ``dual[:, k]``: one product of real
+    FFTs of a power-of-two length ``N >= ceil(m / b) + n - 1`` (Golub & Van
+    Loan, *Matrix Computations*, section 4.7).  The b spectra of ``v`` are
+    formed once and the columns taken one at a time, each with one ``rfft``
+    that all phases share: each column is bitwise its one-column product,
+    and no array of r x N is held.
     """
-    m, n = len(xq), len(X)
+    n = len(dual)
+    m = len(v) - b * (n - 1)
     N = 1 << (-(-m // b) + n - 2).bit_length()
     fft, ifft = np.fft.rfft, np.fft.irfft
-    rows = cross_matrix(kernel, xq[:b], X)  # row e is phase e's first row
-    column = cross_matrix(kernel, xq, X[:1])[:, 0]  # column[e::b] is its first column
-    spectra = [fft(np.r_[rows[e, :0:-1], column[e::b]], N) for e in range(b)]
+    spectra = [fft(v[e::b], N) for e in range(b)]
     out = np.empty((dual.shape[1], m))
     for k in range(dual.shape[1]):
         w = fft(dual[:, k], N)
@@ -186,13 +154,40 @@ def _toeplitz_product(kernel: KernelSpec, xq: np.ndarray, X: np.ndarray, dual: n
     return out
 
 
-def _equal_steps(pts: np.ndarray) -> bool:
-    """Whether the (n, d) batch ``pts`` is 1-d with every consecutive
-    difference the same nonzero double: a design whose Gram is Toeplitz."""
-    if pts.shape[1] != 1 or len(pts) < 2:
-        return False
-    steps = np.diff(pts[:, 0])
-    return steps[0] != 0 and bool((steps == steps[0]).all())
+def _toeplitz_solve(v: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """``T^{-1} rhs`` for the symmetric Toeplitz ``T`` with vector ``v`` and
+    first column ``c = v[n - 1:]``, from ``g = T^{-1} e_1`` with ``g_0 > 0``,
+    or None when the result cannot be certified.
+
+    ``T^{-1} = (L(g) L(g)^T - L(h) L(h)^T) / g_0`` with
+    ``h = (0, g_{n-1}, ..., g_1)`` and ``L(u)`` the lower triangular Toeplitz
+    matrix with first column u (Gohberg & Semencul 1972; Golub & Van Loan,
+    *Matrix Computations*, section 4.7).  ``L(u) z`` is the first n entries
+    of the convolution of u and z, and ``L(u)^T z`` those of their
+    correlation, so each is one product of real FFTs of a power-of-two
+    length N >= 2n - 1 (2n for a power-of-two n), taken for every column of
+    ``rhs`` at once.  The result ``W`` is accepted only if each column's
+    normwise backward error ``|T w - b|_inf / (|T|_inf |w|_inf + |b|_inf)``
+    is at most n eps (Rigal & Gaches 1967; Higham 2002, ch. 7).  The
+    residual's ``T W`` is :func:`_toeplitz_product` of ``v``, and
+    ``|T|_inf``, the largest row sum of ``|c_{|i-j|}|``, comes from the
+    cumulative sums of ``|c|``.  Nothing of n x n size is allocated.
+    """
+    n = len(g)
+    N = 1 << (2 * n - 2).bit_length()
+    fft, ifft = np.fft.rfft, np.fft.irfft
+    G, H = fft(g, N), fft(np.r_[0.0, g[:0:-1]], N)
+    B = rhs.reshape(n, -1).T  # one row per column of observations
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite W fails the test
+        Z = fft(B, N)
+        W = ifft(G * fft(ifft(Z * G.conj(), N)[:, :n], N)
+                 - H * fft(ifft(Z * H.conj(), N)[:, :n], N), N)[:, :n] / g[0]
+        R = _toeplitz_product(v, 1, W.T) - B
+        sums = np.cumsum(np.abs(v[n - 1 :]))
+        norm_T = (sums + sums[::-1] - sums[0]).max()
+        certified = np.abs(R).max(axis=1) <= n * np.finfo(float).eps * (
+            norm_T * np.abs(W).max(axis=1) + np.abs(B).max(axis=1))
+    return W.T.reshape(rhs.shape) if certified.all() else None
 
 
 def _kernel_overflow(kernel: KernelSpec) -> ConfigurationError:
@@ -237,18 +232,18 @@ def fit(
 
     *Toeplitz.*  From ``TOEPLITZ_BYTES`` on, a ridge fit (``lam > 0``) on a
     1-d design whose consecutive differences are all the same double has a
-    symmetric Toeplitz ``K + lam I``.  Its first column is
-    ``cross_matrix(kernel, X, x_0)`` with ``lam`` added to its first entry
-    (on a dyadic grid, bitwise ``gram``'s first column; no lattice table is
-    read), Levinson's recursion (``solve_toeplitz``) gives the first column
-    ``g`` of its inverse, and :func:`_toeplitz_solve` applies the inverse
-    to every column at once by FFTs: O(n^2) work and O(n r) memory, each
-    column's weights to rounding of a one-column fit's.  The weights are
+    symmetric Toeplitz ``K + lam I``, held in the vector ``v`` of
+    :func:`_toeplitz_vector` with ``lam`` added at ``v[n - 1]``.  Its first
+    column ``v[n - 1:]`` (on a dyadic grid, bitwise ``gram``'s) gives by
+    Levinson's recursion (``solve_toeplitz``) the first column ``g`` of its
+    inverse, and :func:`_toeplitz_solve` applies the inverse to every
+    column at once by FFTs: O(n^2) work and O(n r) memory, each column's
+    weights bitwise a one-column fit's.  The weights are
     kept, with jitter 0 and route ``"toeplitz"``, when ``g`` is finite with
     ``g_0 > 0`` and each column's backward error is at most n eps; otherwise
     the fit takes the whole route.  The route carries over to prediction:
     :func:`posterior_mean` forms a Toeplitz-route model's means on equally
-    spaced 1-d queries by FFT products too.
+    spaced 1-d queries by the same FFT product as the certificate.
 
     *Whole.*  Every other fit, with route ``"cholesky"``:
     :func:`kernels.gram` writes ``K`` whole, ``lam + jitter`` is added to
@@ -286,17 +281,18 @@ def fit(
     n = len(X)
     A = kernel.amplitude
     rhs = None
-    if 8 * n * n >= TOEPLITZ_BYTES and lam > 0 and _equal_steps(X.points):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            c = cross_matrix(kernel, X.points, X.points[:1])[:, 0]
-        c[0] += lam
-        if not np.isfinite(c).all():
+    vector = (8 * n * n >= TOEPLITZ_BYTES and lam > 0
+              and _toeplitz_vector(kernel, X.points, X.points))
+    if vector:
+        v = vector[1]
+        v[n - 1] += lam
+        if not np.isfinite(v).all():
             raise _kernel_overflow(kernel)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked next
-            g = solve_toeplitz(c, np.eye(1, n)[0], check_finite=False)  # Levinson's recursion
+            g = solve_toeplitz(v[n - 1 :], np.eye(1, n)[0], check_finite=False)  # Levinson
         if np.isfinite(g).all() and g[0] > 0:
             rhs = _centred(y, prior_mean, X, overwrite_y)
-            dual = _toeplitz_solve(c, g, rhs)
+            dual = _toeplitz_solve(v, g, rhs)
             if dual is not None:
                 return PosteriorModel(kernel, prior_mean, X, dual, 0.0, "toeplitz")
         logger.debug("Toeplitz solve of %d points not certified, factoring", n)
@@ -348,12 +344,12 @@ def posterior_mean(model: PosteriorModel, x, table: LatticeTable | None = None) 
     *FFT.*  A model fitted on the Toeplitz route has an equally spaced 1-d
     design.  When the queries are 1-d with equal steps, and b of them make
     the design step exactly (a whole number b from 1 to m), each phase
-    ``x[e::b]`` of the queries against the design is a Toeplitz matrix, and
-    :func:`_toeplitz_product` applies it by real FFTs of a power-of-two
+    ``x[e::b]`` of the queries against the design is a Toeplitz matrix, all
+    b held in one vector (:func:`_toeplitz_vector`), and
+    :func:`_toeplitz_product` applies them by real FFTs of a power-of-two
     length N >= ceil(m / b) + n - 1, one column at a time: O((b + 1) r N
     log N) work in place of m n r, and no block streamed.  The means agree
-    with the block product to FFT rounding (a3's 1024- and 2048-point rungs
-    moved by at most 5.1e-12 relative).  ``table`` is not read.
+    with the block product to FFT rounding.  ``table`` is not read.
 
     *Blocks.*  Every other prediction streams the query rows in the blocks
     of :func:`kernels.kernel_blocks`, ``row_block(n)`` rows each, and each
@@ -376,14 +372,15 @@ def posterior_mean(model: PosteriorModel, x, table: LatticeTable | None = None) 
     dot-product rounding; the whole product's value of a row already
     depends on m, so no canonical value is lost.
     """
-    xq = as_points(model.kernel.dim, x)
+    xq, X = as_points(model.kernel.dim, x), model.design.points
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
-    b = _toeplitz_phases(model, xq)
-    if b:
-        out = _toeplitz_product(model.kernel, xq, model.design.points, dual, b)
+    vector = model.route == "toeplitz" and _toeplitz_vector(model.kernel, xq, X)
+    if vector:
+        b, v = vector
+        out = _toeplitz_product(v, b, dual)
     else:
         out = np.empty((dual.shape[1], len(xq), 1))  # column k's means are out[k, :, 0]
-        for rows, Kq in kernel_blocks(model.kernel, xq, model.design.points, table):
+        for rows, Kq in kernel_blocks(model.kernel, xq, X, table):
             np.matmul(Kq, dual.T[:, :, None], out=out[:, rows])
         Kq = None  # frees the last block's buffer before the prior mean is formed
         out = out[:, :, 0]

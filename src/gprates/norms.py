@@ -26,6 +26,7 @@ class EvalGrid:
 
     @property
     def size(self) -> int:
+        """The number of points, which the benchmark's ``lq_error`` layer counts."""
         return self.points.shape[0]
 
 

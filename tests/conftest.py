@@ -6,7 +6,7 @@ results as the CLI.  Importing ``gprates.cli`` does not load numpy.  The
 ``failing_cho_factor`` fixture forces ``fit``'s jitter escalation on a whole
 Gram and counts its factorizations, ``failing_solve_toeplitz`` switches its
 Toeplitz route off or spoils its certificate, ``toeplitz_products`` records
-the predictions that take the FFT product, the
+the Toeplitz route's FFT products (certificates and predictions), the
 ``oracle_factor`` and ``posterior_var`` fixtures are the Cholesky-factor and
 posterior-variance oracles, and the ``counted`` fixture counts the calls of
 a gprates function.
@@ -121,20 +121,22 @@ def failing_solve_toeplitz(monkeypatch):
 
 @pytest.fixture
 def toeplitz_products(monkeypatch):
-    """Record each call of ``fitting._toeplitz_product``: the FFT route of
-    ``posterior_mean``.
+    """Record each call of ``fitting._toeplitz_product``: the certificate of
+    each Toeplitz solve in ``fit`` and the FFT route of ``posterior_mean``.
 
-    Returns the list of ``(n, m)`` (design points, queries) of every call,
-    which it appends to as predictions run.
+    Returns the list of ``(n, m, b)`` (design points, rows of the product,
+    phases) of every call, which it appends to as fits and predictions run;
+    a certificate is ``(n, n, 1)``.
     """
     import gprates.fitting
 
     calls = []
     product = gprates.fitting._toeplitz_product
 
-    def record(kernel, xq, X, dual, b):
-        calls.append((len(X), len(xq)))
-        return product(kernel, xq, X, dual, b)
+    def record(v, b, dual):
+        n = len(dual)
+        calls.append((n, len(v) - b * (n - 1), b))
+        return product(v, b, dual)
 
     monkeypatch.setattr(gprates.fitting, "_toeplitz_product", record)
     return calls

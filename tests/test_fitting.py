@@ -403,11 +403,11 @@ class TestToeplitzProduct:
         # worst case carries a further sqrt(N) that this check drops; the
         # measured difference is at most 0.05 of the bound, and an index
         # slip moves a mean by O(1)
-        model = _toeplitz_model(n)
+        model, start = _toeplitz_model(n), len(toeplitz_products)
         Q = _fine_midpoints(n, b, m)
         means = posterior_mean(model, Q)
         N = 1 << (-(-m // b) + n - 2).bit_length()
-        assert toeplitz_products == [(n, m)]
+        assert toeplitz_products[start:] == [(n, m, b)]
         blocks = posterior_mean(replace(model, route="cholesky"), Q)
         X = model.design.points
         h = max(np.linalg.norm(np.r_[cross_matrix(model.kernel, Q[e : e + 1], X)[0],
@@ -418,12 +418,12 @@ class TestToeplitzProduct:
 
     @pytest.mark.parametrize("n, b, m", CASES)
     def test_every_column_is_bitwise_its_one_column_prediction(self, toeplitz_products, n, b, m):
-        model = _toeplitz_model(n)
+        model, start = _toeplitz_model(n), len(toeplitz_products)
         Q = _fine_midpoints(n, b, m)
         means = posterior_mean(model, Q)
         for k in range(3):
             assert means[:, k].tobytes() == posterior_mean(model.replicate(k), Q).tobytes()
-        assert toeplitz_products == [(n, m)] * 4
+        assert toeplitz_products[start:] == [(n, m, b)] * 4
 
     @pytest.mark.parametrize("case", ["unequal_steps", "step_not_a_multiple", "step_off_by_an_ulp",
                                       "coarser_queries", "fewer_queries_than_phases", "square",
@@ -432,6 +432,7 @@ class TestToeplitzProduct:
                                              case):
         # bitwise the per-column gemv of each block, the parent's product
         model, Q = _toeplitz_model(1024), _fine_midpoints(1024, 2, 4096)
+        start = len(toeplitz_products)
         if case == "unequal_steps":
             Q = gen_grid(3000, UNIT).points  # midpoints whose rounded steps differ
             assert len(set(np.diff(Q[:, 0]))) > 1
@@ -460,7 +461,7 @@ class TestToeplitzProduct:
             model = fit(model.kernel, model.prior_mean, X, np.sin(7.0 * X.points), 0.01)
             assert model.route == "cholesky"
         assert posterior_mean(model, Q).tobytes() == _per_column_means(model, Q).tobytes()
-        assert toeplitz_products == []
+        assert toeplitz_products[start:] == []
 
     def test_traced_peak_is_the_result_and_one_column_of_ffts(self, toeplitz_products):
         # 20 columns of 4096 queries against 2048 points take two phases of
@@ -472,7 +473,7 @@ class TestToeplitzProduct:
         X = gen_grid(n, UNIT)
         Y = np.sin(5.0 * X.points) + 0.1 * np.random.default_rng(4).standard_normal((n, r))
         model = fit(KernelSpec(tau=3.0, lengthscale=0.25), MeanSpec("constant", 0.3), X, Y, 1e-2)
-        Q = gen_grid(4096, UNIT).points
+        Q, start = gen_grid(4096, UNIT).points, len(toeplitz_products)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -480,22 +481,26 @@ class TestToeplitzProduct:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert toeplitz_products == [(n, 4096)] and means.shape == (4096, r)
+        assert toeplitz_products[start:] == [(n, 4096, 2)] and means.shape == (4096, r)
         assert peak <= means.nbytes + 2**20
 
 
 class TestReplicateColumns:
     """A fit to r columns of observations is bitwise r one-column fits."""
 
-    @pytest.mark.parametrize("lam", [0.01, 0.0], ids=["ridge", "interpolation_jitter"])
-    def test_columns_equal_single_fits(self, lam):
+    @pytest.mark.parametrize("n, lam", [(40, 0.01), (40, 0.0), (1024, 0.01)],
+                             ids=["ridge", "interpolation_jitter", "toeplitz"])
+    def test_columns_equal_single_fits(self, n, lam):
+        # 1024 grid points take the Toeplitz route, whose FFTs take every
+        # column at once and still give each column its one-column bits
         rng = np.random.default_rng(4)
         spec = KernelSpec(tau=2.0, lengthscale=0.25)
-        X = jittered_design(rng, 40)
+        X = jittered_design(rng, n) if n == 40 else gen_grid(n, UNIT)
         mean = MeanSpec("constant", 0.3)
-        Y = np.sin(5 * X.points) + rng.normal(0.0, 0.1, (40, 6))
+        Y = np.sin(5 * X.points) + rng.normal(0.0, 0.1, (n, 6))
         batch = fit(spec, mean, X, Y, lam)
-        assert batch.dual.shape == (40, 6)
+        assert batch.dual.shape == (n, 6)
+        assert batch.route == ("toeplitz" if n == 1024 else "cholesky")
         grid = gen_grid(300, UNIT).points
         means = posterior_mean(batch, grid)
         assert means.shape == (300, 6)

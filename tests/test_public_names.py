@@ -4,8 +4,8 @@ No public name without a caller: every public top-level name of ``gprates``
 is used in ``src/`` outside its own definition, or is a benchmark layer.
 Only ``kernels.py`` reads a lattice table's fields or chooses between a
 table and the direct path, the fast-path switchboard lists every module
-that binds a switched name, and one function calls the theorem for a
-ladder."""
+that binds a switched name, one function calls the theorem for a ladder,
+and one function of ``fitting`` evaluates kernel values itself."""
 
 import ast
 import importlib.util
@@ -129,3 +129,19 @@ def test_one_function_calls_the_theorem():
                 for node in ast.walk(fn))
     ]
     assert callers == ["experiments._run_ladder"]
+
+
+def test_fittings_only_cross_matrix_calls_build_the_toeplitz_vector():
+    # fitting takes its Grams from gram and its prediction blocks from
+    # kernel_blocks; the Toeplitz route's fit, certificate and predictions
+    # share the one vector of _toeplitz_vector, so no second path evaluates
+    # a piece of it
+    tree = dict(_modules())["fitting"]
+    vector = next(fn for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_toeplitz_vector")
+
+    def calls(node):
+        return sorted(call.lineno for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and _called_name(call) == "cross_matrix")
+
+    assert calls(vector) and calls(tree) == calls(vector)
