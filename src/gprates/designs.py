@@ -4,6 +4,7 @@ The fill distance of a finite set over a continuous hyper-rectangle is
 approximated on a tensor probe grid (plus the domain corners) with an
 explicit bracket: the reported value underestimates the true supremum by at
 most half a probe-cell diagonal, and that bound is returned alongside.
+Only geometry lives here; ``rates.loglog_slope`` fits every trend of it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class Domain:
         object.__setattr__(self, "upper", hi)
         if len(lo) != len(hi):
             raise ConfigurationError("lower and upper must have the same dimension")
-        if any(l >= u for l, u in zip(lo, hi)):
-            raise ConfigurationError("domain must satisfy lower[i] < upper[i]")
+        if not all(0 < u - l <= 1e150 for l, u in zip(lo, hi)):  # squared distances stay finite
+            raise ConfigurationError("domain must satisfy 0 < upper[i] - lower[i] <= 1e150")
 
     @property
     def dim(self) -> int:
@@ -307,23 +308,15 @@ class MeshRatioTracker:
         return float(self.nearest.max()) / float(self.closest / 2.0)
 
 
-def quasi_uniformity_trace(sequence):
-    """Per-set ``(n, h, q, rho)`` rows plus the fitted slope of log h vs log n.
+def quasi_uniformity_trace(sequence) -> list:
+    """Per-set ``(n, h, q, rho)`` rows; ``rates.loglog_slope`` fits their trends.
 
     A one-point set has no separation radius: its ``q`` and ``rho`` are NaN.
-    Coincident points give ``q = 0`` and ``rho = inf``.  The slope is
-    :func:`loglog_slope`'s.
+    Coincident points give ``q = 0`` and ``rho = inf``.
     """
     rows = []
     for X in sequence:
         h, _ = fill_distance(X)
         q = separation_radius(X) if len(X) >= 2 else float("nan")
         rows.append((len(X), h, q, h / q if q != 0 else float("inf")))
-    return rows, loglog_slope([r[0] for r in rows], [r[1] for r in rows])
-
-
-def loglog_slope(ns, values) -> float:
-    """Least-squares slope of log(values) on log(ns); NaN for fewer than two distinct n."""
-    if len(set(ns)) < 2:
-        return float("nan")
-    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
+    return rows

@@ -46,7 +46,6 @@ from .designs import (
     gen_grid,
     gen_p_greedy,
     gen_uniform_random,
-    loglog_slope,
     quasi_uniformity_trace,
 )
 from .errors import ConfigurationError
@@ -64,6 +63,7 @@ from .rates import (
     RateParams,
     RateReport,
     fit_empirical_rate,
+    loglog_slope,
     theoretical_exponent,
 )
 from .targets import (
@@ -318,7 +318,11 @@ def _parse_config(raw: dict) -> ExperimentConfig:
                 f"kernel dim {kernels[0].dim} does not match domain dim {domain.dim}")
 
     noise = _build(NoiseModel, raw, "noise", "none", seed=seed)
+    if kind in ("rates", "bq"):  # the kinds that state a theorem need its noise growth
+        expected_noise_growth(noise)
     nugget = _build(NuggetPolicy, raw, "nugget", absent="zero")
+    mean = _build(MeanSpec, raw, "mean", "constant")
+    mean(np.zeros((1, domain.dim)))  # a polynomial mean checks its length when called
     if kind == "interpolate" and nugget.kind != "zero":
         raise ConfigurationError("interpolate experiments require a zero nugget")
     if kind == "regress" and nugget.kind == "zero":
@@ -339,7 +343,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         kind=kind, name=name, seed=seed, domain=domain, kernels=kernels,
         target=(_parse_target(_require(raw, "target", "config"), domain)
                 if "target" in _KEYS[kind] else None),
-        noise=noise, nugget=nugget, mean=_build(MeanSpec, raw, "mean", "constant"),
+        noise=noise, nugget=nugget, mean=mean,
         design_kind=design_kind, candidate_resolution=design.get("candidate_resolution", 2048),
         ladder=ladder, replicates=replicates, burn_in=_int(raw.get("burn_in", 1), "burn_in", low=0),
         q=parse_q(raw.get("q", 2)), tolerance=_float(raw.get("tolerance", 0.4), "tolerance", low=0),
@@ -391,7 +395,7 @@ def _theoretical_exponent(cfg: ExperimentConfig, rho_trend: float, quasi_uniform
         tau_k_plus=cfg.tau_k_plus,
         d=cfg.domain.dim,
         q=1.0 if cfg.kind == "bq" else cfg.q,
-        noise_growth=expected_noise_growth(cfg.noise) if cfg.noise.kind != "none" else None,
+        noise_growth=expected_noise_growth(cfg.noise),
         quasi_uniform=quasi_uniform,
         nugget=cfg.nugget,
     )
@@ -414,11 +418,11 @@ def _run_ladder(cfg: ExperimentConfig, measure) -> RateReport:
     ``|h_slope + 1/d|`` is below ``QUASI_UNIFORM_H_SLOPE`` and the mesh-ratio
     trend below ``QUASI_UNIFORM_RHO_TREND``; the theorem takes both.  The
     extras hold ``design_trace`` (the ``(n, h, q, rho)`` rows of
-    :func:`quasi_uniformity_trace`), ``h_slope``, ``rho_trend``,
-    ``quasi_uniform`` and the theorem's ``notes``.
+    :func:`quasi_uniformity_trace`), ``h_slope`` and ``rho_trend`` (their
+    :func:`loglog_slope` fits), ``quasi_uniform`` and the theorem's ``notes``.
     """
     designs = _designs(cfg, cfg.ladder)
-    geometry, h_slope = quasi_uniformity_trace(designs)
+    geometry = quasi_uniformity_trace(designs)
     rows = []
     for idx, (X, (_, h, _, _)) in enumerate(zip(designs, geometry)):
         lam = cfg.nugget.lam(h)
@@ -430,7 +434,8 @@ def _run_ladder(cfg: ExperimentConfig, measure) -> RateReport:
         errs = measure(idx, fit(cfg.kernel_for(idx), cfg.mean, X, y, lam, overwrite_y=True))
         rows.append((len(X), float(np.mean(errs)), overflow_safe(lambda e: float(np.std(e)), errs)))
 
-    rho_trend = loglog_slope([r[0] for r in geometry], [r[3] for r in geometry])
+    ns, hs, _, rhos = zip(*geometry)
+    h_slope, rho_trend = loglog_slope(ns, hs), loglog_slope(ns, rhos)
     quasi_uniform = (abs(h_slope + 1.0 / cfg.domain.dim) < QUASI_UNIFORM_H_SLOPE
                      and rho_trend < QUASI_UNIFORM_RHO_TREND)
     theoretical, notes = _theoretical_exponent(cfg, rho_trend, quasi_uniform)
@@ -514,8 +519,7 @@ def run_bo_experiment(cfg: ExperimentConfig) -> dict:
     # every budget is a prefix of the one trajectory to the largest budget
     trajectory = run_gamma_F_n(cfg.target, bo_cfg)
     runs = [trajectory.result(budget) for budget in cfg.bo_budgets]
-    # fewer than three budgets give a NaN slope
-    slope, _, _ = fit_empirical_rate([(r["n"], max(r["regret"], 1e-300)) for r in runs])
+    slope = loglog_slope([r["n"] for r in runs], [r["regret"] for r in runs])
     return {"setting": cfg.name, "runs": runs, "regret_slope_reported": slope}
 
 
@@ -642,18 +646,14 @@ def noise_growth_suite(seed: int) -> dict:
         ("outliers_fraction", NoiseModel("outliers", schedule="fraction", beta=0.25, magnitude=1.0, seed=seed), 0.10),
     ]
     out = {}
-    all_ok = True
     for name, model, tol in cases:
         expected = expected_noise_growth(model)
-        means = []
-        for n in ns:  # 50 draws per size
-            norms = [float(np.linalg.norm(draw_noise(model, n, replicate=r))) for r in range(50)]
-            means.append(float(np.mean(norms)))
+        means = [np.mean([np.linalg.norm(draw_noise(model, n, replicate=r)) for r in range(50)])
+                 for n in ns]  # 50 draws per size
         slope = loglog_slope(ns, means)
-        ok = abs(slope - expected) <= tol
-        all_ok = all_ok and ok
-        out[name] = {"fitted": slope, "expected": expected, "tolerance": tol, "ok": ok}
-    return {"cases": out, "ok": all_ok}
+        out[name] = {"fitted": slope, "expected": expected, "tolerance": tol,
+                     "ok": abs(slope - expected) <= tol}
+    return {"cases": out, "ok": all(case["ok"] for case in out.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +693,11 @@ def _coords(dim: int) -> list:
 def run_design_experiment(cfg: ExperimentConfig):
     """Ladder geometry; returns ``(summary, files)``."""
     designs = _designs(cfg, cfg.ladder)
-    geometry, h_slope = quasi_uniformity_trace(designs)
     h_bound = fill_distance_bound(cfg.domain)
     rows = [{"n": n, "h": h, "h_bound": h_bound, "q": q, "rho": rho}
-            for n, h, q, rho in geometry]
+            for n, h, q, rho in quasi_uniformity_trace(designs)]
     summary = {"setting": cfg.name, "design": cfg.design_kind, "metrics": rows,
-               "h_slope": h_slope}
+               "h_slope": loglog_slope([r["n"] for r in rows], [r["h"] for r in rows])}
     return summary, {"points.csv": _csv(_coords(cfg.domain.dim), designs[-1].points),
                      "metrics.json": _json(summary)}
 

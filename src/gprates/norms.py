@@ -17,12 +17,12 @@ DEFAULT_EVAL_RESOLUTION = {1: 4096, 2: 256, 3: 48}
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Tensor midpoint grid with uniform cell-volume weights."""
+    """Tensor midpoint grid; every cell has the volume ``cell_volume``, its weight."""
 
     domain: Domain
     resolution: int
     points: np.ndarray
-    weights: np.ndarray
+    cell_volume: float
 
     @property
     def size(self) -> int:
@@ -33,8 +33,7 @@ class EvalGrid:
 def make_grid(domain: Domain, resolution: int | None = None) -> EvalGrid:
     res = resolution or DEFAULT_EVAL_RESOLUTION.get(domain.dim, 16)
     pts = gen_grid(res, domain).points
-    w = np.full(pts.shape[0], domain.volume / pts.shape[0])
-    return EvalGrid(domain=domain, resolution=res, points=pts, weights=w)
+    return EvalGrid(domain, res, pts, cell_volume=domain.volume / pts.shape[0])
 
 
 def parse_q(q) -> float:
@@ -66,7 +65,7 @@ def overflow_safe(norm, values) -> float:
 
 
 def lq_norm(values, q, grid: EvalGrid) -> float:
-    """``(sum_i w_i |v_i|^q)^(1/q)`` of values on the grid, or ``max |v_i|`` for q = inf.
+    """``(w sum_i |v_i|^q)^(1/q)``, w the cell volume, or ``max |v_i|`` for q = inf.
 
     A sum that overflows on finite values is taken scaled by the largest
     (:func:`overflow_safe`)."""
@@ -74,21 +73,21 @@ def lq_norm(values, q, grid: EvalGrid) -> float:
     diff = np.abs(values)
     if qf == float("inf"):
         return float(diff.max())
-    return overflow_safe(lambda v: float(np.sum(grid.weights * v ** qf) ** (1.0 / qf)), diff)
+    return overflow_safe(lambda v: float(np.sum(grid.cell_volume * v ** qf) ** (1.0 / qf)), diff)
 
 
 def lq_error(t: TargetSpec, model: PosteriorModel, q, grid: EvalGrid) -> float:
-    """``(sum_i w_i |f - R|^q)^(1/q)``, or the grid max for q = inf."""
+    """``(w sum_i |f - R|^q)^(1/q)``, or the grid max for q = inf."""
     return lq_norm(eval_target(t, grid.points) - posterior_mean(model, grid.points), q, grid)
 
 
 def residual_norm(t: TargetSpec, model: PosteriorModel) -> float:
-    """l2 norm of ``f - posterior_mean`` over the design points."""
+    """l2 norm of ``f - posterior_mean`` over the design points, overflow-safe."""
     pts = model.design.points
     diff = eval_target(t, pts) - posterior_mean(model, pts)
-    return float(np.linalg.norm(diff))
+    return overflow_safe(lambda v: float(np.linalg.norm(v)), diff)
 
 
 def integrate(g, p, grid: EvalGrid) -> float:
-    """Midpoint rule ``sum_i w_i g_i p_i`` of two arrays of values on the grid."""
-    return float(np.sum(grid.weights * g * p))
+    """Midpoint rule ``w sum_i g_i p_i``, w the cell volume, of two arrays on the grid."""
+    return float(np.sum(grid.cell_volume * g * p))

@@ -1,4 +1,4 @@
-"""Theoretical convergence-rate exponents and empirical log-log slope fitting.
+"""Theoretical convergence-rate exponents, and :func:`loglog_slope`, every slope a report states.
 
 :func:`theoretical_exponent` picks the theorem that covers a parameter set
 (regression, noisy interpolation or noiseless interpolation) and returns
@@ -206,13 +206,24 @@ def _misspec_gaussian(p: RateParams):
 # empirical slope fitting and reports
 # ---------------------------------------------------------------------------
 
+def loglog_slope(ns, values) -> float:
+    """Least-squares slope of log(values) on log(ns), from centred sums; NaN,
+    with no warning, for fewer than two distinct n or a value that is not
+    positive and finite."""
+    y = np.asarray(values, dtype=float)
+    if len(set(ns)) < 2 or not np.all((y > 0) & (y < np.inf)):
+        return float("nan")
+    x, y = np.log(ns), np.log(y)
+    xc = x - x.mean()
+    return float(np.sum(xc * (y - y.mean())) / float(np.sum(xc * xc)))
+
+
 def fit_empirical_rate(table, burn_in: int = 0):
     """OLS of log(error) on log(n) after dropping the first ``burn_in`` rows.
 
-    Returns ``(slope, stderr, invalid_reason)``.  A degenerate table (fewer
-    than 3 rows, a zero or negative error, which means the target was
-    reproduced exactly, or a single distinct n) has no slope: NaN, NaN and
-    the reason.
+    Returns ``(slope, stderr, invalid_reason)``, the slope :func:`loglog_slope`'s.
+    A degenerate table (fewer than 3 rows, a zero or negative error, which means
+    the target was reproduced exactly, or one distinct n) gives NaN, NaN, the reason.
     """
     rows = [(float(n), float(e)) for n, e in table][burn_in:]
     if len(rows) < 3:
@@ -223,13 +234,11 @@ def fit_empirical_rate(table, burn_in: int = 0):
     elif len({n for n, _ in rows}) < 2:
         reason = "every ladder point after burn-in has the same design size"
     else:
-        x = np.log([n for n, _ in rows])
-        y = np.log([e for _, e in rows])
+        x, y = np.log([n for n, _ in rows]), np.log([e for _, e in rows])
+        slope = loglog_slope(*zip(*rows))
         xc = x - x.mean()
-        sxx = float(np.sum(xc * xc))
-        slope = float(np.sum(xc * (y - y.mean())) / sxx)
         resid = y - (y.mean() + slope * xc)
-        return slope, float(np.sqrt(np.sum(resid * resid) / (len(rows) - 2) / sxx)), ""
+        return slope, float(np.sqrt(np.sum(resid * resid) / (len(rows) - 2) / np.sum(xc * xc))), ""
     return float("nan"), float("nan"), reason
 
 

@@ -1,16 +1,23 @@
 """Command-line exit codes, config validation and the BLAS thread pin."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gprates
 import gprates.acceptance
@@ -209,6 +216,9 @@ def _a7(section, value):
     (_a7("kernel", {"lengthscale": 1e-300}), "kernel.lengthscale"),
     (_a7("kernel", {"amplitude": 1e-320}), "kernel.amplitude"),
     (_a7("domain", {"lower": [0.0], "upper": [1e300]}), "domain"),
+    # a domain whose squared distances overflow, on every kind that measures its geometry
+    (dict(SMALL_RATES, kind="bq", domain={"lower": [0.0], "upper": [1e300]}), "domain must"),
+    (dict(SMALL_DESIGN, domain={"lower": [-1e308], "upper": [1e308]}), "domain must"),
     # the same check on P-greedy's candidate table
     (dict(SMALL_RATES, kernel={"tau": 2.0, "lengthscale": 1e-320},
           design={"kind": "p_greedy", "candidate_resolution": 256}), "kernel.lengthscale"),
@@ -225,6 +235,13 @@ def _a7(section, value):
     # finite target values (up to 1.68e308) and finite noise whose sum is not
     (dict(_cut_preset("a3", "noise", sigma=1e307), target={"name": "layered_tau2p5",
                                                            "scale": 4.5e307}), "target.scale"),
+    # a theorem-stating ladder on noise with no finite second moment, and a
+    # polynomial mean with the wrong number of coefficients for the domain
+    (dict(SMALL_RATES, noise={"kind": "student_t", "df": 2.0}), "no finite second moment"),
+    (dict(SMALL_RATES, kind="bq", noise={"kind": "student_t", "df": 1.5}),
+     "no finite second moment"),
+    (dict(SMALL_RATES, mean={"kind": "polynomial", "coeffs": [0.0, 1.0]}),
+     "polynomial mean needs 1 + 2*dim coefficients, got 2"),
     # files json cannot read: an integer past Python's 4300-digit conversion
     # limit, bytes that are not UTF-8, a directory
     ('{"kind": "rates", "tolerance": 1' + "0" * 5000 + "}", "config.json"),
@@ -257,9 +274,11 @@ def _a7(section, value):
         "huge_integer_tolerance", "subnormal_lengthscale", "overflowing_amplitude",
         "overflowing_target_scale", "overflowing_noise_sigma", "overflowing_nugget_square",
         "overflowing_adaptive_nugget", "bo_lengthscale_below_float_range",
-        "bo_subnormal_amplitude", "bo_domain_past_float_range", "p_greedy_lengthscale_below_float_range",
+        "bo_subnormal_amplitude", "bo_domain_past_float_range", "bq_domain_past_float_range",
+        "design_domain_width_past_float_range", "p_greedy_lengthscale_below_float_range",
         "p_greedy_columns_below_float_range", "p_greedy_identity_kernel",
-        "overflowing_polynomial_mean",
+        "overflowing_polynomial_mean", "rates_student_t_df_2", "bq_student_t_df_1.5",
+        "polynomial_mean_of_wrong_length",
         "overflowing_target_plus_noise",
         "integer_past_conversion_limit", "not_utf8",
         "config_is_a_directory"])
@@ -273,6 +292,46 @@ def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config, field):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert field is None or field in err
+
+
+def test_overflowing_residual_norm_is_finite(tmp_path):
+    # errors near 1e298 square past the float range; the residual norm at the
+    # design points is taken scaled by its largest entry, with no RuntimeWarning
+    config = dict(SMALL_FIT, target={"name": "layered_tau2", "scale": 1e300})
+    code, out = _run(tmp_path, config)
+    assert code == 0
+    summary = json.loads((out / "fit_summary.json").read_text())
+    assert all(math.isfinite(summary[key]) for key in ("l1", "l2", "linf", "residual_norm"))
+    assert summary["residual_norm"] > 0
+
+
+@pytest.mark.parametrize("config, message", [
+    (dict(SMALL_RATES, noise={"kind": "student_t", "df": 2.0},
+          design={"kind": "p_greedy", "candidate_resolution": 256}),
+     "student_t with df = 2.0 has no finite second moment"),
+    (dict(SMALL_RATES, mean={"kind": "polynomial", "coeffs": [0.0, 1.0, 0.0, 0.0]},
+          design={"kind": "p_greedy", "candidate_resolution": 256}),
+     "polynomial mean needs 1 + 2*dim coefficients, got 4"),
+], ids=["infinite_moment_noise", "polynomial_mean_of_wrong_length"])
+def test_config_alone_decides_before_any_design(tmp_path, capsys, monkeypatch, config, message):
+    # both errors follow from the config alone, so the parser raises them
+    # before a single design is built
+    def no_designs(*args):
+        raise AssertionError("a design was built")
+
+    monkeypatch.setattr(gprates.experiments, "_designs", no_designs)
+    code, out = _run(tmp_path, config)
+    assert code == 2 and list(out.iterdir()) == []
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["interpolate", "regress"])
+def test_fit_kinds_accept_noise_with_no_finite_second_moment(tmp_path, kind):
+    # a single fit states no theorem, so it runs on student_t noise with df <= 2
+    base = SMALL_FIT if kind == "interpolate" else SMALL_REGRESS
+    code, out = _run(tmp_path, dict(base, noise={"kind": "student_t", "df": 1.5}))
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fit_fit.csv", "fit_summary.json"]
 
 
 def test_overflowing_errors_give_a_finite_verdict(tmp_path):
@@ -544,6 +603,166 @@ def test_single_design_size_ladder_is_invalid(tmp_path, capsys):
     # no trend was measured, so the note does not claim the mesh ratio grows
     assert report["extras"]["notes"] == [
         "mesh-ratio trend could not be measured (slope nan); no prediction"]
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on mutated configs
+# ---------------------------------------------------------------------------
+
+ex = gprates.experiments
+UNIT_DOMAIN = {"lower": [0.0], "upper": [1.0]}
+# one valid config of each kind, every section it reads set, each run in milliseconds
+VALID_CONFIGS = {
+    "rates": dict(SMALL_RATES, ladder=[8, 16, 32], grid_resolution=128, replicates=2,
+                  domain=UNIT_DOMAIN, design={"kind": "grid"},
+                  noise={"kind": "gaussian", "sigma": 0.1}, nugget={"kind": "fixed", "sigma": 0.1},
+                  mean={"kind": "constant", "value": 0.0}),
+    "bq": dict(SMALL_RATES, kind="bq", ladder=[8, 16, 32], grid_resolution=128,
+               domain=UNIT_DOMAIN, design={"kind": "random"}, noise={"kind": "none"},
+               nugget={"kind": "zero"}, mean={"kind": "constant"}),
+    "bo": dict(SMALL_BO, domain=UNIT_DOMAIN, design={"kind": "grid", "candidate_resolution": 32},
+               bo={"gamma": 0.3, "budgets": [4, 8]}),
+    "design": dict(SMALL_DESIGN, domain=UNIT_DOMAIN, kernel={"tau": 2.0, "lengthscale": 0.25},
+                   design={"kind": "p_greedy", "candidate_resolution": 64}),
+    "interpolate": dict(SMALL_FIT, n=16, grid_resolution=64, domain=UNIT_DOMAIN,
+                        design={"kind": "grid"}, noise={"kind": "none"}, nugget={"kind": "zero"},
+                        mean={"kind": "polynomial", "coeffs": [0.0, 0.5, 0.0]}),
+    "regress": dict(SMALL_REGRESS, n=16, grid_resolution=64, domain=UNIT_DOMAIN,
+                    design={"kind": "random"}, mean={"kind": "constant"}),
+}
+
+# Value classes.  A size field (read by ``_size``) takes a small valid size,
+# a value the parser rejects (every number of NUMBERS), or 2**62, whose first
+# allocation fails at once (32 EiB of doubles).  The loops over a size
+# (replicates, budgets, n_centers) allocate their arrays first, and a budget
+# past the candidates is rejected, so no value starts a long loop or a large
+# allocation that could succeed.  A list is replaced by one of at most one
+# entry, or by a ladder of three, so the domain stays 1-d and a ladder entry
+# is the size of one grid axis.
+NUMBERS = [0, -3, -0.5, math.nan, math.inf, -math.inf, 5e-324, 1e300, 2.5, 10**19 + 7]
+SIZES = [1, 2, 3, 64, 2**62]
+WRONG_TYPES = ["bogus", True, None, [], {}, [1.0]]
+LADDER = functools.partial(ex._list, read=ex._size)
+# the top-level keys every kind reads, besides those of ``_KEYS``
+COMMON_KEYS = {"kind", "name", "seed", "domain", "design"}
+# the reader of each top-level key that is no section
+TOP_LEVEL = {"kind": ex._str, "name": ex._str, "seed": ex._int, "ladder": LADDER,
+             "replicates": ex._size, "burn_in": ex._int, "q": ex._float, "tolerance": ex._float,
+             "grid_resolution": ex._size, "n": ex._size, "density": ex._str}
+# the target, which _parse_target reads: a name or an expansion
+TARGET = {None: ({"name": ex._str}, {"scale": ex._float, "expansion": "target.expansion"})}
+# a valid value by the key's name, else by its reader
+VALID_VALUES = {"tau": 2.0, "df": 3.0, "lower": [0.0], "upper": [1.0], "budgets": [4, 8],
+                "n_centers": 4, "name": "layered_tau2", "schedule": "fixed",
+                "ladder": [8, 16, 32], "density": "uniform"}
+
+
+def _schema(key, kind):
+    """The ``_SECTIONS`` entry of top-level ``key`` in a ``kind`` config, or its reader."""
+    if key == "target":
+        return TARGET
+    return ex._SECTIONS.get("bo design" if (key, kind) == ("design", "bo") else key,
+                            TOP_LEVEL.get(key))
+
+
+def _valid_value(key, read):
+    """A valid value of ``key``; a section's is empty."""
+    if key in VALID_VALUES or not callable(read):
+        return VALID_VALUES.get(key, {})
+    return {ex._float: 0.5, ex._int: 1, ex._size: 32, ex._floats: [0.0, 1.0, 0.0]}.get(read, 1)
+
+
+def _scalars(read):
+    """The value classes of a scalar read by ``read``."""
+    if read is ex._size:
+        return SIZES + NUMBERS
+    return ["", "bogus"] if read is ex._str else NUMBERS
+
+
+def _value(data, read):
+    """A value for a field read by ``read``, from one of the classes."""
+    entry = read.keywords["read"] if isinstance(read, functools.partial) else (
+        ex._float if read in (ex._floats, ex._taus) else None)
+    values = [*_scalars(read if entry is None else entry), *WRONG_TYPES]
+    if entry is not None:
+        values += [[data.draw(st.sampled_from(_scalars(entry)))]]
+    if read is LADDER:  # an empty list is in WRONG_TYPES
+        values += [[16, 16, 16], [32, 8, 16]]
+    return copy.deepcopy(data.draw(st.sampled_from(values)))
+
+
+def _places(raw, kind):
+    """Every ``(dict, kinds)`` of the config: the top level, and each section
+    with its ``_SECTIONS`` entry (the section's kinds and their keys)."""
+    keys = sorted(COMMON_KEYS | ex._KEYS[kind])
+    places = [(raw, {None: ({}, {key: _schema(key, kind) for key in keys})})]
+    for key, value in raw.items():
+        kinds = _schema(key, kind)
+        if isinstance(value, dict) and isinstance(kinds, dict):
+            places.append((value, kinds))
+            if isinstance(value.get("expansion"), dict) and key == "target":
+                places.append((value["expansion"], ex._SECTIONS["target.expansion"]))
+    return places
+
+
+def _mutate(data, raw, kind):
+    """One mutation of ``raw``, in place: a key dropped, a key this place does
+    not read added, a field set to a value of one of the classes, or a
+    section's kind changed, each of its required keys set or left out."""
+    d, kinds = data.draw(st.sampled_from(_places(raw, kind)))
+    fields = {key: read for required, optional in kinds.values()
+              for key, read in {**required, **optional}.items()}
+    section_kinds = [k for k in kinds if k is not None]
+    op = data.draw(st.sampled_from(["drop", "add", "set"] + ["kind"] * bool(section_kinds)))
+    if op == "drop" and d:
+        del d[data.draw(st.sampled_from(sorted(d)))]
+    elif op == "add":
+        known = set().union(*ex._KEYS.values()) if d is raw else set(fields)
+        key = data.draw(st.sampled_from(sorted(known | {"bogus"})))
+        d[key] = copy.deepcopy(_valid_value(key, fields.get(key, _schema(key, kind))))
+    elif op == "set":
+        key = data.draw(st.sampled_from(sorted(fields)))
+        read = fields[key]
+        d[key] = (_value(data, read) if callable(read)
+                  else copy.deepcopy(data.draw(st.sampled_from(WRONG_TYPES))))
+    elif op == "kind":
+        new = data.draw(st.sampled_from([*section_kinds, "bogus"]))
+        required, optional = kinds.get(new, ({}, {}))
+        d.clear()
+        d["kind"] = new
+        for key, read in {**required, **optional}.items():
+            if data.draw(st.booleans()):
+                d[key] = copy.deepcopy(_valid_value(key, read))
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_CONFIGS))
+def test_every_kind_has_a_valid_config_to_mutate(tmp_path, kind):
+    assert set(VALID_CONFIGS) == set(ex._KEYS)
+    assert set(VALID_CONFIGS[kind]) <= COMMON_KEYS | ex._KEYS[kind]
+    code, out = _run(tmp_path, VALID_CONFIGS[kind])
+    assert code in (0, 1) and list(out.iterdir())
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_keep_the_cli_contract(data):
+    # a bad config exits 2 and writes nothing, a singular design exits 3, a
+    # gate or a degenerate ladder exits 1, and no config ends in a traceback
+    # (an exception out of main) or a RuntimeWarning (an error under pytest)
+    kind = data.draw(st.sampled_from(sorted(VALID_CONFIGS)))
+    raw = copy.deepcopy(VALID_CONFIGS[kind])
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(data, raw, kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", path, "--out", out, "--seed", "3"])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), raw
+        assert code != 2 or os.listdir(out) == [], raw
 
 
 def _fake_acceptance(monkeypatch, *runs):

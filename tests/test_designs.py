@@ -25,6 +25,7 @@ from gprates.errors import ConfigurationError
 from gprates.experiments import _csv
 from gprates.fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean
 from gprates.kernels import KernelSpec, cross_matrix, distances, row_block
+from gprates.rates import loglog_slope
 
 UNIT = Domain((0.0,), (1.0,))
 SQUARE = Domain((0.0, 0.0), (1.0, 1.0))
@@ -220,20 +221,25 @@ class TestSeparationAndMeshRatio:
             tracker.ratio()
 
 
+def _h_slope(rows):
+    """The fill-distance slope a report states over ``quasi_uniformity_trace`` rows."""
+    return loglog_slope([r[0] for r in rows], [r[1] for r in rows])
+
+
 class TestQuasiUniformityTrace:
     def test_grid_slope_1d(self):
-        rows, slope = quasi_uniformity_trace([gen_grid(n, UNIT) for n in (4, 8, 16, 32)])
-        assert slope == pytest.approx(-1.0, abs=0.01)
+        rows = quasi_uniformity_trace([gen_grid(n, UNIT) for n in (4, 8, 16, 32)])
+        assert _h_slope(rows) == pytest.approx(-1.0, abs=0.01)
         assert all(r[3] <= 1.1 for r in rows)
 
     def test_grid_slope_2d(self):
-        rows, slope = quasi_uniformity_trace([gen_grid(n, SQUARE) for n in (2, 4, 8)])
-        assert slope == pytest.approx(-0.5, abs=0.05)
+        rows = quasi_uniformity_trace([gen_grid(n, SQUARE) for n in (2, 4, 8)])
+        assert _h_slope(rows) == pytest.approx(-0.5, abs=0.05)
 
     def test_random_trace_is_reported_only(self):
         sets = [gen_uniform_random(n, UNIT, seed=n) for n in (16, 32, 64)]
-        rows, slope = quasi_uniformity_trace(sets)
-        assert len(rows) == 3 and np.isfinite(slope)
+        rows = quasi_uniformity_trace(sets)
+        assert len(rows) == 3 and np.isfinite(_h_slope(rows))
 
 
 # candidate indices chosen by gen_p_greedy, recorded with the code before the

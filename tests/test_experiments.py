@@ -17,7 +17,7 @@ from gprates.errors import ConfigurationError
 from gprates.fitting import MeanSpec
 from gprates.kernels import KernelSpec, blocks_per_strip, lattice_table, row_block
 from gprates.norms import make_grid
-from gprates.rates import NuggetPolicy
+from gprates.rates import NuggetPolicy, loglog_slope
 from gprates.targets import NoiseModel, eval_target, random_expansion_target
 from gprates.experiments import (
     _designs,
@@ -239,8 +239,11 @@ def test_p_greedy_ladder_grows_one_design_per_kernel(counted, taus, runs):
     cfg = config_from_dict(raw)
     cand = designs.gen_grid(512, cfg.domain)
     own = [designs.gen_p_greedy(n, cfg.kernel_for(i), cand) for i, n in enumerate(cfg.ladder)]
-    trace, _ = designs.quasi_uniformity_trace(own)
+    trace = designs.quasi_uniformity_trace(own)
     assert report.extras["design_trace"] == [list(r) for r in trace]
+    ns, hs, _, rhos = zip(*trace)
+    assert report.extras["h_slope"] == loglog_slope(ns, hs)
+    assert report.extras["rho_trend"] == loglog_slope(ns, rhos)
 
 
 def _bench_child():

@@ -983,6 +983,12 @@ class TestMeanSpecs:
         mean = MeanSpec("polynomial", coeffs=(1.0, 2.0, 3.0))  # 1 + 2x + 3x^2
         np.testing.assert_allclose(mean(np.array([[0.0], [1.0]])), [1.0, 6.0])
 
+    def test_polynomial_mean_of_the_wrong_length_is_rejected_at_the_call(self):
+        # a library caller builds MeanSpec with no config parser in between
+        mean = MeanSpec("polynomial", coeffs=(1.0, 2.0, 3.0))
+        with pytest.raises(ConfigurationError, match=r"1 \+ 2\*dim coefficients, got 3"):
+            mean(np.zeros((4, 2)))
+
     def test_fit_with_nonzero_mean_interpolates(self):
         spec = KernelSpec(tau=2.0, lengthscale=0.3)
         mean = MeanSpec("polynomial", coeffs=(0.5, 1.0, 0.0))

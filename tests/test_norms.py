@@ -115,11 +115,20 @@ class TestIntegrate:
         val = integrate(np.sin(2 * np.pi * grid.points[:, 0]), np.ones(grid.size), grid)
         assert val == pytest.approx(0.0, abs=1e-12)
 
-    def test_weights_sum_to_volume(self):
+    def test_cell_volumes_sum_to_volume(self):
         dom = Domain((0.0, -1.0), (2.0, 1.0))
         grid = make_grid(dom, 32)
-        assert grid.weights.sum() == pytest.approx(dom.volume, rel=1e-12)
+        assert grid.cell_volume * grid.size == pytest.approx(dom.volume, rel=1e-12)
         assert grid.size == 32 ** 2
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_one_cell_volume_is_the_weight_array_bit_for_bit(self, q):
+        # each product with the scalar is the double a full weight array gives
+        grid = make_grid(Domain((0.0, -1.0), (2.0, 1.0)), 64)
+        g, p = np.random.default_rng(5).standard_normal((2, grid.size))
+        weights = np.full(grid.size, grid.cell_volume)
+        assert integrate(g, p, grid) == float(np.sum(weights * g * p))
+        assert lq_norm(g, q, grid) == float(np.sum(weights * np.abs(g) ** float(q)) ** (1.0 / q))
 
 
 class TestOverflowSafe:
@@ -135,7 +144,7 @@ class TestOverflowSafe:
 
     def test_plain_form_is_kept_bit_for_bit(self):
         values = np.random.default_rng(2).standard_normal(4) * 1e100
-        plain = float(np.sum(self.GRID.weights * np.abs(values) ** 2.0) ** 0.5)
+        plain = float(np.sum(self.GRID.cell_volume * np.abs(values) ** 2.0) ** 0.5)
         assert lq_norm(values, 2, self.GRID) == plain
         assert overflow_safe(lambda v: float(np.std(v)), values) == float(np.std(values))
 

@@ -5,7 +5,8 @@ is used in ``src/`` outside its own definition, or is a benchmark layer.
 Only ``kernels.py`` reads a lattice table's fields or chooses between a
 table and the direct path, the fast-path switchboard lists every module
 that binds a switched name, one function calls the theorem for a ladder,
-and one function of ``fitting`` evaluates kernel values itself."""
+one function of ``fitting`` evaluates kernel values itself, and no module
+calls numpy's LAPACK."""
 
 import ast
 import importlib.util
@@ -145,3 +146,34 @@ def test_fittings_only_cross_matrix_calls_build_the_toeplitz_vector():
                       if isinstance(call, ast.Call) and _called_name(call) == "cross_matrix")
 
     assert calls(vector) and calls(tree) == calls(vector)
+
+
+def _dotted(node):
+    """``a.b.c`` of a chain of names and attributes, or None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_no_module_calls_numpys_lapack():
+    # the fits use scipy's LAPACK, not numpy's: the first np.linalg.lstsq call
+    # (np.polyfit's solver) faults in about 1.1 MiB of a process, and every
+    # log-log slope is rates.loglog_slope's centred sums; np.linalg.norm
+    # calls no LAPACK routine
+    calls = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            _called_name(node) == "polyfit"
+            or (_dotted(node.func) or "").split(".")[:2] in (["np", "linalg"], ["numpy", "linalg"])
+            and _called_name(node) != "norm")
+        or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") and any(
+            alias.name in ("linalg", "polyfit") for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+        or isinstance(node, ast.Import) and any(
+            alias.name.startswith("numpy.linalg") for alias in node.names)
+    ]
+    assert calls == []

@@ -3,6 +3,7 @@ and the degenerate rate tables."""
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gprates.errors import ConfigurationError
-from gprates.rates import NuggetPolicy, RateParams, fit_empirical_rate, theoretical_exponent
+from gprates.rates import (
+    NuggetPolicy,
+    RateParams,
+    fit_empirical_rate,
+    loglog_slope,
+    theoretical_exponent,
+)
 
 INF = math.inf
 
@@ -318,6 +325,37 @@ def test_standard_error_is_the_ols_one():
     assert slope == pytest.approx(coeffs[0], rel=1e-12)
     assert stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
     assert stderr == pytest.approx(0.11327976431043, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_loglog_slope_is_the_least_squares_one(seed):
+    # np.polyfit (numpy's lstsq) is the oracle for the centred sums
+    rng = np.random.default_rng(seed)
+    ns = np.unique(rng.integers(1, 10**6, size=int(rng.integers(2, 12))))
+    slope = rng.choice([-1, 1]) * rng.uniform(0.2, 3.0)
+    values = rng.uniform(1e-3, 1e3) * ns ** slope * np.exp(rng.normal(0.0, 0.3, len(ns)))
+    expected = np.polyfit(np.log(ns), np.log(values), 1)[0]
+    assert loglog_slope(list(ns), list(values)) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("ns, values", [
+    ([16, 32, 64], [0.1, 0.0, 0.02]),
+    ([16, 32, 64], [0.1, -0.05, 0.02]),
+    ([16, 32, 64], [0.1, math.inf, 0.02]),
+    ([16, 32, 64], [0.1, math.nan, 0.02]),
+    ([16, 16, 16], [0.1, 0.09, 0.11]),
+    ([16], [0.1]),
+], ids=["zero", "negative", "inf", "nan", "one_distinct_n", "one_row"])
+def test_loglog_slope_without_a_line_is_nan_with_no_warning(ns, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(loglog_slope(ns, values))
+
+
+def test_fitted_rate_is_the_loglog_slope_bit_for_bit():
+    table = [(16, 0.3), (32, 0.11), (64, 0.05), (128, 0.013), (256, 0.0041)]
+    slope, _, _ = fit_empirical_rate(table, burn_in=1)
+    assert slope == loglog_slope([n for n, _ in table[1:]], [e for _, e in table[1:]])
 
 
 def test_two_distinct_sizes_give_a_slope():
