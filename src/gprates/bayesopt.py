@@ -28,15 +28,15 @@ of its sd and mean, a check that every sd there is positive, and expected
 improvement.  Only each budget's final step calls ``fit``, and it predicts
 on the candidates through ``fitting.posterior_mean``.  The Newton basis
 reads each kernel column once from ``kernels.kernel_columns`` and keeps
-none; on a 1-d dyadic grid (a7's 4096 midpoints) the columns, the
-final steps' Gram matrices and their predictions all read the candidates'
-``kernels.LatticeTable``, so the kernel is evaluated once, on the table's
-offsets, whatever the budgets.  A ``designs.MeshRatioTracker`` updates the
-mesh ratio with each selected point.  Every kernel column, sd, threshold
-and mesh ratio is bitwise what the direct computation on every candidate
-gives.  The mean is the Newton form's sum ``sum_l z_l basis[:, l]`` in pick
-order, so it and the acquisition differ from the whole product
-``basis @ z`` only by the rounding of a k-term sum.
+none; on a 1-d dyadic grid (a7's 4096 midpoints) ``kernels`` then holds
+the candidates' lattice table, and the final steps' Gram matrices and
+predictions read it too, so the kernel is evaluated once, whatever the
+budgets.  A ``designs.MeshRatioTracker`` updates the mesh ratio with each
+selected point.  Every kernel column, sd, threshold and mesh ratio is
+bitwise what the direct computation on every candidate gives.  The mean is
+the Newton form's sum ``sum_l z_l basis[:, l]`` in pick order, so it and
+the acquisition differ from the whole product ``basis @ z`` only by the
+rounding of a k-term sum.
 
 Kernel values are checked as ``fit`` checks its Gram matrix: formed with
 floating-point warnings off, then required finite.  A kernel that leaves
@@ -63,7 +63,7 @@ from scipy.special import ndtr
 from .designs import MeshRatioTracker, NewtonBasis, PointSet, gen_grid
 from .errors import ConfigurationError, SingularDesignError
 from .fitting import DEFAULT_JITTER_FACTOR, MeanSpec, fit, posterior_mean
-from .kernels import KernelSpec, LatticeTable, kernel_columns
+from .kernels import KernelSpec, kernel_columns
 from .targets import TargetSpec, eval_target
 
 REFERENCE_RESOLUTION = 65536
@@ -128,17 +128,13 @@ class BOTrajectory:
     ``chosen`` holds the candidate indices of the n-1 selected points (the
     first candidate, then one per trace row).  ``f_cand`` is the target on
     every candidate and ``f_ref_max`` its maximum on the reference grid;
-    every budget reads its target values from them.  ``table`` is the
-    candidates' ``kernels.LatticeTable`` against themselves, from
-    ``kernels.kernel_columns`` (None when they have none); no kernel column
-    is kept.  A budget's final fit reads its Gram matrix and its prediction
-    on the candidates from that table's subsets.
+    every budget reads its target values from them; no kernel column is
+    kept.
     """
 
     config: BOConfig
     f_cand: np.ndarray
     f_ref_max: float
-    table: LatticeTable | None
     chosen: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     slacks: list = field(default_factory=list)
@@ -150,19 +146,13 @@ class BOTrajectory:
         cand = self.config.candidates
         chosen = np.array(self.chosen[: n - 1])
         X = PointSet(cand.points[chosen], cand.domain)
-        gram_table = cross_table = None
-        if self.table:  # X against X, and the candidates against X
-            gram_table = self.table.subset(chosen, chosen)
-            cross_table = self.table.subset(np.arange(len(cand)), chosen)
-        model = fit(self.config.kernel, MeanSpec("constant", 0.0), X, self.f_cand[chosen], 0.0,
-                    table=gram_table)
+        model = fit(self.config.kernel, MeanSpec("constant", 0.0), X, self.f_cand[chosen], 0.0)
         # final step: maximize the interpolant over the candidates
-        mean_on_cand = posterior_mean(model, cand.points, table=cross_table)
+        mean_on_cand = posterior_mean(model, cand.points)
         final = int(np.argmax(mean_on_cand))
         regret_candidates = float(self.f_cand.max() - self.f_cand[final])
         sup_error = float(np.abs(self.f_cand - mean_on_cand).max())
-        trace = self.trace[: n - 2]
-        slacks = self.slacks[: n - 2]
+        trace, slacks = self.trace[: n - 2], self.slacks[: n - 2]
         return {
             "n": n,
             "regret": float(self.f_ref_max - self.f_cand[final]),
@@ -219,8 +209,8 @@ def run_gamma_F_n(target: TargetSpec, config: BOConfig) -> BOTrajectory:
     ref = gen_grid(REFERENCE_RESOLUTION, cand.domain).points if cand.domain.dim == 1 else cpts
     f_cand = eval_target(target, cpts)
     f_ref_max = float(np.max(eval_target(target, ref)))
-    table, column_of = kernel_columns(spec, cpts)
-    run = BOTrajectory(config, f_cand, f_ref_max, table)
+    column_of = kernel_columns(spec, cpts)
+    run = BOTrajectory(config, f_cand, f_ref_max)
 
     def choose(j: int) -> None:
         # selected points are candidates: the basis grows by their own column

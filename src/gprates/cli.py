@@ -95,6 +95,7 @@ def _report_errors(command) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .errors import ConfigurationError
     from .experiments import config_from_dict, run_experiment
 
     out = _make_out(args.out)
@@ -102,14 +103,11 @@ def _cmd_run(args) -> int:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON at line {exc.lineno}: {exc.msg}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:  # no such file, a directory, no permission
-        print(f"config error: cannot read {args.config!r}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"cannot read {args.config!r}: {exc.strerror}") from exc
     except ValueError as exc:  # bytes that are not UTF-8, an integer too long to convert
-        print(f"config error: cannot read {args.config!r}: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"cannot read {args.config!r}: {exc}") from exc
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     code, line, _, _ = run_experiment(config_from_dict(raw), out)
@@ -159,6 +157,7 @@ def _cmd_accept(args) -> int:
 
 def _cmd_list() -> int:
     from .acceptance import acceptance_configs
+    from .experiments import _SECTIONS
     from .quadrature import DENSITY_REGISTRY
     from .targets import registry_entries
 
@@ -167,7 +166,7 @@ def _cmd_list() -> int:
         tau_str = "smooth" if tau == float("inf") else f"tau_f={tau:g}"
         print(f"  {name:16s} {tau_str:12s} {doc}")
     print("densities:", ", ".join(sorted(DENSITY_REGISTRY)))
-    print("designs: grid, random, p_greedy")
+    print("designs:", ", ".join(_SECTIONS["design"]))
     print("experiments:", ", ".join(sorted(acceptance_configs())))
     return 0
 

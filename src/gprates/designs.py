@@ -196,7 +196,7 @@ def gen_p_greedy(n: int, spec: KernelSpec, candidates: PointSet) -> PointSet:
         raise ConfigurationError("candidate dimension does not match kernel dim")
     newton = NewtonBasis(spec.amplitude, m, n)
     selected = np.zeros(n, dtype=int)
-    _, column_of = kernel_columns(spec, cand)
+    column_of = kernel_columns(spec, cand)
     for step in range(n):
         j = int(np.argmax(newton.power))  # np.argmax returns the first maximizer
         selected[step] = j

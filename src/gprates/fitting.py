@@ -22,8 +22,7 @@ since a large jitter technically shifts the estimator toward approximate
 interpolation).
 
 Kernel values come from :mod:`kernels`, which alone decides whether a
-block is read from a lattice table or evaluated directly; a ``table``
-passed to ``fit`` or ``posterior_mean`` is handed on unread.
+block is read from a lattice table or evaluated directly.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_toeplitz
 
 from .designs import PointSet, closest_pair
 from .errors import ConfigurationError, SingularDesignError
-from .kernels import KernelSpec, LatticeTable, as_points, cross_matrix, gram, kernel_blocks
+from .kernels import KernelSpec, as_points, cross_matrix, gram, kernel_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -221,7 +220,6 @@ def fit(
     X: PointSet,
     y,
     lam: float = 0.0,
-    table: LatticeTable | None = None,
     overwrite_y: bool = False,
 ) -> PosteriorModel:
     """Condition on observations ``y`` at ``X`` with regularization ``lam``.
@@ -238,10 +236,10 @@ def fit(
     Levinson's recursion (``solve_toeplitz``) the first column ``g`` of its
     inverse, and :func:`_toeplitz_solve` applies the inverse to every
     column at once by FFTs: O(n^2) work and O(n r) memory, each column's
-    weights bitwise a one-column fit's.  The weights are
-    kept, with jitter 0 and route ``"toeplitz"``, when ``g`` is finite with
-    ``g_0 > 0`` and each column's backward error is at most n eps; otherwise
-    the fit takes the whole route.  The route carries over to prediction:
+    weights bitwise a one-column fit's.  The weights are kept, with jitter 0
+    and route ``"toeplitz"``, when ``g`` is finite with ``g_0 > 0`` and each
+    column's backward error is at most n eps; otherwise the fit takes the
+    whole route.  The route carries over to prediction:
     :func:`posterior_mean` forms a Toeplitz-route model's means on equally
     spaced 1-d queries by the same FFT product as the certificate.
 
@@ -250,15 +248,15 @@ def fit(
     its diagonal (bitwise ``K + (lam + jitter) I``), and ``cho_factor``
     overwrites the lower triangle of ``K.T`` (Fortran order, no copy) in
     place with the factor that ``cho_solve`` reads; each column's weights
-    are bitwise those of a fit to that column alone.  ``K`` is the only matrix of its size, and
-    the model does not keep it.  A failed factorization has overwritten
-    ``K``, so ``K`` is dropped and rebuilt before the next jitter step, and
-    an escalated fit still holds one matrix of its size.  ``K`` is
-    checked finite by its minimum and maximum, which are NaN if any entry
-    is and allocate nothing, so the factor and the solve skip scipy's
-    check, which allocates a boolean array of ``K``'s size in each.  When
-    every jitter step fails, the error names the design's closest pair
-    (:func:`designs.closest_pair`).
+    are bitwise those of a fit to that column alone.  ``K`` is the only
+    matrix of its size, and the model does not keep it.  A failed
+    factorization has overwritten ``K``, so ``K`` is dropped and rebuilt
+    before the next jitter step, and an escalated fit still holds one matrix
+    of its size.  ``K`` is checked finite by its minimum and maximum, which
+    are NaN if any entry is and allocate nothing, so the factor and the
+    solve skip scipy's check, which allocates a boolean array of ``K``'s
+    size in each.  When every jitter step fails, the error names the
+    design's closest pair (:func:`designs.closest_pair`).
 
     ``y``, the kernel (``K``, or the Toeplitz column) and the right-hand
     side ``y - m_X`` are checked finite, in that order (observations, a
@@ -266,8 +264,6 @@ def fit(
     ``ConfigurationError``).  A 2-d right-hand side is formed in Fortran
     order, in ``y`` itself with ``overwrite_y``, and the whole route
     solves it in place (a Fortran-ordered ``y`` is then its dual weights).
-    ``table`` is the :class:`kernels.LatticeTable` of ``X`` against itself
-    when the caller holds one; None looks one up.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -302,7 +298,7 @@ def fit(
     ladder += [f * A for f in (DEFAULT_JITTER_FACTOR, 1e-8, MAX_JITTER_FACTOR)]
     for jitter in ladder:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            K = gram(kernel, X, table)
+            K = gram(kernel, X)
         K[np.diag_indices(n)] += lam + jitter
         if not (math.isfinite(K.min()) and math.isfinite(K.max())):  # the kernel overflowed
             raise _kernel_overflow(kernel)
@@ -332,7 +328,7 @@ def fit(
     )
 
 
-def posterior_mean(model: PosteriorModel, x, table: LatticeTable | None = None) -> np.ndarray:
+def posterior_mean(model: PosteriorModel, x) -> np.ndarray:
     """``m(x) + k_xX (K + lambda I)^{-1} (y - m_X)`` at a batch of m queries.
 
     The result has shape (m,) for one fit, or (m, r) for a model fitted to
@@ -349,28 +345,25 @@ def posterior_mean(model: PosteriorModel, x, table: LatticeTable | None = None) 
     :func:`_toeplitz_product` applies them by real FFTs of a power-of-two
     length N >= ceil(m / b) + n - 1, one column at a time: O((b + 1) r N
     log N) work in place of m n r, and no block streamed.  The means agree
-    with the block product to FFT rounding.  ``table`` is not read.
+    with the block product to FFT rounding.
 
     *Blocks.*  Every other prediction streams the query rows in the blocks
     of :func:`kernels.kernel_blocks`, ``row_block(n)`` rows each, and each
     block serves every column.  A block is read from the lattice table of
     the queries against the design when both are 1-d on one small dyadic
     lattice, else evaluated by ``cross_matrix``; both hold the same doubles,
-    so the means are bitwise the same.  ``table`` is that table when the
-    caller already holds one (a BO budget's final step, read from the
-    candidates' table); None has ``kernel_blocks`` look one up.  A block's r
-    columns come from one ``np.matmul`` of the view ``dual.T[:, :, None]``
-    (no copy) into rows of an (r, m) result, whose transpose is returned:
-    with a trailing 1, numpy calls gemv once per column, as
-    ``Kq @ dual[:, k]`` does.  These models keep gemv's bits, not an FFT's
-    or gemm's: they include every fit under ``TOEPLITZ_BYTES``, whose
-    recorded errors the benchmark holds within 1e-9, and a gemm of the
-    whole block moved a5's errors, at a nugget near 1e-9, past that.  Each
-    mean is one row of a matrix-vector product, and a full block gives the
-    same bits as the whole product.  A ragged last block (m not a multiple
-    of ``row_block(n)``) can round a few rows differently, within
-    dot-product rounding; the whole product's value of a row already
-    depends on m, so no canonical value is lost.
+    so the means are bitwise the same.  A block's r columns come from one
+    ``np.matmul`` of the view ``dual.T[:, :, None]`` (no copy) into rows of
+    an (r, m) result, whose transpose is returned: with a trailing 1, numpy
+    calls gemv once per column, as ``Kq @ dual[:, k]`` does.  These models
+    keep gemv's bits, not an FFT's or gemm's: they include every fit under
+    ``TOEPLITZ_BYTES``, whose recorded errors the benchmark holds within
+    1e-9, and a gemm of the whole block moved a5's errors, at a nugget near
+    1e-9, past that.  Each mean is one row of a matrix-vector product, and
+    a full block gives the same bits as the whole product.  A ragged last
+    block (m not a multiple of ``row_block(n)``) can round a few rows
+    differently, within dot-product rounding; the whole product's value of
+    a row already depends on m, so no canonical value is lost.
     """
     xq, X = as_points(model.kernel.dim, x), model.design.points
     dual = model.dual if model.dual.ndim == 2 else model.dual[:, None]
@@ -380,7 +373,7 @@ def posterior_mean(model: PosteriorModel, x, table: LatticeTable | None = None) 
         out = _toeplitz_product(v, b, dual)
     else:
         out = np.empty((dual.shape[1], len(xq), 1))  # column k's means are out[k, :, 0]
-        for rows, Kq in kernel_blocks(model.kernel, xq, X, table):
+        for rows, Kq in kernel_blocks(model.kernel, xq, X):
             np.matmul(Kq, dual.T[:, :, None], out=out[:, rows])
         Kq = None  # frees the last block's buffer before the prior mean is formed
         out = out[:, :, 0]

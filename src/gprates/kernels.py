@@ -16,19 +16,20 @@ blocks ``fitting.posterior_mean`` multiplies) read their blocks from that
 table, and :func:`kernel_columns` (for ``designs.gen_p_greedy`` and
 ``bayesopt.run_gamma_F_n``) its columns as slices
 (:meth:`LatticeTable.column`), instead of evaluating ``matern_of_r`` on
-every entry.  A caller that holds a table of a superset passes ``gram`` and
-``kernel_blocks`` the table of its subsets on the same ``H``, from
-:meth:`LatticeTable.subset` (a BO budget's final fit).  The values are
-bitwise those of the direct path: the difference of two lattice points
-whose integer offset ``k`` is below 2^53 is exact, so ``|a - b|`` is the
-same double as ``|k| * delta``, and ``matern_of_r`` is elementwise.  When
+every entry.  The module holds the table that the last ``kernel_columns``
+call read (a BO or P-greedy run's candidates), and :func:`lattice_table`
+reads from its ``H`` any two sets on its lattice, or a coarser one, within
+its span: a BO budget's final fit, say.  The values are bitwise those of
+the direct path: the difference of two lattice points whose integer
+offset ``k`` is below 2^53 is exact, so ``|a - b|`` is the same double as
+``|k| * delta``, and ``matern_of_r`` is elementwise.  When
 both sets are arithmetic progressions on the lattice (midpoint grids),
 with steps ``s_a`` and ``s_b``, a block ``H[S + I_a[i] - I_b[j]]`` is
 Toeplitz, one strided window of ``H`` that :func:`table_block` copies with
 no index arithmetic; other lattice sets (P-greedy picks) gather the same
 entries through integer offsets.  Sets in d >= 2, off a dyadic lattice, or
-whose table would hold more than a quarter of the block's entries take the
-direct path, :func:`cross_matrix`, in fresh arrays.
+(unless the held table serves them) whose table would hold more than a
+quarter of the block's entries take the direct path, :func:`cross_matrix`.
 
 A prediction walks its query rows in blocks of ``h = row_block(n)`` rows
 (:func:`kernel_blocks`).  For two progressions, block k + 1 is block k
@@ -257,14 +258,15 @@ def distances(A: np.ndarray, B: np.ndarray, out=None, work=None) -> np.ndarray:
 
 
 class LatticeTable(NamedTuple):
-    """What :func:`lattice_table` returns: two sets' integer lattice
-    coordinates, the two-sided kernel table ``H`` with its centre ``S``, and
+    """What :func:`lattice_table` returns: two sets' integer coordinates on
+    ``2^-p``, the two-sided kernel table ``H`` with its centre ``S``, and
     each set's integer step (None when its coordinates are no progression)."""
 
     ia: np.ndarray
     ib: np.ndarray
     H: np.ndarray
     S: int
+    p: int
     step_a: int | None
     step_b: int | None
 
@@ -273,11 +275,9 @@ class LatticeTable(NamedTuple):
         that is a progression: a slice of ``H``, with no copy."""
         return self.H[self.S + self.ia[0] - self.ib[j] :: self.step_a or 1][: len(self.ia)]
 
-    def subset(self, a, b) -> LatticeTable:
-        """The table of the first set's points at indices ``a`` against the
-        second set's at ``b``: their coordinates and steps on this ``H``."""
-        ia, ib = self.ia[a], self.ib[b]
-        return LatticeTable(ia, ib, self.H, self.S, progression_step(ia), progression_step(ib))
+
+# (spec, table) of the table the last kernel_columns call read, or None if it had none
+_held: tuple[KernelSpec, LatticeTable] | None = None
 
 
 def progression_step(index: np.ndarray) -> int | None:
@@ -314,9 +314,13 @@ def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> LatticeTabl
     ``matern_of_r`` runs once, on the offsets ``0 ... S`` written into
     ``H[S:]``, and ``H[:S]`` is their mirror image.  Since ``S < 2^53``,
     ``a - b`` is exactly ``(I_a - I_b) * delta``, so ``H[S + I_a - I_b]`` is
-    bitwise ``matern_of_r(spec, distances(A, B))``.  Otherwise (d >= 2, a
-    coordinate that is not finite or not dyadic, a span too wide) returns
-    None, and the caller evaluates the kernel directly.
+    bitwise ``matern_of_r(spec, distances(A, B))``.  The held table (of the
+    last :func:`kernel_columns` call, on ``2^-p_h`` with centre ``S_h``) is
+    tried first: for an equal spec, ``p <= p_h`` and ``S 2^(p_h - p) <= S_h``,
+    the table is the held ``H`` and ``S_h``, the coordinates scaled by
+    ``2^(p_h - p)``, with no quarter rule and no ``matern_of_r`` call.
+    Failing both (d >= 2, a coordinate that is not finite or not dyadic, a
+    span too wide) returns None, and the caller evaluates the kernel directly.
     """
     if spec.dim != 1 or np.dtype(np.intp).itemsize != 8:
         return None
@@ -339,19 +343,24 @@ def lattice_table(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> LatticeTabl
     index >>= shift
     p = q - shift
     span = int(math.ldexp(hi - lo, p))
-    if 4 * (span + 1) > len(A) * len(B):  # a table of more than a quarter of the block
+    held_spec, held = _held or (None, None)
+    if held_spec == spec and p <= held.p and span << (held.p - p) <= held.S:
+        index <<= held.p - p  # the same offsets on the held lattice
+        span, p, H = held.S, held.p, held.H
+    elif 4 * (span + 1) > len(A) * len(B):  # a table of more than a quarter of the block
         return None
+    else:
+        H = np.empty(2 * span + 1)
+        matern_of_r(spec, np.ldexp(np.arange(span + 1, dtype=float), -p), out=H[span:])
+        H[:span] = H[: span : -1]
     ia, ib = index[: len(A)], index[len(A) :]
-    H = np.empty(2 * span + 1)
-    matern_of_r(spec, np.ldexp(np.arange(span + 1, dtype=float), -p), out=H[span:])
-    H[:span] = H[: span : -1]
-    return LatticeTable(ia, ib, H, span, progression_step(ia), progression_step(ib))
+    return LatticeTable(ia, ib, H, span, p, progression_step(ia), progression_step(ib))
 
 
 def _copy_window(table: LatticeTable, start: int, column: int, out: np.ndarray) -> np.ndarray:
     """Copy into ``out`` the window of ``H`` with strides ``(s_a, -s_b)``
     whose column ``column`` of row 0 is the pair (query ``start``, design 0)."""
-    ia, ib, H, S, step_a, step_b = table
+    ia, ib, H, S, _, step_a, step_b = table
     size = H.itemsize
     window = as_strided(H[S + ia[start] - ib[0] + step_b * column :], out.shape,
                         (size * step_a, -size * step_b), writeable=False)
@@ -377,7 +386,7 @@ def table_block(table: LatticeTable, rows: slice, out: np.ndarray) -> np.ndarray
     read the same entries of ``H``, so their blocks are bitwise equal.
     ``gram`` and the gathered blocks of :func:`table_blocks` read it.
     """
-    ia, ib, H, S, step_a, step_b = table
+    ia, ib, H, S, _, step_a, step_b = table
     if step_a is not None and step_b is not None:
         return _copy_window(table, rows.start, 0, out)
     offsets = out.view(np.intp)
@@ -444,7 +453,7 @@ def table_blocks(table: LatticeTable):
             start += height
 
 
-def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
+def gram(spec: KernelSpec, X) -> np.ndarray:
     """Kernel matrix ``K[i, j] = k(x_i, x_j)``.
 
     Every entry is evaluated, and the distance from ``x_i`` to ``x_j`` is
@@ -455,9 +464,7 @@ def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
     set on a small dyadic lattice reads its blocks from one
     :func:`lattice_table` through :func:`table_block`, bitwise the direct
     values, since the differences of lattice points are exact; a block of
-    whole rows is C-contiguous, so a gather fills it in place.  ``table`` is the :class:`LatticeTable` of ``X`` against itself
-    when the caller already holds one (a BO budget's points, read from the
-    candidates' table); None looks one up with :func:`lattice_table`.
+    whole rows is C-contiguous, so a gather fills it in place.
 
     Duplicate points (more than n zero distances) make the matrix singular;
     a :class:`SingularGramWarning` is emitted and the matrix still returned.
@@ -469,8 +476,7 @@ def gram(spec: KernelSpec, X, table: LatticeTable | None = None) -> np.ndarray:
     if n == 0:
         raise ConfigurationError("gram requires a nonempty point set")
     K = np.empty((n, n))
-    if table is None:
-        table = lattice_table(spec, pts, pts)
+    table = lattice_table(spec, pts, pts)
     zeros = 0
     if table:
         # the zero offsets, one per ordered pair of equal integer coordinates
@@ -497,15 +503,13 @@ def cross_matrix(spec: KernelSpec, Xq, X) -> np.ndarray:
     return matern_of_r(spec, distances(as_points(spec.dim, Xq), as_points(spec.dim, X)))
 
 
-def kernel_blocks(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
-                  table: LatticeTable | None = None):
+def kernel_blocks(spec: KernelSpec, A: np.ndarray, B: np.ndarray):
     """``(rows, block)`` of ``k(A, B)`` in blocks of ``row_block(len(B))``
     rows, each valid until the next is read: :func:`table_blocks`'s when the
-    sets have a :func:`lattice_table` (``table`` when the caller holds it,
-    else looked up), else :func:`cross_matrix` of each row slice of
-    :func:`row_blocks`, so both paths have the same heights and gemv rounding."""
-    if table is None:
-        table = lattice_table(spec, A, B)
+    sets have a :func:`lattice_table`, else :func:`cross_matrix` of each row
+    slice of :func:`row_blocks`, so both paths have the same heights and
+    gemv rounding."""
+    table = lattice_table(spec, A, B)
     if table:
         yield from table_blocks(table)
         return
@@ -514,18 +518,20 @@ def kernel_blocks(spec: KernelSpec, A: np.ndarray, B: np.ndarray,
 
 
 def kernel_columns(spec: KernelSpec, points: np.ndarray):
-    """``(table, column_of)``: column j of ``k(points, points)`` by j.
+    """``column_of``: column j of ``k(points, points)`` by j.
 
-    For a progression with a :func:`lattice_table`, ``table`` is that table
-    against itself, its ``H`` read-only, and ``column_of`` is
+    For a progression with a :func:`lattice_table`, that table against
+    itself becomes the held one, its ``H`` read-only, and ``column_of`` is
     :meth:`LatticeTable.column`: a slice of ``H``, bitwise
     ``cross_matrix(spec, points, points[j])[:, 0]``, since the kernel is
     symmetric and the lattice differences exact.  Every midpoint grid with
-    a table is a progression.  Otherwise ``table`` is None and
+    a table is a progression.  Any other set clears the held table, and
     ``column_of(j)`` is that ``cross_matrix`` column.  The table, or each
     column, is formed with floating-point warnings off and must be finite,
     else a ``ConfigurationError`` names the fields.
     """
+    global _held
+
     def finite(values: np.ndarray) -> np.ndarray:
         if not np.isfinite(values).all():
             raise ConfigurationError(
@@ -539,11 +545,12 @@ def kernel_columns(spec: KernelSpec, points: np.ndarray):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         table = lattice_table(spec, points, points)
-    if table is not None and table.step_a is not None:
-        table.H.flags.writeable = False
-        finite(table.H)
-        return table, table.column
-    return None, column_of
+    _held = None
+    if table is None or table.step_a is None:
+        return column_of
+    finite(table.H).flags.writeable = False
+    _held = spec, table
+    return table.column
 
 
 def min_eigenvalue(K: np.ndarray) -> float:

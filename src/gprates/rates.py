@@ -47,6 +47,8 @@ class NuggetPolicy:
             raise ConfigurationError("fixed nugget needs sigma > 0")
         if self.kind == "adaptive_h" and not self.exponent > 0:
             raise ConfigurationError("adaptive nugget needs a positive exponent")
+        if self.kind == "adaptive_h" and not self.coeff > 0:
+            raise ConfigurationError(f"adaptive nugget needs nugget.coeff > 0: {self.coeff!r}")
 
     def lam(self, h: float) -> float:
         """The regularization ``sigma_n(h)^2``; one past the float range
@@ -222,12 +224,16 @@ def fit_empirical_rate(table, burn_in: int = 0):
     """OLS of log(error) on log(n) after dropping the first ``burn_in`` rows.
 
     Returns ``(slope, stderr, invalid_reason)``, the slope :func:`loglog_slope`'s.
-    A degenerate table (fewer than 3 rows, a zero or negative error, which means
-    the target was reproduced exactly, or one distinct n) gives NaN, NaN, the reason.
+    A degenerate table (fewer than 3 rows, an infinite or NaN error, a zero or
+    negative error, which means the target was reproduced exactly, or one
+    distinct n) gives NaN, NaN, the reason.
     """
     rows = [(float(n), float(e)) for n, e in table][burn_in:]
+    bad = [(n, e) for n, e in rows if not math.isfinite(e)]
     if len(rows) < 3:
         reason = "need at least 3 ladder points after burn-in"
+    elif bad:
+        reason = f"non-finite error {bad[0][1]} at n = {bad[0][0]:g} in the rate table"
     elif any(e <= 0 for _, e in rows):
         reason = ("nonpositive errors in the rate table (exact interpolation of the "
                   "target; experiment degenerate)")

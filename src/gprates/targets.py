@@ -249,8 +249,12 @@ class NoiseModel:
                 raise ConfigurationError("power schedule needs alpha in (0,1)")
             if self.schedule == "fraction" and not 0 < self.beta <= 1:
                 raise ConfigurationError("fraction schedule needs beta in (0,1]")
+            if not self.magnitude > 0:
+                raise ConfigurationError(f"outliers need noise.magnitude > 0: {self.magnitude!r}")
         if self.kind == "student_t" and not self.df > 0:
             raise ConfigurationError("student_t needs df > 0")
+        if self.kind == "student_t" and not self.scale > 0:
+            raise ConfigurationError(f"student_t needs noise.scale > 0: {self.scale!r}")
 
     def outlier_count(self, n: int) -> int:
         if self.schedule == "fixed":

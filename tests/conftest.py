@@ -9,7 +9,8 @@ Toeplitz route off or spoils its certificate, ``toeplitz_products`` records
 the Toeplitz route's FFT products (certificates and predictions), the
 ``oracle_factor`` and ``posterior_var`` fixtures are the Cholesky-factor and
 posterior-variance oracles, and the ``counted`` fixture counts the calls of
-a gprates function.
+a gprates function.  ``no_held_table`` starts each test with no lattice
+table held in ``kernels``.
 
 ``FAST_PATHS`` is the switchboard of gprates' two fast paths, the lattice
 tables and the strip windows: each one claims to be bitwise a plain path,
@@ -58,6 +59,13 @@ FAST_PATHS = {
     # up to blocks_per_strip(table) blocks of a grid against a grid share one window
     "strip_windows": [("kernels", "blocks_per_strip", _one_block_per_strip)],
 }
+
+
+@pytest.fixture(autouse=True)
+def no_held_table(monkeypatch):
+    """Start every test with no held lattice table, so no test reads the
+    table that an earlier test's ``kernel_columns`` call left held."""
+    monkeypatch.setattr(kernels, "_held", None)
 
 
 @pytest.fixture

@@ -361,29 +361,30 @@ def test_run_on_a_dyadic_grid_evaluates_the_kernel_once(counted):
     assert evaluated == {"calls": 1, "entries": 512}
 
 
-def test_trajectory_keeps_the_candidates_table():
-    # the final fits read their tables as subsets of the candidates' one
-    table = _trajectory(12).table
-    assert isinstance(table, kernels.LatticeTable) and not table.H.flags.writeable
+def test_run_holds_the_candidates_table():
+    # the final fits read their Grams and predictions from the held table
+    _trajectory(12)
+    spec, table = kernels._held
+    assert not table.H.flags.writeable
     assert table.H.size == 2 * table.S + 1 == 1023
     assert np.array_equal(table.ia, np.arange(512)) and table.step_a == table.step_b == 1
 
 
 def test_table_trajectory_is_bitwise_the_direct_one(monkeypatch):
-    table = _trajectory(60)
-    spec, pts = table.config.kernel, table.config.candidates.points
-    _, column_of = kernels.kernel_columns(spec, pts)
-    for j in table.chosen:
+    run = _trajectory(60)
+    spec, pts = run.config.kernel, run.config.candidates.points
+    # json spells out every float (and budget 2's NaN rho) for an exact comparison
+    results = [json.dumps(run.result(n)) for n in range(2, 61)]
+    column_of = kernels.kernel_columns(spec, pts)
+    for j in run.chosen:
         assert np.array_equal(column_of(j), cross_matrix(spec, pts, pts[j])[:, 0])
     # every column, Gram matrix and prediction evaluated directly
     monkeypatch.setattr(kernels, "lattice_table", lambda *args: None)
     direct = _trajectory(60)
-    assert direct.table is None
-    assert table.chosen == direct.chosen
-    assert table.trace == direct.trace
-    # json spells out every float (and budget 2's NaN rho) for an exact comparison
-    for n in range(2, 61):
-        assert json.dumps(table.result(n)) == json.dumps(direct.result(n))
+    assert kernels._held is None
+    assert run.chosen == direct.chosen
+    assert run.trace == direct.trace
+    assert results == [json.dumps(direct.result(n)) for n in range(2, 61)]
 
 
 def test_trajectory_holds_no_candidate_by_budget_array():

@@ -92,6 +92,24 @@ def test_failed_gate_exits_1(tmp_path):
     assert json.loads((out / "small_report.json").read_text())["verdict"] == "fail"
 
 
+def test_list_prints_every_registry_entry(capsys):
+    from gprates.quadrature import DENSITY_REGISTRY
+    from gprates.targets import registry_entries
+
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    targets = [line.split()[0] for line in lines if line.startswith("  ")]
+    assert targets == [name for name, _, _ in registry_entries()]
+    listed = {line.split(":")[0]: line.split(": ")[1].split(", ")
+              for line in lines if not line.startswith(("  ", "targets"))}
+    assert listed == {
+        "densities": sorted(DENSITY_REGISTRY),
+        "designs": list(gprates.experiments._SECTIONS["design"]),
+        "experiments": sorted(gprates.acceptance.acceptance_configs()),
+    }
+    assert listed["designs"] == ["grid", "random", "p_greedy"]
+
+
 SMALL_DESIGN = {"kind": "design", "name": "des", "ladder": [8, 16, 32]}
 
 
@@ -183,6 +201,15 @@ def _a7(section, value):
     (dict(SMALL_REGRESS, nugget={"sigma": 0.1}), "missing field 'kind' in nugget"),
     (dict(SMALL_REGRESS, nugget={"kind": "fixed"}), "missing field 'sigma' in nugget"),
     (dict(SMALL_RATES, nugget={"kind": "adaptive_h"}), "missing field 'exponent' in nugget"),
+    # a noise or nugget scale of 0 or below
+    (dict(SMALL_RATES, noise={"kind": "student_t", "df": 3.0, "scale": 0.0}), "noise.scale"),
+    (dict(SMALL_RATES, noise={"kind": "student_t", "df": 3.0, "scale": -1.0}), "noise.scale"),
+    (dict(SMALL_RATES, noise={"kind": "outliers", "magnitude": 0.0}), "noise.magnitude"),
+    (dict(SMALL_RATES, noise={"kind": "outliers", "magnitude": -2.0}), "noise.magnitude"),
+    (dict(SMALL_REGRESS, nugget={"kind": "adaptive_h", "exponent": 1.0, "coeff": 0.0}),
+     "nugget.coeff"),
+    (dict(SMALL_RATES, nugget={"kind": "adaptive_h", "exponent": 1.0, "coeff": -0.5}),
+     "nugget.coeff"),
     (dict(SMALL_RATES, mean={"kind": "polynomial"}), "missing field 'coeffs' in mean"),
     (dict(SMALL_RATES, domain={"upper": [1.0]}), "missing field 'lower' in domain"),
     (dict(SMALL_RATES, domain={"lower": [0.0]}), "missing field 'upper' in domain"),
@@ -266,6 +293,8 @@ def _a7(section, value):
         "negative_expansion_centers", "overflowing_expansion_tau",
         "gaussian_noise_without_sigma", "student_t_noise_without_df", "nugget_without_kind",
         "fixed_nugget_without_sigma", "adaptive_nugget_without_exponent",
+        "zero_student_t_scale", "negative_student_t_scale", "zero_outlier_magnitude",
+        "negative_outlier_magnitude", "regress_zero_nugget_coeff", "negative_nugget_coeff",
         "polynomial_mean_without_coeffs", "domain_without_lower", "domain_without_upper",
         "kernel_without_tau", "target_without_name", "expansion_without_tau",
         "expansion_without_seed", "infinite_amplitude", "infinite_tau",

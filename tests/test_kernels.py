@@ -390,8 +390,8 @@ class TestKernelBlocks:
         assert walked == [rows for rows, _ in row_blocks(len(A), len(B), 0)]
 
     @pytest.mark.parametrize("picks", [False, True], ids=["strip", "gather"])
-    @pytest.mark.parametrize("passed", [False, True], ids=["looked_up", "passed_in"])
-    def test_table_blocks_are_the_tables(self, monkeypatch, picks, passed):
+    @pytest.mark.parametrize("held", [False, True], ids=["own_table", "held_table"])
+    def test_table_blocks_are_the_tables(self, counted, picks, held):
         spec = KernelSpec(tau=2.0, lengthscale=0.25)
         Q, X = gen_grid(4096, UNIT_INTERVAL).points, gen_grid(256, UNIT_INTERVAL).points
         if picks:  # a lattice set that is no progression
@@ -399,10 +399,12 @@ class TestKernelBlocks:
         table = lattice_table(spec, Q, X)
         assert table is not None and (table.step_b is None) == picks
         expected = [(rows, block.copy()) for rows, block in kernels.table_blocks(table)]
-        if passed:  # the caller's table is read, none is looked up
-            monkeypatch.setattr(kernels, "lattice_table", None)
-        walked = [(rows, block.copy())
-                  for rows, block in kernels.kernel_blocks(spec, Q, X, table if passed else None)]
+        if held:  # the held table of a finer grid's columns serves both sets
+            kernels.kernel_columns(spec, gen_grid(8192, UNIT_INTERVAL).points)
+            assert lattice_table(spec, Q, X).H is kernels._held[1].H
+        evaluated = counted(kernels, "matern_of_r")
+        walked = [(rows, block.copy()) for rows, block in kernels.kernel_blocks(spec, Q, X)]
+        assert evaluated["calls"] == (0 if held else 1)
         assert [rows for rows, _ in walked] == [rows for rows, _ in expected]
         assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(walked, expected))
 
@@ -944,14 +946,15 @@ class TestStrips:
         n, h = 512, row_block(512)
         ia, ib = s_a * np.arange(4 * h), s_b * np.arange(n)
         table = kernels.LatticeTable(ia - min(ia.min(), ib.min()), ib - min(ia.min(), ib.min()),
-                                     np.zeros(1), 0, s_a, s_b)
+                                     np.zeros(1), 0, 0, s_a, s_b)
         assert kernels.blocks_per_strip(table) == G
         assert kernels.blocks_per_strip(table._replace(step_b=None)) is None
 
 
 class TestKernelColumns:
     """A progression with a lattice table reads its kernel columns as slices
-    of the table, and its subsets' tables from the same ``H``."""
+    of the table, which ``kernels`` then holds: later sets on its lattice,
+    or a coarser one, within its span read their blocks from the same ``H``."""
 
     @pytest.mark.parametrize("nu", [1.5, 2.0], ids=["nu3/2", "bessel"])
     @pytest.mark.parametrize("n, domain, flip", [
@@ -959,12 +962,15 @@ class TestKernelColumns:
         (4096, UNIT_INTERVAL, False), (256, Domain((-1.0,), (1.0,)), False),
         (512, UNIT_INTERVAL, True),
     ], ids=["grid1", "grid4", "grid512", "grid4096", "symmetric_grid256", "descending_grid512"])
-    def test_column_is_a_read_only_slice_of_the_table(self, nu, n, domain, flip):
+    def test_column_is_a_read_only_slice_of_the_held_table(self, nu, n, domain, flip):
         spec = KernelSpec(tau=nu + 0.5, lengthscale=0.15, amplitude=1.3)
         pts = gen_grid(n, domain).points[:: -1 if flip else 1]
-        table, column_of = kernels.kernel_columns(spec, pts)
+        column_of = kernels.kernel_columns(spec, pts)
+        held = kernels._held
         # a midpoint grid takes a table from 4 points on (see TestLatticeTable)
-        assert (table is None) == (lattice_table(spec, pts, pts) is None) == (n < 4)
+        assert (held is None) == (lattice_table(spec, pts, pts) is None) == (n < 4)
+        table = None if held is None else held[1]
+        assert held is None or held[0] == spec and not table.H.flags.writeable
         assert table is None or table.step_a == table.step_b == (-1 if flip else 1)
         picks = sorted({0, n // 2, n - 1})
         # every column stays valid while later columns are read
@@ -982,11 +988,13 @@ class TestKernelColumns:
         (gen_grid(512, UNIT_INTERVAL).points[
             np.sort(np.random.default_rng(3).choice(512, 300, False))], True),
     ], ids=["grid2d", "non_dyadic", "no_progression"])
-    def test_other_sets_take_cross_matrix_columns(self, pts, has_table):
+    def test_other_sets_take_cross_matrix_columns_and_clear_the_held_table(self, pts, has_table):
         spec = KernelSpec(tau=2.0 + pts.shape[1] / 2, dim=pts.shape[1])
         assert (lattice_table(spec, pts, pts) is not None) == has_table
-        table, column_of = kernels.kernel_columns(spec, pts)
-        assert table is None
+        kernels.kernel_columns(KernelSpec(tau=2.5), gen_grid(512, UNIT_INTERVAL).points)
+        assert kernels._held is not None
+        column_of = kernels.kernel_columns(spec, pts)
+        assert kernels._held is None
         for j in (0, 7, len(pts) - 1):
             assert np.array_equal(column_of(j), cross_matrix(spec, pts, pts[j : j + 1])[:, 0])
 
@@ -995,15 +1003,46 @@ class TestKernelColumns:
         (np.array([3, 9, 1, 200]), np.array([3, 9, 1, 200])),
         (np.arange(0, 512, 8), np.arange(500, 100, -16)),
         (np.array([17]), np.array([17])),
-    ], ids=["candidates_against_picks", "picks_against_picks", "two_progressions", "one_point"])
-    def test_subset_blocks_are_bitwise_the_direct_block(self, a, b):
+        (np.arange(0, 512, 2), np.arange(0, 512, 2)),
+    ], ids=["candidates_against_picks", "picks_against_picks", "two_progressions", "one_point",
+            "every_other_candidate"])
+    def test_held_table_blocks_are_bitwise_the_direct_block(self, counted, a, b):
+        # subsets of the candidates read the held table, on its lattice or a
+        # coarser one (every other candidate, or one point), with no quarter
+        # rule and no kernel evaluation
         spec = KernelSpec(tau=2.5, lengthscale=0.15)
         pts = gen_grid(512, UNIT_INTERVAL).points
-        table, _ = kernels.kernel_columns(spec, pts)
-        sub = table.subset(a, b)
-        assert sub.H is table.H and sub.S == table.S
-        for index, ints, step in ((sub.ia, a, sub.step_a), (sub.ib, b, sub.step_b)):
-            assert np.array_equal(index, table.ia[ints])
+        kernels.kernel_columns(spec, pts)
+        held = kernels._held[1]
+        evaluated = counted(kernels, "matern_of_r")
+        table = lattice_table(spec, pts[a], pts[b])
+        assert table.H is held.H and (table.S, table.p) == (held.S, held.p)
+        for index, ints, step in ((table.ia, a, table.step_a), (table.ib, b, table.step_b)):
+            # the held coordinates, from the lowest point of the two sets
+            assert np.array_equal(index, held.ia[ints] - held.ia[np.r_[a, b]].min())
             assert step == kernels.progression_step(ints)
-        block = table_block(sub, slice(0, len(a)), np.empty((len(a), len(b))))
+        block = table_block(table, slice(0, len(a)), np.empty((len(a), len(b))))
+        K = gram(spec, pts[a])
+        assert evaluated["calls"] == 0
         assert np.array_equal(block, cross_matrix(spec, pts[a], pts[b]))
+        assert np.array_equal(K, cross_matrix(spec, pts[a], pts[a]))
+
+    @pytest.mark.parametrize("spec, X", [
+        (KernelSpec(tau=2.5, lengthscale=0.3), gen_grid(256, UNIT_INTERVAL).points),
+        (KernelSpec(tau=2.5, lengthscale=0.15), gen_grid(512, UNIT_INTERVAL).points),
+        (KernelSpec(tau=2.5, lengthscale=0.15), gen_grid(256, Domain((0.0,), (2.0,))).points),
+        (KernelSpec(tau=3.0, lengthscale=0.15, dim=2),
+         gen_grid(16, Domain((0.0, 0.0), (1.0, 1.0))).points),
+    ], ids=["other_spec", "finer_lattice", "span_past_S", "d2"])
+    def test_held_table_misses_run_as_without_it(self, spec, X):
+        # the candidates of 256 midpoints hold a table on 2^-8 of span 255
+        held_spec = KernelSpec(tau=2.5, lengthscale=0.15)
+        kernels.kernel_columns(held_spec, gen_grid(256, UNIT_INTERVAL).points)
+        held = kernels._held[1]
+        table = lattice_table(spec, X, X)
+        kernels._held = None
+        own = lattice_table(spec, X, X)
+        assert (table is None) == (own is None)
+        if table is not None:
+            assert table.H is not held.H
+            assert all(np.array_equal(x, y) for x, y in zip(table, own))

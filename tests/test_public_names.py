@@ -2,8 +2,8 @@
 
 No public name without a caller: every public top-level name of ``gprates``
 is used in ``src/`` outside its own definition, or is a benchmark layer.
-Only ``kernels.py`` reads a lattice table's fields or chooses between a
-table and the direct path, the fast-path switchboard lists every module
+Only ``kernels.py`` names a lattice table, reads its fields or chooses
+between a table and the direct path, the fast-path switchboard lists every module
 that binds a switched name, one function calls the theorem for a ladder,
 one function of ``fitting`` evaluates kernel values itself, and no module
 calls numpy's LAPACK."""
@@ -70,15 +70,17 @@ def _called_name(node):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_only_kernels_reads_the_table_layout():
-    # a LatticeTable's layout is kernels.py's own: every other module reads
-    # its columns and its subsets' tables through its methods
+def test_only_kernels_names_a_table():
+    # a lattice table is kernels.py's own: kernels holds it and reads it, and
+    # no other module names LatticeTable, reads its layout or passes a table
     readers = [
         f"{module}.py:{node.lineno}"
         for module, tree in _modules() if module != "kernels"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in TABLE_FIELDS
-        or isinstance(node, ast.Call) and _called_name(node) == "LatticeTable"
+        if isinstance(node, ast.Attribute) and node.attr in TABLE_FIELDS | {"LatticeTable"}
+        or isinstance(node, ast.Name) and node.id == "LatticeTable"
+        or isinstance(node, ast.alias) and "LatticeTable" in (node.name, node.asname)
+        or isinstance(node, ast.keyword) and node.arg == "table"
     ]
     assert readers == []
 

@@ -307,7 +307,11 @@ def test_slow_noise_growth_gives_the_noiseless_exponent(case):
     ([(16, 0.1), (32, 0.05), (64, 0.02)], 1, "need at least 3 ladder points after burn-in"),
     ([(16, 0.1), (32, 0.0), (64, 0.02)], 0, "nonpositive errors in the rate table"),
     ([(16, 0.1), (16, 0.09), (16, 0.11), (16, 0.1)], 0, "every ladder point after burn-in"),
-], ids=["short", "nonpositive_error", "one_design_size"])
+    ([(16, 0.1), (32, math.inf), (64, 0.01)], 0, "non-finite error inf at n = 32"),
+    ([(16, 0.1), (32, math.nan), (64, 0.01)], 0, "non-finite error nan at n = 32"),
+    ([(16, 0.1), (32, -math.inf), (64, 0.01)], 0, "non-finite error -inf at n = 32"),
+], ids=["short", "nonpositive_error", "one_design_size", "inf_error", "nan_error",
+        "minus_inf_error"])
 def test_degenerate_rate_table_has_no_slope(table, burn_in, reason):
     slope, stderr, got = fit_empirical_rate(table, burn_in)
     assert math.isnan(slope) and math.isnan(stderr)
